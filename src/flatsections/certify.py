@@ -5,6 +5,17 @@ The L^2 pairing diagonalizes over monomials, so inner products are exact
 sums against factorial weights.  Sup norms have no closed form: they are
 estimated from equal-area product meshes with greedy cell refinement and
 reported as certified lower bounds together with the refinement history.
+
+A family is certified against one shared base mesh: certify_family
+builds the monomial basis at the base-mesh centres once per chunk of
+at most 2e6 entries, applies it to each section's coefficient vector,
+then refines each section on its own.  Families whose base values pass
+BASE_BLOCK_ENTRIES are split into blocks that share one evaluation each.
+The single-section sup_norm runs the same code with one vector.  Every sup
+is bit-identical to the section-by-section evaluation, not merely close:
+the basis is built in the same chunks and each section gets its own
+matrix-vector product, since a single product over all sections rounds
+differently.
 """
 
 import csv
@@ -14,26 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import ManifoldModel
 from .kernel import (
-    KernelModel,
     SectionExpansion,
-    dimension,
-    log_monomial_weights,
+    evaluate_sections,
+    monomial_table,
     multi_indices,
 )
 
-VOLUME = {1: math.pi, 2: math.pi ** 2 / 2}
+
+# base-mesh values held at once by family_sups (sections x cells)
+BASE_BLOCK_ENTRIES = 4e6
 
 
 class CertifyError(ValueError):
     pass
-
-
-def section_from_coeffs(m: int, k: int, coeffs) -> SectionExpansion:
-    """Section with the given raw monomial coefficients."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    logw = log_monomial_weights(m, k, multi_indices(m, k))
-    return SectionExpansion(m=m, k=k, coeffs=c, ortho_coeffs=c * np.exp(0.5 * logw))
 
 
 def l2_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
@@ -44,8 +50,7 @@ def l2_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
     """
     if (sa.m, sa.k) != (sb.m, sb.k):
         raise CertifyError("sections live on different spaces")
-    logw = log_monomial_weights(sa.m, sa.k, multi_indices(sa.m, sa.k))
-    half = np.exp(0.5 * logw)
+    half = monomial_table(sa.m, sa.k).sqrt_weights
     return complex(np.sum((half * sa.coeffs) * np.conj(half * sb.coeffs)))
 
 
@@ -75,7 +80,7 @@ def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> comple
     va = sa.evaluate_lifts(lifts).reshape(k + 2, na, na)
     vb = sb.evaluate_lifts(lifts).reshape(k + 2, na, na)
     w = (0.5 * weights)[:, None, None] / na ** 2
-    return complex(VOLUME[1] * np.sum(w * va * np.conj(vb)))
+    return complex(ManifoldModel(1).volume * np.sum(w * va * np.conj(vb)))
 
 
 def _center_lifts(m: int, boxes: np.ndarray) -> np.ndarray:
@@ -148,19 +153,33 @@ class SupNormEstimate:
         }
 
 
-def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16) -> SupNormEstimate:
+def _check_mesh(m: int, mesh: int):
+    if m not in (1, 2):
+        raise CertifyError("sup_norm meshes cover m = 1 and m = 2 only")
+    if mesh < 4:
+        raise CertifyError("mesh is below the coarse default")
+
+
+def _base_values(m: int, k: int, ortho_rows, boxes: np.ndarray) -> np.ndarray:
+    """|s_j| at the base-mesh cell centres, one row per coefficient vector."""
+    return np.abs(evaluate_sections(m, k, ortho_rows, _center_lifts(m, boxes)))
+
+
+def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
+             base: np.ndarray | None = None) -> SupNormEstimate:
     """Mesh maximum of |s| at unit lifts, with greedy refinement.
 
     Splits the top percent (at least eight) of cells by center value
     until a full refinement round improves the estimate by under 0.1%.
     The estimate only ever grows, so it is always a valid lower bound.
+    base, when given, holds |s| at the base-mesh centres, as evaluated
+    for a whole family by certify_family; otherwise it is computed here.
     """
-    if s.m not in (1, 2):
-        raise CertifyError("sup_norm meshes cover m = 1 and m = 2 only")
-    if mesh < 4:
-        raise CertifyError("mesh is below the coarse default")
+    _check_mesh(s.m, mesh)
     boxes = _base_boxes(s.m, mesh)
-    vals = np.abs(s.evaluate_lifts(_center_lifts(s.m, boxes)))
+    vals = _base_values(s.m, s.k, [s.ortho_coeffs], boxes)[0] if base is None else base
+    if vals.shape != (len(boxes),):
+        raise CertifyError("base values do not match the base mesh")
     best = float(np.max(vals))
     evals = len(vals)
     history = [best]
@@ -184,6 +203,22 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16) -> SupNormEs
                            history=tuple(history))
 
 
+def family_sups(fam, mesh: int = 16, rounds: int = 16) -> list:
+    """sup_norm of every section, with the base mesh evaluated once for a
+    block of sections (all of them unless their values pass
+    BASE_BLOCK_ENTRIES)."""
+    _check_mesh(fam.m, mesh)
+    boxes = _base_boxes(fam.m, mesh)
+    block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
+    sups = []
+    for lo in range(0, fam.n, block):
+        sections = fam.sections[lo:lo + block]
+        base = _base_values(fam.m, fam.k, [s.ortho_coeffs for s in sections], boxes)
+        sups += [sup_norm(s, mesh=mesh, rounds=rounds, base=row)
+                 for s, row in zip(sections, base)]
+    return sups
+
+
 def flat_bound(beta: float, eta: float, vol: float) -> float:
     """Universal sup-norm ceiling (1+eta)/sqrt(beta(1-eta)) / sqrt(vol)."""
     # eta = 0 is the perfectly orthogonal degenerate case and is allowed
@@ -203,6 +238,7 @@ class NormCertificate:
     ratios: tuple  # sup / l2 per section
     ceiling: float | None
     mesh: int
+    rounds: int
 
     @property
     def max_sup(self) -> float:
@@ -225,23 +261,22 @@ class NormCertificate:
 def certify_family(fam, ceiling: float | None = None, mesh: int = 16,
                    rounds: int = 16, orthonormal: bool = True) -> NormCertificate:
     """Per-section sup estimates and exact L^2 norms for a flat family."""
-    sups, l2s, ratios = [], [], []
-    for s in fam.sections:
-        est = sup_norm(s, mesh=mesh, rounds=rounds)
+    sups, l2s, ratios = family_sups(fam, mesh=mesh, rounds=rounds), [], []
+    root_vol = math.sqrt(ManifoldModel(fam.m).volume)
+    for s, est in zip(fam.sections, sups):
         l2 = s.l2_norm()
         if orthonormal and abs(l2 - 1.0) > 1e-8:
             raise CertifyError("family is not L^2-normalized: %.3e" % (l2 - 1.0))
-        floor = l2 / math.sqrt(VOLUME[fam.m]) * (1 - 1e-3)
+        floor = l2 / root_vol * (1 - 1e-3)
         if est.value < floor:
             raise CertifyError(
                 "sup estimate %.6f under the flatness floor %.6f" % (est.value, floor)
             )
-        sups.append(est)
         l2s.append(l2)
         ratios.append(est.value / l2)
     return NormCertificate(k=fam.k, m=fam.m, sup_estimates=tuple(sups),
                            l2_norms=tuple(l2s), ratios=tuple(ratios),
-                           ceiling=ceiling, mesh=mesh)
+                           ceiling=ceiling, mesh=mesh, rounds=rounds)
 
 
 @dataclass(frozen=True)
@@ -271,25 +306,34 @@ class PolynomialRecord:
         )
 
 
-def emit_polynomials(fam, mesh: int = 16, rounds: int = 16) -> list:
+def emit_polynomials(fam, mesh: int = 16, rounds: int = 16,
+                     cert: NormCertificate | None = None) -> list:
     """Sections as polynomial records with their sphere flatness ratios.
 
     |s(z)|_h at a point equals |p(x)| at any unit lift x, so the metric
     sup over the manifold and the sup over the sphere coincide, and the
-    sphere ratio is the manifold ratio rescaled by sqrt(Vol) >= 1.
+    sphere ratio is the manifold ratio rescaled by sqrt(Vol) >= 1.  The
+    sups come from cert when given (it must be certify_family's output
+    for this family at the same mesh and rounds), else they are computed.
     """
+    if cert is None:
+        sups = family_sups(fam, mesh=mesh, rounds=rounds)
+    elif (cert.m, cert.k, cert.mesh, cert.rounds, len(cert.sup_estimates)) != (
+            fam.m, fam.k, mesh, rounds, fam.n):
+        raise CertifyError("certificate was computed for another family or mesh")
+    else:
+        sups = cert.sup_estimates
+    exponents = multi_indices(fam.m, fam.k)
+    root_vol = math.sqrt(ManifoldModel(fam.m).volume)
     records = []
-    for s in fam.sections:
-        est = sup_norm(s, mesh=mesh, rounds=rounds)
+    for s, est in zip(fam.sections, sups):
         l2 = s.l2_norm()
         if l2 == 0.0:
             raise CertifyError("zero section has no flatness ratio")
-        ratio = est.value * math.sqrt(VOLUME[fam.m]) / l2
         records.append(
-            PolynomialRecord(k=fam.k, m=fam.m,
-                             exponents=multi_indices(fam.m, fam.k),
+            PolynomialRecord(k=fam.k, m=fam.m, exponents=exponents,
                              coeffs=s.coeffs, sup=est, l2=l2,
-                             sphere_ratio=ratio)
+                             sphere_ratio=est.value * root_vol / l2)
         )
     return records
 
@@ -381,9 +425,9 @@ def emit_eigenfunction(rec: PolynomialRecord, samples: int = 24,
     k, m = rec.k, rec.m
     if not np.any(rec.coeffs):
         raise CertifyError("zero polynomial has no eigenfunction")
-    section = section_from_coeffs(m, k, rec.coeffs)
+    section = SectionExpansion.from_coeffs(m, k, rec.coeffs)
     # sphere measure is normalized, so sphere norms are manifold norms / sqrt(Vol)
-    sphere_l2 = float(np.linalg.norm(section.ortho_coeffs)) / math.sqrt(VOLUME[m])
+    sphere_l2 = section.l2_norm() / math.sqrt(ManifoldModel(m).volume)
     if k == 0:
         c = complex(rec.coeffs[0])
         part = "re" if abs(c.real) >= abs(c.imag) else "im"

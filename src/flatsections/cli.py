@@ -22,6 +22,7 @@ failed or the pipeline errored out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -29,13 +30,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .certify import (
-    VOLUME,
     CertifyError,
+    NormCertificate,
     certify_family,
     emit_eigenfunction,
     emit_polynomials,
@@ -45,10 +47,25 @@ from .certify import (
     write_ratio_csv,
 )
 from .constants import ConstantsError, constants_table, solve_beta, solve_beta_prime
-from .flatten import FlattenError, dump_family, flatten_frame, fk_norm, sup_norm_chain_bound
-from .frame import FrameError, LatticeSpec, build, choose_spacing, nearest_neighbor_distance
+from .flatten import (
+    FlatFamily,
+    FlattenError,
+    dump_family,
+    flatten_frame,
+    fk_norm,
+    sup_norm_chain_bound,
+)
+from .frame import (
+    Frame,
+    FrameError,
+    LatticeSpec,
+    build,
+    choose_spacing,
+    nearest_neighbor_distance,
+)
 from .geometry import (
     GeometryError,
+    ManifoldModel,
     cp1_latlon_cover,
     cp2_ball_cover,
     covering_defect,
@@ -72,6 +89,7 @@ from .kernel import (
 )
 from .whitening import (
     WhiteningError,
+    WhiteningOperator,
     assemble_gram,
     dump_matrix,
     inv_sqrt_eigen,
@@ -326,8 +344,20 @@ def lattice_spec(cfg: RunConfig):
 # per-level pipeline
 
 
-def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int, dump_dir: str | None = None):
-    """One degree through the whole pipeline; returns the manifest row."""
+class Level(NamedTuple):
+    """One degree's manifest row and the objects behind it (None past an
+    empty frame)."""
+
+    row: dict
+    frame: Frame
+    op: WhiteningOperator | None
+    fam: FlatFamily | None
+    cert: NormCertificate | None
+
+
+def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
+               dump_dir: str | None = None) -> Level:
+    """One degree through the whole pipeline."""
     frame = build(spec, k)
     n, d = frame.n, dimension(cfg.m, k)
     invariants: dict = {"frame_nonempty": n >= 1}
@@ -341,7 +371,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int, dump_dir: str | None =
         "soft": soft,
     }
     if n == 0:
-        return row, frame, None, None
+        return Level(row, frame, None, None, None)
     if n > GRAM_SIZE_CAP:
         raise CliError(
             "k=%d builds %d frame points, past the dense-pipeline cap %d"
@@ -392,7 +422,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int, dump_dir: str | None =
     invariants["sup_within_chain"] = row["max_sup"] <= chain * (1 + 1e-9)
 
     if n <= d:
-        bound = flat_bound(n / d, g.eta_hat, VOLUME[cfg.m]) * 1.10
+        bound = flat_bound(n / d, g.eta_hat, ManifoldModel(cfg.m).volume) * 1.10
         row["flat_bound"] = bound
         invariants["sup_within_flat_bound"] = row["max_sup"] <= bound
     else:
@@ -412,7 +442,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int, dump_dir: str | None =
                     cfg.m, k, op.entries, tag="whitening %s" % op.method)
         dump_family(os.path.join(dump_dir, "family-k%d.bin" % k),
                     fam, tag="flat family")
-    return row, frame, op, fam
+    return Level(row, frame, op, fam, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +486,7 @@ def dual_route_deviation(model: KernelModel, seed: int = 0) -> float:
                 )
             rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
             worst = max(worst, rel)
-    return worst
+    return float(worst)
 
 
 def _kernel_core(cfg: RunConfig) -> dict:
@@ -549,15 +579,35 @@ def core_bytes(manifest: dict) -> bytes:
     return json.dumps(manifest["core"], sort_keys=True).encode("utf-8")
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield a temporary path beside path; it replaces path only once the
+    block succeeds, so readers see the old file or the whole new one."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_json(path: str, obj, trailing_newline: bool = False):
+    with _replacing(path) as tmp:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True, indent=1)
+            if trailing_newline:
+                fh.write("\n")
+
+
 def write_outputs(manifest: dict, cfg: RunConfig) -> list:
+    """Write manifest.json and the mode's CSV into cfg.out, each atomically."""
     if cfg.out is None:
         return []
     os.makedirs(cfg.out, exist_ok=True)
     paths = []
     mpath = os.path.join(cfg.out, "manifest.json")
-    with open(mpath, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(mpath, manifest, trailing_newline=True)
     paths.append(mpath)
     core = manifest["core"]
     if core["mode"] == "full":
@@ -577,11 +627,12 @@ def write_outputs(manifest: dict, cfg: RunConfig) -> list:
                     "bound": row.get("chain_bound"),
                 }
             )
-        write_ratio_csv(cpath, csv_rows)
+        with _replacing(cpath) as tmp:
+            write_ratio_csv(tmp, csv_rows)
         paths.append(cpath)
     if core["mode"] == "constants-only":
         cpath = os.path.join(cfg.out, "constants.csv")
-        with open(cpath, "w", encoding="utf-8") as fh:
+        with _replacing(cpath) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             keys = list(core["rows"][0])
             fh.write(",".join(keys) + "\n")
             for row in core["rows"]:
@@ -602,10 +653,11 @@ def emit_polys(cfg: RunConfig) -> dict:
     levels: dict = {}
     rows = []
     for k in cfg.k:
-        _, frame, op, fam = _run_level(cfg, spec, k)
-        if fam is None:
+        level = _run_level(cfg, spec, k)
+        if level.fam is None:
             raise FrameError("degree k=%d yields an empty frame" % k)
-        records = emit_polynomials(fam, mesh=cfg.mesh, rounds=cfg.rounds)
+        records = emit_polynomials(level.fam, mesh=cfg.mesh, rounds=cfg.rounds,
+                                   cert=level.cert)
         levels[k] = records
         floor_ok = all(r.sphere_ratio >= 1 - 1e-3 for r in records)
         rows.append({"k": k, "invariants": {"sphere_ratio_floor": floor_ok}, "soft": {}})
@@ -664,6 +716,19 @@ def _rel_gap(a, b) -> float:
     if isinstance(a, bool) or isinstance(b, bool):
         return 0.0 if a == b else math.inf
     return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+def _load_manifest(path: str) -> dict:
+    """A manifest read from disk; CompareError when it is not valid JSON
+    with a core (a truncated write, say)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise CompareError("%s is not a valid manifest: %s" % (path, exc)) from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("core"), dict):
+        raise CompareError("%s holds no manifest core" % path)
+    return manifest
 
 
 def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
@@ -869,10 +934,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.cmd == "compare":
-            with open(args.manifest_a, "r", encoding="utf-8") as fh:
-                ma = json.load(fh)
-            with open(args.manifest_b, "r", encoding="utf-8") as fh:
-                mb = json.load(fh)
+            ma, mb = _load_manifest(args.manifest_a), _load_manifest(args.manifest_b)
             report = compare_manifests(ma, mb, tol=args.tol)
             text = render_compare(report)
             if text:
@@ -889,13 +951,10 @@ def main(argv=None) -> int:
             result = emit_polys(cfg)
             if cfg.out is not None:
                 os.makedirs(cfg.out, exist_ok=True)
-                with open(os.path.join(cfg.out, "polynomials.json"), "w",
-                          encoding="utf-8") as fh:
-                    json.dump({"levels": result["levels"], "selected": result["selected"]},
-                              fh, sort_keys=True, indent=1)
-                with open(os.path.join(cfg.out, "eigenfunctions.json"), "w",
-                          encoding="utf-8") as fh:
-                    json.dump(result["eigenfunctions"], fh, sort_keys=True, indent=1)
+                _write_json(os.path.join(cfg.out, "polynomials.json"),
+                            {"levels": result["levels"], "selected": result["selected"]})
+                _write_json(os.path.join(cfg.out, "eigenfunctions.json"),
+                            result["eigenfunctions"])
             for k, rec in sorted(result["selected"].items(), key=lambda kv: int(kv[0])):
                 print("k=%s  sup/l2 on the sphere: %.4f" % (k, rec["sphere ratio"]))
             status = result["status"]

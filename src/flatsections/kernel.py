@@ -14,6 +14,7 @@ in the thousands stay exact to working precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,18 +71,12 @@ class KernelModel:
             raise KernelError("lift dimension does not match the model")
 
 
-def multi_indices(m: int, k: int) -> np.ndarray:
-    """All (m+1)-part multi-indices of degree k, graded lex order.
-
-    Graded lex with z_0 > z_1 > ... > z_m: (k,0,...,0) first, then
-    descending in alpha_0, recursively.  This order is shared by every
-    coefficient vector in the package.
-    """
+def _graded_lex(m: int, k: int) -> np.ndarray:
     if m == 0:
         return np.array([[k]], dtype=np.int64)
     blocks = []
     for a0 in range(k, -1, -1):
-        sub = multi_indices(m - 1, k - a0)
+        sub = _graded_lex(m - 1, k - a0)
         block = np.empty((sub.shape[0], m + 1), dtype=np.int64)
         block[:, 0] = a0
         block[:, 1:] = sub
@@ -102,6 +97,51 @@ def log_monomial_weights(m: int, k: int, indices: np.ndarray) -> np.ndarray:
         + np.sum(lg(indices + 1.0), axis=1)
         - math.lgamma(m + k + 1)
     )
+
+
+@dataclass(frozen=True)
+class MonomialTable:
+    """Read-only per-(m, k) tables shared by every section of a level.
+
+    indices: multi_indices(m, k); log_weights: log w_alpha;
+    sqrt_weights / inv_sqrt_weights: exp(+-log_weights / 2), the factors
+    between raw and orthonormal coefficients; half_multinomial:
+    log sqrt(k!/alpha!), the coherent-state magnitudes at |y_i| = 1.
+    """
+
+    indices: np.ndarray
+    log_weights: np.ndarray
+    sqrt_weights: np.ndarray
+    inv_sqrt_weights: np.ndarray
+    half_multinomial: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def monomial_table(m: int, k: int) -> MonomialTable:
+    """The cached MonomialTable of level k on CP^m (arrays are read-only)."""
+    idx = _graded_lex(m, k)
+    logw = log_monomial_weights(m, k, idx)
+    lg = np.vectorize(math.lgamma)
+    table = MonomialTable(
+        indices=idx,
+        log_weights=logw,
+        sqrt_weights=np.exp(0.5 * logw),
+        inv_sqrt_weights=np.exp(-0.5 * logw),
+        half_multinomial=0.5 * (math.lgamma(k + 1) - np.sum(lg(idx + 1.0), axis=1)),
+    )
+    for arr in vars(table).values():
+        arr.flags.writeable = False
+    return table
+
+
+def multi_indices(m: int, k: int) -> np.ndarray:
+    """All (m+1)-part multi-indices of degree k, graded lex order.
+
+    Graded lex with z_0 > z_1 > ... > z_m: (k,0,...,0) first, then
+    descending in alpha_0, recursively.  This order is shared by every
+    coefficient vector in the package.  The array is cached and read-only.
+    """
+    return monomial_table(m, k).indices
 
 
 def monomial_weight_exact(m: int, alpha) -> float:
@@ -204,30 +244,48 @@ class SectionExpansion:
     @classmethod
     def from_ortho(cls, m: int, k: int, ortho: np.ndarray) -> "SectionExpansion":
         ortho = np.asarray(ortho, dtype=np.complex128)
-        idx = multi_indices(m, k)
-        logw = log_monomial_weights(m, k, idx)
-        return cls(m=m, k=k, coeffs=ortho * np.exp(-0.5 * logw), ortho_coeffs=ortho)
+        coeffs = ortho * monomial_table(m, k).inv_sqrt_weights
+        return cls(m=m, k=k, coeffs=coeffs, ortho_coeffs=ortho)
+
+    @classmethod
+    def from_coeffs(cls, m: int, k: int, coeffs) -> "SectionExpansion":
+        """Section with the given raw monomial coefficients."""
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        ortho = coeffs * monomial_table(m, k).sqrt_weights
+        return cls(m=m, k=k, coeffs=coeffs, ortho_coeffs=ortho)
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.ortho_coeffs))
 
     def evaluate_lifts(self, lifts: np.ndarray) -> np.ndarray:
         """Section values at unit lifts (rows); log-domain monomials."""
-        lifts = np.atleast_2d(np.asarray(lifts, dtype=np.complex128))
-        idx = multi_indices(self.m, self.k)
-        logw = log_monomial_weights(self.m, self.k, idx)
-        mag = np.abs(lifts)
-        logmag = np.where(mag > 0, np.log(np.maximum(mag, 1e-300)), LOG_ZERO)
-        phase = np.angle(lifts)
-        out = np.empty(lifts.shape[0], dtype=np.complex128)
-        step = max(1, int(2e6 // max(1, len(idx))))
-        for lo in range(0, lifts.shape[0], step):
-            hi = min(lo + step, lifts.shape[0])
-            lm = logmag[lo:hi] @ idx.T  # (chunk, d_k)
-            ph = phase[lo:hi] @ idx.T
-            basis = np.exp(lm - 0.5 * logw[None, :] + 1j * ph)
-            out[lo:hi] = basis @ self.ortho_coeffs
-        return out
+        return evaluate_sections(self.m, self.k, [self.ortho_coeffs], lifts)[0]
+
+
+def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray) -> np.ndarray:
+    """Values of several level-k sections at unit lifts, shape (sections, points).
+
+    ortho_rows holds one orthonormal-basis coefficient vector per section.
+    The log-domain monomial basis is built once per chunk of at most 2e6
+    entries and applied to each section by its own matrix-vector product,
+    so row j is bit-identical to evaluating section j on its own.
+    """
+    tab = monomial_table(m, k)
+    idx, half_logw = tab.indices, 0.5 * tab.log_weights
+    lifts = np.atleast_2d(np.asarray(lifts, dtype=np.complex128))
+    mag = np.abs(lifts)
+    logmag = np.where(mag > 0, np.log(np.maximum(mag, 1e-300)), LOG_ZERO)
+    phase = np.angle(lifts)
+    out = np.empty((len(ortho_rows), lifts.shape[0]), dtype=np.complex128)
+    step = max(1, int(2e6 // max(1, len(idx))))
+    for lo in range(0, lifts.shape[0], step):
+        hi = min(lo + step, lifts.shape[0])
+        lm = logmag[lo:hi] @ idx.T  # (chunk, d_k)
+        ph = phase[lo:hi] @ idx.T
+        basis = np.exp(lm - half_logw[None, :] + 1j * ph)
+        for j, row in enumerate(ortho_rows):
+            out[j, lo:hi] = basis @ row
+    return out
 
 
 def coherent_state(model: KernelModel, y: UnitLift) -> SectionExpansion:
@@ -239,13 +297,12 @@ def coherent_state(model: KernelModel, y: UnitLift) -> SectionExpansion:
     """
     model._check_lift(y)
     m, k = model.m, model.k
-    idx = multi_indices(m, k)
+    tab = monomial_table(m, k)
+    idx = tab.indices
     mag = np.abs(y.vector)
     logmag = np.where(mag > 0, np.log(np.maximum(mag, 1e-300)), LOG_ZERO)
     phase = np.angle(np.conj(y.vector))
-    lg = np.vectorize(math.lgamma)
-    half_multinomial = 0.5 * (math.lgamma(k + 1) - np.sum(lg(idx + 1.0), axis=1))
-    logb = half_multinomial + idx @ logmag
+    logb = tab.half_multinomial + idx @ logmag
     ortho = np.exp(logb + 1j * (idx @ phase))
     out = SectionExpansion.from_ortho(m, k, ortho)
     if not np.all(np.isfinite(out.coeffs)):

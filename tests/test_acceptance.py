@@ -218,7 +218,7 @@ def test_corollary_outputs():
     spec, _ = cli.lattice_spec(cfg)
     levels = {}
     for k in cfg.k:
-        _, _, _, fam = cli._run_level(cfg, spec, k)
+        fam = cli._run_level(cfg, spec, k).fam
         levels[k] = emit_polynomials(fam)
     selected = select_flat_sequence(levels)
     ratios = [rec.sphere_ratio for rec in selected.values()]
@@ -231,7 +231,7 @@ def test_corollary_outputs():
     spec2, _ = cli.lattice_spec(cfg2)
     levels2 = {}
     for k in cfg2.k:
-        _, _, _, fam = cli._run_level(cfg2, spec2, k)
+        fam = cli._run_level(cfg2, spec2, k).fam
         levels2[k] = emit_polynomials(fam, mesh=6, rounds=12)
     for rec in select_flat_sequence(levels2).values():
         assert emit_eigenfunction(rec).residual <= 1e-4

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flatsections import certify as C
+from flatsections import cli
 from flatsections import constants as K0
 from flatsections import flatten as FL
 from flatsections import frame as F
@@ -16,12 +17,13 @@ from flatsections.kernel import (
     SectionExpansion,
     coherent_peak,
     coherent_state,
+    dimension,
     szego_kernel,
 )
 
 
 def _unit_basis(m, k, q):
-    d = C.dimension(m, k)
+    d = dimension(m, k)
     e = np.zeros(d, dtype=np.complex128)
     e[q] = 1.0
     return SectionExpansion.from_ortho(m, k, e)
@@ -58,7 +60,8 @@ class TestL2Inner:
         for k in range(9):
             ca = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
             cb = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
-            sa, sb = C.section_from_coeffs(1, k, ca), C.section_from_coeffs(1, k, cb)
+            sa = SectionExpansion.from_coeffs(1, k, ca)
+            sb = SectionExpansion.from_coeffs(1, k, cb)
             assert abs(C.l2_inner(sa, sb) - C.torus_quadrature_inner(sa, sb)) < 1e-10
 
     def test_reproduces_whitening_gram(self):
@@ -86,7 +89,7 @@ class TestSupNorm:
             assert est.value >= peak * 0.995
 
     def test_constant_section_equality_case(self):
-        s = C.section_from_coeffs(1, 0, [1.7 - 0.4j])
+        s = SectionExpansion.from_coeffs(1, 0, [1.7 - 0.4j])
         est = C.sup_norm(s, mesh=16)
         assert abs(est.value - abs(1.7 - 0.4j)) < 1e-12
         # flat equality: sup norm equals L2 norm / sqrt(Vol)
@@ -162,9 +165,40 @@ class TestCertifyFamily:
             assert est.value >= l2 / math.sqrt(math.pi) * (1 - 1e-3)
 
     def test_unnormalized_family_rejected(self):
-        bad = FL.dft_mix([C.section_from_coeffs(1, 4, [2.0, 0, 0, 0, 0])])
+        bad = FL.dft_mix([SectionExpansion.from_coeffs(1, 4, [2.0, 0, 0, 0, 0])])
         with pytest.raises(C.CertifyError):
             C.certify_family(bad, orthonormal=True)
+
+    def test_shared_base_mesh_matches_single_sections(self):
+        m1 = _pipeline(200)[3]
+        cfg = cli.RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,
+                            cover={"name": "balls", "radius": 0.4}, mesh=6).validate()
+        m2 = cli._run_level(cfg, cli.lattice_spec(cfg)[0], 20).fam
+        for fam, mesh in ((m1, 16), (m2, 6)):
+            assert fam.n > 1
+            cert = C.certify_family(fam, mesh=mesh)
+            single = [C.sup_norm(s, mesh=mesh) for s in fam.sections]
+            assert np.array_equal([e.value for e in cert.sup_estimates],
+                                  [e.value for e in single])
+            assert cert.sup_estimates == tuple(single)
+
+    def test_blocked_base_mesh_matches_single_sections(self, monkeypatch):
+        fam = _pipeline(60)[3]
+        # 256 base cells at mesh 16: blocks of 4 sections, the last one short
+        monkeypatch.setattr(C, "BASE_BLOCK_ENTRIES", 4 * 256 + 10)
+        assert fam.n > 4 and fam.n % 4
+        assert C.family_sups(fam) == [C.sup_norm(s) for s in fam.sections]
+
+    def test_emit_reuses_matching_certificate_only(self):
+        fr, g, op, fam = _pipeline(60)
+        cert = C.certify_family(fam, mesh=8, rounds=6)
+        records = C.emit_polynomials(fam, mesh=8, rounds=6, cert=cert)
+        assert [r.sup for r in records] == list(cert.sup_estimates)
+        fresh = C.emit_polynomials(fam, mesh=8, rounds=6)
+        assert [(r.sup, r.sphere_ratio) for r in fresh] == [
+            (r.sup, r.sphere_ratio) for r in records]
+        with pytest.raises(C.CertifyError):
+            C.emit_polynomials(fam, mesh=16, rounds=6, cert=cert)
 
     def test_json(self):
         import json
@@ -219,7 +253,7 @@ class TestEmitters:
 
 class TestEigenfunctions:
     def test_degree_one_exact(self):
-        rec_fam = FL.dft_mix([C.section_from_coeffs(1, 1, [1.0, 0.0])])
+        rec_fam = FL.dft_mix([SectionExpansion.from_coeffs(1, 1, [1.0, 0.0])])
         rec = C.emit_polynomials(rec_fam, mesh=16)[0]
         e = C.emit_eigenfunction(rec)
         assert e.lam == 3
@@ -232,7 +266,7 @@ class TestEigenfunctions:
         rng = np.random.default_rng(11)
         for k in (2, 9):
             coeffs = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
-            sec = C.section_from_coeffs(1, k, coeffs)
+            sec = SectionExpansion.from_coeffs(1, k, coeffs)
             fam = FL.dft_mix([sec])
             rec = C.emit_polynomials(fam, mesh=16)[0]
             e = C.emit_eigenfunction(rec)
@@ -243,7 +277,7 @@ class TestEigenfunctions:
         for k in (8, 60):
             fr, g, op, fam = _pipeline(k) if k >= 50 else (None,) * 4
             if fam is None:
-                sec = C.section_from_coeffs(1, k, np.ones(k + 1, dtype=complex))
+                sec = SectionExpansion.from_coeffs(1, k, np.ones(k + 1, dtype=complex))
                 fam = FL.dft_mix([sec])
             rec = C.emit_polynomials(fam, mesh=16)[0]
             e = C.emit_eigenfunction(rec)
@@ -257,7 +291,7 @@ class TestEigenfunctions:
         assert e.residual < 1e-6
 
     def test_constant_polynomial(self):
-        fam = FL.dft_mix([C.section_from_coeffs(1, 0, [0.3 - 2.0j])])
+        fam = FL.dft_mix([SectionExpansion.from_coeffs(1, 0, [0.3 - 2.0j])])
         rec = C.emit_polynomials(fam, mesh=16)[0]
         e = C.emit_eigenfunction(rec)
         assert e.lam == 0 and e.part == "im" and e.residual == 0.0

@@ -1,6 +1,7 @@
 """Driver-level tests: config handling, manifests, exit codes, compare."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from flatsections import cli
+from flatsections import certify, cli
 from flatsections.certify import RATIO_COLUMNS
 from flatsections.cli import CliError, CompareError, RunConfig
 from flatsections.flatten import load_family
@@ -241,6 +242,11 @@ class TestCompare:
         mc["core"]["rows"][0]["eta_hat"] += 1e-8
         assert cli.compare_manifests(ma, mc)["drift"] == []
 
+    def test_kernel_manifests_compare_in_memory(self):
+        cfg = RunConfig(mode="kernel-check", k=(16, 64))
+        report = cli.compare_manifests(cli.run(cfg), cli.run(cfg))
+        assert report["identical"] and report["checked"] > 0
+
     def test_incompatible_configs_error(self):
         ma = cli.run(_ortho_cfg(k=(50,)))
         mb = cli.run(_ortho_cfg(k=(60,)))
@@ -333,3 +339,71 @@ class TestMainEntry:
         assert row["n_k"] == 7
         assert all(row["invariants"].values())
         assert manifest["core"]["status"]["exit_code"] == 0
+
+
+class TestAtomicOutputs:
+    def test_kernel_check_writes_valid_manifest(self, tmp_path):
+        code = cli.main(["kernel-check", "--k", "16,64", "--out", str(tmp_path)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        invariants = manifest["core"]["rows"][0]["invariants"]
+        assert invariants["dual_route_agree"] is True
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json"]
+
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        cfg = RunConfig(mode="kernel-check", k=(16,), out=str(tmp_path))
+        manifest = cli.run(cfg)
+        cli.write_outputs(manifest, cfg)
+        before = (tmp_path / "manifest.json").read_bytes()
+
+        def broken_dump(obj, fh, **kwargs):
+            fh.write('{"core": ')
+            raise TypeError("not serializable")
+
+        monkeypatch.setattr(cli.json, "dump", broken_dump)
+        with pytest.raises(TypeError):
+            cli.write_outputs(manifest, cfg)
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json"]
+
+    def test_full_run_leaves_only_outputs(self, tmp_path):
+        cfg = _ortho_cfg(out=str(tmp_path))
+        paths = cli.write_outputs(cli.run(cfg), cfg)
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json", "summary.csv"]
+        assert sorted(os.path.basename(p) for p in paths) == sorted(os.listdir(tmp_path))
+
+    @pytest.mark.parametrize("text", ['{"core": {"mode": "kernel-', "", "[1, 2]"])
+    def test_compare_bad_manifest_one_line_error(self, tmp_path, capsys, text):
+        good = tmp_path / "good"
+        assert cli.main(["kernel-check", "--k", "16", "--out", str(good)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for pair in ((bad, good / "manifest.json"), (good / "manifest.json", bad)):
+            code = cli.main(["compare", str(pair[0]), str(pair[1])])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("compare error:") and err.count("\n") == 1
+            assert "Traceback" not in err
+
+    def test_compare_missing_manifest(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert cli.main(["compare", missing, missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and err.count("\n") == 1
+
+
+class TestEmitReuse:
+    def test_each_sup_evaluated_once(self, monkeypatch):
+        seen = []
+        original = certify.sup_norm
+
+        def counted(s, *args, **kwargs):
+            seen.append((s.k, hashlib.blake2b(s.ortho_coeffs.tobytes()).digest()))
+            return original(s, *args, **kwargs)
+
+        monkeypatch.setattr(certify, "sup_norm", counted)
+        cfg = RunConfig(m=2, k=(6, 10), spacing=2.4, eta=0.9,
+                        cover={"name": "balls", "radius": 0.4}, mesh=4)
+        result = cli.emit_polys(cfg)
+        emitted = sum(len(records) for records in result["levels"].values())
+        assert len(seen) == len(set(seen)) == emitted > 2

@@ -5,6 +5,7 @@ The oracle direction is fixed: the defining sum over an exact-weight
 orthonormal monomial basis is ground truth for the closed form.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +84,27 @@ class TestMultiIndices:
     def test_rows_unique(self):
         idx = K.multi_indices(2, 9)
         assert len({tuple(r) for r in idx.tolist()}) == idx.shape[0]
+
+    def test_cached_matches_itertools_reference(self):
+        for m, k in ((1, 0), (1, 6), (2, 5), (3, 4)):
+            ref = sorted((a for a in itertools.product(range(k + 1), repeat=m + 1)
+                          if sum(a) == k), reverse=True)
+            idx = K.multi_indices(m, k)
+            assert idx.tolist() == [list(a) for a in ref]
+            assert K.multi_indices(m, k) is idx  # built once per (m, k)
+            assert not idx.flags.writeable
+            with pytest.raises(ValueError):
+                idx[0, 0] = 1
+
+    def test_table_read_only_and_consistent(self):
+        tab = K.monomial_table(2, 7)
+        for arr in (tab.indices, tab.log_weights, tab.sqrt_weights,
+                    tab.inv_sqrt_weights, tab.half_multinomial):
+            assert not arr.flags.writeable
+        logw = K.log_monomial_weights(2, 7, tab.indices)
+        assert np.array_equal(tab.log_weights, logw)
+        assert np.array_equal(tab.sqrt_weights, np.exp(0.5 * logw))
+        assert np.array_equal(tab.inv_sqrt_weights, np.exp(-0.5 * logw))
 
     def test_weights_exact_vs_log(self):
         for m, k in ((1, 4), (2, 6)):
@@ -233,6 +255,29 @@ class TestCoherentStates:
         phi = K.coherent_state(model, y)
         got = abs(phi.evaluate_lifts(y.vector[None, :])[0])
         assert abs(got - K.coherent_peak(model)) < 1e-11
+
+    def test_from_coeffs_inverts_from_ortho(self):
+        rng = np.random.default_rng(4)
+        ortho = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+        s = K.SectionExpansion.from_ortho(2, 5, ortho)
+        back = K.SectionExpansion.from_coeffs(2, 5, s.coeffs)
+        assert np.allclose(back.ortho_coeffs, ortho, rtol=1e-14, atol=0)
+        assert np.array_equal(back.coeffs, s.coeffs)
+
+    def test_family_evaluation_matches_single(self):
+        # 2500 points at d_k = 861 span two basis chunks of 2322 points
+        rng = np.random.default_rng(8)
+        m, k = 2, 40
+        d = K.dimension(m, k)
+        rows = [K.SectionExpansion.from_ortho(m, k, rng.standard_normal(d)
+                                              + 1j * rng.standard_normal(d))
+                for _ in range(3)]
+        lifts = rng.standard_normal((2500, 3)) + 1j * rng.standard_normal((2500, 3))
+        lifts /= np.linalg.norm(lifts, axis=1)[:, None]
+        vals = K.evaluate_sections(m, k, [s.ortho_coeffs for s in rows], lifts)
+        assert vals.shape == (3, 2500)
+        for s, row in zip(rows, vals):
+            assert np.array_equal(row, s.evaluate_lifts(lifts))
 
     def test_coefficient_phase_equivariance(self):
         # multiplying the lift by a phase rotates every coefficient
