@@ -701,6 +701,12 @@ GRAM_LEVEL_FIELDS = (
     "flat_spread",
 )
 
+# numeric row fields of a constants-only manifest
+CONSTANTS_ROW_FIELDS = ("a_m", "beta_m", "alpha_m", "beta_prime_m", "residual")
+
+# core-level lists of a constants-only manifest
+CONSTANTS_CORE_LISTS = ("beta", "beta_prime")
+
 # config keys allowed to differ between comparable runs
 _COMPARE_IGNORED_KEYS = ("order",)
 
@@ -772,13 +778,20 @@ def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
                 check("spec", key, va, vb)
             elif va != vb:
                 drift.append({"where": "spec", "field": key, "a": va, "b": vb, "rel": math.inf})
+    for key in CONSTANTS_CORE_LISTS:
+        if key in ca or key in cb:
+            va, vb = ca.get(key, []), cb.get(key, [])
+            if len(va) != len(vb):
+                raise CompareError("manifests hold %s lists of different lengths" % key)
+            for i, (x, y) in enumerate(zip(va, vb)):
+                check("core", "%s[%d]" % (key, i), x, y)
     rows_a = ca.get("rows", [])
     rows_b = cb.get("rows", [])
     if len(rows_a) != len(rows_b):
         raise CompareError("manifests hold different row counts")
     for ra, rb in zip(rows_a, rows_b):
-        label = "k=%s" % ra.get("k", "-")
-        for key in GRAM_LEVEL_FIELDS:
+        label = "k=%s" % ra["k"] if "k" in ra else "m=%s" % ra.get("m", "-")
+        for key in GRAM_LEVEL_FIELDS + CONSTANTS_ROW_FIELDS:
             if key in ra or key in rb:
                 check(label, key, ra.get(key), rb.get(key))
         for key in ("beta", "beta_prime", "dual_route_rel"):

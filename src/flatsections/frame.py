@@ -7,6 +7,18 @@ tangent coordinate.  Multi-chart builds walk a cell decomposition in
 order and drop any candidate too close to a point accepted from an
 earlier chart, so near-duplicates on cell boundaries cannot poison the
 Gram matrix.
+
+The dedup keeps its comparisons local with an exact chart prefilter.
+Every point of chart i lies within R_i = circumradius + REACH_SLACK of
+the chart centre c_i; the slack of 1e-9 absorbs the rounding of the exp
+map and of the computed distances, which is far smaller.  For a
+candidate x of chart j, an accepted point y of chart i and the dedup
+threshold thr, the triangle inequality for the Fubini-Study distance
+gives d(x, y) >= d(x, c_i) - R_i >= d(c_i, c_j) - R_i - R_j.  So chart i
+is skipped when d(c_i, c_j) > R_i + R_j + thr, and inside it only the
+candidates with d(x, c_i) <= R_i + thr are tested.  The test itself,
+|<x, y>| < cos thr against every accepted point of the chart, is the
+brute-force one, so the frame is the same as with no prefilter.
 """
 
 from __future__ import annotations
@@ -26,6 +38,8 @@ from .geometry import (
     ManifoldModel,
     ProjectivePoint,
     exp_chart_vectors,
+    fs_distance,
+    fs_distance_vectors,
     make_chart,
     standard_point,
 )
@@ -35,6 +49,10 @@ HEX_DIRECTION = complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
 # a dropped candidate must be this many lattice steps (times a/sqrt k)
 # from every earlier-chart point; see LatticeSpec.dedup_factor
 DEFAULT_DEDUP_FACTOR = 1.25
+
+# added to a region's circumradius so that the rounding in a computed
+# distance from the chart centre cannot break the dedup prefilter
+REACH_SLACK = 1e-9
 
 DEFAULT_EPSILON = 0.05
 
@@ -265,22 +283,36 @@ def _single_chart(spec: LatticeSpec, center: ProjectivePoint | None) -> ChartSpe
 
 
 def _assemble(spec, k, charts, per_chart) -> Frame:
+    threshold = spec.dedup_factor * spec.a / math.sqrt(k) if k > 0 else 0.0
+    cos_thr = math.cos(min(threshold, math.pi / 2))
     pts, cidx, mus, tans = [], [], [], []
+    earlier = []  # (centre, reach, conjugate transpose of the accepted lifts)
     dropped = 0
-    accepted = _DedupIndex(spec, k)
     for j, chart in enumerate(charts):
         grid, v = per_chart(chart)
         grid, v = _sort_rows(grid, v)
         if v.shape[0] == 0:
             continue
         lifts = _canonicalize_rows(exp_chart_vectors(chart, v))
-        if j > 0 and accepted.size:
-            keep = accepted.far_enough(lifts)
-            dropped += int(np.sum(~keep))
-            grid, v, lifts = grid[keep], v[keep], lifts[keep]
+        reach = chart.region.circumradius(spec.m) + REACH_SLACK
+        keep = np.ones(lifts.shape[0], dtype=bool)
+        for c_i, r_i, acc_h in earlier:
+            # chart prefilter: both skips drop only pairs farther apart
+            # than the threshold (triangle inequality, module docstring)
+            if fs_distance(chart.center, c_i) > r_i + reach + threshold:
+                continue
+            near = fs_distance_vectors(lifts, c_i.homogeneous[None, :])[:, 0]
+            test = np.flatnonzero(keep & (near <= r_i + threshold))
+            step = max(1, int(4e6 // acc_h.shape[1]))
+            for s in range(0, test.shape[0], step):
+                rows = test[s:s + step]
+                q = np.abs(lifts[rows] @ acc_h)
+                keep[rows] = np.all(q < cos_thr, axis=1)
+        dropped += int(np.sum(~keep))
+        grid, v, lifts = grid[keep], v[keep], lifts[keep]
         if lifts.shape[0] == 0:
             continue
-        accepted.add(lifts)
+        earlier.append((chart.center, reach, lifts.conj().T))
         pts.append(lifts)
         cidx.append(np.full(lifts.shape[0], j, dtype=np.int64))
         mus.append(grid)
@@ -315,53 +347,6 @@ def _assemble(spec, k, charts, per_chart) -> Frame:
         dropped=dropped,
         order_tag=tag,
     )
-
-
-class _DedupIndex:
-    """Accepted-point store answering 'is anything within the dedup
-    radius', using the polar-radius window |r(z) - r(w)| <= dist(z, w)
-    to keep comparisons local."""
-
-    def __init__(self, spec: LatticeSpec, k: int):
-        self.threshold = spec.dedup_factor * spec.a / math.sqrt(k) if k > 0 else 0.0
-        self.cos_thr = math.cos(min(self.threshold, math.pi / 2))
-        self._pts = []
-        self._r = []
-        self._sorted_pts = None
-        self._sorted_r = None
-
-    @property
-    def size(self) -> int:
-        return sum(p.shape[0] for p in self._pts)
-
-    def add(self, lifts: np.ndarray):
-        self._pts.append(lifts)
-        self._r.append(np.arccos(np.clip(np.abs(lifts[:, 0]), 0.0, 1.0)))
-        self._sorted_pts = None
-
-    def _materialize(self):
-        if self._sorted_pts is None:
-            pts = np.concatenate(self._pts)
-            r = np.concatenate(self._r)
-            order = np.argsort(r, kind="stable")
-            self._sorted_pts = pts[order]
-            self._sorted_r = r[order]
-
-    def far_enough(self, lifts: np.ndarray) -> np.ndarray:
-        self._materialize()
-        r = np.arccos(np.clip(np.abs(lifts[:, 0]), 0.0, 1.0))
-        lo = np.searchsorted(self._sorted_r, r.min() - self.threshold)
-        hi = np.searchsorted(self._sorted_r, r.max() + self.threshold)
-        window = self._sorted_pts[lo:hi]
-        if window.shape[0] == 0:
-            return np.ones(lifts.shape[0], dtype=bool)
-        keep = np.ones(lifts.shape[0], dtype=bool)
-        step = max(1, int(4e6 // max(1, window.shape[0])))
-        for s in range(0, lifts.shape[0], step):
-            e = min(s + step, lifts.shape[0])
-            q = np.abs(lifts[s:e] @ window.conj().T)
-            keep[s:e] = np.all(q < self.cos_thr, axis=1)
-        return keep
 
 
 def build_cubic(spec: LatticeSpec, k: int, center: ProjectivePoint | None = None) -> Frame:

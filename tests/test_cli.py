@@ -247,6 +247,28 @@ class TestCompare:
         report = cli.compare_manifests(cli.run(cfg), cli.run(cfg))
         assert report["identical"] and report["checked"] > 0
 
+    def test_constants_manifests_compare_every_constant(self):
+        cfg = RunConfig(mode="constants-only", constants_max_m=2)
+        ma = cli.run(cfg)
+        report = cli.compare_manifests(ma, cli.run(cfg))
+        # five numeric fields per row plus the two core-level lists
+        assert report["identical"] and report["checked"] == 2 * 5 + 2 * 2
+        mb = copy.deepcopy(ma)
+        for row in mb["core"]["rows"]:
+            row["beta_m"] *= 1.5
+            row["beta_prime_m"] *= 1.5
+        mb["core"]["beta"] = [1.5 * b for b in mb["core"]["beta"]]
+        report = cli.compare_manifests(ma, mb)
+        assert not report["identical"]
+        drifted = {(d["where"], d["field"]) for d in report["drift"]}
+        assert drifted == {("m=1", "beta_m"), ("m=2", "beta_m"), ("m=1", "beta_prime_m"),
+                           ("m=2", "beta_prime_m"), ("core", "beta[0]"), ("core", "beta[1]")}
+        mc = copy.deepcopy(ma)
+        mc["core"]["beta_prime"][1] *= 1.5
+        mc["core"]["rows"][0]["a_m"] += 1e-3
+        drifted = {(d["where"], d["field"]) for d in cli.compare_manifests(ma, mc)["drift"]}
+        assert drifted == {("core", "beta_prime[1]"), ("m=1", "a_m")}
+
     def test_incompatible_configs_error(self):
         ma = cli.run(_ortho_cfg(k=(50,)))
         mb = cli.run(_ortho_cfg(k=(60,)))

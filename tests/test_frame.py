@@ -17,6 +17,40 @@ def _cubic_spec(**kw):
     return F.LatticeSpec(**base)
 
 
+def _latlon_spec(kind, radius, a, **kw):
+    cover = G.cp1_latlon_cover(radius)
+    return F.LatticeSpec(
+        kind=kind, m=1, a=a, eta=0.995,
+        gamma=max(c.gamma for c in cover), epsilon=0.005,
+        charts=tuple(cover), delta=1e-9, **kw,
+    )
+
+
+def _brute_force_dedup(spec, k):
+    """The dedup rule with no prefilter: each candidate is compared with
+    every point accepted from every earlier chart."""
+    cos_thr = math.cos(spec.dedup_factor * spec.a / math.sqrt(k))
+    per = F._cubic_tangent_points if spec.kind == "cubic" else F._hex_tangent_points
+    pts, cidx, mus, dropped = [], [], [], 0
+    for j, chart in enumerate(spec.charts):
+        grid, v = F._sort_rows(*per(spec, chart, k))
+        if v.shape[0] == 0:
+            continue
+        lifts = F._canonicalize_rows(G.exp_chart_vectors(chart, v))
+        if pts:
+            acc = np.concatenate(pts)
+            keep = np.all(np.abs(lifts @ acc.conj().T) < cos_thr, axis=1)
+            dropped += int(np.sum(~keep))
+            grid, lifts = grid[keep], lifts[keep]
+        pts.append(lifts)
+        cidx.append(np.full(lifts.shape[0], j, dtype=np.int64))
+        mus.append(grid)
+    points, chart_index, mu = (np.concatenate(x) for x in (pts, cidx, mus))
+    if spec.order == "reversed":
+        points, chart_index, mu = points[::-1], chart_index[::-1], mu[::-1]
+    return points, chart_index, mu, dropped
+
+
 class TestSpacingRules:
     def test_choose_spacing_closed_form(self):
         a = F.choose_spacing(1, 0.5, 1.0)
@@ -232,13 +266,10 @@ class TestMultichart:
             if mine.shape[0]:
                 assert np.all(chart.region.contains(chart, mine))
 
-    def test_dedup_enforces_min_cross_distance(self):
-        cover = G.cp1_latlon_cover(0.35)
-        spec = F.LatticeSpec(
-            kind="cubic", m=1, a=1.945, eta=0.995,
-            gamma=max(c.gamma for c in cover), epsilon=0.005,
-            charts=tuple(cover), delta=1e-9,
-        )
+    @pytest.mark.parametrize("kind,radius,a", [("cubic", 0.35, 1.945),
+                                               ("hexagonal", 0.2, 1.971)])
+    def test_dedup_enforces_min_cross_distance(self, kind, radius, a):
+        spec = _latlon_spec(kind, radius, a)
         k = 800
         fr = F.build_multichart(spec, k)
         assert fr.dropped > 0
@@ -249,6 +280,29 @@ class TestMultichart:
         cross = fr.chart_index[:, None] != fr.chart_index[None, :]
         dmin = np.arccos(np.clip(np.max(q[cross]), 0, 1))
         assert dmin >= thr - 1e-12
+
+    @pytest.mark.parametrize("order", ["lex", "reversed"])
+    @pytest.mark.parametrize("kind,radius,a,k", [
+        ("cubic", 0.35, 1.945, 800),
+        ("cubic", 0.35, 1.945, 3000),
+        ("hexagonal", 0.2, 1.971, 3000),
+        ("balls", 0.4, 2.4, 40),
+    ])
+    def test_dedup_matches_brute_force(self, kind, radius, a, k, order):
+        if kind == "balls":
+            cover = G.cp2_ball_cover(radius)
+            spec = F.LatticeSpec(kind="cubic", m=2, a=a, eta=0.9, gamma=cover[0].gamma,
+                                 charts=tuple(cover), delta=3.0, order=order)
+        else:
+            spec = _latlon_spec(kind, radius, a, order=order)
+        fr = F.build_multichart(spec, k)
+        points, chart_index, mu, dropped = _brute_force_dedup(spec, k)
+        assert np.array_equal(fr.points, points)
+        assert np.array_equal(fr.chart_index, chart_index)
+        assert np.array_equal(fr.mu, mu)
+        assert fr.dropped == dropped
+        if kind != "balls":
+            assert dropped > 0
 
     def test_count_floor(self):
         cover = G.cp1_latlon_cover(0.35)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flatsections import frame as F
+from flatsections import geometry as G
 from flatsections import whitening as W
 from flatsections.geometry import UnitLift
 from flatsections.kernel import (
@@ -188,6 +189,41 @@ class TestInverseSqrt:
                 assert op.norm_inf <= (1 - g.eta_hat) ** -0.5 * (1 + 1e-6)
                 herm = np.max(np.abs(op.entries - op.entries.conj().T))
                 assert herm < 1e-12
+
+    def test_flushed_series_matches_plain_series(self):
+        # m = 1 latlon frame at k = 400: far pairs give Gram parts below
+        # the flush threshold, some of them subnormal
+        cover = G.cp1_latlon_cover(0.35)
+        spec = F.LatticeSpec(
+            kind="cubic", m=1, a=1.945, eta=0.995,
+            gamma=max(c.gamma for c in cover), epsilon=0.005,
+            charts=tuple(cover), delta=1e-9,
+        )
+        g = W.assemble_gram(F.build(spec, 400))
+        parts = np.abs(np.concatenate([g.entries.real, g.entries.imag]))
+        assert np.any((parts > 0) & (parts < np.finfo(np.float64).tiny))
+        assert np.any((parts > 0) & (parts < W.FLUSH_BELOW))
+        # the series with no flush, as inv_sqrt_neumann computed it before
+        a = np.eye(g.n, dtype=np.complex128) - g.entries
+        b = np.eye(g.n, dtype=np.complex128)
+        power, coeff, terms = a, 1.0, 0
+        for j in range(1, 4001):
+            coeff *= (2 * j - 1) / (2 * j)
+            if coeff * W._mapnorm(power) < 1e-10:
+                break
+            b = b + coeff * power
+            terms += 1
+            power = power @ a
+        op = W.inv_sqrt_neumann(g, tol=1e-10)
+        assert op.series_terms == terms
+        assert np.array_equal(op.entries, b)
+
+    def test_flush_zeroes_small_parts_only(self):
+        x = np.array([[1e-160 + 1.0j, 0.5 - 1e-170j], [1e-150 + 1e-160j, -1e-155]])
+        W._flush(x)
+        want = np.array([[1.0j, 0.5], [1e-150, 0.0]])
+        assert np.array_equal(x, want)
+        assert W.FLUSH_BELOW ** 2 >= np.finfo(np.float64).tiny
 
     def test_min_eigenvalue_floor(self):
         g = W.assemble_gram(F.build_cubic(_run_b_spec(), 400))
