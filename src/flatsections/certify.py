@@ -6,15 +6,19 @@ sums against factorial weights.  Sup norms have no closed form: they are
 estimated from equal-area product meshes with greedy cell refinement and
 reported as certified lower bounds together with the refinement history.
 
-A family is certified against one shared base mesh: certify_family
-builds the monomial basis at the base-mesh centres once per chunk of
-at most 2e6 entries, applies it to each section's coefficient vector,
-then refines each section on its own.  Families whose base values pass
-BASE_BLOCK_ENTRIES are split into blocks that share one evaluation each.
-The single-section sup_norm runs the same code with one vector.  Every sup
-is bit-identical to the section-by-section evaluation, not merely close:
-the basis is built in the same chunks and each section gets its own
-matrix-vector product, since a single product over all sections rounds
+A flat family is its (n, d_k) matrix fam.ortho: row j holds the
+coefficients of s_j over the L^2-orthonormal monomials, so its L^2 norm
+is the Euclidean norm of the row and its raw monomial coefficients are
+the row times monomial_table(m, k).inv_sqrt_weights.  The family is
+certified against one shared base mesh: certify_family builds the
+monomial basis at the base-mesh centres once per chunk of at most 2e6
+entries, applies it to each row, then refines each section on its own.
+Families whose base values pass BASE_BLOCK_ENTRIES are split into
+blocks of rows that share one evaluation each.  The single-section
+sup_norm runs the same code with one vector.  Every sup is
+bit-identical to the section-by-section evaluation, not merely close:
+the basis is built in the same chunks and each row gets its own
+matrix-vector product, since a single product over all rows rounds
 differently.
 """
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldModel
+from .geometry import ManifoldModel, moment_lifts
 from .kernel import (
     SectionExpansion,
     evaluate_sections,
@@ -84,20 +88,8 @@ def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> comple
 
 
 def _center_lifts(m: int, boxes: np.ndarray) -> np.ndarray:
-    """Unit lifts at the centers of mesh cells in flat coordinates."""
-    c = 0.5 * (boxes[:, :, 0] + boxes[:, :, 1])
-    if m == 1:
-        u, th = c[:, 0], c[:, 1]
-        return np.stack([np.sqrt(1 - u) + 0j, np.sqrt(u) * np.exp(1j * th)], axis=1)
-    a, b, t1, t2 = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
-    over = a + b > 1
-    a = np.where(over, 1 - a, a)
-    b = np.where(over, 1 - b, b)
-    w = np.maximum(1 - a - b, 0.0)
-    return np.stack(
-        [np.sqrt(w) + 0j, np.sqrt(a) * np.exp(1j * t1), np.sqrt(b) * np.exp(1j * t2)],
-        axis=1,
-    )
+    """Unit lifts at the centers of mesh cells in moment coordinates."""
+    return moment_lifts(m, 0.5 * (boxes[:, :, 0] + boxes[:, :, 1]))
 
 
 def _base_boxes(m: int, per_dim: int) -> np.ndarray:
@@ -204,18 +196,19 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
 
 
 def family_sups(fam, mesh: int = 16, rounds: int = 16) -> list:
-    """sup_norm of every section, with the base mesh evaluated once for a
-    block of sections (all of them unless their values pass
+    """sup_norm of every row of fam.ortho, with the base mesh evaluated
+    once for a block of rows (all of them unless their values pass
     BASE_BLOCK_ENTRIES)."""
     _check_mesh(fam.m, mesh)
     boxes = _base_boxes(fam.m, mesh)
     block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
     sups = []
     for lo in range(0, fam.n, block):
-        sections = fam.sections[lo:lo + block]
-        base = _base_values(fam.m, fam.k, [s.ortho_coeffs for s in sections], boxes)
-        sups += [sup_norm(s, mesh=mesh, rounds=rounds, base=row)
-                 for s, row in zip(sections, base)]
+        rows = fam.ortho[lo:lo + block]
+        base = _base_values(fam.m, fam.k, rows, boxes)
+        sups += [sup_norm(SectionExpansion.from_ortho(fam.m, fam.k, row),
+                          mesh=mesh, rounds=rounds, base=vals)
+                 for row, vals in zip(rows, base)]
     return sups
 
 
@@ -260,11 +253,12 @@ class NormCertificate:
 
 def certify_family(fam, ceiling: float | None = None, mesh: int = 16,
                    rounds: int = 16, orthonormal: bool = True) -> NormCertificate:
-    """Per-section sup estimates and exact L^2 norms for a flat family."""
+    """Per-section sup estimates and exact L^2 norms for a flat family;
+    the L^2 norm of a section is the Euclidean norm of its row."""
     sups, l2s, ratios = family_sups(fam, mesh=mesh, rounds=rounds), [], []
     root_vol = math.sqrt(ManifoldModel(fam.m).volume)
-    for s, est in zip(fam.sections, sups):
-        l2 = s.l2_norm()
+    for row, est in zip(fam.ortho, sups):
+        l2 = float(np.linalg.norm(row))
         if orthonormal and abs(l2 - 1.0) > 1e-8:
             raise CertifyError("family is not L^2-normalized: %.3e" % (l2 - 1.0))
         floor = l2 / root_vol * (1 - 1e-3)
@@ -324,15 +318,16 @@ def emit_polynomials(fam, mesh: int = 16, rounds: int = 16,
     else:
         sups = cert.sup_estimates
     exponents = multi_indices(fam.m, fam.k)
+    to_raw = monomial_table(fam.m, fam.k).inv_sqrt_weights
     root_vol = math.sqrt(ManifoldModel(fam.m).volume)
     records = []
-    for s, est in zip(fam.sections, sups):
-        l2 = s.l2_norm()
+    for row, est in zip(fam.ortho, sups):
+        l2 = float(np.linalg.norm(row))
         if l2 == 0.0:
             raise CertifyError("zero section has no flatness ratio")
         records.append(
             PolynomialRecord(k=fam.k, m=fam.m, exponents=exponents,
-                             coeffs=s.coeffs, sup=est, l2=l2,
+                             coeffs=row * to_raw, sup=est, l2=l2,
                              sphere_ratio=est.value * root_vol / l2)
         )
     return records

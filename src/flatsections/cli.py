@@ -360,7 +360,8 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
     """One degree through the whole pipeline."""
     frame = build(spec, k)
     n, d = frame.n, dimension(cfg.m, k)
-    invariants: dict = {"frame_nonempty": n >= 1}
+    # a single section is one unmixed coherent state, not a flat family
+    invariants: dict = {"frame_nonempty": n >= 1, "frame_nondegenerate": n >= 2}
     soft: dict = {}
     row = {
         "k": k,
@@ -400,8 +401,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
     invariants["b_norm_within_bound"] = True  # enforced inside the solvers
 
     fam = flatten_frame(frame, op)
-    coeffs = fam.coefficient_matrix()
-    ortho_dev = float(np.max(np.abs(coeffs @ coeffs.conj().T - np.eye(n))))
+    ortho_dev = float(np.max(np.abs(fam.ortho @ fam.ortho.conj().T - np.eye(n))))
     row["ortho_dev"] = ortho_dev
     invariants["orthonormal"] = ortho_dev <= cfg.ortho_tol
 
@@ -919,6 +919,22 @@ def _print_run(manifest: dict):
     print("status: %s (exit %d)" % (verdict, status["exit_code"]))
 
 
+# the one-line message prefix of each error class main reports (exit 1);
+# the first class that matches wins
+ERROR_PREFIXES = {
+    CliError: "config error",
+    GeometryError: "chart error",
+    FrameError: "chart error",
+    WhiteningError: "whitening error",
+    CompareError: "compare error",
+    KernelError: "pipeline error",
+    FlattenError: "pipeline error",
+    CertifyError: "pipeline error",
+    ConstantsError: "pipeline error",
+    OSError: "io error",
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="flatsections",
@@ -979,23 +995,9 @@ def main(argv=None) -> int:
         write_outputs(manifest, cfg)
         _print_run(manifest)
         return manifest["core"]["status"]["exit_code"]
-    except CliError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 1
-    except (GeometryError, FrameError) as exc:
-        print("chart error: %s" % exc, file=sys.stderr)
-        return 1
-    except WhiteningError as exc:
-        print("whitening error: %s" % exc, file=sys.stderr)
-        return 1
-    except CompareError as exc:
-        print("compare error: %s" % exc, file=sys.stderr)
-        return 1
-    except (KernelError, FlattenError, CertifyError, ConstantsError) as exc:
-        print("pipeline error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print("io error: %s" % exc, file=sys.stderr)
+    except tuple(ERROR_PREFIXES) as exc:
+        prefix = next(p for cls, p in ERROR_PREFIXES.items() if isinstance(exc, cls))
+        print("%s: %s" % (prefix, exc), file=sys.stderr)
         return 1
 
 

@@ -2,33 +2,37 @@
 pointwise frame sum.
 
 Whitening hands over an orthonormal family that still has localized
-members.  Mixing by a unitary DFT spreads every member evenly over the
-whole frame, and the sup-norm of each mixed section is then controlled
-by the chain  (1/sqrt(n)) * F * ||B||,  where F is the sup over x of
-sum_mu |Phi_mu(x)|.
+members, as an (n, d_k) matrix of orthonormal-basis coefficients.
+Mixing by a unitary DFT spreads every member evenly over the whole
+frame; the flat family is the mixed matrix, FlatFamily.ortho.  The
+sup-norm of each mixed section is then controlled by the chain
+(1/sqrt(n)) * F * ||B||,  where F is the sup over x of sum_mu |Phi_mu(x)|.
 """
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .frame import Frame
-from .geometry import BallRegion, ProjectivePoint, make_chart, exp_chart_vectors
-from .kernel import KernelModel, SectionExpansion
-from .whitening import WhiteningOperator, whiten
+from .geometry import (
+    BallRegion,
+    ProjectivePoint,
+    exp_chart_vectors,
+    make_chart,
+    moment_lifts,
+)
+from .kernel import KernelModel, SectionExpansion, dimension
+from .whitening import WhiteningOperator, read_dump, whiten, write_dump
 
 _MAGIC = b"FLT1"
+
+# lift-frame products held at once by frame_sum (lifts x frame points)
+FRAME_SUM_BLOCK_ENTRIES = 1e6
 
 
 class FlattenError(ValueError):
     pass
-
-
-def _primitive_root(n: int) -> complex:
-    return 1.0 + 0.0j if n == 1 else complex(np.exp(2j * np.pi / n))
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -46,10 +50,12 @@ def dft_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlatFamily:
+    """The flat family of one level: row j of ortho holds the coefficients
+    of s_j over the L^2-orthonormal monomials (graded lex order)."""
+
     k: int
     m: int
-    zeta: complex  # primitive n-th root of unity used in the mix
-    sections: list
+    ortho: np.ndarray = field(repr=False)  # (n, d_k) complex
     provenance: str = ""
     # weights of each output section over the coherent frame (row j holds
     # v^{(j)}, the inspectable intermediate of the sup-norm chain)
@@ -57,45 +63,22 @@ class FlatFamily:
 
     @property
     def n(self) -> int:
-        return len(self.sections)
-
-    def coefficient_matrix(self) -> np.ndarray:
-        return np.vstack([s.ortho_coeffs for s in self.sections])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "m": self.m,
-                "n": self.n,
-                "zeta re": self.zeta.real,
-                "zeta im": self.zeta.imag,
-                "provenance": self.provenance,
-            }
-        )
+        return self.ortho.shape[0]
 
 
-def dft_mix(psis: list, provenance: str = "") -> FlatFamily:
-    """Mix an orthonormal family with the unitary root-of-unity matrix."""
+def dft_mix(psis: np.ndarray) -> np.ndarray:
+    """Mix the rows of a coefficient matrix by the unitary root-of-unity
+    matrix."""
     if len(psis) == 0:
         raise FlattenError("cannot mix an empty family")
-    first = psis[0]
-    n = len(psis)
-    coeffs = np.vstack([p.ortho_coeffs for p in psis])
-    mixed = dft_matrix(n) @ coeffs
-    sections = [SectionExpansion.from_ortho(first.m, first.k, row) for row in mixed]
-    zeta = _primitive_root(n)
-    return FlatFamily(k=first.k, m=first.m, zeta=zeta, sections=sections,
-                      provenance=provenance)
+    return dft_matrix(len(psis)) @ psis
 
 
 def flatten_frame(frame: Frame, op: WhiteningOperator) -> FlatFamily:
     """Whiten a frame and mix; keeps the frame-basis weights v^{(j)}."""
-    psis = whiten(frame, op)
-    fam = dft_mix(psis, provenance="%s | %s" % (frame.order_tag, op.method))
-    weights = dft_matrix(frame.n) @ op.entries
-    return FlatFamily(k=fam.k, m=fam.m, zeta=fam.zeta, sections=fam.sections,
-                      provenance=fam.provenance, mix_weights=weights)
+    return FlatFamily(k=frame.k, m=frame.m, ortho=dft_mix(whiten(frame, op)),
+                      provenance="%s | %s" % (frame.order_tag, op.method),
+                      mix_weights=dft_matrix(frame.n) @ op.entries)
 
 
 def sup_norm_chain_bound(fk: float, op: WhiteningOperator, n: int) -> float:
@@ -108,33 +91,17 @@ def sup_norm_chain_bound(fk: float, op: WhiteningOperator, n: int) -> float:
 def area_mesh(m: int, target: int) -> np.ndarray:
     """Deterministic mesh of unit lifts, equidistributed for the volume.
 
-    m = 1 uses the (area, angle) product grid; m = 2 folds a product grid
-    onto the moment simplex, which preserves the uniform measure.
+    A product grid of cell centres in moment coordinates, mapped to lifts
+    by geometry.moment_lifts (for m = 2 that folds the square onto the
+    moment simplex, which preserves the uniform measure).
     """
-    if m == 1:
-        side = max(2, int(math.isqrt(target)))
-        u = (np.arange(side) + 0.5) / side
-        th = 2 * np.pi * (np.arange(side) + 0.5) / side
-        uu, tt = np.meshgrid(u, th, indexing="ij")
-        uu, tt = uu.ravel(), tt.ravel()
-        return np.stack(
-            [np.sqrt(1 - uu) + 0j, np.sqrt(uu) * np.exp(1j * tt)], axis=1
-        )
-    if m == 2:
-        side = max(2, int(round(target ** 0.25)))
-        g = (np.arange(side) + 0.5) / side
-        th = 2 * np.pi * (np.arange(side) + 0.5) / side
-        a, b, t1, t2 = np.meshgrid(g, g, th, th, indexing="ij")
-        a, b, t1, t2 = a.ravel(), b.ravel(), t1.ravel(), t2.ravel()
-        over = a + b > 1  # fold the square onto the simplex
-        a = np.where(over, 1 - a, a)
-        b = np.where(over, 1 - b, b)
-        w = np.maximum(1 - a - b, 0.0)
-        return np.stack(
-            [np.sqrt(w) + 0j, np.sqrt(a) * np.exp(1j * t1), np.sqrt(b) * np.exp(1j * t2)],
-            axis=1,
-        )
-    raise FlattenError("meshes implemented for m = 1 and m = 2 only")
+    if m not in (1, 2):
+        raise FlattenError("meshes implemented for m = 1 and m = 2 only")
+    side = max(2, int(math.isqrt(target)) if m == 1 else int(round(target ** 0.25)))
+    g = (np.arange(side) + 0.5) / side
+    th = 2 * np.pi * (np.arange(side) + 0.5) / side
+    grids = np.meshgrid(*[g] * m, *[th] * m, indexing="ij")
+    return moment_lifts(m, np.stack([x.ravel() for x in grids], axis=1))
 
 
 def _tangent_ball_grid(m: int, radius: float, side: int) -> np.ndarray:
@@ -145,13 +112,23 @@ def _tangent_ball_grid(m: int, radius: float, side: int) -> np.ndarray:
 
 
 def frame_sum(frame: Frame, lifts: np.ndarray) -> np.ndarray:
-    """sum_mu |Phi_mu(x)| = sqrt(diag) * sum_mu cos^k d(x, y_mu) at each x."""
-    model = KernelModel(frame.m, frame.k)
-    q = np.abs(lifts @ frame.points.conj().T)
-    np.clip(q, 0.0, 1.0, out=q)
-    with np.errstate(divide="ignore"):
-        logq = np.log(q)
-    return math.sqrt(model.diag) * np.sum(np.exp(frame.k * logq), axis=1)
+    """sum_mu |Phi_mu(x)| = sqrt(diag) * sum_mu cos^k d(x, y_mu) at each x.
+
+    The lifts go through in blocks of at most FRAME_SUM_BLOCK_ENTRIES
+    lift-point products; each value is a sum over its own row only, so it
+    does not depend on the blocking.
+    """
+    root = math.sqrt(KernelModel(frame.m, frame.k).diag)
+    conj = frame.points.conj().T
+    step = max(1, int(FRAME_SUM_BLOCK_ENTRIES // max(1, frame.n)))
+    out = np.empty(lifts.shape[0])
+    for lo in range(0, lifts.shape[0], step):
+        q = np.abs(lifts[lo:lo + step] @ conj)
+        np.clip(q, 0.0, 1.0, out=q)
+        with np.errstate(divide="ignore"):
+            logq = np.log(q)
+        out[lo:lo + step] = root * np.sum(np.exp(frame.k * logq), axis=1)
+    return out
 
 
 def fk_norm(frame: Frame, mesh: int = 16384, rounds: int = 6) -> float:
@@ -218,30 +195,12 @@ def bourgain_reference(signs, k: int) -> list:
 
 
 def dump_family(path, fam: FlatFamily, tag: str):
-    """Binary coefficient dump; header convention shared with whitening."""
-    data = np.ascontiguousarray(fam.coefficient_matrix(), dtype=np.complex128)
-    raw = tag.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", fam.m, fam.k, data.shape[0]))
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-        fh.write(data.tobytes(order="C"))
+    """Binary dump of fam.ortho in the whitening.write_dump layout."""
+    write_dump(path, _MAGIC, fam.m, fam.k, fam.ortho, tag)
 
 
 def load_family(path) -> FlatFamily:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise FlattenError("not a flat-family dump")
-    m, k, n = struct.unpack_from("<III", blob, 4)
-    (tag_len,) = struct.unpack_from("<I", blob, 16)
-    tag = blob[20:20 + tag_len].decode("utf-8")
-    body = blob[20 + tag_len:]
-    d = KernelModel(m, k).d_k
-    if len(body) != 16 * n * d:
-        raise FlattenError("flat-family dump body has the wrong size")
-    coeffs = np.frombuffer(body, dtype=np.complex128).reshape(n, d)
-    sections = [SectionExpansion.from_ortho(m, k, row) for row in coeffs]
-    zeta = _primitive_root(n)
-    return FlatFamily(k=k, m=m, zeta=zeta, sections=sections, provenance=tag)
+    """Inverse of dump_family; the tag comes back as the provenance."""
+    m, k, ortho, tag = read_dump(path, _MAGIC, "flat-family",
+                                 lambda m, k, n: dimension(m, k), error=FlattenError)
+    return FlatFamily(k=k, m=m, ortho=ortho, provenance=tag)

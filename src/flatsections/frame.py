@@ -412,7 +412,8 @@ def density_bound(spec: LatticeSpec, k: int) -> float:
 
 
 def nearest_neighbor_distance(frame: Frame) -> float:
-    """Min pairwise geodesic distance; O(n^2), for diagnostics/tests."""
+    """Min pairwise geodesic distance, O(n^2) in row blocks; every level
+    of a run reports it as nn and checks it against the spacing floor."""
     if frame.n < 2:
         return math.inf
     pts = frame.points

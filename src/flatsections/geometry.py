@@ -134,6 +134,31 @@ def fs_distance_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(q, -1.0, 1.0))
 
 
+def moment_lifts(m: int, coords: np.ndarray) -> np.ndarray:
+    """Unit lifts (z_0 >= 0 real) from moment coordinates, one row each.
+
+    m = 1 reads (u, theta) as z_1 = sqrt(u) e^{i theta}; m = 2 reads
+    (a, b, t1, t2), folds (a, b) from the unit square onto the simplex
+    a + b <= 1, which keeps the uniform measure, and sets
+    z_1 = sqrt(a) e^{i t1}, z_2 = sqrt(b) e^{i t2}.  Uniform coordinates
+    give lifts uniform for the volume.
+    """
+    if m == 1:
+        u, th = coords[:, 0], coords[:, 1]
+        return np.stack([np.sqrt(1 - u) + 0j, np.sqrt(u) * np.exp(1j * th)], axis=1)
+    if m != 2:
+        raise GeometryError("moment coordinates cover m = 1 and m = 2 only")
+    a, b, t1, t2 = coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
+    over = a + b > 1
+    a = np.where(over, 1 - a, a)
+    b = np.where(over, 1 - b, b)
+    w = np.maximum(1 - a - b, 0.0)
+    return np.stack(
+        [np.sqrt(w) + 0j, np.sqrt(a) * np.exp(1j * t1), np.sqrt(b) * np.exp(1j * t2)],
+        axis=1,
+    )
+
+
 # ---------------------------------------------------------------------------
 # chart regions
 

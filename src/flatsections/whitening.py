@@ -17,7 +17,7 @@ import numpy as np
 
 from .frame import Frame
 from .geometry import UnitLift
-from .kernel import KernelModel, SectionExpansion, coherent_state, near_threshold
+from .kernel import KernelModel, coherent_state, near_threshold
 
 _MAGIC = b"WMX1"
 _MAX_TERMS = 4000
@@ -222,8 +222,10 @@ def inv_sqrt_eigen(g: GramMatrix, tol: float = 1e-10) -> WhiteningOperator:
     return WhiteningOperator(entries=b, method="eigen", norm_inf=norm_inf)
 
 
-def whiten(frame: Frame, op: WhiteningOperator) -> list[SectionExpansion]:
-    """Orthonormal quasi-coherent family Psi_mu = sum_nu B_{mu,nu} Phi_nu."""
+def whiten(frame: Frame, op: WhiteningOperator) -> np.ndarray:
+    """Orthonormal quasi-coherent family Psi_mu = sum_nu B_{mu,nu} Phi_nu,
+    as the (n, d_k) matrix whose row mu holds the coefficients of Psi_mu
+    over the L^2-orthonormal monomials."""
     if op.n != frame.n:
         raise WhiteningError("operator size does not match the frame")
     model = KernelModel(frame.m, frame.k)
@@ -231,38 +233,51 @@ def whiten(frame: Frame, op: WhiteningOperator) -> list[SectionExpansion]:
         [coherent_state(model, UnitLift.from_vector(p)).ortho_coeffs
          for p in frame.points]
     )
-    mixed = op.entries @ basis
-    return [SectionExpansion.from_ortho(frame.m, frame.k, row) for row in mixed]
+    return op.entries @ basis
 
 
-def dump_matrix(path, m: int, k: int, entries: np.ndarray, tag: str):
-    """Binary dump: magic, (m, k, n), ordering tag, row-major complex128."""
-    data = np.ascontiguousarray(entries, dtype=np.complex128)
-    if data.ndim != 2 or data.shape[0] != data.shape[1]:
-        raise WhiteningError("dump_matrix expects a square matrix")
+def write_dump(path, magic: bytes, m: int, k: int, rows: np.ndarray, tag: str):
+    """The one binary layout of the package: 4-byte magic, <IIII (m, k,
+    row count, tag length), the utf-8 tag, then the rows as row-major
+    complex128."""
+    data = np.ascontiguousarray(rows, dtype=np.complex128)
     raw = tag.encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", m, k, data.shape[0]))
-        fh.write(struct.pack("<I", len(raw)))
+        fh.write(magic)
+        fh.write(struct.pack("<IIII", m, k, data.shape[0], len(raw)))
         fh.write(raw)
         fh.write(data.tobytes(order="C"))
 
 
-def load_matrix(path):
-    """Inverse of dump_matrix; returns (m, k, entries, tag)."""
+def read_dump(path, magic: bytes, what: str, cols, error=WhiteningError):
+    """Inverse of write_dump: (m, k, rows, tag), where rows has
+    cols(m, k, row count) columns.  Raises error when the magic is not
+    magic or the body size does not match the header."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise WhiteningError("not a matrix dump")
-    m, k, n = struct.unpack_from("<III", blob, 4)
-    (tag_len,) = struct.unpack_from("<I", blob, 16)
+    if blob[:4] != magic or len(blob) < 20:
+        raise error("not a %s dump" % what)
+    m, k, n, tag_len = struct.unpack_from("<IIII", blob, 4)
     tag = blob[20:20 + tag_len].decode("utf-8")
     body = blob[20 + tag_len:]
-    if len(body) != 16 * n * n:
-        raise WhiteningError("matrix dump body has the wrong size")
-    entries = np.frombuffer(body, dtype=np.complex128).reshape(n, n).copy()
-    return m, k, entries, tag
+    d = cols(m, k, n)
+    if len(body) != 16 * n * d:
+        raise error("%s dump body has the wrong size" % what)
+    rows = np.frombuffer(body, dtype=np.complex128).reshape(n, d).copy()
+    return m, k, rows, tag
+
+
+def dump_matrix(path, m: int, k: int, entries: np.ndarray, tag: str):
+    """Binary dump of a square matrix in the write_dump layout."""
+    entries = np.asarray(entries)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise WhiteningError("dump_matrix expects a square matrix")
+    write_dump(path, _MAGIC, m, k, entries, tag)
+
+
+def load_matrix(path):
+    """Inverse of dump_matrix; returns (m, k, entries, tag)."""
+    return read_dump(path, _MAGIC, "matrix", lambda m, k, n: n)
 
 
 def neumann_term_estimate(eta_hat: float, tol: float = 1e-10) -> float:

@@ -25,6 +25,7 @@ from flatsections.geometry import UnitLift, cp1_latlon_cover
 from flatsections.kernel import (
     KernelModel,
     dimension,
+    monomial_table,
     multi_indices,
     szego_kernel,
     verify_decay,
@@ -154,7 +155,7 @@ def test_orthonormality(ortho_levels):
                 for alpha in idx
             ]
         )
-        coeffs = np.vstack([s.coeffs for s in fam.sections])
+        coeffs = fam.ortho * monomial_table(1, k).inv_sqrt_weights
         gram = (coeffs * weights[None, :]) @ coeffs.conj().T
         dev = np.max(np.abs(gram - np.eye(fam.n)))
         assert dev <= 1e-8, "k=%d deviates by %.3e" % (k, dev)

@@ -29,6 +29,15 @@ def _unit_basis(m, k, q):
     return SectionExpansion.from_ortho(m, k, e)
 
 
+def _family(sec):
+    """The one-section flat family of sec."""
+    return FL.FlatFamily(k=sec.k, m=sec.m, ortho=FL.dft_mix(sec.ortho_coeffs[None, :]))
+
+
+def _sections(fam):
+    return [SectionExpansion.from_ortho(fam.m, fam.k, row) for row in fam.ortho]
+
+
 def _pipeline(k: int):
     spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.4)
     fr = F.build_cubic(spec, k)
@@ -111,7 +120,7 @@ class TestSupNorm:
 
     def test_history_nondecreasing(self):
         fr, g, op, fam = _pipeline(100)
-        est = C.sup_norm(fam.sections[0], mesh=16)
+        est = C.sup_norm(_sections(fam)[0], mesh=16)
         hist = est.history
         assert all(b >= a for a, b in zip(hist, hist[1:]))
         assert est.value == hist[-1]
@@ -165,7 +174,7 @@ class TestCertifyFamily:
             assert est.value >= l2 / math.sqrt(math.pi) * (1 - 1e-3)
 
     def test_unnormalized_family_rejected(self):
-        bad = FL.dft_mix([SectionExpansion.from_coeffs(1, 4, [2.0, 0, 0, 0, 0])])
+        bad = _family(SectionExpansion.from_coeffs(1, 4, [2.0, 0, 0, 0, 0]))
         with pytest.raises(C.CertifyError):
             C.certify_family(bad, orthonormal=True)
 
@@ -177,7 +186,7 @@ class TestCertifyFamily:
         for fam, mesh in ((m1, 16), (m2, 6)):
             assert fam.n > 1
             cert = C.certify_family(fam, mesh=mesh)
-            single = [C.sup_norm(s, mesh=mesh) for s in fam.sections]
+            single = [C.sup_norm(s, mesh=mesh) for s in _sections(fam)]
             assert np.array_equal([e.value for e in cert.sup_estimates],
                                   [e.value for e in single])
             assert cert.sup_estimates == tuple(single)
@@ -187,7 +196,7 @@ class TestCertifyFamily:
         # 256 base cells at mesh 16: blocks of 4 sections, the last one short
         monkeypatch.setattr(C, "BASE_BLOCK_ENTRIES", 4 * 256 + 10)
         assert fam.n > 4 and fam.n % 4
-        assert C.family_sups(fam) == [C.sup_norm(s) for s in fam.sections]
+        assert C.family_sups(fam) == [C.sup_norm(s) for s in _sections(fam)]
 
     def test_emit_reuses_matching_certificate_only(self):
         fr, g, op, fam = _pipeline(60)
@@ -253,7 +262,7 @@ class TestEmitters:
 
 class TestEigenfunctions:
     def test_degree_one_exact(self):
-        rec_fam = FL.dft_mix([SectionExpansion.from_coeffs(1, 1, [1.0, 0.0])])
+        rec_fam = _family(SectionExpansion.from_coeffs(1, 1, [1.0, 0.0]))
         rec = C.emit_polynomials(rec_fam, mesh=16)[0]
         e = C.emit_eigenfunction(rec)
         assert e.lam == 3
@@ -267,7 +276,7 @@ class TestEigenfunctions:
         for k in (2, 9):
             coeffs = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
             sec = SectionExpansion.from_coeffs(1, k, coeffs)
-            fam = FL.dft_mix([sec])
+            fam = _family(sec)
             rec = C.emit_polynomials(fam, mesh=16)[0]
             e = C.emit_eigenfunction(rec)
             sphere_norm = sec.l2_norm() / math.sqrt(math.pi)
@@ -278,7 +287,7 @@ class TestEigenfunctions:
             fr, g, op, fam = _pipeline(k) if k >= 50 else (None,) * 4
             if fam is None:
                 sec = SectionExpansion.from_coeffs(1, k, np.ones(k + 1, dtype=complex))
-                fam = FL.dft_mix([sec])
+                fam = _family(sec)
             rec = C.emit_polynomials(fam, mesh=16)[0]
             e = C.emit_eigenfunction(rec)
             assert e.residual < 1e-6
@@ -291,7 +300,7 @@ class TestEigenfunctions:
         assert e.residual < 1e-6
 
     def test_constant_polynomial(self):
-        fam = FL.dft_mix([SectionExpansion.from_coeffs(1, 0, [0.3 - 2.0j])])
+        fam = _family(SectionExpansion.from_coeffs(1, 0, [0.3 - 2.0j]))
         rec = C.emit_polynomials(fam, mesh=16)[0]
         e = C.emit_eigenfunction(rec)
         assert e.lam == 0 and e.part == "im" and e.residual == 0.0

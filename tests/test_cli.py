@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ import pytest
 from flatsections import certify, cli
 from flatsections.certify import RATIO_COLUMNS
 from flatsections.cli import CliError, CompareError, RunConfig
-from flatsections.flatten import load_family
+from flatsections.flatten import FlattenError, load_family
 from flatsections.frame import FrameError, choose_spacing
 from flatsections.geometry import GeometryError
-from flatsections.whitening import load_matrix
+from flatsections.kernel import dimension
+from flatsections.whitening import WhiteningError, load_matrix
 
 
 def _ortho_cfg(**kw):
@@ -137,9 +139,10 @@ class TestRunManifest:
             assert not row["soft"]["flat_within_5pct"]
         assert manifest["core"]["status"]["exit_code"] == 2
 
-    def test_singleton_run_passes(self):
+    def test_singleton_run_is_degenerate(self):
         # auto spacing at eta 0.5 leaves one lattice point per chart; the
-        # single section is the coherent state and saturates the flat bound
+        # single section is the coherent state and saturates the flat bound,
+        # but one coherent state is no flat family, so the run fails
         manifest = cli.run(RunConfig(k=(50,)))
         row = manifest["core"]["rows"][0]
         assert row["n_k"] == 1
@@ -147,7 +150,9 @@ class TestRunManifest:
         assert row["b_norm"] == pytest.approx(1.0, abs=1e-12)
         peak = math.sqrt(51 / math.pi)
         assert row["max_sup"] == pytest.approx(peak, rel=5e-3)
-        assert manifest["core"]["status"]["exit_code"] == 0
+        status = manifest["core"]["status"]
+        assert status["hard_failures"] == ["k=50:frame_nondegenerate"]
+        assert status["exit_code"] == 1
 
     def test_core_is_deterministic(self):
         cfg_a = _ortho_cfg(out="/tmp/det-a")
@@ -174,6 +179,25 @@ class TestRunManifest:
         assert norm == pytest.approx(manifest["core"]["rows"][0]["b_norm"], rel=1e-12)
         fam = load_family(str(tmp_path / "family-k50.bin"))
         assert fam.n == 9 and fam.k == 50
+
+    def test_dump_layout(self, tmp_path):
+        # one layout for every dump: magic, <IIII (m, k, rows, tag length),
+        # tag, row-major complex128
+        cli.run(_ortho_cfg(out=str(tmp_path), dumps=True))
+        paths = {}
+        for name, tag, cols in (("gram", "gram", 9),
+                                ("whitening", "whitening neumann", 9),
+                                ("family", "flat family", dimension(1, 50))):
+            paths[name] = tmp_path / ("%s-k50.bin" % name)
+            blob = paths[name].read_bytes()
+            assert struct.unpack("<IIII", blob[4:20]) == (1, 50, 9, len(tag))
+            assert blob[20:20 + len(tag)] == tag.encode("utf-8")
+            assert len(blob) == 20 + len(tag) + 16 * 9 * cols
+        for name in ("gram", "whitening"):
+            with pytest.raises(FlattenError, match="not a flat-family dump"):
+                load_family(paths[name])
+        with pytest.raises(WhiteningError, match="not a matrix dump"):
+            load_matrix(paths["family"])
 
     def test_constants_mode(self, tmp_path):
         cfg = RunConfig(mode="constants-only", out=str(tmp_path))
@@ -304,6 +328,14 @@ class TestMainEntry:
         code = cli.main(["run", "--spacing", "0.5", "--eta", "0.9", "--k", "60"])
         assert code == 1
         assert capsys.readouterr().err.startswith("whitening error:")
+
+    def test_default_run_is_degenerate(self, capsys):
+        # the default spacing builds one frame point per level
+        assert cli.main(["run"]) == 1
+        out = capsys.readouterr().out
+        for k in RunConfig().k:
+            assert "hard failure: k=%d:frame_nondegenerate" % k in out
+        assert "status: hard failure (exit 1)" in out
 
     def test_hard_invariant_failure_exit(self):
         # a sloppy series tolerance leaves the family visibly non-orthonormal

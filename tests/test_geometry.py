@@ -95,6 +95,34 @@ class TestPointsAndDistance:
                 assert abs(d[i, j] - G.fs_distance(pts[i], pts[j])) < 1e-12
 
 
+class TestMomentLifts:
+    def test_unit_lifts_with_the_given_moments(self):
+        rng = np.random.default_rng(4)
+        u, th = rng.uniform(size=50), rng.uniform(0, 2 * np.pi, size=50)
+        z = G.moment_lifts(1, np.stack([u, th], axis=1))
+        assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-14)
+        assert np.allclose(np.abs(z[:, 1]) ** 2, u, atol=1e-14)
+        assert np.allclose(np.angle(z[:, 1]) % (2 * np.pi), th, atol=1e-12)
+        assert np.all(z[:, 0].real >= 0) and np.all(z[:, 0].imag == 0)
+
+    def test_square_folds_onto_the_simplex(self):
+        rng = np.random.default_rng(5)
+        c = np.column_stack([rng.uniform(size=(60, 2)),
+                             rng.uniform(0, 2 * np.pi, size=(60, 2))])
+        z = G.moment_lifts(2, c)
+        assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-14)
+        over = c[:, 0] + c[:, 1] > 1
+        assert 0 < over.sum() < 60
+        folded = c.copy()
+        folded[over, :2] = 1 - c[over, :2]
+        assert np.array_equal(z, G.moment_lifts(2, folded))
+        assert np.allclose(np.abs(z[:, 1:]) ** 2, folded[:, :2], atol=1e-14)
+
+    def test_rejects_other_dimensions(self):
+        with pytest.raises(G.GeometryError):
+            G.moment_lifts(3, np.zeros((1, 6)))
+
+
 class TestChartsAndExpLog:
     def test_frame_is_orthonormal_and_horizontal(self):
         rng = np.random.default_rng(5)
