@@ -23,6 +23,7 @@ differently.
 """
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -92,7 +93,10 @@ def _center_lifts(m: int, boxes: np.ndarray) -> np.ndarray:
     return moment_lifts(m, 0.5 * (boxes[:, :, 0] + boxes[:, :, 1]))
 
 
+@functools.lru_cache(maxsize=8)
 def _base_boxes(m: int, per_dim: int) -> np.ndarray:
+    """The base mesh cells (cached and read-only), as (cells, dims, 2)
+    lower and upper edges in moment coordinates."""
     if m == 1:
         spans = [(0.0, 1.0), (0.0, 2 * np.pi)]
     else:
@@ -106,6 +110,7 @@ def _base_boxes(m: int, per_dim: int) -> np.ndarray:
     boxes = np.empty((per_dim ** len(spans), len(spans), 2))
     for d, (ax, ix) in enumerate(zip(axes, flat)):
         boxes[:, d, :] = ax[ix]
+    boxes.flags.writeable = False
     return boxes
 
 
@@ -285,19 +290,20 @@ class PolynomialRecord:
     l2: float
     sphere_ratio: float  # sup over the unit sphere / sphere L^2 norm
 
+    def to_dict(self) -> dict:
+        return {
+            "k": self.k,
+            "m": self.m,
+            "exponents": self.exponents.tolist(),
+            "coeffs re": self.coeffs.real.tolist(),
+            "coeffs im": self.coeffs.imag.tolist(),
+            "sup": self.sup.to_dict(),
+            "l2": self.l2,
+            "sphere ratio": self.sphere_ratio,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "m": self.m,
-                "exponents": self.exponents.tolist(),
-                "coeffs re": self.coeffs.real.tolist(),
-                "coeffs im": self.coeffs.imag.tolist(),
-                "sup": self.sup.to_dict(),
-                "l2": self.l2,
-                "sphere ratio": self.sphere_ratio,
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 def emit_polynomials(fam, mesh: int = 16, rounds: int = 16,

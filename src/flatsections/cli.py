@@ -659,8 +659,10 @@ def emit_polys(cfg: RunConfig) -> dict:
         records = emit_polynomials(level.fam, mesh=cfg.mesh, rounds=cfg.rounds,
                                    cert=level.cert)
         levels[k] = records
-        floor_ok = all(r.sphere_ratio >= 1 - 1e-3 for r in records)
-        rows.append({"k": k, "invariants": {"sphere_ratio_floor": floor_ok}, "soft": {}})
+        invariants = {name: level.row["invariants"][name]
+                      for name in ("frame_nonempty", "frame_nondegenerate")}
+        invariants["sphere_ratio_floor"] = all(r.sphere_ratio >= 1 - 1e-3 for r in records)
+        rows.append({"k": k, "invariants": invariants, "soft": {}})
     selected = select_flat_sequence(levels)
     eigen = {}
     for k, rec in selected.items():
@@ -671,8 +673,8 @@ def emit_polys(cfg: RunConfig) -> dict:
                 row["invariants"]["eigen_residual_small"] = erec.residual <= 1e-6
     return {
         "spec": info,
-        "levels": {str(k): [json.loads(r.to_json()) for r in v] for k, v in levels.items()},
-        "selected": {str(k): json.loads(r.to_json()) for k, r in selected.items()},
+        "levels": {str(k): [r.to_dict() for r in v] for k, v in levels.items()},
+        "selected": {str(k): r.to_dict() for k, r in selected.items()},
         "eigenfunctions": {str(k): e.to_dict() for k, e in eigen.items()},
         "status": _status(rows),
     }

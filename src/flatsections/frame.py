@@ -16,9 +16,21 @@ candidate x of chart j, an accepted point y of chart i and the dedup
 threshold thr, the triangle inequality for the Fubini-Study distance
 gives d(x, y) >= d(x, c_i) - R_i >= d(c_i, c_j) - R_i - R_j.  So chart i
 is skipped when d(c_i, c_j) > R_i + R_j + thr, and inside it only the
-candidates with d(x, c_i) <= R_i + thr are tested.  The test itself,
-|<x, y>| < cos thr against every accepted point of the chart, is the
+candidates with d(x, c_i) <= R_i + thr are tested.
+
+Inside a chart the comparisons are banded.  Chart i has a pivot p_i at
+distance pi/4 from c_i, and its accepted points are kept sorted by the
+key f(y) = |<y, p_i>|^2 = cos^2 d(y, p_i).  Since |d/dd cos^2 d| =
+|sin 2d| <= 1, f is 1-Lipschitz for d_FS: |f(x) - f(y)| <= |d(x, p_i) -
+d(y, p_i)| <= d(x, y).  So a pair with |f(x) - f(y)| > thr + REACH_SLACK
+lies farther apart than thr and cannot drop x.  The key carries only
+absolute rounding (about 1e-16, no arccos), so the skip is exact even
+where a chart contains its pivot.  The candidates that pass the chart
+skip are sorted by f and taken BAND_BLOCK at a time; each block is
+tested only against the points whose keys lie within thr + REACH_SLACK
+of the block's key range.  The test itself, |<x, y>| < cos thr, is the
 brute-force one, so the frame is the same as with no prefilter.
+Frame.compared counts the overlaps computed.
 """
 
 from __future__ import annotations
@@ -53,6 +65,9 @@ DEFAULT_DEDUP_FACTOR = 1.25
 # added to a region's circumradius so that the rounding in a computed
 # distance from the chart centre cannot break the dedup prefilter
 REACH_SLACK = 1e-9
+
+# candidates tested together against one key window of an earlier chart
+BAND_BLOCK = 64
 
 DEFAULT_EPSILON = 0.05
 
@@ -245,6 +260,7 @@ class Frame:
     tangent: np.ndarray  # (n, 2m) tangent coordinates in the chart
     spec: LatticeSpec
     dropped: int = 0  # candidates removed by cross-chart dedup
+    compared: int = 0  # overlaps |<x, y>| the dedup computed
     order_tag: str = "chart-major, lex on mu"
 
     @property
@@ -282,12 +298,28 @@ def _single_chart(spec: LatticeSpec, center: ProjectivePoint | None) -> ChartSpe
     return make_chart(c, CubeRegion(spec.t), spec.gamma)
 
 
+def _pivot(center: ProjectivePoint) -> np.ndarray:
+    """A unit vector at FS distance pi/4 from center."""
+    c = center.homogeneous
+    e = np.zeros_like(c)
+    e[np.argmin(np.abs(c))] = 1.0
+    e -= np.vdot(c, e) * c
+    return (c + e / np.linalg.norm(e)) / math.sqrt(2.0)
+
+
+def _pivot_key(lifts: np.ndarray, pivot: np.ndarray) -> np.ndarray:
+    """f(y) = |<y, pivot>|^2 per row, 1-Lipschitz for d_FS."""
+    return np.abs(lifts @ pivot.conj()) ** 2
+
+
 def _assemble(spec, k, charts, per_chart) -> Frame:
     threshold = spec.dedup_factor * spec.a / math.sqrt(k) if k > 0 else 0.0
     cos_thr = math.cos(min(threshold, math.pi / 2))
+    band = threshold + REACH_SLACK
     pts, cidx, mus, tans = [], [], [], []
-    earlier = []  # (centre, reach, conjugate transpose of the accepted lifts)
-    dropped = 0
+    # (centre, reach, pivot, sorted keys, conjugated accepted lifts in key order)
+    earlier = []
+    dropped = compared = 0
     for j, chart in enumerate(charts):
         grid, v = per_chart(chart)
         grid, v = _sort_rows(grid, v)
@@ -296,23 +328,34 @@ def _assemble(spec, k, charts, per_chart) -> Frame:
         lifts = _canonicalize_rows(exp_chart_vectors(chart, v))
         reach = chart.region.circumradius(spec.m) + REACH_SLACK
         keep = np.ones(lifts.shape[0], dtype=bool)
-        for c_i, r_i, acc_h in earlier:
-            # chart prefilter: both skips drop only pairs farther apart
-            # than the threshold (triangle inequality, module docstring)
+        for c_i, r_i, p_i, keys_i, acc_i in earlier:
+            # chart, reach and band skips drop only pairs farther apart
+            # than the threshold (module docstring)
             if fs_distance(chart.center, c_i) > r_i + reach + threshold:
                 continue
             near = fs_distance_vectors(lifts, c_i.homogeneous[None, :])[:, 0]
             test = np.flatnonzero(keep & (near <= r_i + threshold))
-            step = max(1, int(4e6 // acc_h.shape[1]))
-            for s in range(0, test.shape[0], step):
-                rows = test[s:s + step]
-                q = np.abs(lifts[rows] @ acc_h)
-                keep[rows] = np.all(q < cos_thr, axis=1)
+            f = _pivot_key(lifts[test], p_i)
+            order = np.argsort(f, kind="stable")
+            test, f = test[order], f[order]
+            starts = np.arange(0, test.shape[0], BAND_BLOCK)
+            ends = np.minimum(starts + BAND_BLOCK, test.shape[0])
+            lo = np.searchsorted(keys_i, f[starts] - band, side="left")
+            hi = np.searchsorted(keys_i, f[ends - 1] + band, side="right")
+            for s, e, w0, w1 in zip(starts, ends, lo, hi):
+                if w1 > w0:
+                    rows = test[s:e]
+                    q = np.abs(lifts[rows] @ acc_i[w0:w1].T)
+                    keep[rows] = np.all(q < cos_thr, axis=1)
+                    compared += int((e - s) * (w1 - w0))
         dropped += int(np.sum(~keep))
         grid, v, lifts = grid[keep], v[keep], lifts[keep]
         if lifts.shape[0] == 0:
             continue
-        earlier.append((chart.center, reach, lifts.conj().T))
+        pivot = _pivot(chart.center)
+        keys = _pivot_key(lifts, pivot)
+        order = np.argsort(keys, kind="stable")
+        earlier.append((chart.center, reach, pivot, keys[order], lifts[order].conj()))
         pts.append(lifts)
         cidx.append(np.full(lifts.shape[0], j, dtype=np.int64))
         mus.append(grid)
@@ -345,6 +388,7 @@ def _assemble(spec, k, charts, per_chart) -> Frame:
         tangent=tan,
         spec=spec,
         dropped=dropped,
+        compared=compared,
         order_tag=tag,
     )
 

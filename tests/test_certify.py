@@ -130,6 +130,21 @@ class TestSupNorm:
         with pytest.raises(C.CertifyError):
             C.sup_norm(_unit_basis(1, 3, 0), mesh=2)
 
+    def test_base_boxes_cached_read_only(self, monkeypatch):
+        boxes = C._base_boxes(2, 6)
+        assert boxes is C._base_boxes(2, 6)
+        assert not boxes.flags.writeable
+        with pytest.raises(ValueError):
+            boxes[0, 0, 0] = 1.0
+        fresh = C._base_boxes.__wrapped__
+        assert np.array_equal(boxes, fresh(2, 6))
+        fam = _pipeline(60)[3]
+        m2 = _unit_basis(2, 5, 7)
+        cached = (C.family_sups(fam), C.sup_norm(m2, mesh=6))
+        # a writable mesh built afresh in every call, as before the cache
+        monkeypatch.setattr(C, "_base_boxes", lambda m, per_dim: fresh(m, per_dim).copy())
+        assert cached == (C.family_sups(fam), C.sup_norm(m2, mesh=6))
+
 
 class TestFlatBound:
     def test_limit_value(self):
@@ -258,6 +273,15 @@ class TestEmitters:
         rec = C.emit_polynomials(fam, mesh=16)[0]
         blob = json.loads(rec.to_json())
         assert blob["k"] == 60 and len(blob["coeffs re"]) == 61
+
+    def test_record_dict_matches_json(self):
+        import json
+
+        m1 = C.emit_polynomials(_pipeline(60)[3], mesh=16)[0]
+        m2 = C.emit_polynomials(_family(_unit_basis(2, 4, 3)), mesh=6)[0]
+        for rec in (m1, m2):
+            assert rec.to_dict() == json.loads(rec.to_json())
+        assert m2.to_dict()["m"] == 2 and len(m2.to_dict()["exponents"]) == 15
 
 
 class TestEigenfunctions:

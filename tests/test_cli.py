@@ -337,6 +337,13 @@ class TestMainEntry:
             assert "hard failure: k=%d:frame_nondegenerate" % k in out
         assert "status: hard failure (exit 1)" in out
 
+    def test_default_emit_polys_is_degenerate(self, capsys):
+        # emit-polys builds the same one-point frames and must fail likewise
+        assert cli.main(["emit-polys", "--k", "50,100"]) == 1
+        out = capsys.readouterr().out
+        assert "hard failure: k=50:frame_nondegenerate" in out
+        assert "hard failure: k=100:frame_nondegenerate" in out
+
     def test_hard_invariant_failure_exit(self):
         # a sloppy series tolerance leaves the family visibly non-orthonormal
         manifest = cli.run(_ortho_cfg(neumann_tol=1e-2))

@@ -26,12 +26,23 @@ def _latlon_spec(kind, radius, a, **kw):
     )
 
 
+def _dedup_spec(kind, radius, a, order="lex"):
+    """Multichart specs of the dedup tests: lat-lon cells on CP^1, or the
+    disjoint balls and the two overlapping caps on CP^2."""
+    if kind in ("balls", "caps"):
+        cover = G.cp2_ball_cover(radius) if kind == "balls" else G.two_cap_cover(2, radius)
+        return F.LatticeSpec(kind="cubic", m=2, a=a, eta=0.9, gamma=cover[0].gamma,
+                             charts=tuple(cover), delta=3.0, order=order)
+    return _latlon_spec(kind, radius, a, order=order)
+
+
 def _brute_force_dedup(spec, k):
     """The dedup rule with no prefilter: each candidate is compared with
-    every point accepted from every earlier chart."""
+    every point accepted from every earlier chart.  The last value counts
+    those comparisons."""
     cos_thr = math.cos(spec.dedup_factor * spec.a / math.sqrt(k))
     per = F._cubic_tangent_points if spec.kind == "cubic" else F._hex_tangent_points
-    pts, cidx, mus, dropped = [], [], [], 0
+    pts, cidx, mus, dropped, compared = [], [], [], 0, 0
     for j, chart in enumerate(spec.charts):
         grid, v = F._sort_rows(*per(spec, chart, k))
         if v.shape[0] == 0:
@@ -41,6 +52,7 @@ def _brute_force_dedup(spec, k):
             acc = np.concatenate(pts)
             keep = np.all(np.abs(lifts @ acc.conj().T) < cos_thr, axis=1)
             dropped += int(np.sum(~keep))
+            compared += lifts.shape[0] * acc.shape[0]
             grid, lifts = grid[keep], lifts[keep]
         pts.append(lifts)
         cidx.append(np.full(lifts.shape[0], j, dtype=np.int64))
@@ -48,7 +60,7 @@ def _brute_force_dedup(spec, k):
     points, chart_index, mu = (np.concatenate(x) for x in (pts, cidx, mus))
     if spec.order == "reversed":
         points, chart_index, mu = points[::-1], chart_index[::-1], mu[::-1]
-    return points, chart_index, mu, dropped
+    return points, chart_index, mu, dropped, compared
 
 
 class TestSpacingRules:
@@ -287,22 +299,87 @@ class TestMultichart:
         ("cubic", 0.35, 1.945, 3000),
         ("hexagonal", 0.2, 1.971, 3000),
         ("balls", 0.4, 2.4, 40),
+        ("caps", 0.7, 2.4, 30),
     ])
     def test_dedup_matches_brute_force(self, kind, radius, a, k, order):
-        if kind == "balls":
-            cover = G.cp2_ball_cover(radius)
-            spec = F.LatticeSpec(kind="cubic", m=2, a=a, eta=0.9, gamma=cover[0].gamma,
-                                 charts=tuple(cover), delta=3.0, order=order)
-        else:
-            spec = _latlon_spec(kind, radius, a, order=order)
+        spec = _dedup_spec(kind, radius, a, order)
         fr = F.build_multichart(spec, k)
-        points, chart_index, mu, dropped = _brute_force_dedup(spec, k)
+        points, chart_index, mu, dropped, compared = _brute_force_dedup(spec, k)
         assert np.array_equal(fr.points, points)
         assert np.array_equal(fr.chart_index, chart_index)
         assert np.array_equal(fr.mu, mu)
         assert fr.dropped == dropped
+        assert 0 < fr.compared < compared
         if kind != "balls":
             assert dropped > 0
+
+    @pytest.mark.parametrize("kind,radius,a,k", [
+        ("hexagonal", 0.2, 1.971, 3000),
+        ("caps", 0.7, 2.4, 30),
+    ])
+    def test_dedup_matches_brute_force_in_small_blocks(self, monkeypatch, kind, radius, a, k):
+        spec = _dedup_spec(kind, radius, a)
+        wide = F.build_multichart(spec, k)
+        # every chart's candidates now span several blocks, each with its
+        # own window; the windows of a block of 64 nest those of its blocks of 8
+        monkeypatch.setattr(F, "BAND_BLOCK", 8)
+        fr = F.build_multichart(spec, k)
+        points, chart_index, mu, dropped, _ = _brute_force_dedup(spec, k)
+        assert np.array_equal(fr.points, points)
+        assert np.array_equal(fr.chart_index, chart_index)
+        assert np.array_equal(fr.mu, mu)
+        assert fr.dropped == dropped > 0
+        assert fr.compared <= wide.compared
+
+    def test_compared_counts_repeat(self):
+        spec = _latlon_spec("hexagonal", 0.2, 1.971)
+        first, second = F.build_multichart(spec, 3000), F.build_multichart(spec, 3000)
+        assert first.compared == second.compared > 0
+
+    def test_compared_zero_for_single_chart(self):
+        assert F.build_cubic(_cubic_spec(), 250).compared == 0
+        hexa = F.LatticeSpec(kind="hexagonal", m=1, a=2.4, eta=0.9, gamma=1.2, t=0.4)
+        assert F.build_hexagonal(hexa, 300).compared == 0
+        assert F.build_cubic(_cubic_spec(), 0).compared == 0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_pivot_key_is_lipschitz(self, m):
+        rng = np.random.default_rng(7 + m)
+
+        def unit(z):
+            return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+        def gauss(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def dist(x, y):
+            # 2 arcsin(|x - phase * y| / 2) with the phase aligning y to x:
+            # accurate for near pairs, where arccos |<x, y>| is not
+            c = np.sum(x * y.conj(), axis=1)
+            aligned = y * (c / np.abs(c))[:, None]
+            return 2 * np.arcsin(np.linalg.norm(x - aligned, axis=1) / 2)
+
+        centre = G.ProjectivePoint.from_vector(unit(gauss(m + 1)))
+        for c in (centre, G.standard_point(m), G.standard_point(m, m)):
+            p = F._pivot(c)
+            assert abs(np.linalg.norm(p) - 1) < 1e-15
+            assert abs(G.fs_distance(c, G.ProjectivePoint.from_vector(p)) - math.pi / 4) < 1e-12
+            steps = np.logspace(-9, 0, 400)[:, None]
+            x = unit(gauss(400, m + 1))
+            y = unit(x + steps * gauss(400, m + 1))
+            # pairs next to the pivot, where f is nearly flat
+            xp = unit(p + steps * gauss(400, m + 1))
+            yp = unit(xp + steps * gauss(400, m + 1))
+            # pairs on one geodesic through the pivot, around pi/4 from it,
+            # where the slope |sin 2d| reaches 1
+            g = gauss(m + 1)
+            e = unit(g - np.vdot(p, g) * p)
+            t = math.pi / 4 + rng.uniform(-0.3, 0.3, size=(400, 1))
+            tg = np.cos(t) * p + np.sin(t) * e
+            tg2 = np.cos(t + steps) * p + np.sin(t + steps) * e
+            for a, b in ((x, y), (xp, yp), (tg, tg2)):
+                gap = np.abs(F._pivot_key(a, p) - F._pivot_key(b, p))
+                assert np.all(gap <= dist(a, b) + 1e-15)
 
     def test_count_floor(self):
         cover = G.cp1_latlon_cover(0.35)
