@@ -57,9 +57,6 @@ class FlatFamily:
     m: int
     ortho: np.ndarray = field(repr=False)  # (n, d_k) complex
     provenance: str = ""
-    # weights of each output section over the coherent frame (row j holds
-    # v^{(j)}, the inspectable intermediate of the sup-norm chain)
-    mix_weights: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -75,10 +72,11 @@ def dft_mix(psis: np.ndarray) -> np.ndarray:
 
 
 def flatten_frame(frame: Frame, op: WhiteningOperator) -> FlatFamily:
-    """Whiten a frame and mix; keeps the frame-basis weights v^{(j)}."""
+    """Whiten a frame and mix.  The weights of section j over the coherent
+    frame, v^{(j)} of the sup-norm chain, are row j of
+    dft_matrix(n) @ op.entries."""
     return FlatFamily(k=frame.k, m=frame.m, ortho=dft_mix(whiten(frame, op)),
-                      provenance="%s | %s" % (frame.order_tag, op.method),
-                      mix_weights=dft_matrix(frame.n) @ op.entries)
+                      provenance="%s | %s" % (frame.order_tag, op.method))
 
 
 def sup_norm_chain_bound(fk: float, op: WhiteningOperator, n: int) -> float:

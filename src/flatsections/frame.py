@@ -3,34 +3,45 @@
 A frame at level k places points exp_p(v) for v in a lattice of spacing
 a/sqrt(k) intersected with the chart's inner region.  Cubic lattices use
 a Z^{2m} grid; hexagonal lattices use mu_1 + e^{i pi/3} mu_2 per complex
-tangent coordinate.  Multi-chart builds walk a cell decomposition in
-order and drop any candidate too close to a point accepted from an
-earlier chart, so near-duplicates on cell boundaries cannot poison the
-Gram matrix.
+tangent coordinate.  Only the lattice points within one step of the
+region's circumradius ball are generated (a cubic lattice in a cube takes
+its box), row by row in lex order on mu, and each one's exp map is
+computed once and shared by the region test and the frame.  Multi-chart
+builds walk a cell decomposition in order and drop any candidate too
+close to a point accepted from an earlier chart, so near-duplicates on
+cell boundaries cannot poison the Gram matrix.
 
 The dedup keeps its comparisons local with an exact chart prefilter.
 Every point of chart i lies within R_i = circumradius + REACH_SLACK of
 the chart centre c_i; the slack of 1e-9 absorbs the rounding of the exp
-map and of the computed distances, which is far smaller.  For a
-candidate x of chart j, an accepted point y of chart i and the dedup
-threshold thr, the triangle inequality for the Fubini-Study distance
-gives d(x, y) >= d(x, c_i) - R_i >= d(c_i, c_j) - R_i - R_j.  So chart i
-is skipped when d(c_i, c_j) > R_i + R_j + thr, and inside it only the
-candidates with d(x, c_i) <= R_i + thr are tested.
+map and of the computed overlaps, which is far smaller.  For a candidate
+x of chart j, an accepted point y of chart i and the dedup threshold
+thr, the triangle inequality for the Fubini-Study distance gives
+d(x, y) >= d(x, c_i) - R_i >= d(c_i, c_j) - R_i - R_j.  So chart i is
+skipped when d(c_i, c_j) > R_i + R_j + thr, and inside it only the
+candidates with d(x, c_i) <= R_i + thr are tested.  Both tests are made
+in cosine form, |<x, c>| >= cos r, and the centre overlaps are computed
+once per build.
 
-Inside a chart the comparisons are banded.  Chart i has a pivot p_i at
-distance pi/4 from c_i, and its accepted points are kept sorted by the
-key f(y) = |<y, p_i>|^2 = cos^2 d(y, p_i).  Since |d/dd cos^2 d| =
-|sin 2d| <= 1, f is 1-Lipschitz for d_FS: |f(x) - f(y)| <= |d(x, p_i) -
-d(y, p_i)| <= d(x, y).  So a pair with |f(x) - f(y)| > thr + REACH_SLACK
-lies farther apart than thr and cannot drop x.  The key carries only
-absolute rounding (about 1e-16, no arccos), so the skip is exact even
-where a chart contains its pivot.  The candidates that pass the chart
-skip are sorted by f and taken BAND_BLOCK at a time; each block is
-tested only against the points whose keys lie within thr + REACH_SLACK
-of the block's key range.  The test itself, |<x, y>| < cos thr, is the
-brute-force one, so the frame is the same as with no prefilter.
-Frame.compared counts the overlaps computed.
+Inside a chart the comparisons are confined to a cell index.  Chart i
+has two pivots p_i = (c_i + e)/sqrt 2 and q_i = (c_i + i e)/sqrt 2, e a
+unit vector orthogonal to c_i, both at distance pi/4 from c_i.  The keys
+f(y) = |<y, p_i>|^2 = cos^2 d(y, p_i) and g(y) = |<y, q_i>|^2 are
+1-Lipschitz for d_FS, since |d/dd cos^2 d| = |sin 2d| <= 1: |f(x) - f(y)|
+<= |d(x, p_i) - d(y, p_i)| <= d(x, y).  The accepted points are sorted
+by their cell (floor(f/h), floor(g/h)) of side h = thr + REACH_SLACK.  A
+pair with d(x, y) <= thr has |f(x) - f(y)| < h and |g(x) - g(y)| < h,
+so the two cells differ by at most one in each index: the 3 x 3 cells
+around the candidate's own hold every point that can drop it.  The keys
+carry only absolute rounding (about 1e-16, no arccos), far inside the
+slack, so the index is exact even where a chart contains a pivot.  On
+CP^1, (f, g) = (1/2, 1/2) + (sin 2r / 2)(cos phi, sin phi) in polar
+coordinates (r, phi) about c_i, one-to-one on a chart of radius under
+pi/4, so each cell holds a few points; on CP^2 a cell is a two-dimensional
+slab and holds more, which costs time, not exactness.  The neighbouring
+pairs are gathered into one list and tested elementwise with the
+brute-force rule |<x, y>| < cos thr, so the frame is the same as with no
+prefilter.  Frame.compared counts those pairs, the overlaps computed.
 """
 
 from __future__ import annotations
@@ -50,8 +61,6 @@ from .geometry import (
     ManifoldModel,
     ProjectivePoint,
     exp_chart_vectors,
-    fs_distance,
-    fs_distance_vectors,
     make_chart,
     standard_point,
 )
@@ -65,9 +74,6 @@ DEFAULT_DEDUP_FACTOR = 1.25
 # added to a region's circumradius so that the rounding in a computed
 # distance from the chart centre cannot break the dedup prefilter
 REACH_SLACK = 1e-9
-
-# candidates tested together against one key window of an earlier chart
-BAND_BLOCK = 64
 
 DEFAULT_EPSILON = 0.05
 
@@ -196,43 +202,90 @@ class LatticeSpec:
 # lattice enumeration in a single chart
 
 
-def _cubic_tangent_points(spec: LatticeSpec, chart: ChartSpec, k: int):
-    """Integer grid and tangent coordinates of candidates in the region."""
+def _lattice_rows(spec: LatticeSpec, chart: ChartSpec, k: int) -> np.ndarray:
+    """Integer coordinates mu, in lex order, of every lattice point that
+    can lie in the chart's region.
+
+    A cubic lattice in a CubeRegion takes the exact box |mu_j| <= t sqrt(k)/a.
+    Otherwise the region lies in the ball of its circumradius, and the rows
+    are generated one prefix (mu_0, ..., mu_{2m-2}) at a time: the range of
+    the last coordinate is solved from the radius left by the prefix, with
+    the radius padded by one lattice step so that rounding cannot lose a
+    point of the region.
+    """
     scale = spec.a / math.sqrt(k)
+    dim = 2 * spec.m
     region = chart.region
-    if isinstance(region, CubeRegion):
-        # exact per-axis bound: |mu_j| <= t sqrt(k) / a
+    if spec.kind == "cubic" and isinstance(region, CubeRegion):
         mmax = int(math.floor(region.t / scale + 1e-12))
+        return _box(mmax, dim)
+    # the rows stay inside the box that bounds |mu|_inf over the ball
+    rad = region.circumradius(spec.m) / scale
+    if spec.kind == "cubic":
+        mmax = int(math.floor(rad + 1e-12)) + 1
     else:
-        mmax = int(math.floor(region.circumradius(spec.m) / scale + 1e-12)) + 1
+        # |mu_1 + e^{i pi/3} mu_2| >= |mu|_inf * sin(pi/3); pad one step
+        mmax = int(math.floor(rad / math.sin(math.pi / 3) + 1e-12)) + 1
+    prefix = _box(mmax, dim - 1)
+    room = (rad + 1.0) ** 2
+    if spec.kind == "cubic":
+        centre = np.zeros(prefix.shape[0])
+        room = room - np.sum(prefix * prefix, axis=1)
+    else:
+        # |z|^2 = mu_1^2 + mu_1 mu_2 + mu_2^2 per complex coordinate; the
+        # last coordinate mu_2 of the last pair, with b = mu_1, solves
+        # mu_2^2 + b mu_2 + b^2 <= room, i.e. (mu_2 + b/2)^2 <= room - 3b^2/4
+        p, q = prefix[:, 0:-1:2], prefix[:, 1::2]
+        room = room - np.sum(p * p + p * q + q * q, axis=1)
+        b = prefix[:, -1]
+        centre = -0.5 * b
+        room = room - 0.75 * b * b
+    half = np.sqrt(np.maximum(room, 0.0))
+    lo = np.maximum(np.ceil(centre - half), -mmax).astype(np.int64)
+    hi = np.minimum(np.floor(centre + half), mmax).astype(np.int64)
+    counts = np.where(room >= 0, np.maximum(hi - lo + 1, 0), 0)
+    grid = np.empty((int(counts.sum()), dim), dtype=np.int64)
+    grid[:, :-1] = np.repeat(prefix, counts, axis=0)
+    grid[:, -1] = _ranges(lo, counts)
+    return grid
+
+
+def _box(mmax: int, dim: int) -> np.ndarray:
+    """The integer box [-mmax, mmax]^dim, rows in lex order."""
     if mmax < 0:
-        return np.zeros((0, 2 * spec.m), dtype=np.int64), np.zeros((0, 2 * spec.m))
-    axes = [np.arange(-mmax, mmax + 1, dtype=np.int64)] * (2 * spec.m)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * spec.m)
-    v = grid * scale
-    keep = np.asarray(chart.region.contains(chart, v))
-    return grid[keep], v[keep]
+        return np.zeros((0, dim), dtype=np.int64)
+    axes = [np.arange(-mmax, mmax + 1, dtype=np.int64)] * dim
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
 
 
-def _hex_tangent_points(spec: LatticeSpec, chart: ChartSpec, k: int):
-    """Hexagonal candidates: v_j = a (mu_1 + e^{i pi/3} mu_2)/sqrt(k)."""
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over the pairs (s, c)."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
+
+
+def _tangent_vectors(spec: LatticeSpec, grid: np.ndarray, k: int) -> np.ndarray:
+    """Cubic v = a mu / sqrt(k); hexagonal v_j = a (mu_1 + e^{i pi/3} mu_2)/sqrt(k)."""
     scale = spec.a / math.sqrt(k)
-    rad = chart.region.circumradius(spec.m)
-    # |mu_1 + e^{i pi/3} mu_2| >= |mu|_inf * sin(pi/3); pad one step
-    mmax = int(math.floor(rad / (scale * math.sin(math.pi / 3)) + 1e-12)) + 1
-    axes = [np.arange(-mmax, mmax + 1, dtype=np.int64)] * (2 * spec.m)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * spec.m)
+    if spec.kind == "cubic":
+        return grid * scale
     zs = grid[:, 0::2] + HEX_DIRECTION * grid[:, 1::2]
-    v = np.empty((grid.shape[0], 2 * spec.m), dtype=np.float64)
+    v = np.empty(grid.shape, dtype=np.float64)
     v[:, 0::2] = zs.real * scale
     v[:, 1::2] = zs.imag * scale
-    keep = np.asarray(chart.region.contains(chart, v))
-    return grid[keep], v[keep]
+    return v
 
 
-def _sort_rows(grid: np.ndarray, v: np.ndarray):
-    order = np.lexsort(tuple(grid[:, j] for j in range(grid.shape[1] - 1, -1, -1)))
-    return grid[order], v[order]
+def _chart_candidates(spec: LatticeSpec, chart: ChartSpec, k: int):
+    """Lattice coordinates, tangent vectors and exp lifts (the geodesic
+    formula's phase) of the lattice points in the chart's region, in lex
+    order on mu.  Each point's exp map is computed once, and the region
+    test reads it."""
+    grid = _lattice_rows(spec, chart, k)
+    v = _tangent_vectors(spec, grid, k)
+    lifts = exp_chart_vectors(chart, v)
+    keep = np.asarray(chart.region.contains(chart, v, lifts))
+    return grid[keep], v[keep], lifts[keep]
 
 
 def _canonicalize_rows(pts: np.ndarray) -> np.ndarray:
@@ -298,64 +351,91 @@ def _single_chart(spec: LatticeSpec, center: ProjectivePoint | None) -> ChartSpe
     return make_chart(c, CubeRegion(spec.t), spec.gamma)
 
 
-def _pivot(center: ProjectivePoint) -> np.ndarray:
-    """A unit vector at FS distance pi/4 from center."""
+def _pivots(center: ProjectivePoint) -> np.ndarray:
+    """Rows p = (c + e)/sqrt 2 and q = (c + i e)/sqrt 2 for a unit e
+    orthogonal to the centre c: two unit vectors at FS distance pi/4 from it."""
     c = center.homogeneous
     e = np.zeros_like(c)
     e[np.argmin(np.abs(c))] = 1.0
     e -= np.vdot(c, e) * c
-    return (c + e / np.linalg.norm(e)) / math.sqrt(2.0)
+    e /= np.linalg.norm(e)
+    return np.stack([c + e, c + 1j * e]) / math.sqrt(2.0)
 
 
-def _pivot_key(lifts: np.ndarray, pivot: np.ndarray) -> np.ndarray:
-    """f(y) = |<y, pivot>|^2 per row, 1-Lipschitz for d_FS."""
-    return np.abs(lifts @ pivot.conj()) ** 2
+def _pivot_keys(lifts: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """(f, g) = (|<y, p>|^2, |<y, q>|^2) per row, each 1-Lipschitz for d_FS."""
+    return np.abs(lifts @ pivots.conj().T) ** 2
 
 
-def _assemble(spec, k, charts, per_chart) -> Frame:
+def _cell_width(side: float) -> int:
+    """Cell numbers are floor(f/side) * width + floor(g/side).  The width
+    leaves a gap after the largest g cell (keys reach 1 plus rounding), so
+    the cells g - 1, g, g + 1 of one f cell are consecutive numbers."""
+    return int(1.0 / side) + 3
+
+
+def _cells(lifts: np.ndarray, pivots: np.ndarray, side: float) -> np.ndarray:
+    """Cell number of each row for the keys of the given pivots."""
+    cells = np.floor(_pivot_keys(lifts, pivots) / side).astype(np.int64)
+    return cells[:, 0] * _cell_width(side) + cells[:, 1]
+
+
+def _neighbour_pairs(cells: np.ndarray, accepted: np.ndarray, side: float):
+    """(candidate, accepted) index pairs whose cells are among each
+    other's 3 x 3 neighbours; accepted holds sorted cell numbers."""
+    rows = cells[:, None] + _cell_width(side) * np.arange(-1, 2)[None, :]
+    lo = np.searchsorted(accepted, rows - 1, side="left").ravel()
+    counts = np.searchsorted(accepted, rows + 1, side="right").ravel() - lo
+    a = np.repeat(np.arange(cells.shape[0]).repeat(3), counts)
+    return a, _ranges(lo, counts)
+
+
+def _cos_bound(radius: np.ndarray) -> np.ndarray:
+    """Overlap |<x, y>| below which d(x, y) > radius; -1 once radius
+    reaches pi/2, where no pair is farther apart."""
+    return np.where(radius < math.pi / 2, np.cos(radius), -1.0)
+
+
+def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
     threshold = spec.dedup_factor * spec.a / math.sqrt(k) if k > 0 else 0.0
     cos_thr = math.cos(min(threshold, math.pi / 2))
-    band = threshold + REACH_SLACK
+    side = threshold + REACH_SLACK
+    reach = np.array([c.region.circumradius(spec.m) + REACH_SLACK for c in charts])
+    centres = np.array([c.center.homogeneous for c in charts], dtype=np.complex128)
+    centres = centres.reshape(len(charts), spec.m + 1)
+    # the chart skip and the reach test of the module docstring, in
+    # cosine form, once per build
+    linked = np.abs(centres @ centres.conj().T) >= _cos_bound(
+        reach[:, None] + reach[None, :] + threshold)
+    near_cos = _cos_bound(reach + threshold)
     pts, cidx, mus, tans = [], [], [], []
-    # (centre, reach, pivot, sorted keys, conjugated accepted lifts in key order)
+    # (chart number, pivots, sorted cell numbers, conjugated accepted lifts in cell order)
     earlier = []
     dropped = compared = 0
     for j, chart in enumerate(charts):
-        grid, v = per_chart(chart)
-        grid, v = _sort_rows(grid, v)
+        grid, v, lifts = _chart_candidates(spec, chart, k)
         if v.shape[0] == 0:
             continue
-        lifts = _canonicalize_rows(exp_chart_vectors(chart, v))
-        reach = chart.region.circumradius(spec.m) + REACH_SLACK
+        lifts = _canonicalize_rows(lifts)
         keep = np.ones(lifts.shape[0], dtype=bool)
-        for c_i, r_i, p_i, keys_i, acc_i in earlier:
-            # chart, reach and band skips drop only pairs farther apart
-            # than the threshold (module docstring)
-            if fs_distance(chart.center, c_i) > r_i + reach + threshold:
-                continue
-            near = fs_distance_vectors(lifts, c_i.homogeneous[None, :])[:, 0]
-            test = np.flatnonzero(keep & (near <= r_i + threshold))
-            f = _pivot_key(lifts[test], p_i)
-            order = np.argsort(f, kind="stable")
-            test, f = test[order], f[order]
-            starts = np.arange(0, test.shape[0], BAND_BLOCK)
-            ends = np.minimum(starts + BAND_BLOCK, test.shape[0])
-            lo = np.searchsorted(keys_i, f[starts] - band, side="left")
-            hi = np.searchsorted(keys_i, f[ends - 1] + band, side="right")
-            for s, e, w0, w1 in zip(starts, ends, lo, hi):
-                if w1 > w0:
-                    rows = test[s:e]
-                    q = np.abs(lifts[rows] @ acc_i[w0:w1].T)
-                    keep[rows] = np.all(q < cos_thr, axis=1)
-                    compared += int((e - s) * (w1 - w0))
+        nbrs = [e for e in earlier if linked[e[0], j]]
+        if nbrs:
+            ids = [e[0] for e in nbrs]
+            near = np.abs(lifts @ centres[ids].conj().T) >= near_cos[ids]
+        for col, (i, pivots, cells_i, acc_i) in enumerate(nbrs):
+            test = np.flatnonzero(keep & near[:, col])
+            a, b = _neighbour_pairs(_cells(lifts[test], pivots, side), cells_i, side)
+            compared += a.shape[0]
+            q = np.abs(np.sum(lifts[test[a]] * acc_i[b], axis=1))
+            keep[test[a[q >= cos_thr]]] = False
         dropped += int(np.sum(~keep))
         grid, v, lifts = grid[keep], v[keep], lifts[keep]
         if lifts.shape[0] == 0:
             continue
-        pivot = _pivot(chart.center)
-        keys = _pivot_key(lifts, pivot)
-        order = np.argsort(keys, kind="stable")
-        earlier.append((chart.center, reach, pivot, keys[order], lifts[order].conj()))
+        pivots = _pivots(chart.center)
+        cells = _cells(lifts, pivots, side)
+        order = np.argsort(cells, kind="stable")
+        earlier.append((j, pivots, cells[order], lifts[order].conj()))
         pts.append(lifts)
         cidx.append(np.full(lifts.shape[0], j, dtype=np.int64))
         mus.append(grid)
@@ -399,10 +479,7 @@ def build_cubic(spec: LatticeSpec, k: int, center: ProjectivePoint | None = None
         raise FrameError("build_cubic needs a single-chart cubic spec")
     if k < 0:
         raise FrameError("level must be nonnegative")
-    chart = _single_chart(spec, center)
-    if k == 0:
-        return _assemble(spec, 0, [], None)
-    return _assemble(spec, k, [chart], lambda ch: _cubic_tangent_points(spec, ch, k))
+    return _assemble(spec, k, [_single_chart(spec, center)] if k else [])
 
 
 def build_hexagonal(spec: LatticeSpec, k: int, center: ProjectivePoint | None = None) -> Frame:
@@ -410,10 +487,7 @@ def build_hexagonal(spec: LatticeSpec, k: int, center: ProjectivePoint | None = 
         raise FrameError("build_hexagonal needs a single-chart hexagonal spec")
     if k < 0:
         raise FrameError("level must be nonnegative")
-    chart = _single_chart(spec, center)
-    if k == 0:
-        return _assemble(spec, 0, [], None)
-    return _assemble(spec, k, [chart], lambda ch: _hex_tangent_points(spec, ch, k))
+    return _assemble(spec, k, [_single_chart(spec, center)] if k else [])
 
 
 def build_multichart(spec: LatticeSpec, k: int) -> Frame:
@@ -422,13 +496,7 @@ def build_multichart(spec: LatticeSpec, k: int) -> Frame:
         raise FrameError("build_multichart needs a chart list")
     if k < 0:
         raise FrameError("level must be nonnegative")
-    if k == 0:
-        return _assemble(spec, 0, [], None)
-    if spec.kind == "cubic":
-        per = lambda ch: _cubic_tangent_points(spec, ch, k)
-    else:
-        per = lambda ch: _hex_tangent_points(spec, ch, k)
-    return _assemble(spec, k, list(spec.charts), per)
+    return _assemble(spec, k, list(spec.charts) if k else [])
 
 
 def build(spec: LatticeSpec, k: int) -> Frame:

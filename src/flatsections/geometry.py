@@ -173,7 +173,7 @@ class CubeRegion:
     def circumradius(self, m: int) -> float:
         return self.t * math.sqrt(2 * m)
 
-    def contains(self, chart: "ChartSpec", v: np.ndarray) -> np.ndarray:
+    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts=None) -> np.ndarray:
         v = np.atleast_2d(v)
         return np.all(np.abs(v) <= self.t + 1e-15, axis=1)
 
@@ -188,7 +188,7 @@ class BallRegion:
     def circumradius(self, m: int) -> float:
         return self.radius
 
-    def contains(self, chart: "ChartSpec", v: np.ndarray) -> np.ndarray:
+    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts=None) -> np.ndarray:
         v = np.atleast_2d(v)
         return np.linalg.norm(v, axis=1) <= self.radius + 1e-15
 
@@ -234,10 +234,12 @@ class LatLonCell:
             [math.cos(rc), math.sin(rc) * np.exp(1j * tc)]
         )
 
-    def contains(self, chart: "ChartSpec", v: np.ndarray) -> np.ndarray:
-        v = np.atleast_2d(v)
-        pts = exp_chart_vectors(chart, v)
-        r, theta = latlon_coords(pts)
+    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts=None) -> np.ndarray:
+        """Membership of exp_center(v) per row; lifts, when given, are
+        those exp lifts already computed (any phase)."""
+        if lifts is None:
+            lifts = exp_chart_vectors(chart, np.atleast_2d(v))
+        r, theta = latlon_coords(lifts)
         ok_r = (r >= self.r_lo) & (r < self.r_hi)
         if self.r_lo <= 0.0:
             ok_r = r < self.r_hi

@@ -280,9 +280,13 @@ def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray) -> np.ndarr
     step = max(1, int(2e6 // max(1, len(idx))))
     for lo in range(0, lifts.shape[0], step):
         hi = min(lo + step, lifts.shape[0])
-        lm = logmag[lo:hi] @ idx.T  # (chunk, d_k)
-        ph = phase[lo:hi] @ idx.T
-        basis = np.exp(lm - half_logw[None, :] + 1j * ph)
+        # the exponent log|z^alpha| - log w_alpha + i arg z^alpha, (chunk, d_k),
+        # built in one buffer and exponentiated in place
+        basis = np.empty((hi - lo, len(idx)), dtype=np.complex128)
+        basis.real = logmag[lo:hi] @ idx.T
+        basis.real -= half_logw
+        basis.imag = phase[lo:hi] @ idx.T
+        np.exp(basis, out=basis)
         for j, row in enumerate(ortho_rows):
             out[j, lo:hi] = basis @ row
     return out

@@ -84,13 +84,14 @@ class TestDftMix:
         model = KernelModel(1, 100)
         p = np.vstack([coherent_state(model, UnitLift.from_vector(x)).ortho_coeffs
                        for x in fr.points])
-        alt = fam.mix_weights @ p
+        alt = (FL.dft_matrix(fr.n) @ op.entries) @ p
         assert np.max(np.abs(alt - fam.ortho)) < 1e-12
 
     def test_mix_weights_bounded_by_mapping_norm(self):
         fr, g, op = _whitened(100)
         fam = FL.flatten_frame(fr, op)
-        assert np.max(np.abs(fam.mix_weights)) <= op.norm_inf / math.sqrt(fr.n) + 1e-12
+        weights = FL.dft_matrix(fr.n) @ op.entries
+        assert np.max(np.abs(weights)) <= op.norm_inf / math.sqrt(fr.n) + 1e-12
         assert fam.provenance == "chart-major, lex on mu | neumann"
 
 

@@ -1,5 +1,6 @@
 """Lattice frame construction: counts, spacing, dedup, density trends."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,14 +27,40 @@ def _latlon_spec(kind, radius, a, **kw):
     )
 
 
-def _dedup_spec(kind, radius, a, order="lex"):
+def _dedup_spec(kind, radius, a, order="lex", lattice="cubic", **kw):
     """Multichart specs of the dedup tests: lat-lon cells on CP^1, or the
     disjoint balls and the two overlapping caps on CP^2."""
     if kind in ("balls", "caps"):
         cover = G.cp2_ball_cover(radius) if kind == "balls" else G.two_cap_cover(2, radius)
-        return F.LatticeSpec(kind="cubic", m=2, a=a, eta=0.9, gamma=cover[0].gamma,
-                             charts=tuple(cover), delta=3.0, order=order)
-    return _latlon_spec(kind, radius, a, order=order)
+        return F.LatticeSpec(kind=lattice, m=2, a=a, eta=0.9, gamma=cover[0].gamma,
+                             charts=tuple(cover), delta=3.0, order=order, **kw)
+    return _latlon_spec(kind, radius, a, order=order, **kw)
+
+
+def _box_candidates(spec, chart, k):
+    """The lattice points of the chart's region by the plain route: the
+    whole box around the circumradius ball (the exact box for a cubic
+    lattice in a cube), in lex order, filtered by region.contains."""
+    scale = spec.a / math.sqrt(k)
+    region = chart.region
+    if spec.kind == "cubic" and isinstance(region, G.CubeRegion):
+        mmax = int(math.floor(region.t / scale + 1e-12))
+    elif spec.kind == "cubic":
+        mmax = int(math.floor(region.circumradius(spec.m) / scale + 1e-12)) + 1
+    else:
+        # |mu_1 + e^{i pi/3} mu_2| >= |mu|_inf sin(pi/3)
+        mmax = int(math.floor(region.circumradius(spec.m)
+                              / (scale * math.sin(math.pi / 3)) + 1e-12)) + 1
+    axis = np.arange(-mmax, mmax + 1)
+    grid = np.array(list(itertools.product(axis, repeat=2 * spec.m)), dtype=np.int64)
+    if spec.kind == "cubic":
+        v = grid * scale
+    else:
+        zs = grid[:, 0::2] + F.HEX_DIRECTION * grid[:, 1::2]
+        v = np.empty(grid.shape)
+        v[:, 0::2], v[:, 1::2] = zs.real * scale, zs.imag * scale
+    keep = np.asarray(region.contains(chart, v))
+    return grid[keep], v[keep]
 
 
 def _brute_force_dedup(spec, k):
@@ -41,10 +68,9 @@ def _brute_force_dedup(spec, k):
     every point accepted from every earlier chart.  The last value counts
     those comparisons."""
     cos_thr = math.cos(spec.dedup_factor * spec.a / math.sqrt(k))
-    per = F._cubic_tangent_points if spec.kind == "cubic" else F._hex_tangent_points
     pts, cidx, mus, dropped, compared = [], [], [], 0, 0
     for j, chart in enumerate(spec.charts):
-        grid, v = F._sort_rows(*per(spec, chart, k))
+        grid, v = _box_candidates(spec, chart, k)
         if v.shape[0] == 0:
             continue
         lifts = F._canonicalize_rows(G.exp_chart_vectors(chart, v))
@@ -313,28 +339,77 @@ class TestMultichart:
         if kind != "balls":
             assert dropped > 0
 
-    @pytest.mark.parametrize("kind,radius,a,k", [
-        ("hexagonal", 0.2, 1.971, 3000),
-        ("caps", 0.7, 2.4, 30),
+    @pytest.mark.parametrize("kind,radius,a,k,factor", [
+        ("hexagonal", 0.2, 1.971, 3000, 6.0),
+        ("caps", 0.7, 2.4, 30, 3.0),
     ])
-    def test_dedup_matches_brute_force_in_small_blocks(self, monkeypatch, kind, radius, a, k):
-        spec = _dedup_spec(kind, radius, a)
-        wide = F.build_multichart(spec, k)
-        # every chart's candidates now span several blocks, each with its
-        # own window; the windows of a block of 64 nest those of its blocks of 8
-        monkeypatch.setattr(F, "BAND_BLOCK", 8)
+    def test_dedup_matches_brute_force_in_crowded_cells(self, kind, radius, a, k, factor):
+        # a wide threshold on CP^1, or the slabs that two keys leave on
+        # CP^2, put many accepted points in one cell
+        spec = _dedup_spec(kind, radius, a, dedup_factor=factor)
         fr = F.build_multichart(spec, k)
+        side = factor * a / math.sqrt(k) + F.REACH_SLACK
+        crowd = max(np.unique(F._cells(fr.points[fr.chart_index == j],
+                                       F._pivots(chart.center), side),
+                              return_counts=True)[1].max()
+                    for j, chart in enumerate(spec.charts) if np.any(fr.chart_index == j))
+        assert crowd >= 16
         points, chart_index, mu, dropped, _ = _brute_force_dedup(spec, k)
         assert np.array_equal(fr.points, points)
         assert np.array_equal(fr.chart_index, chart_index)
         assert np.array_equal(fr.mu, mu)
         assert fr.dropped == dropped > 0
-        assert fr.compared <= wide.compared
+
+    @pytest.mark.parametrize("kind,radius,a,k,lattice,m", [
+        ("cubic", 0.35, 1.945, 800, "cubic", 1),
+        ("hexagonal", 0.2, 1.971, 3000, "hexagonal", 1),
+        ("balls", 0.4, 2.4, 40, "cubic", 2),
+        ("balls", 0.4, 2.2, 40, "hexagonal", 2),
+        ("caps", 0.7, 2.4, 30, "cubic", 2),
+        ("caps", 0.7, 2.2, 30, "hexagonal", 2),
+        ("cube", 0.4, 2.2, 200, "cubic", 1),
+        ("cube", 0.35, 2.6, 90, "cubic", 2),
+        ("cube", 0.4, 2.4, 300, "hexagonal", 1),
+        ("rim", 3, 2.0, 100, "cubic", 1),
+        ("rim", 3, 2.0, 100, "hexagonal", 1),
+        ("rim", 2, 2.0, 40, "cubic", 2),
+    ])
+    def test_enumeration_matches_box(self, kind, radius, a, k, lattice, m):
+        """Each chart's candidates are the box-plus-contains rows, in the
+        same order, with the exp lifts of those rows."""
+        if kind == "cube":
+            spec = F.LatticeSpec(kind=lattice, m=m, a=a, eta=0.9, gamma=1.3, t=radius)
+            charts = [F._single_chart(spec, None)]
+        elif kind == "rim":
+            # a ball just inside the lattice shell of `radius` steps, whose
+            # points contains() still accepts within its 1e-15 tolerance
+            ball = G.BallRegion(radius * a / math.sqrt(k) - 5e-16)
+            charts = (G.make_chart(G.standard_point(m), ball, 1.3),)
+            spec = F.LatticeSpec(kind=lattice, m=m, a=a, eta=0.9, gamma=1.3,
+                                 charts=charts, delta=3.0)
+        else:
+            spec = _dedup_spec(kind, radius, a, lattice=lattice)
+            charts = spec.charts
+        assert spec.m == m
+        for chart in charts:
+            grid, v, lifts = F._chart_candidates(spec, chart, k)
+            want_grid, want_v = _box_candidates(spec, chart, k)
+            assert grid.shape[0] > 0
+            assert np.array_equal(grid, want_grid)
+            assert np.array_equal(v, want_v)
+            assert np.array_equal(lifts, G.exp_chart_vectors(chart, want_v))
 
     def test_compared_counts_repeat(self):
         spec = _latlon_spec("hexagonal", 0.2, 1.971)
         first, second = F.build_multichart(spec, 3000), F.build_multichart(spec, 3000)
         assert first.compared == second.compared > 0
+
+    def test_compared_cubic_latlon_16000(self):
+        # the single-key band of the previous dedup computed 769681 overlaps
+        spec = _latlon_spec("cubic", 0.35, 1.945)
+        first, second = F.build_multichart(spec, 16000), F.build_multichart(spec, 16000)
+        assert first.compared == second.compared > 0
+        assert first.compared < 769681 / 20
 
     def test_compared_zero_for_single_chart(self):
         assert F.build_cubic(_cubic_spec(), 250).compared == 0
@@ -361,25 +436,30 @@ class TestMultichart:
 
         centre = G.ProjectivePoint.from_vector(unit(gauss(m + 1)))
         for c in (centre, G.standard_point(m), G.standard_point(m, m)):
-            p = F._pivot(c)
-            assert abs(np.linalg.norm(p) - 1) < 1e-15
-            assert abs(G.fs_distance(c, G.ProjectivePoint.from_vector(p)) - math.pi / 4) < 1e-12
+            pivots = F._pivots(c)
+            assert pivots.shape == (2, m + 1)
+            for p in pivots:
+                assert abs(np.linalg.norm(p) - 1) < 1e-15
+                assert abs(G.fs_distance(c, G.ProjectivePoint.from_vector(p)) - math.pi / 4) < 1e-12
             steps = np.logspace(-9, 0, 400)[:, None]
             x = unit(gauss(400, m + 1))
             y = unit(x + steps * gauss(400, m + 1))
-            # pairs next to the pivot, where f is nearly flat
-            xp = unit(p + steps * gauss(400, m + 1))
-            yp = unit(xp + steps * gauss(400, m + 1))
-            # pairs on one geodesic through the pivot, around pi/4 from it,
-            # where the slope |sin 2d| reaches 1
-            g = gauss(m + 1)
-            e = unit(g - np.vdot(p, g) * p)
-            t = math.pi / 4 + rng.uniform(-0.3, 0.3, size=(400, 1))
-            tg = np.cos(t) * p + np.sin(t) * e
-            tg2 = np.cos(t + steps) * p + np.sin(t + steps) * e
-            for a, b in ((x, y), (xp, yp), (tg, tg2)):
-                gap = np.abs(F._pivot_key(a, p) - F._pivot_key(b, p))
-                assert np.all(gap <= dist(a, b) + 1e-15)
+            pairs = [(x, y)]
+            for p in pivots:
+                # pairs next to the pivot, where its key is nearly flat
+                xp = unit(p + steps * gauss(400, m + 1))
+                yp = unit(xp + steps * gauss(400, m + 1))
+                # pairs on one geodesic through the pivot, around pi/4 from
+                # it, where the slope |sin 2d| reaches 1
+                g = gauss(m + 1)
+                e = unit(g - np.vdot(p, g) * p)
+                t = math.pi / 4 + rng.uniform(-0.3, 0.3, size=(400, 1))
+                tg = np.cos(t) * p + np.sin(t) * e
+                tg2 = np.cos(t + steps) * p + np.sin(t + steps) * e
+                pairs += [(xp, yp), (tg, tg2)]
+            for a, b in pairs:
+                gap = np.abs(F._pivot_keys(a, pivots) - F._pivot_keys(b, pivots))
+                assert np.all(gap <= dist(a, b)[:, None] + 1e-15)
 
     def test_count_floor(self):
         cover = G.cp1_latlon_cover(0.35)
