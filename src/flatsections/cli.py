@@ -411,7 +411,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
     row["chain_bound"] = chain
 
     cert = certify_family(fam, ceiling=chain, mesh=cfg.mesh, rounds=cfg.rounds,
-                          orthonormal=False)
+                          orthonormal=False, points=frame.points, entries=op.entries)
     l2_dev = float(max(abs(v - 1.0) for v in cert.l2_norms))
     sups = [e.value for e in cert.sup_estimates]
     row["l2_dev"] = l2_dev

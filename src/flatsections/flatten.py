@@ -114,7 +114,8 @@ def frame_sum(frame: Frame, lifts: np.ndarray) -> np.ndarray:
 
     The lifts go through in blocks of at most FRAME_SUM_BLOCK_ENTRIES
     lift-point products; each value is a sum over its own row only, so it
-    does not depend on the blocking.
+    does not depend on the blocking.  cos^k is formed in place in the
+    block's one real buffer.
     """
     root = math.sqrt(KernelModel(frame.m, frame.k).diag)
     conj = frame.points.conj().T
@@ -124,8 +125,10 @@ def frame_sum(frame: Frame, lifts: np.ndarray) -> np.ndarray:
         q = np.abs(lifts[lo:lo + step] @ conj)
         np.clip(q, 0.0, 1.0, out=q)
         with np.errstate(divide="ignore"):
-            logq = np.log(q)
-        out[lo:lo + step] = root * np.sum(np.exp(frame.k * logq), axis=1)
+            np.log(q, out=q)
+        q *= frame.k
+        np.exp(q, out=q)
+        out[lo:lo + step] = root * np.sum(q, axis=1)
     return out
 
 

@@ -202,12 +202,14 @@ class LatticeSpec:
 # lattice enumeration in a single chart
 
 
-def _lattice_rows(spec: LatticeSpec, chart: ChartSpec, k: int) -> np.ndarray:
+def _lattice_rows(spec: LatticeSpec, chart: ChartSpec, k: int,
+                  radius: float) -> np.ndarray:
     """Integer coordinates mu, in lex order, of every lattice point that
     can lie in the chart's region.
 
     A cubic lattice in a CubeRegion takes the exact box |mu_j| <= t sqrt(k)/a.
-    Otherwise the region lies in the ball of its circumradius, and the rows
+    Otherwise the region lies in the ball of its circumradius, radius
+    (which _assemble computes once per build), and the rows
     are generated one prefix (mu_0, ..., mu_{2m-2}) at a time: the range of
     the last coordinate is solved from the radius left by the prefix, with
     the radius padded by one lattice step so that rounding cannot lose a
@@ -220,7 +222,7 @@ def _lattice_rows(spec: LatticeSpec, chart: ChartSpec, k: int) -> np.ndarray:
         mmax = int(math.floor(region.t / scale + 1e-12))
         return _box(mmax, dim)
     # the rows stay inside the box that bounds |mu|_inf over the ball
-    rad = region.circumradius(spec.m) / scale
+    rad = radius / scale
     if spec.kind == "cubic":
         mmax = int(math.floor(rad + 1e-12)) + 1
     else:
@@ -276,12 +278,12 @@ def _tangent_vectors(spec: LatticeSpec, grid: np.ndarray, k: int) -> np.ndarray:
     return v
 
 
-def _chart_candidates(spec: LatticeSpec, chart: ChartSpec, k: int):
+def _chart_candidates(spec: LatticeSpec, chart: ChartSpec, k: int, radius: float):
     """Lattice coordinates, tangent vectors and exp lifts (the geodesic
     formula's phase) of the lattice points in the chart's region, in lex
-    order on mu.  Each point's exp map is computed once, and the region
-    test reads it."""
-    grid = _lattice_rows(spec, chart, k)
+    order on mu; radius is the region's circumradius.  Each point's exp
+    map is computed once, and the region test reads it."""
+    grid = _lattice_rows(spec, chart, k, radius)
     v = _tangent_vectors(spec, grid, k)
     lifts = exp_chart_vectors(chart, v)
     keep = np.asarray(chart.region.contains(chart, v, lifts))
@@ -400,7 +402,8 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
     threshold = spec.dedup_factor * spec.a / math.sqrt(k) if k > 0 else 0.0
     cos_thr = math.cos(min(threshold, math.pi / 2))
     side = threshold + REACH_SLACK
-    reach = np.array([c.region.circumradius(spec.m) + REACH_SLACK for c in charts])
+    radius = [c.region.circumradius(spec.m) for c in charts]
+    reach = np.array(radius) + REACH_SLACK
     centres = np.array([c.center.homogeneous for c in charts], dtype=np.complex128)
     centres = centres.reshape(len(charts), spec.m + 1)
     # the chart skip and the reach test of the module docstring, in
@@ -413,7 +416,7 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
     earlier = []
     dropped = compared = 0
     for j, chart in enumerate(charts):
-        grid, v, lifts = _chart_candidates(spec, chart, k)
+        grid, v, lifts = _chart_candidates(spec, chart, k, radius[j])
         if v.shape[0] == 0:
             continue
         lifts = _canonicalize_rows(lifts)

@@ -1,5 +1,7 @@
 """Exact inner products, sup-norm estimates, bounds, and emitters."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -36,6 +38,30 @@ def _family(sec):
 
 def _sections(fam):
     return [SectionExpansion.from_ortho(fam.m, fam.k, row) for row in fam.ortho]
+
+
+# (m, k, mesh) of the screened-refinement cases: m = 1 lat-lon r=0.35 and
+# m = 2 balls r=0.4, the configurations of the benchmark's pipeline runs
+SCREEN_CASES = ((1, 200, 16), (1, 800, 16), (2, 20, 6), (2, 40, 6))
+
+
+@functools.lru_cache(maxsize=4)
+def _screened_level(m: int, k: int):
+    """(frame points, whitening matrix, flat family) of one screen case."""
+    if m == 1:
+        cfg = cli.RunConfig(m=1, k=(k,), spacing=1.945, eta=0.995, epsilon=0.005,
+                            cover={"name": "latlon", "radius": 0.35}, delta=1e-9)
+    else:
+        cfg = cli.RunConfig(m=2, k=(k,), spacing=2.4, eta=0.9,
+                            cover={"name": "balls", "radius": 0.4}, mesh=6)
+    fr = F.build(cli.lattice_spec(cfg.validate())[0], k)
+    op = W.inv_sqrt_eigen(W.assemble_gram(fr))
+    return fr.points, op.entries, FL.flatten_frame(fr, op)
+
+
+@functools.lru_cache(maxsize=4)
+def _unscreened_sups(m: int, k: int, mesh: int):
+    return C.family_sups(_screened_level(m, k)[2], mesh=mesh)
 
 
 def _pipeline(k: int):
@@ -144,6 +170,104 @@ class TestSupNorm:
         # a writable mesh built afresh in every call, as before the cache
         monkeypatch.setattr(C, "_base_boxes", lambda m, per_dim: fresh(m, per_dim).copy())
         assert cached == (C.family_sups(fam), C.sup_norm(m2, mesh=6))
+
+
+class TestScreenedRefinement:
+    @pytest.mark.parametrize("m,k,mesh", SCREEN_CASES)
+    def test_screened_sups_equal_unscreened(self, m, k, mesh):
+        points, entries, fam = _screened_level(m, k)
+        screened = C.family_sups(fam, mesh=mesh, points=points, entries=entries)
+        assert screened == _unscreened_sups(m, k, mesh)
+
+    @pytest.mark.parametrize("m,k,mesh", SCREEN_CASES)
+    def test_screen_within_delta_of_monomial(self, m, k, mesh):
+        points, entries, fam = _screened_level(m, k)
+        rng = np.random.default_rng(k)
+        raw = rng.standard_normal((10 ** 4, m + 1)) + 1j * rng.standard_normal((10 ** 4, m + 1))
+        lifts = raw / np.linalg.norm(raw, axis=1)[:, None]
+        for j, (screen, sec) in enumerate(zip(C.frame_screens(fam, points, entries),
+                                              _sections(fam))):
+            mine = lifts[j::fam.n]  # the 10^4 lifts, shared out over the sections
+            gap = np.abs(screen.values(mine) - np.abs(sec.evaluate_lifts(mine)))
+            assert np.max(gap) <= screen.delta / 100
+
+    @pytest.mark.parametrize("m,k,mesh", SCREEN_CASES)
+    def test_tail_within_its_bound_of_dense_block(self, m, k, mesh):
+        points, entries, fam = _screened_level(m, k)
+        # lifts next to frame points, where both kept and dropped terms are large
+        rng = np.random.default_rng(1)
+        near = points[rng.integers(0, fam.n, 400)]
+        near = near + 0.5 / math.sqrt(k) * (rng.standard_normal(near.shape)
+                                            + 1j * rng.standard_normal(near.shape))
+        lifts = near / np.linalg.norm(near, axis=1)[:, None]
+        g = lifts @ points.conj().T
+        block = np.exp(k * np.log(np.abs(g))) * np.exp(1j * k * np.angle(g))
+        count = 2 * fam.n + 4
+        gamma = count * C.UNIT_ROUNDOFF / (1 - count * C.UNIT_ROUNDOFF)
+        for screen in C.frame_screens(fam, points, entries)[:8]:
+            w = np.abs(screen.weights)
+            mass = screen.root * (np.abs(block) * (np.abs(g) < screen.cut)) @ w
+            assert np.max(mass) > 0
+            assert np.max(mass) <= screen.root * C.UNIT_ROUNDOFF * np.sum(w)
+            # beyond the dropped mass, the two routes differ by the rounding
+            # of their sums only
+            dense = screen.root * np.abs(block @ screen.weights)
+            rounding = 2 * gamma * screen.root * (np.abs(block) @ w)
+            assert np.all(np.abs(screen.values(lifts) - dense) <= mass + rounding)
+
+    @pytest.mark.parametrize("m,k,mesh", SCREEN_CASES)
+    def test_ifft_weights_match_dft_matrix(self, m, k, mesh):
+        points, entries, fam = _screened_level(m, k)
+        weights = np.array([s.weights for s in C.frame_screens(fam, points, entries)])
+        assert np.max(np.abs(weights - FL.dft_matrix(fam.n) @ entries)) <= 1e-12
+
+    def test_zero_window_misses_cells(self, monkeypatch):
+        # a window of 0 confirms only the children screened at or above
+        # the take-th value, and at m = 2 k = 40 rounding then drops a
+        # winning cell
+        points, entries, fam = _screened_level(2, 40)
+        screens = C.frame_screens
+        monkeypatch.setattr(C, "frame_screens", lambda *a: [
+            dataclasses.replace(s, delta=0.0) for s in screens(*a)])
+        assert (C.family_sups(fam, mesh=6, points=points, entries=entries)
+                != _unscreened_sups(2, 40, 6))
+
+    def test_screen_rejects_mismatched_frame(self):
+        points, entries, fam = _screened_level(2, 20)
+        with pytest.raises(C.CertifyError):
+            C.family_sups(fam, mesh=6, points=points[1:], entries=entries)
+        with pytest.raises(C.CertifyError):
+            C.family_sups(fam, mesh=6, points=points)
+
+    def test_evaluation_does_not_depend_on_batch(self):
+        # the confirm step evaluates a subset of the children; each value
+        # must equal the one the full round computes
+        fam = _screened_level(2, 40)[2]
+        rng = np.random.default_rng(3)
+        raw = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+        lifts = raw / np.linalg.norm(raw, axis=1)[:, None]
+        for sec in _sections(fam)[:4]:
+            full = sec.evaluate_lifts(lifts)
+            for size in (2, 8, 13, 64, 199):
+                pick = rng.choice(200, size, replace=False)
+                assert np.array_equal(sec.evaluate_lifts(lifts[pick]), full[pick])
+
+    def test_confirm_goes_through_evaluate_lifts(self, monkeypatch):
+        cfg = cli.RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,
+                            cover={"name": "balls", "radius": 0.4}, mesh=6).validate()
+        seen = []
+        evaluate = SectionExpansion.evaluate_lifts
+
+        def counted(self, lifts):
+            seen.append(len(lifts))
+            return evaluate(self, lifts)
+
+        monkeypatch.setattr(SectionExpansion, "evaluate_lifts", counted)
+        level = cli._run_level(cfg, cli.lattice_spec(cfg)[0], 20)
+        base = len(C._base_boxes(2, 6))
+        examined = sum(e.evaluations - base for e in level.cert.sup_estimates)
+        assert min(seen) >= 8
+        assert 0 < sum(seen) < examined / 4
 
 
 class TestFlatBound:

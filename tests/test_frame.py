@@ -392,7 +392,8 @@ class TestMultichart:
             charts = spec.charts
         assert spec.m == m
         for chart in charts:
-            grid, v, lifts = F._chart_candidates(spec, chart, k)
+            grid, v, lifts = F._chart_candidates(
+                spec, chart, k, chart.region.circumradius(spec.m))
             want_grid, want_v = _box_candidates(spec, chart, k)
             assert grid.shape[0] > 0
             assert np.array_equal(grid, want_grid)
