@@ -8,18 +8,22 @@ reported as certified lower bounds together with the refinement history.
 
 A flat family is its (n, d_k) matrix fam.ortho: row j holds the
 coefficients of s_j over the L^2-orthonormal monomials, so its L^2 norm
-is the Euclidean norm of the row and its raw monomial coefficients are
-the row times monomial_table(m, k).inv_sqrt_weights.  The family is
-certified against one shared base mesh: certify_family builds the
-monomial basis at the base-mesh centres once per chunk of at most 2e6
-entries, applies it to each row, then refines each section on its own.
-Families whose base values pass BASE_BLOCK_ENTRIES are split into
-blocks of rows that share one evaluation each.  The single-section
-sup_norm runs the same code with one vector.  Every sup is
-bit-identical to the section-by-section evaluation, not merely close:
-the basis is built in the same chunks and each row gets its own
-matrix-vector product, since a single product over all rows rounds
-differently.
+is the Euclidean norm of the row.  A family's sups have one path:
+
+    certify_family -> NormCertificate -> emit_polynomials
+
+certify_family is the one producer of a family's sups and L^2 norms.  It
+evaluates one shared base mesh: the monomial basis at the base-mesh
+centres is built once per chunk of at most 2e6 entries and applied to
+each row, then each section is refined on its own by sup_norm, the
+single-section evaluator.  Families whose base values pass
+BASE_BLOCK_ENTRIES are split into blocks of rows that share one
+evaluation each.  Every sup is bit-identical to the section-by-section
+evaluation, not merely close: the basis is built in the same chunks and
+each row gets its own matrix-vector product, since a single product over
+all rows rounds differently.  emit_polynomials reads the certificate and
+computes no sup; it is the one place that forms raw monomial
+coefficients, the row times monomial_table(m, k).inv_sqrt_weights.
 
 Screen and confirm.  Each refinement round splits the top cells of the
 last round into children.  Reported values are always monomial values,
@@ -41,10 +45,11 @@ of each of the _take children screened at t or more.  So it can be
 neither among the next round's top cells nor the round maximum, and
 value, history, rounds_used and last_increment are those of the full
 evaluation.  evaluations counts the cells examined, screened out or not.
-The one freedom is an exact tie: when confirmed children have equal
-monomial values at the top-cell boundary, np.argpartition over the
-screened round may pick another of the equal-valued twins than over the
-full round.  Without a screen every child is confirmed.  Evaluation is
+The top cells are chosen by a stable sort, exact ties going to the lower
+cell index.  Every child of the full round that can be chosen is
+confirmed and keeps its value, and the rest sort below them, so the
+screened round picks the same cells in the same order, ties included.
+Without a screen every child is confirmed.  Evaluation is
 per point, so a child's value does not depend on which other children
 share its call (the tests check this for two or more points per call;
 every confirm call has at least eight).
@@ -95,7 +100,6 @@ families the largest gap seen is under 1e-4 of delta.
 
 import csv
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -112,7 +116,7 @@ from .kernel import (
 )
 
 
-# base-mesh values held at once by family_sups (sections x cells)
+# base-mesh values held at once by certify_family (sections x cells)
 BASE_BLOCK_ENTRIES = 4e6
 
 # u = 2^-53, the unit roundoff of float64
@@ -124,15 +128,12 @@ class CertifyError(ValueError):
 
 
 def l2_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
-    """Exact diagonal pairing sum_alpha w_alpha a_alpha conj(b_alpha).
-
-    The weight is grouped as (sqrt(w) a)(conj(sqrt(w) b)) so that huge
-    raw coefficients never meet tiny weights head-on.
-    """
+    """Exact diagonal pairing sum_alpha w_alpha a_alpha conj(b_alpha) of
+    the raw coefficients, which is the plain pairing of the orthonormal
+    coefficients: no raw coefficient is ever formed."""
     if (sa.m, sa.k) != (sb.m, sb.k):
         raise CertifyError("sections live on different spaces")
-    half = monomial_table(sa.m, sa.k).sqrt_weights
-    return complex(np.sum((half * sa.coeffs) * np.conj(half * sb.coeffs)))
+    return complex(np.sum(sa.ortho_coeffs * np.conj(sb.ortho_coeffs)))
 
 
 def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
@@ -351,8 +352,9 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
     used = 0
     increment = 0.0
     for _ in range(rounds):
-        take = _take(len(vals))
-        top = np.argpartition(vals, -take)[-take:]
+        # the take largest values, exact ties broken by cell index, so the
+        # choice does not depend on which other cells a round evaluated
+        top = np.argsort(-vals, kind="stable")[:_take(len(vals))]
         boxes = _split_boxes(boxes[top])
         vals = _refined_values(s, _center_lifts(s.m, boxes), screen)
         evals += len(vals)
@@ -368,31 +370,6 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
                            history=tuple(history))
 
 
-def family_sups(fam, mesh: int = 16, rounds: int = 16,
-                points: np.ndarray | None = None,
-                entries: np.ndarray | None = None) -> list:
-    """sup_norm of every row of fam.ortho, with the base mesh evaluated
-    once for a block of rows (all of them unless their values pass
-    BASE_BLOCK_ENTRIES).  Given the frame points and the whitening matrix
-    of the family, each section's refinement is screened by its
-    FrameScreen; the estimates equal the unscreened ones field by field,
-    save that an exact tie at a round's top-cell boundary may pick an
-    equal-valued twin cell (module docstring)."""
-    _check_mesh(fam.m, mesh)
-    boxes = _base_boxes(fam.m, mesh)
-    block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
-    unscreened = points is None and entries is None
-    screens = [None] * fam.n if unscreened else frame_screens(fam, points, entries)
-    sups = []
-    for lo in range(0, fam.n, block):
-        rows = fam.ortho[lo:lo + block]
-        base = _base_values(fam.m, fam.k, rows, boxes)
-        sups += [sup_norm(SectionExpansion.from_ortho(fam.m, fam.k, row),
-                          mesh=mesh, rounds=rounds, base=vals, screen=scr)
-                 for row, vals, scr in zip(rows, base, screens[lo:lo + block])]
-    return sups
-
-
 def flat_bound(beta: float, eta: float, vol: float) -> float:
     """Universal sup-norm ceiling (1+eta)/sqrt(beta(1-eta)) / sqrt(vol)."""
     # eta = 0 is the perfectly orthogonal degenerate case and is allowed
@@ -405,58 +382,48 @@ def flat_bound(beta: float, eta: float, vol: float) -> float:
 
 @dataclass(frozen=True)
 class NormCertificate:
+    """Sup estimates and exact L^2 norms of one flat family, row by row."""
+
     k: int
     m: int
     sup_estimates: tuple
     l2_norms: tuple
-    ratios: tuple  # sup / l2 per section
-    ceiling: float | None
-    mesh: int
-    rounds: int
-
-    @property
-    def max_sup(self) -> float:
-        return max(e.value for e in self.sup_estimates)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "m": self.m,
-                "mesh": self.mesh,
-                "ceiling": self.ceiling,
-                "l2 norms": list(self.l2_norms),
-                "ratios": list(self.ratios),
-                "sup estimates": [e.to_dict() for e in self.sup_estimates],
-            }
-        )
 
 
-def certify_family(fam, ceiling: float | None = None, mesh: int = 16,
-                   rounds: int = 16, orthonormal: bool = True,
-                   points: np.ndarray | None = None,
+def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None,
                    entries: np.ndarray | None = None) -> NormCertificate:
-    """Per-section sup estimates and exact L^2 norms for a flat family;
-    the L^2 norm of a section is the Euclidean norm of its row.  points
-    and entries (the frame points and whitening matrix) turn on the
-    screened refinement of family_sups."""
-    sups = family_sups(fam, mesh=mesh, rounds=rounds, points=points, entries=entries)
-    l2s, ratios = [], []
+    """sup_norm of every row of fam.ortho and its exact L^2 norm, the
+    Euclidean norm of the row; the one producer of a family's sups.
+
+    The base mesh is evaluated once for a block of rows (all of them
+    unless their values pass BASE_BLOCK_ENTRIES).  Given the frame points
+    and the whitening matrix of the family, each section's refinement is
+    screened by its FrameScreen; the estimates equal the unscreened ones
+    field by field.  A sup under the flatness floor l2 / sqrt(Vol), less
+    0.1%, raises: every section reaches its L^2 average somewhere.
+    """
+    _check_mesh(fam.m, mesh)
+    boxes = _base_boxes(fam.m, mesh)
+    block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
+    unscreened = points is None and entries is None
+    screens = [None] * fam.n if unscreened else frame_screens(fam, points, entries)
+    sups = []
+    for lo in range(0, fam.n, block):
+        rows = fam.ortho[lo:lo + block]
+        base = _base_values(fam.m, fam.k, rows, boxes)
+        sups += [sup_norm(SectionExpansion.from_ortho(fam.m, fam.k, row),
+                          mesh=mesh, rounds=rounds, base=vals, screen=scr)
+                 for row, vals, scr in zip(rows, base, screens[lo:lo + block])]
+    l2s = [float(np.linalg.norm(row)) for row in fam.ortho]
     root_vol = math.sqrt(ManifoldModel(fam.m).volume)
-    for row, est in zip(fam.ortho, sups):
-        l2 = float(np.linalg.norm(row))
-        if orthonormal and abs(l2 - 1.0) > 1e-8:
-            raise CertifyError("family is not L^2-normalized: %.3e" % (l2 - 1.0))
+    for est, l2 in zip(sups, l2s):
         floor = l2 / root_vol * (1 - 1e-3)
         if est.value < floor:
             raise CertifyError(
                 "sup estimate %.6f under the flatness floor %.6f" % (est.value, floor)
             )
-        l2s.append(l2)
-        ratios.append(est.value / l2)
     return NormCertificate(k=fam.k, m=fam.m, sup_estimates=tuple(sups),
-                           l2_norms=tuple(l2s), ratios=tuple(ratios),
-                           ceiling=ceiling, mesh=mesh, rounds=rounds)
+                           l2_norms=tuple(l2s))
 
 
 @dataclass(frozen=True)
@@ -483,39 +450,34 @@ class PolynomialRecord:
             "sphere ratio": self.sphere_ratio,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
-
-def emit_polynomials(fam, mesh: int = 16, rounds: int = 16,
-                     cert: NormCertificate | None = None) -> list:
+def emit_polynomials(fam, cert: NormCertificate) -> list:
     """Sections as polynomial records with their sphere flatness ratios.
 
     |s(z)|_h at a point equals |p(x)| at any unit lift x, so the metric
     sup over the manifold and the sup over the sphere coincide, and the
     sphere ratio is the manifold ratio rescaled by sqrt(Vol) >= 1.  The
-    sups come from cert when given (it must be certify_family's output
-    for this family at the same mesh and rounds), else they are computed.
+    sups and L^2 norms are those of cert, certify_family's output for
+    this family.  The raw coefficients row * inv_sqrt_weights are formed
+    here only; where they overflow (m = 1 from about k = 2060) the
+    family cannot be written as polynomials and CertifyError is raised.
     """
-    if cert is None:
-        sups = family_sups(fam, mesh=mesh, rounds=rounds)
-    elif (cert.m, cert.k, cert.mesh, cert.rounds, len(cert.sup_estimates)) != (
-            fam.m, fam.k, mesh, rounds, fam.n):
-        raise CertifyError("certificate was computed for another family or mesh")
-    else:
-        sups = cert.sup_estimates
+    if (cert.m, cert.k, len(cert.sup_estimates)) != (fam.m, fam.k, fam.n):
+        raise CertifyError("certificate was computed for another family")
     exponents = multi_indices(fam.m, fam.k)
     to_raw = monomial_table(fam.m, fam.k).inv_sqrt_weights
     root_vol = math.sqrt(ManifoldModel(fam.m).volume)
     records = []
-    for row, est in zip(fam.ortho, sups):
-        l2 = float(np.linalg.norm(row))
+    for row, est, l2 in zip(fam.ortho, cert.sup_estimates, cert.l2_norms):
         if l2 == 0.0:
             raise CertifyError("zero section has no flatness ratio")
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = row * to_raw
+        if not np.all(np.isfinite(coeffs)):
+            raise CertifyError("raw monomial coefficients overflow at k=%d" % fam.k)
         records.append(
-            PolynomialRecord(k=fam.k, m=fam.m, exponents=exponents,
-                             coeffs=row * to_raw, sup=est, l2=l2,
-                             sphere_ratio=est.value * root_vol / l2)
+            PolynomialRecord(k=fam.k, m=fam.m, exponents=exponents, coeffs=coeffs,
+                             sup=est, l2=l2, sphere_ratio=est.value * root_vol / l2)
         )
     return records
 

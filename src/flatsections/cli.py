@@ -410,8 +410,8 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
     row["fk_norm"] = fk
     row["chain_bound"] = chain
 
-    cert = certify_family(fam, ceiling=chain, mesh=cfg.mesh, rounds=cfg.rounds,
-                          orthonormal=False, points=frame.points, entries=op.entries)
+    cert = certify_family(fam, cfg.mesh, cfg.rounds, points=frame.points,
+                          entries=op.entries)
     l2_dev = float(max(abs(v - 1.0) for v in cert.l2_norms))
     sups = [e.value for e in cert.sup_estimates]
     row["l2_dev"] = l2_dev
@@ -656,8 +656,7 @@ def emit_polys(cfg: RunConfig) -> dict:
         level = _run_level(cfg, spec, k)
         if level.fam is None:
             raise FrameError("degree k=%d yields an empty frame" % k)
-        records = emit_polynomials(level.fam, mesh=cfg.mesh, rounds=cfg.rounds,
-                                   cert=level.cert)
+        records = emit_polynomials(level.fam, level.cert)
         levels[k] = records
         invariants = {name: level.row["invariants"][name]
                       for name in ("frame_nonempty", "frame_nondegenerate")}

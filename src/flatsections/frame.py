@@ -46,7 +46,6 @@ prefilter.  Frame.compared counts those pairs, the overlaps computed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -116,7 +115,7 @@ def formal_eta(kind: str, a: float, gamma: float, epsilon: float, m: int) -> flo
 class LatticeSpec:
     """Parameters of a lattice frame build.
 
-    Single-chart mode: give t (cube halfwidth) and optionally center.
+    Single-chart mode: give t (the halfwidth of a cube at the standard point).
     Multi-chart mode: give charts (inner regions with declared gamma)
     and the covering slack delta.  eta is the target Gram perturbation;
     a LatticeSpec is 'certified' when the theta-sum bound proves the target,
@@ -322,35 +321,9 @@ class Frame:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def to_json(self) -> str:
-        payload = {
-            "k": self.k,
-            "m": self.m,
-            "n": self.n,
-            "order": self.order_tag,
-            "dropped": self.dropped,
-            "spec": {
-                "kind": self.spec.kind,
-                "a": self.spec.a,
-                "eta": self.spec.eta,
-                "gamma": self.spec.gamma,
-                "epsilon": self.spec.epsilon,
-                "t": self.spec.t,
-                "delta": self.spec.delta,
-                "beta_target": self.spec.beta_target,
-                "charts": None if self.spec.charts is None else len(self.spec.charts),
-            },
-            "points_re": self.points.real.tolist(),
-            "points_im": self.points.imag.tolist(),
-            "chart_index": self.chart_index.tolist(),
-            "mu": self.mu.tolist(),
-        }
-        return json.dumps(payload)
 
-
-def _single_chart(spec: LatticeSpec, center: ProjectivePoint | None) -> ChartSpec:
-    c = center if center is not None else standard_point(spec.m)
-    return make_chart(c, CubeRegion(spec.t), spec.gamma)
+def _single_chart(spec: LatticeSpec) -> ChartSpec:
+    return make_chart(standard_point(spec.m), CubeRegion(spec.t), spec.gamma)
 
 
 def _pivots(center: ProjectivePoint) -> np.ndarray:
@@ -476,38 +449,16 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
     )
 
 
-def build_cubic(spec: LatticeSpec, k: int, center: ProjectivePoint | None = None) -> Frame:
-    """Single-chart cubic frame; count is (2 floor(t sqrt k/a) + 1)^{2m}."""
-    if spec.kind != "cubic" or spec.t is None:
-        raise FrameError("build_cubic needs a single-chart cubic spec")
-    if k < 0:
-        raise FrameError("level must be nonnegative")
-    return _assemble(spec, k, [_single_chart(spec, center)] if k else [])
-
-
-def build_hexagonal(spec: LatticeSpec, k: int, center: ProjectivePoint | None = None) -> Frame:
-    if spec.kind != "hexagonal" or spec.t is None:
-        raise FrameError("build_hexagonal needs a single-chart hexagonal spec")
-    if k < 0:
-        raise FrameError("level must be nonnegative")
-    return _assemble(spec, k, [_single_chart(spec, center)] if k else [])
-
-
-def build_multichart(spec: LatticeSpec, k: int) -> Frame:
-    """Frame over a cell decomposition with cross-chart deduplication."""
-    if spec.charts is None:
-        raise FrameError("build_multichart needs a chart list")
-    if k < 0:
-        raise FrameError("level must be nonnegative")
-    return _assemble(spec, k, list(spec.charts) if k else [])
-
-
 def build(spec: LatticeSpec, k: int) -> Frame:
-    if spec.charts is not None:
-        return build_multichart(spec, k)
-    if spec.kind == "cubic":
-        return build_cubic(spec, k)
-    return build_hexagonal(spec, k)
+    """The frame of spec at level k: over its chart list with cross-chart
+    dedup, or in the single cube chart at the standard point, where a
+    cubic lattice has (2 floor(t sqrt k/a) + 1)^{2m} points."""
+    if k < 0:
+        raise FrameError("level must be nonnegative")
+    if not k:
+        return _assemble(spec, k, [])
+    charts = list(spec.charts) if spec.charts is not None else [_single_chart(spec)]
+    return _assemble(spec, k, charts)
 
 
 def expected_cubic_count(spec: LatticeSpec, k: int) -> int:

@@ -122,11 +122,15 @@ def monomial_table(m: int, k: int) -> MonomialTable:
     idx = _graded_lex(m, k)
     logw = log_monomial_weights(m, k, idx)
     lg = np.vectorize(math.lgamma)
+    # inv_sqrt_weights overflows to inf at m = 1 from about k = 2060;
+    # the package reads it only in certify.emit_polynomials, which checks
+    with np.errstate(over="ignore"):
+        inv_sqrt_weights = np.exp(-0.5 * logw)
     table = MonomialTable(
         indices=idx,
         log_weights=logw,
         sqrt_weights=np.exp(0.5 * logw),
-        inv_sqrt_weights=np.exp(-0.5 * logw),
+        inv_sqrt_weights=inv_sqrt_weights,
         half_multinomial=0.5 * (math.lgamma(k + 1) - np.sum(lg(idx + 1.0), axis=1)),
     )
     for arr in vars(table).values():
@@ -224,35 +228,33 @@ def log_normalized_from_distance(k: int, d) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectionExpansion:
-    """A degree-k section as monomial coefficients.
+    """A degree-k section as orthonormal-basis coefficients only.
 
-    coeffs[i] multiplies z^alpha_i (graded lex order, multi_indices).
     ortho_coeffs[i] multiplies the L^2-orthonormal monomial
-    z^alpha_i / sqrt(w_alpha_i); the plain Euclidean norm of
-    ortho_coeffs is the L^2 norm of the section.
+    z^alpha_i / sqrt(w_alpha_i) (graded lex order, multi_indices); the
+    plain Euclidean norm of ortho_coeffs is the L^2 norm of the section.
+    Raw monomial coefficients, ortho_coeffs * inv_sqrt_weights, overflow
+    at high levels (m = 1 from about k = 2060) and are formed only where
+    a polynomial is written out (certify.emit_polynomials).
     """
 
     m: int
     k: int
-    coeffs: np.ndarray
     ortho_coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape[0] != dimension(self.m, self.k):
+        if self.ortho_coeffs.shape[0] != dimension(self.m, self.k):
             raise KernelError("coefficient count must equal C(k+m, m)")
 
     @classmethod
     def from_ortho(cls, m: int, k: int, ortho: np.ndarray) -> "SectionExpansion":
-        ortho = np.asarray(ortho, dtype=np.complex128)
-        coeffs = ortho * monomial_table(m, k).inv_sqrt_weights
-        return cls(m=m, k=k, coeffs=coeffs, ortho_coeffs=ortho)
+        return cls(m=m, k=k, ortho_coeffs=np.asarray(ortho, dtype=np.complex128))
 
     @classmethod
     def from_coeffs(cls, m: int, k: int, coeffs) -> "SectionExpansion":
         """Section with the given raw monomial coefficients."""
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        ortho = coeffs * monomial_table(m, k).sqrt_weights
-        return cls(m=m, k=k, coeffs=coeffs, ortho_coeffs=ortho)
+        return cls.from_ortho(m, k, coeffs * monomial_table(m, k).sqrt_weights)
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.ortho_coeffs))
@@ -308,10 +310,7 @@ def coherent_state(model: KernelModel, y: UnitLift) -> SectionExpansion:
     phase = np.angle(np.conj(y.vector))
     logb = tab.half_multinomial + idx @ logmag
     ortho = np.exp(logb + 1j * (idx @ phase))
-    out = SectionExpansion.from_ortho(m, k, ortho)
-    if not np.all(np.isfinite(out.coeffs)):
-        raise KernelError("raw monomial coefficients overflow at this level")
-    return out
+    return SectionExpansion.from_ortho(m, k, ortho)
 
 
 def coherent_peak(model: KernelModel) -> float:

@@ -61,12 +61,17 @@ def _screened_level(m: int, k: int):
 
 @functools.lru_cache(maxsize=4)
 def _unscreened_sups(m: int, k: int, mesh: int):
-    return C.family_sups(_screened_level(m, k)[2], mesh=mesh)
+    return C.certify_family(_screened_level(m, k)[2], mesh, 16).sup_estimates
+
+
+def _records(fam, mesh=16):
+    """emit_polynomials of fam on its certificate at the given mesh."""
+    return C.emit_polynomials(fam, C.certify_family(fam, mesh, 16))
 
 
 def _pipeline(k: int):
     spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.4)
-    fr = F.build_cubic(spec, k)
+    fr = F.build(spec, k)
     g = W.assemble_gram(fr)
     op = W.inv_sqrt_neumann(g)
     return fr, g, op, FL.flatten_frame(fr, op)
@@ -166,18 +171,18 @@ class TestSupNorm:
         assert np.array_equal(boxes, fresh(2, 6))
         fam = _pipeline(60)[3]
         m2 = _unit_basis(2, 5, 7)
-        cached = (C.family_sups(fam), C.sup_norm(m2, mesh=6))
+        cached = (C.certify_family(fam, 16, 16), C.sup_norm(m2, mesh=6))
         # a writable mesh built afresh in every call, as before the cache
         monkeypatch.setattr(C, "_base_boxes", lambda m, per_dim: fresh(m, per_dim).copy())
-        assert cached == (C.family_sups(fam), C.sup_norm(m2, mesh=6))
+        assert cached == (C.certify_family(fam, 16, 16), C.sup_norm(m2, mesh=6))
 
 
 class TestScreenedRefinement:
     @pytest.mark.parametrize("m,k,mesh", SCREEN_CASES)
     def test_screened_sups_equal_unscreened(self, m, k, mesh):
         points, entries, fam = _screened_level(m, k)
-        screened = C.family_sups(fam, mesh=mesh, points=points, entries=entries)
-        assert screened == _unscreened_sups(m, k, mesh)
+        screened = C.certify_family(fam, mesh, 16, points=points, entries=entries)
+        assert screened.sup_estimates == _unscreened_sups(m, k, mesh)
 
     @pytest.mark.parametrize("m,k,mesh", SCREEN_CASES)
     def test_screen_within_delta_of_monomial(self, m, k, mesh):
@@ -221,6 +226,18 @@ class TestScreenedRefinement:
         weights = np.array([s.weights for s in C.frame_screens(fam, points, entries)])
         assert np.max(np.abs(weights - FL.dft_matrix(fam.n) @ entries)) <= 1e-12
 
+    @pytest.mark.parametrize("k,row", ((20, 0), (40, 34)))
+    def test_exact_ties_pick_the_same_cells(self, k, row):
+        # at mesh 8 these sections meet children of exactly equal value at
+        # a round's top-cell boundary (two to five of them); ordered by
+        # cell index, the screened round picks the same twins as the full one
+        points, entries, fam = _screened_level(2, k)
+        sec = _sections(fam)[row]
+        base = C._base_values(2, k, [sec.ortho_coeffs], C._base_boxes(2, 8))[0]
+        screen = C.frame_screens(fam, points, entries)[row]
+        assert (C.sup_norm(sec, mesh=8, base=base, screen=screen)
+                == C.sup_norm(sec, mesh=8, base=base))
+
     def test_zero_window_misses_cells(self, monkeypatch):
         # a window of 0 confirms only the children screened at or above
         # the take-th value, and at m = 2 k = 40 rounding then drops a
@@ -229,15 +246,15 @@ class TestScreenedRefinement:
         screens = C.frame_screens
         monkeypatch.setattr(C, "frame_screens", lambda *a: [
             dataclasses.replace(s, delta=0.0) for s in screens(*a)])
-        assert (C.family_sups(fam, mesh=6, points=points, entries=entries)
+        assert (C.certify_family(fam, 6, 16, points=points, entries=entries).sup_estimates
                 != _unscreened_sups(2, 40, 6))
 
     def test_screen_rejects_mismatched_frame(self):
         points, entries, fam = _screened_level(2, 20)
         with pytest.raises(C.CertifyError):
-            C.family_sups(fam, mesh=6, points=points[1:], entries=entries)
+            C.certify_family(fam, 6, 16, points=points[1:], entries=entries)
         with pytest.raises(C.CertifyError):
-            C.family_sups(fam, mesh=6, points=points)
+            C.certify_family(fam, 6, 16, points=points)
 
     def test_evaluation_does_not_depend_on_batch(self):
         # the confirm step evaluates a subset of the children; each value
@@ -300,22 +317,25 @@ class TestCertifyFamily:
     def test_run_certificate(self):
         fr, g, op, fam = _pipeline(100)
         fk = FL.fk_norm(fr, mesh=4096, rounds=5)
-        cert = C.certify_family(fam, ceiling=FL.sup_norm_chain_bound(fk, op, fr.n))
+        cert = C.certify_family(fam, 16, 16)
         assert all(abs(v - 1.0) < 1e-8 for v in cert.l2_norms)
-        assert cert.max_sup <= cert.ceiling
+        max_sup = max(e.value for e in cert.sup_estimates)
+        assert max_sup <= FL.sup_norm_chain_bound(fk, op, fr.n)
         beta_hat = fr.n / (100 + 1)
-        assert cert.max_sup <= C.flat_bound(beta_hat, g.eta_hat, math.pi) * 1.10
+        assert max_sup <= C.flat_bound(beta_hat, g.eta_hat, math.pi) * 1.10
 
     def test_flatness_floor_enforced(self):
         fr, g, op, fam = _pipeline(60)
-        cert = C.certify_family(fam)
+        cert = C.certify_family(fam, 16, 16)
         for est, l2 in zip(cert.sup_estimates, cert.l2_norms):
             assert est.value >= l2 / math.sqrt(math.pi) * (1 - 1e-3)
 
-    def test_unnormalized_family_rejected(self):
+    def test_unnormalized_family_reports_its_l2_norm(self):
+        # the certificate reports the norm; _run_level turns its distance
+        # from 1 into the hard invariant l2_normalized
         bad = _family(SectionExpansion.from_coeffs(1, 4, [2.0, 0, 0, 0, 0]))
-        with pytest.raises(C.CertifyError):
-            C.certify_family(bad, orthonormal=True)
+        cert = C.certify_family(bad, 16, 16)
+        assert abs(cert.l2_norms[0] - 2 * math.sqrt(math.pi / 5)) < 1e-12
 
     def test_shared_base_mesh_matches_single_sections(self):
         m1 = _pipeline(200)[3]
@@ -324,7 +344,7 @@ class TestCertifyFamily:
         m2 = cli._run_level(cfg, cli.lattice_spec(cfg)[0], 20).fam
         for fam, mesh in ((m1, 16), (m2, 6)):
             assert fam.n > 1
-            cert = C.certify_family(fam, mesh=mesh)
+            cert = C.certify_family(fam, mesh, 16)
             single = [C.sup_norm(s, mesh=mesh) for s in _sections(fam)]
             assert np.array_equal([e.value for e in cert.sup_estimates],
                                   [e.value for e in single])
@@ -335,36 +355,41 @@ class TestCertifyFamily:
         # 256 base cells at mesh 16: blocks of 4 sections, the last one short
         monkeypatch.setattr(C, "BASE_BLOCK_ENTRIES", 4 * 256 + 10)
         assert fam.n > 4 and fam.n % 4
-        assert C.family_sups(fam) == [C.sup_norm(s) for s in _sections(fam)]
+        assert C.certify_family(fam, 16, 16).sup_estimates == tuple(
+            C.sup_norm(s) for s in _sections(fam))
 
     def test_emit_reuses_matching_certificate_only(self):
         fr, g, op, fam = _pipeline(60)
-        cert = C.certify_family(fam, mesh=8, rounds=6)
-        records = C.emit_polynomials(fam, mesh=8, rounds=6, cert=cert)
+        cert = C.certify_family(fam, 8, 6)
+        records = C.emit_polynomials(fam, cert)
         assert [r.sup for r in records] == list(cert.sup_estimates)
-        fresh = C.emit_polynomials(fam, mesh=8, rounds=6)
-        assert [(r.sup, r.sphere_ratio) for r in fresh] == [
-            (r.sup, r.sphere_ratio) for r in records]
+        assert [r.l2 for r in records] == list(cert.l2_norms)
         with pytest.raises(C.CertifyError):
-            C.emit_polynomials(fam, mesh=16, rounds=6, cert=cert)
+            C.emit_polynomials(_pipeline(100)[3], cert)
+        with pytest.raises(C.CertifyError):
+            C.emit_polynomials(fam, dataclasses.replace(
+                cert, sup_estimates=cert.sup_estimates[1:]))
 
-    def test_json(self):
-        import json
-
-        fr, g, op, fam = _pipeline(60)
-        cert = C.certify_family(fam)
-        blob = json.loads(cert.to_json())
-        assert blob["k"] == 60 and len(blob["ratios"]) == fr.n
-        assert blob["sup estimates"][0]["history"]
+    def test_raw_overflow_past_k2060(self):
+        # the orthonormal coefficients stay exact past the level where the
+        # raw ones overflow; only writing polynomials out needs the raw ones
+        spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.1)
+        fr = F.build(spec, 2100)
+        assert fr.n == 25
+        fam = FL.flatten_frame(fr, W.inv_sqrt_neumann(W.assemble_gram(fr)))
+        assert np.max(np.abs(fam.ortho @ fam.ortho.conj().T - np.eye(fr.n))) <= 1e-8
+        cert = C.certify_family(fam, 16, 16)
+        with pytest.raises(C.CertifyError):
+            C.emit_polynomials(fam, cert)
 
 
 class TestEmitters:
     def test_degree_one_record(self):
         spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.1)
-        fr = F.build_cubic(spec, 1)
+        fr = F.build(spec, 1)
         assert fr.n == 1
         fam = FL.flatten_frame(fr, W.inv_sqrt_eigen(W.assemble_gram(fr)))
-        rec = C.emit_polynomials(fam, mesh=16)[0]
+        rec = _records(fam)[0]
         assert rec.exponents.tolist() == [[1, 0], [0, 1]]
         assert abs(rec.coeffs[0] - math.sqrt(2 / math.pi)) < 1e-12
         assert abs(rec.coeffs[1]) < 1e-12
@@ -373,14 +398,14 @@ class TestEmitters:
 
     def test_ratio_floor(self):
         fr, g, op, fam = _pipeline(100)
-        for rec in C.emit_polynomials(fam, mesh=16):
+        for rec in _records(fam):
             assert rec.sphere_ratio >= 1.0 - 1e-3
 
     def test_selected_sequence_bounded(self):
         table = {}
         for k in (50, 100, 200):
             fr, g, op, fam = _pipeline(k)
-            table[k] = C.emit_polynomials(fam, mesh=16)
+            table[k] = _records(fam)
         seq = C.select_flat_sequence(table)
         for k, rec in seq.items():
             assert rec.sphere_ratio == min(r.sphere_ratio for r in table[k])
@@ -394,24 +419,24 @@ class TestEmitters:
         import json
 
         fr, g, op, fam = _pipeline(60)
-        rec = C.emit_polynomials(fam, mesh=16)[0]
-        blob = json.loads(rec.to_json())
+        rec = _records(fam)[0]
+        blob = json.loads(json.dumps(rec.to_dict()))
         assert blob["k"] == 60 and len(blob["coeffs re"]) == 61
 
     def test_record_dict_matches_json(self):
         import json
 
-        m1 = C.emit_polynomials(_pipeline(60)[3], mesh=16)[0]
-        m2 = C.emit_polynomials(_family(_unit_basis(2, 4, 3)), mesh=6)[0]
+        m1 = _records(_pipeline(60)[3])[0]
+        m2 = _records(_family(_unit_basis(2, 4, 3)), mesh=6)[0]
         for rec in (m1, m2):
-            assert rec.to_dict() == json.loads(rec.to_json())
+            assert rec.to_dict() == json.loads(json.dumps(rec.to_dict()))
         assert m2.to_dict()["m"] == 2 and len(m2.to_dict()["exponents"]) == 15
 
 
 class TestEigenfunctions:
     def test_degree_one_exact(self):
         rec_fam = _family(SectionExpansion.from_coeffs(1, 1, [1.0, 0.0]))
-        rec = C.emit_polynomials(rec_fam, mesh=16)[0]
+        rec = _records(rec_fam)[0]
         e = C.emit_eigenfunction(rec)
         assert e.lam == 3
         assert e.part == "re"
@@ -425,7 +450,7 @@ class TestEigenfunctions:
             coeffs = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
             sec = SectionExpansion.from_coeffs(1, k, coeffs)
             fam = _family(sec)
-            rec = C.emit_polynomials(fam, mesh=16)[0]
+            rec = _records(fam)[0]
             e = C.emit_eigenfunction(rec)
             sphere_norm = sec.l2_norm() / math.sqrt(math.pi)
             assert e.l2 >= sphere_norm / math.sqrt(2) - 1e-12
@@ -436,20 +461,20 @@ class TestEigenfunctions:
             if fam is None:
                 sec = SectionExpansion.from_coeffs(1, k, np.ones(k + 1, dtype=complex))
                 fam = _family(sec)
-            rec = C.emit_polynomials(fam, mesh=16)[0]
+            rec = _records(fam)[0]
             e = C.emit_eigenfunction(rec)
             assert e.residual < 1e-6
 
     def test_full_pipeline_residual_at_400(self):
         fr, g, op, fam = _pipeline(400)
-        rec = C.select_flat_sequence({400: C.emit_polynomials(fam, mesh=16)})[400]
+        rec = C.select_flat_sequence({400: _records(fam)})[400]
         e = C.emit_eigenfunction(rec)
         assert e.lam == 400 * 402
         assert e.residual < 1e-6
 
     def test_constant_polynomial(self):
         fam = _family(SectionExpansion.from_coeffs(1, 0, [0.3 - 2.0j]))
-        rec = C.emit_polynomials(fam, mesh=16)[0]
+        rec = _records(fam)[0]
         e = C.emit_eigenfunction(rec)
         assert e.lam == 0 and e.part == "im" and e.residual == 0.0
 

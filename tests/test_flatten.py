@@ -17,7 +17,7 @@ def _run_b_spec():
 
 
 def _whitened(k: int):
-    fr = F.build_cubic(_run_b_spec(), k)
+    fr = F.build(_run_b_spec(), k)
     g = W.assemble_gram(fr)
     op = W.inv_sqrt_neumann(g)
     return fr, g, op
@@ -98,7 +98,7 @@ class TestDftMix:
 class TestFrameMappingNorm:
     def test_single_point_peak(self):
         spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.1)
-        fr = F.build_cubic(spec, 50)
+        fr = F.build(spec, 50)
         assert fr.n == 1
         root = math.sqrt(KernelModel(1, 50).diag)
         assert abs(FL.fk_norm(fr, mesh=1024, rounds=3) - root) < 1e-10 * root
@@ -116,7 +116,7 @@ class TestFrameMappingNorm:
         # fk / k^{m/2} stays in a narrow band as k doubles
         ratios = []
         for k in (100, 200, 400):
-            fr = F.build_cubic(_run_b_spec(), k)
+            fr = F.build(_run_b_spec(), k)
             ratios.append(FL.fk_norm(fr, mesh=4096, rounds=5) / math.sqrt(k))
         assert all(0.7 < r < 0.9 for r in ratios)
         assert max(ratios) / min(ratios) < 1.1
@@ -152,7 +152,7 @@ class TestFrameMappingNorm:
 
     def test_empty_frame_rejected(self):
         with pytest.raises(FL.FlattenError):
-            FL.fk_norm(F.build_cubic(_run_b_spec(), 0))
+            FL.fk_norm(F.build(_run_b_spec(), 0))
 
 
 class TestAreaMesh:

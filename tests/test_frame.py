@@ -162,22 +162,22 @@ class TestSpacingRules:
 class TestSingleChartCubic:
     def test_count_identity_example(self):
         spec = F.LatticeSpec(kind="cubic", m=1, a=2.0, eta=0.9, gamma=1.05, t=1.0)
-        assert F.build_cubic(spec, 100).n == 121
+        assert F.build(spec, 100).n == 121
 
     def test_count_identity_sweep(self):
         for t, a in ((0.4, 2.2), (0.8, 3.1), (1.0, 11.3)):
             spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.9, gamma=1.4, t=t)
             for k in (1, 7, 50, 144, 400):
-                assert F.build_cubic(spec, k).n == F.expected_cubic_count(spec, k)
+                assert F.build(spec, k).n == F.expected_cubic_count(spec, k)
         spec2 = F.LatticeSpec(kind="cubic", m=2, a=2.6, eta=0.9, gamma=1.3, t=0.35)
         for k in (20, 40, 90):
-            assert F.build_cubic(spec2, k).n == F.expected_cubic_count(spec2, k)
+            assert F.build(spec2, k).n == F.expected_cubic_count(spec2, k)
 
     def test_count_asymptotics(self):
         spec = _cubic_spec()
         vals = []
         for k in (400, 1600, 6400, 25600):
-            n = F.build_cubic(spec, k).n
+            n = F.build(spec, k).n
             vals.append(n * spec.a**2 / ((2 * spec.t) ** 2 * k))
         assert abs(vals[-1] - 1.0) < 0.05
         assert abs(vals[-1] - 1.0) <= abs(vals[0] - 1.0)
@@ -185,13 +185,13 @@ class TestSingleChartCubic:
     def test_nearest_neighbor_window(self):
         spec = _cubic_spec()
         for k in (50, 200, 400):
-            fr = F.build_cubic(spec, k)
+            fr = F.build(spec, k)
             nn = F.nearest_neighbor_distance(fr)
             assert spec.a / (spec.gamma * math.sqrt(k)) <= nn
             assert nn <= spec.gamma * spec.a / math.sqrt(k)
 
     def test_points_are_canonical_unit_lifts(self):
-        fr = F.build_cubic(_cubic_spec(), 200)
+        fr = F.build(_cubic_spec(), 200)
         norms = np.linalg.norm(fr.points, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-13)
         lead = fr.points[np.arange(fr.n), np.argmax(np.abs(fr.points) > 1e-12, axis=1)]
@@ -199,18 +199,18 @@ class TestSingleChartCubic:
         assert np.all(lead.real > 0)
 
     def test_k_zero_empty(self):
-        assert F.build_cubic(_cubic_spec(), 0).n == 0
+        assert F.build(_cubic_spec(), 0).n == 0
 
     def test_center_zero_present_and_order_deterministic(self):
-        fr1 = F.build_cubic(_cubic_spec(), 200)
-        fr2 = F.build_cubic(_cubic_spec(), 200)
+        fr1 = F.build(_cubic_spec(), 200)
+        fr2 = F.build(_cubic_spec(), 200)
         assert np.array_equal(fr1.mu, fr2.mu)
         assert np.allclose(fr1.points, fr2.points)
         assert (fr1.mu == 0).all(axis=1).any()
 
     def test_reversed_order_permutes(self):
-        fr = F.build_cubic(_cubic_spec(), 200)
-        rev = F.build_cubic(_cubic_spec(order="reversed"), 200)
+        fr = F.build(_cubic_spec(), 200)
+        rev = F.build(_cubic_spec(order="reversed"), 200)
         assert rev.n == fr.n
         assert np.allclose(rev.points, fr.points[::-1])
         assert "reversed" in rev.order_tag
@@ -228,8 +228,8 @@ class TestHexagonal:
         # equal spacing, equal ball: hex/cubic point count -> 2/sqrt(3)
         ch = (G.make_chart(G.standard_point(1), G.BallRegion(1.2), 1.5),)
         kw = dict(m=1, a=1.5, eta=0.9, gamma=1.5, charts=ch, delta=3.0)
-        nc = F.build_multichart(F.LatticeSpec(kind="cubic", **kw), 4000).n
-        nh = F.build_multichart(F.LatticeSpec(kind="hexagonal", **kw), 4000).n
+        nc = F.build(F.LatticeSpec(kind="cubic", **kw), 4000).n
+        nh = F.build(F.LatticeSpec(kind="hexagonal", **kw), 4000).n
         assert abs(nh / nc - 2 / math.sqrt(3)) < 0.01
 
     def test_hex_beats_cubic_at_equal_eta(self):
@@ -254,7 +254,7 @@ class TestHexagonal:
 
     def test_single_chart_hex_spacing(self):
         spec = F.LatticeSpec(kind="hexagonal", m=1, a=2.4, eta=0.9, gamma=1.27, t=0.4)
-        fr = F.build_hexagonal(spec, 300)
+        fr = F.build(spec, 300)
         assert fr.n > 4
         nn = F.nearest_neighbor_distance(fr)
         assert spec.a / (spec.gamma * math.sqrt(300)) <= nn
@@ -262,7 +262,7 @@ class TestHexagonal:
 
     def test_k_zero_empty(self):
         spec = F.LatticeSpec(kind="hexagonal", m=1, a=2.4, eta=0.9, gamma=1.2, t=0.4)
-        assert F.build_hexagonal(spec, 0).n == 0
+        assert F.build(spec, 0).n == 0
 
 
 class TestMultichart:
@@ -274,7 +274,7 @@ class TestMultichart:
             kind="cubic", m=1, a=3.0, eta=0.9, gamma=1.3,
             charts=tuple(charts), delta=1.0,
         )
-        fr = F.build_multichart(spec, 500)
+        fr = F.build(spec, 500)
         assert fr.n > 0
         assert set(np.unique(fr.chart_index)) == {0, 1}
 
@@ -285,8 +285,8 @@ class TestMultichart:
             kind="cubic", m=1, a=spec.a, eta=spec.eta, gamma=spec.gamma,
             charts=(chart,), delta=3.0,
         )
-        f1 = F.build_cubic(spec, 250)
-        f2 = F.build_multichart(multi, 250)
+        f1 = F.build(spec, 250)
+        f2 = F.build(multi, 250)
         assert f1.n == f2.n
         assert np.allclose(f1.points, f2.points)
         assert np.array_equal(f1.mu, f2.mu)
@@ -298,7 +298,7 @@ class TestMultichart:
             gamma=max(c.gamma for c in cover), epsilon=0.005,
             charts=tuple(cover), delta=1e-9,
         )
-        fr = F.build_multichart(spec, 600)
+        fr = F.build(spec, 600)
         for j, chart in enumerate(cover):
             mine = fr.tangent[fr.chart_index == j]
             if mine.shape[0]:
@@ -309,7 +309,7 @@ class TestMultichart:
     def test_dedup_enforces_min_cross_distance(self, kind, radius, a):
         spec = _latlon_spec(kind, radius, a)
         k = 800
-        fr = F.build_multichart(spec, k)
+        fr = F.build(spec, k)
         assert fr.dropped > 0
         thr = spec.dedup_factor * spec.a / math.sqrt(k)
         # check distances between points of distinct charts
@@ -329,7 +329,7 @@ class TestMultichart:
     ])
     def test_dedup_matches_brute_force(self, kind, radius, a, k, order):
         spec = _dedup_spec(kind, radius, a, order)
-        fr = F.build_multichart(spec, k)
+        fr = F.build(spec, k)
         points, chart_index, mu, dropped, compared = _brute_force_dedup(spec, k)
         assert np.array_equal(fr.points, points)
         assert np.array_equal(fr.chart_index, chart_index)
@@ -347,7 +347,7 @@ class TestMultichart:
         # a wide threshold on CP^1, or the slabs that two keys leave on
         # CP^2, put many accepted points in one cell
         spec = _dedup_spec(kind, radius, a, dedup_factor=factor)
-        fr = F.build_multichart(spec, k)
+        fr = F.build(spec, k)
         side = factor * a / math.sqrt(k) + F.REACH_SLACK
         crowd = max(np.unique(F._cells(fr.points[fr.chart_index == j],
                                        F._pivots(chart.center), side),
@@ -379,7 +379,7 @@ class TestMultichart:
         same order, with the exp lifts of those rows."""
         if kind == "cube":
             spec = F.LatticeSpec(kind=lattice, m=m, a=a, eta=0.9, gamma=1.3, t=radius)
-            charts = [F._single_chart(spec, None)]
+            charts = [F._single_chart(spec)]
         elif kind == "rim":
             # a ball just inside the lattice shell of `radius` steps, whose
             # points contains() still accepts within its 1e-15 tolerance
@@ -402,21 +402,21 @@ class TestMultichart:
 
     def test_compared_counts_repeat(self):
         spec = _latlon_spec("hexagonal", 0.2, 1.971)
-        first, second = F.build_multichart(spec, 3000), F.build_multichart(spec, 3000)
+        first, second = F.build(spec, 3000), F.build(spec, 3000)
         assert first.compared == second.compared > 0
 
     def test_compared_cubic_latlon_16000(self):
         # the single-key band of the previous dedup computed 769681 overlaps
         spec = _latlon_spec("cubic", 0.35, 1.945)
-        first, second = F.build_multichart(spec, 16000), F.build_multichart(spec, 16000)
+        first, second = F.build(spec, 16000), F.build(spec, 16000)
         assert first.compared == second.compared > 0
         assert first.compared < 769681 / 20
 
     def test_compared_zero_for_single_chart(self):
-        assert F.build_cubic(_cubic_spec(), 250).compared == 0
+        assert F.build(_cubic_spec(), 250).compared == 0
         hexa = F.LatticeSpec(kind="hexagonal", m=1, a=2.4, eta=0.9, gamma=1.2, t=0.4)
-        assert F.build_hexagonal(hexa, 300).compared == 0
-        assert F.build_cubic(_cubic_spec(), 0).compared == 0
+        assert F.build(hexa, 300).compared == 0
+        assert F.build(_cubic_spec(), 0).compared == 0
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_pivot_key_is_lipschitz(self, m):
@@ -472,7 +472,7 @@ class TestMultichart:
         # (Vol - 3 delta) k^m / a^{2m} is an asymptotic floor; holds from
         # moderate k once boundary losses are subleading
         for k in (8000, 16000):
-            fr = F.build_multichart(spec, k)
+            fr = F.build(spec, k)
             assert fr.n * 1.15 > F.density_bound(spec, k)
 
     def test_density_threshold_bookkeeping(self):
@@ -480,17 +480,6 @@ class TestMultichart:
         assert F.density_threshold(ratios, 0.8) == 800
         assert F.density_threshold(ratios, 0.9) is None
         assert F.density_threshold(ratios, 0.6) == 100
-
-    def test_frame_json_roundtrip(self):
-        import json
-
-        fr = F.build_cubic(_cubic_spec(), 50)
-        blob = json.loads(fr.to_json())
-        assert blob["n"] == fr.n
-        assert blob["k"] == 50
-        pts = np.asarray(blob["points_re"]) + 1j * np.asarray(blob["points_im"])
-        assert np.allclose(pts, fr.points)
-        assert blob["spec"]["kind"] == "cubic"
 
 
 class TestDensityScans:
@@ -503,7 +492,7 @@ class TestDensityScans:
         ).validate(strict=True)
         ratios = {}
         for k in (2000, 8000, 16000, 32000):
-            fr = F.build_multichart(spec, k)
+            fr = F.build(spec, k)
             ratios[k] = fr.n / K.dimension(1, k)
         k0 = F.density_threshold(ratios, 0.8)
         assert k0 == 16000

@@ -246,7 +246,8 @@ class TestCoherentStates:
         model = K.KernelModel(1, 1)
         phi = K.coherent_state(model, G.UnitLift.from_vector([1, 0]))
         c = math.sqrt(2 / math.pi)  # 1/sqrt(w_(1,0)), w = pi/2
-        assert np.allclose(phi.coeffs, [c, 0.0], atol=1e-14)
+        raw = phi.ortho_coeffs * K.monomial_table(1, 1).inv_sqrt_weights
+        assert np.allclose(raw, [c, 0.0], atol=1e-14)
 
     def test_peak_value(self):
         rng = np.random.default_rng(9)
@@ -259,10 +260,19 @@ class TestCoherentStates:
     def test_from_coeffs_inverts_from_ortho(self):
         rng = np.random.default_rng(4)
         ortho = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-        s = K.SectionExpansion.from_ortho(2, 5, ortho)
-        back = K.SectionExpansion.from_coeffs(2, 5, s.coeffs)
+        raw = ortho * K.monomial_table(2, 5).inv_sqrt_weights
+        back = K.SectionExpansion.from_coeffs(2, 5, raw)
         assert np.allclose(back.ortho_coeffs, ortho, rtol=1e-14, atol=0)
-        assert np.array_equal(back.coeffs, s.coeffs)
+        assert np.array_equal(K.SectionExpansion.from_ortho(2, 5, ortho).ortho_coeffs, ortho)
+
+    def test_coherent_state_past_raw_overflow(self):
+        # from about k = 2060 at m = 1 the raw coefficients overflow; the
+        # section holds orthonormal coefficients only and stays exact
+        model = K.KernelModel(1, 2100)
+        assert not np.all(np.isfinite(K.monomial_table(1, 2100).inv_sqrt_weights))
+        phi = K.coherent_state(model, _lift(np.random.default_rng(2), 1))
+        assert np.all(np.isfinite(phi.ortho_coeffs))
+        assert abs(phi.l2_norm() - 1.0) < 1e-12
 
     def test_family_evaluation_matches_single(self):
         # 2500 points at d_k = 861 span two basis chunks of 2322 points

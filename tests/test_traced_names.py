@@ -28,3 +28,23 @@ def test_traced_names_resolve():
         else:
             found = getattr(target, attr, None)
         assert callable(found), "%s.%s does not resolve" % (target.__name__, attr)
+
+
+def test_traced_level_counts_each_sup_once():
+    # a hook that reads a removed field, or a sup_norm call that bypasses
+    # the module-global name the tracer rebinds, shows here
+    from flatsections import cli
+
+    cfg = cli.RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,
+                        cover={"name": "balls", "radius": 0.4}, mesh=6).validate()
+    spec = cli.lattice_spec(cfg)[0]
+    tracer = _tracing().Tracer()
+    with tracer.traced_pass(0) as root:
+        level = cli._run_level(cfg, spec, 20)
+    counts = tracer.pass_metrics(root, None)
+    n = level.row["n_k"]
+    assert n > 1
+    assert counts["certify.sup_calls"] == n
+    assert counts["certify.sup_dups"] == 0
+    assert counts["kernel.coherent_state_calls"] == n
+    assert counts["kernel.evaluate_points"] > 0

@@ -47,7 +47,7 @@ def _gram_of(entries) -> W.GramMatrix:
 class TestGramAssembly:
     def test_single_point_frame(self):
         spec = _run_b_spec(t=0.1)  # floor(t sqrt(k)/a) = 0 keeps only mu = 0
-        fr = F.build_cubic(spec, 50)
+        fr = F.build(spec, 50)
         assert fr.n == 1
         g = W.assemble_gram(fr)
         assert g.entries.shape == (1, 1)
@@ -56,7 +56,7 @@ class TestGramAssembly:
 
     def test_empty_frame_rejected(self):
         with pytest.raises(W.WhiteningError):
-            W.assemble_gram(F.build_cubic(_run_b_spec(), 0))
+            W.assemble_gram(F.build(_run_b_spec(), 0))
 
     def test_two_point_modulus(self):
         # |entry| = cos^k d, checked through the distance route
@@ -79,7 +79,7 @@ class TestGramAssembly:
 
     def test_entries_match_coherent_coefficient_products(self):
         # Gram == P P^H where P rows are orthonormal-basis coefficients
-        fr = F.build_cubic(_run_b_spec(), 60)
+        fr = F.build(_run_b_spec(), 60)
         assert fr.n == 9
         g = W.assemble_gram(fr)
         model = KernelModel(1, 60)
@@ -88,14 +88,14 @@ class TestGramAssembly:
         assert np.max(np.abs(g.entries - p @ p.conj().T)) < 1e-10
 
     def test_hermitian_unit_diagonal(self):
-        g = W.assemble_gram(F.build_cubic(_run_b_spec(), 400))
+        g = W.assemble_gram(F.build(_run_b_spec(), 400))
         assert np.all(np.diagonal(g.entries) == 1.0)
         assert np.max(np.abs(g.entries - g.entries.conj().T)) < 1e-12
 
     def test_row_split_far_mass_shrinks(self):
         # far entries: O(k^m) of them, each O(k^{-m-1}); total O(1/k)
         for k in (100, 200, 400, 800):
-            fr = F.build_cubic(_run_b_spec(), k)
+            fr = F.build(_run_b_spec(), k)
             g = W.assemble_gram(fr)
             rep = W.row_split_report(g, fr)
             assert rep.max_far_sum * k < 1e-4
@@ -113,7 +113,7 @@ class TestEtaMeasure:
         assert W.eta_measure(np.array([[0.0, 0.5], [0.25, 0.0]])) == 0.5
 
     def test_gram_field_agrees(self):
-        g = W.assemble_gram(F.build_cubic(_run_b_spec(), 100))
+        g = W.assemble_gram(F.build(_run_b_spec(), 100))
         assert W.eta_measure(g) == g.eta_hat
         assert abs(W.eta_measure(g.entries) - g.eta_hat) < 1e-15
 
@@ -122,7 +122,7 @@ class TestEtaMeasure:
         # off-diagonal mass under the crude tail bound by a wide margin
         a = F.choose_spacing(1, 0.5, 1.0)
         spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.5, gamma=1.05, t=0.5)
-        fr = F.build_cubic(spec, 2000)
+        fr = F.build(spec, 2000)
         assert fr.n == 9
         g = W.assemble_gram(fr)
         crude = (1 + math.sqrt(2 * math.pi) / a) ** 2 - 1
@@ -132,7 +132,7 @@ class TestEtaMeasure:
         spec = _run_b_spec()
         values = []
         for k in (50, 100, 200, 400, 800):
-            values.append(W.assemble_gram(F.build_cubic(spec, k)).eta_hat)
+            values.append(W.assemble_gram(F.build(spec, k)).eta_hat)
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] < spec.formal_eta
         assert abs(values[0] - 0.368536) < 1e-5
@@ -168,21 +168,21 @@ class TestInverseSqrt:
         # the estimate uses eta; the actual decay follows the spectral
         # radius, which is smaller, so allow a factor-of-two band
         for k in (100, 200, 400):
-            g = W.assemble_gram(F.build_cubic(_run_b_spec(), k))
+            g = W.assemble_gram(F.build(_run_b_spec(), k))
             op = W.inv_sqrt_neumann(g)
             est = W.neumann_term_estimate(g.eta_hat)
             assert est / 2.2 <= op.series_terms <= est + 2
 
     def test_methods_agree(self):
         for k in (100, 400):
-            g = W.assemble_gram(F.build_cubic(_run_b_spec(), k))
+            g = W.assemble_gram(F.build(_run_b_spec(), k))
             bn = W.inv_sqrt_neumann(g, tol=1e-10)
             be = W.inv_sqrt_eigen(g)
             assert np.max(np.abs(bn.entries - be.entries)) < 1e-9
 
     def test_whitening_identity_and_norm_bound(self):
         for k in (100, 200, 400):
-            g = W.assemble_gram(F.build_cubic(_run_b_spec(), k))
+            g = W.assemble_gram(F.build(_run_b_spec(), k))
             for op in (W.inv_sqrt_neumann(g), W.inv_sqrt_eigen(g)):
                 resid = op.entries @ g.entries @ op.entries - np.eye(g.n)
                 assert np.max(np.abs(resid)) < 1e-8
@@ -226,7 +226,7 @@ class TestInverseSqrt:
         assert W.FLUSH_BELOW ** 2 >= np.finfo(np.float64).tiny
 
     def test_min_eigenvalue_floor(self):
-        g = W.assemble_gram(F.build_cubic(_run_b_spec(), 400))
+        g = W.assemble_gram(F.build(_run_b_spec(), 400))
         w = np.linalg.eigvalsh(g.entries)
         assert w[0] >= 1 - g.eta_hat - 1e-12
 
@@ -237,7 +237,7 @@ class TestInverseSqrt:
 
 class TestWhiten:
     def test_identity_operator_returns_coherent_states(self):
-        fr = F.build_cubic(_run_b_spec(), 60)
+        fr = F.build(_run_b_spec(), 60)
         op = W.WhiteningOperator(entries=np.eye(fr.n, dtype=np.complex128),
                                  method="eigen", norm_inf=1.0)
         psi = W.whiten(fr, op)
@@ -247,7 +247,7 @@ class TestWhiten:
             assert np.allclose(row, phi.ortho_coeffs)
 
     def test_whitened_family_is_orthonormal(self):
-        fr = F.build_cubic(_run_b_spec(), 60)
+        fr = F.build(_run_b_spec(), 60)
         g = W.assemble_gram(fr)
         op = W.inv_sqrt_neumann(g)
         q = W.whiten(fr, op)
@@ -256,13 +256,13 @@ class TestWhiten:
         assert np.max(np.abs(gram - np.eye(fr.n))) < 1e-8
 
     def test_span_is_preserved(self):
-        fr = F.build_cubic(_run_b_spec(), 60)
+        fr = F.build(_run_b_spec(), 60)
         g = W.assemble_gram(fr)
         q = W.whiten(fr, W.inv_sqrt_eigen(g))
         assert np.linalg.matrix_rank(q) == fr.n
 
     def test_size_mismatch(self):
-        fr = F.build_cubic(_run_b_spec(), 60)
+        fr = F.build(_run_b_spec(), 60)
         op = W.WhiteningOperator(entries=np.eye(3, dtype=np.complex128),
                                  method="eigen", norm_inf=1.0)
         with pytest.raises(W.WhiteningError):
@@ -271,7 +271,7 @@ class TestWhiten:
 
 class TestBinaryDump:
     def test_roundtrip(self, tmp_path):
-        g = W.assemble_gram(F.build_cubic(_run_b_spec(), 100))
+        g = W.assemble_gram(F.build(_run_b_spec(), 100))
         path = tmp_path / "gram.bin"
         W.dump_matrix(path, 1, 100, g.entries, g_tag := "chart-major, lex on mu")
         m, k, entries, tag = W.load_matrix(path)
@@ -286,7 +286,7 @@ class TestBinaryDump:
             W.load_matrix(path)
 
     def test_truncated_body(self, tmp_path):
-        g = W.assemble_gram(F.build_cubic(_run_b_spec(), 50))
+        g = W.assemble_gram(F.build(_run_b_spec(), 50))
         path = tmp_path / "gram.bin"
         W.dump_matrix(path, 1, 50, g.entries, "x")
         path.write_bytes(path.read_bytes()[:-8])
