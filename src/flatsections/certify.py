@@ -98,7 +98,6 @@ terms.  Neither delta nor cut has a tuning constant.  On the benchmark
 families the largest gap seen is under 1e-4 of delta.
 """
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -591,15 +590,3 @@ def emit_eigenfunction(rec: PolynomialRecord, samples: int = 24,
     return EigenfunctionRecord(k=k, m=m, lam=lam, part=part, l2=l2,
                                residual=residual, step=step, samples=samples)
 
-
-RATIO_COLUMNS = ("k", "n_k", "d_k", "ratio", "eta_hat", "b_norm",
-                 "fk_norm", "max_sup", "bound")
-
-
-def write_ratio_csv(path, rows: list):
-    """CSV summary table; rows are dicts over RATIO_COLUMNS."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(RATIO_COLUMNS))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: row.get(c, "") for c in RATIO_COLUMNS})

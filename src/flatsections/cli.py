@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import datetime
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -44,7 +46,6 @@ from .certify import (
     flat_bound,
     l2_inner,
     select_flat_sequence,
-    write_ratio_csv,
 )
 from .constants import ConstantsError, constants_table, solve_beta, solve_beta_prime
 from .flatten import (
@@ -99,9 +100,10 @@ from .whitening import (
 # Gram assembly is dense; frames past this size are a config mistake, not a run.
 GRAM_SIZE_CAP = 4000
 
-# raw monomial coefficients overflow past this degree, so the dual-route
-# kernel comparison is only meaningful below it
-DUAL_ROUTE_DEGREE_CAP = 600
+# the dual-route kernel comparison forms two coherent states of d_k
+# coefficients each, so its cost follows d_k, not k (d_k grows like k^m):
+# m=2 k=700 already takes about 2 s, m=3 k=600 holds 36.4M coefficients
+DUAL_ROUTE_DIM_CAP = 200_000
 
 MODES = ("full", "constants-only", "kernel-check")
 COVER_NAMES = ("latlon", "two-cap", "balls")
@@ -500,7 +502,7 @@ def _kernel_core(cfg: RunConfig) -> dict:
         near_ok = rep.near.max_deviation <= 0.25 * cap * cap
         far_ok = rep.far is None or rep.far.max_deviation < 1.0
         dual = None
-        if k <= DUAL_ROUTE_DEGREE_CAP:
+        if model.d_k <= DUAL_ROUTE_DIM_CAP:
             dual = dual_route_deviation(model, seed=cfg.seed)
         row = {
             "k": k,
@@ -600,6 +602,20 @@ def _write_json(path: str, obj, trailing_newline: bool = False):
                 fh.write("\n")
 
 
+# summary.csv header -> manifest row key, in column order
+SUMMARY_COLUMNS = {
+    "k": "k",
+    "n_k": "n_k",
+    "d_k": "d_k",
+    "ratio": "ratio",
+    "eta_hat": "eta_hat",
+    "b_norm": "b_norm",
+    "fk_norm": "fk_norm",
+    "max_sup": "max_sup",
+    "bound": "chain_bound",
+}
+
+
 def write_outputs(manifest: dict, cfg: RunConfig) -> list:
     """Write manifest.json and the mode's CSV into cfg.out, each atomically."""
     if cfg.out is None:
@@ -612,23 +628,12 @@ def write_outputs(manifest: dict, cfg: RunConfig) -> list:
     core = manifest["core"]
     if core["mode"] == "full":
         cpath = os.path.join(cfg.out, "summary.csv")
-        csv_rows = []
-        for row in core["rows"]:
-            csv_rows.append(
-                {
-                    "k": row["k"],
-                    "n_k": row["n_k"],
-                    "d_k": row["d_k"],
-                    "ratio": row["ratio"],
-                    "eta_hat": row.get("eta_hat"),
-                    "b_norm": row.get("b_norm"),
-                    "fk_norm": row.get("fk_norm"),
-                    "max_sup": row.get("max_sup"),
-                    "bound": row.get("chain_bound"),
-                }
-            )
-        with _replacing(cpath) as tmp:
-            write_ratio_csv(tmp, csv_rows)
+        with _replacing(cpath) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SUMMARY_COLUMNS)
+            # an empty frame's row lacks the pipeline fields: blank cells
+            writer.writerows([row.get(key) for key in SUMMARY_COLUMNS.values()]
+                             for row in core["rows"])
         paths.append(cpath)
     if core["mode"] == "constants-only":
         cpath = os.path.join(cfg.out, "constants.csv")
@@ -682,47 +687,38 @@ def emit_polys(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # compare
 
-# row fields whose values depend only on the frame as a set, not its order
-GRAM_LEVEL_FIELDS = (
-    "n_k",
-    "d_k",
-    "ratio",
-    "nn",
-    "eta_hat",
-    "b_norm",
-    "neumann_terms",
-    "b_agree",
-    "ortho_dev",
-    "fk_norm",
-    "chain_bound",
-    "flat_bound",
-    "l2_dev",
-    "max_sup",
-    "min_sup",
-    "flat_spread",
-)
-
-# numeric row fields of a constants-only manifest
-CONSTANTS_ROW_FIELDS = ("a_m", "beta_m", "alpha_m", "beta_prime_m", "residual")
-
-# core-level lists of a constants-only manifest
-CONSTANTS_CORE_LISTS = ("beta", "beta_prime")
-
-# config keys allowed to differ between comparable runs
+# config keys allowed to differ between comparable runs; skipped wherever
+# they appear (the spec echoes the frame order too)
 _COMPARE_IGNORED_KEYS = ("order",)
+
+# core entries compare leaves alone: the mode and config are matched before
+# the walk, and the status follows from the invariants the walk checks
+_COMPARE_UNWALKED_KEYS = ("tool", "version", "mode", "config", "status")
+
+# stands in for a field the second manifest lacks
+_MISSING = "<missing>"
+
+
+def _kind(value):
+    """The JSON kind of a manifest value; bool is its own kind, not a number."""
+    for kind in (bool, numbers.Number, str, list, dict):
+        if isinstance(value, kind):
+            return kind
+    return type(value)
 
 
 def _rel_gap(a, b) -> float:
-    # relative for O(1)-and-larger fields, absolute below 1: residual-level
+    # relative for O(1)-and-larger numbers, absolute below 1: residual-level
     # quantities (ortho_dev, b_agree) sit at the noise floor, where a
-    # relative comparison would flag meaningless jitter
-    if a is None and b is None:
-        return 0.0
-    if a is None or b is None:
+    # relative comparison would flag meaningless jitter.  Everything else
+    # is equal or not; values of two kinds, and lists or dicts that reach
+    # here (another length, another type), always differ.
+    kind = _kind(a)
+    if kind is not _kind(b) or kind in (list, dict):
         return math.inf
-    if isinstance(a, bool) or isinstance(b, bool):
-        return 0.0 if a == b else math.inf
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
+    if kind is numbers.Number:
+        return abs(a - b) / max(abs(a), abs(b), 1.0)
+    return 0.0 if a == b else math.inf
 
 
 def _load_manifest(path: str) -> dict:
@@ -741,9 +737,11 @@ def _load_manifest(path: str) -> dict:
 def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
     """Field-wise drift report between two manifest cores.
 
-    Runs differing only in frame ordering stay comparable: the Gram-level
-    fields must agree, while per-section sup lists may come back as a
-    permutation of each other and are reported as such, not as drift.
+    Every leaf under the first core's spec, rows and other entries is
+    checked against the same path in the second; a field only the second
+    holds is not drift.  Runs differing only in frame ordering stay
+    comparable: per-section sup lists may come back as a permutation of
+    each other and are reported as such, not as drift.
     """
     ca, cb = ma["core"], mb["core"]
     if ca["mode"] != cb["mode"]:
@@ -756,63 +754,53 @@ def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
             mismatched.append(key)
     if mismatched:
         raise CompareError("incompatible configs: %s" % ", ".join(sorted(mismatched)))
-    drift, permuted = [], []
-    checked = 0
-
-    def check(label, key, a, b):
-        nonlocal checked
-        checked += 1
-        rel = _rel_gap(a, b)
-        if rel > tol:
-            drift.append({"where": label, "field": key, "a": a, "b": b, "rel": rel})
-
-    spec_a, spec_b = ca.get("spec"), cb.get("spec")
-    if spec_a is not None:
-        for key in spec_a:
-            if key in _COMPARE_IGNORED_KEYS:
-                continue
-            va, vb = spec_a[key], spec_b.get(key)
-            if isinstance(va, list):
-                for i, (x, y) in enumerate(zip(va, vb)):
-                    check("spec", "%s[%d]" % (key, i), x, y)
-            elif isinstance(va, (int, float)) and not isinstance(va, bool):
-                check("spec", key, va, vb)
-            elif va != vb:
-                drift.append({"where": "spec", "field": key, "a": va, "b": vb, "rel": math.inf})
-    for key in CONSTANTS_CORE_LISTS:
-        if key in ca or key in cb:
-            va, vb = ca.get(key, []), cb.get(key, [])
-            if len(va) != len(vb):
-                raise CompareError("manifests hold %s lists of different lengths" % key)
-            for i, (x, y) in enumerate(zip(va, vb)):
-                check("core", "%s[%d]" % (key, i), x, y)
     rows_a = ca.get("rows", [])
     rows_b = cb.get("rows", [])
     if len(rows_a) != len(rows_b):
         raise CompareError("manifests hold different row counts")
-    for ra, rb in zip(rows_a, rows_b):
-        label = "k=%s" % ra["k"] if "k" in ra else "m=%s" % ra.get("m", "-")
-        for key in GRAM_LEVEL_FIELDS + CONSTANTS_ROW_FIELDS:
-            if key in ra or key in rb:
-                check(label, key, ra.get(key), rb.get(key))
-        for key in ("beta", "beta_prime", "dual_route_rel"):
-            if key in ra:
-                check(label, key, ra.get(key), rb.get(key))
-        sa, sb = ra.get("section_sups"), rb.get("section_sups")
-        if sa is not None and sb is not None:
-            same = len(sa) == len(sb) and all(_rel_gap(x, y) <= tol for x, y in zip(sa, sb))
-            if not same:
-                as_sets = sorted(sa), sorted(sb)
-                if all(_rel_gap(x, y) <= tol for x, y in zip(*as_sets)):
-                    permuted.append({"where": label, "field": "section_sups"})
-                else:
-                    drift.append(
-                        {"where": label, "field": "section_sups", "a": sa, "b": sb,
-                         "rel": math.inf}
-                    )
-        for side in ("invariants", "soft"):
-            for key in ra.get(side, {}):
-                check(label, "%s.%s" % (side, key), ra[side][key], rb.get(side, {}).get(key))
+    drift, permuted = [], []
+    checked = 0
+
+    def walk(where, field, a, b):
+        nonlocal checked
+        if isinstance(a, dict):
+            b = b if isinstance(b, dict) else {}
+            for key, value in a.items():
+                if key not in _COMPARE_IGNORED_KEYS:
+                    walk(where, "%s.%s" % (field, key) if field else key,
+                         value, b.get(key, _MISSING))
+            return
+        if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            if field != "section_sups":
+                for i, (x, y) in enumerate(zip(a, b)):
+                    walk(where, "%s[%d]" % (field, i), x, y)
+                return
+            checked += len(a)
+            if all(_rel_gap(x, y) <= tol for x, y in zip(a, b)):
+                return
+            try:
+                same_set = all(_rel_gap(x, y) <= tol for x, y in zip(sorted(a), sorted(b)))
+            except TypeError:  # values that do not sort cannot be a permutation
+                same_set = False
+            if same_set:
+                permuted.append({"where": where, "field": field})
+            else:
+                drift.append({"where": where, "field": field, "a": a, "b": b, "rel": math.inf})
+            return
+        checked += 1
+        rel = _rel_gap(a, b)
+        if rel > tol:
+            drift.append({"where": where, "field": field, "a": a, "b": b, "rel": rel})
+
+    for key, value in ca.items():
+        if key == "rows":
+            for ra, rb in zip(rows_a, rows_b):
+                walk("k=%s" % ra["k"] if "k" in ra else "m=%s" % ra.get("m", "-"),
+                     "", ra, rb)
+        elif key == "spec":
+            walk("spec", "", value, cb.get(key, _MISSING))
+        elif key not in _COMPARE_UNWALKED_KEYS:
+            walk("core", key, value, cb.get(key, _MISSING))
     return {
         "identical": not drift and not permuted,
         "drift": drift,
@@ -858,7 +846,6 @@ def _add_run_flags(sub):
     sub.add_argument("--beta", type=float, help="density target (below the critical value)")
     sub.add_argument("--mesh", type=int, help="sup-norm mesh cells per dimension")
     sub.add_argument("--out", help="output directory for manifest and csv files")
-    sub.add_argument("--mode", choices=MODES)
     sub.add_argument("--spacing", type=float, help="lattice spacing; default from eta")
     sub.add_argument("--gamma", type=float, help="declared chart distortion bound")
     sub.add_argument("--t", type=float, help="single-chart halfwidth")
@@ -869,17 +856,14 @@ def _add_run_flags(sub):
 
 
 def _collect_config(args) -> RunConfig:
+    """The --config file (or the defaults) with every given flag on top;
+    a flag's dest is the RunConfig field it sets."""
     cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {}
-    for key in ("m", "eta", "beta", "mesh", "out", "mode", "spacing", "gamma",
-                "t", "order", "seed", "lattice", "dumps"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "k", None) is not None:
-        overrides["k"] = _parse_k(args.k)
-    if getattr(args, "max_m", None) is not None:
-        overrides["constants_max_m"] = args.max_m
+    names = {f.name for f in fields(RunConfig)}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in names and value is not None}
+    if "k" in overrides:
+        overrides["k"] = _parse_k(overrides["k"])
     return cfg.merged(overrides)
 
 
@@ -911,7 +895,10 @@ def _print_run(manifest: dict):
                 % (row["k"], row["n_k"], row["d_k"], row["ratio"], row["eta_hat"],
                    row["b_norm"], row["fk_norm"], row["max_sup"], row["chain_bound"])
             )
-    status = core["status"]
+    _print_status(core["status"])
+
+
+def _print_status(status: dict):
     for item in status["hard_failures"]:
         print("hard failure: %s" % item)
     for item in status["soft_deviations"]:
@@ -947,11 +934,13 @@ def main(argv=None) -> int:
     _add_run_flags(p_run)
 
     p_const = sub.add_parser("constants", help="critical density table")
-    p_const.add_argument("--max-m", dest="max_m", type=int)
+    p_const.add_argument("--max-m", dest="constants_max_m", type=int)
     p_const.add_argument("--out")
+    p_const.set_defaults(mode="constants-only")
 
     p_kc = sub.add_parser("kernel-check", help="kernel decay and dual-route checks")
     _add_run_flags(p_kc)
+    p_kc.set_defaults(mode="kernel-check")
 
     p_cmp = sub.add_parser("compare", help="drift report between two manifests")
     p_cmp.add_argument("manifest_a")
@@ -972,11 +961,6 @@ def main(argv=None) -> int:
             return 1 if report["drift"] else 0
 
         cfg = _collect_config(args)
-        if args.cmd == "constants":
-            cfg = cfg.merged({"mode": "constants-only"})
-        elif args.cmd == "kernel-check":
-            cfg = cfg.merged({"mode": "kernel-check"})
-
         if args.cmd == "emit-polys":
             result = emit_polys(cfg)
             if cfg.out is not None:
@@ -987,10 +971,8 @@ def main(argv=None) -> int:
                             result["eigenfunctions"])
             for k, rec in sorted(result["selected"].items(), key=lambda kv: int(kv[0])):
                 print("k=%s  sup/l2 on the sphere: %.4f" % (k, rec["sphere ratio"]))
-            status = result["status"]
-            for item in status["hard_failures"]:
-                print("hard failure: %s" % item)
-            return status["exit_code"]
+            _print_status(result["status"])
+            return result["status"]["exit_code"]
 
         manifest = run(cfg)
         write_outputs(manifest, cfg)

@@ -40,14 +40,6 @@ class ManifoldModel:
             raise GeometryError("complex dimension m must be >= 1")
 
     @property
-    def ambient_dim(self) -> int:
-        return self.m + 1
-
-    @property
-    def real_dim(self) -> int:
-        return 2 * self.m
-
-    @property
     def volume(self) -> float:
         return math.pi ** self.m / math.factorial(self.m)
 
@@ -536,27 +528,10 @@ def covering_defect(m: int, charts: list) -> float:
         elif isinstance(region, BallRegion):
             covered += ball_volume(m, region.radius)
         else:
-            covered += quadrature_region_volume(chart)
+            raise GeometryError(
+                "no closed-form volume for a %s chart region" % type(region).__name__
+            )
     return max(0.0, model.volume - covered)
-
-
-def quadrature_region_volume(chart: ChartSpec, grid: int = 400) -> float:
-    """Monte-Carlo-free chart-volume quadrature: integrate the density
-    over the region on a tensor Gauss-Legendre grid (m = 1 cube/ball)."""
-    m = chart.m
-    if m != 1:
-        raise GeometryError("quadrature volume implemented for m = 1 regions")
-    rad = chart.region.circumradius(m)
-    nodes, weights = np.polynomial.legendre.leggauss(grid)
-    x = nodes * rad
-    w = weights * rad
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    ww = np.outer(w, w)
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    inside = np.asarray(chart.region.contains(chart, pts))
-    r = np.linalg.norm(pts, axis=1)
-    g = volume_density(m, r)
-    return float(np.sum(ww.ravel() * g * inside))
 
 
 def volume_by_radial_quadrature(m: int, r_max: float = HALF_PI, grid: int = 400) -> float:

@@ -488,13 +488,3 @@ class TestEigenfunctions:
         with pytest.raises(C.CertifyError):
             C.emit_eigenfunction(rec)
 
-
-class TestRatioCsv:
-    def test_write(self, tmp_path):
-        rows = [dict(k=100, n_k=9, d_k=101, ratio=9 / 101, eta_hat=0.377,
-                     b_norm=1.2, fk_norm=7.8, max_sup=2.5, bound=3.6)]
-        path = tmp_path / "summary.csv"
-        C.write_ratio_csv(path, rows)
-        text = path.read_text().strip().splitlines()
-        assert text[0] == "k,n_k,d_k,ratio,eta_hat,b_norm,fk_norm,max_sup,bound"
-        assert text[1].startswith("100,9,101,")

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from flatsections import certify, cli
-from flatsections.certify import RATIO_COLUMNS
 from flatsections.cli import CliError, CompareError, RunConfig
 from flatsections.flatten import FlattenError, load_family
 from flatsections.frame import FrameError, choose_spacing
@@ -166,8 +165,11 @@ class TestRunManifest:
         manifest = cli.run(cfg)
         cli.write_outputs(manifest, cfg)
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
-        assert lines[0] == ",".join(RATIO_COLUMNS)
+        assert lines[0] == "k,n_k,d_k,ratio,eta_hat,b_norm,fk_norm,max_sup,bound"
         assert len(lines) == 3
+        assert lines[2].startswith("100,9,101,")
+        # the bound column is the row's chain bound, at full precision
+        assert float(lines[2].split(",")[-1]) == manifest["core"]["rows"][1]["chain_bound"]
 
     def test_binary_dumps_roundtrip(self, tmp_path):
         cfg = _ortho_cfg(out=str(tmp_path), dumps=True)
@@ -222,6 +224,15 @@ class TestRunManifest:
         assert early["core"]["status"]["exit_code"] == 2
         assert not early["core"]["rows"][0]["soft"]["near_regime"]
 
+    def test_dual_route_capped_on_dimension(self):
+        # the second route's cost follows d_k: m=1 k=800 (d_k = 801) runs
+        # it, m=3 k=200 (d_k = 1,373,701) skips it
+        row = cli.run(RunConfig(mode="kernel-check", k=(800,)))["core"]["rows"][0]
+        assert row["dual_route_rel"] <= 1e-10
+        assert row["invariants"]["dual_route_agree"]
+        row = cli.run(RunConfig(mode="kernel-check", m=3, k=(200,)))["core"]["rows"][0]
+        assert row["dual_route_rel"] is None
+
 
 class TestCompare:
     def test_identical_runs_empty_diff(self):
@@ -268,15 +279,20 @@ class TestCompare:
 
     def test_kernel_manifests_compare_in_memory(self):
         cfg = RunConfig(mode="kernel-check", k=(16, 64))
-        report = cli.compare_manifests(cli.run(cfg), cli.run(cfg))
+        ma = cli.run(cfg)
+        report = cli.compare_manifests(ma, cli.run(cfg))
         assert report["identical"] and report["checked"] > 0
+        mb = copy.deepcopy(ma)
+        mb["core"]["rows"][1]["near"]["max deviation"] *= 1.01
+        drifted = [(d["where"], d["field"]) for d in cli.compare_manifests(ma, mb)["drift"]]
+        assert drifted == [("k=64", "near.max deviation")]
 
     def test_constants_manifests_compare_every_constant(self):
         cfg = RunConfig(mode="constants-only", constants_max_m=2)
         ma = cli.run(cfg)
         report = cli.compare_manifests(ma, cli.run(cfg))
-        # five numeric fields per row plus the two core-level lists
-        assert report["identical"] and report["checked"] == 2 * 5 + 2 * 2
+        # eight fields per row, the two core-level lists and the invariant
+        assert report["identical"] and report["checked"] == 2 * 8 + 2 * 2 + 1
         mb = copy.deepcopy(ma)
         for row in mb["core"]["rows"]:
             row["beta_m"] *= 1.5
@@ -290,8 +306,24 @@ class TestCompare:
         mc = copy.deepcopy(ma)
         mc["core"]["beta_prime"][1] *= 1.5
         mc["core"]["rows"][0]["a_m"] += 1e-3
+        mc["core"]["rows"][1]["truncation"] += 1
         drifted = {(d["where"], d["field"]) for d in cli.compare_manifests(ma, mc)["drift"]}
-        assert drifted == {("core", "beta_prime[1]"), ("m=1", "a_m")}
+        assert drifted == {("core", "beta_prime[1]"), ("m=1", "a_m"), ("m=2", "truncation")}
+
+    def test_missing_field_is_drift_only_in_the_second(self):
+        ma = cli.run(_ortho_cfg(k=(60,)))
+        mb = copy.deepcopy(ma)
+        del mb["core"]["rows"][0]["nn"]
+        del mb["core"]["rows"][0]["invariants"]["orthonormal"]
+        del mb["core"]["spec"]["gamma"]
+        drifted = {(d["where"], d["field"]): d["rel"]
+                   for d in cli.compare_manifests(ma, mb)["drift"]}
+        assert drifted == {("k=60", "nn"): math.inf,
+                           ("k=60", "invariants.orthonormal"): math.inf,
+                           ("spec", "gamma"): math.inf}
+        # the first manifest's fields drive the walk: fields only the
+        # second holds (a newer writer's, say) are not drift
+        assert cli.compare_manifests(mb, ma)["drift"] == []
 
     def test_incompatible_configs_error(self):
         ma = cli.run(_ortho_cfg(k=(50,)))
@@ -343,6 +375,7 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "hard failure: k=50:frame_nondegenerate" in out
         assert "hard failure: k=100:frame_nondegenerate" in out
+        assert "status: hard failure (exit 1)" in out
 
     def test_hard_invariant_failure_exit(self):
         # a sloppy series tolerance leaves the family visibly non-orthonormal
@@ -373,6 +406,26 @@ class TestMainEntry:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("field", ["section_sups", "eta_hat"])
+    def test_compare_subcommand_malformed_field(self, tmp_path, capsys, field):
+        assert cli.main(["run", "--spacing", "2.2", "--eta", "0.7", "--gamma", "1.27",
+                         "--k", "50", "--out", str(tmp_path)]) == 2
+        apath = tmp_path / "manifest.json"
+        tampered = json.loads(apath.read_text())
+        row = tampered["core"]["rows"][0]
+        if field == "section_sups":
+            row[field].remove(max(row[field]))  # a short list is no permutation
+        else:
+            row[field] = "0.37"
+        bpath = tmp_path / "tampered.json"
+        bpath.write_text(json.dumps(tampered))
+        capsys.readouterr()
+        assert cli.main(["compare", str(apath), str(bpath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("drift k=50 %s:" % field)
+
     def test_emit_polys_outputs(self, tmp_path):
         code = cli.main([
             "emit-polys", "--spacing", "2.2", "--eta", "0.7", "--gamma", "1.27",
@@ -389,6 +442,9 @@ class TestMainEntry:
         assert cli.main(["constants"]) == 0
         out = capsys.readouterr().out
         assert "0.99220" in out and "0.01024" in out
+        assert cli.main(["constants", "--max-m", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "m=2 " in out and "m=3 " not in out
 
     def test_m2_ball_cover_run(self):
         cfg = RunConfig(

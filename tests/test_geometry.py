@@ -294,3 +294,8 @@ class TestCovers:
         expect = math.pi - 2 * G.ball_volume(1, math.pi / 5)
         assert abs(defect - expect) < 1e-12
         assert defect < 1.0
+
+    def test_defect_needs_a_closed_form_region(self):
+        chart = G.make_chart(G.standard_point(1, 0), G.CubeRegion(0.3), 1.1)
+        with pytest.raises(G.GeometryError):
+            G.covering_defect(1, [chart])
