@@ -98,13 +98,12 @@ terms.  Neither delta nor cut has a tuning constant.  On the benchmark
 families the largest gap seen is under 1e-4 of delta.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldModel, moment_lifts
+from .geometry import ManifoldModel, base_boxes, center_lifts
 from .kernel import (
     KernelModel,
     SectionExpansion,
@@ -164,32 +163,6 @@ def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> comple
     return complex(ManifoldModel(1).volume * np.sum(w * va * np.conj(vb)))
 
 
-def _center_lifts(m: int, boxes: np.ndarray) -> np.ndarray:
-    """Unit lifts at the centers of mesh cells in moment coordinates."""
-    return moment_lifts(m, 0.5 * (boxes[:, :, 0] + boxes[:, :, 1]))
-
-
-@functools.lru_cache(maxsize=8)
-def _base_boxes(m: int, per_dim: int) -> np.ndarray:
-    """The base mesh cells (cached and read-only), as (cells, dims, 2)
-    lower and upper edges in moment coordinates."""
-    if m == 1:
-        spans = [(0.0, 1.0), (0.0, 2 * np.pi)]
-    else:
-        spans = [(0.0, 1.0), (0.0, 1.0), (0.0, 2 * np.pi), (0.0, 2 * np.pi)]
-    axes = []
-    for lo, hi in spans:
-        edges = np.linspace(lo, hi, per_dim + 1)
-        axes.append(np.stack([edges[:-1], edges[1:]], axis=1))
-    grids = np.meshgrid(*[np.arange(per_dim)] * len(spans), indexing="ij")
-    flat = [g.ravel() for g in grids]
-    boxes = np.empty((per_dim ** len(spans), len(spans), 2))
-    for d, (ax, ix) in enumerate(zip(axes, flat)):
-        boxes[:, d, :] = ax[ix]
-    boxes.flags.writeable = False
-    return boxes
-
-
 def _split_boxes(boxes: np.ndarray) -> np.ndarray:
     """Halve every dimension: each box becomes 2^{dims} children."""
     out = boxes
@@ -235,7 +208,7 @@ def _check_mesh(m: int, mesh: int):
 
 def _base_values(m: int, k: int, ortho_rows, boxes: np.ndarray) -> np.ndarray:
     """|s_j| at the base-mesh cell centres, one row per coefficient vector."""
-    return np.abs(evaluate_sections(m, k, ortho_rows, _center_lifts(m, boxes)))
+    return np.abs(evaluate_sections(m, k, ortho_rows, center_lifts(m, boxes)))
 
 
 def _take(cells: int) -> int:
@@ -341,7 +314,7 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
     counts the cells examined, screened out or not.
     """
     _check_mesh(s.m, mesh)
-    boxes = _base_boxes(s.m, mesh)
+    boxes = base_boxes(s.m, mesh)
     vals = _base_values(s.m, s.k, [s.ortho_coeffs], boxes)[0] if base is None else base
     if vals.shape != (len(boxes),):
         raise CertifyError("base values do not match the base mesh")
@@ -355,7 +328,7 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
         # choice does not depend on which other cells a round evaluated
         top = np.argsort(-vals, kind="stable")[:_take(len(vals))]
         boxes = _split_boxes(boxes[top])
-        vals = _refined_values(s, _center_lifts(s.m, boxes), screen)
+        vals = _refined_values(s, center_lifts(s.m, boxes), screen)
         evals += len(vals)
         used += 1
         new_best = max(best, float(np.max(vals)))
@@ -402,7 +375,7 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
     0.1%, raises: every section reaches its L^2 average somewhere.
     """
     _check_mesh(fam.m, mesh)
-    boxes = _base_boxes(fam.m, mesh)
+    boxes = base_boxes(fam.m, mesh)
     block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
     unscreened = points is None and entries is None
     screens = [None] * fam.n if unscreened else frame_screens(fam, points, entries)
@@ -556,9 +529,9 @@ def fd_laplacian_residual(section: SectionExpansion, part: str, lam: float,
     return float(np.max(np.abs(lap + lam * f[0])) / scale)
 
 
-def emit_eigenfunction(rec: PolynomialRecord, samples: int = 24,
-                       h: float | None = None, seed: int = 5) -> EigenfunctionRecord:
-    """Real eigenfunction from a polynomial record, with an FD check.
+def emit_eigenfunction(rec: PolynomialRecord, seed: int = 5) -> EigenfunctionRecord:
+    """Real eigenfunction from a polynomial record, with an FD check at
+    24 random unit lifts and step 0.01 / k.
 
     The real and imaginary parts have equal sphere L^2 norms whenever
     k >= 1 (the square of the polynomial integrates to zero over the
@@ -579,7 +552,8 @@ def emit_eigenfunction(rec: PolynomialRecord, samples: int = 24,
         part = "re"
         l2 = sphere_l2 / math.sqrt(2)
     lam = k * (k + 2 * m)
-    step = h if h is not None else 0.01 / max(k, 1)
+    samples = 24
+    step = 0.01 / max(k, 1)
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((samples, m + 1)) + 1j * rng.standard_normal((samples, m + 1))
     pts /= np.linalg.norm(pts, axis=1)[:, None]

@@ -76,7 +76,6 @@ from .geometry import (
     ProjectivePoint,
     UnitLift,
     exp_chart_vectors,
-    standard_point,
     two_cap_cover,
 )
 from .kernel import (
@@ -132,15 +131,14 @@ class RunConfig:
     m: int = 1
     k: tuple = (50, 100, 200, 400)
     lattice: str = "cubic"
-    eta: float = 0.5
+    eta: float = 0.7
     gamma: float | None = None  # None: 1.27 single chart, max chart gamma else
-    spacing: float | None = None  # None: choose_spacing(m, eta, gamma)
+    spacing: float | None = 2.2  # None: choose_spacing(m, eta, gamma)
     t: float | None = 0.4
     cover: dict | None = None  # {"name": ..., "radius": ...}; overrides t
     delta: float | None = None
     epsilon: float = 0.05
     beta: float | None = None
-    order: str = "lex"
     mesh: int = 16
     rounds: int = 16
     neumann_tol: float = 1e-10
@@ -231,8 +229,6 @@ class RunConfig:
             raise CliError("gamma must exceed 1")
         if self.spacing is not None and not self.spacing > 0:
             raise CliError("spacing must be positive")
-        if self.order not in ("lex", "reversed"):
-            raise CliError("order must be lex or reversed")
         if self.seed < 0:
             raise CliError("seed must be a non-negative integer")
         if not 1 <= self.constants_max_m <= 12:
@@ -312,9 +308,8 @@ def lattice_spec(cfg: RunConfig):
         charts=charts,
         delta=cfg.delta,
         beta_target=cfg.beta,
-        order=cfg.order,
     )
-    spec.validate(strict=False)  # still enforces the covering-slack budget
+    spec.validate()
     info = {
         "kind": spec.kind,
         "spacing": spec.a,
@@ -324,7 +319,6 @@ def lattice_spec(cfg: RunConfig):
         "t": spec.t,
         "delta": spec.delta,
         "beta_target": spec.beta_target,
-        "order": spec.order,
         "formal_eta": spec.formal_eta,
         # the m-exponent reading of the same certificate (disputed form);
         # theta^m - 1 = sqrt(1 + theta^{2m} - 1) - 1
@@ -687,8 +681,9 @@ def emit_polys(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # compare
 
-# config keys allowed to differ between comparable runs; skipped wherever
-# they appear (the spec echoes the frame order too)
+# skipped wherever it appears: manifests written while the frame order was
+# a config field carry "order" in their config and spec, the benchmark's
+# recorded references among them
 _COMPARE_IGNORED_KEYS = ("order",)
 
 # core entries compare leaves alone: the mode and config are matched before
@@ -734,16 +729,28 @@ def _load_manifest(path: str) -> dict:
     return manifest
 
 
+def _check_core(core: dict, label: str):
+    """CompareError unless core has the structure compare reads before its
+    walk: a mode string, a config object and a list of row objects."""
+    if not isinstance(core.get("mode"), str):
+        raise CompareError("%s manifest core has no mode string" % label)
+    if not isinstance(core.get("config"), dict):
+        raise CompareError("%s manifest core has no config object" % label)
+    rows = core.get("rows", [])
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise CompareError("%s manifest core rows are not a list of objects" % label)
+
+
 def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
     """Field-wise drift report between two manifest cores.
 
     Every leaf under the first core's spec, rows and other entries is
-    checked against the same path in the second; a field only the second
-    holds is not drift.  Runs differing only in frame ordering stay
-    comparable: per-section sup lists may come back as a permutation of
-    each other and are reported as such, not as drift.
+    checked against the same path in the second, lists element by
+    element; a field only the second holds is not drift.
     """
     ca, cb = ma["core"], mb["core"]
+    _check_core(ca, "first")
+    _check_core(cb, "second")
     if ca["mode"] != cb["mode"]:
         raise CompareError("manifests come from different modes")
     mismatched = []
@@ -758,7 +765,7 @@ def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
     rows_b = cb.get("rows", [])
     if len(rows_a) != len(rows_b):
         raise CompareError("manifests hold different row counts")
-    drift, permuted = [], []
+    drift = []
     checked = 0
 
     def walk(where, field, a, b):
@@ -771,21 +778,8 @@ def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
                          value, b.get(key, _MISSING))
             return
         if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-            if field != "section_sups":
-                for i, (x, y) in enumerate(zip(a, b)):
-                    walk(where, "%s[%d]" % (field, i), x, y)
-                return
-            checked += len(a)
-            if all(_rel_gap(x, y) <= tol for x, y in zip(a, b)):
-                return
-            try:
-                same_set = all(_rel_gap(x, y) <= tol for x, y in zip(sorted(a), sorted(b)))
-            except TypeError:  # values that do not sort cannot be a permutation
-                same_set = False
-            if same_set:
-                permuted.append({"where": where, "field": field})
-            else:
-                drift.append({"where": where, "field": field, "a": a, "b": b, "rel": math.inf})
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(where, "%s[%d]" % (field, i), x, y)
             return
         checked += 1
         rel = _rel_gap(a, b)
@@ -802,9 +796,11 @@ def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
         elif key not in _COMPARE_UNWALKED_KEYS:
             walk("core", key, value, cb.get(key, _MISSING))
     return {
-        "identical": not drift and not permuted,
+        "identical": not drift,
         "drift": drift,
-        "permuted": permuted,
+        # always empty since lists are walked element by element; kept
+        # because perfbench/workloads.compare_levels reads it
+        "permuted": [],
         "checked": checked,
         "tol": tol,
     }
@@ -816,10 +812,6 @@ def render_compare(report: dict) -> str:
         lines.append(
             "drift %s %s: %r vs %r (rel %.3g)"
             % (entry["where"], entry["field"], entry["a"], entry["b"], entry["rel"])
-        )
-    for entry in report["permuted"]:
-        lines.append(
-            "%s %s: permuted (sorted values agree)" % (entry["where"], entry["field"])
         )
     if report["identical"]:
         lines.append("identical: %d fields within %.1g" % (report["checked"], report["tol"]))
@@ -846,10 +838,9 @@ def _add_run_flags(sub):
     sub.add_argument("--beta", type=float, help="density target (below the critical value)")
     sub.add_argument("--mesh", type=int, help="sup-norm mesh cells per dimension")
     sub.add_argument("--out", help="output directory for manifest and csv files")
-    sub.add_argument("--spacing", type=float, help="lattice spacing; default from eta")
+    sub.add_argument("--spacing", type=float, help="lattice spacing (default 2.2)")
     sub.add_argument("--gamma", type=float, help="declared chart distortion bound")
     sub.add_argument("--t", type=float, help="single-chart halfwidth")
-    sub.add_argument("--order", choices=("lex", "reversed"))
     sub.add_argument("--seed", type=int, help="sampling seed (distortion, kernel pairs)")
     sub.add_argument("--dumps", action="store_true", default=None,
                      help="write Gram/whitening/family binaries per degree")

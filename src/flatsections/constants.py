@@ -43,9 +43,9 @@ def theta_1d(a: float, terms: int | None = None) -> float:
     return float(1.0 + 2.0 * np.sum(np.exp(-0.5 * a * a * j * j)))
 
 
-def theta_1d_tail_bound(a: float, terms: int | None = None) -> float:
-    """Geometric-majorant bound on the dropped tail: 2 e^{-a^2 J^2/2} / (1 - e^{-a^2 J})."""
-    J = _truncation_1d(a) if terms is None else terms
+def theta_1d_tail_bound(a: float) -> float:
+    """Geometric-majorant bound on the tail theta_1d drops: 2 e^{-a^2 J^2/2} / (1 - e^{-a^2 J})."""
+    J = _truncation_1d(a)
     top = 2.0 * math.exp(-0.5 * a * a * J * J)
     return top / (1.0 - math.exp(-(a * a) * J))
 
@@ -66,10 +66,10 @@ def theta_hex(alpha: float, radius: int | None = None) -> float:
     return float(np.sum(np.exp(-0.5 * alpha * alpha * q)))
 
 
-def theta_hex_tail_bound(alpha: float, radius: int | None = None) -> float:
-    """Computable majorant of the dropped tail via the shell count 8s
-    and the lower bound Q >= |mu|_inf^2 / 2 on each shell."""
-    R = _truncation_hex(alpha) if radius is None else radius
+def theta_hex_tail_bound(alpha: float) -> float:
+    """Computable majorant of the tail theta_hex drops, via the shell
+    count 8s and the lower bound Q >= |mu|_inf^2 / 2 on each shell."""
+    R = _truncation_hex(alpha)
     s = np.arange(R + 1, R + 200, dtype=np.float64)
     return float(np.sum(8.0 * s * np.exp(-0.25 * alpha * alpha * s * s)))
 

@@ -18,9 +18,10 @@ from .frame import Frame
 from .geometry import (
     BallRegion,
     ProjectivePoint,
+    base_boxes,
+    center_lifts,
     exp_chart_vectors,
     make_chart,
-    moment_lifts,
 )
 from .kernel import KernelModel, SectionExpansion, dimension
 from .whitening import WhiteningOperator, read_dump, whiten, write_dump
@@ -56,7 +57,6 @@ class FlatFamily:
     k: int
     m: int
     ortho: np.ndarray = field(repr=False)  # (n, d_k) complex
-    provenance: str = ""
 
     @property
     def n(self) -> int:
@@ -75,8 +75,7 @@ def flatten_frame(frame: Frame, op: WhiteningOperator) -> FlatFamily:
     """Whiten a frame and mix.  The weights of section j over the coherent
     frame, v^{(j)} of the sup-norm chain, are row j of
     dft_matrix(n) @ op.entries."""
-    return FlatFamily(k=frame.k, m=frame.m, ortho=dft_mix(whiten(frame, op)),
-                      provenance="%s | %s" % (frame.order_tag, op.method))
+    return FlatFamily(k=frame.k, m=frame.m, ortho=dft_mix(whiten(frame, op)))
 
 
 def sup_norm_chain_bound(fk: float, op: WhiteningOperator, n: int) -> float:
@@ -84,22 +83,6 @@ def sup_norm_chain_bound(fk: float, op: WhiteningOperator, n: int) -> float:
     if n < 1:
         raise FlattenError("empty family")
     return fk * op.norm_inf / math.sqrt(n)
-
-
-def area_mesh(m: int, target: int) -> np.ndarray:
-    """Deterministic mesh of unit lifts, equidistributed for the volume.
-
-    A product grid of cell centres in moment coordinates, mapped to lifts
-    by geometry.moment_lifts (for m = 2 that folds the square onto the
-    moment simplex, which preserves the uniform measure).
-    """
-    if m not in (1, 2):
-        raise FlattenError("meshes implemented for m = 1 and m = 2 only")
-    side = max(2, int(math.isqrt(target)) if m == 1 else int(round(target ** 0.25)))
-    g = (np.arange(side) + 0.5) / side
-    th = 2 * np.pi * (np.arange(side) + 0.5) / side
-    grids = np.meshgrid(*[g] * m, *[th] * m, indexing="ij")
-    return moment_lifts(m, np.stack([x.ravel() for x in grids], axis=1))
 
 
 def _tangent_ball_grid(m: int, radius: float, side: int) -> np.ndarray:
@@ -135,12 +118,17 @@ def frame_sum(frame: Frame, lifts: np.ndarray) -> np.ndarray:
 def fk_norm(frame: Frame, mesh: int = 16384, rounds: int = 6) -> float:
     """Mapping norm sup_x sum_mu |Phi_mu(x)|, by mesh plus local refinement.
 
-    The frame points themselves are always included: each is the peak of
-    its own term, so the estimate can never fall below sqrt(diag).
+    The mesh is the cell centres of geometry.base_boxes, the equal-area
+    mesh the sup norms start from, with about mesh cells: isqrt(mesh) per
+    dimension at m = 1, round(mesh ** 0.25) at m = 2, at least two.  The
+    frame points themselves are always included: each is the peak of its
+    own term, so the estimate can never fall below sqrt(diag).
     """
     if frame.n == 0:
         raise FlattenError("empty frame")
-    lifts = np.vstack([area_mesh(frame.m, mesh), frame.points])
+    m = frame.m
+    side = max(2, math.isqrt(mesh) if m == 1 else int(round(mesh ** 0.25)))
+    lifts = np.vstack([center_lifts(m, base_boxes(m, side)), frame.points])
     vals = frame_sum(frame, lifts)
     best = int(np.argmax(vals))
     best_val = float(vals[best])
@@ -201,7 +189,7 @@ def dump_family(path, fam: FlatFamily, tag: str):
 
 
 def load_family(path) -> FlatFamily:
-    """Inverse of dump_family; the tag comes back as the provenance."""
-    m, k, ortho, tag = read_dump(path, _MAGIC, "flat-family",
-                                 lambda m, k, n: dimension(m, k), error=FlattenError)
-    return FlatFamily(k=k, m=m, ortho=ortho, provenance=tag)
+    """Inverse of dump_family (the tag is not kept)."""
+    m, k, ortho, _ = read_dump(path, _MAGIC, "flat-family",
+                               lambda m, k, n: dimension(m, k), error=FlattenError)
+    return FlatFamily(k=k, m=m, ortho=ortho)

@@ -47,16 +47,14 @@ prefilter.  Frame.compared counts those pairs, the overlaps computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants as tc
 from .geometry import (
-    BallRegion,
     ChartSpec,
     CubeRegion,
-    GeometryError,
     ManifoldModel,
     ProjectivePoint,
     exp_chart_vectors,
@@ -134,7 +132,6 @@ class LatticeSpec:
     delta: float | None = None
     beta_target: float | None = None
     dedup_factor: float = DEFAULT_DEDUP_FACTOR
-    order: str = "lex"
 
     def __post_init__(self):
         if self.kind not in ("cubic", "hexagonal"):
@@ -149,8 +146,6 @@ class LatticeSpec:
             raise FrameError("epsilon must lie in [0,1)")
         if (self.t is None) == (self.charts is None):
             raise FrameError("give exactly one of t (single chart) or charts")
-        if self.order not in ("lex", "reversed"):
-            raise FrameError("order must be lex or reversed")
 
     @property
     def formal_eta(self) -> float:
@@ -171,18 +166,14 @@ class LatticeSpec:
         )
         return self.a > bound
 
-    def validate(self, strict: bool = True):
-        """Raise unless the certificate proves the eta target (strict mode).
+    def validate(self):
+        """Raise unless the covering slack fits the density budget.
 
         delta, when given with a density target, must leave room under
         the density bound: beta-mode builds require
-        delta <= a^{2m} * epsilon / (3 m!).
+        delta <= a^{2m} * epsilon / (3 m!).  An uncertified spec still
+        builds (see certified).
         """
-        if strict and not self.certified:
-            raise FrameError(
-                "spacing a=%.6g fails the theta certificate for eta=%.3g "
-                "(formal eta %.6g)" % (self.a, self.eta, self.formal_eta)
-            )
         if self.beta_target is not None and self.charts is not None:
             if self.delta is None:
                 raise FrameError("density-targeted multichart spec needs delta")
@@ -304,7 +295,8 @@ def _canonicalize_rows(pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Frame:
-    """An ordered lattice frame: canonical unit lifts plus provenance."""
+    """A lattice frame: canonical unit lifts, chart-major and in lex
+    order on mu within each chart, plus provenance."""
 
     k: int
     m: int
@@ -315,7 +307,6 @@ class Frame:
     spec: LatticeSpec
     dropped: int = 0  # candidates removed by cross-chart dedup
     compared: int = 0  # overlaps |<x, y>| the dedup computed
-    order_tag: str = "chart-major, lex on mu"
 
     @property
     def n(self) -> int:
@@ -426,15 +417,6 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
         chart_index = np.zeros(0, dtype=np.int64)
         mu = np.zeros((0, 2 * spec.m), dtype=np.int64)
         tan = np.zeros((0, 2 * spec.m))
-    tag = "chart-major, lex on mu"
-    if spec.order == "reversed":
-        points, chart_index, mu, tan = (
-            points[::-1].copy(),
-            chart_index[::-1].copy(),
-            mu[::-1].copy(),
-            tan[::-1].copy(),
-        )
-        tag = "chart-major, lex on mu, reversed"
     return Frame(
         k=k,
         m=spec.m,
@@ -445,7 +427,6 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
         spec=spec,
         dropped=dropped,
         compared=compared,
-        order_tag=tag,
     )
 
 

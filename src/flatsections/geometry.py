@@ -10,6 +10,7 @@ here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,10 +43,6 @@ class ManifoldModel:
     @property
     def volume(self) -> float:
         return math.pi ** self.m / math.factorial(self.m)
-
-    @property
-    def diameter(self) -> float:
-        return HALF_PI
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -149,6 +146,34 @@ def moment_lifts(m: int, coords: np.ndarray) -> np.ndarray:
         [np.sqrt(w) + 0j, np.sqrt(a) * np.exp(1j * t1), np.sqrt(b) * np.exp(1j * t2)],
         axis=1,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def base_boxes(m: int, per_dim: int) -> np.ndarray:
+    """The equal-area base mesh: per_dim cells along each moment
+    coordinate, as (cells, dims, 2) lower and upper edges (cached and
+    read-only).  Its cell centres, center_lifts(m, boxes), are uniform for
+    the volume; the sup-norm search and the F_k search both start there."""
+    if m == 1:
+        spans = [(0.0, 1.0), (0.0, 2 * np.pi)]
+    else:
+        spans = [(0.0, 1.0), (0.0, 1.0), (0.0, 2 * np.pi), (0.0, 2 * np.pi)]
+    axes = []
+    for lo, hi in spans:
+        edges = np.linspace(lo, hi, per_dim + 1)
+        axes.append(np.stack([edges[:-1], edges[1:]], axis=1))
+    grids = np.meshgrid(*[np.arange(per_dim)] * len(spans), indexing="ij")
+    flat = [g.ravel() for g in grids]
+    boxes = np.empty((per_dim ** len(spans), len(spans), 2))
+    for d, (ax, ix) in enumerate(zip(axes, flat)):
+        boxes[:, d, :] = ax[ix]
+    boxes.flags.writeable = False
+    return boxes
+
+
+def center_lifts(m: int, boxes: np.ndarray) -> np.ndarray:
+    """Unit lifts at the centres of mesh cells in moment coordinates."""
+    return moment_lifts(m, 0.5 * (boxes[:, :, 0] + boxes[:, :, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +471,12 @@ def distortion_estimate(chart: ChartSpec, nsamples: int = 10000, seed: int = 0) 
 # covers
 
 
-def cp1_latlon_cover(max_radius: float, gamma_margin: float = 1.001) -> list:
+def cp1_latlon_cover(max_radius: float) -> list:
     """Exact cell partition of CP^1 by polar caps, bands, and sectors.
 
     Every cell fits in a geodesic disc of radius max_radius about its own
-    center, keeping the per-chart distortion near 2r/sin(2r).  Bands are
+    center, keeping the per-chart distortion near 2r/sin(2r); the declared
+    gamma is 0.1% above it, r the cell's circumradius.  Bands are
     half open so the cells tile the sphere exactly (defect zero).
     """
     if not 0.05 < max_radius < 0.6:
@@ -475,18 +501,19 @@ def cp1_latlon_cover(max_radius: float, gamma_margin: float = 1.001) -> list:
     charts = []
     for cell in cells:
         rad = cell.circumradius(1)
-        gamma = (2 * rad / math.sin(2 * rad)) * gamma_margin
+        gamma = (2 * rad / math.sin(2 * rad)) * 1.001
         charts.append(make_chart(cell.center_point(), cell, gamma))
     return charts
 
 
-def cp2_ball_cover(radius: float = 0.4, gamma_margin: float = 1.01) -> list:
+def cp2_ball_cover(radius: float = 0.4) -> list:
     """Disjoint geodesic balls in CP^2 about a fixed 7-point configuration.
 
     Centers: the three standard points plus the four sign patterns of
     [1:+-1:+-1]/sqrt(3); pairwise distances >= arccos(1/sqrt 3) ~ 0.955,
     so balls of radius < 0.47 are disjoint.  This is a partial cover with
     a large declared covering slack, intended for pipeline smoke runs.
+    The declared gamma is 1% above 2r/sin(2r).
     """
     if radius >= 0.47:
         raise GeometryError("balls of this radius would overlap")
@@ -495,13 +522,14 @@ def cp2_ball_cover(radius: float = 0.4, gamma_margin: float = 1.01) -> list:
     for s1 in (1.0, -1.0):
         for s2 in (1.0, -1.0):
             centers.append(ProjectivePoint.from_vector([s, s1 * s, s2 * s]))
-    g = (2 * radius / math.sin(2 * radius)) * gamma_margin
+    g = (2 * radius / math.sin(2 * radius)) * 1.01
     return [make_chart(c, BallRegion(radius), g) for c in centers]
 
 
-def two_cap_cover(m: int, radius: float, gamma_margin: float = 1.01) -> list:
-    """Two geodesic-ball charts at antipodal standard points."""
-    g = (2 * radius / math.sin(2 * radius)) * gamma_margin
+def two_cap_cover(m: int, radius: float) -> list:
+    """Two geodesic-ball charts at antipodal standard points, declared
+    gamma 1% above 2r/sin(2r)."""
+    g = (2 * radius / math.sin(2 * radius)) * 1.01
     return [
         make_chart(standard_point(m, 0), BallRegion(radius), g),
         make_chart(standard_point(m, m), BallRegion(radius), g),
@@ -534,13 +562,13 @@ def covering_defect(m: int, charts: list) -> float:
     return max(0.0, model.volume - covered)
 
 
-def volume_by_radial_quadrature(m: int, r_max: float = HALF_PI, grid: int = 400) -> float:
+def volume_by_radial_quadrature(m: int, r_max: float = HALF_PI) -> float:
     """Volume of the geodesic ball of radius r_max via the radial density.
 
-    With r_max = pi/2 this recovers the full volume pi^m/m! because the
-    cut locus has measure zero.
+    400-node Gauss-Legendre in r.  With r_max = pi/2 this recovers the
+    full volume pi^m/m! because the cut locus has measure zero.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(grid)
+    nodes, weights = np.polynomial.legendre.leggauss(400)
     r = 0.5 * r_max * (nodes + 1.0)
     w = 0.5 * r_max * weights
     # area of the unit sphere S^{2m-1} in R^{2m}

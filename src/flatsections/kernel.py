@@ -367,29 +367,30 @@ def gaussian_deviation(d) -> np.ndarray:
     return num / (d * d / 2.0) - 1.0
 
 
-def near_threshold(m: int, k: int, b: float | None = None) -> float:
-    if b is None:
-        b = math.sqrt(4 * m + 3)
-    return b * math.sqrt(math.log(k) / k)
+def near_threshold(m: int, k: int) -> float:
+    """b sqrt(log k / k) with b = sqrt(4m+3)."""
+    return math.sqrt(4 * m + 3) * math.sqrt(math.log(k) / k)
 
 
-def far_threshold(m: int, k: int, q: float | None = None) -> float:
-    if q is None:
-        q = m + 1
+def far_threshold(m: int, k: int) -> float:
+    """sqrt((2q+2m+1) log k / k) with q = m+1."""
+    q = m + 1
     return math.sqrt((2 * q + 2 * m + 1) * math.log(k) / k)
 
 
-def verify_decay(model: KernelModel, samples: int = 19) -> DecayReport:
+def verify_decay(model: KernelModel) -> DecayReport:
     """Measure both decay regimes of the normalized kernel.
 
     Near regime (d <= b sqrt(log k / k), b = sqrt(4m+3)): max relative
     deviation of log P_k from -k d^2/2 over an interior grid of the
-    regime (fractions i/(samples+1) of the threshold; d = 0 is excluded
+    regime (fractions i/20 of the threshold, i = 1..19; d = 0 is excluded
     as the regimes are defined by strict distance windows).
 
     Far regime (d >= sqrt((2q+2m+1) log k / k), q = m+1): max of
-    P_k * k^q.  Empty when the threshold exceeds the diameter.
+    P_k * k^q over 19 equispaced distances up to pi/2.  Empty when the
+    threshold exceeds the diameter.
     """
+    samples = 19
     m, k = model.m, model.k
     if k < 2:
         raise KernelError("decay regimes need k >= 2")

@@ -46,7 +46,6 @@ class GramMatrix:
     m: int
     k: int
     entries: np.ndarray  # (n, n) complex Hermitian, unit diagonal
-    offdiag_row_sums: np.ndarray
     eta_hat: float
 
     @property
@@ -72,13 +71,11 @@ def assemble_gram(frame: Frame) -> GramMatrix:
     scale = np.exp(frame.k * logmag)
     entries = scale * np.exp(1j * frame.k * np.angle(u))
     np.fill_diagonal(entries, 1.0)
-    row_sums = _offdiag_row_sums(entries)
     return GramMatrix(
         m=frame.m,
         k=frame.k,
         entries=entries,
-        offdiag_row_sums=row_sums,
-        eta_hat=float(np.max(row_sums)),
+        eta_hat=float(np.max(_offdiag_row_sums(entries))),
     )
 
 
@@ -207,9 +204,10 @@ def inv_sqrt_neumann(g: GramMatrix, tol: float = 1e-10) -> WhiteningOperator:
                              series_terms=terms)
 
 
-def inv_sqrt_eigen(g: GramMatrix, tol: float = 1e-10) -> WhiteningOperator:
+def inv_sqrt_eigen(g: GramMatrix) -> WhiteningOperator:
     """Oracle route: Hermitian eigendecomposition with eigenvalue map
-    lambda -> lambda^{-1/2}."""
+    lambda -> lambda^{-1/2}; its mapping norm is held to the series
+    bound with slack 1e-10."""
     w, v = np.linalg.eigh(g.entries)
     if w[0] <= 0:
         raise WhiteningError(
@@ -218,7 +216,7 @@ def inv_sqrt_eigen(g: GramMatrix, tol: float = 1e-10) -> WhiteningOperator:
     b = (v * w ** -0.5) @ v.conj().T
     b = 0.5 * (b + b.conj().T)
     norm_inf = _mapnorm(b)
-    _check_mapnorm_bound(norm_inf, g.eta_hat, tol)
+    _check_mapnorm_bound(norm_inf, g.eta_hat, 1e-10)
     return WhiteningOperator(entries=b, method="eigen", norm_inf=norm_inf)
 
 

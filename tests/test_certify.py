@@ -162,18 +162,18 @@ class TestSupNorm:
             C.sup_norm(_unit_basis(1, 3, 0), mesh=2)
 
     def test_base_boxes_cached_read_only(self, monkeypatch):
-        boxes = C._base_boxes(2, 6)
-        assert boxes is C._base_boxes(2, 6)
+        boxes = C.base_boxes(2, 6)
+        assert boxes is C.base_boxes(2, 6)
         assert not boxes.flags.writeable
         with pytest.raises(ValueError):
             boxes[0, 0, 0] = 1.0
-        fresh = C._base_boxes.__wrapped__
+        fresh = C.base_boxes.__wrapped__
         assert np.array_equal(boxes, fresh(2, 6))
         fam = _pipeline(60)[3]
         m2 = _unit_basis(2, 5, 7)
         cached = (C.certify_family(fam, 16, 16), C.sup_norm(m2, mesh=6))
         # a writable mesh built afresh in every call, as before the cache
-        monkeypatch.setattr(C, "_base_boxes", lambda m, per_dim: fresh(m, per_dim).copy())
+        monkeypatch.setattr(C, "base_boxes", lambda m, per_dim: fresh(m, per_dim).copy())
         assert cached == (C.certify_family(fam, 16, 16), C.sup_norm(m2, mesh=6))
 
 
@@ -233,7 +233,7 @@ class TestScreenedRefinement:
         # cell index, the screened round picks the same twins as the full one
         points, entries, fam = _screened_level(2, k)
         sec = _sections(fam)[row]
-        base = C._base_values(2, k, [sec.ortho_coeffs], C._base_boxes(2, 8))[0]
+        base = C._base_values(2, k, [sec.ortho_coeffs], C.base_boxes(2, 8))[0]
         screen = C.frame_screens(fam, points, entries)[row]
         assert (C.sup_norm(sec, mesh=8, base=base, screen=screen)
                 == C.sup_norm(sec, mesh=8, base=base))
@@ -281,7 +281,7 @@ class TestScreenedRefinement:
 
         monkeypatch.setattr(SectionExpansion, "evaluate_lifts", counted)
         level = cli._run_level(cfg, cli.lattice_spec(cfg)[0], 20)
-        base = len(C._base_boxes(2, 6))
+        base = len(C.base_boxes(2, 6))
         examined = sum(e.evaluations - base for e in level.cert.sup_estimates)
         assert min(seen) >= 8
         assert 0 < sum(seen) < examined / 4

@@ -7,6 +7,7 @@ import pytest
 
 from flatsections import flatten as FL
 from flatsections import frame as F
+from flatsections import geometry as G
 from flatsections import whitening as W
 from flatsections.geometry import UnitLift
 from flatsections.kernel import KernelModel, SectionExpansion, coherent_state
@@ -14,6 +15,12 @@ from flatsections.kernel import KernelModel, SectionExpansion, coherent_state
 
 def _run_b_spec():
     return F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.4)
+
+
+def _mesh(m: int, target: int) -> np.ndarray:
+    """The shared equal-area mesh at fk_norm's size for a target count."""
+    side = max(2, math.isqrt(target) if m == 1 else round(target ** 0.25))
+    return G.center_lifts(m, G.base_boxes(m, side))
 
 
 def _whitened(k: int):
@@ -89,10 +96,8 @@ class TestDftMix:
 
     def test_mix_weights_bounded_by_mapping_norm(self):
         fr, g, op = _whitened(100)
-        fam = FL.flatten_frame(fr, op)
         weights = FL.dft_matrix(fr.n) @ op.entries
         assert np.max(np.abs(weights)) <= op.norm_inf / math.sqrt(fr.n) + 1e-12
-        assert fam.provenance == "chart-major, lex on mu | neumann"
 
 
 class TestFrameMappingNorm:
@@ -126,7 +131,7 @@ class TestFrameMappingNorm:
         fam = FL.flatten_frame(fr, op)
         fk = FL.fk_norm(fr, mesh=4096, rounds=5)
         chain = FL.sup_norm_chain_bound(fk, op, fr.n)
-        mesh = FL.area_mesh(1, 4096)
+        mesh = _mesh(1, 4096)
         sups = [float(np.max(np.abs(SectionExpansion.from_ortho(1, 200, row)
                                     .evaluate_lifts(mesh))))
                 for row in fam.ortho]
@@ -137,7 +142,7 @@ class TestFrameMappingNorm:
 
     def test_frame_sum_blocks_match_unchunked(self, monkeypatch):
         fr, g, op = _whitened(200)
-        lifts = np.vstack([FL.area_mesh(1, 4096), fr.points])
+        lifts = np.vstack([_mesh(1, 4096), fr.points])
         # the formula over all lifts at once
         q = np.abs(lifts @ fr.points.conj().T)
         np.clip(q, 0.0, 1.0, out=q)
@@ -158,20 +163,20 @@ class TestFrameMappingNorm:
 class TestAreaMesh:
     def test_unit_lifts(self):
         for m in (1, 2):
-            mesh = FL.area_mesh(m, 2048)
+            mesh = _mesh(m, 2048)
             assert mesh.shape[1] == m + 1
             assert np.max(np.abs(np.linalg.norm(mesh, axis=1) - 1.0)) < 1e-12
 
     def test_equidistribution_moments(self):
         # uniform measure gives E|z_i|^2 = 1/(m+1)
         for m in (1, 2):
-            mesh = FL.area_mesh(m, 20000 if m == 1 else 200000)
+            mesh = _mesh(m, 20000 if m == 1 else 200000)
             mom = np.mean(np.abs(mesh) ** 2, axis=0)
             assert np.max(np.abs(mom - 1.0 / (m + 1))) < 5e-3
 
     def test_unsupported_dimension(self):
-        with pytest.raises(FL.FlattenError):
-            FL.area_mesh(3, 100)
+        with pytest.raises(G.GeometryError):
+            _mesh(3, 100)
 
 
 class TestBourgainReference:
@@ -188,7 +193,7 @@ class TestBourgainReference:
         assert len(fam) == 5
         q = np.vstack([s.ortho_coeffs for s in fam])
         assert np.allclose(np.abs(q), 1 / math.sqrt(5), atol=1e-13)
-        mesh = FL.area_mesh(1, 4096)
+        mesh = _mesh(1, 4096)
         sups = [float(np.max(np.abs(s.evaluate_lifts(mesh)))) for s in fam]
         assert all(s > 0 for s in sups)
 
@@ -206,7 +211,8 @@ class TestSerialization:
         path = tmp_path / "family.bin"
         FL.dump_family(path, fam, "test-dump")
         back = FL.load_family(path)
-        assert back.provenance == "test-dump"
+        tag = W.read_dump(path, b"FLT1", "flat-family", lambda m, k, n: k + 1)[3]
+        assert tag == "test-dump"
         assert back.k == fam.k and back.m == fam.m and back.n == fam.n
         assert np.array_equal(back.ortho, fam.ortho)
 

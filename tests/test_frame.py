@@ -27,14 +27,14 @@ def _latlon_spec(kind, radius, a, **kw):
     )
 
 
-def _dedup_spec(kind, radius, a, order="lex", lattice="cubic", **kw):
+def _dedup_spec(kind, radius, a, lattice="cubic", **kw):
     """Multichart specs of the dedup tests: lat-lon cells on CP^1, or the
     disjoint balls and the two overlapping caps on CP^2."""
     if kind in ("balls", "caps"):
         cover = G.cp2_ball_cover(radius) if kind == "balls" else G.two_cap_cover(2, radius)
         return F.LatticeSpec(kind=lattice, m=2, a=a, eta=0.9, gamma=cover[0].gamma,
-                             charts=tuple(cover), delta=3.0, order=order, **kw)
-    return _latlon_spec(kind, radius, a, order=order, **kw)
+                             charts=tuple(cover), delta=3.0, **kw)
+    return _latlon_spec(kind, radius, a, **kw)
 
 
 def _box_candidates(spec, chart, k):
@@ -84,8 +84,6 @@ def _brute_force_dedup(spec, k):
         cidx.append(np.full(lifts.shape[0], j, dtype=np.int64))
         mus.append(grid)
     points, chart_index, mu = (np.concatenate(x) for x in (pts, cidx, mus))
-    if spec.order == "reversed":
-        points, chart_index, mu = points[::-1], chart_index[::-1], mu[::-1]
     return points, chart_index, mu, dropped, compared
 
 
@@ -129,19 +127,17 @@ class TestSpacingRules:
         with pytest.raises(F.FrameError):
             F.LatticeSpec(kind="cubic", m=1, a=2.0, eta=0.5, gamma=1.1)
 
-    def test_strict_validation_rejects_uncertified(self):
+    def test_uncertified_spec_still_validates(self):
         spec = _cubic_spec()  # a=2.2 cannot prove eta=0.7
         assert not spec.certified
-        with pytest.raises(F.FrameError):
-            spec.validate(strict=True)
-        spec.validate(strict=False)
+        assert spec.validate() is spec
 
     def test_sparse_spec_is_certified(self):
         a = F.choose_spacing(1, 0.5, 1.1)
         spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.5, gamma=1.1, t=0.5)
         assert spec.certified
         assert spec.abound_satisfied
-        spec.validate(strict=True)
+        spec.validate()
 
     def test_delta_budget(self):
         cover = G.cp1_latlon_cover(0.35)
@@ -150,13 +146,13 @@ class TestSpacingRules:
             gamma=max(c.gamma for c in cover), epsilon=0.005,
             charts=tuple(cover), delta=1e-9, beta_target=0.8,
         )
-        good.validate(strict=True)
+        assert good.validate().certified
         with pytest.raises(F.FrameError):
             F.LatticeSpec(
                 kind="cubic", m=1, a=1.945, eta=0.995,
                 gamma=max(c.gamma for c in cover), epsilon=0.005,
                 charts=tuple(cover), delta=0.5, beta_target=0.8,
-            ).validate(strict=False)
+            ).validate()
 
 
 class TestSingleChartCubic:
@@ -207,13 +203,6 @@ class TestSingleChartCubic:
         assert np.array_equal(fr1.mu, fr2.mu)
         assert np.allclose(fr1.points, fr2.points)
         assert (fr1.mu == 0).all(axis=1).any()
-
-    def test_reversed_order_permutes(self):
-        fr = F.build(_cubic_spec(), 200)
-        rev = F.build(_cubic_spec(order="reversed"), 200)
-        assert rev.n == fr.n
-        assert np.allclose(rev.points, fr.points[::-1])
-        assert "reversed" in rev.order_tag
 
 
 class TestHexagonal:
@@ -319,7 +308,6 @@ class TestMultichart:
         dmin = np.arccos(np.clip(np.max(q[cross]), 0, 1))
         assert dmin >= thr - 1e-12
 
-    @pytest.mark.parametrize("order", ["lex", "reversed"])
     @pytest.mark.parametrize("kind,radius,a,k", [
         ("cubic", 0.35, 1.945, 800),
         ("cubic", 0.35, 1.945, 3000),
@@ -327,8 +315,8 @@ class TestMultichart:
         ("balls", 0.4, 2.4, 40),
         ("caps", 0.7, 2.4, 30),
     ])
-    def test_dedup_matches_brute_force(self, kind, radius, a, k, order):
-        spec = _dedup_spec(kind, radius, a, order)
+    def test_dedup_matches_brute_force(self, kind, radius, a, k):
+        spec = _dedup_spec(kind, radius, a)
         fr = F.build(spec, k)
         points, chart_index, mu, dropped, compared = _brute_force_dedup(spec, k)
         assert np.array_equal(fr.points, points)
@@ -489,7 +477,8 @@ class TestDensityScans:
             kind="cubic", m=1, a=1.945, eta=0.995,
             gamma=max(c.gamma for c in cover), epsilon=0.005,
             charts=tuple(cover), delta=1e-9, beta_target=0.8,
-        ).validate(strict=True)
+        ).validate()
+        assert spec.certified
         ratios = {}
         for k in (2000, 8000, 16000, 32000):
             fr = F.build(spec, k)

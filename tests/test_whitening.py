@@ -40,8 +40,7 @@ def _two_point_frame(k: int, d: float) -> F.Frame:
 def _gram_of(entries) -> W.GramMatrix:
     e = np.asarray(entries, dtype=np.complex128)
     s = np.sum(np.abs(e), axis=1) - np.abs(np.diagonal(e))
-    return W.GramMatrix(m=1, k=10, entries=e, offdiag_row_sums=s,
-                        eta_hat=float(np.max(s)))
+    return W.GramMatrix(m=1, k=10, entries=e, eta_hat=float(np.max(s)))
 
 
 class TestGramAssembly:
