@@ -2,9 +2,11 @@
 bound, and the polynomial / eigenfunction emitters.
 
 The L^2 pairing diagonalizes over monomials, so inner products are exact
-sums against factorial weights.  Sup norms have no closed form: they are
-estimated from equal-area product meshes with greedy cell refinement and
-reported as certified lower bounds together with the refinement history.
+sums against factorial weights; tests/test_certify.py checks them against
+exact torus quadrature on the projective line.  Sup norms have no closed
+form: they are estimated from equal-area product meshes with greedy cell
+refinement and reported as certified lower bounds together with the
+refinement history.
 
 A flat family is its (n, d_k) matrix fam.ortho: row j holds the
 coefficients of s_j over the L^2-orthonormal monomials, so its L^2 norm
@@ -132,35 +134,6 @@ def l2_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
     if (sa.m, sa.k) != (sb.m, sb.k):
         raise CertifyError("sections live on different spaces")
     return complex(np.sum(sa.ortho_coeffs * np.conj(sb.ortho_coeffs)))
-
-
-def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
-    """Independent oracle for l2_inner on the projective line.
-
-    Exact quadrature in sphere coordinates (u, phi, psi): Gauss-Legendre
-    in the area variable u (the integrand is a polynomial in u of degree
-    at most k) and equispaced nodes in both angles (trigonometric degree
-    at most k each).  Normalized so that <1, 1> at k = 0 equals Vol.
-    """
-    if sa.m != 1 or sb.m != 1:
-        raise CertifyError("quadrature oracle covers m = 1 only")
-    if sa.k != sb.k:
-        raise CertifyError("sections live on different spaces")
-    k = sa.k
-    nodes, weights = np.polynomial.legendre.leggauss(k + 2)
-    u = 0.5 * (nodes + 1.0)
-    na = 2 * k + 3
-    ang = 2 * np.pi * np.arange(na) / na
-    uu, p1, p2 = np.meshgrid(u, ang, ang, indexing="ij")
-    lifts = np.stack(
-        [np.sqrt(1 - uu.ravel()) * np.exp(1j * p1.ravel()),
-         np.sqrt(uu.ravel()) * np.exp(1j * p2.ravel())],
-        axis=1,
-    )
-    va = sa.evaluate_lifts(lifts).reshape(k + 2, na, na)
-    vb = sb.evaluate_lifts(lifts).reshape(k + 2, na, na)
-    w = (0.5 * weights)[:, None, None] / na ** 2
-    return complex(ManifoldModel(1).volume * np.sum(w * va * np.conj(vb)))
 
 
 def _split_boxes(boxes: np.ndarray) -> np.ndarray:

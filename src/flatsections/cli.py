@@ -57,6 +57,7 @@ from .flatten import (
     sup_norm_chain_bound,
 )
 from .frame import (
+    DEDUP_FACTOR,
     Frame,
     FrameError,
     LatticeSpec,
@@ -116,6 +117,15 @@ class CompareError(ValueError):
     """Two manifests cannot be compared field by field."""
 
 
+def _is_int(value) -> bool:
+    """An integer in the JSON sense: bool is its own kind, not a number."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -152,6 +162,12 @@ class RunConfig:
 
     _IO_FIELDS = ("out", "dumps")
 
+    # fields by the JSON type validate requires; the optional numbers may
+    # also be None
+    _INT_FIELDS = ("m", "mesh", "rounds", "seed", "constants_max_m")
+    _NUMBER_FIELDS = ("eta", "epsilon", "neumann_tol", "ortho_tol", "drift_tol")
+    _OPTIONAL_NUMBER_FIELDS = ("gamma", "spacing", "t", "delta", "beta")
+
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         known = {f.name for f in fields(cls) if not f.name.startswith("_")}
@@ -159,8 +175,8 @@ class RunConfig:
         if unknown:
             raise CliError("unknown config keys: %s" % ", ".join(unknown))
         clean = dict(data)
-        if "k" in clean:
-            clean["k"] = tuple(int(v) for v in clean["k"])
+        if isinstance(clean.get("k"), list):
+            clean["k"] = tuple(clean["k"])
         if "lattice" in clean and clean["lattice"] == "hex":
             clean["lattice"] = "hexagonal"
         return cls(**clean)
@@ -197,10 +213,36 @@ class RunConfig:
             out[f.name] = value
         return out
 
+    def _check_types(self):
+        """CliError unless every field holds a value of its JSON type."""
+        for name in self._INT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise CliError("%s must be an integer, not %r" % (name, value))
+        for name in self._NUMBER_FIELDS + self._OPTIONAL_NUMBER_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in self._OPTIONAL_NUMBER_FIELDS:
+                continue
+            if not _is_number(value):
+                raise CliError("%s must be a number, not %r" % (name, value))
+        if not isinstance(self.k, (tuple, list)):
+            raise CliError("k must be a list of integers, not %r" % (self.k,))
+        for v in self.k:
+            if not _is_int(v):
+                raise CliError("every k must be an integer, not %r" % (v,))
+        if isinstance(self.cover, dict) and not (
+                self.cover.get("radius") is None or _is_number(self.cover["radius"])):
+            raise CliError("cover radius must be a number, not %r" % (self.cover["radius"],))
+        if not (self.out is None or isinstance(self.out, str)):
+            raise CliError("out must be a directory name, not %r" % (self.out,))
+        if not isinstance(self.dumps, bool):
+            raise CliError("dumps must be true or false, not %r" % (self.dumps,))
+
     def validate(self) -> "RunConfig":
+        self._check_types()
         if self.mode not in MODES:
             raise CliError("mode must be one of %s" % " | ".join(MODES))
-        if not isinstance(self.m, int) or self.m < 1:
+        if self.m < 1:
             raise CliError("m must be a positive integer")
         if self.mode == "full" and self.m > 2:
             raise CliError("full mode supports m in {1, 2} (sup-norm meshes)")
@@ -212,7 +254,7 @@ class RunConfig:
             if len(self.k) == 0:
                 raise CliError("k list is empty: give at least one degree")
             floor = 2 if self.mode == "kernel-check" else 1
-            if any((not isinstance(v, int)) or v < floor for v in self.k):
+            if any(v < floor for v in self.k):
                 raise CliError("every k must be an integer >= %d" % floor)
         for name in ("neumann_tol", "ortho_tol", "drift_tol"):
             if not getattr(self, name) > 0:
@@ -380,7 +422,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
     row["nn"] = nn
     invariants["nn_floor"] = nn is None or nn >= scale / spec.gamma * (1 - 1e-9)
     # ceiling only binds for dense frames; sparse multichart frames sit far apart
-    reach = 1.0 if spec.charts is None else 1.0 + spec.dedup_factor
+    reach = 1.0 if spec.charts is None else 1.0 + DEDUP_FACTOR
     soft["nn_ceiling"] = nn is None or nn <= scale * spec.gamma * reach * (1 + 1e-9)
 
     g = assemble_gram(frame)
@@ -707,13 +749,17 @@ def _rel_gap(a, b) -> float:
     # quantities (ortho_dev, b_agree) sit at the noise floor, where a
     # relative comparison would flag meaningless jitter.  Everything else
     # is equal or not; values of two kinds, and lists or dicts that reach
-    # here (another length, another type), always differ.
+    # here (another length, another type), always differ.  A NaN equals
+    # only a NaN and an infinity only itself; either would otherwise give
+    # a NaN gap, which no tolerance flags.
     kind = _kind(a)
     if kind is not _kind(b) or kind in (list, dict):
         return math.inf
-    if kind is numbers.Number:
+    if a == b or (kind is numbers.Number and math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if kind is numbers.Number and math.isfinite(a) and math.isfinite(b):
         return abs(a - b) / max(abs(a), abs(b), 1.0)
-    return 0.0 if a == b else math.inf
+    return math.inf
 
 
 def _load_manifest(path: str) -> dict:
@@ -746,8 +792,11 @@ def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
 
     Every leaf under the first core's spec, rows and other entries is
     checked against the same path in the second, lists element by
-    element; a field only the second holds is not drift.
+    element; a field only the second holds is not drift.  tol must be a
+    positive finite number.
     """
+    if not (_is_number(tol) and math.isfinite(tol) and tol > 0):
+        raise CompareError("tolerance must be a positive finite number, not %r" % (tol,))
     ca, cb = ma["core"], mb["core"]
     _check_core(ca, "first")
     _check_core(cb, "second")

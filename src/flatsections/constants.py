@@ -34,20 +34,13 @@ def _truncation_1d(a: float) -> int:
     return max(4, math.ceil(math.sqrt(2 * TAIL_EXPONENT) / a) + 2)
 
 
-def theta_1d(a: float, terms: int | None = None) -> float:
+def theta_1d(a: float) -> float:
     """sum_{j in Z} exp(-a^2 j^2 / 2), truncated with tail < 1e-16."""
     if a <= 0:
         raise ConstantsError("theta argument must be positive")
-    J = _truncation_1d(a) if terms is None else terms
+    J = _truncation_1d(a)
     j = np.arange(1, J + 1, dtype=np.float64)
     return float(1.0 + 2.0 * np.sum(np.exp(-0.5 * a * a * j * j)))
-
-
-def theta_1d_tail_bound(a: float) -> float:
-    """Geometric-majorant bound on the tail theta_1d drops: 2 e^{-a^2 J^2/2} / (1 - e^{-a^2 J})."""
-    J = _truncation_1d(a)
-    top = 2.0 * math.exp(-0.5 * a * a * J * J)
-    return top / (1.0 - math.exp(-(a * a) * J))
 
 
 def _truncation_hex(alpha: float) -> int:
@@ -55,23 +48,15 @@ def _truncation_hex(alpha: float) -> int:
     return max(4, math.ceil(math.sqrt(4 * TAIL_EXPONENT) / alpha) + 2)
 
 
-def theta_hex(alpha: float, radius: int | None = None) -> float:
+def theta_hex(alpha: float) -> float:
     """sum over Z^2 of exp(-alpha^2 (mu1^2 + mu2^2 + mu1 mu2)/2)."""
     if alpha <= 0:
         raise ConstantsError("theta argument must be positive")
-    R = _truncation_hex(alpha) if radius is None else radius
+    R = _truncation_hex(alpha)
     g = np.arange(-R, R + 1, dtype=np.float64)
     m1, m2 = np.meshgrid(g, g, indexing="ij")
     q = m1 * m1 + m2 * m2 + m1 * m2
     return float(np.sum(np.exp(-0.5 * alpha * alpha * q)))
-
-
-def theta_hex_tail_bound(alpha: float) -> float:
-    """Computable majorant of the tail theta_hex drops, via the shell
-    count 8s and the lower bound Q >= |mu|_inf^2 / 2 on each shell."""
-    R = _truncation_hex(alpha)
-    s = np.arange(R + 1, R + 200, dtype=np.float64)
-    return float(np.sum(8.0 * s * np.exp(-0.25 * alpha * alpha * s * s)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,33 +187,3 @@ def constants_table(max_m: int = TABLE_LIMIT) -> list:
             )
         )
     return rows
-
-
-def eta_from_cubic_density(beta: float, m: int) -> float:
-    """Gram-perturbation level eta implied by running a cubic lattice at
-    density fraction beta: spacing a = sqrt(pi / beta^{1/m}) and
-    eta = theta_1d(a)^{2m} - 1.  Strictly below 1 for beta < beta_m."""
-    if not 0 < beta:
-        raise ConstantsError("density fraction must be positive")
-    a = math.sqrt(math.pi / beta ** (1.0 / m))
-    return theta_1d(a) ** (2 * m) - 1.0
-
-
-def hex_vs_cubic_margin(covolumes) -> np.ndarray:
-    """theta_1d(a)^2 - theta_hex(alpha) at equal per-coordinate covolume.
-
-    Cubic spacing a = sqrt(c); hexagonal spacing alpha = sqrt(2c/sqrt 3).
-    Positive margin means the hexagonal lattice achieves a smaller theta
-    sum (hence lower eta) at the same point density -- the quantitative
-    form of "hexagonal beats cubic".  The literal same-spacing comparison
-    theta_hex(x) < theta_1d(x)^2 is false in both asymptotic regimes, so
-    the equal-density form is the one checked.
-    """
-    out = []
-    for c in np.atleast_1d(np.asarray(covolumes, dtype=np.float64)):
-        if c <= 0:
-            raise ConstantsError("covolume must be positive")
-        a = math.sqrt(c)
-        alpha = math.sqrt(2.0 * c / math.sqrt(3.0))
-        out.append(theta_1d(a) ** 2 - theta_hex(alpha))
-    return np.asarray(out)

@@ -23,13 +23,17 @@ from .geometry import (
     exp_chart_vectors,
     make_chart,
 )
-from .kernel import KernelModel, SectionExpansion, dimension
+from .kernel import KernelModel, dimension
 from .whitening import WhiteningOperator, read_dump, whiten, write_dump
 
 _MAGIC = b"FLT1"
 
 # lift-frame products held at once by frame_sum (lifts x frame points)
 FRAME_SUM_BLOCK_ENTRIES = 1e6
+
+# fk_norm's base mesh size, in cells, and its zoom rounds
+FK_MESH = 16384
+FK_ROUNDS = 6
 
 
 class FlattenError(ValueError):
@@ -97,37 +101,45 @@ def frame_sum(frame: Frame, lifts: np.ndarray) -> np.ndarray:
 
     The lifts go through in blocks of at most FRAME_SUM_BLOCK_ENTRIES
     lift-point products; each value is a sum over its own row only, so it
-    does not depend on the blocking.  cos^k is formed in place in the
-    block's one real buffer.
+    does not depend on the blocking.  Every block reuses one complex buffer
+    for the products and one real buffer for their moduli, in which cos^k
+    is formed in place, so a call makes two large allocations however many
+    blocks it has.
     """
     root = math.sqrt(KernelModel(frame.m, frame.k).diag)
     conj = frame.points.conj().T
     step = max(1, int(FRAME_SUM_BLOCK_ENTRIES // max(1, frame.n)))
     out = np.empty(lifts.shape[0])
+    rows = min(step, lifts.shape[0])
+    prod = np.empty((rows, frame.n), dtype=np.complex128)
+    mods = np.empty((rows, frame.n))
     for lo in range(0, lifts.shape[0], step):
-        q = np.abs(lifts[lo:lo + step] @ conj)
+        hi = min(lo + step, lifts.shape[0])
+        q = np.abs(np.matmul(lifts[lo:hi], conj, out=prod[:hi - lo]), out=mods[:hi - lo])
         np.clip(q, 0.0, 1.0, out=q)
         with np.errstate(divide="ignore"):
             np.log(q, out=q)
         q *= frame.k
         np.exp(q, out=q)
-        out[lo:lo + step] = root * np.sum(q, axis=1)
+        out[lo:hi] = root * np.sum(q, axis=1)
     return out
 
 
-def fk_norm(frame: Frame, mesh: int = 16384, rounds: int = 6) -> float:
-    """Mapping norm sup_x sum_mu |Phi_mu(x)|, by mesh plus local refinement.
+def fk_norm(frame: Frame) -> float:
+    """Mapping norm sup_x sum_mu |Phi_mu(x)|, by mesh plus FK_ROUNDS rounds
+    of local refinement.
 
     The mesh is the cell centres of geometry.base_boxes, the equal-area
-    mesh the sup norms start from, with about mesh cells: isqrt(mesh) per
-    dimension at m = 1, round(mesh ** 0.25) at m = 2, at least two.  The
-    frame points themselves are always included: each is the peak of its
-    own term, so the estimate can never fall below sqrt(diag).
+    mesh the sup norms start from, with about FK_MESH cells:
+    isqrt(FK_MESH) per dimension at m = 1, round(FK_MESH ** 0.25) at
+    m = 2, at least two.  The frame points themselves are always included:
+    each is the peak of its own term, so the estimate can never fall below
+    sqrt(diag).
     """
     if frame.n == 0:
         raise FlattenError("empty frame")
     m = frame.m
-    side = max(2, math.isqrt(mesh) if m == 1 else int(round(mesh ** 0.25)))
+    side = max(2, math.isqrt(FK_MESH) if m == 1 else int(round(FK_MESH ** 0.25)))
     lifts = np.vstack([center_lifts(m, base_boxes(m, side)), frame.points])
     vals = frame_sum(frame, lifts)
     best = int(np.argmax(vals))
@@ -135,7 +147,7 @@ def fk_norm(frame: Frame, mesh: int = 16384, rounds: int = 6) -> float:
     best_lift = lifts[best]
     # zoom: geodesic grids around the incumbent, shrinking by halves
     radius = 0.7 / math.sqrt(max(frame.k, 1))
-    for _ in range(rounds):
+    for _ in range(FK_ROUNDS):
         center = ProjectivePoint.from_vector(best_lift)
         chart = make_chart(center, BallRegion(min(radius * 1.1, 0.7)), 2.0)
         cand = exp_chart_vectors(chart, _tangent_ball_grid(frame.m, radius, 5))
@@ -165,22 +177,6 @@ def fk_ceilings(frame: Frame, eta_hat: float | None = None) -> dict:
         "theta": root * (1 + math.sqrt(2 * math.pi) / atil) ** (2 * frame.m),
         "eta": (1 + eta) * root * 1.05,
     }
-
-
-def bourgain_reference(signs, k: int) -> list:
-    """Sign-twisted DFT of the monomial basis on the projective line.
-
-    For any sign vector the output is exactly orthonormal; with trivial
-    signs it is the classical highly peaked family, kept as a reference
-    point rather than a bounded construction.
-    """
-    sigma = np.asarray(signs, dtype=np.float64)
-    if sigma.ndim != 1 or sigma.shape[0] != k + 1:
-        raise FlattenError("need one sign per monomial, k + 1 of them")
-    if not np.all(np.abs(sigma) == 1.0):
-        raise FlattenError("signs must be +1 or -1")
-    mixed = dft_matrix(k + 1) * sigma[None, :]  # rows: coefficients over chi_q
-    return [SectionExpansion.from_ortho(1, k, row) for row in mixed]
 
 
 def dump_family(path, fam: FlatFamily, tag: str):

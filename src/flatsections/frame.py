@@ -55,7 +55,6 @@ from . import constants as tc
 from .geometry import (
     ChartSpec,
     CubeRegion,
-    ManifoldModel,
     ProjectivePoint,
     exp_chart_vectors,
     make_chart,
@@ -64,9 +63,9 @@ from .geometry import (
 
 HEX_DIRECTION = complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
 
-# a dropped candidate must be this many lattice steps (times a/sqrt k)
-# from every earlier-chart point; see LatticeSpec.dedup_factor
-DEFAULT_DEDUP_FACTOR = 1.25
+# a candidate within this many lattice steps (times a/sqrt k) of a
+# point accepted from an earlier chart is dropped
+DEDUP_FACTOR = 1.25
 
 # added to a region's circumradius so that the rounding in a computed
 # distance from the chart centre cannot break the dedup prefilter
@@ -83,8 +82,10 @@ def choose_spacing(m: int, eta: float, gamma: float) -> float:
     """Sufficient cubic spacing from the coarse tail bound, with a 1.01
     safety factor: a = 1.01 * gamma * sqrt(2 pi) / ((1+eta)^{1/2m} - 1).
 
-    This is the conservative closed form; the sharp theta-sum relation
-    (constants.eta_from_cubic_density) certifies much denser lattices.
+    This is the conservative closed form; the sharp theta-sum certificate
+    (formal_eta) certifies much denser lattices.  The eta a cubic density
+    implies, theta_1d(a)^{2m} - 1 at a = sqrt(pi / beta^{1/m}), is the test
+    oracle eta_from_cubic_density in tests/oracles.py.
     """
     if not 0 < eta < 1:
         raise FrameError("eta must lie in (0,1)")
@@ -131,7 +132,6 @@ class LatticeSpec:
     charts: tuple | None = None
     delta: float | None = None
     beta_target: float | None = None
-    dedup_factor: float = DEFAULT_DEDUP_FACTOR
 
     def __post_init__(self):
         if self.kind not in ("cubic", "hexagonal"):
@@ -363,7 +363,7 @@ def _cos_bound(radius: np.ndarray) -> np.ndarray:
 
 
 def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
-    threshold = spec.dedup_factor * spec.a / math.sqrt(k) if k > 0 else 0.0
+    threshold = DEDUP_FACTOR * spec.a / math.sqrt(k) if k > 0 else 0.0
     cos_thr = math.cos(min(threshold, math.pi / 2))
     side = threshold + REACH_SLACK
     radius = [c.region.circumradius(spec.m) for c in charts]
@@ -442,22 +442,6 @@ def build(spec: LatticeSpec, k: int) -> Frame:
     return _assemble(spec, k, charts)
 
 
-def expected_cubic_count(spec: LatticeSpec, k: int) -> int:
-    """Exact single-chart cubic count (2 floor(t sqrt k / a) + 1)^{2m}."""
-    if spec.t is None:
-        raise FrameError("count formula applies to single-chart specs")
-    half = int(math.floor(spec.t * math.sqrt(k) / spec.a + 1e-12))
-    return (2 * half + 1) ** (2 * spec.m)
-
-
-def density_bound(spec: LatticeSpec, k: int) -> float:
-    """Multi-chart counting floor (Vol(M) - 3 delta) k^m / a^{2m}."""
-    if spec.delta is None:
-        raise FrameError("density bound needs a covering slack delta")
-    vol = ManifoldModel(spec.m).volume
-    return (vol - 3 * spec.delta) * k**spec.m / spec.a ** (2 * spec.m)
-
-
 def nearest_neighbor_distance(frame: Frame) -> float:
     """Min pairwise geodesic distance, O(n^2) in row blocks; every level
     of a run reports it as nn and checks it against the spacing floor."""
@@ -473,17 +457,3 @@ def nearest_neighbor_distance(frame: Frame) -> float:
             q[i - s, i] = 0.0
         worst = max(worst, float(q.max()))
     return math.acos(min(1.0, worst))
-
-
-def density_threshold(ratios: dict, beta: float) -> int | None:
-    """Smallest k in a {k: n_k/d_k} record from which the ratio stays
-    above beta; None when the tail never clears it."""
-    ks = sorted(ratios)
-    k0 = None
-    for k in ks:
-        if ratios[k] > beta:
-            if k0 is None:
-                k0 = k
-        else:
-            k0 = None
-    return k0

@@ -3,9 +3,9 @@
 Normalization: the Kahler form is half the curvature of the hyperplane
 bundle metric, so CP^m has volume pi^m / m! and CP^1 is a round sphere of
 radius 1/2 (diameter pi/2).  Points are unit vectors in C^{m+1} modulo
-phase; distances, exponential charts, chart distortion estimates, volume
-densities, and cell decompositions used by the lattice builders all live
-here.
+phase.  Lifts, moment coordinates and the equal-area mesh, exponential
+charts, chart distortion estimates, geodesic-ball volumes, and the covers
+and cell decompositions used by the lattice builders all live here.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import numpy as np
 # Entries below this relative size are treated as zero when picking the
 # canonical phase of a homogeneous vector.
 PHASE_TOL = 1e-12
-
-# Geodesic distance beyond which log_map refuses to invert (cut locus).
-CUT_LOCUS_MARGIN = 1e-9
 
 HALF_PI = math.pi / 2.0
 
@@ -87,9 +84,6 @@ class ProjectivePoint:
         """Canonical-phase unit lift (the default circle-bundle lift)."""
         return UnitLift(vector=self.homogeneous, point=self)
 
-    def almost_equal(self, other: "ProjectivePoint", tol: float = 1e-12) -> bool:
-        return fs_distance(self, other) <= tol
-
 
 @dataclass(frozen=True)
 class UnitLift:
@@ -109,18 +103,6 @@ def standard_point(m: int, index: int = 0) -> ProjectivePoint:
     v = np.zeros(m + 1, dtype=np.complex128)
     v[index] = 1.0
     return ProjectivePoint.from_vector(v)
-
-
-def fs_distance(z: ProjectivePoint, w: ProjectivePoint) -> float:
-    """Geodesic distance arccos |<z, w>|, valued in [0, pi/2]."""
-    q = abs(np.vdot(w.homogeneous, z.homogeneous))
-    return math.acos(min(1.0, q))
-
-
-def fs_distance_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise arccos |<a_i, b_j>| for stacks of unit vectors (rows)."""
-    q = np.abs(a @ b.conj().T)
-    return np.arccos(np.clip(q, -1.0, 1.0))
 
 
 def moment_lifts(m: int, coords: np.ndarray) -> np.ndarray:
@@ -343,13 +325,6 @@ def _pack_complex(v: np.ndarray) -> np.ndarray:
     return v[..., 0::2] + 1j * v[..., 1::2]
 
 
-def _unpack_complex(c: np.ndarray) -> np.ndarray:
-    out = np.empty(c.shape[:-1] + (2 * c.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = c.real
-    out[..., 1::2] = c.imag
-    return out
-
-
 def exp_chart_vectors(chart: ChartSpec, v: np.ndarray) -> np.ndarray:
     """Unit lifts of exp_center(v) for rows v in R^{2m}.
 
@@ -366,67 +341,6 @@ def exp_chart_vectors(chart: ChartSpec, v: np.ndarray) -> np.ndarray:
         direction = np.where(r > 0, big / np.where(r > 0, r, 1.0), 0.0)
     out = np.cos(r) * p + np.sin(r) * direction
     return out.T
-
-
-def exp_map(chart: ChartSpec, v) -> ProjectivePoint:
-    """exp at the chart center; v must stay inside the doubled region."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.shape[0] != 2 * chart.m:
-        raise GeometryError("tangent vector has wrong dimension")
-    _check_in_doubled_region(chart, v)
-    lift = exp_chart_vectors(chart, v[None, :])[0]
-    return ProjectivePoint.from_vector(lift)
-
-
-def _check_in_doubled_region(chart: ChartSpec, v: np.ndarray):
-    region = chart.region
-    if isinstance(region, CubeRegion):
-        ok = np.all(np.abs(v) <= 2 * region.t + 1e-12)
-    else:
-        ok = np.linalg.norm(v) <= 2 * region.circumradius(chart.m) + 1e-12
-    if not ok:
-        raise GeometryError("tangent vector outside the doubled chart region")
-    if np.linalg.norm(v) >= HALF_PI:
-        raise GeometryError("tangent vector reaches the cut locus")
-
-
-def log_map(chart: ChartSpec, z: ProjectivePoint) -> np.ndarray:
-    """Inverse of exp_map for points at distance < pi/2 from the center."""
-    p = chart.center.homogeneous
-    zv = z.homogeneous
-    inner = np.vdot(p, zv)  # <z, p> ordering: conj(p) . z
-    d = math.acos(min(1.0, abs(inner)))
-    if d >= HALF_PI - CUT_LOCUS_MARGIN:
-        raise GeometryError("point at or beyond the cut locus of the chart")
-    if d <= 1e-15:
-        return np.zeros(2 * chart.m)
-    phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-    aligned = zv / phase
-    direction = (aligned - math.cos(d) * p) / math.sin(d)
-    c = chart.frame_matrix.conj().T @ direction
-    return _unpack_complex(c * d)
-
-
-def volume_density(m: int, r) -> np.ndarray:
-    """Jacobian of exp in geodesic normal coordinates at radius r.
-
-    CP^m is rank one, so the density depends only on r:
-        g(r) = (sin(2r) / 2r) * (sin r / r)^{2m-2},
-    with g(0) = 1, positive for r < pi/2, and g = 1 - (m+1) r^2 / 3 + ...
-    """
-    r = np.asarray(r, dtype=np.float64)
-    if r.ndim == 0:
-        if r > 0:
-            return float(
-                math.sin(2 * r) / (2 * r) * (math.sin(r) / r) ** (2 * m - 2)
-            )
-        return 1.0
-    out = np.ones_like(r)
-    nz = r > 0
-    out[nz] = (
-        np.sin(2 * r[nz]) / (2 * r[nz]) * (np.sin(r[nz]) / r[nz]) ** (2 * m - 2)
-    )
-    return out
 
 
 def ball_volume(m: int, radius: float) -> float:
@@ -560,18 +474,3 @@ def covering_defect(m: int, charts: list) -> float:
                 "no closed-form volume for a %s chart region" % type(region).__name__
             )
     return max(0.0, model.volume - covered)
-
-
-def volume_by_radial_quadrature(m: int, r_max: float = HALF_PI) -> float:
-    """Volume of the geodesic ball of radius r_max via the radial density.
-
-    400-node Gauss-Legendre in r.  With r_max = pi/2 this recovers the
-    full volume pi^m/m! because the cut locus has measure zero.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(400)
-    r = 0.5 * r_max * (nodes + 1.0)
-    w = 0.5 * r_max * weights
-    # area of the unit sphere S^{2m-1} in R^{2m}
-    sphere_area = 2 * math.pi ** m / math.factorial(m - 1)
-    vals = volume_density(m, r) * r ** (2 * m - 1)
-    return float(sphere_area * np.sum(w * vals))

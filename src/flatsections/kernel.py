@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ProjectivePoint, UnitLift, fs_distance
+from .geometry import UnitLift
 
 # stand-in for log 0 in masked log-domain work; large enough that exp
 # underflows to exactly 0.0 after any multiplication by a level k
@@ -194,17 +194,6 @@ def szego_kernel_monomial_sum(model: KernelModel, x: UnitLift, y: UnitLift) -> c
     return complex(total)
 
 
-def normalized_kernel(model: KernelModel, z: ProjectivePoint, w: ProjectivePoint) -> float:
-    """P_k(z, w) = cos^k of the geodesic distance, in [0, 1]."""
-    return normalized_from_distance(model.k, fs_distance(z, w))
-
-
-def normalized_from_distance(k: int, d) -> np.ndarray:
-    """cos^k(d) evaluated as exp(k log cos d); exactly 0 at the cut locus."""
-    out = np.exp(log_normalized_from_distance(k, d))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def log_normalized_from_distance(k: int, d) -> np.ndarray:
     """k * log cos d, stable for small d via log1p(-2 sin^2(d/2)).
 
@@ -311,11 +300,6 @@ def coherent_state(model: KernelModel, y: UnitLift) -> SectionExpansion:
     logb = tab.half_multinomial + idx @ logmag
     ortho = np.exp(logb + 1j * (idx @ phase))
     return SectionExpansion.from_ortho(m, k, ortho)
-
-
-def coherent_peak(model: KernelModel) -> float:
-    """Value |Phi_y(y)| = sqrt(diag), independent of y."""
-    return math.exp(0.5 * model.log_diag)
 
 
 # ---------------------------------------------------------------------------

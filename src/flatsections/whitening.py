@@ -79,16 +79,6 @@ def assemble_gram(frame: Frame) -> GramMatrix:
     )
 
 
-def eta_measure(g) -> float:
-    """Off-diagonal mapping norm: max_mu sum_{nu != mu} |entry(mu, nu)|."""
-    if isinstance(g, GramMatrix):
-        return g.eta_hat
-    entries = np.asarray(g, dtype=np.complex128)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise WhiteningError("eta_measure expects a square matrix")
-    return float(np.max(_offdiag_row_sums(entries))) if entries.size else 0.0
-
-
 @dataclass(frozen=True)
 class RowSplitReport:
     """Off-diagonal row mass split at the near/far distance threshold."""
@@ -276,10 +266,3 @@ def dump_matrix(path, m: int, k: int, entries: np.ndarray, tag: str):
 def load_matrix(path):
     """Inverse of dump_matrix; returns (m, k, entries, tag)."""
     return read_dump(path, _MAGIC, "matrix", lambda m, k, n: n)
-
-
-def neumann_term_estimate(eta_hat: float, tol: float = 1e-10) -> float:
-    """Geometric-decay estimate of the series length, log tol / log eta."""
-    if not 0.0 < eta_hat < 1.0:
-        raise WhiteningError("estimate needs 0 < eta < 1")
-    return math.log(tol) / math.log(eta_hat)

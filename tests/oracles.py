@@ -1,0 +1,49 @@
+"""Test oracles that several test files share.
+
+The package holds the pipeline only; these closed forms and bookkeeping
+helpers are what the tests check it against.  A helper that one test file
+uses lives in that file.
+"""
+
+import math
+
+import numpy as np
+
+from flatsections import constants
+from flatsections.kernel import log_normalized_from_distance
+
+
+def fs_distance(z, w) -> float:
+    """Geodesic distance arccos |<z, w>| between two ProjectivePoints,
+    valued in [0, pi/2]."""
+    q = abs(np.vdot(w.homogeneous, z.homogeneous))
+    return math.acos(min(1.0, q))
+
+
+def normalized_from_distance(k: int, d):
+    """cos^k(d) evaluated as exp(k log cos d); exactly 0 at the cut locus."""
+    out = np.exp(log_normalized_from_distance(k, d))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def eta_from_cubic_density(beta: float, m: int) -> float:
+    """Gram-perturbation level eta implied by running a cubic lattice at
+    density fraction beta: spacing a = sqrt(pi / beta^{1/m}) and
+    eta = theta_1d(a)^{2m} - 1.  Strictly below 1 for beta < beta_m."""
+    if not 0 < beta:
+        raise constants.ConstantsError("density fraction must be positive")
+    a = math.sqrt(math.pi / beta ** (1.0 / m))
+    return constants.theta_1d(a) ** (2 * m) - 1.0
+
+
+def density_threshold(ratios: dict, beta: float):
+    """Smallest k in a {k: n_k/d_k} record from which the ratio stays
+    above beta; None when the tail never clears it."""
+    k0 = None
+    for k in sorted(ratios):
+        if ratios[k] > beta:
+            if k0 is None:
+                k0 = k
+        else:
+            k0 = None
+    return k0

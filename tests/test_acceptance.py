@@ -20,7 +20,7 @@ from flatsections.certify import (
 )
 from flatsections.cli import RunConfig
 from flatsections.flatten import flatten_frame, fk_norm, sup_norm_chain_bound
-from flatsections.frame import LatticeSpec, build, choose_spacing, density_threshold
+from flatsections.frame import LatticeSpec, build, choose_spacing
 from flatsections.geometry import UnitLift, cp1_latlon_cover
 from flatsections.kernel import (
     KernelModel,
@@ -31,6 +31,7 @@ from flatsections.kernel import (
     verify_decay,
 )
 from flatsections.whitening import assemble_gram, inv_sqrt_eigen, inv_sqrt_neumann
+from oracles import density_threshold
 
 
 def _unit_rows(rng, count: int, dim: int) -> np.ndarray:

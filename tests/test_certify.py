@@ -9,19 +9,47 @@ import pytest
 
 from flatsections import certify as C
 from flatsections import cli
-from flatsections import constants as K0
 from flatsections import flatten as FL
 from flatsections import frame as F
 from flatsections import whitening as W
-from flatsections.geometry import UnitLift
+from flatsections.geometry import ManifoldModel, UnitLift
 from flatsections.kernel import (
     KernelModel,
     SectionExpansion,
-    coherent_peak,
     coherent_state,
     dimension,
     szego_kernel,
 )
+from oracles import eta_from_cubic_density
+
+
+def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
+    """Independent oracle for C.l2_inner on the projective line.
+
+    Exact quadrature in sphere coordinates (u, phi, psi): Gauss-Legendre
+    in the area variable u (the integrand is a polynomial in u of degree
+    at most k) and equispaced nodes in both angles (trigonometric degree
+    at most k each).  Normalized so that <1, 1> at k = 0 equals Vol.
+    """
+    if sa.m != 1 or sb.m != 1:
+        raise C.CertifyError("quadrature oracle covers m = 1 only")
+    if sa.k != sb.k:
+        raise C.CertifyError("sections live on different spaces")
+    k = sa.k
+    nodes, weights = np.polynomial.legendre.leggauss(k + 2)
+    u = 0.5 * (nodes + 1.0)
+    na = 2 * k + 3
+    ang = 2 * np.pi * np.arange(na) / na
+    uu, p1, p2 = np.meshgrid(u, ang, ang, indexing="ij")
+    lifts = np.stack(
+        [np.sqrt(1 - uu.ravel()) * np.exp(1j * p1.ravel()),
+         np.sqrt(uu.ravel()) * np.exp(1j * p2.ravel())],
+        axis=1,
+    )
+    va = sa.evaluate_lifts(lifts).reshape(k + 2, na, na)
+    vb = sb.evaluate_lifts(lifts).reshape(k + 2, na, na)
+    w = (0.5 * weights)[:, None, None] / na ** 2
+    return complex(ManifoldModel(1).volume * np.sum(w * va * np.conj(vb)))
 
 
 def _unit_basis(m, k, q):
@@ -102,7 +130,7 @@ class TestL2Inner:
             cb = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
             sa = SectionExpansion.from_coeffs(1, k, ca)
             sb = SectionExpansion.from_coeffs(1, k, cb)
-            assert abs(C.l2_inner(sa, sb) - C.torus_quadrature_inner(sa, sb)) < 1e-10
+            assert abs(C.l2_inner(sa, sb) - torus_quadrature_inner(sa, sb)) < 1e-10
 
     def test_reproduces_whitening_gram(self):
         fr, g, op, fam = _pipeline(60)
@@ -115,7 +143,7 @@ class TestL2Inner:
         with pytest.raises(C.CertifyError):
             C.l2_inner(_unit_basis(1, 3, 0), _unit_basis(1, 4, 0))
         with pytest.raises(C.CertifyError):
-            C.torus_quadrature_inner(_unit_basis(2, 3, 0), _unit_basis(2, 3, 0))
+            torus_quadrature_inner(_unit_basis(2, 3, 0), _unit_basis(2, 3, 0))
 
 
 class TestSupNorm:
@@ -124,7 +152,7 @@ class TestSupNorm:
             model = KernelModel(1, k)
             y = UnitLift.from_vector([math.cos(0.61), math.sin(0.61) * np.exp(0.8j)])
             est = C.sup_norm(coherent_state(model, y), mesh=16)
-            peak = coherent_peak(model)
+            peak = math.sqrt(model.diag)
             assert est.value <= peak * (1 + 1e-12)
             assert est.value >= peak * 0.995
 
@@ -302,7 +330,7 @@ class TestFlatBound:
         beta = 0.8
         theta = 1.0 + 2.0 * sum(math.exp(-math.pi * j * j / (2 * beta))
                                 for j in range(1, 30))
-        assert abs((theta ** 2 - 1) - K0.eta_from_cubic_density(beta, 1)) < 1e-12
+        assert abs((theta ** 2 - 1) - eta_from_cubic_density(beta, 1)) < 1e-12
         bound = C.flat_bound(beta, theta ** 2 - 1, math.pi)
         assert bound > C.flat_bound(beta, 0.1, math.pi)
 
@@ -314,9 +342,11 @@ class TestFlatBound:
 
 
 class TestCertifyFamily:
-    def test_run_certificate(self):
+    def test_run_certificate(self, monkeypatch):
         fr, g, op, fam = _pipeline(100)
-        fk = FL.fk_norm(fr, mesh=4096, rounds=5)
+        monkeypatch.setattr(FL, "FK_MESH", 4096)
+        monkeypatch.setattr(FL, "FK_ROUNDS", 5)
+        fk = FL.fk_norm(fr)
         cert = C.certify_family(fam, 16, 16)
         assert all(abs(v - 1.0) < 1e-8 for v in cert.l2_norms)
         max_sup = max(e.value for e in cert.sup_estimates)

@@ -344,6 +344,19 @@ class TestCompare:
         with pytest.raises(CompareError):
             cli.compare_manifests(ma, mb)
 
+    def test_nan_and_infinity_are_drift(self):
+        # a NaN or an infinity against another number gives a NaN gap,
+        # which no tolerance flags unless compare treats it as drift
+        def manifest(x):
+            return {"core": {"mode": "full", "config": {}, "rows": [{"k": 1, "x": x}]}}
+
+        for a, b in ((1.0, math.nan), (math.nan, 1.0), (1.0, math.inf),
+                     (-math.inf, math.inf)):
+            drift = cli.compare_manifests(manifest(a), manifest(b))["drift"]
+            assert [(d["field"], d["rel"]) for d in drift] == [("x", math.inf)]
+        for same in (math.nan, math.inf):
+            assert cli.compare_manifests(manifest(same), manifest(same))["identical"]
+
 
 class TestMainEntry:
     def test_run_subcommand_writes_outputs(self, tmp_path):
@@ -362,6 +375,20 @@ class TestMainEntry:
         code = cli.main(["run", "--config", str(path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("config", [
+        {"k": 50}, {"k": ["a"]}, {"k": [2.5]}, {"k": [True]}, {"m": True},
+        {"eta": "x"}, {"epsilon": None}, {"mesh": "6"}, {"mesh": 6.5}, {"seed": None},
+        {"cover": {"name": "latlon", "radius": "a"}}, {"out": 5},
+    ], ids=["k-int", "k-str", "k-float", "k-bool", "m-bool", "eta-str", "epsilon-null",
+            "mesh-str", "mesh-float", "seed-null", "radius-str", "out-int"])
+    def test_config_value_of_the_wrong_type(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
 
     def test_chart_error_diagnostic(self, capsys):
         code = cli.main(["run", "--t", "1.2", "--k", "50"])
@@ -431,6 +458,22 @@ class TestMainEntry:
             "compare", str(tmp_path / "a" / "manifest.json"), str(mpath),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_compare_subcommand_rejects_tolerance(self, tmp_path, capsys, tol):
+        # y = 2.0 against 7.0 drifts at any meaningful tolerance, and a
+        # manifest against itself at none; both pairs are refused
+        paths = []
+        for name, y in (("a", 2.0), ("b", 7.0)):
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps({"core": {"mode": "full", "config": {},
+                                                 "rows": [{"k": 1, "y": y}]}}))
+            paths.append(str(path))
+        for pair in (paths, paths[:1] * 2):
+            assert cli.main(["compare", *pair, "--tol", tol]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("compare error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("field", ["section_sups", "eta_hat"])
     def test_compare_subcommand_malformed_field(self, tmp_path, capsys, field):

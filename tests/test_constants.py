@@ -7,9 +7,59 @@ import numpy as np
 import pytest
 
 from flatsections import constants as C
+from oracles import eta_from_cubic_density
 
 BETA_TABLE = [0.99220, 0.44342, 0.17782, 0.06630, 0.02345, 0.00796]
 BETA_PRIME_TABLE = [0.99564, 0.45867, 0.19254, 0.07572, 0.02838, 0.01024]
+
+
+def theta_1d_terms(a: float, terms: int) -> float:
+    """sum over |j| <= terms of exp(-a^2 j^2 / 2), summed as theta_1d sums."""
+    j = np.arange(1, terms + 1, dtype=np.float64)
+    return float(1.0 + 2.0 * np.sum(np.exp(-0.5 * a * a * j * j)))
+
+
+def theta_hex_terms(alpha: float, radius: int) -> float:
+    """theta_hex's sum over the box |mu|_inf <= radius."""
+    g = np.arange(-radius, radius + 1, dtype=np.float64)
+    m1, m2 = np.meshgrid(g, g, indexing="ij")
+    return float(np.sum(np.exp(-0.5 * alpha * alpha * (m1 * m1 + m2 * m2 + m1 * m2))))
+
+
+def theta_1d_tail_bound(a: float) -> float:
+    """Geometric-majorant bound on the tail theta_1d drops:
+    2 e^{-a^2 J^2/2} / (1 - e^{-a^2 J})."""
+    J = C._truncation_1d(a)
+    top = 2.0 * math.exp(-0.5 * a * a * J * J)
+    return top / (1.0 - math.exp(-(a * a) * J))
+
+
+def theta_hex_tail_bound(alpha: float) -> float:
+    """Computable majorant of the tail theta_hex drops, via the shell
+    count 8s and the lower bound Q >= |mu|_inf^2 / 2 on each shell."""
+    R = C._truncation_hex(alpha)
+    s = np.arange(R + 1, R + 200, dtype=np.float64)
+    return float(np.sum(8.0 * s * np.exp(-0.25 * alpha * alpha * s * s)))
+
+
+def hex_vs_cubic_margin(covolumes) -> np.ndarray:
+    """theta_1d(a)^2 - theta_hex(alpha) at equal per-coordinate covolume.
+
+    Cubic spacing a = sqrt(c); hexagonal spacing alpha = sqrt(2c/sqrt 3).
+    Positive margin means the hexagonal lattice achieves a smaller theta
+    sum (hence lower eta) at the same point density -- the quantitative
+    form of "hexagonal beats cubic".  The literal same-spacing comparison
+    theta_hex(x) < theta_1d(x)^2 is false in both asymptotic regimes, so
+    the equal-density form is the one checked.
+    """
+    out = []
+    for c in np.atleast_1d(np.asarray(covolumes, dtype=np.float64)):
+        if c <= 0:
+            raise C.ConstantsError("covolume must be positive")
+        a = math.sqrt(c)
+        alpha = math.sqrt(2.0 * c / math.sqrt(3.0))
+        out.append(C.theta_1d(a) ** 2 - C.theta_hex(alpha))
+    return np.asarray(out)
 
 
 class TestThetaSums:
@@ -33,22 +83,24 @@ class TestThetaSums:
     def test_truncation_independence(self):
         for a in (1.0, 1.78, 2.65, 4.0):
             J = C._truncation_1d(a)
-            assert abs(C.theta_1d(a, J) - C.theta_1d(a, J + 5)) < 1e-14
-            assert C.theta_1d_tail_bound(a) < 1e-16
+            assert C.theta_1d(a) == theta_1d_terms(a, J)
+            assert abs(C.theta_1d(a) - theta_1d_terms(a, J + 5)) < 1e-14
+            assert theta_1d_tail_bound(a) < 1e-16
         for al in (1.3, 1.91, 2.8):
             R = C._truncation_hex(al)
-            assert abs(C.theta_hex(al, R) - C.theta_hex(al, R + 5)) < 1e-14
-            assert C.theta_hex_tail_bound(al) < 1e-16
+            assert C.theta_hex(al) == theta_hex_terms(al, R)
+            assert abs(C.theta_hex(al) - theta_hex_terms(al, R + 5)) < 1e-14
+            assert theta_hex_tail_bound(al) < 1e-16
 
     def test_poisson_small_a_limit(self):
         # theta_1d(a) -> sqrt(2 pi)/a and theta_hex -> 4 pi/(sqrt 3 a^2)
         a = 0.05
         J = math.ceil(20 / a)
-        assert abs(C.theta_1d(a, J) * a / math.sqrt(2 * math.pi) - 1) < 1e-12
+        assert abs(theta_1d_terms(a, J) * a / math.sqrt(2 * math.pi) - 1) < 1e-12
         ah = 0.3
         R = math.ceil(30 / ah)
         want = 4 * math.pi / (math.sqrt(3) * ah * ah)
-        assert abs(C.theta_hex(ah, R) / want - 1) < 1e-10
+        assert abs(theta_hex_terms(ah, R) / want - 1) < 1e-10
 
     def test_defining_value_m1(self):
         # a_1 ~ 1.7794: square root of pi/beta_1
@@ -100,18 +152,18 @@ class TestDerivedRelations:
     def test_eta_at_critical_density_is_one(self):
         for m in (1, 2, 4):
             beta = C.solve_beta(m).density
-            assert abs(C.eta_from_cubic_density(beta, m) - 1.0) < 1e-9
+            assert abs(eta_from_cubic_density(beta, m) - 1.0) < 1e-9
 
     def test_eta_below_one_under_critical(self):
-        assert C.eta_from_cubic_density(0.8, 1) < 1.0
-        assert C.eta_from_cubic_density(0.4, 2) < 1.0
+        assert eta_from_cubic_density(0.8, 1) < 1.0
+        assert eta_from_cubic_density(0.4, 2) < 1.0
         # monotone in beta
-        vals = [C.eta_from_cubic_density(b, 1) for b in (0.5, 0.7, 0.9)]
+        vals = [eta_from_cubic_density(b, 1) for b in (0.5, 0.7, 0.9)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_hex_beats_cubic_at_equal_density(self):
         # below c ~ 1 the true margin falls under float resolution (both
         # sums approach 2 pi/c and differ by O(e^{-2 pi^2/c})), so the
         # grid starts where the sign is numerically meaningful
-        margins = C.hex_vs_cubic_margin(np.linspace(1.0, 12.0, 60))
+        margins = hex_vs_cubic_margin(np.linspace(1.0, 12.0, 60))
         assert np.all(margins > 0)

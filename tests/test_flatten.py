@@ -17,6 +17,30 @@ def _run_b_spec():
     return F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.4)
 
 
+def bourgain_reference(signs, k: int) -> list:
+    """Sign-twisted DFT of the monomial basis on the projective line.
+
+    For any sign vector the output is exactly orthonormal; with trivial
+    signs it is the classical highly peaked family, kept as a reference
+    point rather than a bounded construction.
+    """
+    sigma = np.asarray(signs, dtype=np.float64)
+    if sigma.ndim != 1 or sigma.shape[0] != k + 1:
+        raise FL.FlattenError("need one sign per monomial, k + 1 of them")
+    if not np.all(np.abs(sigma) == 1.0):
+        raise FL.FlattenError("signs must be +1 or -1")
+    mixed = FL.dft_matrix(k + 1) * sigma[None, :]  # rows: coefficients over chi_q
+    return [SectionExpansion.from_ortho(1, k, row) for row in mixed]
+
+
+@pytest.fixture
+def small_fk(monkeypatch):
+    """fk_norm on a mesh of 4096 cells with 5 zoom rounds, a quarter of the
+    pipeline's mesh and one round less."""
+    monkeypatch.setattr(FL, "FK_MESH", 4096)
+    monkeypatch.setattr(FL, "FK_ROUNDS", 5)
+
+
 def _mesh(m: int, target: int) -> np.ndarray:
     """The shared equal-area mesh at fk_norm's size for a target count."""
     side = max(2, math.isqrt(target) if m == 1 else round(target ** 0.25))
@@ -101,35 +125,37 @@ class TestDftMix:
 
 
 class TestFrameMappingNorm:
-    def test_single_point_peak(self):
+    def test_single_point_peak(self, monkeypatch):
+        monkeypatch.setattr(FL, "FK_MESH", 1024)
+        monkeypatch.setattr(FL, "FK_ROUNDS", 3)
         spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.1)
         fr = F.build(spec, 50)
         assert fr.n == 1
         root = math.sqrt(KernelModel(1, 50).diag)
-        assert abs(FL.fk_norm(fr, mesh=1024, rounds=3) - root) < 1e-10 * root
+        assert abs(FL.fk_norm(fr) - root) < 1e-10 * root
 
-    def test_floor_and_ceilings(self):
+    def test_floor_and_ceilings(self, small_fk):
         for k in (100, 200, 400):
             fr, g, op = _whitened(k)
-            fk = FL.fk_norm(fr, mesh=4096, rounds=5)
+            fk = FL.fk_norm(fr)
             root = math.sqrt(KernelModel(1, k).diag)
             ceil = FL.fk_ceilings(fr, eta_hat=g.eta_hat)
             assert root * (1 - 1e-12) <= fk
             assert fk <= ceil["eta"] <= ceil["theta"]
 
-    def test_growth_rate_bounded(self):
+    def test_growth_rate_bounded(self, small_fk):
         # fk / k^{m/2} stays in a narrow band as k doubles
         ratios = []
         for k in (100, 200, 400):
             fr = F.build(_run_b_spec(), k)
-            ratios.append(FL.fk_norm(fr, mesh=4096, rounds=5) / math.sqrt(k))
+            ratios.append(FL.fk_norm(fr) / math.sqrt(k))
         assert all(0.7 < r < 0.9 for r in ratios)
         assert max(ratios) / min(ratios) < 1.1
 
-    def test_sup_norm_chain(self):
+    def test_sup_norm_chain(self, small_fk):
         fr, g, op = _whitened(200)
         fam = FL.flatten_frame(fr, op)
-        fk = FL.fk_norm(fr, mesh=4096, rounds=5)
+        fk = FL.fk_norm(fr)
         chain = FL.sup_norm_chain_bound(fk, op, fr.n)
         mesh = _mesh(1, 4096)
         sups = [float(np.max(np.abs(SectionExpansion.from_ortho(1, 200, row)
@@ -184,12 +210,12 @@ class TestBourgainReference:
         rng = np.random.default_rng(7)
         for k in (4, 64):
             signs = rng.choice([-1.0, 1.0], size=k + 1)
-            fam = FL.bourgain_reference(signs, k)
+            fam = bourgain_reference(signs, k)
             q = np.vstack([s.ortho_coeffs for s in fam])
             assert np.max(np.abs(q @ q.conj().T - np.eye(k + 1))) < 1e-10
 
     def test_trivial_signs_small_family(self):
-        fam = FL.bourgain_reference(np.ones(5), 4)
+        fam = bourgain_reference(np.ones(5), 4)
         assert len(fam) == 5
         q = np.vstack([s.ortho_coeffs for s in fam])
         assert np.allclose(np.abs(q), 1 / math.sqrt(5), atol=1e-13)
@@ -199,9 +225,9 @@ class TestBourgainReference:
 
     def test_input_validation(self):
         with pytest.raises(FL.FlattenError):
-            FL.bourgain_reference(np.ones(5), 5)
+            bourgain_reference(np.ones(5), 5)
         with pytest.raises(FL.FlattenError):
-            FL.bourgain_reference(np.array([1.0, 0.5, 1.0]), 2)
+            bourgain_reference(np.array([1.0, 0.5, 1.0]), 2)
 
 
 class TestSerialization:

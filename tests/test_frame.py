@@ -10,6 +10,7 @@ from flatsections import constants as C
 from flatsections import frame as F
 from flatsections import geometry as G
 from flatsections import kernel as K
+from oracles import density_threshold, eta_from_cubic_density, fs_distance
 
 
 def _cubic_spec(**kw):
@@ -18,23 +19,39 @@ def _cubic_spec(**kw):
     return F.LatticeSpec(**base)
 
 
-def _latlon_spec(kind, radius, a, **kw):
+def _latlon_spec(kind, radius, a):
     cover = G.cp1_latlon_cover(radius)
     return F.LatticeSpec(
         kind=kind, m=1, a=a, eta=0.995,
         gamma=max(c.gamma for c in cover), epsilon=0.005,
-        charts=tuple(cover), delta=1e-9, **kw,
+        charts=tuple(cover), delta=1e-9,
     )
 
 
-def _dedup_spec(kind, radius, a, lattice="cubic", **kw):
+def _dedup_spec(kind, radius, a, lattice="cubic"):
     """Multichart specs of the dedup tests: lat-lon cells on CP^1, or the
     disjoint balls and the two overlapping caps on CP^2."""
     if kind in ("balls", "caps"):
         cover = G.cp2_ball_cover(radius) if kind == "balls" else G.two_cap_cover(2, radius)
         return F.LatticeSpec(kind=lattice, m=2, a=a, eta=0.9, gamma=cover[0].gamma,
-                             charts=tuple(cover), delta=3.0, **kw)
-    return _latlon_spec(kind, radius, a, **kw)
+                             charts=tuple(cover), delta=3.0)
+    return _latlon_spec(kind, radius, a)
+
+
+def expected_cubic_count(spec, k: int) -> int:
+    """Exact single-chart cubic count (2 floor(t sqrt k / a) + 1)^{2m}."""
+    if spec.t is None:
+        raise F.FrameError("count formula applies to single-chart specs")
+    half = int(math.floor(spec.t * math.sqrt(k) / spec.a + 1e-12))
+    return (2 * half + 1) ** (2 * spec.m)
+
+
+def density_bound(spec, k: int) -> float:
+    """Multi-chart counting floor (Vol(M) - 3 delta) k^m / a^{2m}."""
+    if spec.delta is None:
+        raise F.FrameError("density bound needs a covering slack delta")
+    vol = G.ManifoldModel(spec.m).volume
+    return (vol - 3 * spec.delta) * k**spec.m / spec.a ** (2 * spec.m)
 
 
 def _box_candidates(spec, chart, k):
@@ -67,7 +84,7 @@ def _brute_force_dedup(spec, k):
     """The dedup rule with no prefilter: each candidate is compared with
     every point accepted from every earlier chart.  The last value counts
     those comparisons."""
-    cos_thr = math.cos(spec.dedup_factor * spec.a / math.sqrt(k))
+    cos_thr = math.cos(F.DEDUP_FACTOR * spec.a / math.sqrt(k))
     pts, cidx, mus, dropped, compared = [], [], [], 0, 0
     for j, chart in enumerate(spec.charts):
         grid, v = _box_candidates(spec, chart, k)
@@ -114,7 +131,7 @@ class TestSpacingRules:
         # theta-sum eta of the implied density
         a = 1.98
         got = F.formal_eta("cubic", a, 1.0 + 1e-15, 0.0, 1)
-        want = C.eta_from_cubic_density(math.pi / a**2, 1)
+        want = eta_from_cubic_density(math.pi / a**2, 1)
         assert abs(got - want) < 1e-12
 
     def test_spec_validation(self):
@@ -164,10 +181,10 @@ class TestSingleChartCubic:
         for t, a in ((0.4, 2.2), (0.8, 3.1), (1.0, 11.3)):
             spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.9, gamma=1.4, t=t)
             for k in (1, 7, 50, 144, 400):
-                assert F.build(spec, k).n == F.expected_cubic_count(spec, k)
+                assert F.build(spec, k).n == expected_cubic_count(spec, k)
         spec2 = F.LatticeSpec(kind="cubic", m=2, a=2.6, eta=0.9, gamma=1.3, t=0.35)
         for k in (20, 40, 90):
-            assert F.build(spec2, k).n == F.expected_cubic_count(spec2, k)
+            assert F.build(spec2, k).n == expected_cubic_count(spec2, k)
 
     def test_count_asymptotics(self):
         spec = _cubic_spec()
@@ -300,7 +317,7 @@ class TestMultichart:
         k = 800
         fr = F.build(spec, k)
         assert fr.dropped > 0
-        thr = spec.dedup_factor * spec.a / math.sqrt(k)
+        thr = F.DEDUP_FACTOR * spec.a / math.sqrt(k)
         # check distances between points of distinct charts
         q = np.abs(fr.points @ fr.points.conj().T)
         np.fill_diagonal(q, 0.0)
@@ -331,10 +348,12 @@ class TestMultichart:
         ("hexagonal", 0.2, 1.971, 3000, 6.0),
         ("caps", 0.7, 2.4, 30, 3.0),
     ])
-    def test_dedup_matches_brute_force_in_crowded_cells(self, kind, radius, a, k, factor):
+    def test_dedup_matches_brute_force_in_crowded_cells(self, kind, radius, a, k, factor,
+                                                        monkeypatch):
         # a wide threshold on CP^1, or the slabs that two keys leave on
         # CP^2, put many accepted points in one cell
-        spec = _dedup_spec(kind, radius, a, dedup_factor=factor)
+        monkeypatch.setattr(F, "DEDUP_FACTOR", factor)
+        spec = _dedup_spec(kind, radius, a)
         fr = F.build(spec, k)
         side = factor * a / math.sqrt(k) + F.REACH_SLACK
         crowd = max(np.unique(F._cells(fr.points[fr.chart_index == j],
@@ -429,7 +448,7 @@ class TestMultichart:
             assert pivots.shape == (2, m + 1)
             for p in pivots:
                 assert abs(np.linalg.norm(p) - 1) < 1e-15
-                assert abs(G.fs_distance(c, G.ProjectivePoint.from_vector(p)) - math.pi / 4) < 1e-12
+                assert abs(fs_distance(c, G.ProjectivePoint.from_vector(p)) - math.pi / 4) < 1e-12
             steps = np.logspace(-9, 0, 400)[:, None]
             x = unit(gauss(400, m + 1))
             y = unit(x + steps * gauss(400, m + 1))
@@ -461,13 +480,13 @@ class TestMultichart:
         # moderate k once boundary losses are subleading
         for k in (8000, 16000):
             fr = F.build(spec, k)
-            assert fr.n * 1.15 > F.density_bound(spec, k)
+            assert fr.n * 1.15 > density_bound(spec, k)
 
     def test_density_threshold_bookkeeping(self):
         ratios = {100: 0.70, 200: 0.82, 400: 0.79, 800: 0.83, 1600: 0.85}
-        assert F.density_threshold(ratios, 0.8) == 800
-        assert F.density_threshold(ratios, 0.9) is None
-        assert F.density_threshold(ratios, 0.6) == 100
+        assert density_threshold(ratios, 0.8) == 800
+        assert density_threshold(ratios, 0.9) is None
+        assert density_threshold(ratios, 0.6) == 100
 
 
 class TestDensityScans:
@@ -483,6 +502,6 @@ class TestDensityScans:
         for k in (2000, 8000, 16000, 32000):
             fr = F.build(spec, k)
             ratios[k] = fr.n / K.dimension(1, k)
-        k0 = F.density_threshold(ratios, 0.8)
+        k0 = density_threshold(ratios, 0.8)
         assert k0 == 16000
         assert ratios[32000] > ratios[16000] > 0.8

