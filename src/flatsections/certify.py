@@ -24,8 +24,9 @@ evaluation each.  Every sup is bit-identical to the section-by-section
 evaluation, not merely close: the basis is built in the same chunks and
 each row gets its own matrix-vector product, since a single product over
 all rows rounds differently.  emit_polynomials reads the certificate and
-computes no sup; it is the one place that forms raw monomial
-coefficients, the row times monomial_table(m, k).inv_sqrt_weights.
+computes no sup; its records hold the rows themselves, and
+monomial_header gives the exponents and log weights that turn a row back
+into its polynomial sum_alpha c_alpha z^alpha / sqrt(w_alpha).
 
 Screen and confirm.  Each refinement round splits the top cells of the
 last round into children.  Reported values are always monomial values,
@@ -129,8 +130,8 @@ class CertifyError(ValueError):
 
 def l2_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
     """Exact diagonal pairing sum_alpha w_alpha a_alpha conj(b_alpha) of
-    the raw coefficients, which is the plain pairing of the orthonormal
-    coefficients: no raw coefficient is ever formed."""
+    the coefficients over the monomials z^alpha, which is the plain
+    pairing of the orthonormal coefficients a_alpha sqrt(w_alpha)."""
     if (sa.m, sa.k) != (sb.m, sb.k):
         raise CertifyError("sections live on different spaces")
     return complex(np.sum(sa.ortho_coeffs * np.conj(sb.ortho_coeffs)))
@@ -373,12 +374,13 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
 
 @dataclass(frozen=True)
 class PolynomialRecord:
-    """A section as a homogeneous polynomial on the ambient space."""
+    """A section as a homogeneous polynomial on the ambient space: ortho
+    is its row of the family, the coefficients over the orthonormal
+    monomials of monomial_header(m, k)."""
 
     k: int
     m: int
-    exponents: np.ndarray
-    coeffs: np.ndarray
+    ortho: np.ndarray
     sup: SupNormEstimate
     l2: float
     sphere_ratio: float  # sup over the unit sphere / sphere L^2 norm
@@ -387,13 +389,23 @@ class PolynomialRecord:
         return {
             "k": self.k,
             "m": self.m,
-            "exponents": self.exponents.tolist(),
-            "coeffs re": self.coeffs.real.tolist(),
-            "coeffs im": self.coeffs.imag.tolist(),
+            "ortho re": self.ortho.real.tolist(),
+            "ortho im": self.ortho.imag.tolist(),
             "sup": self.sup.to_dict(),
             "l2": self.l2,
             "sphere ratio": self.sphere_ratio,
         }
+
+
+def monomial_header(m: int, k: int) -> dict:
+    """The monomials the records of level k are written over, once per
+    level: a record's polynomial is sum_i c_i z^alpha_i exp(-log_weights[i] / 2)
+    with alpha_i = exponents[i]; the products c_i / sqrt(w_alpha_i) would
+    overflow float64 at m = 1 from about k = 2060."""
+    return {
+        "exponents": multi_indices(m, k).tolist(),
+        "log_weights": monomial_table(m, k).log_weights.tolist(),
+    }
 
 
 def emit_polynomials(fam, cert: NormCertificate) -> list:
@@ -403,26 +415,17 @@ def emit_polynomials(fam, cert: NormCertificate) -> list:
     sup over the manifold and the sup over the sphere coincide, and the
     sphere ratio is the manifold ratio rescaled by sqrt(Vol) >= 1.  The
     sups and L^2 norms are those of cert, certify_family's output for
-    this family.  The raw coefficients row * inv_sqrt_weights are formed
-    here only; where they overflow (m = 1 from about k = 2060) the
-    family cannot be written as polynomials and CertifyError is raised.
-    """
+    this family."""
     if (cert.m, cert.k, len(cert.sup_estimates)) != (fam.m, fam.k, fam.n):
         raise CertifyError("certificate was computed for another family")
-    exponents = multi_indices(fam.m, fam.k)
-    to_raw = monomial_table(fam.m, fam.k).inv_sqrt_weights
     root_vol = math.sqrt(ManifoldModel(fam.m).volume)
     records = []
     for row, est, l2 in zip(fam.ortho, cert.sup_estimates, cert.l2_norms):
         if l2 == 0.0:
             raise CertifyError("zero section has no flatness ratio")
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = row * to_raw
-        if not np.all(np.isfinite(coeffs)):
-            raise CertifyError("raw monomial coefficients overflow at k=%d" % fam.k)
         records.append(
-            PolynomialRecord(k=fam.k, m=fam.m, exponents=exponents, coeffs=coeffs,
-                             sup=est, l2=l2, sphere_ratio=est.value * root_vol / l2)
+            PolynomialRecord(k=fam.k, m=fam.m, ortho=row, sup=est, l2=l2,
+                             sphere_ratio=est.value * root_vol / l2)
         )
     return records
 
@@ -512,18 +515,19 @@ def emit_eigenfunction(rec: PolynomialRecord, seed: int = 5) -> EigenfunctionRec
     constant wins.
     """
     k, m = rec.k, rec.m
-    if not np.any(rec.coeffs):
+    if not np.any(rec.ortho):
         raise CertifyError("zero polynomial has no eigenfunction")
-    section = SectionExpansion.from_coeffs(m, k, rec.coeffs)
+    section = SectionExpansion.from_ortho(m, k, rec.ortho)
     # sphere measure is normalized, so sphere norms are manifold norms / sqrt(Vol)
-    sphere_l2 = section.l2_norm() / math.sqrt(ManifoldModel(m).volume)
+    root_vol = math.sqrt(ManifoldModel(m).volume)
     if k == 0:
-        c = complex(rec.coeffs[0])
+        # the constant is ortho[0] / sqrt(w_0), and w_0 = Vol
+        c = complex(rec.ortho[0]) / root_vol
         part = "re" if abs(c.real) >= abs(c.imag) else "im"
         l2 = abs(c.real) if part == "re" else abs(c.imag)
     else:
         part = "re"
-        l2 = sphere_l2 / math.sqrt(2)
+        l2 = rec.l2 / root_vol / math.sqrt(2)
     lam = k * (k + 2 * m)
     samples = 24
     step = 0.01 / max(k, 1)

@@ -45,6 +45,7 @@ from .certify import (
     emit_polynomials,
     flat_bound,
     l2_inner,
+    monomial_header,
     select_flat_sequence,
 )
 from .constants import ConstantsError, constants_table, solve_beta, solve_beta_prime
@@ -271,6 +272,8 @@ class RunConfig:
             raise CliError("gamma must exceed 1")
         if self.spacing is not None and not self.spacing > 0:
             raise CliError("spacing must be positive")
+        if self.delta is not None and not (math.isfinite(self.delta) and self.delta >= 0):
+            raise CliError("delta must be null or a finite number >= 0")
         if self.seed < 0:
             raise CliError("seed must be a non-negative integer")
         if not 1 <= self.constants_max_m <= 12:
@@ -292,6 +295,12 @@ class RunConfig:
                 raise CliError('cover must be an object with a "name" key')
             if self.cover["name"] not in COVER_NAMES:
                 raise CliError("cover name must be one of %s" % ", ".join(COVER_NAMES))
+            unknown = sorted(set(self.cover) - {"name", "radius"})
+            if unknown:
+                raise CliError("unknown cover keys: %s" % ", ".join(unknown))
+            radius = self.cover.get("radius")
+            if radius is not None and not (math.isfinite(radius) and radius > 0):
+                raise CliError("cover radius must be a positive finite number")
         elif self.mode == "full":
             if self.t is None or not self.t > 0:
                 raise CliError("single-chart runs need a positive halfwidth t")
@@ -688,7 +697,8 @@ def write_outputs(manifest: dict, cfg: RunConfig) -> list:
 
 def emit_polys(cfg: RunConfig) -> dict:
     """Run the pipeline and keep the flattest section per degree, as a
-    polynomial record and as the matching sphere eigenfunction."""
+    polynomial record and as the matching sphere eigenfunction; a level's
+    status keeps every hard invariant of its run row."""
     cfg.validate()
     spec, info = lattice_spec(cfg)
     levels: dict = {}
@@ -699,8 +709,7 @@ def emit_polys(cfg: RunConfig) -> dict:
             raise FrameError("degree k=%d yields an empty frame" % k)
         records = emit_polynomials(level.fam, level.cert)
         levels[k] = records
-        invariants = {name: level.row["invariants"][name]
-                      for name in ("frame_nonempty", "frame_nondegenerate")}
+        invariants = dict(level.row["invariants"])
         invariants["sphere_ratio_floor"] = all(r.sphere_ratio >= 1 - 1e-3 for r in records)
         rows.append({"k": k, "invariants": invariants, "soft": {}})
     selected = select_flat_sequence(levels)
@@ -713,6 +722,7 @@ def emit_polys(cfg: RunConfig) -> dict:
                 row["invariants"]["eigen_residual_small"] = erec.residual <= 1e-6
     return {
         "spec": info,
+        "monomials": {str(k): monomial_header(cfg.m, k) for k in levels},
         "levels": {str(k): [r.to_dict() for r in v] for k, v in levels.items()},
         "selected": {str(k): r.to_dict() for k, r in selected.items()},
         "eigenfunctions": {str(k): e.to_dict() for k, e in eigen.items()},
@@ -1006,7 +1016,7 @@ def main(argv=None) -> int:
             if cfg.out is not None:
                 os.makedirs(cfg.out, exist_ok=True)
                 _write_json(os.path.join(cfg.out, "polynomials.json"),
-                            {"levels": result["levels"], "selected": result["selected"]})
+                            {key: result[key] for key in ("monomials", "levels", "selected")})
                 _write_json(os.path.join(cfg.out, "eigenfunctions.json"),
                             result["eigenfunctions"])
             for k, rec in sorted(result["selected"].items(), key=lambda kv: int(kv[0])):

@@ -103,16 +103,13 @@ def log_monomial_weights(m: int, k: int, indices: np.ndarray) -> np.ndarray:
 class MonomialTable:
     """Read-only per-(m, k) tables shared by every section of a level.
 
-    indices: multi_indices(m, k); log_weights: log w_alpha;
-    sqrt_weights / inv_sqrt_weights: exp(+-log_weights / 2), the factors
-    between raw and orthonormal coefficients; half_multinomial:
+    indices: multi_indices(m, k); log_weights: log w_alpha, which scale
+    the orthonormal monomials z^alpha / sqrt(w_alpha); half_multinomial:
     log sqrt(k!/alpha!), the coherent-state magnitudes at |y_i| = 1.
     """
 
     indices: np.ndarray
     log_weights: np.ndarray
-    sqrt_weights: np.ndarray
-    inv_sqrt_weights: np.ndarray
     half_multinomial: np.ndarray
 
 
@@ -122,15 +119,9 @@ def monomial_table(m: int, k: int) -> MonomialTable:
     idx = _graded_lex(m, k)
     logw = log_monomial_weights(m, k, idx)
     lg = np.vectorize(math.lgamma)
-    # inv_sqrt_weights overflows to inf at m = 1 from about k = 2060;
-    # the package reads it only in certify.emit_polynomials, which checks
-    with np.errstate(over="ignore"):
-        inv_sqrt_weights = np.exp(-0.5 * logw)
     table = MonomialTable(
         indices=idx,
         log_weights=logw,
-        sqrt_weights=np.exp(0.5 * logw),
-        inv_sqrt_weights=inv_sqrt_weights,
         half_multinomial=0.5 * (math.lgamma(k + 1) - np.sum(lg(idx + 1.0), axis=1)),
     )
     for arr in vars(table).values():
@@ -222,9 +213,8 @@ class SectionExpansion:
     ortho_coeffs[i] multiplies the L^2-orthonormal monomial
     z^alpha_i / sqrt(w_alpha_i) (graded lex order, multi_indices); the
     plain Euclidean norm of ortho_coeffs is the L^2 norm of the section.
-    Raw monomial coefficients, ortho_coeffs * inv_sqrt_weights, overflow
-    at high levels (m = 1 from about k = 2060) and are formed only where
-    a polynomial is written out (certify.emit_polynomials).
+    Coefficients over the plain monomials z^alpha would overflow float64
+    at high levels (m = 1 from about k = 2060), so none is ever formed.
     """
 
     m: int
@@ -238,15 +228,6 @@ class SectionExpansion:
     @classmethod
     def from_ortho(cls, m: int, k: int, ortho: np.ndarray) -> "SectionExpansion":
         return cls(m=m, k=k, ortho_coeffs=np.asarray(ortho, dtype=np.complex128))
-
-    @classmethod
-    def from_coeffs(cls, m: int, k: int, coeffs) -> "SectionExpansion":
-        """Section with the given raw monomial coefficients."""
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        return cls.from_ortho(m, k, coeffs * monomial_table(m, k).sqrt_weights)
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.ortho_coeffs))
 
     def evaluate_lifts(self, lifts: np.ndarray) -> np.ndarray:
         """Section values at unit lifts (rows); log-domain monomials."""

@@ -10,7 +10,11 @@ import math
 import numpy as np
 
 from flatsections import constants
-from flatsections.kernel import log_normalized_from_distance
+from flatsections.kernel import (
+    SectionExpansion,
+    log_normalized_from_distance,
+    monomial_table,
+)
 
 
 def fs_distance(z, w) -> float:
@@ -24,6 +28,20 @@ def normalized_from_distance(k: int, d):
     """cos^k(d) evaluated as exp(k log cos d); exactly 0 at the cut locus."""
     out = np.exp(log_normalized_from_distance(k, d))
     return float(out) if np.ndim(out) == 0 else out
+
+
+def section_from_raw(m: int, k: int, coeffs) -> SectionExpansion:
+    """Section with the given coefficients over the plain monomials
+    z^alpha; its orthonormal coefficients are coeffs * sqrt(w_alpha)."""
+    sqrt_w = np.exp(0.5 * monomial_table(m, k).log_weights)
+    return SectionExpansion.from_ortho(m, k, np.asarray(coeffs, dtype=np.complex128) * sqrt_w)
+
+
+def raw_coeffs(m: int, k: int, ortho) -> np.ndarray:
+    """Coefficients over the plain monomials z^alpha of the orthonormal
+    coefficients ortho: ortho / sqrt(w_alpha).  These overflow float64 at
+    m = 1 from about k = 2060, which is why the package never forms them."""
+    return np.asarray(ortho) * np.exp(-0.5 * monomial_table(m, k).log_weights)
 
 
 def eta_from_cubic_density(beta: float, m: int) -> float:

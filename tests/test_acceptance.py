@@ -25,13 +25,12 @@ from flatsections.geometry import UnitLift, cp1_latlon_cover
 from flatsections.kernel import (
     KernelModel,
     dimension,
-    monomial_table,
     multi_indices,
     szego_kernel,
     verify_decay,
 )
 from flatsections.whitening import assemble_gram, inv_sqrt_eigen, inv_sqrt_neumann
-from oracles import density_threshold
+from oracles import density_threshold, raw_coeffs
 
 
 def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
@@ -156,7 +155,7 @@ def test_orthonormality(ortho_levels):
                 for alpha in idx
             ]
         )
-        coeffs = fam.ortho * monomial_table(1, k).inv_sqrt_weights
+        coeffs = raw_coeffs(1, k, fam.ortho)
         gram = (coeffs * weights[None, :]) @ coeffs.conj().T
         dev = np.max(np.abs(gram - np.eye(fam.n)))
         assert dev <= 1e-8, "k=%d deviates by %.3e" % (k, dev)

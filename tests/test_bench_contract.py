@@ -1,9 +1,11 @@
-"""The benchmark's output check still reads cli.compare_manifests' report.
+"""The benchmark's output check still passes on the package.
 
 perfbench/workloads.py checks every pass against a recorded reference
 through compare_levels, which maps the report's drift entries to failed
 levels by their ``where`` labels.  A change to the report's format would
-make every benchmark pass fail (or none); these tests catch it first.
+make every benchmark pass fail (or none), and so would a changed
+``emit_polys`` result or a written file of another size; these tests
+catch both first.
 """
 
 import copy
@@ -43,3 +45,13 @@ def test_compare_levels_on_recorded_reference(workloads, name):
     moved = copy.deepcopy(ref)
     moved["spec"]["spacing"] *= 1 + 1e-3
     assert workloads.compare_levels(ref, moved, levels)[0] == set(levels)
+
+
+@pytest.mark.parametrize("name", ["m1-run", "m2-emit"])
+def test_one_pass_checks_clean(workloads, name, tmp_path):
+    # one fresh pass at seed 0 through the workload's own run_pass and
+    # check: every level is an operation, and none may fail
+    workload = workloads.WORKLOADS[name](0, str(tmp_path / "out"))
+    workload.setup()
+    result = workload.run_pass()
+    assert workload.check(result, workloads.load_reference(name)) == (2, 0, [])

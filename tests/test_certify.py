@@ -20,7 +20,7 @@ from flatsections.kernel import (
     dimension,
     szego_kernel,
 )
-from oracles import eta_from_cubic_density
+from oracles import eta_from_cubic_density, raw_coeffs, section_from_raw
 
 
 def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
@@ -128,8 +128,8 @@ class TestL2Inner:
         for k in range(9):
             ca = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
             cb = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
-            sa = SectionExpansion.from_coeffs(1, k, ca)
-            sb = SectionExpansion.from_coeffs(1, k, cb)
+            sa = section_from_raw(1, k, ca)
+            sb = section_from_raw(1, k, cb)
             assert abs(C.l2_inner(sa, sb) - torus_quadrature_inner(sa, sb)) < 1e-10
 
     def test_reproduces_whitening_gram(self):
@@ -157,11 +157,11 @@ class TestSupNorm:
             assert est.value >= peak * 0.995
 
     def test_constant_section_equality_case(self):
-        s = SectionExpansion.from_coeffs(1, 0, [1.7 - 0.4j])
+        s = section_from_raw(1, 0, [1.7 - 0.4j])
         est = C.sup_norm(s, mesh=16)
         assert abs(est.value - abs(1.7 - 0.4j)) < 1e-12
         # flat equality: sup norm equals L2 norm / sqrt(Vol)
-        assert abs(est.value - s.l2_norm() / math.sqrt(math.pi)) < 1e-12
+        assert abs(est.value - np.linalg.norm(s.ortho_coeffs) / math.sqrt(math.pi)) < 1e-12
 
     def test_monomial_closed_form_peak(self):
         # |z0^{k-q} z1^q| peaks at |z1|^2 = q/k with a closed-form value
@@ -363,7 +363,7 @@ class TestCertifyFamily:
     def test_unnormalized_family_reports_its_l2_norm(self):
         # the certificate reports the norm; _run_level turns its distance
         # from 1 into the hard invariant l2_normalized
-        bad = _family(SectionExpansion.from_coeffs(1, 4, [2.0, 0, 0, 0, 0]))
+        bad = _family(section_from_raw(1, 4, [2.0, 0, 0, 0, 0]))
         cert = C.certify_family(bad, 16, 16)
         assert abs(cert.l2_norms[0] - 2 * math.sqrt(math.pi / 5)) < 1e-12
 
@@ -401,16 +401,22 @@ class TestCertifyFamily:
                 cert, sup_estimates=cert.sup_estimates[1:]))
 
     def test_raw_overflow_past_k2060(self):
-        # the orthonormal coefficients stay exact past the level where the
-        # raw ones overflow; only writing polynomials out needs the raw ones
+        # past the level where the plain monomial coefficients overflow
+        # float64, the written records and monomial header stay finite
         spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.1)
         fr = F.build(spec, 2100)
         assert fr.n == 25
         fam = FL.flatten_frame(fr, W.inv_sqrt_neumann(W.assemble_gram(fr)))
         assert np.max(np.abs(fam.ortho @ fam.ortho.conj().T - np.eye(fr.n))) <= 1e-8
         cert = C.certify_family(fam, 16, 16)
-        with pytest.raises(C.CertifyError):
-            C.emit_polynomials(fam, cert)
+        records = C.emit_polynomials(fam, cert)
+        assert len(records) == fr.n
+        header = C.monomial_header(1, 2100)
+        assert np.max(-0.5 * np.array(header["log_weights"])) > math.log(np.finfo(float).max)
+        blobs = [rec.to_dict() for rec in records] + [header]
+        assert all(np.all(np.isfinite(np.asarray(v, dtype=float)))
+                   for blob in blobs for v in blob.values() if isinstance(v, list))
+        assert all(r.sphere_ratio >= 1 - 1e-3 for r in records)
 
 
 class TestEmitters:
@@ -420,9 +426,10 @@ class TestEmitters:
         assert fr.n == 1
         fam = FL.flatten_frame(fr, W.inv_sqrt_eigen(W.assemble_gram(fr)))
         rec = _records(fam)[0]
-        assert rec.exponents.tolist() == [[1, 0], [0, 1]]
-        assert abs(rec.coeffs[0] - math.sqrt(2 / math.pi)) < 1e-12
-        assert abs(rec.coeffs[1]) < 1e-12
+        assert C.monomial_header(1, 1)["exponents"] == [[1, 0], [0, 1]]
+        coeffs = raw_coeffs(1, 1, rec.ortho)
+        assert abs(coeffs[0] - math.sqrt(2 / math.pi)) < 1e-12
+        assert abs(coeffs[1]) < 1e-12
         # coherent state at the pole: sup = sqrt(2/pi), l2 = 1, Vol = pi
         assert abs(rec.sphere_ratio - math.sqrt(2)) < 5e-3
 
@@ -451,7 +458,7 @@ class TestEmitters:
         fr, g, op, fam = _pipeline(60)
         rec = _records(fam)[0]
         blob = json.loads(json.dumps(rec.to_dict()))
-        assert blob["k"] == 60 and len(blob["coeffs re"]) == 61
+        assert blob["k"] == 60 and len(blob["ortho re"]) == len(blob["ortho im"]) == 61
 
     def test_record_dict_matches_json(self):
         import json
@@ -460,12 +467,13 @@ class TestEmitters:
         m2 = _records(_family(_unit_basis(2, 4, 3)), mesh=6)[0]
         for rec in (m1, m2):
             assert rec.to_dict() == json.loads(json.dumps(rec.to_dict()))
-        assert m2.to_dict()["m"] == 2 and len(m2.to_dict()["exponents"]) == 15
+        assert m2.to_dict()["m"] == 2 and len(m2.to_dict()["ortho re"]) == 15
+        assert len(C.monomial_header(2, 4)["exponents"]) == 15
 
 
 class TestEigenfunctions:
     def test_degree_one_exact(self):
-        rec_fam = _family(SectionExpansion.from_coeffs(1, 1, [1.0, 0.0]))
+        rec_fam = _family(section_from_raw(1, 1, [1.0, 0.0]))
         rec = _records(rec_fam)[0]
         e = C.emit_eigenfunction(rec)
         assert e.lam == 3
@@ -478,18 +486,18 @@ class TestEigenfunctions:
         rng = np.random.default_rng(11)
         for k in (2, 9):
             coeffs = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
-            sec = SectionExpansion.from_coeffs(1, k, coeffs)
+            sec = section_from_raw(1, k, coeffs)
             fam = _family(sec)
             rec = _records(fam)[0]
             e = C.emit_eigenfunction(rec)
-            sphere_norm = sec.l2_norm() / math.sqrt(math.pi)
+            sphere_norm = np.linalg.norm(sec.ortho_coeffs) / math.sqrt(math.pi)
             assert e.l2 >= sphere_norm / math.sqrt(2) - 1e-12
 
     def test_residual_small_across_levels(self):
         for k in (8, 60):
             fr, g, op, fam = _pipeline(k) if k >= 50 else (None,) * 4
             if fam is None:
-                sec = SectionExpansion.from_coeffs(1, k, np.ones(k + 1, dtype=complex))
+                sec = section_from_raw(1, k, np.ones(k + 1, dtype=complex))
                 fam = _family(sec)
             rec = _records(fam)[0]
             e = C.emit_eigenfunction(rec)
@@ -503,15 +511,14 @@ class TestEigenfunctions:
         assert e.residual < 1e-6
 
     def test_constant_polynomial(self):
-        fam = _family(SectionExpansion.from_coeffs(1, 0, [0.3 - 2.0j]))
+        fam = _family(section_from_raw(1, 0, [0.3 - 2.0j]))
         rec = _records(fam)[0]
         e = C.emit_eigenfunction(rec)
         assert e.lam == 0 and e.part == "im" and e.residual == 0.0
 
     def test_zero_polynomial_rejected(self):
         rec = C.PolynomialRecord(
-            k=2, m=1, exponents=C.multi_indices(1, 2),
-            coeffs=np.zeros(3, dtype=np.complex128),
+            k=2, m=1, ortho=np.zeros(3, dtype=np.complex128),
             sup=C.SupNormEstimate(0.0, 16, 0, 0.0, 0, (0.0,)),
             l2=0.0, sphere_ratio=1.0,
         )

@@ -16,7 +16,7 @@ from flatsections.cli import CliError, CompareError, RunConfig
 from flatsections.flatten import FlattenError, load_family
 from flatsections.frame import FrameError, choose_spacing
 from flatsections.geometry import GeometryError
-from flatsections.kernel import dimension
+from flatsections.kernel import dimension, evaluate_sections
 from flatsections.whitening import WhiteningError, load_matrix
 
 
@@ -380,8 +380,16 @@ class TestMainEntry:
         {"k": 50}, {"k": ["a"]}, {"k": [2.5]}, {"k": [True]}, {"m": True},
         {"eta": "x"}, {"epsilon": None}, {"mesh": "6"}, {"mesh": 6.5}, {"seed": None},
         {"cover": {"name": "latlon", "radius": "a"}}, {"out": 5},
+        # out of range; json writes and reads NaN and Infinity
+        {"cover": {"name": "latlon", "radius": 0.35, "radiuss": 9}},
+        {"m": 2, "cover": {"name": "balls", "radius": -0.3}},
+        {"cover": {"name": "two-cap", "radius": -0.3}},
+        {"cover": {"name": "two-cap", "radius": math.nan}},
+        {"delta": -1.0}, {"delta": math.nan}, {"delta": math.inf},
     ], ids=["k-int", "k-str", "k-float", "k-bool", "m-bool", "eta-str", "epsilon-null",
-            "mesh-str", "mesh-float", "seed-null", "radius-str", "out-int"])
+            "mesh-str", "mesh-float", "seed-null", "radius-str", "out-int",
+            "cover-unknown-key", "balls-negative-radius", "two-cap-negative-radius",
+            "two-cap-nan-radius", "delta-negative", "delta-nan", "delta-inf"])
     def test_config_value_of_the_wrong_type(self, tmp_path, capsys, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -506,6 +514,47 @@ class TestMainEntry:
         eigen = json.loads((tmp_path / "eigenfunctions.json").read_text())
         assert eigen["50"]["residual"] < 1e-6
         assert eigen["50"]["lambda"] == 50 * 52
+
+    def test_emit_polys_keeps_every_hard_invariant(self):
+        # an unreachable orthonormality tolerance fails the run row's hard
+        # invariant, and emit-polys must not report pass on the same level
+        cfg = RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,
+                        cover={"name": "balls", "radius": 0.4}, mesh=6, ortho_tol=1e-20)
+        run_status = cli.run(cfg)["core"]["status"]
+        emit_status = cli.emit_polys(cfg)["status"]
+        assert run_status["hard_failures"] == ["k=20:orthonormal"]
+        assert emit_status["hard_failures"] == ["k=20:orthonormal"]
+        assert emit_status["exit_code"] == 1 and emit_status["soft_deviations"] == []
+
+    @pytest.mark.parametrize("config", [
+        {"m": 1, "k": [60], "spacing": 2.2, "eta": 0.7, "gamma": 1.27},
+        {"m": 2, "k": [4], "spacing": 2.4, "eta": 0.9,
+         "cover": {"name": "balls", "radius": 0.4}, "mesh": 6},
+    ], ids=["m1-k60", "m2-k4"])
+    def test_polynomials_file_round_trip(self, tmp_path, config):
+        # p(z) = sum_alpha c_alpha z^alpha / sqrt(w_alpha), rebuilt from the
+        # written file alone, is the family row's section
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["emit-polys", "--config", str(path), "--out", str(tmp_path)]) == 0
+        blob = json.loads((tmp_path / "polynomials.json").read_text())
+        m, k = config["m"], config["k"][0]
+        header = blob["monomials"][str(k)]
+        exponents = np.array(header["exponents"])
+        scale = np.exp(-0.5 * np.array(header["log_weights"]))
+        rng = np.random.default_rng(12)
+        lifts = rng.standard_normal((50, m + 1)) + 1j * rng.standard_normal((50, m + 1))
+        lifts /= np.linalg.norm(lifts, axis=1)[:, None]
+        monomials = np.prod(lifts[:, None, :] ** exponents[None, :, :], axis=2)
+        cfg = RunConfig.from_dict(config).validate()
+        fam = cli._run_level(cfg, cli.lattice_spec(cfg)[0], k).fam
+        records = blob["levels"][str(k)]
+        assert len(records) == fam.n >= 2
+        want = evaluate_sections(m, k, fam.ortho, lifts)
+        for rec, row in zip(records, want):
+            coeffs = np.array(rec["ortho re"]) + 1j * np.array(rec["ortho im"])
+            got = monomials @ (coeffs * scale)
+            assert np.max(np.abs(got - row)) <= 1e-12 * np.max(np.abs(row))
 
     def test_constants_subcommand_stdout(self, capsys):
         assert cli.main(["constants"]) == 0

@@ -13,7 +13,7 @@ import pytest
 
 from flatsections import geometry as G
 from flatsections import kernel as K
-from oracles import fs_distance, normalized_from_distance
+from oracles import fs_distance, normalized_from_distance, raw_coeffs
 
 
 def _lift(rng, m):
@@ -99,13 +99,10 @@ class TestMultiIndices:
 
     def test_table_read_only_and_consistent(self):
         tab = K.monomial_table(2, 7)
-        for arr in (tab.indices, tab.log_weights, tab.sqrt_weights,
-                    tab.inv_sqrt_weights, tab.half_multinomial):
+        for arr in (tab.indices, tab.log_weights, tab.half_multinomial):
             assert not arr.flags.writeable
         logw = K.log_monomial_weights(2, 7, tab.indices)
         assert np.array_equal(tab.log_weights, logw)
-        assert np.array_equal(tab.sqrt_weights, np.exp(0.5 * logw))
-        assert np.array_equal(tab.inv_sqrt_weights, np.exp(-0.5 * logw))
 
     def test_weights_exact_vs_log(self):
         for m, k in ((1, 4), (2, 6)):
@@ -215,7 +212,7 @@ class TestCoherentStates:
         for m, k in ((1, 1), (1, 40), (2, 25), (1, 400)):
             model = K.KernelModel(m, k)
             phi = K.coherent_state(model, _lift(rng, m))
-            assert abs(phi.l2_norm() - 1.0) < 1e-10
+            assert abs(np.linalg.norm(phi.ortho_coeffs) - 1.0) < 1e-10
 
     def test_evaluation_reproduces_kernel(self):
         rng = np.random.default_rng(7)
@@ -246,7 +243,7 @@ class TestCoherentStates:
         model = K.KernelModel(1, 1)
         phi = K.coherent_state(model, G.UnitLift.from_vector([1, 0]))
         c = math.sqrt(2 / math.pi)  # 1/sqrt(w_(1,0)), w = pi/2
-        raw = phi.ortho_coeffs * K.monomial_table(1, 1).inv_sqrt_weights
+        raw = raw_coeffs(1, 1, phi.ortho_coeffs)
         assert np.allclose(raw, [c, 0.0], atol=1e-14)
 
     def test_peak_value(self):
@@ -257,22 +254,16 @@ class TestCoherentStates:
         got = abs(phi.evaluate_lifts(y.vector[None, :])[0])
         assert abs(got - math.sqrt(model.diag)) < 1e-11
 
-    def test_from_coeffs_inverts_from_ortho(self):
-        rng = np.random.default_rng(4)
-        ortho = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-        raw = ortho * K.monomial_table(2, 5).inv_sqrt_weights
-        back = K.SectionExpansion.from_coeffs(2, 5, raw)
-        assert np.allclose(back.ortho_coeffs, ortho, rtol=1e-14, atol=0)
-        assert np.array_equal(K.SectionExpansion.from_ortho(2, 5, ortho).ortho_coeffs, ortho)
-
     def test_coherent_state_past_raw_overflow(self):
-        # from about k = 2060 at m = 1 the raw coefficients overflow; the
-        # section holds orthonormal coefficients only and stays exact
+        # from about k = 2060 at m = 1 the plain monomial coefficients,
+        # ortho / sqrt(w_alpha), overflow; the section holds orthonormal
+        # coefficients only and stays exact
         model = K.KernelModel(1, 2100)
-        assert not np.all(np.isfinite(K.monomial_table(1, 2100).inv_sqrt_weights))
+        log_weights = K.monomial_table(1, 2100).log_weights
+        assert np.max(-0.5 * log_weights) > math.log(np.finfo(np.float64).max)
         phi = K.coherent_state(model, _lift(np.random.default_rng(2), 1))
         assert np.all(np.isfinite(phi.ortho_coeffs))
-        assert abs(phi.l2_norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(phi.ortho_coeffs) - 1.0) < 1e-12
 
     def test_family_evaluation_matches_single(self):
         # 2500 points at d_k = 861 span two basis chunks of 2322 points
