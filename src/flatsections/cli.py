@@ -59,7 +59,6 @@ from .flatten import (
 )
 from .frame import (
     DEDUP_FACTOR,
-    Frame,
     FrameError,
     LatticeSpec,
     build,
@@ -76,7 +75,7 @@ from .geometry import (
     make_chart,
     BallRegion,
     ProjectivePoint,
-    UnitLift,
+    as_unit_vector,
     exp_chart_vectors,
     two_cap_cover,
 )
@@ -91,7 +90,6 @@ from .kernel import (
 )
 from .whitening import (
     WhiteningError,
-    WhiteningOperator,
     assemble_gram,
     dump_matrix,
     inv_sqrt_eigen,
@@ -124,7 +122,10 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite number in the JSON sense: json reads NaN and Infinity, but
+    no field means anything by them."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ class RunConfig:
             if value is None and name in self._OPTIONAL_NUMBER_FIELDS:
                 continue
             if not _is_number(value):
-                raise CliError("%s must be a number, not %r" % (name, value))
+                raise CliError("%s must be a finite number, not %r" % (name, value))
         if not isinstance(self.k, (tuple, list)):
             raise CliError("k must be a list of integers, not %r" % (self.k,))
         for v in self.k:
@@ -233,7 +234,8 @@ class RunConfig:
                 raise CliError("every k must be an integer, not %r" % (v,))
         if isinstance(self.cover, dict) and not (
                 self.cover.get("radius") is None or _is_number(self.cover["radius"])):
-            raise CliError("cover radius must be a number, not %r" % (self.cover["radius"],))
+            raise CliError("cover radius must be a finite number, not %r"
+                           % (self.cover["radius"],))
         if not (self.out is None or isinstance(self.out, str)):
             raise CliError("out must be a directory name, not %r" % (self.out,))
         if not isinstance(self.dumps, bool):
@@ -272,8 +274,8 @@ class RunConfig:
             raise CliError("gamma must exceed 1")
         if self.spacing is not None and not self.spacing > 0:
             raise CliError("spacing must be positive")
-        if self.delta is not None and not (math.isfinite(self.delta) and self.delta >= 0):
-            raise CliError("delta must be null or a finite number >= 0")
+        if self.delta is not None and not self.delta >= 0:
+            raise CliError("delta must be null or a number >= 0")
         if self.seed < 0:
             raise CliError("seed must be a non-negative integer")
         if not 1 <= self.constants_max_m <= 12:
@@ -299,8 +301,8 @@ class RunConfig:
             if unknown:
                 raise CliError("unknown cover keys: %s" % ", ".join(unknown))
             radius = self.cover.get("radius")
-            if radius is not None and not (math.isfinite(radius) and radius > 0):
-                raise CliError("cover radius must be a positive finite number")
+            if radius is not None and not radius > 0:
+                raise CliError("cover radius must be a positive number")
         elif self.mode == "full":
             if self.t is None or not self.t > 0:
                 raise CliError("single-chart runs need a positive halfwidth t")
@@ -392,12 +394,10 @@ def lattice_spec(cfg: RunConfig):
 
 
 class Level(NamedTuple):
-    """One degree's manifest row and the objects behind it (None past an
-    empty frame)."""
+    """One degree's manifest row, its flat family and the family's
+    certificate (both None past an empty frame)."""
 
     row: dict
-    frame: Frame
-    op: WhiteningOperator | None
     fam: FlatFamily | None
     cert: NormCertificate | None
 
@@ -419,7 +419,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
         "soft": soft,
     }
     if n == 0:
-        return Level(row, frame, None, None, None)
+        return Level(row, None, None)
     if n > GRAM_SIZE_CAP:
         raise CliError(
             "k=%d builds %d frame points, past the dense-pipeline cap %d"
@@ -489,7 +489,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
                     cfg.m, k, op.entries, tag="whitening %s" % op.method)
         dump_family(os.path.join(dump_dir, "family-k%d.bin" % k),
                     fam, tag="flat family")
-    return Level(row, frame, op, fam, cert)
+    return Level(row, fam, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +522,8 @@ def dual_route_deviation(model: KernelModel, seed: int = 0) -> float:
             chart = make_chart(center, BallRegion(1.0), 2.0)
             v = rng.standard_normal(2 * m)
             v *= c / math.sqrt(k) / np.linalg.norm(v)
-            x = UnitLift.from_vector(exp_chart_vectors(chart, v[None, :])[0])
-            y = center.lift()
+            x = as_unit_vector(exp_chart_vectors(chart, v[None, :])[0])
+            y = center.homogeneous
             a = szego_kernel(model, x, y)
             if m + k <= 120:
                 b = szego_kernel_monomial_sum(model, x, y)
@@ -540,19 +540,19 @@ def _kernel_core(cfg: RunConfig) -> dict:
     rows = []
     for k in cfg.k:
         model = KernelModel(cfg.m, k)
-        rep = verify_decay(model)
-        cap = min(rep.near.threshold, math.pi / 2 - 1e-9)
+        near, far = verify_decay(model)
+        cap = min(near.threshold, math.pi / 2 - 1e-9)
         # the Gaussian window argument needs log P ~ -k d^2/2 with a
         # quadratic correction; 0.25 d^2 holds once the window is inside d ~ 1
-        near_ok = rep.near.max_deviation <= 0.25 * cap * cap
-        far_ok = rep.far is None or rep.far.max_deviation < 1.0
+        near_ok = near.max_deviation <= 0.25 * cap * cap
+        far_ok = far is None or far.max_deviation < 1.0
         dual = None
         if model.d_k <= DUAL_ROUTE_DIM_CAP:
             dual = dual_route_deviation(model, seed=cfg.seed)
         row = {
             "k": k,
-            "near": rep.near.to_dict(),
-            "far": rep.far.to_dict() if rep.far is not None else None,
+            "near": near.to_dict(),
+            "far": far.to_dict() if far is not None else None,
             "dual_route_rel": dual,
             "invariants": {"dual_route_agree": dual is None or dual <= 1e-10},
             "soft": {"near_regime": near_ok, "far_regime": far_ok},
@@ -700,6 +700,8 @@ def emit_polys(cfg: RunConfig) -> dict:
     polynomial record and as the matching sphere eigenfunction; a level's
     status keeps every hard invariant of its run row."""
     cfg.validate()
+    if cfg.mode != "full":
+        raise CliError("emit-polys runs the full pipeline, not mode %r" % cfg.mode)
     spec, info = lattice_spec(cfg)
     levels: dict = {}
     rows = []
@@ -805,7 +807,7 @@ def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
     element; a field only the second holds is not drift.  tol must be a
     positive finite number.
     """
-    if not (_is_number(tol) and math.isfinite(tol) and tol > 0):
+    if not (_is_number(tol) and tol > 0):
         raise CompareError("tolerance must be a positive finite number, not %r" % (tol,))
     ca, cb = ma["core"], mb["core"]
     _check_core(ca, "first")

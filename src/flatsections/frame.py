@@ -268,16 +268,15 @@ def _tangent_vectors(spec: LatticeSpec, grid: np.ndarray, k: int) -> np.ndarray:
     return v
 
 
-def _chart_candidates(spec: LatticeSpec, chart: ChartSpec, k: int, radius: float):
-    """Lattice coordinates, tangent vectors and exp lifts (the geodesic
-    formula's phase) of the lattice points in the chart's region, in lex
-    order on mu; radius is the region's circumradius.  Each point's exp
-    map is computed once, and the region test reads it."""
-    grid = _lattice_rows(spec, chart, k, radius)
-    v = _tangent_vectors(spec, grid, k)
+def _chart_candidates(spec: LatticeSpec, chart: ChartSpec, k: int,
+                      radius: float) -> np.ndarray:
+    """Exp lifts (the geodesic formula's phase) of the lattice points in
+    the chart's region, in lex order on mu; radius is the region's
+    circumradius.  Each point's exp map is computed once, and the region
+    test reads it."""
+    v = _tangent_vectors(spec, _lattice_rows(spec, chart, k, radius), k)
     lifts = exp_chart_vectors(chart, v)
-    keep = np.asarray(chart.region.contains(chart, v, lifts))
-    return grid[keep], v[keep], lifts[keep]
+    return lifts[np.asarray(chart.region.contains(chart, v, lifts))]
 
 
 def _canonicalize_rows(pts: np.ndarray) -> np.ndarray:
@@ -295,15 +294,12 @@ def _canonicalize_rows(pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Frame:
-    """A lattice frame: canonical unit lifts, chart-major and in lex
-    order on mu within each chart, plus provenance."""
+    """A lattice frame: its points as canonical unit lifts, chart-major
+    and in lex order on mu within each chart, and the dedup's counters."""
 
     k: int
     m: int
     points: np.ndarray  # (n, m+1) complex canonical unit lifts
-    chart_index: np.ndarray  # (n,) which chart produced each point
-    mu: np.ndarray  # (n, 2m) integer lattice coordinates
-    tangent: np.ndarray  # (n, 2m) tangent coordinates in the chart
     spec: LatticeSpec
     dropped: int = 0  # candidates removed by cross-chart dedup
     compared: int = 0  # overlaps |<x, y>| the dedup computed
@@ -375,13 +371,13 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
     linked = np.abs(centres @ centres.conj().T) >= _cos_bound(
         reach[:, None] + reach[None, :] + threshold)
     near_cos = _cos_bound(reach + threshold)
-    pts, cidx, mus, tans = [], [], [], []
+    pts = []
     # (chart number, pivots, sorted cell numbers, conjugated accepted lifts in cell order)
     earlier = []
     dropped = compared = 0
     for j, chart in enumerate(charts):
-        grid, v, lifts = _chart_candidates(spec, chart, k, radius[j])
-        if v.shape[0] == 0:
+        lifts = _chart_candidates(spec, chart, k, radius[j])
+        if lifts.shape[0] == 0:
             continue
         lifts = _canonicalize_rows(lifts)
         keep = np.ones(lifts.shape[0], dtype=bool)
@@ -396,7 +392,7 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
             q = np.abs(np.sum(lifts[test[a]] * acc_i[b], axis=1))
             keep[test[a[q >= cos_thr]]] = False
         dropped += int(np.sum(~keep))
-        grid, v, lifts = grid[keep], v[keep], lifts[keep]
+        lifts = lifts[keep]
         if lifts.shape[0] == 0:
             continue
         pivots = _pivots(chart.center)
@@ -404,30 +400,12 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
         order = np.argsort(cells, kind="stable")
         earlier.append((j, pivots, cells[order], lifts[order].conj()))
         pts.append(lifts)
-        cidx.append(np.full(lifts.shape[0], j, dtype=np.int64))
-        mus.append(grid)
-        tans.append(v)
     if pts:
         points = np.concatenate(pts)
-        chart_index = np.concatenate(cidx)
-        mu = np.concatenate(mus)
-        tan = np.concatenate(tans)
     else:
         points = np.zeros((0, spec.m + 1), dtype=np.complex128)
-        chart_index = np.zeros(0, dtype=np.int64)
-        mu = np.zeros((0, 2 * spec.m), dtype=np.int64)
-        tan = np.zeros((0, 2 * spec.m))
-    return Frame(
-        k=k,
-        m=spec.m,
-        points=points,
-        chart_index=chart_index,
-        mu=mu,
-        tangent=tan,
-        spec=spec,
-        dropped=dropped,
-        compared=compared,
-    )
+    return Frame(k=k, m=spec.m, points=points, spec=spec, dropped=dropped,
+                 compared=compared)
 
 
 def build(spec: LatticeSpec, k: int) -> Frame:

@@ -3,16 +3,18 @@
 Normalization: the Kahler form is half the curvature of the hyperplane
 bundle metric, so CP^m has volume pi^m / m! and CP^1 is a round sphere of
 radius 1/2 (diameter pi/2).  Points are unit vectors in C^{m+1} modulo
-phase.  Lifts, moment coordinates and the equal-area mesh, exponential
-charts, chart distortion estimates, geodesic-ball volumes, and the covers
-and cell decompositions used by the lattice builders all live here.
+phase; the rest of the package passes them as plain (m+1,) unit vectors
+(one lift each, any phase) or as rows of such vectors.  Moment
+coordinates and the equal-area mesh, exponential charts, chart
+distortion estimates, geodesic-ball volumes, and the covers and cell
+decompositions used by the lattice builders all live here.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +54,8 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _as_unit_vector(values) -> np.ndarray:
+def as_unit_vector(values) -> np.ndarray:
+    """values as a flat complex vector divided by its norm."""
     v = np.asarray(values, dtype=np.complex128).reshape(-1)
     n = np.linalg.norm(v)
     if not np.isfinite(n) or n == 0.0:
@@ -72,31 +75,13 @@ class ProjectivePoint:
 
     @classmethod
     def from_vector(cls, values) -> "ProjectivePoint":
-        v = _canonical_phase(_as_unit_vector(values))
+        v = _canonical_phase(as_unit_vector(values))
         v.flags.writeable = False
         return cls(homogeneous=v)
 
     @property
     def m(self) -> int:
         return self.homogeneous.shape[0] - 1
-
-    def lift(self) -> "UnitLift":
-        """Canonical-phase unit lift (the default circle-bundle lift)."""
-        return UnitLift(vector=self.homogeneous, point=self)
-
-
-@dataclass(frozen=True)
-class UnitLift:
-    """A unit vector over a projective point; the phase is free data."""
-
-    vector: np.ndarray
-    point: ProjectivePoint
-
-    @classmethod
-    def from_vector(cls, values) -> "UnitLift":
-        v = _as_unit_vector(values)
-        v.flags.writeable = False
-        return cls(vector=v, point=ProjectivePoint.from_vector(v))
 
 
 def standard_point(m: int, index: int = 0) -> ProjectivePoint:
@@ -167,7 +152,6 @@ class CubeRegion:
     """Axis cube [-t, t]^{2m} in tangent coordinates."""
 
     t: float
-    kind: str = field(default="cube", init=False)
 
     def circumradius(self, m: int) -> float:
         return self.t * math.sqrt(2 * m)
@@ -182,7 +166,6 @@ class BallRegion:
     """Euclidean ball of the given radius in tangent coordinates."""
 
     radius: float
-    kind: str = field(default="ball", init=False)
 
     def circumradius(self, m: int) -> float:
         return self.radius
@@ -205,7 +188,6 @@ class LatLonCell:
     r_hi: float
     theta_lo: float
     theta_hi: float
-    kind: str = field(default="latlon", init=False)
 
     def circumradius(self, m: int) -> float:
         # the distance to a point of the cell is maximized at a corner:

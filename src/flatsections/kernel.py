@@ -1,9 +1,10 @@
 """Level-k reproducing kernels on CP^m and their coherent-state sections.
 
 Degree-k holomorphic sections of the k-th power of the hyperplane bundle
-are homogeneous polynomials of degree k on C^{m+1}; restricted to the
-unit sphere they become the equivariant lifts everything here computes
-with.  The reproducing kernel has the closed form
+are homogeneous polynomials of degree k on C^{m+1}, evaluated here at
+unit vectors: a point of CP^m enters every function of this module as one
+(m+1,) unit vector over it, whose phase the values follow equivariantly.
+The reproducing kernel has the closed form
 
     Pi_k(x, y) = diag * <x, y>^k,     diag = C(k+m, m) * m! / pi^m,
 
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import UnitLift
 
 # stand-in for log 0 in masked log-domain work; large enough that exp
 # underflows to exactly 0.0 after any multiplication by a level k
@@ -66,8 +65,8 @@ class KernelModel:
             - self.m * math.log(math.pi)
         )
 
-    def _check_lift(self, x: UnitLift):
-        if x.vector.shape[0] != self.m + 1:
+    def _check_lift(self, x: np.ndarray):
+        if np.shape(x) != (self.m + 1,):
             raise KernelError("lift dimension does not match the model")
 
 
@@ -150,13 +149,14 @@ def monomial_weight_exact(m: int, alpha) -> float:
 # kernel values
 
 
-def _inner(x: UnitLift, y: UnitLift) -> complex:
+def _inner(x: np.ndarray, y: np.ndarray) -> complex:
     # <x, y> = sum_i x_i conj(y_i)
-    return complex(np.vdot(y.vector, x.vector))
+    return complex(np.vdot(y, x))
 
 
-def szego_kernel(model: KernelModel, x: UnitLift, y: UnitLift) -> complex:
-    """Closed-form kernel diag * <x,y>^k, evaluated in log-domain."""
+def szego_kernel(model: KernelModel, x: np.ndarray, y: np.ndarray) -> complex:
+    """Closed-form kernel diag * <x,y>^k at unit vectors x and y,
+    evaluated in log-domain."""
     model._check_lift(x)
     model._check_lift(y)
     u = _inner(x, y)
@@ -167,7 +167,8 @@ def szego_kernel(model: KernelModel, x: UnitLift, y: UnitLift) -> complex:
     return math.exp(logmag) * np.exp(1j * model.k * np.angle(u))
 
 
-def szego_kernel_monomial_sum(model: KernelModel, x: UnitLift, y: UnitLift) -> complex:
+def szego_kernel_monomial_sum(model: KernelModel, x: np.ndarray,
+                              y: np.ndarray) -> complex:
     """Defining sum over an orthonormal monomial basis (oracle path).
 
     Pi_k(x, y) = sum_alpha x^alpha conj(y^alpha) / w_alpha with exact
@@ -179,8 +180,8 @@ def szego_kernel_monomial_sum(model: KernelModel, x: UnitLift, y: UnitLift) -> c
     total = 0.0 + 0.0j
     for alpha in idx:
         w = monomial_weight_exact(model.m, alpha)
-        mono_x = np.prod(x.vector**alpha)
-        mono_y = np.prod(y.vector**alpha)
+        mono_x = np.prod(x**alpha)
+        mono_y = np.prod(y**alpha)
         total += mono_x * np.conj(mono_y) / w
     return complex(total)
 
@@ -264,8 +265,8 @@ def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray) -> np.ndarr
     return out
 
 
-def coherent_state(model: KernelModel, y: UnitLift) -> SectionExpansion:
-    """L^2-normalized kernel section peaked at y.
+def coherent_state(model: KernelModel, y: np.ndarray) -> SectionExpansion:
+    """L^2-normalized kernel section peaked at the unit vector y.
 
     Phi_y = Pi_k(., y) / sqrt(diag); its orthonormal-basis coefficients
     are sqrt(k!/alpha!) * conj(y)^alpha, computed with lgamma so that no
@@ -275,9 +276,9 @@ def coherent_state(model: KernelModel, y: UnitLift) -> SectionExpansion:
     m, k = model.m, model.k
     tab = monomial_table(m, k)
     idx = tab.indices
-    mag = np.abs(y.vector)
+    mag = np.abs(y)
     logmag = np.where(mag > 0, np.log(np.maximum(mag, 1e-300)), LOG_ZERO)
-    phase = np.angle(np.conj(y.vector))
+    phase = np.angle(np.conj(y))
     logb = tab.half_multinomial + idx @ logmag
     ortho = np.exp(logb + 1j * (idx @ phase))
     return SectionExpansion.from_ortho(m, k, ortho)
@@ -305,22 +306,6 @@ class RegimeReport:
         }
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    m: int
-    k: int
-    near: RegimeReport
-    far: RegimeReport | None
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "near": self.near.to_dict(),
-            "far": self.far.to_dict() if self.far is not None else None,
-        }
-
-
 def gaussian_deviation(d) -> np.ndarray:
     """Relative deviation of log P_k from its Gaussian model:
     (-log cos d) / (d^2/2) - 1 = d^2/6 + 2 d^4/45 + ...  (k cancels).
@@ -343,8 +328,9 @@ def far_threshold(m: int, k: int) -> float:
     return math.sqrt((2 * q + 2 * m + 1) * math.log(k) / k)
 
 
-def verify_decay(model: KernelModel) -> DecayReport:
-    """Measure both decay regimes of the normalized kernel.
+def verify_decay(model: KernelModel) -> tuple:
+    """Measure both decay regimes of the normalized kernel, as the pair
+    (near, far) of RegimeReports; far is None when its regime is empty.
 
     Near regime (d <= b sqrt(log k / k), b = sqrt(4m+3)): max relative
     deviation of log P_k from -k d^2/2 over an interior grid of the
@@ -353,7 +339,7 @@ def verify_decay(model: KernelModel) -> DecayReport:
 
     Far regime (d >= sqrt((2q+2m+1) log k / k), q = m+1): max of
     P_k * k^q over 19 equispaced distances up to pi/2.  Empty when the
-    threshold exceeds the diameter.
+    threshold reaches the diameter pi/2.
     """
     samples = 19
     m, k = model.m, model.k
@@ -382,4 +368,4 @@ def verify_decay(model: KernelModel) -> DecayReport:
             sample_count=samples,
             threshold=d_far,
         )
-    return DecayReport(m=m, k=k, near=near, far=far)
+    return near, far

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import Frame
-from .geometry import UnitLift
+from .geometry import as_unit_vector
 from .kernel import KernelModel, coherent_state, near_threshold
 
 _MAGIC = b"WMX1"
@@ -43,8 +43,6 @@ def _offdiag_row_sums(entries: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    m: int
-    k: int
     entries: np.ndarray  # (n, n) complex Hermitian, unit diagonal
     eta_hat: float
 
@@ -71,12 +69,7 @@ def assemble_gram(frame: Frame) -> GramMatrix:
     scale = np.exp(frame.k * logmag)
     entries = scale * np.exp(1j * frame.k * np.angle(u))
     np.fill_diagonal(entries, 1.0)
-    return GramMatrix(
-        m=frame.m,
-        k=frame.k,
-        entries=entries,
-        eta_hat=float(np.max(_offdiag_row_sums(entries))),
-    )
+    return GramMatrix(entries=entries, eta_hat=float(np.max(_offdiag_row_sums(entries))))
 
 
 @dataclass(frozen=True)
@@ -218,8 +211,7 @@ def whiten(frame: Frame, op: WhiteningOperator) -> np.ndarray:
         raise WhiteningError("operator size does not match the frame")
     model = KernelModel(frame.m, frame.k)
     basis = np.vstack(
-        [coherent_state(model, UnitLift.from_vector(p)).ortho_coeffs
-         for p in frame.points]
+        [coherent_state(model, as_unit_vector(p)).ortho_coeffs for p in frame.points]
     )
     return op.entries @ basis
 

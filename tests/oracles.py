@@ -18,9 +18,9 @@ from flatsections.kernel import (
 
 
 def fs_distance(z, w) -> float:
-    """Geodesic distance arccos |<z, w>| between two ProjectivePoints,
-    valued in [0, pi/2]."""
-    q = abs(np.vdot(w.homogeneous, z.homogeneous))
+    """Geodesic distance arccos |<z, w>| between the points of two unit
+    vectors, valued in [0, pi/2]."""
+    q = abs(np.vdot(w, z))
     return math.acos(min(1.0, q))
 
 

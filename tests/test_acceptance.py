@@ -21,7 +21,7 @@ from flatsections.certify import (
 from flatsections.cli import RunConfig
 from flatsections.flatten import flatten_frame, fk_norm, sup_norm_chain_bound
 from flatsections.frame import LatticeSpec, build, choose_spacing
-from flatsections.geometry import UnitLift, cp1_latlon_cover
+from flatsections.geometry import as_unit_vector, cp1_latlon_cover
 from flatsections.kernel import (
     KernelModel,
     dimension,
@@ -92,7 +92,7 @@ def test_kernel_exactness():
             assert np.all(np.abs(p[ok] - ref[ok]) <= 1e-10 * p[ok])
 
             model = KernelModel(m, k)
-            x = UnitLift.from_vector(_unit_rows(rng, 1, m + 1)[0])
+            x = as_unit_vector(_unit_rows(rng, 1, m + 1)[0])
             diag = szego_kernel(model, x, x).real * math.pi**m / math.factorial(m)
             assert int(round(diag)) == math.comb(k + m, m)
             assert abs(diag - math.comb(k + m, m)) <= 1e-9 * math.comb(k + m, m)
@@ -105,14 +105,14 @@ def test_decay_regimes():
     b2 = 7.0  # 4m + 3 at m = 1
     devs = []
     for k in (100, 400, 1600):
-        rep = verify_decay(KernelModel(1, k))
-        dev = rep.near.max_deviation
+        near, _ = verify_decay(KernelModel(1, k))
+        dev = near.max_deviation
         assert dev <= b2 * math.log(k) / (6 * k) * 1.01
         devs.append(dev)
     assert devs[0] > devs[1] > devs[2]
     for k in (400, 1600):
-        rep = verify_decay(KernelModel(1, k))
-        assert rep.far is not None and rep.far.max_deviation < 1.0
+        _, far = verify_decay(KernelModel(1, k))
+        assert far is not None and far.max_deviation < 1.0
 
 
 def test_step2_bounds():

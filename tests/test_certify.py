@@ -12,7 +12,7 @@ from flatsections import cli
 from flatsections import flatten as FL
 from flatsections import frame as F
 from flatsections import whitening as W
-from flatsections.geometry import ManifoldModel, UnitLift
+from flatsections.geometry import ManifoldModel, as_unit_vector
 from flatsections.kernel import (
     KernelModel,
     SectionExpansion,
@@ -117,8 +117,8 @@ class TestL2Inner:
 
     def test_coherent_cross_check(self):
         model = KernelModel(1, 30)
-        y = UnitLift.from_vector([math.cos(0.5), math.sin(0.5) * np.exp(0.3j)])
-        yp = UnitLift.from_vector([math.cos(0.9), math.sin(0.9) * np.exp(-1.1j)])
+        y = as_unit_vector([math.cos(0.5), math.sin(0.5) * np.exp(0.3j)])
+        yp = as_unit_vector([math.cos(0.9), math.sin(0.9) * np.exp(-1.1j)])
         lhs = C.l2_inner(coherent_state(model, y), coherent_state(model, yp))
         rhs = szego_kernel(model, yp, y) / model.diag
         assert abs(lhs - rhs) < 1e-12
@@ -135,7 +135,7 @@ class TestL2Inner:
     def test_reproduces_whitening_gram(self):
         fr, g, op, fam = _pipeline(60)
         model = KernelModel(1, 60)
-        states = [coherent_state(model, UnitLift.from_vector(x)) for x in fr.points]
+        states = [coherent_state(model, as_unit_vector(x)) for x in fr.points]
         inner = np.array([[C.l2_inner(sa, sb) for sb in states] for sa in states])
         assert np.max(np.abs(inner - g.entries)) < 1e-9
 
@@ -150,7 +150,7 @@ class TestSupNorm:
     def test_coherent_peak_found(self):
         for k in (50, 400):
             model = KernelModel(1, k)
-            y = UnitLift.from_vector([math.cos(0.61), math.sin(0.61) * np.exp(0.8j)])
+            y = as_unit_vector([math.cos(0.61), math.sin(0.61) * np.exp(0.8j)])
             est = C.sup_norm(coherent_state(model, y), mesh=16)
             peak = math.sqrt(model.diag)
             assert est.value <= peak * (1 + 1e-12)

@@ -252,9 +252,7 @@ class TestCompare:
 
         def reversed_build(spec, k):
             fr = build(spec, k)
-            return dataclasses.replace(
-                fr, points=fr.points[::-1].copy(), chart_index=fr.chart_index[::-1].copy(),
-                mu=fr.mu[::-1].copy(), tangent=fr.tangent[::-1].copy())
+            return dataclasses.replace(fr, points=fr.points[::-1].copy())
 
         monkeypatch.setattr(cli, "build", reversed_build)
         mb = cli.run(cfg)
@@ -386,10 +384,15 @@ class TestMainEntry:
         {"cover": {"name": "two-cap", "radius": -0.3}},
         {"cover": {"name": "two-cap", "radius": math.nan}},
         {"delta": -1.0}, {"delta": math.nan}, {"delta": math.inf},
+        # a non-finite number means nothing in any field: an infinite
+        # spacing builds an empty frame, infinite tolerances pass anything
+        {"k": [50], "spacing": math.inf}, {"k": [50], "gamma": math.inf},
+        {"k": [50], "ortho_tol": math.inf, "neumann_tol": math.inf}, {"eta": math.nan},
     ], ids=["k-int", "k-str", "k-float", "k-bool", "m-bool", "eta-str", "epsilon-null",
             "mesh-str", "mesh-float", "seed-null", "radius-str", "out-int",
             "cover-unknown-key", "balls-negative-radius", "two-cap-negative-radius",
-            "two-cap-nan-radius", "delta-negative", "delta-nan", "delta-inf"])
+            "two-cap-nan-radius", "delta-negative", "delta-nan", "delta-inf",
+            "spacing-inf", "gamma-inf", "tols-inf", "eta-nan"])
     def test_config_value_of_the_wrong_type(self, tmp_path, capsys, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -397,6 +400,27 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--spacing", "inf"], ["--gamma", "inf"]],
+                             ids=lambda f: f[0][2:])
+    def test_non_finite_flag_is_a_config_error(self, capsys, flags):
+        assert cli.main(["run", "--k", "50"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("config", [
+        {"mode": "constants-only", "k": []},
+        {"mode": "kernel-check", "k": [50]},
+    ], ids=["constants-only", "kernel-check"])
+    def test_emit_polys_refuses_other_modes(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["emit-polys", "--config", str(path), "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert not (tmp_path / "polynomials.json").exists()
 
     def test_chart_error_diagnostic(self, capsys):
         code = cli.main(["run", "--t", "1.2", "--k", "50"])

@@ -9,7 +9,7 @@ from flatsections import flatten as FL
 from flatsections import frame as F
 from flatsections import geometry as G
 from flatsections import whitening as W
-from flatsections.geometry import UnitLift
+from flatsections.geometry import as_unit_vector
 from flatsections.kernel import KernelModel, SectionExpansion, coherent_state
 
 
@@ -76,7 +76,7 @@ class TestDftMatrix:
 class TestDftMix:
     def test_single_section_passthrough(self):
         model = KernelModel(1, 12)
-        phi = coherent_state(model, UnitLift.from_vector([1.0, 0.0]))
+        phi = coherent_state(model, as_unit_vector([1.0, 0.0]))
         mixed = FL.dft_mix(phi.ortho_coeffs[None, :])
         assert mixed.shape == (1, 13)
         assert np.allclose(mixed[0], phi.ortho_coeffs)
@@ -98,7 +98,7 @@ class TestDftMix:
         # mix a deliberately non-orthonormal family: Gram must be conjugated
         # by a unitary, so its eigenvalues survive exactly
         model = KernelModel(1, 40)
-        pts = [UnitLift.from_vector([math.cos(r), math.sin(r)]) for r in (0.1, 0.35, 0.7)]
+        pts = [as_unit_vector([math.cos(r), math.sin(r)]) for r in (0.1, 0.35, 0.7)]
         p = np.vstack([coherent_state(model, x).ortho_coeffs for x in pts])
         q = FL.dft_mix(p)
         mixed_eigs = np.linalg.eigvalsh(q @ q.conj().T)
@@ -113,7 +113,7 @@ class TestDftMix:
         fr, g, op = _whitened(100)
         fam = FL.flatten_frame(fr, op)
         model = KernelModel(1, 100)
-        p = np.vstack([coherent_state(model, UnitLift.from_vector(x)).ortho_coeffs
+        p = np.vstack([coherent_state(model, as_unit_vector(x)).ortho_coeffs
                        for x in fr.points])
         alt = (FL.dft_matrix(fr.n) @ op.entries) @ p
         assert np.max(np.abs(alt - fam.ortho)) < 1e-12

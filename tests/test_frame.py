@@ -82,11 +82,14 @@ def _box_candidates(spec, chart, k):
 
 def _brute_force_dedup(spec, k):
     """The dedup rule with no prefilter: each candidate is compared with
-    every point accepted from every earlier chart.  The last value counts
-    those comparisons."""
+    every point accepted from every earlier chart.  Returns the points and
+    their provenance, the chart index and lattice coordinates mu of each,
+    then the dropped count and the comparisons made.  A single-chart spec
+    runs over its one cube chart."""
     cos_thr = math.cos(F.DEDUP_FACTOR * spec.a / math.sqrt(k))
+    charts = spec.charts if spec.charts is not None else (F._single_chart(spec),)
     pts, cidx, mus, dropped, compared = [], [], [], 0, 0
-    for j, chart in enumerate(spec.charts):
+    for j, chart in enumerate(charts):
         grid, v = _box_candidates(spec, chart, k)
         if v.shape[0] == 0:
             continue
@@ -217,9 +220,12 @@ class TestSingleChartCubic:
     def test_center_zero_present_and_order_deterministic(self):
         fr1 = F.build(_cubic_spec(), 200)
         fr2 = F.build(_cubic_spec(), 200)
-        assert np.array_equal(fr1.mu, fr2.mu)
-        assert np.allclose(fr1.points, fr2.points)
-        assert (fr1.mu == 0).all(axis=1).any()
+        points, _, mu, _, _ = _brute_force_dedup(_cubic_spec(), 200)
+        assert np.array_equal(fr1.points, points)
+        assert np.array_equal(fr2.points, points)
+        centre = (mu == 0).all(axis=1)
+        assert centre.any()
+        assert np.array_equal(fr1.points[centre], [[1.0, 0.0]])
 
 
 class TestHexagonal:
@@ -282,7 +288,9 @@ class TestMultichart:
         )
         fr = F.build(spec, 500)
         assert fr.n > 0
-        assert set(np.unique(fr.chart_index)) == {0, 1}
+        points, chart_index, _, _, _ = _brute_force_dedup(spec, 500)
+        assert np.array_equal(fr.points, points)
+        assert set(np.unique(chart_index)) == {0, 1}
 
     def test_single_chart_degenerates_to_build_cubic(self):
         spec = _cubic_spec()
@@ -294,8 +302,7 @@ class TestMultichart:
         f1 = F.build(spec, 250)
         f2 = F.build(multi, 250)
         assert f1.n == f2.n
-        assert np.allclose(f1.points, f2.points)
-        assert np.array_equal(f1.mu, f2.mu)
+        assert np.array_equal(f1.points, f2.points)
 
     def test_points_stay_in_their_region(self):
         cover = G.cp1_latlon_cover(0.35)
@@ -305,10 +312,15 @@ class TestMultichart:
             charts=tuple(cover), delta=1e-9,
         )
         fr = F.build(spec, 600)
+        points, chart_index, mu, _, _ = _brute_force_dedup(spec, 600)
+        assert np.array_equal(fr.points, points)
         for j, chart in enumerate(cover):
-            mine = fr.tangent[fr.chart_index == j]
-            if mine.shape[0]:
-                assert np.all(chart.region.contains(chart, mine))
+            mine = chart_index == j
+            if mine.any():
+                v = F._tangent_vectors(spec, mu[mine], 600)
+                assert np.all(chart.region.contains(chart, v))
+                # the cells test the built points themselves
+                assert np.all(chart.region.contains(chart, v, fr.points[mine]))
 
     @pytest.mark.parametrize("kind,radius,a", [("cubic", 0.35, 1.945),
                                                ("hexagonal", 0.2, 1.971)])
@@ -317,11 +329,13 @@ class TestMultichart:
         k = 800
         fr = F.build(spec, k)
         assert fr.dropped > 0
+        points, chart_index, _, _, _ = _brute_force_dedup(spec, k)
+        assert np.array_equal(fr.points, points)
         thr = F.DEDUP_FACTOR * spec.a / math.sqrt(k)
         # check distances between points of distinct charts
         q = np.abs(fr.points @ fr.points.conj().T)
         np.fill_diagonal(q, 0.0)
-        cross = fr.chart_index[:, None] != fr.chart_index[None, :]
+        cross = chart_index[:, None] != chart_index[None, :]
         dmin = np.arccos(np.clip(np.max(q[cross]), 0, 1))
         assert dmin >= thr - 1e-12
 
@@ -335,10 +349,8 @@ class TestMultichart:
     def test_dedup_matches_brute_force(self, kind, radius, a, k):
         spec = _dedup_spec(kind, radius, a)
         fr = F.build(spec, k)
-        points, chart_index, mu, dropped, compared = _brute_force_dedup(spec, k)
+        points, _, _, dropped, compared = _brute_force_dedup(spec, k)
         assert np.array_equal(fr.points, points)
-        assert np.array_equal(fr.chart_index, chart_index)
-        assert np.array_equal(fr.mu, mu)
         assert fr.dropped == dropped
         assert 0 < fr.compared < compared
         if kind != "balls":
@@ -355,17 +367,15 @@ class TestMultichart:
         monkeypatch.setattr(F, "DEDUP_FACTOR", factor)
         spec = _dedup_spec(kind, radius, a)
         fr = F.build(spec, k)
+        points, chart_index, _, dropped, _ = _brute_force_dedup(spec, k)
+        assert np.array_equal(fr.points, points)
+        assert fr.dropped == dropped > 0
         side = factor * a / math.sqrt(k) + F.REACH_SLACK
-        crowd = max(np.unique(F._cells(fr.points[fr.chart_index == j],
+        crowd = max(np.unique(F._cells(fr.points[chart_index == j],
                                        F._pivots(chart.center), side),
                               return_counts=True)[1].max()
-                    for j, chart in enumerate(spec.charts) if np.any(fr.chart_index == j))
+                    for j, chart in enumerate(spec.charts) if np.any(chart_index == j))
         assert crowd >= 16
-        points, chart_index, mu, dropped, _ = _brute_force_dedup(spec, k)
-        assert np.array_equal(fr.points, points)
-        assert np.array_equal(fr.chart_index, chart_index)
-        assert np.array_equal(fr.mu, mu)
-        assert fr.dropped == dropped > 0
 
     @pytest.mark.parametrize("kind,radius,a,k,lattice,m", [
         ("cubic", 0.35, 1.945, 800, "cubic", 1),
@@ -382,8 +392,9 @@ class TestMultichart:
         ("rim", 2, 2.0, 40, "cubic", 2),
     ])
     def test_enumeration_matches_box(self, kind, radius, a, k, lattice, m):
-        """Each chart's candidates are the box-plus-contains rows, in the
-        same order, with the exp lifts of those rows."""
+        """Each chart's lattice rows, kept by contains, are the
+        box-plus-contains rows in the same order, and its candidates are
+        the exp lifts of those rows."""
         if kind == "cube":
             spec = F.LatticeSpec(kind=lattice, m=m, a=a, eta=0.9, gamma=1.3, t=radius)
             charts = [F._single_chart(spec)]
@@ -399,8 +410,12 @@ class TestMultichart:
             charts = spec.charts
         assert spec.m == m
         for chart in charts:
-            grid, v, lifts = F._chart_candidates(
-                spec, chart, k, chart.region.circumradius(spec.m))
+            radius = chart.region.circumradius(spec.m)
+            grid = F._lattice_rows(spec, chart, k, radius)
+            v = F._tangent_vectors(spec, grid, k)
+            keep = np.asarray(chart.region.contains(chart, v))
+            grid, v = grid[keep], v[keep]
+            lifts = F._chart_candidates(spec, chart, k, radius)
             want_grid, want_v = _box_candidates(spec, chart, k)
             assert grid.shape[0] > 0
             assert np.array_equal(grid, want_grid)
@@ -448,7 +463,7 @@ class TestMultichart:
             assert pivots.shape == (2, m + 1)
             for p in pivots:
                 assert abs(np.linalg.norm(p) - 1) < 1e-15
-                assert abs(fs_distance(c, G.ProjectivePoint.from_vector(p)) - math.pi / 4) < 1e-12
+                assert abs(fs_distance(c.homogeneous, p) - math.pi / 4) < 1e-12
             steps = np.logspace(-9, 0, 400)[:, None]
             x = unit(gauss(400, m + 1))
             y = unit(x + steps * gauss(400, m + 1))

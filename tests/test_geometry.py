@@ -101,7 +101,7 @@ class TestPointsAndDistance:
         assert p.homogeneous[0].real > 0
         assert abs(np.linalg.norm(p.homogeneous) - 1.0) < 1e-14
         q = G.ProjectivePoint.from_vector([1.0, -1j])
-        assert fs_distance(p, q) <= 1e-12
+        assert fs_distance(p.homogeneous, q.homogeneous) <= 1e-12
 
     def test_canonical_rep_is_phase_invariant(self):
         rng = np.random.default_rng(3)
@@ -117,19 +117,19 @@ class TestPointsAndDistance:
     def test_distance_example(self):
         p = G.ProjectivePoint.from_vector([1, 0])
         q = G.ProjectivePoint.from_vector([1, 1])
-        assert abs(fs_distance(p, q) - math.pi / 4) < 1e-14
+        assert abs(fs_distance(p.homogeneous, q.homogeneous) - math.pi / 4) < 1e-14
 
     def test_distance_range_and_symmetry(self):
         rng = np.random.default_rng(0)
         for m in (1, 2, 4):
             for _ in range(40):
                 x, y = _rand_point(rng, m), _rand_point(rng, m)
-                d = fs_distance(x, y)
+                d = fs_distance(x.homogeneous, y.homogeneous)
                 assert 0.0 <= d <= math.pi / 2 + 1e-15
-                assert abs(d - fs_distance(y, x)) < 1e-15
+                assert abs(d - fs_distance(y.homogeneous, x.homogeneous)) < 1e-15
         e0 = G.standard_point(2, 0)
         e1 = G.standard_point(2, 1)
-        assert abs(fs_distance(e0, e1) - math.pi / 2) < 1e-15
+        assert abs(fs_distance(e0.homogeneous, e1.homogeneous) - math.pi / 2) < 1e-15
 
     def test_distance_against_bloch_sphere_oracle(self):
         # CP^1 with this normalization is a round 2-sphere of radius 1/2:
@@ -138,16 +138,14 @@ class TestPointsAndDistance:
         for _ in range(300):
             x, y = _rand_point(rng, 1), _rand_point(rng, 1)
             cosang = np.clip(np.dot(_bloch(x), _bloch(y)), -1.0, 1.0)
-            assert abs(fs_distance(x, y) - 0.5 * math.acos(cosang)) < 1e-12
+            assert abs(fs_distance(x.homogeneous, y.homogeneous) - 0.5 * math.acos(cosang)) < 1e-12
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(2)
         for m in (1, 3):
             for _ in range(200):
-                x, y, z = (_rand_point(rng, m) for _ in range(3))
-                assert fs_distance(x, z) <= (
-                    fs_distance(x, y) + fs_distance(y, z) + 1e-12
-                )
+                x, y, z = (_rand_point(rng, m).homogeneous for _ in range(3))
+                assert fs_distance(x, z) <= fs_distance(x, y) + fs_distance(y, z) + 1e-12
 
     def test_vectorized_distances_match_scalar(self):
         rng = np.random.default_rng(4)
@@ -158,7 +156,7 @@ class TestPointsAndDistance:
         d = np.arccos(np.clip(np.abs(arr @ arr.conj().T), -1.0, 1.0))
         for i in range(8):
             for j in range(8):
-                assert abs(d[i, j] - fs_distance(pts[i], pts[j])) < 1e-12
+                assert abs(d[i, j] - fs_distance(pts[i].homogeneous, pts[j].homogeneous)) < 1e-12
 
 
 class TestMomentLifts:
@@ -208,7 +206,8 @@ class TestChartsAndExpLog:
                 v = rng.normal(size=2 * m)
                 v *= rng.uniform(0.0, 0.69) / np.linalg.norm(v)
                 z = exp_point(ch, v)
-                assert abs(fs_distance(ch.center, z) - np.linalg.norm(v)) < 1e-12
+                d = fs_distance(ch.center.homogeneous, z.homogeneous)
+                assert abs(d - np.linalg.norm(v)) < 1e-12
 
     def test_log_inverts_exp(self):
         rng = np.random.default_rng(7)
@@ -227,13 +226,13 @@ class TestChartsAndExpLog:
         ch = G.make_chart(_rand_point(rng, 2), G.BallRegion(0.7), 1.2)
         for _ in range(40):
             z = _rand_point(rng, 2)
-            if fs_distance(ch.center, z) >= math.pi / 2 - 1e-6:
+            if fs_distance(ch.center.homogeneous, z.homogeneous) >= math.pi / 2 - 1e-6:
                 continue
             v = log_map(ch, z)
             back = G.ProjectivePoint.from_vector(
                 G.exp_chart_vectors(ch, v[None, :])[0]
             )
-            assert fs_distance(back, z) <= 1e-10
+            assert fs_distance(back.homogeneous, z.homogeneous) <= 1e-10
 
     def test_log_rejects_cut_locus(self):
         ch = G.make_chart(G.standard_point(1, 0), G.BallRegion(0.2), 1.05)
@@ -339,7 +338,7 @@ class TestCovers:
         rad = charts[0].region.radius
         for i, a in enumerate(charts):
             for b in charts[i + 1 :]:
-                assert fs_distance(a.center, b.center) > 2 * rad + 0.1
+                assert fs_distance(a.center.homogeneous, b.center.homogeneous) > 2 * rad + 0.1
 
     def test_cp2_cover_defect_positive(self):
         charts = G.cp2_ball_cover()

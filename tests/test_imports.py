@@ -5,6 +5,8 @@
   the pipeline, and a helper only tests call lives in tests/.
 * Every optional parameter is passed by some call in the package: one
   that only tests set is a module constant instead.
+* Every field of a dataclass or NamedTuple is read somewhere in the
+  package: state that nothing reads is not stored.
 """
 
 import ast
@@ -25,6 +27,10 @@ UNCALLED_KEPT = ("core_bytes", "load_family", "load_matrix", "row_split_report",
 
 # main(argv) takes its arguments from sys.argv when the console script runs
 UNPASSED_KEPT = ("main(argv)",)
+
+# Frame.dropped is the frame counter the benchmark reads, and it and
+# Frame.compared are the dedup counters the manifest envelope is to carry
+UNREAD_KEPT = ("dropped", "compared")
 
 
 def unused_imports(source: str) -> list:
@@ -132,6 +138,48 @@ def unpassed_parameters(sources: dict) -> list:
     return sorted(out)
 
 
+def _is_record(node) -> bool:
+    """Whether the class node is a @dataclass or a NamedTuple subclass."""
+    def name(n):
+        n = n.func if isinstance(n, ast.Call) else n
+        return n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+
+    return (any(name(d) == "dataclass" for d in node.decorator_list)
+            or any(name(b) == "NamedTuple" for b in node.bases))
+
+
+def unread_fields(sources: dict) -> list:
+    """module:Class.field of every field of a dataclass or NamedTuple of
+    sources whose name no module reads, as an attribute load x.field or
+    as a string constant (the name getattr(x, "field") or a tuple of field
+    names spells).
+
+    The match is by name alone, so a field that shares its name with an
+    attribute read elsewhere counts as read.  That hid GramMatrix.m and
+    GramMatrix.k behind every other .m and .k, and the kind field of the
+    chart regions behind LatticeSpec.kind; those were found and removed by
+    hand.
+    """
+    trees = _parse(sources)
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    out = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_record(cls)):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in read):
+                    out.append("%s:%s.%s" % (module, cls.name, stmt.target.id))
+    return sorted(out)
+
+
 def _package_sources() -> dict:
     return {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -183,6 +231,39 @@ def test_detects_an_unpassed_parameter():
     assert unpassed_parameters({"a": a, "b": b}) == ["a:C.g(q)", "a:f(y)", "a:f(z)"]
 
 
+def test_detects_an_unread_field():
+    a = textwrap.dedent("""
+        import dataclasses
+        from dataclasses import dataclass
+        from typing import NamedTuple
+
+        @dataclass(frozen=True)
+        class Point:
+            x: float
+            y: float
+            label: str = ""
+
+        @dataclasses.dataclass
+        class Box:
+            lo: float
+            hi: float
+
+        class Pair(NamedTuple):
+            first: int
+            second: int
+
+        class Plain:
+            ignored: int = 0
+        """)
+    b = textwrap.dedent("""
+        from a import Box, Pair, Point
+        p = Point(1.0, 2.0)
+        print(p.x, getattr(p, "label"), Box(0.0, 1.0).hi, Pair(1, 2)[0])
+        """)
+    assert unread_fields({"a": a, "b": b}) == [
+        "a:Box.lo", "a:Pair.first", "a:Pair.second", "a:Point.y"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_are_referenced(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -198,3 +279,8 @@ def test_every_optional_parameter_is_passed_in_the_package():
     assert [e for e in found
             if not _kept(e, UNCALLED_KEPT)
             and e.split(":", 1)[1] not in UNPASSED_KEPT] == []
+
+
+def test_every_field_is_read_in_the_package():
+    found = unread_fields(_package_sources())
+    assert [e for e in found if not _kept(e, UNREAD_KEPT)] == []

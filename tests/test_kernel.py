@@ -17,7 +17,7 @@ from oracles import fs_distance, normalized_from_distance, raw_coeffs
 
 
 def _lift(rng, m):
-    return G.UnitLift.from_vector(rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1))
+    return G.as_unit_vector(rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1))
 
 
 class TestDimensionsAndDiag:
@@ -126,8 +126,8 @@ class TestSzegoKernel:
 
     def test_worked_example(self):
         model = K.KernelModel(1, 2)
-        x = G.UnitLift.from_vector([1, 0])
-        y = G.UnitLift.from_vector([1, 1])
+        x = G.as_unit_vector([1, 0])
+        y = G.as_unit_vector([1, 1])
         val = K.szego_kernel(model, x, y)
         assert abs(val - 3 / (2 * math.pi)) < 1e-14
 
@@ -136,8 +136,8 @@ class TestSzegoKernel:
         model = K.KernelModel(2, 11)
         x = _lift(rng, 2)
         assert abs(K.szego_kernel(model, x, x) - model.diag) < 1e-12 * model.diag
-        e0 = G.UnitLift.from_vector([1, 0, 0])
-        e1 = G.UnitLift.from_vector([0, 1, 0])
+        e0 = G.as_unit_vector([1, 0, 0])
+        e1 = G.as_unit_vector([0, 1, 0])
         assert K.szego_kernel(model, e0, e1) == 0
 
     def test_hermitian(self):
@@ -151,7 +151,7 @@ class TestSzegoKernel:
 
     def test_lift_dimension_mismatch(self):
         model = K.KernelModel(2, 3)
-        x = G.UnitLift.from_vector([1, 0])
+        x = G.as_unit_vector([1, 0])
         with pytest.raises(K.KernelError):
             K.szego_kernel(model, x, x)
 
@@ -160,7 +160,7 @@ class TestNormalizedKernel:
     def test_diagonal_is_one(self):
         rng = np.random.default_rng(3)
         model = K.KernelModel(1, 77)
-        z = _lift(rng, 1).point
+        z = G.ProjectivePoint.from_vector(_lift(rng, 1)).homogeneous
         assert normalized_from_distance(model.k, fs_distance(z, z)) == 1.0
 
     def test_half_inner_example(self):
@@ -169,7 +169,7 @@ class TestNormalizedKernel:
             model = K.KernelModel(1, k)
             z = G.ProjectivePoint.from_vector([1, 0])
             w = G.ProjectivePoint.from_vector([1, 1])
-            p = normalized_from_distance(model.k, fs_distance(z, w))
+            p = normalized_from_distance(model.k, fs_distance(z.homogeneous, w.homogeneous))
             assert abs(p - 2 ** (-k / 2)) < 1e-13
 
     def test_matches_szego_ratio(self):
@@ -179,7 +179,7 @@ class TestNormalizedKernel:
             model = K.KernelModel(m, k)
             for _ in range(30):
                 x, y = _lift(rng, m), _lift(rng, m)
-                p = normalized_from_distance(model.k, fs_distance(x.point, y.point))
+                p = normalized_from_distance(model.k, fs_distance(x, y))
                 s = abs(K.szego_kernel(model, x, y))
                 assert abs(p * model.diag - s) <= 1e-9 * model.diag
 
@@ -223,7 +223,7 @@ class TestCoherentStates:
             for _ in range(10):
                 x = _lift(rng, m)
                 want = K.szego_kernel(model, x, y) / math.sqrt(model.diag)
-                got = phi.evaluate_lifts(x.vector[None, :])[0]
+                got = phi.evaluate_lifts(x[None, :])[0]
                 assert abs(got - want) < 1e-11
 
     def test_overlap_is_normalized_kernel(self):
@@ -236,12 +236,12 @@ class TestCoherentStates:
         overlap = np.vdot(p2.ortho_coeffs, p1.ortho_coeffs)
         want = K.szego_kernel(model, y2, y1) / model.diag
         assert abs(overlap - want) < 1e-10
-        p = normalized_from_distance(model.k, fs_distance(y1.point, y2.point))
+        p = normalized_from_distance(model.k, fs_distance(y1, y2))
         assert abs(abs(overlap) - p) < 1e-10
 
     def test_explicit_k1_coefficients(self):
         model = K.KernelModel(1, 1)
-        phi = K.coherent_state(model, G.UnitLift.from_vector([1, 0]))
+        phi = K.coherent_state(model, G.as_unit_vector([1, 0]))
         c = math.sqrt(2 / math.pi)  # 1/sqrt(w_(1,0)), w = pi/2
         raw = raw_coeffs(1, 1, phi.ortho_coeffs)
         assert np.allclose(raw, [c, 0.0], atol=1e-14)
@@ -251,7 +251,7 @@ class TestCoherentStates:
         model = K.KernelModel(2, 12)
         y = _lift(rng, 2)
         phi = K.coherent_state(model, y)
-        got = abs(phi.evaluate_lifts(y.vector[None, :])[0])
+        got = abs(phi.evaluate_lifts(y[None, :])[0])
         assert abs(got - math.sqrt(model.diag)) < 1e-11
 
     def test_coherent_state_past_raw_overflow(self):
@@ -283,8 +283,8 @@ class TestCoherentStates:
     def test_coefficient_phase_equivariance(self):
         # multiplying the lift by a phase rotates every coefficient
         model = K.KernelModel(1, 5)
-        y = G.UnitLift.from_vector([3, 4j])
-        y2 = G.UnitLift.from_vector(np.asarray(y.vector) * np.exp(0.7j))
+        y = G.as_unit_vector([3, 4j])
+        y2 = G.as_unit_vector(y * np.exp(0.7j))
         a = K.coherent_state(model, y).ortho_coeffs
         b = K.coherent_state(model, y2).ortho_coeffs
         ratio = b[np.abs(b) > 1e-12] / a[np.abs(b) > 1e-12]
@@ -295,12 +295,12 @@ class TestDecayRegimes:
     def test_near_regime_bound_and_monotone_in_k(self):
         prev = None
         for k in (100, 400, 1600):
-            rep = K.verify_decay(K.KernelModel(1, k))
+            near, _ = K.verify_decay(K.KernelModel(1, k))
             bound = 7 * math.log(k) / (6 * k) * 1.01
-            assert rep.near.max_deviation <= bound
+            assert near.max_deviation <= bound
             if prev is not None:
-                assert rep.near.max_deviation < prev
-            prev = rep.near.max_deviation
+                assert near.max_deviation < prev
+            prev = near.max_deviation
 
     def test_near_deviation_series(self):
         # deviation(d) = d^2/6 + 2 d^4/45 + O(d^6)
@@ -312,14 +312,14 @@ class TestDecayRegimes:
     def test_far_regime_below_one(self):
         ks = []
         for k in range(2, 60):
-            rep = K.verify_decay(K.KernelModel(1, k))
-            if rep.far is not None and rep.far.max_deviation < 1.0:
+            _, far = K.verify_decay(K.KernelModel(1, k))
+            if far is not None and far.max_deviation < 1.0:
                 ks.append(k)
         assert ks and min(ks) <= 400
 
     def test_far_regime_shrinks(self):
         vals = [
-            K.verify_decay(K.KernelModel(1, k)).far.max_deviation
+            K.verify_decay(K.KernelModel(1, k))[1].max_deviation
             for k in (100, 400, 1600)
         ]
         assert vals[0] > vals[1] > vals[2]
@@ -328,9 +328,9 @@ class TestDecayRegimes:
     def test_report_serializable(self):
         import json
 
-        rep = K.verify_decay(K.KernelModel(2, 50))
-        blob = json.dumps(rep.to_dict())
+        near, far = K.verify_decay(K.KernelModel(2, 50))
+        blob = json.dumps({"near": near.to_dict(), "far": far and far.to_dict()})
         back = json.loads(blob)
         assert back["near"]["regime"] == "near"
         assert back["near"]["sample count"] == 19
-        assert back["k"] == 50
+        assert back["near"]["k"] == 50

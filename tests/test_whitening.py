@@ -8,7 +8,7 @@ import pytest
 from flatsections import frame as F
 from flatsections import geometry as G
 from flatsections import whitening as W
-from flatsections.geometry import UnitLift
+from flatsections.geometry import as_unit_vector
 from flatsections.kernel import KernelModel, coherent_state, szego_kernel_monomial_sum
 from oracles import normalized_from_distance
 
@@ -33,9 +33,6 @@ def _two_point_frame(k: int, d: float) -> F.Frame:
     return F.Frame(
         k=k, m=1,
         points=np.vstack([v0, w]),
-        chart_index=np.zeros(2, dtype=np.int64),
-        mu=np.zeros((2, 2), dtype=np.int64),
-        tangent=np.zeros((2, 2)),
         spec=_run_b_spec(),
     )
 
@@ -43,7 +40,7 @@ def _two_point_frame(k: int, d: float) -> F.Frame:
 def _gram_of(entries) -> W.GramMatrix:
     e = np.asarray(entries, dtype=np.complex128)
     s = np.sum(np.abs(e), axis=1) - np.abs(np.diagonal(e))
-    return W.GramMatrix(m=1, k=10, entries=e, eta_hat=float(np.max(s)))
+    return W.GramMatrix(entries=e, eta_hat=float(np.max(s)))
 
 
 class TestGramAssembly:
@@ -74,8 +71,8 @@ class TestGramAssembly:
             fr = _two_point_frame(k, 0.44)
             g = W.assemble_gram(fr)
             model = KernelModel(1, k)
-            y0 = UnitLift.from_vector(fr.points[0])
-            y1 = UnitLift.from_vector(fr.points[1])
+            y0 = as_unit_vector(fr.points[0])
+            y1 = as_unit_vector(fr.points[1])
             want = szego_kernel_monomial_sum(model, y1, y0) / model.diag
             assert abs(g.entries[0, 1] - want) < 1e-12
 
@@ -85,7 +82,7 @@ class TestGramAssembly:
         assert fr.n == 9
         g = W.assemble_gram(fr)
         model = KernelModel(1, 60)
-        p = np.vstack([coherent_state(model, UnitLift.from_vector(x)).ortho_coeffs
+        p = np.vstack([coherent_state(model, as_unit_vector(x)).ortho_coeffs
                        for x in fr.points])
         assert np.max(np.abs(g.entries - p @ p.conj().T)) < 1e-10
 
@@ -242,7 +239,7 @@ class TestWhiten:
         psi = W.whiten(fr, op)
         model = KernelModel(1, 60)
         for row, x in zip(psi, fr.points):
-            phi = coherent_state(model, UnitLift.from_vector(x))
+            phi = coherent_state(model, as_unit_vector(x))
             assert np.allclose(row, phi.ortho_coeffs)
 
     def test_whitened_family_is_orthonormal(self):
