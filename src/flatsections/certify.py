@@ -16,11 +16,11 @@ is the Euclidean norm of the row.  A family's sups have one path:
 
 certify_family is the one producer of a family's sups and L^2 norms.  It
 evaluates one shared base mesh: the monomial basis at the base-mesh
-centres is built once per chunk of at most 2e6 entries and applied to
-each row, then each section is refined on its own by sup_norm, the
-single-section evaluator.  Families whose base values pass
-BASE_BLOCK_ENTRIES are split into blocks of rows that share one
-evaluation each.  Every sup is bit-identical to the section-by-section
+centres is built once per chunk of at most kernel.BASIS_CHUNK_ENTRIES
+entries and applied to each row, then each section is refined by
+sup_norm, the single-section evaluator, which reads the family's shared
+first level in its first round.  Families whose base values pass BASE_BLOCK_ENTRIES are
+split into blocks of rows that share one evaluation each.  Every sup is bit-identical to the section-by-section
 evaluation, not merely close: the basis is built in the same chunks and
 each row gets its own matrix-vector product, since a single product over
 all rows rounds differently.  emit_polynomials reads the certificate and
@@ -54,8 +54,26 @@ confirmed and keeps its value, and the rest sort below them, so the
 screened round picks the same cells in the same order, ties included.
 Without a screen every child is confirmed.  Evaluation is
 per point, so a child's value does not depend on which other children
-share its call (the tests check this for two or more points per call;
-every confirm call has at least eight).
+share its call (the tests check this from one point per call up).
+
+The shared first level.  Every section refines from the same base mesh,
+so round 1 splits base cells into the same children, at the same lifts,
+in every section: at m=1 k=800 the 511 sections screen 16,352
+first-level children, of which 392 are distinct, and confirm 4,090, of
+which 261 are distinct.  So certify_family builds one FirstLevel per
+block of rows, over the base cells that some section of the block splits
+first.  It holds the kept frame-side terms <x, y_mu>^k of each of their
+children, computed in one batch, and the monomial basis row of each
+child, built the first time a section confirms it.  Round 1 of a section
+multiplies the shared terms by its own weights to screen, and applies
+its own matrix-vector product to the gathered rows of the children it
+confirms; rounds 2 and later stay per section.  The sups are those of
+the section refined alone, bit for bit: a child's box and lift are
+computed elementwise, its kept terms row by row, a basis row does not
+depend on the other lifts of its batch (kernel.monomial_basis), and the
+confirm product is the same product over the same rows.  The screen
+only chooses which children are confirmed and never supplies a reported
+value.
 
 The bound delta.  gamma_N = N u / (1 - N u) with
 N = 2 (d_k + n + m + 12), which covers every inner-product length below,
@@ -112,6 +130,7 @@ from .kernel import (
     SectionExpansion,
     dimension,
     evaluate_sections,
+    monomial_basis,
     monomial_table,
     multi_indices,
 )
@@ -208,20 +227,30 @@ class FrameScreen:
     cut: float
     delta: float
 
-    def values(self, lifts: np.ndarray) -> np.ndarray:
-        """|s| at the lifts, from the kept terms of the kernel block only
-        (about 47 of 511 per lift at m=1 k=800); the row sums are
-        bincounts over those terms, not a dense product."""
+    def terms(self, lifts: np.ndarray) -> tuple:
+        """(rows, cols, phi): the kept terms <x, y_mu>^k = Phi_mu(x) / root
+        at the lifts, x = lifts[rows], mu = cols, in row-major order.  They
+        do not depend on the section: every screen of a family keeps the
+        same terms (about 47 of 511 per lift at m=1 k=800)."""
         g = lifts @ self.conj_points
         flat = np.flatnonzero(np.abs(g) >= self.cut)
         rows, cols = np.divmod(flat, g.shape[1])
         kept = g.ravel()[flat]
         mag = np.exp(self.k * np.log(np.abs(kept)))
         phase = self.k * np.angle(kept)
-        terms = self.weights[cols] * (mag * np.cos(phase) + 1j * (mag * np.sin(phase)))
-        count = len(lifts)
+        return rows, cols, mag * np.cos(phase) + 1j * (mag * np.sin(phase))
+
+    def combine(self, rows: np.ndarray, cols: np.ndarray, phi: np.ndarray,
+                count: int) -> np.ndarray:
+        """|s| at count lifts from their kept terms; the row sums are
+        bincounts over those terms, not a dense product."""
+        terms = self.weights[cols] * phi
         return self.root * np.hypot(np.bincount(rows, terms.real, count),
                                     np.bincount(rows, terms.imag, count))
+
+    def values(self, lifts: np.ndarray) -> np.ndarray:
+        """|s| at the lifts, from the kept terms of the kernel block only."""
+        return self.combine(*self.terms(lifts), len(lifts))
 
 
 def _rounding_level(m: int, k: int, n: int) -> float:
@@ -254,26 +283,97 @@ def frame_screens(fam, points: np.ndarray, entries: np.ndarray) -> list:
             for w, sc in zip(weights, scale)]
 
 
+def _confirmed(approx: np.ndarray, delta: float) -> np.ndarray:
+    """Indices of the children whose screen value is within 2 delta of the
+    _take-th largest: no other child can be in the next round's top cells
+    or be the round maximum."""
+    take = _take(len(approx))
+    edge = np.partition(approx, -take)[-take]
+    return np.flatnonzero(approx >= edge - 2 * delta)
+
+
 def _refined_values(s: SectionExpansion, lifts: np.ndarray,
                     screen: FrameScreen | None) -> np.ndarray:
     """|s| at the refinement children, by s.evaluate_lifts.  With a screen,
-    only the children whose screen value is within 2 delta of the _take-th
-    largest are evaluated; the rest get -inf, as no such child can be in
-    the next round's top cells or be the round maximum."""
+    only the _confirmed children are evaluated and the rest get -inf."""
     if screen is None:
         return np.abs(s.evaluate_lifts(lifts))
-    approx = screen.values(lifts)
-    take = _take(len(approx))
-    edge = np.partition(approx, -take)[-take]
-    confirm = np.flatnonzero(approx >= edge - 2 * screen.delta)
+    confirm = _confirmed(screen.values(lifts), screen.delta)
     vals = np.full(len(lifts), -np.inf)
     vals[confirm] = np.abs(s.evaluate_lifts(lifts[confirm]))
     return vals
 
 
+def _top_cells(vals: np.ndarray) -> np.ndarray:
+    """The _take largest values, exact ties broken by cell index, so the
+    choice does not depend on which other cells a round evaluated."""
+    return np.argsort(-vals, kind="stable")[:_take(len(vals))]
+
+
+class FirstLevel:
+    """The first refinement level of a family, shared by its sections.
+
+    Every section refines from the same base mesh, so the children of a
+    base cell are the same boxes, at the same lifts, in every section.
+    Built for the base cells that some section splits first (cells),
+    it keeps the frame-side terms of every child of those cells, and the
+    monomial basis row of each child a section confirms, built the first
+    time one asks for it.  Child c of cells[i] is item c * len(cells) + i,
+    its place in _split_boxes(boxes[cells]).
+    """
+
+    def __init__(self, m: int, k: int, boxes: np.ndarray, cells: np.ndarray,
+                 screen: FrameScreen):
+        self.m, self.k = m, k
+        self.place = np.full(len(boxes), -1)
+        self.place[cells] = np.arange(len(cells))
+        self.stride = len(cells)
+        self.fanout = 2 ** boxes.shape[1]
+        self.lifts = center_lifts(m, _split_boxes(boxes[cells]))
+        rows, self.cols, self.phi = screen.terms(self.lifts)
+        self.starts = np.searchsorted(rows, np.arange(len(self.lifts) + 1))
+        self.row_of = np.full(len(self.lifts), -1)  # row of each item in basis
+        self.basis = np.empty((0, dimension(m, k)), dtype=np.complex128)
+        self.built = 0
+
+    def _basis_rows(self, items: np.ndarray) -> np.ndarray:
+        """The monomial basis rows of distinct items, each built once."""
+        new = items[self.row_of[items] < 0]
+        if len(new):
+            end = self.built + len(new)
+            if end > len(self.basis):
+                grown = np.empty((max(end, 2 * len(self.basis)), self.basis.shape[1]),
+                                 dtype=np.complex128)
+                grown[:self.built] = self.basis[:self.built]
+                self.basis = grown
+            self.basis[self.built:end] = monomial_basis(self.m, self.k, self.lifts[new])
+            self.row_of[new] = np.arange(self.built, end)
+            self.built = end
+        return self.basis[self.row_of[items]]
+
+    def values(self, s: SectionExpansion, top: np.ndarray,
+               screen: FrameScreen) -> np.ndarray:
+        """_refined_values of s at the children of the base cells top, in
+        the order _split_boxes gives them, from the shared terms and rows."""
+        place = self.place[top]
+        if np.any(place < 0):
+            raise CertifyError("base cell outside the shared first level")
+        items = (self.stride * np.arange(self.fanout)[:, None] + place).ravel()
+        lo = self.starts[items]
+        lens = self.starts[items + 1] - lo
+        at = np.repeat(lo - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        rows = np.repeat(np.arange(len(items)), lens)
+        confirm = _confirmed(screen.combine(rows, self.cols[at], self.phi[at], len(items)),
+                             screen.delta)
+        vals = np.full(len(items), -np.inf)
+        vals[confirm] = np.abs(self._basis_rows(items[confirm]) @ s.ortho_coeffs)
+        return vals
+
+
 def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
              base: np.ndarray | None = None,
-             screen: FrameScreen | None = None) -> SupNormEstimate:
+             screen: FrameScreen | None = None,
+             first: FirstLevel | None = None) -> SupNormEstimate:
     """Mesh maximum of |s| at unit lifts, with greedy refinement.
 
     Splits the top percent (at least eight) of cells by center value
@@ -285,7 +385,9 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
     evaluates exactly only the children that can win (module docstring),
     and the estimate is the one the full evaluation gives.  Every reported
     value is a monomial value from s.evaluate_lifts, and evaluations
-    counts the cells examined, screened out or not.
+    counts the cells examined, screened out or not.  first, when given
+    (it needs screen), is the family's FirstLevel: round 1 then reads its
+    shared terms and basis rows instead of building its own.
     """
     _check_mesh(s.m, mesh)
     boxes = base_boxes(s.m, mesh)
@@ -298,11 +400,12 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
     used = 0
     increment = 0.0
     for _ in range(rounds):
-        # the take largest values, exact ties broken by cell index, so the
-        # choice does not depend on which other cells a round evaluated
-        top = np.argsort(-vals, kind="stable")[:_take(len(vals))]
+        top = _top_cells(vals)
         boxes = _split_boxes(boxes[top])
-        vals = _refined_values(s, center_lifts(s.m, boxes), screen)
+        if used == 0 and first is not None:
+            vals = first.values(s, top, screen)
+        else:
+            vals = _refined_values(s, center_lifts(s.m, boxes), screen)
         evals += len(vals)
         used += 1
         new_best = max(best, float(np.max(vals)))
@@ -357,8 +460,12 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
     for lo in range(0, fam.n, block):
         rows = fam.ortho[lo:lo + block]
         base = _base_values(fam.m, fam.k, rows, boxes)
+        first = None
+        if not unscreened:
+            cells = np.unique(np.concatenate([_top_cells(vals) for vals in base]))
+            first = FirstLevel(fam.m, fam.k, boxes, cells, screens[0])
         sups += [sup_norm(SectionExpansion.from_ortho(fam.m, fam.k, row),
-                          mesh=mesh, rounds=rounds, base=vals, screen=scr)
+                          mesh=mesh, rounds=rounds, base=vals, screen=scr, first=first)
                  for row, vals, scr in zip(rows, base, screens[lo:lo + block])]
     l2s = [float(np.linalg.norm(row)) for row in fam.ortho]
     root_vol = math.sqrt(ManifoldModel(fam.m).volume)

@@ -437,6 +437,9 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
     g = assemble_gram(frame)
     row["eta_hat"] = g.eta_hat
     soft["eta_within_target"] = g.eta_hat <= spec.eta
+    if dump_dir is not None:
+        dump_matrix(os.path.join(dump_dir, "gram-k%d.bin" % k),
+                    cfg.m, k, g.entries, tag="gram")
 
     op = inv_sqrt_neumann(g, tol=cfg.neumann_tol)  # raises on divergence
     reference = inv_sqrt_eigen(g)
@@ -446,6 +449,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
     row["b_agree"] = agree
     invariants["whitening_methods_agree"] = agree <= max(1e3 * cfg.neumann_tol, 1e-8)
     invariants["b_norm_within_bound"] = True  # enforced inside the solvers
+    del g, reference  # n x n each; certification below needs neither
 
     fam = flatten_frame(frame, op)
     ortho_dev = float(np.max(np.abs(fam.ortho @ fam.ortho.conj().T - np.eye(n))))
@@ -469,7 +473,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
     invariants["sup_within_chain"] = row["max_sup"] <= chain * (1 + 1e-9)
 
     if n <= d:
-        bound = flat_bound(n / d, g.eta_hat, ManifoldModel(cfg.m).volume) * 1.10
+        bound = flat_bound(n / d, row["eta_hat"], ManifoldModel(cfg.m).volume) * 1.10
         row["flat_bound"] = bound
         invariants["sup_within_flat_bound"] = row["max_sup"] <= bound
     else:
@@ -483,8 +487,6 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
         soft["density_at_target"] = row["ratio"] >= cfg.beta
 
     if dump_dir is not None:
-        dump_matrix(os.path.join(dump_dir, "gram-k%d.bin" % k),
-                    cfg.m, k, g.entries, tag="gram")
         dump_matrix(os.path.join(dump_dir, "whitening-k%d.bin" % k),
                     cfg.m, k, op.entries, tag="whitening %s" % op.method)
         dump_family(os.path.join(dump_dir, "family-k%d.bin" % k),
@@ -702,6 +704,8 @@ def emit_polys(cfg: RunConfig) -> dict:
     cfg.validate()
     if cfg.mode != "full":
         raise CliError("emit-polys runs the full pipeline, not mode %r" % cfg.mode)
+    if cfg.dumps:
+        raise CliError("emit-polys writes no binary dumps; use run --dumps")
     spec, info = lattice_spec(cfg)
     levels: dict = {}
     rows = []

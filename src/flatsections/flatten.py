@@ -28,8 +28,9 @@ from .whitening import WhiteningOperator, read_dump, whiten, write_dump
 
 _MAGIC = b"FLT1"
 
-# lift-frame products held at once by frame_sum (lifts x frame points)
-FRAME_SUM_BLOCK_ENTRIES = 1e6
+# lift-frame products held at once by frame_sum (lifts x frame points);
+# its two buffers take 24 bytes per entry, about 6 MB
+FRAME_SUM_BLOCK_ENTRIES = 2.5e5
 
 # fk_norm's base mesh size, in cells, and its zoom rounds
 FK_MESH = 16384
@@ -43,14 +44,15 @@ class FlattenError(ValueError):
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT with every entry an exact root of unity.
 
-    Entries are recomputed from the reduced integer phase (j*q mod n)
-    rather than by accumulating powers, so there is no drift at large n.
+    Entry (j, q) is the root exp(2 pi i p / n) / sqrt(n) at the reduced
+    integer phase p = j*q mod n, not an accumulated power, so there is no
+    drift at large n; the n roots are computed once and gathered.
     """
     if n < 1:
         raise FlattenError("mixing needs at least one section")
-    j, q = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    phase = (j * q) % n
-    return np.exp(2j * np.pi * phase / n) / math.sqrt(n)
+    p = np.arange(n)
+    roots = np.exp(2j * np.pi * p / n) / math.sqrt(n)
+    return roots[(p[:, None] * p) % n]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ import numpy as np
 # underflows to exactly 0.0 after any multiplication by a level k
 LOG_ZERO = -1e12
 
+# monomial-basis entries evaluate_sections holds at once (lifts x d_k);
+# with the real temporary of monomial_basis, 24 bytes each, about 12 MB
+BASIS_CHUNK_ENTRIES = 5e5
+
 
 class KernelError(ValueError):
     pass
@@ -235,34 +239,52 @@ class SectionExpansion:
         return evaluate_sections(self.m, self.k, [self.ortho_coeffs], lifts)[0]
 
 
+def monomial_basis(m: int, k: int, lifts: np.ndarray) -> np.ndarray:
+    """The orthonormal monomials z^alpha / sqrt(w_alpha) at unit lifts,
+    shape (points, d_k), in graded lex order.
+
+    Each entry is exp(alpha . log|z| - log(w_alpha) / 2 + i alpha . arg z),
+    built in one buffer and exponentiated in place.  A row depends on its
+    lift only, not on the other lifts of the call: a lone lift is built
+    as a batch of two, since a one-row product goes through another BLAS
+    kernel and rounds differently.
+    """
+    if len(lifts) == 1:
+        return monomial_basis(m, k, np.concatenate([lifts, lifts]))[:1]
+    tab = monomial_table(m, k)
+    idx = tab.indices
+    mag = np.abs(lifts)
+    logmag = np.where(mag > 0, np.log(np.maximum(mag, 1e-300)), LOG_ZERO)
+    basis = np.empty((len(lifts), len(idx)), dtype=np.complex128)
+    basis.real = logmag @ idx.T
+    basis.real -= 0.5 * tab.log_weights
+    basis.imag = np.angle(lifts) @ idx.T
+    np.exp(basis, out=basis)
+    return basis
+
+
 def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray) -> np.ndarray:
     """Values of several level-k sections at unit lifts, shape (sections, points).
 
     ortho_rows holds one orthonormal-basis coefficient vector per section.
-    The log-domain monomial basis is built once per chunk of at most 2e6
-    entries and applied to each section by its own matrix-vector product,
-    so row j is bit-identical to evaluating section j on its own.
+    The monomial basis is built once per chunk of at most
+    BASIS_CHUNK_ENTRIES entries and applied to each section by its own
+    matrix-vector product, so row j is bit-identical to evaluating
+    section j on its own.  No chunk holds a single lift (the last lift is
+    repeated instead), so a value does not depend on which other lifts
+    share the call.
     """
-    tab = monomial_table(m, k)
-    idx, half_logw = tab.indices, 0.5 * tab.log_weights
     lifts = np.atleast_2d(np.asarray(lifts, dtype=np.complex128))
-    mag = np.abs(lifts)
-    logmag = np.where(mag > 0, np.log(np.maximum(mag, 1e-300)), LOG_ZERO)
-    phase = np.angle(lifts)
+    count = lifts.shape[0]
+    step = max(2, int(BASIS_CHUNK_ENTRIES // dimension(m, k)))
+    if count % step == 1:
+        lifts = np.concatenate([lifts, lifts[-1:]])
     out = np.empty((len(ortho_rows), lifts.shape[0]), dtype=np.complex128)
-    step = max(1, int(2e6 // max(1, len(idx))))
     for lo in range(0, lifts.shape[0], step):
-        hi = min(lo + step, lifts.shape[0])
-        # the exponent log|z^alpha| - log w_alpha + i arg z^alpha, (chunk, d_k),
-        # built in one buffer and exponentiated in place
-        basis = np.empty((hi - lo, len(idx)), dtype=np.complex128)
-        basis.real = logmag[lo:hi] @ idx.T
-        basis.real -= half_logw
-        basis.imag = phase[lo:hi] @ idx.T
-        np.exp(basis, out=basis)
+        basis = monomial_basis(m, k, lifts[lo:lo + step])
         for j, row in enumerate(ortho_rows):
-            out[j, lo:hi] = basis @ row
-    return out
+            out[j, lo:lo + step] = basis @ row
+    return out[:, :count]
 
 
 def coherent_state(model: KernelModel, y: np.ndarray) -> SectionExpansion:

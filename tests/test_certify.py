@@ -11,6 +11,7 @@ from flatsections import certify as C
 from flatsections import cli
 from flatsections import flatten as FL
 from flatsections import frame as F
+from flatsections import kernel as K
 from flatsections import whitening as W
 from flatsections.geometry import ManifoldModel, as_unit_vector
 from flatsections.kernel import (
@@ -293,9 +294,31 @@ class TestScreenedRefinement:
         lifts = raw / np.linalg.norm(raw, axis=1)[:, None]
         for sec in _sections(fam)[:4]:
             full = sec.evaluate_lifts(lifts)
-            for size in (2, 8, 13, 64, 199):
+            for size in (1, 2, 8, 13, 64, 199):
                 pick = rng.choice(200, size, replace=False)
                 assert np.array_equal(sec.evaluate_lifts(lifts[pick]), full[pick])
+        # one lift past a whole chunk: the last chunk would hold it alone
+        step = int(K.BASIS_CHUNK_ENTRIES // dimension(2, 40))
+        tail = np.concatenate([lifts[rng.integers(0, 200, step)], lifts[:1]])
+        assert np.array_equal(sec.evaluate_lifts(tail)[-1:], full[:1])
+
+    @pytest.mark.parametrize("m,k,mesh", ((1, 200, 16), (2, 40, 6)))
+    def test_first_level_rows_built_once(self, monkeypatch, m, k, mesh):
+        # round 1 of every section reads one shared basis row per confirmed
+        # child of the base mesh, built the first time a section asks
+        points, entries, fam = _screened_level(m, k)
+        built, asked = [], []
+        basis, rows = C.monomial_basis, C.FirstLevel._basis_rows
+        monkeypatch.setattr(C, "monomial_basis",
+                            lambda *args: built.append(args[2]) or basis(*args))
+        monkeypatch.setattr(C.FirstLevel, "_basis_rows",
+                            lambda self, items: asked.append(items) or rows(self, items))
+        cert = C.certify_family(fam, mesh, 16, points=points, entries=entries)
+        assert cert.sup_estimates == _unscreened_sups(m, k, mesh)
+        lifts, requested = np.concatenate(built), np.concatenate(asked)
+        assert len(asked) == fam.n
+        assert len(np.unique(lifts, axis=0)) == len(lifts) == len(np.unique(requested))
+        assert len(lifts) < len(requested)
 
     def test_confirm_goes_through_evaluate_lifts(self, monkeypatch):
         cfg = cli.RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,

@@ -422,6 +422,16 @@ class TestMainEntry:
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
         assert not (tmp_path / "polynomials.json").exists()
 
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
+    def test_emit_polys_refuses_dumps(self, tmp_path, capsys, out):
+        argv = ["emit-polys", "--k", "50", "--dumps"]
+        target = tmp_path / "D"
+        assert cli.main(argv + (["--out", str(target)] if out else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert not target.exists()
+
     def test_chart_error_diagnostic(self, capsys):
         code = cli.main(["run", "--t", "1.2", "--k", "50"])
         assert code == 1

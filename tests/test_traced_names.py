@@ -48,3 +48,23 @@ def test_traced_level_counts_each_sup_once():
     assert counts["certify.sup_dups"] == 0
     assert counts["kernel.coherent_state_calls"] == n
     assert counts["kernel.evaluate_points"] > 0
+
+
+def test_traced_m1_level_counts_each_sup_once():
+    # the m = 1 twin: round 1 reads the family's shared first level, and
+    # sup_norm is still called once per section through the traced name
+    from flatsections import cli
+
+    cfg = cli.RunConfig(m=1, k=(200,), spacing=1.945, eta=0.995, epsilon=0.005,
+                        cover={"name": "latlon", "radius": 0.35}, delta=1e-9).validate()
+    spec = cli.lattice_spec(cfg)[0]
+    tracer = _tracing().Tracer()
+    with tracer.traced_pass(0) as root:
+        level = cli._run_level(cfg, spec, 200)
+    counts = tracer.pass_metrics(root, None)
+    n = level.row["n_k"]
+    assert n > 1
+    assert counts["certify.sup_calls"] == n
+    assert counts["certify.sup_dups"] == 0
+    assert counts["kernel.coherent_state_calls"] == n
+    assert counts["kernel.evaluate_points"] > 0
