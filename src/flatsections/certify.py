@@ -124,12 +124,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldModel, base_boxes, center_lifts
+from .geometry import base_boxes, center_lifts, volume
 from .kernel import (
-    KernelModel,
     SectionExpansion,
     dimension,
     evaluate_sections,
+    kernel_diag,
     monomial_basis,
     monomial_table,
     multi_indices,
@@ -270,7 +270,7 @@ def frame_screens(fam, points: np.ndarray, entries: np.ndarray) -> list:
     if np.shape(points) != (n, fam.m + 1) or np.shape(entries) != (n, n):
         raise CertifyError("frame points or whitening matrix do not match the family")
     rho = _rounding_level(fam.m, fam.k, n)
-    root = math.sqrt(KernelModel(fam.m, fam.k).diag)
+    root = math.sqrt(kernel_diag(fam.m, fam.k))
     cut = UNIT_ROUNDOFF ** (1.0 / fam.k) if fam.k else 0.0
     mags = np.abs(entries)
     mapnorm = max(float(np.max(mags.sum(axis=0))), float(np.max(mags.sum(axis=1))))
@@ -333,7 +333,10 @@ class FirstLevel:
         rows, self.cols, self.phi = screen.terms(self.lifts)
         self.starts = np.searchsorted(rows, np.arange(len(self.lifts) + 1))
         self.row_of = np.full(len(self.lifts), -1)  # row of each item in basis
-        self.basis = np.empty((0, dimension(m, k)), dtype=np.complex128)
+        # one row per child, allocated once: only the rows built are
+        # written, so only their pages become resident, while a growing
+        # buffer's copy would briefly hold every built row twice
+        self.basis = np.empty((len(self.lifts), dimension(m, k)), dtype=np.complex128)
         self.built = 0
 
     def _basis_rows(self, items: np.ndarray) -> np.ndarray:
@@ -341,11 +344,6 @@ class FirstLevel:
         new = items[self.row_of[items] < 0]
         if len(new):
             end = self.built + len(new)
-            if end > len(self.basis):
-                grown = np.empty((max(end, 2 * len(self.basis)), self.basis.shape[1]),
-                                 dtype=np.complex128)
-                grown[:self.built] = self.basis[:self.built]
-                self.basis = grown
             self.basis[self.built:end] = monomial_basis(self.m, self.k, self.lifts[new])
             self.row_of[new] = np.arange(self.built, end)
             self.built = end
@@ -468,7 +466,7 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
                           mesh=mesh, rounds=rounds, base=vals, screen=scr, first=first)
                  for row, vals, scr in zip(rows, base, screens[lo:lo + block])]
     l2s = [float(np.linalg.norm(row)) for row in fam.ortho]
-    root_vol = math.sqrt(ManifoldModel(fam.m).volume)
+    root_vol = math.sqrt(volume(fam.m))
     for est, l2 in zip(sups, l2s):
         floor = l2 / root_vol * (1 - 1e-3)
         if est.value < floor:
@@ -525,7 +523,7 @@ def emit_polynomials(fam, cert: NormCertificate) -> list:
     this family."""
     if (cert.m, cert.k, len(cert.sup_estimates)) != (fam.m, fam.k, fam.n):
         raise CertifyError("certificate was computed for another family")
-    root_vol = math.sqrt(ManifoldModel(fam.m).volume)
+    root_vol = math.sqrt(volume(fam.m))
     records = []
     for row, est, l2 in zip(fam.ortho, cert.sup_estimates, cert.l2_norms):
         if l2 == 0.0:
@@ -626,7 +624,7 @@ def emit_eigenfunction(rec: PolynomialRecord, seed: int = 5) -> EigenfunctionRec
         raise CertifyError("zero polynomial has no eigenfunction")
     section = SectionExpansion.from_ortho(m, k, rec.ortho)
     # sphere measure is normalized, so sphere norms are manifold norms / sqrt(Vol)
-    root_vol = math.sqrt(ManifoldModel(m).volume)
+    root_vol = math.sqrt(volume(m))
     if k == 0:
         # the constant is ortho[0] / sqrt(w_0), and w_0 = Vol
         c = complex(rec.ortho[0]) / root_vol

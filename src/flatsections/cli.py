@@ -67,23 +67,23 @@ from .frame import (
 )
 from .geometry import (
     GeometryError,
-    ManifoldModel,
     cp1_latlon_cover,
     cp2_ball_cover,
     covering_defect,
     distortion_estimate,
     make_chart,
     BallRegion,
-    ProjectivePoint,
     as_unit_vector,
+    canonical_point,
     exp_chart_vectors,
     two_cap_cover,
+    volume,
 )
 from .kernel import (
     KernelError,
-    KernelModel,
     coherent_state,
     dimension,
+    kernel_diag,
     szego_kernel,
     szego_kernel_monomial_sum,
     verify_decay,
@@ -190,7 +190,7 @@ class RunConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise CliError("cannot read config %s: %s" % (path, exc)) from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CliError("config %s is not valid JSON: %s" % (path, exc)) from exc
         if not isinstance(data, dict):
             raise CliError("config %s must hold a JSON object" % path)
@@ -328,7 +328,9 @@ def build_charts(cfg: RunConfig):
     if name == "balls":
         if cfg.m != 2:
             raise GeometryError("the disjoint ball cover is specific to m=2")
-        return tuple(cp2_ball_cover(float(radius) if radius is not None else 0.4))
+        if radius is None:
+            return tuple(cp2_ball_cover())
+        return tuple(cp2_ball_cover(float(radius)))
     if radius is None:
         raise CliError("two-cap cover needs a radius")
     return tuple(two_cap_cover(cfg.m, float(radius)))
@@ -473,7 +475,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
     invariants["sup_within_chain"] = row["max_sup"] <= chain * (1 + 1e-9)
 
     if n <= d:
-        bound = flat_bound(n / d, row["eta_hat"], ManifoldModel(cfg.m).volume) * 1.10
+        bound = flat_bound(n / d, row["eta_hat"], volume(cfg.m)) * 1.10
         row["flat_bound"] = bound
         invariants["sup_within_flat_bound"] = row["max_sup"] <= bound
     else:
@@ -508,30 +510,28 @@ def _constants_core(cfg: RunConfig) -> dict:
     }
 
 
-def dual_route_deviation(model: KernelModel, seed: int = 0) -> float:
+def dual_route_deviation(m: int, k: int, seed: int = 0) -> float:
     """Worst relative gap between the closed-form kernel and a literal
     basis sum, over pairs a geodesic step c/sqrt(k) apart.  Kept to near
     pairs: far pairs drown the tiny true value in summation noise.  The
     second route is the exact-rational monomial sum while its factorials
     fit in a float, and the coherent-coefficient inner product beyond."""
     rng = np.random.default_rng(seed)
-    m, k = model.m, model.k
     worst = 0.0
     for c in (0.5, 1.0, 2.0):
         for _ in range(2):
             raw = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
-            center = ProjectivePoint.from_vector(raw)
-            chart = make_chart(center, BallRegion(1.0), 2.0)
+            y = canonical_point(raw)
+            chart = make_chart(y, BallRegion(1.0), 2.0)
             v = rng.standard_normal(2 * m)
             v *= c / math.sqrt(k) / np.linalg.norm(v)
             x = as_unit_vector(exp_chart_vectors(chart, v[None, :])[0])
-            y = center.homogeneous
-            a = szego_kernel(model, x, y)
+            a = szego_kernel(m, k, x, y)
             if m + k <= 120:
-                b = szego_kernel_monomial_sum(model, x, y)
+                b = szego_kernel_monomial_sum(m, k, x, y)
             else:
-                b = model.diag * l2_inner(
-                    coherent_state(model, y), coherent_state(model, x)
+                b = kernel_diag(m, k) * l2_inner(
+                    coherent_state(m, k, y), coherent_state(m, k, x)
                 )
             rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
             worst = max(worst, rel)
@@ -541,16 +541,15 @@ def dual_route_deviation(model: KernelModel, seed: int = 0) -> float:
 def _kernel_core(cfg: RunConfig) -> dict:
     rows = []
     for k in cfg.k:
-        model = KernelModel(cfg.m, k)
-        near, far = verify_decay(model)
+        near, far = verify_decay(cfg.m, k)
         cap = min(near.threshold, math.pi / 2 - 1e-9)
         # the Gaussian window argument needs log P ~ -k d^2/2 with a
         # quadratic correction; 0.25 d^2 holds once the window is inside d ~ 1
         near_ok = near.max_deviation <= 0.25 * cap * cap
         far_ok = far is None or far.max_deviation < 1.0
         dual = None
-        if model.d_k <= DUAL_ROUTE_DIM_CAP:
-            dual = dual_route_deviation(model, seed=cfg.seed)
+        if dimension(cfg.m, k) <= DUAL_ROUTE_DIM_CAP:
+            dual = dual_route_deviation(cfg.m, k, seed=cfg.seed)
         row = {
             "k": k,
             "near": near.to_dict(),

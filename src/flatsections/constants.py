@@ -98,51 +98,39 @@ def _bisect_then_secant(f, lo: float, hi: float) -> float:
 
 @dataclass(frozen=True)
 class ThetaSolution:
-    m: int
     spacing: float
     density: float
     residual: float
     truncation: int
-    lattice: str
-    extrapolated: bool
+
+
+def _solve_critical(m: int, factors: int, theta, truncation, density) -> ThetaSolution:
+    """The spacing x in [0.9, 8] at which the product of `factors` theta
+    sums theta(x) equals 2, with its density fraction density(x)."""
+    if not 1 <= m <= 12:
+        raise ConstantsError("m out of the supported range 1..12")
+    target = 2.0 ** (1.0 / factors)
+    x = _bisect_then_secant(lambda s: theta(s) - target, 0.9, 8.0)
+    return ThetaSolution(
+        spacing=x,
+        density=density(x),
+        residual=abs(theta(x) - target),
+        truncation=truncation(x),
+    )
 
 
 def solve_beta(m: int) -> ThetaSolution:
     """Critical cubic spacing a_m with theta_1d(a_m) = 2^{1/2m} and the
     density fraction beta_m = pi^m / a_m^{2m}."""
-    if not 1 <= m <= 12:
-        raise ConstantsError("m out of the supported range 1..12")
-    target = 2.0 ** (1.0 / (2 * m))
-    a = _bisect_then_secant(lambda x: theta_1d(x) - target, 0.9, 8.0)
-    beta = math.pi**m / a ** (2 * m)
-    return ThetaSolution(
-        m=m,
-        spacing=a,
-        density=beta,
-        residual=abs(theta_1d(a) - target),
-        truncation=_truncation_1d(a),
-        lattice="cubic",
-        extrapolated=m > TABLE_LIMIT,
-    )
+    return _solve_critical(m, 2 * m, theta_1d, _truncation_1d,
+                           lambda a: math.pi**m / a ** (2 * m))
 
 
 def solve_beta_prime(m: int) -> ThetaSolution:
     """Critical hexagonal spacing alpha_m with theta_hex = 2^{1/m} and
     beta'_m = (2 pi / (sqrt(3) alpha_m^2))^m."""
-    if not 1 <= m <= 12:
-        raise ConstantsError("m out of the supported range 1..12")
-    target = 2.0 ** (1.0 / m)
-    alpha = _bisect_then_secant(lambda x: theta_hex(x) - target, 0.9, 8.0)
-    beta_p = (2 * math.pi / (math.sqrt(3.0) * alpha * alpha)) ** m
-    return ThetaSolution(
-        m=m,
-        spacing=alpha,
-        density=beta_p,
-        residual=abs(theta_hex(alpha) - target),
-        truncation=_truncation_hex(alpha),
-        lattice="hexagonal",
-        extrapolated=m > TABLE_LIMIT,
-    )
+    return _solve_critical(m, m, theta_hex, _truncation_hex,
+                           lambda alpha: (2 * math.pi / (math.sqrt(3.0) * alpha * alpha)) ** m)
 
 
 @dataclass(frozen=True)

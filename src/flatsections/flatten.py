@@ -17,13 +17,13 @@ import numpy as np
 from .frame import Frame
 from .geometry import (
     BallRegion,
-    ProjectivePoint,
     base_boxes,
+    canonical_point,
     center_lifts,
     exp_chart_vectors,
     make_chart,
 )
-from .kernel import KernelModel, dimension
+from .kernel import dimension, kernel_diag
 from .whitening import WhiteningOperator, read_dump, whiten, write_dump
 
 _MAGIC = b"FLT1"
@@ -108,7 +108,7 @@ def frame_sum(frame: Frame, lifts: np.ndarray) -> np.ndarray:
     is formed in place, so a call makes two large allocations however many
     blocks it has.
     """
-    root = math.sqrt(KernelModel(frame.m, frame.k).diag)
+    root = math.sqrt(kernel_diag(frame.m, frame.k))
     conj = frame.points.conj().T
     step = max(1, int(FRAME_SUM_BLOCK_ENTRIES // max(1, frame.n)))
     out = np.empty(lifts.shape[0])
@@ -150,8 +150,7 @@ def fk_norm(frame: Frame) -> float:
     # zoom: geodesic grids around the incumbent, shrinking by halves
     radius = 0.7 / math.sqrt(max(frame.k, 1))
     for _ in range(FK_ROUNDS):
-        center = ProjectivePoint.from_vector(best_lift)
-        chart = make_chart(center, BallRegion(min(radius * 1.1, 0.7)), 2.0)
+        chart = make_chart(canonical_point(best_lift), BallRegion(min(radius * 1.1, 0.7)), 2.0)
         cand = exp_chart_vectors(chart, _tangent_ball_grid(frame.m, radius, 5))
         vals = frame_sum(frame, cand)
         i = int(np.argmax(vals))
@@ -171,8 +170,7 @@ def fk_ceilings(frame: Frame, eta_hat: float | None = None) -> dict:
     when given, the design constant otherwise.
     """
     spec = frame.spec
-    model = KernelModel(frame.m, frame.k)
-    root = math.sqrt(model.diag)
+    root = math.sqrt(kernel_diag(frame.m, frame.k))
     atil = (spec.a / spec.gamma) * math.sqrt(1 - spec.epsilon)
     eta = spec.eta if eta_hat is None else eta_hat
     return {

@@ -55,7 +55,6 @@ from . import constants as tc
 from .geometry import (
     ChartSpec,
     CubeRegion,
-    ProjectivePoint,
     exp_chart_vectors,
     make_chart,
     standard_point,
@@ -313,10 +312,9 @@ def _single_chart(spec: LatticeSpec) -> ChartSpec:
     return make_chart(standard_point(spec.m), CubeRegion(spec.t), spec.gamma)
 
 
-def _pivots(center: ProjectivePoint) -> np.ndarray:
+def _pivots(c: np.ndarray) -> np.ndarray:
     """Rows p = (c + e)/sqrt 2 and q = (c + i e)/sqrt 2 for a unit e
     orthogonal to the centre c: two unit vectors at FS distance pi/4 from it."""
-    c = center.homogeneous
     e = np.zeros_like(c)
     e[np.argmin(np.abs(c))] = 1.0
     e -= np.vdot(c, e) * c
@@ -364,7 +362,7 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
     side = threshold + REACH_SLACK
     radius = [c.region.circumradius(spec.m) for c in charts]
     reach = np.array(radius) + REACH_SLACK
-    centres = np.array([c.center.homogeneous for c in charts], dtype=np.complex128)
+    centres = np.array([c.center for c in charts], dtype=np.complex128)
     centres = centres.reshape(len(charts), spec.m + 1)
     # the chart skip and the reach test of the module docstring, in
     # cosine form, once per build

@@ -2,9 +2,11 @@
 
 Normalization: the Kahler form is half the curvature of the hyperplane
 bundle metric, so CP^m has volume pi^m / m! and CP^1 is a round sphere of
-radius 1/2 (diameter pi/2).  Points are unit vectors in C^{m+1} modulo
-phase; the rest of the package passes them as plain (m+1,) unit vectors
-(one lift each, any phase) or as rows of such vectors.  Moment
+radius 1/2 (diameter pi/2); volume(m) is that constant.  Points are unit
+vectors in C^{m+1} modulo phase, and the package holds every point as a
+plain (m+1,) unit vector (one lift, any phase) or as a row of such
+vectors; canonical_point picks the lift whose first non-negligible
+coordinate is real and positive, as chart centres use.  Moment
 coordinates and the equal-area mesh, exponential charts, chart
 distortion estimates, geodesic-ball volumes, and the covers and cell
 decompositions used by the lattice builders all live here.
@@ -29,19 +31,11 @@ class GeometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ManifoldModel:
-    """CP^m with the Fubini-Study metric scaled to volume pi^m/m!."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise GeometryError("complex dimension m must be >= 1")
-
-    @property
-    def volume(self) -> float:
-        return math.pi ** self.m / math.factorial(self.m)
+def volume(m: int) -> float:
+    """Fubini-Study volume of CP^m: pi^m / m!."""
+    if m < 1:
+        raise GeometryError("complex dimension m must be >= 1")
+    return math.pi ** m / math.factorial(m)
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -63,31 +57,19 @@ def as_unit_vector(values) -> np.ndarray:
     return v / n
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of CP^m held as its canonical unit representative.
-
-    The canonical representative has unit norm and a real positive first
-    non-negligible coordinate, so equal points have equal arrays.
-    """
-
-    homogeneous: np.ndarray
-
-    @classmethod
-    def from_vector(cls, values) -> "ProjectivePoint":
-        v = _canonical_phase(as_unit_vector(values))
-        v.flags.writeable = False
-        return cls(homogeneous=v)
-
-    @property
-    def m(self) -> int:
-        return self.homogeneous.shape[0] - 1
+def canonical_point(values) -> np.ndarray:
+    """The canonical unit representative of the point [values] of CP^m,
+    read-only: unit norm and a real positive first non-negligible
+    coordinate, so equal points have equal arrays."""
+    v = _canonical_phase(as_unit_vector(values))
+    v.flags.writeable = False
+    return v
 
 
-def standard_point(m: int, index: int = 0) -> ProjectivePoint:
+def standard_point(m: int, index: int = 0) -> np.ndarray:
     v = np.zeros(m + 1, dtype=np.complex128)
     v[index] = 1.0
-    return ProjectivePoint.from_vector(v)
+    return canonical_point(v)
 
 
 def moment_lifts(m: int, coords: np.ndarray) -> np.ndarray:
@@ -209,11 +191,9 @@ class LatLonCell:
             return HALF_PI, 0.0
         return 0.5 * (self.r_lo + self.r_hi), 0.5 * (self.theta_lo + self.theta_hi)
 
-    def center_point(self) -> ProjectivePoint:
+    def center_point(self) -> np.ndarray:
         rc, tc = self.center_coords()
-        return ProjectivePoint.from_vector(
-            [math.cos(rc), math.sin(rc) * np.exp(1j * tc)]
-        )
+        return canonical_point([math.cos(rc), math.sin(rc) * np.exp(1j * tc)])
 
     def contains(self, chart: "ChartSpec", v: np.ndarray, lifts=None) -> np.ndarray:
         """Membership of exp_center(v) per row; lifts, when given, are
@@ -257,13 +237,14 @@ def latlon_coords(points: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class ChartSpec:
-    """Geodesic normal chart: center, orthonormal tangent frame, region.
+    """Geodesic normal chart: center (a canonical unit vector), orthonormal
+    tangent frame, region.
 
     gamma is the declared two-sided distortion bound: for v, w in the
     region, |v - w| / gamma <= dist(exp v, exp w) <= gamma |v - w|.
     """
 
-    center: ProjectivePoint
+    center: np.ndarray
     frame_matrix: np.ndarray
     region: object
     gamma: float
@@ -274,7 +255,7 @@ class ChartSpec:
 
     @property
     def m(self) -> int:
-        return self.center.m
+        return self.center.shape[0] - 1
 
 
 def _householder_frame(p: np.ndarray) -> np.ndarray:
@@ -295,8 +276,8 @@ def _householder_frame(p: np.ndarray) -> np.ndarray:
     return q
 
 
-def make_chart(center: ProjectivePoint, region, gamma: float) -> ChartSpec:
-    frame = _householder_frame(center.homogeneous)
+def make_chart(center: np.ndarray, region, gamma: float) -> ChartSpec:
+    frame = _householder_frame(center)
     frame.flags.writeable = False
     return ChartSpec(center=center, frame_matrix=frame, region=region, gamma=gamma)
 
@@ -318,7 +299,7 @@ def exp_chart_vectors(chart: ChartSpec, v: np.ndarray) -> np.ndarray:
     c = _pack_complex(v)
     big = chart.frame_matrix @ c.T  # (m+1, n)
     r = np.linalg.norm(v, axis=1)
-    p = chart.center.homogeneous[:, None]
+    p = chart.center[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         direction = np.where(r > 0, big / np.where(r > 0, r, 1.0), 0.0)
     out = np.cos(r) * p + np.sin(r) * direction
@@ -417,14 +398,23 @@ def cp2_ball_cover(radius: float = 0.4) -> list:
     s = 1.0 / math.sqrt(3.0)
     for s1 in (1.0, -1.0):
         for s2 in (1.0, -1.0):
-            centers.append(ProjectivePoint.from_vector([s, s1 * s, s2 * s]))
+            centers.append(canonical_point([s, s1 * s, s2 * s]))
     g = (2 * radius / math.sin(2 * radius)) * 1.01
     return [make_chart(c, BallRegion(radius), g) for c in centers]
 
 
 def two_cap_cover(m: int, radius: float) -> list:
-    """Two geodesic-ball charts at antipodal standard points, declared
-    gamma 1% above 2r/sin(2r)."""
+    """Two geodesic-ball charts at the standard points e_0 and e_m,
+    declared gamma 1% above 2r/sin(2r).
+
+    The centres are pi/2 apart, so the balls overlap once the radius
+    reaches pi/4.  On CP^1 the two caps then cover the whole line and the
+    clipped volume sum in covering_defect is exactly 0, so any radius is
+    accepted; for m >= 2 the overlap would be counted twice, so a radius
+    of pi/4 or more raises GeometryError.
+    """
+    if m >= 2 and radius >= math.pi / 4:
+        raise GeometryError("two caps of this radius would overlap")
     g = (2 * radius / math.sin(2 * radius)) * 1.01
     return [
         make_chart(standard_point(m, 0), BallRegion(radius), g),
@@ -437,9 +427,10 @@ def covering_defect(m: int, charts: list) -> float:
 
     Exact for the covers built here: lat-lon cells tile CP^1 (defect 0 up
     to a measure-zero grid), and ball covers are disjoint by construction
-    so the covered volume is a sum of geodesic-ball volumes.
+    so the covered volume is a sum of geodesic-ball volumes.  The one
+    overlap allowed, two caps on CP^1 of radius pi/4 or more, covers the
+    line, and the clipped sum is then exactly 0.
     """
-    model = ManifoldModel(m)
     covered = 0.0
     for chart in charts:
         region = chart.region
@@ -455,4 +446,4 @@ def covering_defect(m: int, charts: list) -> float:
             raise GeometryError(
                 "no closed-form volume for a %s chart region" % type(region).__name__
             )
-    return max(0.0, model.volume - covered)
+    return max(0.0, volume(m) - covered)

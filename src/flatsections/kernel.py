@@ -3,12 +3,14 @@
 Degree-k holomorphic sections of the k-th power of the hyperplane bundle
 are homogeneous polynomials of degree k on C^{m+1}, evaluated here at
 unit vectors: a point of CP^m enters every function of this module as one
-(m+1,) unit vector over it, whose phase the values follow equivariantly.
-The reproducing kernel has the closed form
+(m+1,) unit vector over it, whose phase the values follow equivariantly,
+and a level as the pair (m, k).  The reproducing kernel has the closed
+form
 
     Pi_k(x, y) = diag * <x, y>^k,     diag = C(k+m, m) * m! / pi^m,
 
-which this module verifies against the defining monomial-basis sum.  All
+which this module verifies against the defining monomial-basis sum; diag
+is kernel_diag(m, k), and log_kernel_diag(m, k) its logarithm.  All
 large-k magnitudes are carried as log magnitude plus phase so that levels
 in the thousands stay exact to working precision.
 """
@@ -39,39 +41,29 @@ def dimension(m: int, k: int) -> int:
     return math.comb(k + m, m)
 
 
-@dataclass(frozen=True)
-class KernelModel:
-    """CP^m at level k with its kernel normalization constants."""
+def kernel_diag(m: int, k: int) -> float:
+    """On-diagonal kernel value d_k * m! / pi^m."""
+    if m < 1 or k < 0:
+        raise KernelError("need m >= 1 and k >= 0")
+    return dimension(m, k) * math.factorial(m) / math.pi**m
 
-    m: int
-    k: int
 
-    def __post_init__(self):
-        if self.m < 1 or self.k < 0:
-            raise KernelError("need m >= 1 and k >= 0")
+def log_kernel_diag(m: int, k: int) -> float:
+    """log kernel_diag(m, k), through lgamma so that no factorial of k is formed."""
+    if m < 1 or k < 0:
+        raise KernelError("need m >= 1 and k >= 0")
+    return (
+        math.lgamma(m + k + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(m + 1)
+        + math.log(math.factorial(m))
+        - m * math.log(math.pi)
+    )
 
-    @property
-    def d_k(self) -> int:
-        return dimension(self.m, self.k)
 
-    @property
-    def diag(self) -> float:
-        """On-diagonal kernel value d_k * m! / pi^m."""
-        return self.d_k * math.factorial(self.m) / math.pi**self.m
-
-    @property
-    def log_diag(self) -> float:
-        return (
-            math.lgamma(self.m + self.k + 1)
-            - math.lgamma(self.k + 1)
-            - math.lgamma(self.m + 1)
-            + math.log(math.factorial(self.m))
-            - self.m * math.log(math.pi)
-        )
-
-    def _check_lift(self, x: np.ndarray):
-        if np.shape(x) != (self.m + 1,):
-            raise KernelError("lift dimension does not match the model")
+def _check_lift(m: int, x: np.ndarray):
+    if np.shape(x) != (m + 1,):
+        raise KernelError("lift dimension does not match m")
 
 
 def _graded_lex(m: int, k: int) -> np.ndarray:
@@ -158,32 +150,31 @@ def _inner(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.vdot(y, x))
 
 
-def szego_kernel(model: KernelModel, x: np.ndarray, y: np.ndarray) -> complex:
+def szego_kernel(m: int, k: int, x: np.ndarray, y: np.ndarray) -> complex:
     """Closed-form kernel diag * <x,y>^k at unit vectors x and y,
     evaluated in log-domain."""
-    model._check_lift(x)
-    model._check_lift(y)
+    _check_lift(m, x)
+    _check_lift(m, y)
     u = _inner(x, y)
     r = abs(u)
     if r == 0.0:
-        return 0.0 if model.k > 0 else complex(model.diag)
-    logmag = model.log_diag + model.k * math.log(r)
-    return math.exp(logmag) * np.exp(1j * model.k * np.angle(u))
+        return 0.0 if k > 0 else complex(kernel_diag(m, k))
+    logmag = log_kernel_diag(m, k) + k * math.log(r)
+    return math.exp(logmag) * np.exp(1j * k * np.angle(u))
 
 
-def szego_kernel_monomial_sum(model: KernelModel, x: np.ndarray,
-                              y: np.ndarray) -> complex:
+def szego_kernel_monomial_sum(m: int, k: int, x: np.ndarray, y: np.ndarray) -> complex:
     """Defining sum over an orthonormal monomial basis (oracle path).
 
     Pi_k(x, y) = sum_alpha x^alpha conj(y^alpha) / w_alpha with exact
     weights; O(d_k) work, intended for small k.
     """
-    model._check_lift(x)
-    model._check_lift(y)
-    idx = multi_indices(model.m, model.k)
+    _check_lift(m, x)
+    _check_lift(m, y)
+    idx = multi_indices(m, k)
     total = 0.0 + 0.0j
     for alpha in idx:
-        w = monomial_weight_exact(model.m, alpha)
+        w = monomial_weight_exact(m, alpha)
         mono_x = np.prod(x**alpha)
         mono_y = np.prod(y**alpha)
         total += mono_x * np.conj(mono_y) / w
@@ -287,15 +278,14 @@ def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray) -> np.ndarr
     return out[:, :count]
 
 
-def coherent_state(model: KernelModel, y: np.ndarray) -> SectionExpansion:
+def coherent_state(m: int, k: int, y: np.ndarray) -> SectionExpansion:
     """L^2-normalized kernel section peaked at the unit vector y.
 
     Phi_y = Pi_k(., y) / sqrt(diag); its orthonormal-basis coefficients
     are sqrt(k!/alpha!) * conj(y)^alpha, computed with lgamma so that no
     factorial is ever formed.
     """
-    model._check_lift(y)
-    m, k = model.m, model.k
+    _check_lift(m, y)
     tab = monomial_table(m, k)
     idx = tab.indices
     mag = np.abs(y)
@@ -350,7 +340,7 @@ def far_threshold(m: int, k: int) -> float:
     return math.sqrt((2 * q + 2 * m + 1) * math.log(k) / k)
 
 
-def verify_decay(model: KernelModel) -> tuple:
+def verify_decay(m: int, k: int) -> tuple:
     """Measure both decay regimes of the normalized kernel, as the pair
     (near, far) of RegimeReports; far is None when its regime is empty.
 
@@ -364,7 +354,6 @@ def verify_decay(model: KernelModel) -> tuple:
     threshold reaches the diameter pi/2.
     """
     samples = 19
-    m, k = model.m, model.k
     if k < 2:
         raise KernelError("decay regimes need k >= 2")
     q = m + 1

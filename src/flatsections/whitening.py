@@ -17,7 +17,7 @@ import numpy as np
 
 from .frame import Frame
 from .geometry import as_unit_vector
-from .kernel import KernelModel, coherent_state, near_threshold
+from .kernel import coherent_state, near_threshold
 
 _MAGIC = b"WMX1"
 _MAX_TERMS = 4000
@@ -209,9 +209,9 @@ def whiten(frame: Frame, op: WhiteningOperator) -> np.ndarray:
     over the L^2-orthonormal monomials."""
     if op.n != frame.n:
         raise WhiteningError("operator size does not match the frame")
-    model = KernelModel(frame.m, frame.k)
     basis = np.vstack(
-        [coherent_state(model, as_unit_vector(p)).ortho_coeffs for p in frame.points]
+        [coherent_state(frame.m, frame.k, as_unit_vector(p)).ortho_coeffs
+         for p in frame.points]
     )
     return op.entries @ basis
 

@@ -23,7 +23,6 @@ from flatsections.flatten import flatten_frame, fk_norm, sup_norm_chain_bound
 from flatsections.frame import LatticeSpec, build, choose_spacing
 from flatsections.geometry import as_unit_vector, cp1_latlon_cover
 from flatsections.kernel import (
-    KernelModel,
     dimension,
     multi_indices,
     szego_kernel,
@@ -91,9 +90,8 @@ def test_kernel_exactness():
             ok = p >= 1e-290
             assert np.all(np.abs(p[ok] - ref[ok]) <= 1e-10 * p[ok])
 
-            model = KernelModel(m, k)
             x = as_unit_vector(_unit_rows(rng, 1, m + 1)[0])
-            diag = szego_kernel(model, x, x).real * math.pi**m / math.factorial(m)
+            diag = szego_kernel(m, k, x, x).real * math.pi**m / math.factorial(m)
             assert int(round(diag)) == math.comb(k + m, m)
             assert abs(diag - math.comb(k + m, m)) <= 1e-9 * math.comb(k + m, m)
     assert time.perf_counter() - started < 10.0
@@ -105,13 +103,13 @@ def test_decay_regimes():
     b2 = 7.0  # 4m + 3 at m = 1
     devs = []
     for k in (100, 400, 1600):
-        near, _ = verify_decay(KernelModel(1, k))
+        near, _ = verify_decay(1, k)
         dev = near.max_deviation
         assert dev <= b2 * math.log(k) / (6 * k) * 1.01
         devs.append(dev)
     assert devs[0] > devs[1] > devs[2]
     for k in (400, 1600):
-        _, far = verify_decay(KernelModel(1, k))
+        _, far = verify_decay(1, k)
         assert far is not None and far.max_deviation < 1.0
 
 

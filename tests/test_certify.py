@@ -13,12 +13,12 @@ from flatsections import flatten as FL
 from flatsections import frame as F
 from flatsections import kernel as K
 from flatsections import whitening as W
-from flatsections.geometry import ManifoldModel, as_unit_vector
+from flatsections.geometry import as_unit_vector, volume
 from flatsections.kernel import (
-    KernelModel,
     SectionExpansion,
     coherent_state,
     dimension,
+    kernel_diag,
     szego_kernel,
 )
 from oracles import eta_from_cubic_density, raw_coeffs, section_from_raw
@@ -50,7 +50,7 @@ def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> comple
     va = sa.evaluate_lifts(lifts).reshape(k + 2, na, na)
     vb = sb.evaluate_lifts(lifts).reshape(k + 2, na, na)
     w = (0.5 * weights)[:, None, None] / na ** 2
-    return complex(ManifoldModel(1).volume * np.sum(w * va * np.conj(vb)))
+    return complex(volume(1) * np.sum(w * va * np.conj(vb)))
 
 
 def _unit_basis(m, k, q):
@@ -117,11 +117,11 @@ class TestL2Inner:
             assert abs(C.l2_inner(chi, chi) - 1.0) < 1e-14
 
     def test_coherent_cross_check(self):
-        model = KernelModel(1, 30)
+        m, k = 1, 30
         y = as_unit_vector([math.cos(0.5), math.sin(0.5) * np.exp(0.3j)])
         yp = as_unit_vector([math.cos(0.9), math.sin(0.9) * np.exp(-1.1j)])
-        lhs = C.l2_inner(coherent_state(model, y), coherent_state(model, yp))
-        rhs = szego_kernel(model, yp, y) / model.diag
+        lhs = C.l2_inner(coherent_state(m, k, y), coherent_state(m, k, yp))
+        rhs = szego_kernel(m, k, yp, y) / kernel_diag(m, k)
         assert abs(lhs - rhs) < 1e-12
 
     def test_quadrature_oracle_m1(self):
@@ -135,8 +135,8 @@ class TestL2Inner:
 
     def test_reproduces_whitening_gram(self):
         fr, g, op, fam = _pipeline(60)
-        model = KernelModel(1, 60)
-        states = [coherent_state(model, as_unit_vector(x)) for x in fr.points]
+        m, k = 1, 60
+        states = [coherent_state(m, k, as_unit_vector(x)) for x in fr.points]
         inner = np.array([[C.l2_inner(sa, sb) for sb in states] for sa in states])
         assert np.max(np.abs(inner - g.entries)) < 1e-9
 
@@ -150,10 +150,9 @@ class TestL2Inner:
 class TestSupNorm:
     def test_coherent_peak_found(self):
         for k in (50, 400):
-            model = KernelModel(1, k)
             y = as_unit_vector([math.cos(0.61), math.sin(0.61) * np.exp(0.8j)])
-            est = C.sup_norm(coherent_state(model, y), mesh=16)
-            peak = math.sqrt(model.diag)
+            est = C.sup_norm(coherent_state(1, k, y), mesh=16)
+            peak = math.sqrt(kernel_diag(1, k))
             assert est.value <= peak * (1 + 1e-12)
             assert est.value >= peak * 0.995
 

@@ -401,6 +401,26 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
 
+    def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: config %s is not valid JSON:" % path)
+        assert captured.err.count("\n") == 1
+
+    def test_overlapping_two_caps_on_cp2_are_a_chart_error(self, tmp_path, capsys):
+        # caps at e_0 and e_2 of radius 1.2 overlap; their volume sum would
+        # report a covering defect of 0 where about 0.17 is uncovered
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k": [8], "m": 2, "mesh": 4, "spacing": 3.0,
+                                    "cover": {"name": "two-cap", "radius": 1.2}}))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chart error:") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flags", [["--spacing", "inf"], ["--gamma", "inf"]],
                              ids=lambda f: f[0][2:])
     def test_non_finite_flag_is_a_config_error(self, capsys, flags):

@@ -134,10 +134,10 @@ class TestSolvers:
             assert row.beta_prime > row.beta
 
     def test_extended_range_flagged(self):
-        s = C.solve_beta(9)
-        assert s.extrapolated
-        assert 0 < s.density < C.solve_beta(6).density
-        assert not C.solve_beta(4).extrapolated
+        rows = C.constants_table(9)
+        assert rows[-1].extrapolated
+        assert 0 < C.solve_beta(9).density < C.solve_beta(6).density
+        assert not rows[3].extrapolated
         with pytest.raises(C.ConstantsError):
             C.solve_beta(13)
 

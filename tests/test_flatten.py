@@ -10,7 +10,7 @@ from flatsections import frame as F
 from flatsections import geometry as G
 from flatsections import whitening as W
 from flatsections.geometry import as_unit_vector
-from flatsections.kernel import KernelModel, SectionExpansion, coherent_state
+from flatsections.kernel import SectionExpansion, coherent_state, kernel_diag
 
 
 def _run_b_spec():
@@ -75,8 +75,8 @@ class TestDftMatrix:
 
 class TestDftMix:
     def test_single_section_passthrough(self):
-        model = KernelModel(1, 12)
-        phi = coherent_state(model, as_unit_vector([1.0, 0.0]))
+        m, k = 1, 12
+        phi = coherent_state(m, k, as_unit_vector([1.0, 0.0]))
         mixed = FL.dft_mix(phi.ortho_coeffs[None, :])
         assert mixed.shape == (1, 13)
         assert np.allclose(mixed[0], phi.ortho_coeffs)
@@ -97,9 +97,9 @@ class TestDftMix:
     def test_gram_preserved_by_mixing(self):
         # mix a deliberately non-orthonormal family: Gram must be conjugated
         # by a unitary, so its eigenvalues survive exactly
-        model = KernelModel(1, 40)
+        m, k = 1, 40
         pts = [as_unit_vector([math.cos(r), math.sin(r)]) for r in (0.1, 0.35, 0.7)]
-        p = np.vstack([coherent_state(model, x).ortho_coeffs for x in pts])
+        p = np.vstack([coherent_state(m, k, x).ortho_coeffs for x in pts])
         q = FL.dft_mix(p)
         mixed_eigs = np.linalg.eigvalsh(q @ q.conj().T)
         raw_eigs = np.linalg.eigvalsh(p @ p.conj().T)
@@ -112,8 +112,8 @@ class TestDftMix:
     def test_mix_weights_reproduce_sections(self):
         fr, g, op = _whitened(100)
         fam = FL.flatten_frame(fr, op)
-        model = KernelModel(1, 100)
-        p = np.vstack([coherent_state(model, as_unit_vector(x)).ortho_coeffs
+        m, k = 1, 100
+        p = np.vstack([coherent_state(m, k, as_unit_vector(x)).ortho_coeffs
                        for x in fr.points])
         alt = (FL.dft_matrix(fr.n) @ op.entries) @ p
         assert np.max(np.abs(alt - fam.ortho)) < 1e-12
@@ -131,14 +131,14 @@ class TestFrameMappingNorm:
         spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.1)
         fr = F.build(spec, 50)
         assert fr.n == 1
-        root = math.sqrt(KernelModel(1, 50).diag)
+        root = math.sqrt(kernel_diag(1, 50))
         assert abs(FL.fk_norm(fr) - root) < 1e-10 * root
 
     def test_floor_and_ceilings(self, small_fk):
         for k in (100, 200, 400):
             fr, g, op = _whitened(k)
             fk = FL.fk_norm(fr)
-            root = math.sqrt(KernelModel(1, k).diag)
+            root = math.sqrt(kernel_diag(1, k))
             ceil = FL.fk_ceilings(fr, eta_hat=g.eta_hat)
             assert root * (1 - 1e-12) <= fk
             assert fk <= ceil["eta"] <= ceil["theta"]
@@ -174,7 +174,7 @@ class TestFrameMappingNorm:
         np.clip(q, 0.0, 1.0, out=q)
         with np.errstate(divide="ignore"):
             logq = np.log(q)
-        want = math.sqrt(KernelModel(1, 200).diag) * np.sum(np.exp(200 * logq), axis=1)
+        want = math.sqrt(kernel_diag(1, 200)) * np.sum(np.exp(200 * logq), axis=1)
         rows = len(lifts) // 3 - 7  # three full blocks and a short fourth
         monkeypatch.setattr(FL, "FRAME_SUM_BLOCK_ENTRIES", rows * fr.n)
         assert -(-len(lifts) // rows) >= 3 and len(lifts) % rows

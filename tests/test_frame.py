@@ -50,7 +50,7 @@ def density_bound(spec, k: int) -> float:
     """Multi-chart counting floor (Vol(M) - 3 delta) k^m / a^{2m}."""
     if spec.delta is None:
         raise F.FrameError("density bound needs a covering slack delta")
-    vol = G.ManifoldModel(spec.m).volume
+    vol = G.volume(spec.m)
     return (vol - 3 * spec.delta) * k**spec.m / spec.a ** (2 * spec.m)
 
 
@@ -457,13 +457,13 @@ class TestMultichart:
             aligned = y * (c / np.abs(c))[:, None]
             return 2 * np.arcsin(np.linalg.norm(x - aligned, axis=1) / 2)
 
-        centre = G.ProjectivePoint.from_vector(unit(gauss(m + 1)))
+        centre = G.canonical_point(unit(gauss(m + 1)))
         for c in (centre, G.standard_point(m), G.standard_point(m, m)):
             pivots = F._pivots(c)
             assert pivots.shape == (2, m + 1)
             for p in pivots:
                 assert abs(np.linalg.norm(p) - 1) < 1e-15
-                assert abs(fs_distance(c.homogeneous, p) - math.pi / 4) < 1e-12
+                assert abs(fs_distance(c, p) - math.pi / 4) < 1e-12
             steps = np.logspace(-9, 0, 400)[:, None]
             x = unit(gauss(400, m + 1))
             y = unit(x + steps * gauss(400, m + 1))

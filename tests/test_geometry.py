@@ -21,16 +21,15 @@ CUT_LOCUS_MARGIN = 1e-9
 def log_map(chart, z):
     """Inverse of the chart's exp for points at distance < pi/2 from the
     center, as real tangent coordinates (re, im per complex coordinate)."""
-    p = chart.center.homogeneous
-    zv = z.homogeneous
-    inner = np.vdot(p, zv)  # <z, p> ordering: conj(p) . z
+    p = chart.center
+    inner = np.vdot(p, z)  # <z, p> ordering: conj(p) . z
     d = math.acos(min(1.0, abs(inner)))
     if d >= math.pi / 2 - CUT_LOCUS_MARGIN:
         raise G.GeometryError("point at or beyond the cut locus of the chart")
     if d <= 1e-15:
         return np.zeros(2 * chart.m)
     phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-    aligned = zv / phase
+    aligned = z / phase
     direction = (aligned - math.cos(d) * p) / math.sin(d)
     c = (chart.frame_matrix.conj().T @ direction) * d
     out = np.empty(2 * c.shape[0])
@@ -41,7 +40,7 @@ def log_map(chart, z):
 def exp_point(chart, v):
     """The point exp_center(v) of one tangent vector v in R^{2m}."""
     lift = G.exp_chart_vectors(chart, np.asarray(v)[None, :])[0]
-    return G.ProjectivePoint.from_vector(lift)
+    return G.canonical_point(lift)
 
 
 def volume_density(m: int, r) -> np.ndarray:
@@ -78,13 +77,11 @@ def volume_by_radial_quadrature(m: int, r_max: float = math.pi / 2) -> float:
 
 
 def _rand_point(rng, m):
-    return G.ProjectivePoint.from_vector(
-        rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
-    )
+    return G.canonical_point(rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1))
 
 
 def _bloch(z):
-    a, b = z.homogeneous
+    a, b = z
     return np.array(
         [
             2 * (a.conjugate() * b).real,
@@ -96,40 +93,41 @@ def _bloch(z):
 
 class TestPointsAndDistance:
     def test_canonical_representative(self):
-        p = G.ProjectivePoint.from_vector([2j, 2.0])
-        assert abs(p.homogeneous[0].imag) < 1e-15
-        assert p.homogeneous[0].real > 0
-        assert abs(np.linalg.norm(p.homogeneous) - 1.0) < 1e-14
-        q = G.ProjectivePoint.from_vector([1.0, -1j])
-        assert fs_distance(p.homogeneous, q.homogeneous) <= 1e-12
+        p = G.canonical_point([2j, 2.0])
+        assert abs(p[0].imag) < 1e-15
+        assert p[0].real > 0
+        assert abs(np.linalg.norm(p) - 1.0) < 1e-14
+        assert not p.flags.writeable
+        q = G.canonical_point([1.0, -1j])
+        assert fs_distance(p, q) <= 1e-12
 
     def test_canonical_rep_is_phase_invariant(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        p = G.ProjectivePoint.from_vector(v)
-        q = G.ProjectivePoint.from_vector(v * np.exp(1j * 1.234) * 5.0)
-        assert np.allclose(p.homogeneous, q.homogeneous, atol=1e-13)
+        p = G.canonical_point(v)
+        q = G.canonical_point(v * np.exp(1j * 1.234) * 5.0)
+        assert np.allclose(p, q, atol=1e-13)
 
     def test_rejects_zero_vector(self):
         with pytest.raises(G.GeometryError):
-            G.ProjectivePoint.from_vector([0.0, 0.0])
+            G.canonical_point([0.0, 0.0])
 
     def test_distance_example(self):
-        p = G.ProjectivePoint.from_vector([1, 0])
-        q = G.ProjectivePoint.from_vector([1, 1])
-        assert abs(fs_distance(p.homogeneous, q.homogeneous) - math.pi / 4) < 1e-14
+        p = G.canonical_point([1, 0])
+        q = G.canonical_point([1, 1])
+        assert abs(fs_distance(p, q) - math.pi / 4) < 1e-14
 
     def test_distance_range_and_symmetry(self):
         rng = np.random.default_rng(0)
         for m in (1, 2, 4):
             for _ in range(40):
                 x, y = _rand_point(rng, m), _rand_point(rng, m)
-                d = fs_distance(x.homogeneous, y.homogeneous)
+                d = fs_distance(x, y)
                 assert 0.0 <= d <= math.pi / 2 + 1e-15
-                assert abs(d - fs_distance(y.homogeneous, x.homogeneous)) < 1e-15
+                assert abs(d - fs_distance(y, x)) < 1e-15
         e0 = G.standard_point(2, 0)
         e1 = G.standard_point(2, 1)
-        assert abs(fs_distance(e0.homogeneous, e1.homogeneous) - math.pi / 2) < 1e-15
+        assert abs(fs_distance(e0, e1) - math.pi / 2) < 1e-15
 
     def test_distance_against_bloch_sphere_oracle(self):
         # CP^1 with this normalization is a round 2-sphere of radius 1/2:
@@ -138,25 +136,25 @@ class TestPointsAndDistance:
         for _ in range(300):
             x, y = _rand_point(rng, 1), _rand_point(rng, 1)
             cosang = np.clip(np.dot(_bloch(x), _bloch(y)), -1.0, 1.0)
-            assert abs(fs_distance(x.homogeneous, y.homogeneous) - 0.5 * math.acos(cosang)) < 1e-12
+            assert abs(fs_distance(x, y) - 0.5 * math.acos(cosang)) < 1e-12
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(2)
         for m in (1, 3):
             for _ in range(200):
-                x, y, z = (_rand_point(rng, m).homogeneous for _ in range(3))
+                x, y, z = (_rand_point(rng, m) for _ in range(3))
                 assert fs_distance(x, z) <= fs_distance(x, y) + fs_distance(y, z) + 1e-12
 
     def test_vectorized_distances_match_scalar(self):
         rng = np.random.default_rng(4)
         pts = [_rand_point(rng, 2) for _ in range(8)]
-        arr = np.stack([p.homogeneous for p in pts])
+        arr = np.stack(pts)
         # the stacked form arccos |<a_i, b_j>| the frame and whitening
         # layers compute inline
         d = np.arccos(np.clip(np.abs(arr @ arr.conj().T), -1.0, 1.0))
         for i in range(8):
             for j in range(8):
-                assert abs(d[i, j] - fs_distance(pts[i].homogeneous, pts[j].homogeneous)) < 1e-12
+                assert abs(d[i, j] - fs_distance(pts[i], pts[j])) < 1e-12
 
 
 class TestMomentLifts:
@@ -196,7 +194,7 @@ class TestChartsAndExpLog:
             f = ch.frame_matrix
             assert f.shape == (m + 1, m)
             assert np.allclose(f.conj().T @ f, np.eye(m), atol=1e-13)
-            assert np.max(np.abs(f.conj().T @ p.homogeneous)) < 1e-13
+            assert np.max(np.abs(f.conj().T @ p)) < 1e-13
 
     def test_exp_is_radial_isometry(self):
         rng = np.random.default_rng(6)
@@ -206,7 +204,7 @@ class TestChartsAndExpLog:
                 v = rng.normal(size=2 * m)
                 v *= rng.uniform(0.0, 0.69) / np.linalg.norm(v)
                 z = exp_point(ch, v)
-                d = fs_distance(ch.center.homogeneous, z.homogeneous)
+                d = fs_distance(ch.center, z)
                 assert abs(d - np.linalg.norm(v)) < 1e-12
 
     def test_log_inverts_exp(self):
@@ -226,13 +224,13 @@ class TestChartsAndExpLog:
         ch = G.make_chart(_rand_point(rng, 2), G.BallRegion(0.7), 1.2)
         for _ in range(40):
             z = _rand_point(rng, 2)
-            if fs_distance(ch.center.homogeneous, z.homogeneous) >= math.pi / 2 - 1e-6:
+            if fs_distance(ch.center, z) >= math.pi / 2 - 1e-6:
                 continue
             v = log_map(ch, z)
-            back = G.ProjectivePoint.from_vector(
+            back = G.canonical_point(
                 G.exp_chart_vectors(ch, v[None, :])[0]
             )
-            assert fs_distance(back.homogeneous, z.homogeneous) <= 1e-10
+            assert fs_distance(back, z) <= 1e-10
 
     def test_log_rejects_cut_locus(self):
         ch = G.make_chart(G.standard_point(1, 0), G.BallRegion(0.2), 1.05)
@@ -277,9 +275,8 @@ class TestDensityAndVolume:
 
     def test_radial_quadrature_recovers_total_volume(self):
         for m in (1, 2):
-            model = G.ManifoldModel(m)
             v = volume_by_radial_quadrature(m)
-            assert abs(v - model.volume) < 1e-6
+            assert abs(v - G.volume(m)) < 1e-6
 
     def test_ball_volume_formula(self):
         assert abs(G.ball_volume(1, math.pi / 2) - math.pi) < 1e-15
@@ -312,7 +309,7 @@ class TestCovers:
         charts = G.cp1_latlon_cover(0.35)
         rng = np.random.default_rng(12)
         pts = np.stack(
-            [_rand_point(rng, 1).homogeneous for _ in range(500)]
+            [_rand_point(rng, 1) for _ in range(500)]
         )
         r, theta = G.latlon_coords(pts)
         hits = np.zeros(len(pts), dtype=int)
@@ -338,14 +335,13 @@ class TestCovers:
         rad = charts[0].region.radius
         for i, a in enumerate(charts):
             for b in charts[i + 1 :]:
-                assert fs_distance(a.center.homogeneous, b.center.homogeneous) > 2 * rad + 0.1
+                assert fs_distance(a.center, b.center) > 2 * rad + 0.1
 
     def test_cp2_cover_defect_positive(self):
         charts = G.cp2_ball_cover()
         defect = G.covering_defect(2, charts)
-        model = G.ManifoldModel(2)
-        assert 0 < defect < model.volume
-        covered = model.volume - defect
+        assert 0 < defect < G.volume(2)
+        covered = G.volume(2) - defect
         assert abs(covered - 7 * G.ball_volume(2, 0.4)) < 1e-12
 
     def test_two_cap_cover_defect(self):
@@ -354,6 +350,27 @@ class TestCovers:
         expect = math.pi - 2 * G.ball_volume(1, math.pi / 5)
         assert abs(defect - expect) < 1e-12
         assert defect < 1.0
+
+    def test_two_cap_cover_defect_matches_sampling_on_cp2(self):
+        # caps at e_0 and e_2 of radius 0.7 < pi/4 are disjoint, so the
+        # volume sum is exact: compare with uniform samples of CP^2
+        charts = G.two_cap_cover(2, 0.7)
+        rng = np.random.default_rng(0)
+        coords = rng.uniform(size=(200_000, 4)) * [1, 1, 2 * math.pi, 2 * math.pi]
+        lifts = G.moment_lifts(2, coords)
+        near = np.zeros(len(lifts), dtype=bool)
+        for ch in charts:
+            near |= np.abs(lifts @ ch.center.conj()) > math.cos(0.7)
+        sampled = G.volume(2) * float(np.mean(~near))
+        assert abs(G.covering_defect(2, charts) - sampled) < 0.03
+
+    def test_two_cap_cover_refuses_overlapping_caps_on_cp2(self):
+        with pytest.raises(G.GeometryError):
+            G.two_cap_cover(2, 0.9)
+        with pytest.raises(G.GeometryError):
+            G.two_cap_cover(3, math.pi / 4)
+        # on CP^1 overlapping caps cover the line: defect exactly 0
+        assert G.covering_defect(1, G.two_cap_cover(1, 0.9)) == 0.0
 
     def test_defect_needs_a_closed_form_region(self):
         chart = G.make_chart(G.standard_point(1, 0), G.CubeRegion(0.3), 1.1)

@@ -156,9 +156,10 @@ def unread_fields(sources: dict) -> list:
 
     The match is by name alone, so a field that shares its name with an
     attribute read elsewhere counts as read.  That hid GramMatrix.m and
-    GramMatrix.k behind every other .m and .k, and the kind field of the
-    chart regions behind LatticeSpec.kind; those were found and removed by
-    hand.
+    GramMatrix.k behind every other .m and .k, the kind field of the
+    chart regions behind LatticeSpec.kind, and ThetaSolution.m, .lattice
+    and .extrapolated behind every other .m, cfg.lattice and
+    ConstantsRow.extrapolated; those were found and removed by hand.
     """
     trees = _parse(sources)
     read = set()

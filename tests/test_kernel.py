@@ -31,25 +31,24 @@ class TestDimensionsAndDiag:
         # diag * pi^m / m! == C(k+m, m), as integers
         for m in (1, 2, 3):
             for k in (0, 1, 7, 100, 1000):
-                model = K.KernelModel(m, k)
-                lhs = model.diag * math.pi**m / math.factorial(m)
-                assert abs(lhs - model.d_k) <= 1e-9 * model.d_k
+                lhs = K.kernel_diag(m, k) * math.pi**m / math.factorial(m)
+                assert abs(lhs - K.dimension(m, k)) <= 1e-9 * K.dimension(m, k)
 
     def test_diag_example(self):
-        assert abs(K.KernelModel(1, 3).diag - 4 / math.pi) < 1e-15
+        assert abs(K.kernel_diag(1, 3) - 4 / math.pi) < 1e-15
 
     def test_trace_identity(self):
         # diag * Vol(M) = d_k: constant diagonal integrates to the trace
         for m in (1, 2):
-            model = K.KernelModel(m, 17)
-            vol = G.ManifoldModel(m).volume
-            assert abs(model.diag * vol - model.d_k) < 1e-9 * model.d_k
+            k = 17
+            vol = G.volume(m)
+            assert abs(K.kernel_diag(m, k) * vol - K.dimension(m, k)) < 1e-9 * K.dimension(m, k)
 
     def test_diag_growth_matches_leading_order(self):
         # diag * pi^m / k^m -> 1
         for m in (1, 2):
             vals = [
-                K.KernelModel(m, k).diag * math.pi**m / k**m
+                K.kernel_diag(m, k) * math.pi**m / k**m
                 for k in (10, 100, 1000)
             ]
             assert abs(vals[-1] - 1.0) < 5e-3 * math.pi ** 0
@@ -57,8 +56,7 @@ class TestDimensionsAndDiag:
 
     def test_log_diag_consistent(self):
         for m, k in ((1, 3), (2, 100), (1, 1000)):
-            model = K.KernelModel(m, k)
-            assert abs(math.exp(model.log_diag) / model.diag - 1.0) < 1e-12
+            assert abs(math.exp(K.log_kernel_diag(m, k)) / K.kernel_diag(m, k) - 1.0) < 1e-12
 
 
 class TestMultiIndices:
@@ -117,71 +115,68 @@ class TestSzegoKernel:
         rng = np.random.default_rng(0)
         for m in (1, 2):
             for k in range(0, 9):
-                model = K.KernelModel(m, k)
                 for _ in range(5):
                     x, y = _lift(rng, m), _lift(rng, m)
-                    a = K.szego_kernel(model, x, y)
-                    b = K.szego_kernel_monomial_sum(model, x, y)
-                    assert abs(a - b) <= 1e-12 * model.diag
+                    a = K.szego_kernel(m, k, x, y)
+                    b = K.szego_kernel_monomial_sum(m, k, x, y)
+                    assert abs(a - b) <= 1e-12 * K.kernel_diag(m, k)
 
     def test_worked_example(self):
-        model = K.KernelModel(1, 2)
+        m, k = 1, 2
         x = G.as_unit_vector([1, 0])
         y = G.as_unit_vector([1, 1])
-        val = K.szego_kernel(model, x, y)
+        val = K.szego_kernel(m, k, x, y)
         assert abs(val - 3 / (2 * math.pi)) < 1e-14
 
     def test_diagonal_and_orthogonal(self):
         rng = np.random.default_rng(1)
-        model = K.KernelModel(2, 11)
+        m, k = 2, 11
         x = _lift(rng, 2)
-        assert abs(K.szego_kernel(model, x, x) - model.diag) < 1e-12 * model.diag
+        assert abs(K.szego_kernel(m, k, x, x) - K.kernel_diag(m, k)) < 1e-12 * K.kernel_diag(m, k)
         e0 = G.as_unit_vector([1, 0, 0])
         e1 = G.as_unit_vector([0, 1, 0])
-        assert K.szego_kernel(model, e0, e1) == 0
+        assert K.szego_kernel(m, k, e0, e1) == 0
 
     def test_hermitian(self):
         rng = np.random.default_rng(2)
-        model = K.KernelModel(1, 9)
+        m, k = 1, 9
         for _ in range(20):
             x, y = _lift(rng, 1), _lift(rng, 1)
-            a = K.szego_kernel(model, x, y)
-            b = K.szego_kernel(model, y, x)
-            assert abs(a - np.conj(b)) < 1e-13 * model.diag
+            a = K.szego_kernel(m, k, x, y)
+            b = K.szego_kernel(m, k, y, x)
+            assert abs(a - np.conj(b)) < 1e-13 * K.kernel_diag(m, k)
 
     def test_lift_dimension_mismatch(self):
-        model = K.KernelModel(2, 3)
+        m, k = 2, 3
         x = G.as_unit_vector([1, 0])
         with pytest.raises(K.KernelError):
-            K.szego_kernel(model, x, x)
+            K.szego_kernel(m, k, x, x)
 
 
 class TestNormalizedKernel:
     def test_diagonal_is_one(self):
         rng = np.random.default_rng(3)
-        model = K.KernelModel(1, 77)
-        z = G.ProjectivePoint.from_vector(_lift(rng, 1)).homogeneous
-        assert normalized_from_distance(model.k, fs_distance(z, z)) == 1.0
+        k = 77
+        z = G.canonical_point(_lift(rng, 1))
+        assert normalized_from_distance(k, fs_distance(z, z)) == 1.0
 
     def test_half_inner_example(self):
         # z=[1:0], w=[1:1]: P_k = 2^{-k/2}
         for k in (1, 2, 10, 41):
-            model = K.KernelModel(1, k)
-            z = G.ProjectivePoint.from_vector([1, 0])
-            w = G.ProjectivePoint.from_vector([1, 1])
-            p = normalized_from_distance(model.k, fs_distance(z.homogeneous, w.homogeneous))
+            z = G.canonical_point([1, 0])
+            w = G.canonical_point([1, 1])
+            p = normalized_from_distance(k, fs_distance(z, w))
             assert abs(p - 2 ** (-k / 2)) < 1e-13
 
     def test_matches_szego_ratio(self):
         # P_k * diag == |Pi_k| for arbitrary lifts (phase independence)
         rng = np.random.default_rng(4)
         for m, k in ((1, 10), (2, 31)):
-            model = K.KernelModel(m, k)
             for _ in range(30):
                 x, y = _lift(rng, m), _lift(rng, m)
-                p = normalized_from_distance(model.k, fs_distance(x, y))
-                s = abs(K.szego_kernel(model, x, y))
-                assert abs(p * model.diag - s) <= 1e-9 * model.diag
+                p = normalized_from_distance(k, fs_distance(x, y))
+                s = abs(K.szego_kernel(m, k, x, y))
+                assert abs(p * K.kernel_diag(m, k) - s) <= 1e-9 * K.kernel_diag(m, k)
 
     def test_gaussian_window_bound(self):
         # log P_k + (k/2) d^2 in [-k d^4, 0] for d <= 0.5
@@ -210,58 +205,56 @@ class TestCoherentStates:
     def test_l2_normalized(self):
         rng = np.random.default_rng(6)
         for m, k in ((1, 1), (1, 40), (2, 25), (1, 400)):
-            model = K.KernelModel(m, k)
-            phi = K.coherent_state(model, _lift(rng, m))
+            phi = K.coherent_state(m, k, _lift(rng, m))
             assert abs(np.linalg.norm(phi.ortho_coeffs) - 1.0) < 1e-10
 
     def test_evaluation_reproduces_kernel(self):
         rng = np.random.default_rng(7)
         for m, k in ((1, 6), (2, 9), (1, 150)):
-            model = K.KernelModel(m, k)
             y = _lift(rng, m)
-            phi = K.coherent_state(model, y)
+            phi = K.coherent_state(m, k, y)
             for _ in range(10):
                 x = _lift(rng, m)
-                want = K.szego_kernel(model, x, y) / math.sqrt(model.diag)
+                want = K.szego_kernel(m, k, x, y) / math.sqrt(K.kernel_diag(m, k))
                 got = phi.evaluate_lifts(x[None, :])[0]
                 assert abs(got - want) < 1e-11
 
     def test_overlap_is_normalized_kernel(self):
         # <Phi_y, Phi_y'> = Pi_k(y', y)/diag; modulus = P_k
         rng = np.random.default_rng(8)
-        model = K.KernelModel(1, 33)
+        m, k = 1, 33
         y1, y2 = _lift(rng, 1), _lift(rng, 1)
-        p1 = K.coherent_state(model, y1)
-        p2 = K.coherent_state(model, y2)
+        p1 = K.coherent_state(m, k, y1)
+        p2 = K.coherent_state(m, k, y2)
         overlap = np.vdot(p2.ortho_coeffs, p1.ortho_coeffs)
-        want = K.szego_kernel(model, y2, y1) / model.diag
+        want = K.szego_kernel(m, k, y2, y1) / K.kernel_diag(m, k)
         assert abs(overlap - want) < 1e-10
-        p = normalized_from_distance(model.k, fs_distance(y1, y2))
+        p = normalized_from_distance(k, fs_distance(y1, y2))
         assert abs(abs(overlap) - p) < 1e-10
 
     def test_explicit_k1_coefficients(self):
-        model = K.KernelModel(1, 1)
-        phi = K.coherent_state(model, G.as_unit_vector([1, 0]))
+        m, k = 1, 1
+        phi = K.coherent_state(m, k, G.as_unit_vector([1, 0]))
         c = math.sqrt(2 / math.pi)  # 1/sqrt(w_(1,0)), w = pi/2
         raw = raw_coeffs(1, 1, phi.ortho_coeffs)
         assert np.allclose(raw, [c, 0.0], atol=1e-14)
 
     def test_peak_value(self):
         rng = np.random.default_rng(9)
-        model = K.KernelModel(2, 12)
+        m, k = 2, 12
         y = _lift(rng, 2)
-        phi = K.coherent_state(model, y)
+        phi = K.coherent_state(m, k, y)
         got = abs(phi.evaluate_lifts(y[None, :])[0])
-        assert abs(got - math.sqrt(model.diag)) < 1e-11
+        assert abs(got - math.sqrt(K.kernel_diag(m, k))) < 1e-11
 
     def test_coherent_state_past_raw_overflow(self):
         # from about k = 2060 at m = 1 the plain monomial coefficients,
         # ortho / sqrt(w_alpha), overflow; the section holds orthonormal
         # coefficients only and stays exact
-        model = K.KernelModel(1, 2100)
+        m, k = 1, 2100
         log_weights = K.monomial_table(1, 2100).log_weights
         assert np.max(-0.5 * log_weights) > math.log(np.finfo(np.float64).max)
-        phi = K.coherent_state(model, _lift(np.random.default_rng(2), 1))
+        phi = K.coherent_state(m, k, _lift(np.random.default_rng(2), 1))
         assert np.all(np.isfinite(phi.ortho_coeffs))
         assert abs(np.linalg.norm(phi.ortho_coeffs) - 1.0) < 1e-12
 
@@ -282,11 +275,11 @@ class TestCoherentStates:
 
     def test_coefficient_phase_equivariance(self):
         # multiplying the lift by a phase rotates every coefficient
-        model = K.KernelModel(1, 5)
+        m, k = 1, 5
         y = G.as_unit_vector([3, 4j])
         y2 = G.as_unit_vector(y * np.exp(0.7j))
-        a = K.coherent_state(model, y).ortho_coeffs
-        b = K.coherent_state(model, y2).ortho_coeffs
+        a = K.coherent_state(m, k, y).ortho_coeffs
+        b = K.coherent_state(m, k, y2).ortho_coeffs
         ratio = b[np.abs(b) > 1e-12] / a[np.abs(b) > 1e-12]
         assert np.allclose(ratio, np.exp(-5 * 0.7j), atol=1e-12)
 
@@ -295,7 +288,7 @@ class TestDecayRegimes:
     def test_near_regime_bound_and_monotone_in_k(self):
         prev = None
         for k in (100, 400, 1600):
-            near, _ = K.verify_decay(K.KernelModel(1, k))
+            near, _ = K.verify_decay(1, k)
             bound = 7 * math.log(k) / (6 * k) * 1.01
             assert near.max_deviation <= bound
             if prev is not None:
@@ -312,14 +305,14 @@ class TestDecayRegimes:
     def test_far_regime_below_one(self):
         ks = []
         for k in range(2, 60):
-            _, far = K.verify_decay(K.KernelModel(1, k))
+            _, far = K.verify_decay(1, k)
             if far is not None and far.max_deviation < 1.0:
                 ks.append(k)
         assert ks and min(ks) <= 400
 
     def test_far_regime_shrinks(self):
         vals = [
-            K.verify_decay(K.KernelModel(1, k))[1].max_deviation
+            K.verify_decay(1, k)[1].max_deviation
             for k in (100, 400, 1600)
         ]
         assert vals[0] > vals[1] > vals[2]
@@ -328,7 +321,7 @@ class TestDecayRegimes:
     def test_report_serializable(self):
         import json
 
-        near, far = K.verify_decay(K.KernelModel(2, 50))
+        near, far = K.verify_decay(2, 50)
         blob = json.dumps({"near": near.to_dict(), "far": far and far.to_dict()})
         back = json.loads(blob)
         assert back["near"]["regime"] == "near"

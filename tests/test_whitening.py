@@ -9,7 +9,7 @@ from flatsections import frame as F
 from flatsections import geometry as G
 from flatsections import whitening as W
 from flatsections.geometry import as_unit_vector
-from flatsections.kernel import KernelModel, coherent_state, szego_kernel_monomial_sum
+from flatsections.kernel import coherent_state, kernel_diag, szego_kernel_monomial_sum
 from oracles import normalized_from_distance
 
 
@@ -70,10 +70,9 @@ class TestGramAssembly:
         for k in (1, 3, 8):
             fr = _two_point_frame(k, 0.44)
             g = W.assemble_gram(fr)
-            model = KernelModel(1, k)
             y0 = as_unit_vector(fr.points[0])
             y1 = as_unit_vector(fr.points[1])
-            want = szego_kernel_monomial_sum(model, y1, y0) / model.diag
+            want = szego_kernel_monomial_sum(1, k, y1, y0) / kernel_diag(1, k)
             assert abs(g.entries[0, 1] - want) < 1e-12
 
     def test_entries_match_coherent_coefficient_products(self):
@@ -81,8 +80,8 @@ class TestGramAssembly:
         fr = F.build(_run_b_spec(), 60)
         assert fr.n == 9
         g = W.assemble_gram(fr)
-        model = KernelModel(1, 60)
-        p = np.vstack([coherent_state(model, as_unit_vector(x)).ortho_coeffs
+        m, k = 1, 60
+        p = np.vstack([coherent_state(m, k, as_unit_vector(x)).ortho_coeffs
                        for x in fr.points])
         assert np.max(np.abs(g.entries - p @ p.conj().T)) < 1e-10
 
@@ -237,9 +236,9 @@ class TestWhiten:
         op = W.WhiteningOperator(entries=np.eye(fr.n, dtype=np.complex128),
                                  method="eigen", norm_inf=1.0)
         psi = W.whiten(fr, op)
-        model = KernelModel(1, 60)
+        m, k = 1, 60
         for row, x in zip(psi, fr.points):
-            phi = coherent_state(model, as_unit_vector(x))
+            phi = coherent_state(m, k, as_unit_vector(x))
             assert np.allclose(row, phi.ortho_coeffs)
 
     def test_whitened_family_is_orthonormal(self):
