@@ -18,6 +18,7 @@ from .frame import Frame
 from .geometry import (
     BallRegion,
     base_boxes,
+    base_twins,
     canonical_point,
     center_lifts,
     exp_chart_vectors,
@@ -134,15 +135,21 @@ def fk_norm(frame: Frame) -> float:
     The mesh is the cell centres of geometry.base_boxes, the equal-area
     mesh the sup norms start from, with about FK_MESH cells:
     isqrt(FK_MESH) per dimension at m = 1, round(FK_MESH ** 0.25) at
-    m = 2, at least two.  The frame points themselves are always included:
-    each is the peak of its own term, so the estimate can never fall below
+    m = 2, at least two.  At m = 2 only the cells geometry.base_twins
+    keeps are evaluated (7986 of the 14641 cells at FK_MESH): each other
+    cell's lift lies within rounding of its twin's.  At m = 1 every cell
+    is evaluated.  The frame points themselves are always included: each
+    is the peak of its own term, so the estimate can never fall below
     sqrt(diag).
     """
     if frame.n == 0:
         raise FlattenError("empty frame")
     m = frame.m
     side = max(2, math.isqrt(FK_MESH) if m == 1 else int(round(FK_MESH ** 0.25)))
-    lifts = np.vstack([center_lifts(m, base_boxes(m, side)), frame.points])
+    boxes = base_boxes(m, side)
+    if m == 2:
+        boxes = boxes[np.unique(base_twins(m, side))]
+    lifts = np.vstack([center_lifts(m, boxes), frame.points])
     vals = frame_sum(frame, lifts)
     best = int(np.argmax(vals))
     best_val = float(vals[best])

@@ -7,9 +7,10 @@ vectors in C^{m+1} modulo phase, and the package holds every point as a
 plain (m+1,) unit vector (one lift, any phase) or as a row of such
 vectors; canonical_point picks the lift whose first non-negligible
 coordinate is real and positive, as chart centres use.  Moment
-coordinates and the equal-area mesh, exponential charts, chart
-distortion estimates, geodesic-ball volumes, and the covers and cell
-decompositions used by the lattice builders all live here.
+coordinates, the equal-area mesh and the map of its twin cells,
+exponential charts, chart distortion estimates, geodesic-ball volumes,
+and the covers and cell decompositions used by the lattice builders all
+live here.
 """
 
 from __future__ import annotations
@@ -72,14 +73,22 @@ def standard_point(m: int, index: int = 0) -> np.ndarray:
     return canonical_point(v)
 
 
+def _folds(coords: np.ndarray) -> np.ndarray:
+    """Which rows of m = 2 moment coordinates (a, b, t1, t2) moment_lifts
+    folds: a + b > 1."""
+    return coords[:, 0] + coords[:, 1] > 1
+
+
 def moment_lifts(m: int, coords: np.ndarray) -> np.ndarray:
     """Unit lifts (z_0 >= 0 real) from moment coordinates, one row each.
 
     m = 1 reads (u, theta) as z_1 = sqrt(u) e^{i theta}; m = 2 reads
     (a, b, t1, t2), folds (a, b) from the unit square onto the simplex
-    a + b <= 1, which keeps the uniform measure, and sets
-    z_1 = sqrt(a) e^{i t1}, z_2 = sqrt(b) e^{i t2}.  Uniform coordinates
-    give lifts uniform for the volume.
+    a + b <= 1 by (a, b) -> (1 - a, 1 - b) where a + b > 1, which keeps the
+    uniform measure, and sets z_1 = sqrt(a) e^{i t1}, z_2 = sqrt(b) e^{i t2}.
+    Uniform coordinates give lifts uniform for the volume.  The fold maps
+    the square two to one, so a folded point is, to within rounding, the
+    lift of its unfolded mirror (base_twins).
     """
     if m == 1:
         u, th = coords[:, 0], coords[:, 1]
@@ -87,7 +96,7 @@ def moment_lifts(m: int, coords: np.ndarray) -> np.ndarray:
     if m != 2:
         raise GeometryError("moment coordinates cover m = 1 and m = 2 only")
     a, b, t1, t2 = coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
-    over = a + b > 1
+    over = _folds(coords)
     a = np.where(over, 1 - a, a)
     b = np.where(over, 1 - b, b)
     w = np.maximum(1 - a - b, 0.0)
@@ -102,7 +111,11 @@ def base_boxes(m: int, per_dim: int) -> np.ndarray:
     """The equal-area base mesh: per_dim cells along each moment
     coordinate, as (cells, dims, 2) lower and upper edges (cached and
     read-only).  Its cell centres, center_lifts(m, boxes), are uniform for
-    the volume; the sup-norm search and the F_k search both start there."""
+    the volume; the sup-norm search and the F_k search both start there.
+    Cell (i_0, i_1, ...) is row i_0 per_dim^{dims-1} + i_1 per_dim^{dims-2}
+    + ..., the first coordinate slowest.  At m = 2 the fold of
+    moment_lifts makes the cells with a + b > 1 twins of their mirrors in
+    (a, b), so the searches evaluate only the cells base_twins keeps."""
     if m == 1:
         spans = [(0.0, 1.0), (0.0, 2 * np.pi)]
     else:
@@ -120,9 +133,41 @@ def base_boxes(m: int, per_dim: int) -> np.ndarray:
     return boxes
 
 
+@functools.lru_cache(maxsize=8)
+def base_twins(m: int, per_dim: int) -> np.ndarray:
+    """For each cell of base_boxes(m, per_dim), the cell whose centre lift
+    is evaluated in its place (cached and read-only).
+
+    At m = 2 the fold of moment_lifts sends a centre (a, b) with a + b > 1
+    to (1 - a, 1 - b), the centre of the cell mirrored in both a and b,
+    with the same angles.  Such a cell takes its mirror as its twin only
+    when the mirror's centre does not fold itself; every other cell is its
+    own twin.  The check matters on the anti-diagonal, where a + b = 1 up
+    to rounding and a cell and its mirror can both fold: at per_dim 10 the
+    centres (0.35, 0.65) and (0.65, 0.35) both sum above 1 by rounding
+    (200 cells), so each folds onto the other's centre and their lifts lie
+    0.21 apart.  With the check a cell's lift is within 4.4e-16 of its
+    twin's for per_dim 2 to 16; 756 of the 1296 cells are distinct at
+    per_dim 6, and 7986 of 14641 at per_dim 11.  At m = 1 nothing folds
+    and the map is the identity.
+    """
+    boxes = base_boxes(m, per_dim)
+    twins = np.arange(len(boxes))
+    if m == 2:
+        folds = _folds(_centres(boxes))
+        mirror = twins.reshape((per_dim,) * 4)[::-1, ::-1].ravel()
+        twins = np.where(folds & ~folds[mirror], mirror, twins)
+    twins.flags.writeable = False
+    return twins
+
+
+def _centres(boxes: np.ndarray) -> np.ndarray:
+    return 0.5 * (boxes[:, :, 0] + boxes[:, :, 1])
+
+
 def center_lifts(m: int, boxes: np.ndarray) -> np.ndarray:
     """Unit lifts at the centres of mesh cells in moment coordinates."""
-    return moment_lifts(m, 0.5 * (boxes[:, :, 0] + boxes[:, :, 1]))
+    return moment_lifts(m, _centres(boxes))
 
 
 # ---------------------------------------------------------------------------

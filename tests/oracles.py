@@ -10,8 +10,10 @@ import math
 import numpy as np
 
 from flatsections import constants
+from flatsections.geometry import center_lifts
 from flatsections.kernel import (
     SectionExpansion,
+    evaluate_sections,
     log_normalized_from_distance,
     monomial_table,
 )
@@ -42,6 +44,13 @@ def raw_coeffs(m: int, k: int, ortho) -> np.ndarray:
     coefficients ortho: ortho / sqrt(w_alpha).  These overflow float64 at
     m = 1 from about k = 2060, which is why the package never forms them."""
     return np.asarray(ortho) * np.exp(-0.5 * monomial_table(m, k).log_weights)
+
+
+def full_base_values(m: int, k: int, ortho_rows, boxes: np.ndarray) -> np.ndarray:
+    """|s_j| at the centres of mesh cells, every cell evaluated at its own
+    lift, one row per coefficient vector: the base mesh without the twin
+    map of geometry.base_twins."""
+    return np.abs(evaluate_sections(m, k, ortho_rows, center_lifts(m, boxes)))
 
 
 def eta_from_cubic_density(beta: float, m: int) -> float:

@@ -21,7 +21,7 @@ from flatsections.kernel import (
     kernel_diag,
     szego_kernel,
 )
-from oracles import eta_from_cubic_density, raw_coeffs, section_from_raw
+from oracles import eta_from_cubic_density, full_base_values, raw_coeffs, section_from_raw
 
 
 def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
@@ -401,6 +401,36 @@ class TestCertifyFamily:
             assert np.array_equal([e.value for e in cert.sup_estimates],
                                   [e.value for e in single])
             assert cert.sup_estimates == tuple(single)
+
+    def test_base_values_at_m1_are_the_full_evaluation(self):
+        fam = _pipeline(100)[3]
+        boxes = C.base_boxes(1, 16)
+        assert np.array_equal(C._base_values(1, 100, fam.ortho, boxes),
+                              full_base_values(1, 100, fam.ortho, boxes))
+
+    @pytest.mark.parametrize("k,mesh", ((20, 6), (40, 6), (40, 8)))
+    def test_base_values_at_m2_evaluate_each_twin_once(self, k, mesh):
+        fam = _screened_level(2, k)[2]
+        boxes = C.base_boxes(2, mesh)
+        vals = C._base_values(2, k, fam.ortho, boxes)
+        full = full_base_values(2, k, fam.ortho, boxes)
+        assert np.max(np.abs(vals - full)) <= 1e-13 * np.max(full)
+        twins = C.base_twins(2, mesh)
+        assert np.array_equal(vals, vals[:, twins])
+        kept = np.unique(twins)
+        assert np.array_equal(vals[:, kept], full[:, kept])
+
+    def test_base_mesh_sends_each_distinct_lift_once(self, monkeypatch):
+        # one m = 2 mesh-6 block evaluates the 756 distinct lifts of the
+        # 1296 cells; the refinement goes through evaluate_lifts instead
+        points, entries, fam = _screened_level(2, 20)
+        sent = []
+        evaluate = C.evaluate_sections
+        monkeypatch.setattr(C, "evaluate_sections",
+                            lambda m, k, rows, lifts: sent.append(len(lifts))
+                            or evaluate(m, k, rows, lifts))
+        C.certify_family(fam, 6, 16, points=points, entries=entries)
+        assert sent == [756]
 
     def test_blocked_base_mesh_matches_single_sections(self, monkeypatch):
         fam = _pipeline(60)[3]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from flatsections import cli
 from flatsections import flatten as FL
 from flatsections import frame as F
 from flatsections import geometry as G
@@ -45,6 +46,20 @@ def _mesh(m: int, target: int) -> np.ndarray:
     """The shared equal-area mesh at fk_norm's size for a target count."""
     side = max(2, math.isqrt(target) if m == 1 else round(target ** 0.25))
     return G.center_lifts(m, G.base_boxes(m, side))
+
+
+def _m2_frame(k: int):
+    """The frame of the benchmark's m = 2 level k (balls r=0.4, a=2.4)."""
+    cfg = cli.RunConfig(m=2, k=(k,), spacing=2.4, eta=0.9,
+                        cover={"name": "balls", "radius": 0.4}, mesh=6)
+    return F.build(cli.lattice_spec(cfg.validate())[0], k)
+
+
+def _full_mesh_fk(monkeypatch, fr) -> float:
+    """fk_norm with every mesh cell its own twin: the full-mesh oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(FL, "base_twins", lambda m, per_dim: np.arange(per_dim ** (2 * m)))
+        return FL.fk_norm(fr)
 
 
 def _whitened(k: int):
@@ -180,6 +195,27 @@ class TestFrameMappingNorm:
         assert -(-len(lifts) // rows) >= 3 and len(lifts) % rows
         got = FL.frame_sum(fr, lifts)
         assert got.tobytes() == want.tobytes()
+
+    def test_twin_mesh_matches_full_mesh(self, monkeypatch):
+        m1 = F.build(_run_b_spec(), 200)
+        assert FL.fk_norm(m1) == _full_mesh_fk(monkeypatch, m1)
+        for k in (20, 40):
+            m2 = _m2_frame(k)
+            fk = FL.fk_norm(m2)
+            assert abs(fk - _full_mesh_fk(monkeypatch, m2)) <= 1e-12 * fk
+
+    def test_m2_mesh_sends_each_distinct_lift_once(self, monkeypatch):
+        # the 14641 cells of the m = 2 mesh hold 7986 distinct lifts, and
+        # the frame points follow them
+        fr = _m2_frame(20)
+        sent = []
+        frame_sum = FL.frame_sum
+        monkeypatch.setattr(FL, "frame_sum",
+                            lambda frame, lifts: sent.append(len(lifts))
+                            or frame_sum(frame, lifts))
+        FL.fk_norm(fr)
+        assert sent[0] == 7986 + fr.n
+        assert len(sent) == 1 + FL.FK_ROUNDS
 
     def test_empty_frame_rejected(self):
         with pytest.raises(FL.FlattenError):

@@ -185,6 +185,45 @@ class TestMomentLifts:
             G.moment_lifts(3, np.zeros((1, 6)))
 
 
+class TestBaseTwins:
+    @pytest.mark.parametrize("per_dim", range(2, 17))
+    def test_each_cell_shares_its_twins_lift(self, per_dim):
+        twins = G.base_twins(2, per_dim)
+        lifts = G.center_lifts(2, G.base_boxes(2, per_dim))
+        assert twins.shape == (per_dim ** 4,)
+        assert np.max(np.abs(lifts - lifts[twins])) <= 1e-15
+        assert np.array_equal(twins[twins], twins)
+
+    @pytest.mark.parametrize("per_dim,distinct", ((6, 756), (11, 7986)))
+    def test_distinct_counts(self, per_dim, distinct):
+        assert len(np.unique(G.base_twins(2, per_dim))) == distinct
+
+    def test_cells_that_fold_in_pairs_keep_their_own_lift(self):
+        # at per_dim 10 the anti-diagonal centres (0.35, 0.65) and
+        # (0.65, 0.35) both fold by rounding; taking the mirror as the
+        # twin would copy a value from a lift 0.21 away
+        boxes = G.base_boxes(2, 10)
+        centres = 0.5 * (boxes[:, :2, 0] + boxes[:, :2, 1])
+        cells = np.arange(len(boxes))
+        mirror = cells.reshape((10,) * 4)[::-1, ::-1].ravel()
+        folds = centres.sum(axis=1) > 1
+        both = folds & folds[mirror]
+        assert both.sum() == 200
+        assert np.array_equal(G.base_twins(2, 10)[both], cells[both])
+        lifts = G.center_lifts(2, boxes)
+        assert np.min(np.linalg.norm(lifts[both] - lifts[mirror[both]], axis=1)) > 0.2
+
+    @pytest.mark.parametrize("per_dim", (2, 5, 16, 128))
+    def test_identity_at_m1(self, per_dim):
+        assert np.array_equal(G.base_twins(1, per_dim), np.arange(per_dim ** 2))
+
+    def test_cached_read_only(self):
+        twins = G.base_twins(2, 6)
+        assert twins is G.base_twins(2, 6)
+        with pytest.raises(ValueError):
+            twins[0] = 1
+
+
 class TestChartsAndExpLog:
     def test_frame_is_orthonormal_and_horizontal(self):
         rng = np.random.default_rng(5)
