@@ -168,24 +168,6 @@ def fk_norm(frame: Frame) -> float:
     return best_val
 
 
-def fk_ceilings(frame: Frame, eta_hat: float | None = None) -> dict:
-    """Analytic ceilings for fk_norm.
-
-    "theta": sqrt(diag) * (1 + sqrt(2 pi)/a_tilde)^{2m}, the Poisson
-    summation tail bound with the distortion-adjusted spacing;
-    "eta": (1 + eta) * sqrt(diag) * 1.05, with eta the measured row mass
-    when given, the design constant otherwise.
-    """
-    spec = frame.spec
-    root = math.sqrt(kernel_diag(frame.m, frame.k))
-    atil = (spec.a / spec.gamma) * math.sqrt(1 - spec.epsilon)
-    eta = spec.eta if eta_hat is None else eta_hat
-    return {
-        "theta": root * (1 + math.sqrt(2 * math.pi) / atil) ** (2 * frame.m),
-        "eta": (1 + eta) * root * 1.05,
-    }
-
-
 def dump_family(path, fam: FlatFamily, tag: str):
     """Binary dump of fam.ortho in the whitening.write_dump layout."""
     write_dump(path, _MAGIC, fam.m, fam.k, fam.ortho, tag)

@@ -41,7 +41,7 @@ pi/4, so each cell holds a few points; on CP^2 a cell is a two-dimensional
 slab and holds more, which costs time, not exactness.  The neighbouring
 pairs are gathered into one list and tested elementwise with the
 brute-force rule |<x, y>| < cos thr, so the frame is the same as with no
-prefilter.  Frame.compared counts those pairs, the overlaps computed.
+prefilter.
 """
 
 from __future__ import annotations
@@ -294,14 +294,13 @@ def _canonicalize_rows(pts: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Frame:
     """A lattice frame: its points as canonical unit lifts, chart-major
-    and in lex order on mu within each chart, and the dedup's counters."""
+    and in lex order on mu within each chart, and the number of candidates
+    the cross-chart dedup dropped."""
 
     k: int
     m: int
     points: np.ndarray  # (n, m+1) complex canonical unit lifts
-    spec: LatticeSpec
     dropped: int = 0  # candidates removed by cross-chart dedup
-    compared: int = 0  # overlaps |<x, y>| the dedup computed
 
     @property
     def n(self) -> int:
@@ -372,7 +371,7 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
     pts = []
     # (chart number, pivots, sorted cell numbers, conjugated accepted lifts in cell order)
     earlier = []
-    dropped = compared = 0
+    dropped = 0
     for j, chart in enumerate(charts):
         lifts = _chart_candidates(spec, chart, k, radius[j])
         if lifts.shape[0] == 0:
@@ -386,7 +385,6 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
         for col, (i, pivots, cells_i, acc_i) in enumerate(nbrs):
             test = np.flatnonzero(keep & near[:, col])
             a, b = _neighbour_pairs(_cells(lifts[test], pivots, side), cells_i, side)
-            compared += a.shape[0]
             q = np.abs(np.sum(lifts[test[a]] * acc_i[b], axis=1))
             keep[test[a[q >= cos_thr]]] = False
         dropped += int(np.sum(~keep))
@@ -402,8 +400,7 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
         points = np.concatenate(pts)
     else:
         points = np.zeros((0, spec.m + 1), dtype=np.complex128)
-    return Frame(k=k, m=spec.m, points=points, spec=spec, dropped=dropped,
-                 compared=compared)
+    return Frame(k=k, m=spec.m, points=points, dropped=dropped)
 
 
 def build(spec: LatticeSpec, k: int) -> Frame:
@@ -429,7 +426,6 @@ def nearest_neighbor_distance(frame: Frame) -> float:
     for s in range(0, frame.n, step):
         e = min(s + step, frame.n)
         q = np.abs(pts[s:e] @ pts.conj().T)
-        for i in range(s, e):
-            q[i - s, i] = 0.0
+        q[np.arange(e - s), np.arange(s, e)] = 0.0
         worst = max(worst, float(q.max()))
     return math.acos(min(1.0, worst))

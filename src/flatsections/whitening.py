@@ -17,7 +17,7 @@ import numpy as np
 
 from .frame import Frame
 from .geometry import as_unit_vector
-from .kernel import coherent_state, near_threshold
+from .kernel import coherent_state
 
 _MAGIC = b"WMX1"
 _MAX_TERMS = 4000
@@ -70,52 +70,6 @@ def assemble_gram(frame: Frame) -> GramMatrix:
     entries = scale * np.exp(1j * frame.k * np.angle(u))
     np.fill_diagonal(entries, 1.0)
     return GramMatrix(entries=entries, eta_hat=float(np.max(_offdiag_row_sums(entries))))
-
-
-@dataclass(frozen=True)
-class RowSplitReport:
-    """Off-diagonal row mass split at the near/far distance threshold."""
-
-    k: int
-    threshold: float
-    max_near_sum: float
-    max_far_sum: float
-    far_pair_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "threshold": self.threshold,
-            "max near sum": self.max_near_sum,
-            "max far sum": self.max_far_sum,
-            "far pair count": self.far_pair_count,
-        }
-
-
-def row_split_report(g: GramMatrix, frame: Frame) -> RowSplitReport:
-    """Split each Gram row at distance b sqrt(log k / k).
-
-    The far part has O(k^m) entries of size O(k^{-m-1}) each, so its
-    total must shrink like 1/k; the report makes that checkable.
-    """
-    if g.n != frame.n:
-        raise WhiteningError("Gram and frame sizes disagree")
-    thr = near_threshold(frame.m, frame.k)
-    q = np.abs(np.conj(frame.points) @ frame.points.T)
-    dist = np.arccos(np.clip(q, 0.0, 1.0))
-    offdiag = ~np.eye(g.n, dtype=bool)
-    far = offdiag & (dist >= thr)
-    near = offdiag & (dist < thr)
-    a = np.abs(g.entries)
-    near_sums = np.sum(np.where(near, a, 0.0), axis=1)
-    far_sums = np.sum(np.where(far, a, 0.0), axis=1)
-    return RowSplitReport(
-        k=frame.k,
-        threshold=thr,
-        max_near_sum=float(np.max(near_sums)),
-        max_far_sum=float(np.max(far_sums)),
-        far_pair_count=int(np.count_nonzero(far) // 2),
-    )
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,22 @@ def _run_b_spec():
     return F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.4)
 
 
+def fk_ceilings(frame: F.Frame, spec: F.LatticeSpec, eta_hat: float) -> dict:
+    """Analytic ceilings for fk_norm on a frame of spec.
+
+    "theta": sqrt(diag) * (1 + sqrt(2 pi)/a_tilde)^{2m}, the Poisson
+    summation tail bound with the distortion-adjusted spacing;
+    "eta": (1 + eta_hat) * sqrt(diag) * 1.05, with eta_hat the measured
+    row mass.
+    """
+    root = math.sqrt(kernel_diag(frame.m, frame.k))
+    atil = (spec.a / spec.gamma) * math.sqrt(1 - spec.epsilon)
+    return {
+        "theta": root * (1 + math.sqrt(2 * math.pi) / atil) ** (2 * frame.m),
+        "eta": (1 + eta_hat) * root * 1.05,
+    }
+
+
 def bourgain_reference(signs, k: int) -> list:
     """Sign-twisted DFT of the monomial basis on the projective line.
 
@@ -154,7 +170,7 @@ class TestFrameMappingNorm:
             fr, g, op = _whitened(k)
             fk = FL.fk_norm(fr)
             root = math.sqrt(kernel_diag(1, k))
-            ceil = FL.fk_ceilings(fr, eta_hat=g.eta_hat)
+            ceil = fk_ceilings(fr, _run_b_spec(), g.eta_hat)
             assert root * (1 - 1e-12) <= fk
             assert fk <= ceil["eta"] <= ceil["theta"]
 

@@ -107,6 +107,25 @@ def _brute_force_dedup(spec, k):
     return points, chart_index, mu, dropped, compared
 
 
+def _build_counted(monkeypatch, spec, k):
+    """frame.build(spec, k) and the number of overlaps |<x, y>| its dedup
+    computed: the pairs frame._neighbour_pairs returns, summed over the
+    build."""
+    pairs = F._neighbour_pairs
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        a, b = pairs(*args)
+        count += a.shape[0]
+        return a, b
+
+    with monkeypatch.context() as mp:
+        mp.setattr(F, "_neighbour_pairs", counted)
+        fr = F.build(spec, k)
+    return fr, count
+
+
 class TestSpacingRules:
     def test_choose_spacing_closed_form(self):
         a = F.choose_spacing(1, 0.5, 1.0)
@@ -346,13 +365,13 @@ class TestMultichart:
         ("balls", 0.4, 2.4, 40),
         ("caps", 0.7, 2.4, 30),
     ])
-    def test_dedup_matches_brute_force(self, kind, radius, a, k):
+    def test_dedup_matches_brute_force(self, kind, radius, a, k, monkeypatch):
         spec = _dedup_spec(kind, radius, a)
-        fr = F.build(spec, k)
+        fr, count = _build_counted(monkeypatch, spec, k)
         points, _, _, dropped, compared = _brute_force_dedup(spec, k)
         assert np.array_equal(fr.points, points)
         assert fr.dropped == dropped
-        assert 0 < fr.compared < compared
+        assert 0 < count < compared
         if kind != "balls":
             assert dropped > 0
 
@@ -422,23 +441,25 @@ class TestMultichart:
             assert np.array_equal(v, want_v)
             assert np.array_equal(lifts, G.exp_chart_vectors(chart, want_v))
 
-    def test_compared_counts_repeat(self):
+    def test_compared_counts_repeat(self, monkeypatch):
         spec = _latlon_spec("hexagonal", 0.2, 1.971)
-        first, second = F.build(spec, 3000), F.build(spec, 3000)
-        assert first.compared == second.compared > 0
+        _, first = _build_counted(monkeypatch, spec, 3000)
+        _, second = _build_counted(monkeypatch, spec, 3000)
+        assert first == second > 0
 
-    def test_compared_cubic_latlon_16000(self):
+    def test_compared_cubic_latlon_16000(self, monkeypatch):
         # the single-key band of the previous dedup computed 769681 overlaps
         spec = _latlon_spec("cubic", 0.35, 1.945)
-        first, second = F.build(spec, 16000), F.build(spec, 16000)
-        assert first.compared == second.compared > 0
-        assert first.compared < 769681 / 20
+        _, first = _build_counted(monkeypatch, spec, 16000)
+        _, second = _build_counted(monkeypatch, spec, 16000)
+        assert first == second > 0
+        assert first < 769681 / 20
 
-    def test_compared_zero_for_single_chart(self):
-        assert F.build(_cubic_spec(), 250).compared == 0
+    def test_compared_zero_for_single_chart(self, monkeypatch):
+        assert _build_counted(monkeypatch, _cubic_spec(), 250)[1] == 0
         hexa = F.LatticeSpec(kind="hexagonal", m=1, a=2.4, eta=0.9, gamma=1.2, t=0.4)
-        assert F.build(hexa, 300).compared == 0
-        assert F.build(_cubic_spec(), 0).compared == 0
+        assert _build_counted(monkeypatch, hexa, 300)[1] == 0
+        assert _build_counted(monkeypatch, _cubic_spec(), 0)[1] == 0
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_pivot_key_is_lipschitz(self, m):
