@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .certify import (
     CertifyError,
     NormCertificate,
@@ -59,6 +59,7 @@ from .flatten import (
 )
 from .frame import (
     DEDUP_FACTOR,
+    Frame,
     FrameError,
     LatticeSpec,
     build,
@@ -406,8 +407,22 @@ class Level(NamedTuple):
 
 def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
                dump_dir: str | None = None) -> Level:
-    """One degree through the whole pipeline."""
+    """One degree through the whole pipeline.
+
+    The frame is built on one BLAS thread.  The rest of the level runs on
+    the count blas.level gives its frame size: the caller's count when the
+    dense n x n algebra is large enough to gain from it, one thread
+    otherwise."""
     frame = build(spec, k)
+    with blas.level(frame.n):
+        return _pipeline(cfg, spec, frame, dump_dir)
+
+
+def _pipeline(cfg: RunConfig, spec: LatticeSpec, frame: Frame,
+              dump_dir: str | None) -> Level:
+    """The level of a built frame: Gram, whitening, flattening, F_k and
+    certification, with their invariants and optional dumps."""
+    k = frame.k
     n, d = frame.n, dimension(cfg.m, k)
     # a single section is one unmixed coherent state, not a flat family
     invariants: dict = {"frame_nonempty": n >= 1, "frame_nondegenerate": n >= 2}
@@ -583,8 +598,12 @@ def _status(rows: list) -> dict:
     return {"exit_code": code, "hard_failures": hard, "soft_deviations": soft}
 
 
+@blas.serial()
 def run(cfg: RunConfig) -> dict:
-    """Execute the configured mode and assemble the manifest."""
+    """Execute the configured mode and assemble the manifest.  It runs on
+    one BLAS thread, and each level on the count blas.level gives it; the
+    envelope's "blas" entry records the library, the caller's count and
+    each level's count."""
     cfg.validate()
     started = time.perf_counter()
     dump_dir = None
@@ -599,6 +618,7 @@ def run(cfg: RunConfig) -> dict:
         "mode": cfg.mode,
         "config": cfg.echo(),
     }
+    levels = {}  # level -> BLAS threads, in full mode
     if cfg.mode == "constants-only":
         body = _constants_core(cfg)
         core.update(body)
@@ -611,6 +631,7 @@ def run(cfg: RunConfig) -> dict:
         body = _full_core(cfg, dump_dir)
         core.update(body)
         core["status"] = _status(body["rows"])
+        levels = {str(row["k"]): blas.level_threads(row["n_k"]) for row in body["rows"]}
     envelope = {
         "wall_clock_s": time.perf_counter() - started,
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -618,6 +639,11 @@ def run(cfg: RunConfig) -> dict:
         ),
         "out": cfg.out,
         "dumps": cfg.dumps,
+        "blas": {
+            "library": blas.library_path(),
+            "caller_threads": blas.caller_threads(),
+            "levels": levels,
+        },
     }
     return {"core": core, "envelope": envelope}
 
@@ -696,6 +722,7 @@ def write_outputs(manifest: dict, cfg: RunConfig) -> list:
 # emit-polys
 
 
+@blas.serial()
 def emit_polys(cfg: RunConfig) -> dict:
     """Run the pipeline and keep the flattest section per degree, as a
     polynomial record and as the matching sphere eigenfunction; a level's

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from . import constants as tc
 from .geometry import (
     ChartSpec,
@@ -403,10 +404,15 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
     return Frame(k=k, m=spec.m, points=points, dropped=dropped)
 
 
+@blas.serial()
 def build(spec: LatticeSpec, k: int) -> Frame:
     """The frame of spec at level k: over its chart list with cross-chart
     dedup, or in the single cube chart at the standard point, where a
-    cubic lattice has (2 floor(t sqrt k/a) + 1)^{2m} points."""
+    cubic lattice has (2 floor(t sqrt k/a) + 1)^{2m} points.
+
+    Its products are small (n x (m+1) against a few pivots or centres), so
+    it runs on one BLAS thread, also inside a level that runs on more, and
+    leaves its caller's count as it found it."""
     if k < 0:
         raise FrameError("level must be nonnegative")
     if not k:

@@ -11,7 +11,7 @@ import struct
 import numpy as np
 import pytest
 
-from flatsections import certify, cli
+from flatsections import blas, certify, cli
 from flatsections.cli import CliError, CompareError, RunConfig
 from flatsections.flatten import FlattenError, load_family
 from flatsections.frame import FrameError, choose_spacing
@@ -160,6 +160,22 @@ class TestRunManifest:
         ma, mb = cli.run(cfg_a), cli.run(cfg_b)
         assert cli.core_bytes(ma) == cli.core_bytes(mb)
         assert "wall_clock_s" in ma["envelope"]
+
+    def test_envelope_blas_entry_leaves_the_core(self, monkeypatch):
+        cfg = _ortho_cfg(k=(50, 100))
+        found = cli.run(cfg)
+        entry = found["envelope"]["blas"]
+        assert set(entry) == {"library", "caller_threads", "levels"}
+        assert list(entry["levels"]) == ["50", "100"]
+        if entry["library"] is not None:
+            assert entry["caller_threads"] == blas.caller_threads() >= 1
+            assert entry["levels"] == {"50": 1, "100": 1}  # 9 points each
+        monkeypatch.setattr(blas, "_found", None)  # no library found
+        none = cli.run(cfg)
+        assert none["envelope"]["blas"] == {
+            "library": None, "caller_threads": None, "levels": {"50": None, "100": None}}
+        assert cli.core_bytes(found) == cli.core_bytes(none)
+        assert "blas" not in cli.core_bytes(found).decode("utf-8")
 
     def test_summary_csv_columns(self, tmp_path):
         cfg = _ortho_cfg(k=(50, 100), out=str(tmp_path))

@@ -107,6 +107,19 @@ def _brute_force_dedup(spec, k):
     return points, chart_index, mu, dropped, compared
 
 
+# (kind, level) of a dedup case -> (level of its pair-count bound, the
+# bound): about 1.15 times the pairs the cell index tests there.  Testing
+# each candidate against every accepted point of a linked chart takes 1.8
+# (caps) to 50 (cubic k = 3000) times the bound.
+_DEDUP_PAIR_BOUNDS = {
+    ("cubic", 800): (800, 1600),
+    ("cubic", 3000): (3000, 3800),
+    ("hexagonal", 3000): (3000, 5800),
+    ("balls", 40): (200, 1150),
+    ("caps", 30): (120, 20500),
+}
+
+
 def _build_counted(monkeypatch, spec, k):
     """frame.build(spec, k) and the number of overlaps |<x, y>| its dedup
     computed: the pairs frame._neighbour_pairs returns, summed over the
@@ -374,6 +387,12 @@ class TestMultichart:
         assert 0 < count < compared
         if kind != "balls":
             assert dropped > 0
+        # the cell index keeps the tested pairs local, at a level of the
+        # case's geometry where the 3 x 3 cells around a candidate leave out
+        # accepted points (at the m = 2 cases' own levels they leave out none)
+        level, bound = _DEDUP_PAIR_BOUNDS[kind, k]
+        local = count if level == k else _build_counted(monkeypatch, spec, level)[1]
+        assert 0 < local <= bound
 
     @pytest.mark.parametrize("kind,radius,a,k,factor", [
         ("hexagonal", 0.2, 1.971, 3000, 6.0),
