@@ -25,7 +25,7 @@ evaluation each.  The base mesh is evaluated at its distinct lifts only
 (geometry.base_twins): at m = 2 the fold of the moment coordinates makes
 540 of the 1296 cells at mesh 6 the same point of CP^2 as another cell,
 to within 4.4e-16, and each such cell takes the value of that twin; at
-m = 1 every cell is distinct and the mesh is evaluated as it is.  The
+m = 1 every cell is its own twin, and the mesh is evaluated whole.  The
 refinement still sees every cell, twins included: _take and evaluations
 count all of them.  Every sup is bit-identical to the section-by-section
 evaluation, not merely close: the basis is built in the same chunks and
@@ -206,17 +206,16 @@ def _check_mesh(m: int, mesh: int):
         raise CertifyError("mesh is below the coarse default")
 
 
-def _base_values(m: int, k: int, ortho_rows, boxes: np.ndarray) -> np.ndarray:
-    """|s_j| at the centres of boxes = base_boxes(m, mesh), one row per
-    coefficient vector.  At m = 2 only the cells base_twins keeps are
+def _base_values(m: int, k: int, ortho_rows, mesh: int) -> np.ndarray:
+    """|s_j| at the centres of base_boxes(m, mesh), one row per
+    coefficient vector.  Only the cells base_twins maps to themselves are
     evaluated, and every other cell takes its twin's value, its own to
-    within rounding of the lift.  At m = 1 every cell is its own twin, and
-    the mesh is evaluated as it is, with no index copy."""
-    if m == 1:
-        return np.abs(evaluate_sections(m, k, ortho_rows, center_lifts(m, boxes)))
-    cells, place = np.unique(base_twins(m, round(len(boxes) ** 0.25)), return_inverse=True)
-    vals = np.abs(evaluate_sections(m, k, ortho_rows, center_lifts(m, boxes[cells])))
-    return vals[:, place]
+    within rounding of the lift; at m = 1 that is every cell."""
+    twins = base_twins(m, mesh)
+    kept = twins == np.arange(len(twins))
+    cells = base_boxes(m, mesh)[kept]
+    vals = np.abs(evaluate_sections(m, k, ortho_rows, center_lifts(m, cells)))
+    return vals[:, (np.cumsum(kept) - 1)[twins]]  # a twin's rank among the kept
 
 
 def _take(cells: int) -> int:
@@ -404,7 +403,7 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
     """
     _check_mesh(s.m, mesh)
     boxes = base_boxes(s.m, mesh)
-    vals = _base_values(s.m, s.k, [s.ortho_coeffs], boxes)[0] if base is None else base
+    vals = _base_values(s.m, s.k, [s.ortho_coeffs], mesh)[0] if base is None else base
     if vals.shape != (len(boxes),):
         raise CertifyError("base values do not match the base mesh")
     best = float(np.max(vals))
@@ -472,7 +471,7 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
     sups = []
     for lo in range(0, fam.n, block):
         rows = fam.ortho[lo:lo + block]
-        base = _base_values(fam.m, fam.k, rows, boxes)
+        base = _base_values(fam.m, fam.k, rows, mesh)
         first = None
         if not unscreened:
             cells = np.unique(np.concatenate([_top_cells(vals) for vals in base]))

@@ -70,6 +70,7 @@ from .geometry import (
     GeometryError,
     cp1_latlon_cover,
     cp2_ball_cover,
+    cube_cover,
     covering_defect,
     distortion_estimate,
     make_chart,
@@ -99,6 +100,10 @@ from .whitening import (
 
 # Gram assembly is dense; frames past this size are a config mistake, not a run.
 GRAM_SIZE_CAP = 4000
+
+# sup-norm base meshes past this many cells (mesh^{2m}) are a config
+# mistake: mesh 1024 at m=1, 32 at m=2
+MESH_CELL_CAP = 2 ** 20
 
 # the dual-route kernel comparison forms two coherent states of d_k
 # coefficients each, so its cost follows d_k, not k (d_k grows like k^m):
@@ -145,9 +150,8 @@ class RunConfig:
     k: tuple = (50, 100, 200, 400)
     lattice: str = "cubic"
     eta: float = 0.7
-    gamma: float | None = None  # None: 1.27 single chart, max chart gamma else
     spacing: float | None = 2.2  # None: choose_spacing(m, eta, gamma)
-    t: float | None = 0.4
+    t: float | None = 0.4  # halfwidth of the cube chart of a single-chart run
     cover: dict | None = None  # {"name": ..., "radius": ...}; overrides t
     delta: float | None = None
     epsilon: float = 0.05
@@ -169,7 +173,7 @@ class RunConfig:
     # also be None
     _INT_FIELDS = ("m", "mesh", "rounds", "seed", "constants_max_m")
     _NUMBER_FIELDS = ("eta", "epsilon", "neumann_tol", "ortho_tol", "drift_tol")
-    _OPTIONAL_NUMBER_FIELDS = ("gamma", "spacing", "t", "delta", "beta")
+    _OPTIONAL_NUMBER_FIELDS = ("spacing", "t", "delta", "beta")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -265,14 +269,15 @@ class RunConfig:
                 raise CliError("%s must be positive" % name)
         if self.mesh < 4:
             raise CliError("mesh must be at least 4 cells per dimension")
+        if self.mode == "full" and self.mesh ** (2 * self.m) > MESH_CELL_CAP:
+            raise CliError("mesh %d has %d cells at m=%d, past the cap %d"
+                           % (self.mesh, self.mesh ** (2 * self.m), self.m, MESH_CELL_CAP))
         if self.rounds < 1:
             raise CliError("rounds must be at least 1")
         if not 0 < self.eta < 1:
             raise CliError("eta target must lie in (0, 1)")
         if not 0 <= self.epsilon < 1:
             raise CliError("epsilon must lie in [0, 1)")
-        if self.gamma is not None and not self.gamma > 1:
-            raise CliError("gamma must exceed 1")
         if self.spacing is not None and not self.spacing > 0:
             raise CliError("spacing must be positive")
         if self.delta is not None and not self.delta >= 0:
@@ -315,9 +320,9 @@ class RunConfig:
 
 
 def build_charts(cfg: RunConfig):
-    """Charts from the cover stanza, or None for a single-chart run."""
+    """Charts from the cover stanza, else the single cube chart of halfwidth t."""
     if cfg.cover is None:
-        return None
+        return tuple(cube_cover(cfg.m, cfg.t))
     name = cfg.cover["name"]
     radius = cfg.cover.get("radius")
     if name == "latlon":
@@ -338,20 +343,10 @@ def build_charts(cfg: RunConfig):
 
 
 def lattice_spec(cfg: RunConfig):
-    """Resolve spacing/gamma/charts into a LatticeSpec plus a report dict."""
+    """Resolve charts and spacing into a LatticeSpec plus a report dict;
+    gamma is the largest distortion bound the charts declare."""
     charts = build_charts(cfg)
-    if charts is not None:
-        gamma = cfg.gamma if cfg.gamma is not None else max(c.gamma for c in charts)
-        t = None
-    else:
-        gamma = cfg.gamma if cfg.gamma is not None else 1.27
-        t = cfg.t
-        reach = t * math.sqrt(2 * cfg.m)
-        if reach >= math.pi / 2 - 1e-9:
-            raise GeometryError(
-                "single-chart halfwidth %.3g reaches %.3g, past the "
-                "injectivity radius" % (t, reach)
-            )
+    gamma = max(c.gamma for c in charts)
     a = cfg.spacing if cfg.spacing is not None else choose_spacing(cfg.m, cfg.eta, gamma)
     spec = LatticeSpec(
         kind=cfg.lattice,
@@ -360,19 +355,17 @@ def lattice_spec(cfg: RunConfig):
         eta=cfg.eta,
         gamma=gamma,
         epsilon=cfg.epsilon,
-        t=t,
         charts=charts,
         delta=cfg.delta,
         beta_target=cfg.beta,
     )
-    spec.validate()
     info = {
         "kind": spec.kind,
         "spacing": spec.a,
         "eta_target": spec.eta,
         "gamma": spec.gamma,
         "epsilon": spec.epsilon,
-        "t": spec.t,
+        "t": cfg.t if cfg.cover is None else None,
         "delta": spec.delta,
         "beta_target": spec.beta_target,
         "formal_eta": spec.formal_eta,
@@ -381,9 +374,9 @@ def lattice_spec(cfg: RunConfig):
         "formal_eta_m_exponent": math.sqrt(1.0 + spec.formal_eta) - 1.0,
         "certified": spec.certified,
         "abound": spec.abound_satisfied,
-        "chart_count": 1 if charts is None else len(charts),
+        "chart_count": len(charts),
     }
-    if charts is not None:
+    if cfg.cover is not None:
         info["covering_defect"] = covering_defect(cfg.m, list(charts))
         info["distortion_samples"] = [
             distortion_estimate(c, nsamples=2000, seed=cfg.seed + i)
@@ -448,7 +441,7 @@ def _pipeline(cfg: RunConfig, spec: LatticeSpec, frame: Frame,
     row["nn"] = nn
     invariants["nn_floor"] = nn is None or nn >= scale / spec.gamma * (1 - 1e-9)
     # ceiling only binds for dense frames; sparse multichart frames sit far apart
-    reach = 1.0 if spec.charts is None else 1.0 + DEDUP_FACTOR
+    reach = 1.0 if len(spec.charts) == 1 else 1.0 + DEDUP_FACTOR
     soft["nn_ceiling"] = nn is None or nn <= scale * spec.gamma * reach * (1 + 1e-9)
 
     g = assemble_gram(frame)
@@ -930,7 +923,6 @@ def _add_run_flags(sub):
     sub.add_argument("--mesh", type=int, help="sup-norm mesh cells per dimension")
     sub.add_argument("--out", help="output directory for manifest and csv files")
     sub.add_argument("--spacing", type=float, help="lattice spacing (default 2.2)")
-    sub.add_argument("--gamma", type=float, help="declared chart distortion bound")
     sub.add_argument("--t", type=float, help="single-chart halfwidth")
     sub.add_argument("--seed", type=int, help="sampling seed (distortion, kernel pairs)")
     sub.add_argument("--dumps", action="store_true", default=None,

@@ -25,13 +25,25 @@ TAIL_EXPONENT = 45.0
 # frozen reference values stop at m = 6; larger m is solver extrapolation
 TABLE_LIMIT = 6
 
+# theta sums past this many terms (arguments under 4.5e-6 cubic, 0.013 hexagonal) are refused
+MAX_THETA_TERMS = 2 ** 22
+
 
 class ConstantsError(ValueError):
     pass
 
 
+def _truncation(reach: float, dims: int) -> int:
+    """max(4, ceil(reach) + 2) terms per axis of a sum over dims axes;
+    ConstantsError past MAX_THETA_TERMS, tested before reach is rounded."""
+    if not 2 * reach <= MAX_THETA_TERMS ** (1 / dims):
+        raise ConstantsError("a theta sum reaching %.3g lattice steps passes %d terms"
+                             % (reach, MAX_THETA_TERMS))
+    return max(4, math.ceil(reach) + 2)
+
+
 def _truncation_1d(a: float) -> int:
-    return max(4, math.ceil(math.sqrt(2 * TAIL_EXPONENT) / a) + 2)
+    return _truncation(math.sqrt(2 * TAIL_EXPONENT) / a, 1)
 
 
 def theta_1d(a: float) -> float:
@@ -45,7 +57,7 @@ def theta_1d(a: float) -> float:
 
 def _truncation_hex(alpha: float) -> int:
     # Q(mu) >= |mu|^2 / 2, so per-term decay is at least e^{-alpha^2 |mu|^2/4}
-    return max(4, math.ceil(math.sqrt(4 * TAIL_EXPONENT) / alpha) + 2)
+    return _truncation(math.sqrt(4 * TAIL_EXPONENT) / alpha, 2)
 
 
 def theta_hex(alpha: float) -> float:

@@ -133,22 +133,18 @@ def fk_norm(frame: Frame) -> float:
     of local refinement.
 
     The mesh is the cell centres of geometry.base_boxes, the equal-area
-    mesh the sup norms start from, with about FK_MESH cells:
-    isqrt(FK_MESH) per dimension at m = 1, round(FK_MESH ** 0.25) at
-    m = 2, at least two.  At m = 2 only the cells geometry.base_twins
-    keeps are evaluated (7986 of the 14641 cells at FK_MESH): each other
-    cell's lift lies within rounding of its twin's.  At m = 1 every cell
-    is evaluated.  The frame points themselves are always included: each
-    is the peak of its own term, so the estimate can never fall below
-    sqrt(diag).
+    mesh the sup norms start from, with round(FK_MESH ** (1/2m)) cells
+    per dimension, at least two.  Only the cells geometry.base_twins maps
+    to themselves are evaluated (all 128^2 at m = 1, 7986 of 11^4 at m = 2):
+    each other cell's lift lies within rounding of its twin's.  The frame
+    points themselves are always included: each is the peak of its own
+    term, so the estimate can never fall below sqrt(diag).
     """
     if frame.n == 0:
         raise FlattenError("empty frame")
     m = frame.m
-    side = max(2, math.isqrt(FK_MESH) if m == 1 else int(round(FK_MESH ** 0.25)))
-    boxes = base_boxes(m, side)
-    if m == 2:
-        boxes = boxes[np.unique(base_twins(m, side))]
+    side = max(2, round(FK_MESH ** (1 / (2 * m))))
+    boxes = base_boxes(m, side)[base_twins(m, side) == np.arange(side ** (2 * m))]
     lifts = np.vstack([center_lifts(m, boxes), frame.points])
     vals = frame_sum(frame, lifts)
     best = int(np.argmax(vals))

@@ -6,10 +6,10 @@ a Z^{2m} grid; hexagonal lattices use mu_1 + e^{i pi/3} mu_2 per complex
 tangent coordinate.  Only the lattice points within one step of the
 region's circumradius ball are generated (a cubic lattice in a cube takes
 its box), row by row in lex order on mu, and each one's exp map is
-computed once and shared by the region test and the frame.  Multi-chart
-builds walk a cell decomposition in order and drop any candidate too
-close to a point accepted from an earlier chart, so near-duplicates on
-cell boundaries cannot poison the Gram matrix.
+computed once and shared by the region test and the frame.  A build
+walks its charts (geometry.cube_cover or a cover) in order and drops any
+candidate too close to a point accepted from an earlier chart, so
+near-duplicates on cell boundaries cannot poison the Gram matrix.
 
 The dedup keeps its comparisons local with an exact chart prefilter.
 Every point of chart i lies within R_i = circumradius + REACH_SLACK of
@@ -53,13 +53,7 @@ import numpy as np
 
 from . import blas
 from . import constants as tc
-from .geometry import (
-    ChartSpec,
-    CubeRegion,
-    exp_chart_vectors,
-    make_chart,
-    standard_point,
-)
+from .geometry import ChartSpec, CubeRegion, exp_chart_vectors
 
 HEX_DIRECTION = complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
 
@@ -72,6 +66,10 @@ DEDUP_FACTOR = 1.25
 REACH_SLACK = 1e-9
 
 DEFAULT_EPSILON = 0.05
+
+# a chart's lattice box, (2 mmax + 1)^{2m} rows, is refused past this;
+# the largest the tests and the benchmark enumerate holds 9,661
+MAX_CHART_CANDIDATES = 2 ** 22
 
 
 class FrameError(ValueError):
@@ -114,12 +112,12 @@ def formal_eta(kind: str, a: float, gamma: float, epsilon: float, m: int) -> flo
 class LatticeSpec:
     """Parameters of a lattice frame build.
 
-    Single-chart mode: give t (the halfwidth of a cube at the standard point).
-    Multi-chart mode: give charts (inner regions with declared gamma)
-    and the covering slack delta.  eta is the target Gram perturbation;
-    a LatticeSpec is 'certified' when the theta-sum bound proves the target,
-    otherwise builds still run and the measured row sums must carry the
-    downstream bounds.
+    charts: the cube chart of geometry.cube_cover or a cover, each with
+    its declared gamma; gamma is the largest.  A density-targeted cover of
+    more than one chart needs its slack delta <= a^{2m} epsilon / (3 m!).
+    eta is the target Gram perturbation; a LatticeSpec is 'certified' when
+    the theta-sum bound proves the target, otherwise builds still run and
+    the measured row sums must carry the downstream bounds.
     """
 
     kind: str
@@ -128,8 +126,7 @@ class LatticeSpec:
     eta: float
     gamma: float
     epsilon: float = DEFAULT_EPSILON
-    t: float | None = None
-    charts: tuple | None = None
+    charts: tuple = ()
     delta: float | None = None
     beta_target: float | None = None
 
@@ -144,8 +141,15 @@ class LatticeSpec:
             raise FrameError("gamma must exceed 1")
         if not 0 <= self.epsilon < 1:
             raise FrameError("epsilon must lie in [0,1)")
-        if (self.t is None) == (self.charts is None):
-            raise FrameError("give exactly one of t (single chart) or charts")
+        if not self.charts:
+            raise FrameError("a lattice spec needs at least one chart")
+        if self.beta_target is not None and len(self.charts) > 1:
+            if self.delta is None:
+                raise FrameError("density-targeted multichart spec needs delta")
+            cap = self.a ** (2 * self.m) * self.epsilon / (3 * math.factorial(self.m))
+            if self.delta > cap:
+                raise FrameError("covering slack delta=%.3g exceeds the density budget "
+                                 "%.3g" % (self.delta, cap))
 
     @property
     def formal_eta(self) -> float:
@@ -166,27 +170,6 @@ class LatticeSpec:
         )
         return self.a > bound
 
-    def validate(self):
-        """Raise unless the covering slack fits the density budget.
-
-        delta, when given with a density target, must leave room under
-        the density bound: beta-mode builds require
-        delta <= a^{2m} * epsilon / (3 m!).  An uncertified spec still
-        builds (see certified).
-        """
-        if self.beta_target is not None and self.charts is not None:
-            if self.delta is None:
-                raise FrameError("density-targeted multichart spec needs delta")
-            cap = self.a ** (2 * self.m) * self.epsilon / (
-                3 * math.factorial(self.m)
-            )
-            if self.delta > cap:
-                raise FrameError(
-                    "covering slack delta=%.3g exceeds the density budget %.3g"
-                    % (self.delta, cap)
-                )
-        return self
-
 
 # ---------------------------------------------------------------------------
 # lattice enumeration in a single chart
@@ -203,21 +186,22 @@ def _lattice_rows(spec: LatticeSpec, chart: ChartSpec, k: int,
     are generated one prefix (mu_0, ..., mu_{2m-2}) at a time: the range of
     the last coordinate is solved from the radius left by the prefix, with
     the radius padded by one lattice step so that rounding cannot lose a
-    point of the region.
+    point of the region; an oversized box is refused first (_box_steps).
     """
     scale = spec.a / math.sqrt(k)
+    if not scale > 0:
+        raise FrameError("lattice step a/sqrt(k) underflows to 0")
     dim = 2 * spec.m
     region = chart.region
     if spec.kind == "cubic" and isinstance(region, CubeRegion):
-        mmax = int(math.floor(region.t / scale + 1e-12))
-        return _box(mmax, dim)
+        return _box(_box_steps(region.t / scale, 0, dim), dim)
     # the rows stay inside the box that bounds |mu|_inf over the ball
     rad = radius / scale
     if spec.kind == "cubic":
-        mmax = int(math.floor(rad + 1e-12)) + 1
+        mmax = _box_steps(rad, 1, dim)
     else:
         # |mu_1 + e^{i pi/3} mu_2| >= |mu|_inf * sin(pi/3); pad one step
-        mmax = int(math.floor(rad / math.sin(math.pi / 3) + 1e-12)) + 1
+        mmax = _box_steps(rad / math.sin(math.pi / 3), 1, dim)
     prefix = _box(mmax, dim - 1)
     room = (rad + 1.0) ** 2
     if spec.kind == "cubic":
@@ -240,6 +224,17 @@ def _lattice_rows(spec: LatticeSpec, chart: ChartSpec, k: int,
     grid[:, :-1] = np.repeat(prefix, counts, axis=0)
     grid[:, -1] = _ranges(lo, counts)
     return grid
+
+
+def _box_steps(steps: float, pad: int, dim: int) -> int:
+    """mmax = floor(steps + 1e-12) + pad for the candidate box [-mmax, mmax]^dim;
+    FrameError past MAX_CHART_CANDIDATES rows, tested before steps is rounded."""
+    if steps < MAX_CHART_CANDIDATES:
+        mmax = int(math.floor(steps + 1e-12)) + pad
+        if (2 * mmax + 1) ** dim <= MAX_CHART_CANDIDATES:
+            return mmax
+    raise FrameError("a chart's lattice box, %.3g steps each way in %d dimensions, "
+                     "passes %d candidates" % (steps + pad, dim, MAX_CHART_CANDIDATES))
 
 
 def _box(mmax: int, dim: int) -> np.ndarray:
@@ -306,10 +301,6 @@ class Frame:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-
-def _single_chart(spec: LatticeSpec) -> ChartSpec:
-    return make_chart(standard_point(spec.m), CubeRegion(spec.t), spec.gamma)
 
 
 def _pivots(c: np.ndarray) -> np.ndarray:
@@ -406,19 +397,16 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
 
 @blas.serial()
 def build(spec: LatticeSpec, k: int) -> Frame:
-    """The frame of spec at level k: over its chart list with cross-chart
-    dedup, or in the single cube chart at the standard point, where a
-    cubic lattice has (2 floor(t sqrt k/a) + 1)^{2m} points.
+    """The frame of spec at level k over its chart list, with cross-chart
+    dedup; in the single cube chart of geometry.cube_cover a cubic
+    lattice has (2 floor(t sqrt k/a) + 1)^{2m} points.
 
     Its products are small (n x (m+1) against a few pivots or centres), so
     it runs on one BLAS thread, also inside a level that runs on more, and
     leaves its caller's count as it found it."""
     if k < 0:
         raise FrameError("level must be nonnegative")
-    if not k:
-        return _assemble(spec, k, [])
-    charts = list(spec.charts) if spec.charts is not None else [_single_chart(spec)]
-    return _assemble(spec, k, charts)
+    return _assemble(spec, k, list(spec.charts) if k else [])
 
 
 def nearest_neighbor_distance(frame: Frame) -> float:

@@ -393,6 +393,18 @@ def distortion_estimate(chart: ChartSpec, nsamples: int = 10000, seed: int = 0) 
 # covers
 
 
+def cube_cover(m: int, t: float) -> list:
+    """The single cube chart [-t, t]^{2m} at the standard point, declared
+    gamma 1.27 as single-chart runs always have been.  ROADMAP item 5
+    replaces it with 2R/sin 2R, R = t sqrt(2m): 1.27 is false at m = 2,
+    t = 0.4.  GeometryError once the cube reaches the injectivity radius."""
+    reach = t * math.sqrt(2 * m)
+    if reach >= HALF_PI - 1e-9:
+        raise GeometryError("single-chart halfwidth %.3g reaches %.3g, past the "
+                            "injectivity radius" % (t, reach))
+    return [make_chart(standard_point(m), CubeRegion(t), 1.27)]
+
+
 def cp1_latlon_cover(max_radius: float) -> list:
     """Exact cell partition of CP^1 by polar caps, bands, and sectors.
 

@@ -21,7 +21,7 @@ from flatsections.certify import (
 from flatsections.cli import RunConfig
 from flatsections.flatten import flatten_frame, fk_norm, sup_norm_chain_bound
 from flatsections.frame import LatticeSpec, build, choose_spacing
-from flatsections.geometry import as_unit_vector, cp1_latlon_cover
+from flatsections.geometry import as_unit_vector, cp1_latlon_cover, cube_cover
 from flatsections.kernel import (
     dimension,
     multi_indices,
@@ -44,7 +44,8 @@ def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
 @pytest.fixture(scope="module")
 def ortho_levels():
     """Dense cubic family at a = 2.2, eta target 0.7, k in {50,...,400}."""
-    spec = LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.4)
+    spec = LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
+                       charts=tuple(cube_cover(1, 0.4)))
     levels = {}
     for k in (50, 100, 200, 400):
         frame = build(spec, k)

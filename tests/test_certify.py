@@ -11,6 +11,7 @@ from flatsections import certify as C
 from flatsections import cli
 from flatsections import flatten as FL
 from flatsections import frame as F
+from flatsections import geometry as G
 from flatsections import kernel as K
 from flatsections import whitening as W
 from flatsections.geometry import as_unit_vector, volume
@@ -99,7 +100,8 @@ def _records(fam, mesh=16):
 
 
 def _pipeline(k: int):
-    spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.4)
+    spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
+                         charts=tuple(G.cube_cover(1, 0.4)))
     fr = F.build(spec, k)
     g = W.assemble_gram(fr)
     op = W.inv_sqrt_neumann(g)
@@ -261,7 +263,7 @@ class TestScreenedRefinement:
         # cell index, the screened round picks the same twins as the full one
         points, entries, fam = _screened_level(2, k)
         sec = _sections(fam)[row]
-        base = C._base_values(2, k, [sec.ortho_coeffs], C.base_boxes(2, 8))[0]
+        base = C._base_values(2, k, [sec.ortho_coeffs], 8)[0]
         screen = C.frame_screens(fam, points, entries)[row]
         assert (C.sup_norm(sec, mesh=8, base=base, screen=screen)
                 == C.sup_norm(sec, mesh=8, base=base))
@@ -405,14 +407,14 @@ class TestCertifyFamily:
     def test_base_values_at_m1_are_the_full_evaluation(self):
         fam = _pipeline(100)[3]
         boxes = C.base_boxes(1, 16)
-        assert np.array_equal(C._base_values(1, 100, fam.ortho, boxes),
+        assert np.array_equal(C._base_values(1, 100, fam.ortho, 16),
                               full_base_values(1, 100, fam.ortho, boxes))
 
     @pytest.mark.parametrize("k,mesh", ((20, 6), (40, 6), (40, 8)))
     def test_base_values_at_m2_evaluate_each_twin_once(self, k, mesh):
         fam = _screened_level(2, k)[2]
         boxes = C.base_boxes(2, mesh)
-        vals = C._base_values(2, k, fam.ortho, boxes)
+        vals = C._base_values(2, k, fam.ortho, mesh)
         full = full_base_values(2, k, fam.ortho, boxes)
         assert np.max(np.abs(vals - full)) <= 1e-13 * np.max(full)
         twins = C.base_twins(2, mesh)
@@ -455,7 +457,8 @@ class TestCertifyFamily:
     def test_raw_overflow_past_k2060(self):
         # past the level where the plain monomial coefficients overflow
         # float64, the written records and monomial header stay finite
-        spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.1)
+        spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
+                             charts=tuple(G.cube_cover(1, 0.1)))
         fr = F.build(spec, 2100)
         assert fr.n == 25
         fam = FL.flatten_frame(fr, W.inv_sqrt_neumann(W.assemble_gram(fr)))
@@ -473,7 +476,8 @@ class TestCertifyFamily:
 
 class TestEmitters:
     def test_degree_one_record(self):
-        spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.1)
+        spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
+                             charts=tuple(G.cube_cover(1, 0.1)))
         fr = F.build(spec, 1)
         assert fr.n == 1
         fam = FL.flatten_frame(fr, W.inv_sqrt_eigen(W.assemble_gram(fr)))

@@ -22,7 +22,7 @@ from flatsections.whitening import WhiteningError, load_matrix
 
 def _ortho_cfg(**kw):
     """Dense single-chart parameters used across the pipeline tests."""
-    base = dict(spacing=2.2, eta=0.7, gamma=1.27, t=0.4, k=(50,))
+    base = dict(spacing=2.2, eta=0.7, t=0.4, k=(50,))
     base.update(kw)
     return RunConfig(**base)
 
@@ -81,6 +81,27 @@ class TestConfig:
             RunConfig(k=(1,), mode="kernel-check").validate()
         RunConfig(k=(2,), mode="kernel-check").validate()
 
+    def test_mesh_cell_cap_in_full_mode(self):
+        # mesh^{2m} cells: 1024^2 and 32^4 are the largest meshes allowed
+        RunConfig(mesh=1024).validate()
+        RunConfig(m=2, mesh=32, lattice="cubic").validate()
+        for cfg in (RunConfig(mesh=1025), RunConfig(m=2, mesh=33)):
+            with pytest.raises(CliError, match="past the cap %d" % cli.MESH_CELL_CAP):
+                cfg.validate()
+        # kernel-check reads no mesh, and allows m up to 12
+        RunConfig(m=12, mesh=16, k=(4,), mode="kernel-check").validate()
+
+    def test_every_field_is_type_checked(self):
+        # each field is in exactly one of the name lists _check_types
+        # walks, or among the fields validate checks by itself
+        checked_itself = {"k", "lattice", "cover", "mode", "out", "dumps"}
+        groups = [set(RunConfig._INT_FIELDS), set(RunConfig._NUMBER_FIELDS),
+                  set(RunConfig._OPTIONAL_NUMBER_FIELDS), checked_itself]
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        for name in names:
+            assert sum(name in group for group in groups) == 1, name
+        assert set().union(*groups) == set(names)
+
 
 class TestLatticeResolution:
     def test_auto_spacing_is_certified(self):
@@ -93,6 +114,19 @@ class TestLatticeResolution:
         # halfwidth 1.2 reaches 1.2 sqrt(2) > pi/2
         with pytest.raises(GeometryError):
             cli.lattice_spec(RunConfig(t=1.2))
+
+    @pytest.mark.parametrize("cfg,gamma", [
+        (RunConfig(), 1.27),
+        (RunConfig(m=2, t=0.35), 1.27),
+        (RunConfig(spacing=1.83, cover={"name": "latlon", "radius": 0.35}),
+         1.0876758180988426),
+    ], ids=["cube-m1", "cube-m2", "latlon"])
+    def test_gamma_is_the_largest_declared(self, cfg, gamma):
+        spec, info = cli.lattice_spec(cfg.validate())
+        assert spec.gamma == info["gamma"] == max(c.gamma for c in spec.charts)
+        assert spec.gamma == pytest.approx(gamma, rel=1e-15)
+        assert info["t"] == (cfg.t if cfg.cover is None else None)
+        assert info["chart_count"] == len(spec.charts)
 
     def test_cover_resolution(self):
         cfg = RunConfig(
@@ -352,6 +386,16 @@ class TestCompare:
         # second holds (a newer writer's, say) are not drift
         assert cli.compare_manifests(mb, ma)["drift"] == []
 
+    def test_config_with_a_null_gamma_is_no_mismatch(self):
+        # manifests written while gamma was a config key hold "gamma": null
+        # there; compare reads the key a newer config lacks as null
+        new = cli.run(_ortho_cfg(k=(60,)))
+        old = copy.deepcopy(new)
+        old["core"]["config"]["gamma"] = None
+        for a, b in ((old, new), (new, old)):
+            report = cli.compare_manifests(a, b)
+            assert report["identical"] and report["drift"] == []
+
     def test_incompatible_configs_error(self):
         ma = cli.run(_ortho_cfg(k=(50,)))
         mb = cli.run(_ortho_cfg(k=(60,)))
@@ -375,7 +419,7 @@ class TestCompare:
 class TestMainEntry:
     def test_run_subcommand_writes_outputs(self, tmp_path):
         code = cli.main([
-            "run", "--spacing", "2.2", "--eta", "0.7", "--gamma", "1.27",
+            "run", "--spacing", "2.2", "--eta", "0.7",
             "--k", "50", "--out", str(tmp_path),
         ])
         assert code == 2  # flatness spread soft deviation at n=9
@@ -401,14 +445,15 @@ class TestMainEntry:
         {"cover": {"name": "two-cap", "radius": math.nan}},
         {"delta": -1.0}, {"delta": math.nan}, {"delta": math.inf},
         # a non-finite number means nothing in any field: an infinite
-        # spacing builds an empty frame, infinite tolerances pass anything
+        # spacing builds an empty frame, infinite tolerances pass anything;
+        # gamma is no config key, whatever its value
         {"k": [50], "spacing": math.inf}, {"k": [50], "gamma": math.inf},
         {"k": [50], "ortho_tol": math.inf, "neumann_tol": math.inf}, {"eta": math.nan},
     ], ids=["k-int", "k-str", "k-float", "k-bool", "m-bool", "eta-str", "epsilon-null",
             "mesh-str", "mesh-float", "seed-null", "radius-str", "out-int",
             "cover-unknown-key", "balls-negative-radius", "two-cap-negative-radius",
             "two-cap-nan-radius", "delta-negative", "delta-nan", "delta-inf",
-            "spacing-inf", "gamma-inf", "tols-inf", "eta-nan"])
+            "spacing-inf", "gamma-unknown-key", "tols-inf", "eta-nan"])
     def test_config_value_of_the_wrong_type(self, tmp_path, capsys, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -437,8 +482,34 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("chart error:") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("flags", [["--spacing", "inf"], ["--gamma", "inf"]],
-                             ids=lambda f: f[0][2:])
+    def test_gamma_is_not_a_config_key(self, tmp_path, capsys):
+        # the charts alone declare gamma; 1.01 here would certify an
+        # uncertified lat-lon spec
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k": [100], "spacing": 1.83, "gamma": 1.01,
+                                    "cover": {"name": "latlon", "radius": 0.35}}))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: unknown config keys: gamma\n"
+
+    @pytest.mark.parametrize("args,prefix", [
+        (["run", "--spacing", "1e-300", "--k", "50"], "pipeline error:"),
+        (["run", "--spacing", "5e-324", "--k", "50"], "pipeline error:"),
+        (["run", "--m", "2", "--spacing", "0.01", "--k", "400"], "chart error:"),
+        (["run", "--m", "1", "--mesh", "100000", "--k", "50"], "config error:"),
+        (["emit-polys", "--m", "2", "--mesh", "100000", "--k", "4", "--spacing", "2.2"],
+         "config error:"),
+    ], ids=["spacing-1e-300", "spacing-5e-324", "m2-lattice-box", "m1-mesh", "emit-m2-mesh"])
+    def test_oversized_input_is_a_one_line_error(self, capsys, args, prefix):
+        # each is refused before it allocates: the theta sums of a vanishing
+        # spacing, a chart's lattice box, or the sup-norm base mesh
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--spacing", "inf"]], ids=lambda f: f[0][2:])
     def test_non_finite_flag_is_a_config_error(self, capsys, flags):
         assert cli.main(["run", "--k", "50"] + flags) == 1
         captured = capsys.readouterr()
@@ -518,7 +589,7 @@ class TestMainEntry:
     def test_compare_subcommand_exit_codes(self, tmp_path):
         for name in ("a", "b"):
             code = cli.main([
-                "run", "--spacing", "2.2", "--eta", "0.7", "--gamma", "1.27",
+                "run", "--spacing", "2.2", "--eta", "0.7",
                 "--k", "50", "--out", str(tmp_path / name),
             ])
             assert code == 2
@@ -555,7 +626,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("field", ["section_sups", "eta_hat"])
     def test_compare_subcommand_malformed_field(self, tmp_path, capsys, field):
-        assert cli.main(["run", "--spacing", "2.2", "--eta", "0.7", "--gamma", "1.27",
+        assert cli.main(["run", "--spacing", "2.2", "--eta", "0.7",
                          "--k", "50", "--out", str(tmp_path)]) == 2
         apath = tmp_path / "manifest.json"
         tampered = json.loads(apath.read_text())
@@ -575,7 +646,7 @@ class TestMainEntry:
 
     def test_emit_polys_outputs(self, tmp_path):
         code = cli.main([
-            "emit-polys", "--spacing", "2.2", "--eta", "0.7", "--gamma", "1.27",
+            "emit-polys", "--spacing", "2.2", "--eta", "0.7",
             "--k", "50", "--out", str(tmp_path),
         ])
         assert code == 0
@@ -597,7 +668,7 @@ class TestMainEntry:
         assert emit_status["exit_code"] == 1 and emit_status["soft_deviations"] == []
 
     @pytest.mark.parametrize("config", [
-        {"m": 1, "k": [60], "spacing": 2.2, "eta": 0.7, "gamma": 1.27},
+        {"m": 1, "k": [60], "spacing": 2.2, "eta": 0.7},
         {"m": 2, "k": [4], "spacing": 2.4, "eta": 0.9,
          "cover": {"name": "balls", "radius": 0.4}, "mesh": 6},
     ], ids=["m1-k60", "m2-k4"])

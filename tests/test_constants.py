@@ -73,6 +73,24 @@ class TestThetaSums:
         with pytest.raises(C.ConstantsError):
             C.theta_hex(-1.0)
 
+    def test_term_cap(self, monkeypatch):
+        # an argument that needs more terms than the cap is refused before
+        # its truncation is rounded: 1e-300 would need 1e301 terms, and
+        # sqrt(90)/5e-324 is infinite
+        for a in (1e-300, 5e-324):
+            with pytest.raises(C.ConstantsError, match="passes %d terms" % C.MAX_THETA_TERMS):
+                C.theta_1d(a)
+        with pytest.raises(C.ConstantsError):
+            C.theta_hex(1e-3)  # about 2.7e4 terms per axis, 7e8 in all
+        # the cap counts 2 reach terms per axis, over one axis or two
+        monkeypatch.setattr(C, "MAX_THETA_TERMS", 100)
+        assert C.theta_1d(math.sqrt(90) / 50) > 0
+        with pytest.raises(C.ConstantsError):
+            C.theta_1d(math.sqrt(90) / 50.5)
+        assert C.theta_hex(math.sqrt(180) / 5) > 0
+        with pytest.raises(C.ConstantsError):
+            C.theta_hex(math.sqrt(180) / 5.5)
+
     def test_strictly_decreasing(self):
         grid = np.linspace(0.9, 6.0, 120)
         v1 = [C.theta_1d(a) for a in grid]

@@ -15,7 +15,8 @@ from flatsections.kernel import SectionExpansion, coherent_state, kernel_diag
 
 
 def _run_b_spec():
-    return F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.4)
+    return F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
+                         charts=tuple(G.cube_cover(1, 0.4)))
 
 
 def fk_ceilings(frame: F.Frame, spec: F.LatticeSpec, eta_hat: float) -> dict:
@@ -159,7 +160,8 @@ class TestFrameMappingNorm:
     def test_single_point_peak(self, monkeypatch):
         monkeypatch.setattr(FL, "FK_MESH", 1024)
         monkeypatch.setattr(FL, "FK_ROUNDS", 3)
-        spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.1)
+        spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
+                             charts=tuple(G.cube_cover(1, 0.1)))
         fr = F.build(spec, 50)
         assert fr.n == 1
         root = math.sqrt(kernel_diag(1, 50))

@@ -13,10 +13,11 @@ from flatsections import kernel as K
 from oracles import density_threshold, eta_from_cubic_density, fs_distance
 
 
-def _cubic_spec(**kw):
-    base = dict(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.4)
+def _cube_spec(t=0.4, **kw):
+    """A spec over the single cube chart of halfwidth t, geometry.cube_cover."""
+    base = dict(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27)
     base.update(kw)
-    return F.LatticeSpec(**base)
+    return F.LatticeSpec(charts=tuple(G.cube_cover(base["m"], t)), **base)
 
 
 def _latlon_spec(kind, radius, a):
@@ -40,9 +41,9 @@ def _dedup_spec(kind, radius, a, lattice="cubic"):
 
 def expected_cubic_count(spec, k: int) -> int:
     """Exact single-chart cubic count (2 floor(t sqrt k / a) + 1)^{2m}."""
-    if spec.t is None:
+    if len(spec.charts) != 1 or not isinstance(spec.charts[0].region, G.CubeRegion):
         raise F.FrameError("count formula applies to single-chart specs")
-    half = int(math.floor(spec.t * math.sqrt(k) / spec.a + 1e-12))
+    half = int(math.floor(spec.charts[0].region.t * math.sqrt(k) / spec.a + 1e-12))
     return (2 * half + 1) ** (2 * spec.m)
 
 
@@ -84,12 +85,10 @@ def _brute_force_dedup(spec, k):
     """The dedup rule with no prefilter: each candidate is compared with
     every point accepted from every earlier chart.  Returns the points and
     their provenance, the chart index and lattice coordinates mu of each,
-    then the dropped count and the comparisons made.  A single-chart spec
-    runs over its one cube chart."""
+    then the dropped count and the comparisons made."""
     cos_thr = math.cos(F.DEDUP_FACTOR * spec.a / math.sqrt(k))
-    charts = spec.charts if spec.charts is not None else (F._single_chart(spec),)
     pts, cidx, mus, dropped, compared = [], [], [], 0, 0
-    for j, chart in enumerate(charts):
+    for j, chart in enumerate(spec.charts):
         grid, v = _box_candidates(spec, chart, k)
         if v.shape[0] == 0:
             continue
@@ -171,25 +170,24 @@ class TestSpacingRules:
 
     def test_spec_validation(self):
         with pytest.raises(F.FrameError):
-            _cubic_spec(a=-1.0)
+            _cube_spec(a=-1.0)
         with pytest.raises(F.FrameError):
-            _cubic_spec(eta=1.5)
+            _cube_spec(eta=1.5)
         with pytest.raises(F.FrameError):
-            _cubic_spec(kind="triangular")
-        with pytest.raises(F.FrameError):
+            _cube_spec(kind="triangular")
+        with pytest.raises(F.FrameError, match="at least one chart"):
             F.LatticeSpec(kind="cubic", m=1, a=2.0, eta=0.5, gamma=1.1)
 
     def test_uncertified_spec_still_validates(self):
-        spec = _cubic_spec()  # a=2.2 cannot prove eta=0.7
+        spec = _cube_spec()  # a=2.2 cannot prove eta=0.7, yet constructs
         assert not spec.certified
-        assert spec.validate() is spec
+        assert F.build(spec, 50).n > 0
 
     def test_sparse_spec_is_certified(self):
         a = F.choose_spacing(1, 0.5, 1.1)
-        spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.5, gamma=1.1, t=0.5)
+        spec = _cube_spec(a=a, eta=0.5, gamma=1.1, t=0.5)
         assert spec.certified
         assert spec.abound_satisfied
-        spec.validate()
 
     def test_delta_budget(self):
         cover = G.cp1_latlon_cover(0.35)
@@ -198,40 +196,65 @@ class TestSpacingRules:
             gamma=max(c.gamma for c in cover), epsilon=0.005,
             charts=tuple(cover), delta=1e-9, beta_target=0.8,
         )
-        assert good.validate().certified
+        assert good.certified
         with pytest.raises(F.FrameError):
             F.LatticeSpec(
                 kind="cubic", m=1, a=1.945, eta=0.995,
                 gamma=max(c.gamma for c in cover), epsilon=0.005,
                 charts=tuple(cover), delta=0.5, beta_target=0.8,
-            ).validate()
+            )
+
+
+class TestCandidateCap:
+    @pytest.mark.parametrize("chart", ["cube", "ball"])
+    def test_box_at_the_cap_builds_and_one_more_is_refused(self, chart, monkeypatch):
+        if chart == "cube":
+            spec = _cube_spec()
+            rows = expected_cubic_count(spec, 200)  # (2 floor(0.4 sqrt 200 / 2.2) + 1)^2
+        else:
+            # a ball just inside 3 steps: the box reaches one step past it
+            ball = G.BallRegion(3 * 2.2 / math.sqrt(200) - 5e-16)
+            spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.3,
+                                 charts=(G.make_chart(G.standard_point(1), ball, 1.3),))
+            rows = 9 ** 2
+        monkeypatch.setattr(F, "MAX_CHART_CANDIDATES", rows)
+        assert F.build(spec, 200).n > 0
+        monkeypatch.setattr(F, "MAX_CHART_CANDIDATES", rows - 1)
+        with pytest.raises(F.FrameError, match="passes %d candidates" % (rows - 1)):
+            F.build(spec, 200)
+
+    @pytest.mark.parametrize("a,message", [(1e-300, "passes"), (5e-324, "underflows")])
+    def test_vanishing_step_is_refused(self, a, message):
+        # 1e-300 leaves 2.8e300 steps each way; 5e-324 / sqrt(50) underflows to 0
+        with pytest.raises(F.FrameError, match=message):
+            F.build(_cube_spec(a=a), 50)
 
 
 class TestSingleChartCubic:
     def test_count_identity_example(self):
-        spec = F.LatticeSpec(kind="cubic", m=1, a=2.0, eta=0.9, gamma=1.05, t=1.0)
+        spec = _cube_spec(a=2.0, eta=0.9, gamma=1.05, t=1.0)
         assert F.build(spec, 100).n == 121
 
     def test_count_identity_sweep(self):
         for t, a in ((0.4, 2.2), (0.8, 3.1), (1.0, 11.3)):
-            spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.9, gamma=1.4, t=t)
+            spec = _cube_spec(a=a, eta=0.9, gamma=1.4, t=t)
             for k in (1, 7, 50, 144, 400):
                 assert F.build(spec, k).n == expected_cubic_count(spec, k)
-        spec2 = F.LatticeSpec(kind="cubic", m=2, a=2.6, eta=0.9, gamma=1.3, t=0.35)
+        spec2 = _cube_spec(m=2, a=2.6, eta=0.9, gamma=1.3, t=0.35)
         for k in (20, 40, 90):
             assert F.build(spec2, k).n == expected_cubic_count(spec2, k)
 
     def test_count_asymptotics(self):
-        spec = _cubic_spec()
+        spec = _cube_spec()
         vals = []
         for k in (400, 1600, 6400, 25600):
             n = F.build(spec, k).n
-            vals.append(n * spec.a**2 / ((2 * spec.t) ** 2 * k))
+            vals.append(n * spec.a**2 / ((2 * spec.charts[0].region.t) ** 2 * k))
         assert abs(vals[-1] - 1.0) < 0.05
         assert abs(vals[-1] - 1.0) <= abs(vals[0] - 1.0)
 
     def test_nearest_neighbor_window(self):
-        spec = _cubic_spec()
+        spec = _cube_spec()
         for k in (50, 200, 400):
             fr = F.build(spec, k)
             nn = F.nearest_neighbor_distance(fr)
@@ -239,7 +262,7 @@ class TestSingleChartCubic:
             assert nn <= spec.gamma * spec.a / math.sqrt(k)
 
     def test_points_are_canonical_unit_lifts(self):
-        fr = F.build(_cubic_spec(), 200)
+        fr = F.build(_cube_spec(), 200)
         norms = np.linalg.norm(fr.points, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-13)
         lead = fr.points[np.arange(fr.n), np.argmax(np.abs(fr.points) > 1e-12, axis=1)]
@@ -247,12 +270,12 @@ class TestSingleChartCubic:
         assert np.all(lead.real > 0)
 
     def test_k_zero_empty(self):
-        assert F.build(_cubic_spec(), 0).n == 0
+        assert F.build(_cube_spec(), 0).n == 0
 
     def test_center_zero_present_and_order_deterministic(self):
-        fr1 = F.build(_cubic_spec(), 200)
-        fr2 = F.build(_cubic_spec(), 200)
-        points, _, mu, _, _ = _brute_force_dedup(_cubic_spec(), 200)
+        fr1 = F.build(_cube_spec(), 200)
+        fr2 = F.build(_cube_spec(), 200)
+        points, _, mu, _, _ = _brute_force_dedup(_cube_spec(), 200)
         assert np.array_equal(fr1.points, points)
         assert np.array_equal(fr2.points, points)
         centre = (mu == 0).all(axis=1)
@@ -297,7 +320,7 @@ class TestHexagonal:
         assert dens_h > dens_c
 
     def test_single_chart_hex_spacing(self):
-        spec = F.LatticeSpec(kind="hexagonal", m=1, a=2.4, eta=0.9, gamma=1.27, t=0.4)
+        spec = _cube_spec(kind="hexagonal", a=2.4, eta=0.9)
         fr = F.build(spec, 300)
         assert fr.n > 4
         nn = F.nearest_neighbor_distance(fr)
@@ -305,7 +328,7 @@ class TestHexagonal:
         assert nn <= spec.gamma * spec.a / math.sqrt(300)
 
     def test_k_zero_empty(self):
-        spec = F.LatticeSpec(kind="hexagonal", m=1, a=2.4, eta=0.9, gamma=1.2, t=0.4)
+        spec = _cube_spec(kind="hexagonal", a=2.4, eta=0.9, gamma=1.2)
         assert F.build(spec, 0).n == 0
 
 
@@ -325,8 +348,8 @@ class TestMultichart:
         assert set(np.unique(chart_index)) == {0, 1}
 
     def test_single_chart_degenerates_to_build_cubic(self):
-        spec = _cubic_spec()
-        chart = G.make_chart(G.standard_point(1), G.CubeRegion(spec.t), spec.gamma)
+        spec = _cube_spec()
+        chart = G.make_chart(G.standard_point(1), G.CubeRegion(0.4), spec.gamma)
         multi = F.LatticeSpec(
             kind="cubic", m=1, a=spec.a, eta=spec.eta, gamma=spec.gamma,
             charts=(chart,), delta=3.0,
@@ -434,8 +457,8 @@ class TestMultichart:
         box-plus-contains rows in the same order, and its candidates are
         the exp lifts of those rows."""
         if kind == "cube":
-            spec = F.LatticeSpec(kind=lattice, m=m, a=a, eta=0.9, gamma=1.3, t=radius)
-            charts = [F._single_chart(spec)]
+            spec = _cube_spec(kind=lattice, m=m, a=a, eta=0.9, gamma=1.3, t=radius)
+            charts = spec.charts
         elif kind == "rim":
             # a ball just inside the lattice shell of `radius` steps, whose
             # points contains() still accepts within its 1e-15 tolerance
@@ -475,10 +498,10 @@ class TestMultichart:
         assert first < 769681 / 20
 
     def test_compared_zero_for_single_chart(self, monkeypatch):
-        assert _build_counted(monkeypatch, _cubic_spec(), 250)[1] == 0
-        hexa = F.LatticeSpec(kind="hexagonal", m=1, a=2.4, eta=0.9, gamma=1.2, t=0.4)
+        assert _build_counted(monkeypatch, _cube_spec(), 250)[1] == 0
+        hexa = _cube_spec(kind="hexagonal", a=2.4, eta=0.9, gamma=1.2)
         assert _build_counted(monkeypatch, hexa, 300)[1] == 0
-        assert _build_counted(monkeypatch, _cubic_spec(), 0)[1] == 0
+        assert _build_counted(monkeypatch, _cube_spec(), 0)[1] == 0
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_pivot_key_is_lipschitz(self, m):
@@ -551,7 +574,7 @@ class TestDensityScans:
             kind="cubic", m=1, a=1.945, eta=0.995,
             gamma=max(c.gamma for c in cover), epsilon=0.005,
             charts=tuple(cover), delta=1e-9, beta_target=0.8,
-        ).validate()
+        )
         assert spec.certified
         ratios = {}
         for k in (2000, 8000, 16000, 32000):

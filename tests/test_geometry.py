@@ -415,3 +415,17 @@ class TestCovers:
         chart = G.make_chart(G.standard_point(1, 0), G.CubeRegion(0.3), 1.1)
         with pytest.raises(G.GeometryError):
             G.covering_defect(1, [chart])
+
+    @pytest.mark.parametrize("m,t", [(1, 0.4), (2, 0.35), (1, 1.1)])
+    def test_cube_cover_is_one_cube_chart(self, m, t):
+        (chart,) = G.cube_cover(m, t)
+        assert chart.region == G.CubeRegion(t)
+        assert chart.gamma == 1.27
+        assert np.array_equal(chart.center, G.standard_point(m))
+        assert chart.m == m
+
+    @pytest.mark.parametrize("m,t", [(1, 1.2), (2, math.pi / 4), (2, 0.8)])
+    def test_cube_cover_stops_at_the_injectivity_radius(self, m, t):
+        # the corner t sqrt(2m) reaches pi/2
+        with pytest.raises(G.GeometryError, match="past the injectivity radius"):
+            G.cube_cover(m, t)

@@ -36,10 +36,10 @@ def row_split(g: W.GramMatrix, frame: F.Frame) -> tuple:
             float(np.max(np.sum(np.where(far, a, 0.0), axis=1))))
 
 
-def _run_b_spec(**kw):
-    base = dict(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27, t=0.4)
+def _run_b_spec(t=0.4, **kw):
+    base = dict(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27)
     base.update(kw)
-    return F.LatticeSpec(**base)
+    return F.LatticeSpec(charts=tuple(G.cube_cover(base["m"], t)), **base)
 
 
 def _two_point_frame(k: int, d: float) -> F.Frame:
@@ -130,7 +130,8 @@ class TestEtaMeasure:
         # spacing from the closed form at eta = 0.5 keeps the measured
         # off-diagonal mass under the crude tail bound by a wide margin
         a = F.choose_spacing(1, 0.5, 1.0)
-        spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.5, gamma=1.05, t=0.5)
+        spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.5, gamma=1.05,
+                             charts=tuple(G.cube_cover(1, 0.5)))
         fr = F.build(spec, 2000)
         assert fr.n == 9
         g = W.assemble_gram(fr)
