@@ -559,30 +559,6 @@ def select_flat_sequence(records_by_k: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class EigenfunctionRecord:
-    k: int
-    m: int
-    lam: int  # k(k + 2m)
-    part: str  # "re" | "im"
-    l2: float  # sphere L^2 norm of the chosen real part
-    residual: float
-    step: float
-    samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "lambda": self.lam,
-            "part": self.part,
-            "l2": self.l2,
-            "residual": self.residual,
-            "step": self.step,
-            "samples": self.samples,
-        }
-
-
 def _real_values(section: SectionExpansion, vectors: np.ndarray, part: str,
                  k: int) -> np.ndarray:
     """Degree-zero extension of the chosen real part off the sphere."""
@@ -624,9 +600,12 @@ def fd_laplacian_residual(section: SectionExpansion, part: str, lam: float,
     return float(np.max(np.abs(lap + lam * f[0])) / scale)
 
 
-def emit_eigenfunction(rec: PolynomialRecord, seed: int = 5) -> EigenfunctionRecord:
+def emit_eigenfunction(rec: PolynomialRecord, seed: int = 5) -> dict:
     """Real eigenfunction from a polynomial record, with an FD check at
-    24 random unit lifts and step 0.01 / k.
+    24 random unit lifts and step 0.01 / k, as the JSON-ready dict
+    {k, m, lambda, part, l2, residual, step, samples}: lambda = k(k + 2m)
+    is its eigenvalue, part ("re" or "im") the chosen real part and l2 the
+    sphere L^2 norm of that part.
 
     The real and imaginary parts have equal sphere L^2 norms whenever
     k >= 1 (the square of the polynomial integrates to zero over the
@@ -657,6 +636,6 @@ def emit_eigenfunction(rec: PolynomialRecord, seed: int = 5) -> EigenfunctionRec
         residual = 0.0  # constant: the equation is 0 = 0
     else:
         residual = fd_laplacian_residual(section, part, lam, pts, step)
-    return EigenfunctionRecord(k=k, m=m, lam=lam, part=part, l2=l2,
-                               residual=residual, step=step, samples=samples)
+    return {"k": k, "m": m, "lambda": lam, "part": part, "l2": l2,
+            "residual": residual, "step": step, "samples": samples}
 

@@ -110,6 +110,10 @@ MESH_CELL_CAP = 2 ** 20
 # m=2 k=700 already takes about 2 s, m=3 k=600 holds 36.4M coefficients
 DUAL_ROUTE_DIM_CAP = 200_000
 
+# every step converts k to a float, and 2^53 is the largest integer a
+# float holds exactly
+K_CAP = 2 ** 53
+
 MODES = ("full", "constants-only", "kernel-check")
 COVER_NAMES = ("latlon", "two-cap", "balls")
 
@@ -169,15 +173,9 @@ class RunConfig:
 
     _IO_FIELDS = ("out", "dumps")
 
-    # fields by the JSON type validate requires; the optional numbers may
-    # also be None
-    _INT_FIELDS = ("m", "mesh", "rounds", "seed", "constants_max_m")
-    _NUMBER_FIELDS = ("eta", "epsilon", "neumann_tol", "ortho_tol", "drift_tol")
-    _OPTIONAL_NUMBER_FIELDS = ("spacing", "t", "delta", "beta")
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls) if not f.name.startswith("_")}
+        known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise CliError("unknown config keys: %s" % ", ".join(unknown))
@@ -212,7 +210,7 @@ class RunConfig:
         """Semantic fields only, JSON-ready; io fields stay out of the core."""
         out = {}
         for f in fields(self):
-            if f.name.startswith("_") or f.name in self._IO_FIELDS:
+            if f.name in self._IO_FIELDS:
                 continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
@@ -221,17 +219,16 @@ class RunConfig:
         return out
 
     def _check_types(self):
-        """CliError unless every field holds a value of its JSON type."""
-        for name in self._INT_FIELDS:
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise CliError("%s must be an integer, not %r" % (name, value))
-        for name in self._NUMBER_FIELDS + self._OPTIONAL_NUMBER_FIELDS:
-            value = getattr(self, name)
-            if value is None and name in self._OPTIONAL_NUMBER_FIELDS:
-                continue
-            if not _is_number(value):
-                raise CliError("%s must be a finite number, not %r" % (name, value))
+        """CliError unless every field holds a value of its JSON type: an
+        int or float annotation names it (a float | None field may also be
+        None), and the other fields are checked one by one."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise CliError("%s must be an integer, not %r" % (f.name, value))
+            number = f.type == "float" or f.type == "float | None" and value is not None
+            if number and not _is_number(value):
+                raise CliError("%s must be a finite number, not %r" % (f.name, value))
         if not isinstance(self.k, (tuple, list)):
             raise CliError("k must be a list of integers, not %r" % (self.k,))
         for v in self.k:
@@ -248,6 +245,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self._check_types()
+        if any(v > K_CAP for v in self.k):
+            raise CliError("every k must be at most 2^53")
         if self.mode not in MODES:
             raise CliError("mode must be one of %s" % " | ".join(MODES))
         if self.m < 1:
@@ -511,10 +510,10 @@ def _pipeline(cfg: RunConfig, spec: LatticeSpec, frame: Frame,
 def _constants_core(cfg: RunConfig) -> dict:
     rows = constants_table(cfg.constants_max_m)
     return {
-        "rows": [r.to_dict() for r in rows],
-        "beta": [r.beta for r in rows],
-        "beta_prime": [r.beta_prime for r in rows],
-        "invariants": {"solver_converged": all(r.residual < 1e-8 for r in rows)},
+        "rows": rows,
+        "beta": [r["beta_m"] for r in rows],
+        "beta_prime": [r["beta_prime_m"] for r in rows],
+        "invariants": {"solver_converged": all(r["residual"] < 1e-8 for r in rows)},
     }
 
 
@@ -550,18 +549,18 @@ def _kernel_core(cfg: RunConfig) -> dict:
     rows = []
     for k in cfg.k:
         near, far = verify_decay(cfg.m, k)
-        cap = min(near.threshold, math.pi / 2 - 1e-9)
+        cap = min(near["threshold"], math.pi / 2 - 1e-9)
         # the Gaussian window argument needs log P ~ -k d^2/2 with a
         # quadratic correction; 0.25 d^2 holds once the window is inside d ~ 1
-        near_ok = near.max_deviation <= 0.25 * cap * cap
-        far_ok = far is None or far.max_deviation < 1.0
+        near_ok = near["max deviation"] <= 0.25 * cap * cap
+        far_ok = far is None or far["max deviation"] < 1.0
         dual = None
         if dimension(cfg.m, k) <= DUAL_ROUTE_DIM_CAP:
             dual = dual_route_deviation(cfg.m, k, seed=cfg.seed)
         row = {
             "k": k,
-            "near": near.to_dict(),
-            "far": far.to_dict() if far is not None else None,
+            "near": near,
+            "far": far,
             "dual_route_rel": dual,
             "invariants": {"dual_route_agree": dual is None or dual <= 1e-10},
             "soft": {"near_regime": near_ok, "far_regime": far_ok},
@@ -740,17 +739,16 @@ def emit_polys(cfg: RunConfig) -> dict:
     selected = select_flat_sequence(levels)
     eigen = {}
     for k, rec in selected.items():
-        erec = emit_eigenfunction(rec, seed=cfg.seed + 5)
-        eigen[k] = erec
+        erec = eigen[str(k)] = emit_eigenfunction(rec, seed=cfg.seed + 5)
         for row in rows:
             if row["k"] == k:
-                row["invariants"]["eigen_residual_small"] = erec.residual <= 1e-6
+                row["invariants"]["eigen_residual_small"] = erec["residual"] <= 1e-6
     return {
         "spec": info,
         "monomials": {str(k): monomial_header(cfg.m, k) for k in levels},
         "levels": {str(k): [r.to_dict() for r in v] for k, v in levels.items()},
         "selected": {str(k): r.to_dict() for k, r in selected.items()},
-        "eigenfunctions": {str(k): e.to_dict() for k, e in eigen.items()},
+        "eigenfunctions": eigen,
         "status": _status(rows),
     }
 

@@ -145,45 +145,24 @@ def solve_beta_prime(m: int) -> ThetaSolution:
                            lambda alpha: (2 * math.pi / (math.sqrt(3.0) * alpha * alpha)) ** m)
 
 
-@dataclass(frozen=True)
-class ConstantsRow:
-    m: int
-    a: float
-    beta: float
-    alpha: float
-    beta_prime: float
-    residual: float
-    truncation: int
-    extrapolated: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "a_m": self.a,
-            "beta_m": self.beta,
-            "alpha_m": self.alpha,
-            "beta_prime_m": self.beta_prime,
-            "residual": self.residual,
-            "truncation": self.truncation,
-            "extrapolated": self.extrapolated,
-        }
-
-
 def constants_table(max_m: int = TABLE_LIMIT) -> list:
+    """One JSON-ready row per m = 1..max_m, keys in constants.csv column
+    order: the critical cubic spacing a_m and density beta_m, the critical
+    hexagonal spacing alpha_m and density beta'_m, the larger solver
+    residual and truncation of the two, and whether m lies past the
+    table the paper prints."""
     rows = []
     for m in range(1, max_m + 1):
         c = solve_beta(m)
         h = solve_beta_prime(m)
-        rows.append(
-            ConstantsRow(
-                m=m,
-                a=c.spacing,
-                beta=c.density,
-                alpha=h.spacing,
-                beta_prime=h.density,
-                residual=max(c.residual, h.residual),
-                truncation=max(c.truncation, h.truncation),
-                extrapolated=m > TABLE_LIMIT,
-            )
-        )
+        rows.append({
+            "m": m,
+            "a_m": c.spacing,
+            "beta_m": c.density,
+            "alpha_m": h.spacing,
+            "beta_prime_m": h.density,
+            "residual": max(c.residual, h.residual),
+            "truncation": max(c.truncation, h.truncation),
+            "extrapolated": m > TABLE_LIMIT,
+        })
     return rows

@@ -143,10 +143,16 @@ class LatticeSpec:
             raise FrameError("epsilon must lie in [0,1)")
         if not self.charts:
             raise FrameError("a lattice spec needs at least one chart")
+        declared = max(c.gamma for c in self.charts)
+        if self.gamma < declared:
+            raise FrameError("gamma %.6g is below the %.6g its charts declare"
+                             % (self.gamma, declared))
         if self.beta_target is not None and len(self.charts) > 1:
             if self.delta is None:
                 raise FrameError("density-targeted multichart spec needs delta")
-            cap = self.a ** (2 * self.m) * self.epsilon / (3 * math.factorial(self.m))
+            # a product, not a power: past the float range it saturates to inf
+            cap = math.prod([self.a] * (2 * self.m),
+                            start=self.epsilon / (3 * math.factorial(self.m)))
             if self.delta > cap:
                 raise FrameError("covering slack delta=%.3g exceeds the density budget "
                                  "%.3g" % (self.delta, cap))
@@ -187,6 +193,7 @@ def _lattice_rows(spec: LatticeSpec, chart: ChartSpec, k: int,
     the last coordinate is solved from the radius left by the prefix, with
     the radius padded by one lattice step so that rounding cannot lose a
     point of the region; an oversized box is refused first (_box_steps).
+    A circumradius under half a step leaves only mu = 0.
     """
     scale = spec.a / math.sqrt(k)
     if not scale > 0:
@@ -197,6 +204,10 @@ def _lattice_rows(spec: LatticeSpec, chart: ChartSpec, k: int,
         return _box(_box_steps(region.t / scale, 0, dim), dim)
     # the rows stay inside the box that bounds |mu|_inf over the ball
     rad = radius / scale
+    if rad < 0.5:
+        # any mu != 0 lies at least a step, over twice the radius, from the
+        # centre; padding rows that far out can pass the float range
+        return np.zeros((1, dim), dtype=np.int64)
     if spec.kind == "cubic":
         mmax = _box_steps(rad, 1, dim)
     else:

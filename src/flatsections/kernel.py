@@ -300,24 +300,6 @@ def coherent_state(m: int, k: int, y: np.ndarray) -> SectionExpansion:
 # decay regimes
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    regime: str
-    k: int
-    max_deviation: float
-    sample_count: int
-    threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "k": self.k,
-            "max deviation": self.max_deviation,
-            "sample count": self.sample_count,
-            "threshold": self.threshold,
-        }
-
-
 def gaussian_deviation(d) -> np.ndarray:
     """Relative deviation of log P_k from its Gaussian model:
     (-log cos d) / (d^2/2) - 1 = d^2/6 + 2 d^4/45 + ...  (k cancels).
@@ -342,7 +324,9 @@ def far_threshold(m: int, k: int) -> float:
 
 def verify_decay(m: int, k: int) -> tuple:
     """Measure both decay regimes of the normalized kernel, as the pair
-    (near, far) of RegimeReports; far is None when its regime is empty.
+    (near, far) of JSON-ready dicts with the keys regime, k,
+    "max deviation", "sample count" and threshold; far is None when its
+    regime is empty.
 
     Near regime (d <= b sqrt(log k / k), b = sqrt(4m+3)): max relative
     deviation of log P_k from -k d^2/2 over an interior grid of the
@@ -360,23 +344,23 @@ def verify_decay(m: int, k: int) -> tuple:
     d_near = near_threshold(m, k)
     fracs = np.arange(1, samples + 1) / (samples + 1.0)
     grid = fracs * min(d_near, math.pi / 2 - 1e-9)
-    near = RegimeReport(
-        regime="near",
-        k=k,
-        max_deviation=float(np.max(gaussian_deviation(grid))),
-        sample_count=samples,
-        threshold=d_near,
-    )
+    near = {
+        "regime": "near",
+        "k": k,
+        "max deviation": float(np.max(gaussian_deviation(grid))),
+        "sample count": samples,
+        "threshold": d_near,
+    }
     d_far = far_threshold(m, k)
     far = None
     if d_far < math.pi / 2:
         fgrid = np.linspace(d_far, math.pi / 2, samples)
         vals = np.exp(log_normalized_from_distance(k, fgrid) + q * math.log(k))
-        far = RegimeReport(
-            regime="far",
-            k=k,
-            max_deviation=float(np.max(vals)),
-            sample_count=samples,
-            threshold=d_far,
-        )
+        far = {
+            "regime": "far",
+            "k": k,
+            "max deviation": float(np.max(vals)),
+            "sample count": samples,
+            "threshold": d_far,
+        }
     return near, far

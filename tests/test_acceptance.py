@@ -105,13 +105,13 @@ def test_decay_regimes():
     devs = []
     for k in (100, 400, 1600):
         near, _ = verify_decay(1, k)
-        dev = near.max_deviation
+        dev = near["max deviation"]
         assert dev <= b2 * math.log(k) / (6 * k) * 1.01
         devs.append(dev)
     assert devs[0] > devs[1] > devs[2]
     for k in (400, 1600):
         _, far = verify_decay(1, k)
-        assert far is not None and far.max_deviation < 1.0
+        assert far is not None and far["max deviation"] < 1.0
 
 
 def test_step2_bounds():
@@ -224,7 +224,7 @@ def test_corollary_outputs():
     ratios = [rec.sphere_ratio for rec in selected.values()]
     assert max(ratios) <= 1.25 * min(ratios), ratios
     for rec in selected.values():
-        assert emit_eigenfunction(rec).residual <= 1e-4
+        assert emit_eigenfunction(rec)["residual"] <= 1e-4
 
     cfg2 = RunConfig(m=2, k=(20, 40), spacing=2.4, eta=0.9,
                      cover={"name": "balls", "radius": 0.4}, mesh=6,
@@ -235,7 +235,7 @@ def test_corollary_outputs():
         level = cli._run_level(cfg2, spec2, k)
         levels2[k] = emit_polynomials(level.fam, level.cert)
     for rec in select_flat_sequence(levels2).values():
-        assert emit_eigenfunction(rec).residual <= 1e-4
+        assert emit_eigenfunction(rec)["residual"] <= 1e-4
 
 
 def test_m2_smoke_run():

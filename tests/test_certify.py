@@ -532,11 +532,11 @@ class TestEigenfunctions:
         rec_fam = _family(section_from_raw(1, 1, [1.0, 0.0]))
         rec = _records(rec_fam)[0]
         e = C.emit_eigenfunction(rec)
-        assert e.lam == 3
-        assert e.part == "re"
+        assert e["lambda"] == 3
+        assert e["part"] == "re"
         # || Re z0 ||_2 over the sphere is exactly 1/2
-        assert abs(e.l2 - 0.5) < 1e-12
-        assert e.residual < 1e-6
+        assert abs(e["l2"] - 0.5) < 1e-12
+        assert e["residual"] < 1e-6
 
     def test_real_part_keeps_half_the_mass(self):
         rng = np.random.default_rng(11)
@@ -547,7 +547,7 @@ class TestEigenfunctions:
             rec = _records(fam)[0]
             e = C.emit_eigenfunction(rec)
             sphere_norm = np.linalg.norm(sec.ortho_coeffs) / math.sqrt(math.pi)
-            assert e.l2 >= sphere_norm / math.sqrt(2) - 1e-12
+            assert e["l2"] >= sphere_norm / math.sqrt(2) - 1e-12
 
     def test_residual_small_across_levels(self):
         for k in (8, 60):
@@ -557,20 +557,33 @@ class TestEigenfunctions:
                 fam = _family(sec)
             rec = _records(fam)[0]
             e = C.emit_eigenfunction(rec)
-            assert e.residual < 1e-6
+            assert e["residual"] < 1e-6
 
     def test_full_pipeline_residual_at_400(self):
         fr, g, op, fam = _pipeline(400)
         rec = C.select_flat_sequence({400: _records(fam)})[400]
         e = C.emit_eigenfunction(rec)
-        assert e.lam == 400 * 402
-        assert e.residual < 1e-6
+        assert e["lambda"] == 400 * 402
+        assert e["residual"] < 1e-6
 
     def test_constant_polynomial(self):
         fam = _family(section_from_raw(1, 0, [0.3 - 2.0j]))
         rec = _records(fam)[0]
         e = C.emit_eigenfunction(rec)
-        assert e.lam == 0 and e.part == "im" and e.residual == 0.0
+        assert e["lambda"] == 0 and e["part"] == "im" and e["residual"] == 0.0
+
+    def test_reported_keys(self):
+        """The eigenfunction and decay-regime dicts go to the JSON outputs
+        as they are, so their keys are the file format."""
+        import json
+
+        rec = _records(_family(section_from_raw(1, 3, [1.0, 0.5, 0.0, 2.0])))[0]
+        e = C.emit_eigenfunction(rec)
+        assert list(e) == ["k", "m", "lambda", "part", "l2", "residual", "step", "samples"]
+        assert json.loads(json.dumps(e)) == e
+        near, far = K.verify_decay(1, 400)
+        for regime in (near, far):
+            assert list(regime) == ["regime", "k", "max deviation", "sample count", "threshold"]
 
     def test_zero_polynomial_rejected(self):
         rec = C.PolynomialRecord(

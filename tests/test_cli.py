@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -91,16 +92,20 @@ class TestConfig:
         # kernel-check reads no mesh, and allows m up to 12
         RunConfig(m=12, mesh=16, k=(4,), mode="kernel-check").validate()
 
-    def test_every_field_is_type_checked(self):
-        # each field is in exactly one of the name lists _check_types
-        # walks, or among the fields validate checks by itself
-        checked_itself = {"k", "lattice", "cover", "mode", "out", "dumps"}
-        groups = [set(RunConfig._INT_FIELDS), set(RunConfig._NUMBER_FIELDS),
-                  set(RunConfig._OPTIONAL_NUMBER_FIELDS), checked_itself]
-        names = [f.name for f in dataclasses.fields(RunConfig)]
-        for name in names:
-            assert sum(name in group for group in groups) == 1, name
-        assert set().union(*groups) == set(names)
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    def test_field_types_come_from_annotations(self, tmp_path, capsys, field):
+        # _check_types reads int and float fields off their annotations;
+        # any other annotation needs a check of its own in _check_types
+        assert field.type in ("int", "float", "float | None", "tuple", "str",
+                              "dict | None", "str | None", "bool"), field.type
+        if field.type not in ("int", "float", "float | None"):
+            return
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field.name: "x"}))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        kind = "an integer" if field.type == "int" else "a finite number"
+        assert capsys.readouterr().err == (
+            "config error: %s must be %s, not 'x'\n" % (field.name, kind))
 
 
 class TestLatticeResolution:
@@ -262,7 +267,7 @@ class TestRunManifest:
         assert core["status"]["exit_code"] == 0
         cli.write_outputs(manifest, cfg)
         header = (tmp_path / "constants.csv").read_text().splitlines()[0]
-        assert header.startswith("m,a_m,beta_m")
+        assert header == "m,a_m,beta_m,alpha_m,beta_prime_m,residual,truncation,extrapolated"
 
     def test_kernel_mode(self):
         manifest = cli.run(RunConfig(mode="kernel-check", k=(16, 64)))
@@ -500,14 +505,33 @@ class TestMainEntry:
         (["run", "--m", "1", "--mesh", "100000", "--k", "50"], "config error:"),
         (["emit-polys", "--m", "2", "--mesh", "100000", "--k", "4", "--spacing", "2.2"],
          "config error:"),
-    ], ids=["spacing-1e-300", "spacing-5e-324", "m2-lattice-box", "m1-mesh", "emit-m2-mesh"])
+        # a k past 2^53 would reach float conversions that overflow
+        (["run", "--k", "1" + "0" * 400], "config error:"),
+        (["emit-polys", "--k", "1" + "0" * 400], "config error:"),
+        (["kernel-check", "--k", "1" + "0" * 400], "config error:"),
+    ], ids=["spacing-1e-300", "spacing-5e-324", "m2-lattice-box", "m1-mesh", "emit-m2-mesh",
+            "run-k", "emit-k", "kernel-check-k"])
     def test_oversized_input_is_a_one_line_error(self, capsys, args, prefix):
         # each is refused before it allocates: the theta sums of a vanishing
-        # spacing, a chart's lattice box, or the sup-norm base mesh
+        # spacing, a chart's lattice box, the sup-norm base mesh, or a k
+        # no float holds
         assert cli.main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+    def test_huge_spacing_runs_to_its_status(self, tmp_path, capsys):
+        # a^{2m} of the density budget passes the float range, and each
+        # chart's lattice holds only its centre: one point after dedup
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k": [50], "spacing": 1e200, "delta": 1e-9, "beta": 0.8,
+                                    "cover": {"name": "latlon", "radius": 0.35}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "hard failure: k=50:frame_nondegenerate" in captured.out
 
     @pytest.mark.parametrize("flags", [["--spacing", "inf"]], ids=lambda f: f[0][2:])
     def test_non_finite_flag_is_a_config_error(self, capsys, flags):

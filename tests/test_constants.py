@@ -131,8 +131,8 @@ class TestSolvers:
         t0 = time.time()
         rows = C.constants_table(6)
         for row, b, bp in zip(rows, BETA_TABLE, BETA_PRIME_TABLE):
-            assert round(row.beta, 5) == b
-            assert round(row.beta_prime, 5) == bp
+            assert round(row["beta_m"], 5) == b
+            assert round(row["beta_prime_m"], 5) == bp
         assert time.time() - t0 < 1.0
 
     def test_residuals(self):
@@ -143,19 +143,20 @@ class TestSolvers:
     def test_density_identity(self):
         # beta'/beta = (2/sqrt 3)^m (a/alpha)^{2m}
         for row in C.constants_table(6):
-            lhs = row.beta_prime / row.beta
-            rhs = (2 / math.sqrt(3)) ** row.m * (row.a / row.alpha) ** (2 * row.m)
+            m = row["m"]
+            lhs = row["beta_prime_m"] / row["beta_m"]
+            rhs = (2 / math.sqrt(3)) ** m * (row["a_m"] / row["alpha_m"]) ** (2 * m)
             assert abs(lhs - rhs) < 1e-10
 
     def test_hex_always_denser(self):
         for row in C.constants_table(6):
-            assert row.beta_prime > row.beta
+            assert row["beta_prime_m"] > row["beta_m"]
 
     def test_extended_range_flagged(self):
         rows = C.constants_table(9)
-        assert rows[-1].extrapolated
+        assert rows[-1]["extrapolated"]
         assert 0 < C.solve_beta(9).density < C.solve_beta(6).density
-        assert not rows[3].extrapolated
+        assert not rows[3]["extrapolated"]
         with pytest.raises(C.ConstantsError):
             C.solve_beta(13)
 

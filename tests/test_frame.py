@@ -14,10 +14,12 @@ from oracles import density_threshold, eta_from_cubic_density, fs_distance
 
 
 def _cube_spec(t=0.4, **kw):
-    """A spec over the single cube chart of halfwidth t, geometry.cube_cover."""
+    """A spec over one cube chart of halfwidth t at the standard point that
+    declares the spec's gamma; the default 1.27 is geometry.cube_cover's."""
     base = dict(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27)
     base.update(kw)
-    return F.LatticeSpec(charts=tuple(G.cube_cover(base["m"], t)), **base)
+    chart = G.make_chart(G.standard_point(base["m"]), G.CubeRegion(t), base["gamma"])
+    return F.LatticeSpec(charts=(chart,), **base)
 
 
 def _latlon_spec(kind, radius, a):
@@ -177,6 +179,17 @@ class TestSpacingRules:
             _cube_spec(kind="triangular")
         with pytest.raises(F.FrameError, match="at least one chart"):
             F.LatticeSpec(kind="cubic", m=1, a=2.0, eta=0.5, gamma=1.1)
+
+    def test_gamma_covers_every_chart(self):
+        # the certificate divides the spacing by gamma, so a gamma below
+        # a chart's own distortion bound would overstate it
+        charts = tuple(G.cp1_latlon_cover(0.35))
+        declared = max(c.gamma for c in charts)
+        kw = dict(kind="cubic", m=1, a=1.945, eta=0.995, charts=charts, delta=1e-9)
+        with pytest.raises(F.FrameError, match="below the .* its charts declare"):
+            F.LatticeSpec(gamma=declared * (1 - 1e-12), **kw)
+        for gamma in (declared, 1.5):
+            assert F.build(F.LatticeSpec(gamma=gamma, **kw), 50).n > 0
 
     def test_uncertified_spec_still_validates(self):
         spec = _cube_spec()  # a=2.2 cannot prove eta=0.7, yet constructs
@@ -338,7 +351,7 @@ class TestMultichart:
         defect = G.covering_defect(1, charts)
         assert defect < 1.0
         spec = F.LatticeSpec(
-            kind="cubic", m=1, a=3.0, eta=0.9, gamma=1.3,
+            kind="cubic", m=1, a=3.0, eta=0.9, gamma=max(c.gamma for c in charts),
             charts=tuple(charts), delta=1.0,
         )
         fr = F.build(spec, 500)

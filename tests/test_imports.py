@@ -156,8 +156,9 @@ def unread_fields(sources: dict) -> list:
     attribute read elsewhere counts as read.  That hid GramMatrix.m and
     GramMatrix.k behind every other .m and .k, the kind field of the
     chart regions behind LatticeSpec.kind, and ThetaSolution.m, .lattice
-    and .extrapolated behind every other .m, cfg.lattice and
-    ConstantsRow.extrapolated; those were found and removed by hand.
+    and .extrapolated behind every other .m, cfg.lattice and the
+    "extrapolated" key of the constants rows; those were found and removed
+    by hand.
     """
     trees = _parse(sources)
     read = set()

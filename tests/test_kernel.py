@@ -290,10 +290,10 @@ class TestDecayRegimes:
         for k in (100, 400, 1600):
             near, _ = K.verify_decay(1, k)
             bound = 7 * math.log(k) / (6 * k) * 1.01
-            assert near.max_deviation <= bound
+            assert near["max deviation"] <= bound
             if prev is not None:
-                assert near.max_deviation < prev
-            prev = near.max_deviation
+                assert near["max deviation"] < prev
+            prev = near["max deviation"]
 
     def test_near_deviation_series(self):
         # deviation(d) = d^2/6 + 2 d^4/45 + O(d^6)
@@ -306,13 +306,13 @@ class TestDecayRegimes:
         ks = []
         for k in range(2, 60):
             _, far = K.verify_decay(1, k)
-            if far is not None and far.max_deviation < 1.0:
+            if far is not None and far["max deviation"] < 1.0:
                 ks.append(k)
         assert ks and min(ks) <= 400
 
     def test_far_regime_shrinks(self):
         vals = [
-            K.verify_decay(1, k)[1].max_deviation
+            K.verify_decay(1, k)[1]["max deviation"]
             for k in (100, 400, 1600)
         ]
         assert vals[0] > vals[1] > vals[2]
@@ -322,8 +322,9 @@ class TestDecayRegimes:
         import json
 
         near, far = K.verify_decay(2, 50)
-        blob = json.dumps({"near": near.to_dict(), "far": far and far.to_dict()})
+        blob = json.dumps({"near": near, "far": far})
         back = json.loads(blob)
         assert back["near"]["regime"] == "near"
         assert back["near"]["sample count"] == 19
         assert back["near"]["k"] == 50
+        assert back == {"near": near, "far": far}

@@ -130,8 +130,8 @@ class TestEtaMeasure:
         # spacing from the closed form at eta = 0.5 keeps the measured
         # off-diagonal mass under the crude tail bound by a wide margin
         a = F.choose_spacing(1, 0.5, 1.0)
-        spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.5, gamma=1.05,
-                             charts=tuple(G.cube_cover(1, 0.5)))
+        chart = G.make_chart(G.standard_point(1), G.CubeRegion(0.5), 1.05)
+        spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.5, gamma=1.05, charts=(chart,))
         fr = F.build(spec, 2000)
         assert fr.n == 9
         g = W.assemble_gram(fr)
