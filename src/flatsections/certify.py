@@ -31,9 +31,11 @@ count all of them.  Every sup is bit-identical to the section-by-section
 evaluation, not merely close: the basis is built in the same chunks and
 each row gets its own matrix-vector product, since a single product over
 all rows rounds differently.  emit_polynomials reads the certificate and
-computes no sup; its records hold the rows themselves, and
-monomial_header gives the exponents and log weights that turn a row back
-into its polynomial sum_alpha c_alpha z^alpha / sqrt(w_alpha).
+computes no sup; its records are the dicts polynomials.json holds, each
+with its row as two lists, and monomial_header gives the exponents and
+log weights that turn a row back into its polynomial
+sum_alpha c_alpha z^alpha / sqrt(w_alpha).  emit_eigenfunction reads a
+record, so an eigenfunction is that of the polynomial as written.
 
 Screen and confirm.  Each refinement round splits the top cells of the
 last round into children.  Reported values are always monomial values,
@@ -179,7 +181,8 @@ def _split_boxes(boxes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupNormEstimate:
-    """Certified lower bound for a sup-norm, with its refinement trace."""
+    """Certified lower bound for a sup-norm, with its refinement trace;
+    a record of emit_polynomials holds it as to_dict's dict."""
 
     value: float
     mesh: int
@@ -491,31 +494,6 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
                            l2_norms=tuple(l2s))
 
 
-@dataclass(frozen=True)
-class PolynomialRecord:
-    """A section as a homogeneous polynomial on the ambient space: ortho
-    is its row of the family, the coefficients over the orthonormal
-    monomials of monomial_header(m, k)."""
-
-    k: int
-    m: int
-    ortho: np.ndarray
-    sup: SupNormEstimate
-    l2: float
-    sphere_ratio: float  # sup over the unit sphere / sphere L^2 norm
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "ortho re": self.ortho.real.tolist(),
-            "ortho im": self.ortho.imag.tolist(),
-            "sup": self.sup.to_dict(),
-            "l2": self.l2,
-            "sphere ratio": self.sphere_ratio,
-        }
-
-
 def monomial_header(m: int, k: int) -> dict:
     """The monomials the records of level k are written over, once per
     level: a record's polynomial is sum_i c_i z^alpha_i exp(-log_weights[i] / 2)
@@ -528,13 +506,17 @@ def monomial_header(m: int, k: int) -> dict:
 
 
 def emit_polynomials(fam, cert: NormCertificate) -> list:
-    """Sections as polynomial records with their sphere flatness ratios.
+    """Sections as the JSON-ready records polynomials.json holds, one per
+    row of fam.ortho: {k, m, "ortho re", "ortho im", sup, l2,
+    "sphere ratio"}, the row split into its real and imaginary parts (the
+    coefficients over the orthonormal monomials of monomial_header(m, k))
+    and sup its SupNormEstimate as a dict.
 
     |s(z)|_h at a point equals |p(x)| at any unit lift x, so the metric
     sup over the manifold and the sup over the sphere coincide, and the
-    sphere ratio is the manifold ratio rescaled by sqrt(Vol) >= 1.  The
-    sups and L^2 norms are those of cert, certify_family's output for
-    this family."""
+    sphere ratio, sup over the unit sphere / sphere L^2 norm, is the
+    manifold ratio rescaled by sqrt(Vol) >= 1.  The sups and L^2 norms
+    are those of cert, certify_family's output for this family."""
     if (cert.m, cert.k, len(cert.sup_estimates)) != (fam.m, fam.k, fam.n):
         raise CertifyError("certificate was computed for another family")
     root_vol = math.sqrt(volume(fam.m))
@@ -542,21 +524,10 @@ def emit_polynomials(fam, cert: NormCertificate) -> list:
     for row, est, l2 in zip(fam.ortho, cert.sup_estimates, cert.l2_norms):
         if l2 == 0.0:
             raise CertifyError("zero section has no flatness ratio")
-        records.append(
-            PolynomialRecord(k=fam.k, m=fam.m, ortho=row, sup=est, l2=l2,
-                             sphere_ratio=est.value * root_vol / l2)
-        )
+        records.append({"k": fam.k, "m": fam.m, "ortho re": row.real.tolist(),
+                        "ortho im": row.imag.tolist(), "sup": est.to_dict(), "l2": l2,
+                        "sphere ratio": est.value * root_vol / l2})
     return records
-
-
-def select_flat_sequence(records_by_k: dict) -> dict:
-    """Per level, the record with the smallest sphere flatness ratio."""
-    out = {}
-    for k, records in records_by_k.items():
-        if not records:
-            raise CertifyError("no records at level %d" % k)
-        out[k] = min(records, key=lambda r: r.sphere_ratio)
-    return out
 
 
 def _real_values(section: SectionExpansion, vectors: np.ndarray, part: str,
@@ -600,9 +571,10 @@ def fd_laplacian_residual(section: SectionExpansion, part: str, lam: float,
     return float(np.max(np.abs(lap + lam * f[0])) / scale)
 
 
-def emit_eigenfunction(rec: PolynomialRecord, seed: int = 5) -> dict:
-    """Real eigenfunction from a polynomial record, with an FD check at
-    24 random unit lifts and step 0.01 / k, as the JSON-ready dict
+def emit_eigenfunction(rec: dict, seed: int = 5) -> dict:
+    """Real eigenfunction from a record of emit_polynomials, as written or
+    as read back from polynomials.json, with an FD check at 24 random unit
+    lifts and step 0.01 / k, as the JSON-ready dict
     {k, m, lambda, part, l2, residual, step, samples}: lambda = k(k + 2m)
     is its eigenvalue, part ("re" or "im") the chosen real part and l2 the
     sphere L^2 norm of that part.
@@ -612,20 +584,22 @@ def emit_eigenfunction(rec: PolynomialRecord, seed: int = 5) -> dict:
     phase circle), so the tie goes to the real part; at k = 0 the larger
     constant wins.
     """
-    k, m = rec.k, rec.m
-    if not np.any(rec.ortho):
+    k, m = rec["k"], rec["m"]
+    ortho = np.empty(len(rec["ortho re"]), dtype=np.complex128)
+    ortho.real, ortho.imag = rec["ortho re"], rec["ortho im"]
+    if not np.any(ortho):
         raise CertifyError("zero polynomial has no eigenfunction")
-    section = SectionExpansion.from_ortho(m, k, rec.ortho)
+    section = SectionExpansion.from_ortho(m, k, ortho)
     # sphere measure is normalized, so sphere norms are manifold norms / sqrt(Vol)
     root_vol = math.sqrt(volume(m))
     if k == 0:
         # the constant is ortho[0] / sqrt(w_0), and w_0 = Vol
-        c = complex(rec.ortho[0]) / root_vol
+        c = complex(ortho[0]) / root_vol
         part = "re" if abs(c.real) >= abs(c.imag) else "im"
         l2 = abs(c.real) if part == "re" else abs(c.imag)
     else:
         part = "re"
-        l2 = rec.l2 / root_vol / math.sqrt(2)
+        l2 = rec["l2"] / root_vol / math.sqrt(2)
     lam = k * (k + 2 * m)
     samples = 24
     step = 0.01 / max(k, 1)

@@ -46,7 +46,6 @@ from .certify import (
     flat_bound,
     l2_inner,
     monomial_header,
-    select_flat_sequence,
 )
 from .constants import ConstantsError, constants_table, solve_beta, solve_beta_prime
 from .flatten import (
@@ -113,6 +112,10 @@ DUAL_ROUTE_DIM_CAP = 200_000
 # every step converts k to a float, and 2^53 is the largest integer a
 # float holds exactly
 K_CAP = 2 ** 53
+
+# the largest m of every mode: the constants table stops there, and the
+# kernel checks stay in the float range (kernel_diag(12, 2^53) ~ 3e185)
+M_CAP = 12
 
 MODES = ("full", "constants-only", "kernel-check")
 COVER_NAMES = ("latlon", "two-cap", "balls")
@@ -249,8 +252,8 @@ class RunConfig:
             raise CliError("every k must be at most 2^53")
         if self.mode not in MODES:
             raise CliError("mode must be one of %s" % " | ".join(MODES))
-        if self.m < 1:
-            raise CliError("m must be a positive integer")
+        if not 1 <= self.m <= M_CAP:
+            raise CliError("m must lie in 1..%d" % M_CAP)
         if self.mode == "full" and self.m > 2:
             raise CliError("full mode supports m in {1, 2} (sup-norm meshes)")
         if self.lattice not in ("cubic", "hexagonal"):
@@ -283,8 +286,8 @@ class RunConfig:
             raise CliError("delta must be null or a number >= 0")
         if self.seed < 0:
             raise CliError("seed must be a non-negative integer")
-        if not 1 <= self.constants_max_m <= 12:
-            raise CliError("constants_max_m must lie in 1..12")
+        if not 1 <= self.constants_max_m <= M_CAP:
+            raise CliError("constants_max_m must lie in 1..%d" % M_CAP)
         if self.beta is not None:
             if self.lattice == "cubic":
                 critical = solve_beta(self.m).density
@@ -390,11 +393,11 @@ def lattice_spec(cfg: RunConfig):
 
 class Level(NamedTuple):
     """One degree's manifest row, its flat family and the family's
-    certificate (both None past an empty frame)."""
+    certificate."""
 
     row: dict
-    fam: FlatFamily | None
-    cert: NormCertificate | None
+    fam: FlatFamily
+    cert: NormCertificate
 
 
 def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
@@ -427,8 +430,6 @@ def _pipeline(cfg: RunConfig, spec: LatticeSpec, frame: Frame,
         "invariants": invariants,
         "soft": soft,
     }
-    if n == 0:
-        return Level(row, None, None)
     if n > GRAM_SIZE_CAP:
         raise CliError(
             "k=%d builds %d frame points, past the dense-pipeline cap %d"
@@ -695,8 +696,7 @@ def write_outputs(manifest: dict, cfg: RunConfig) -> list:
         with _replacing(cpath) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(SUMMARY_COLUMNS)
-            # an empty frame's row lacks the pipeline fields: blank cells
-            writer.writerows([row.get(key) for key in SUMMARY_COLUMNS.values()]
+            writer.writerows([row[key] for key in SUMMARY_COLUMNS.values()]
                              for row in core["rows"])
         paths.append(cpath)
     if core["mode"] == "constants-only":
@@ -725,29 +725,21 @@ def emit_polys(cfg: RunConfig) -> dict:
     if cfg.dumps:
         raise CliError("emit-polys writes no binary dumps; use run --dumps")
     spec, info = lattice_spec(cfg)
-    levels: dict = {}
-    rows = []
+    levels, selected, eigen, rows = {}, {}, {}, []
     for k in cfg.k:
         level = _run_level(cfg, spec, k)
-        if level.fam is None:
-            raise FrameError("degree k=%d yields an empty frame" % k)
-        records = emit_polynomials(level.fam, level.cert)
-        levels[k] = records
-        invariants = dict(level.row["invariants"])
-        invariants["sphere_ratio_floor"] = all(r.sphere_ratio >= 1 - 1e-3 for r in records)
-        rows.append({"k": k, "invariants": invariants, "soft": {}})
-    selected = select_flat_sequence(levels)
-    eigen = {}
-    for k, rec in selected.items():
+        records = levels[str(k)] = emit_polynomials(level.fam, level.cert)
+        rec = selected[str(k)] = min(records, key=lambda r: r["sphere ratio"])
         erec = eigen[str(k)] = emit_eigenfunction(rec, seed=cfg.seed + 5)
-        for row in rows:
-            if row["k"] == k:
-                row["invariants"]["eigen_residual_small"] = erec["residual"] <= 1e-6
+        invariants = dict(level.row["invariants"])
+        invariants["sphere_ratio_floor"] = all(r["sphere ratio"] >= 1 - 1e-3 for r in records)
+        invariants["eigen_residual_small"] = erec["residual"] <= 1e-6
+        rows.append({"k": k, "invariants": invariants, "soft": {}})
     return {
         "spec": info,
-        "monomials": {str(k): monomial_header(cfg.m, k) for k in levels},
-        "levels": {str(k): [r.to_dict() for r in v] for k, v in levels.items()},
-        "selected": {str(k): r.to_dict() for k, r in selected.items()},
+        "monomials": {str(k): monomial_header(cfg.m, k) for k in cfg.k},
+        "levels": levels,
+        "selected": selected,
         "eigenfunctions": eigen,
         "status": _status(rows),
     }
@@ -958,9 +950,6 @@ def _print_run(manifest: dict):
             )
     else:
         for row in core["rows"]:
-            if "eta_hat" not in row:
-                print("k=%d  empty frame" % row["k"])
-                continue
             print(
                 "k=%d  n=%d  d=%d  ratio=%.5f  eta=%.4f  b=%.4f  fk=%.4f  "
                 "sup=%.4f  bound=%.4f"

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import blas
 from . import constants as tc
-from .geometry import ChartSpec, CubeRegion, exp_chart_vectors
+from .geometry import ChartSpec, CubeRegion, canonical_rows, exp_chart_vectors
 
 HEX_DIRECTION = complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
 
@@ -285,15 +285,6 @@ def _chart_candidates(spec: LatticeSpec, chart: ChartSpec, k: int,
     return lifts[np.asarray(chart.region.contains(chart, v, lifts))]
 
 
-def _canonicalize_rows(pts: np.ndarray) -> np.ndarray:
-    """Vectorized canonical representatives (first sizable entry real > 0)."""
-    mags = np.abs(pts)
-    lead = np.argmax(mags > 1e-12 * mags.max(axis=1, keepdims=True), axis=1)
-    lv = np.take_along_axis(pts, lead[:, None], axis=1)[:, 0]
-    out = pts * (np.abs(lv) / lv)[:, None]
-    return out / np.linalg.norm(out, axis=1)[:, None]
-
-
 # ---------------------------------------------------------------------------
 # frames
 
@@ -379,7 +370,7 @@ def _assemble(spec: LatticeSpec, k: int, charts: list) -> Frame:
         lifts = _chart_candidates(spec, chart, k, radius[j])
         if lifts.shape[0] == 0:
             continue
-        lifts = _canonicalize_rows(lifts)
+        lifts = canonical_rows(lifts)
         keep = np.ones(lifts.shape[0], dtype=bool)
         nbrs = [e for e in earlier if linked[e[0], j]]
         if nbrs:

@@ -5,12 +5,12 @@ bundle metric, so CP^m has volume pi^m / m! and CP^1 is a round sphere of
 radius 1/2 (diameter pi/2); volume(m) is that constant.  Points are unit
 vectors in C^{m+1} modulo phase, and the package holds every point as a
 plain (m+1,) unit vector (one lift, any phase) or as a row of such
-vectors; canonical_point picks the lift whose first non-negligible
-coordinate is real and positive, as chart centres use.  Moment
-coordinates, the equal-area mesh and the map of its twin cells,
-exponential charts, chart distortion estimates, geodesic-ball volumes,
-and the covers and cell decompositions used by the lattice builders all
-live here.
+vectors; canonical_rows picks the lift whose first non-negligible
+coordinate is real and positive, for chart centres (canonical_point) and
+frame points alike.  Moment coordinates, the equal-area mesh and the map
+of its twin cells, exponential charts, chart distortion estimates,
+geodesic-ball volumes, and the covers and cell decompositions used by the
+lattice builders all live here.
 """
 
 from __future__ import annotations
@@ -39,14 +39,17 @@ def volume(m: int) -> float:
     return math.pi ** m / math.factorial(m)
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate v so its first non-negligible entry is real and positive."""
-    norms = np.abs(v)
-    lead = np.argmax(norms > PHASE_TOL * norms.max())
-    w = v * (norms[lead] / v[lead])
-    # re-normalize; the phase multiplication is modulus-preserving up to
-    # rounding, and downstream code relies on exact unit norm.
-    return w / np.linalg.norm(w)
+def canonical_rows(pts: np.ndarray) -> np.ndarray:
+    """Canonical representatives of rows of nonzero vectors: each row
+    rotated so its first entry above PHASE_TOL times its largest is real
+    and positive, then divided by its norm.  The phase multiplication
+    preserves the modulus only up to rounding, and downstream code relies
+    on exact unit norm."""
+    mags = np.abs(pts)
+    lead = np.argmax(mags > PHASE_TOL * mags.max(axis=1, keepdims=True), axis=1)
+    lv = np.take_along_axis(pts, lead[:, None], axis=1)[:, 0]
+    out = pts * (np.abs(lv) / lv)[:, None]
+    return out / np.linalg.norm(out, axis=1)[:, None]
 
 
 def as_unit_vector(values) -> np.ndarray:
@@ -61,8 +64,9 @@ def as_unit_vector(values) -> np.ndarray:
 def canonical_point(values) -> np.ndarray:
     """The canonical unit representative of the point [values] of CP^m,
     read-only: unit norm and a real positive first non-negligible
-    coordinate, so equal points have equal arrays."""
-    v = _canonical_phase(as_unit_vector(values))
+    coordinate (canonical_rows), so equal points have arrays equal to
+    within a few ulp."""
+    v = canonical_rows(as_unit_vector(values)[None, :])[0]
     v.flags.writeable = False
     return v
 

@@ -20,10 +20,12 @@ from flatsections.kernel import (
 
 
 def fs_distance(z, w) -> float:
-    """Geodesic distance arccos |<z, w>| between the points of two unit
-    vectors, valued in [0, pi/2]."""
-    q = abs(np.vdot(w, z))
-    return math.acos(min(1.0, q))
+    """Geodesic distance between the points of two unit vectors, valued in
+    [0, pi/2]: atan2(|w - c z|, |c|) with c = <z, w>, the sine and cosine
+    of the distance.  arccos |c| cannot resolve distances below
+    sqrt(2u) ~ 1.5e-8, where |c| rounds to within an ulp of 1."""
+    c = np.vdot(z, w)
+    return math.atan2(float(np.linalg.norm(w - c * z)), abs(c))
 
 
 def normalized_from_distance(k: int, d):

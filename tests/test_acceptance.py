@@ -16,7 +16,6 @@ from flatsections.certify import (
     emit_eigenfunction,
     emit_polynomials,
     flat_bound,
-    select_flat_sequence,
 )
 from flatsections.cli import RunConfig
 from flatsections.flatten import flatten_frame, fk_norm, sup_norm_chain_bound
@@ -216,25 +215,23 @@ def test_corollary_outputs():
                     cover={"name": "latlon", "radius": 0.35}, delta=1e-9,
                     beta=0.8).validate()
     spec, _ = cli.lattice_spec(cfg)
-    levels = {}
+    selected = []
     for k in cfg.k:
         level = cli._run_level(cfg, spec, k)
-        levels[k] = emit_polynomials(level.fam, level.cert)
-    selected = select_flat_sequence(levels)
-    ratios = [rec.sphere_ratio for rec in selected.values()]
+        selected.append(min(emit_polynomials(level.fam, level.cert),
+                            key=lambda r: r["sphere ratio"]))
+    ratios = [rec["sphere ratio"] for rec in selected]
     assert max(ratios) <= 1.25 * min(ratios), ratios
-    for rec in selected.values():
+    for rec in selected:
         assert emit_eigenfunction(rec)["residual"] <= 1e-4
 
     cfg2 = RunConfig(m=2, k=(20, 40), spacing=2.4, eta=0.9,
                      cover={"name": "balls", "radius": 0.4}, mesh=6,
                      rounds=12).validate()
     spec2, _ = cli.lattice_spec(cfg2)
-    levels2 = {}
     for k in cfg2.k:
         level = cli._run_level(cfg2, spec2, k)
-        levels2[k] = emit_polynomials(level.fam, level.cert)
-    for rec in select_flat_sequence(levels2).values():
+        rec = min(emit_polynomials(level.fam, level.cert), key=lambda r: r["sphere ratio"])
         assert emit_eigenfunction(rec)["residual"] <= 1e-4
 
 

@@ -520,6 +520,18 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("m", [169, 170, 400])
+    def test_m_past_the_cap_is_a_config_error(self, capsys, m):
+        # past it the kernel leaves the float range: kernel_diag at m = 169
+        # and 170, szego_kernel's exp at m = 400
+        assert cli.main(["kernel-check", "--m", str(m), "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        RunConfig(m=cli.M_CAP, k=(2,), mode="kernel-check").validate()
+        with pytest.raises(CliError, match="m must lie in 1..12"):
+            RunConfig(m=cli.M_CAP + 1, k=(2,), mode="kernel-check").validate()
+
     def test_huge_spacing_runs_to_its_status(self, tmp_path, capsys):
         # a^{2m} of the density budget passes the float range, and each
         # chart's lattice holds only its centre: one point after dedup
@@ -674,11 +686,15 @@ class TestMainEntry:
             "--k", "50", "--out", str(tmp_path),
         ])
         assert code == 0
-        selected = json.loads((tmp_path / "polynomials.json").read_text())["selected"]
+        written = json.loads((tmp_path / "polynomials.json").read_text())
+        selected = written["selected"]
+        assert selected["50"] == min(written["levels"]["50"], key=lambda r: r["sphere ratio"])
         assert selected["50"]["sphere ratio"] == pytest.approx(2.6458, abs=2e-3)
         eigen = json.loads((tmp_path / "eigenfunctions.json").read_text())
         assert eigen["50"]["residual"] < 1e-6
         assert eigen["50"]["lambda"] == 50 * 52
+        # the eigenfunction is that of the selected polynomial as written
+        assert eigen["50"] == certify.emit_eigenfunction(selected["50"], seed=5)
 
     def test_emit_polys_keeps_every_hard_invariant(self):
         # an unreachable orthonormality tolerance fails the run row's hard

@@ -94,7 +94,7 @@ def _brute_force_dedup(spec, k):
         grid, v = _box_candidates(spec, chart, k)
         if v.shape[0] == 0:
             continue
-        lifts = F._canonicalize_rows(G.exp_chart_vectors(chart, v))
+        lifts = G.canonical_rows(G.exp_chart_vectors(chart, v))
         if pts:
             acc = np.concatenate(pts)
             keep = np.all(np.abs(lifts @ acc.conj().T) < cos_thr, axis=1)
@@ -294,6 +294,39 @@ class TestSingleChartCubic:
         centre = (mu == 0).all(axis=1)
         assert centre.any()
         assert np.array_equal(fr1.points[centre], [[1.0, 0.0]])
+
+
+# (id, m, charts) of every cover kind at the ends of its radius range
+_COVERS = [
+    ("cube-m1-t0.01", 1, lambda: G.cube_cover(1, 0.01)),
+    ("cube-m1-t0.4", 1, lambda: G.cube_cover(1, 0.4)),
+    ("cube-m2-t0.01", 2, lambda: G.cube_cover(2, 0.01)),
+    ("cube-m2-t0.4", 2, lambda: G.cube_cover(2, 0.4)),
+    ("latlon-r0.06", 1, lambda: G.cp1_latlon_cover(0.06)),
+    ("latlon-r0.35", 1, lambda: G.cp1_latlon_cover(0.35)),
+    ("latlon-r0.59", 1, lambda: G.cp1_latlon_cover(0.59)),
+    ("two-cap-m1", 1, lambda: G.two_cap_cover(1, 0.5)),
+    ("two-cap-m2", 2, lambda: G.two_cap_cover(2, 0.5)),
+    ("balls-r0.1", 2, lambda: G.cp2_ball_cover(0.1)),
+    ("balls-r0.46", 2, lambda: G.cp2_ball_cover(0.46)),
+]
+
+
+@pytest.mark.parametrize("m, cover, kind", [
+    pytest.param(m, cover, kind, id="%s-%s" % (cid, kind)) for cid, m, cover in _COVERS
+    for kind in (("cubic", "hexagonal") if m == 1 else ("cubic",))
+])
+def test_every_level_has_a_family(m, cover, kind):
+    # chart 0's lattice holds mu = 0, its centre lies in its region and no
+    # earlier chart can drop it: a level of an accepted config never has an
+    # empty frame, so the pipeline carries no branch for one
+    charts = tuple(cover())
+    for a in (0.5, 2.2, 1e3, 1e100):
+        spec = F.LatticeSpec(kind=kind, m=m, a=a, eta=0.9,
+                             gamma=max(c.gamma for c in charts), charts=charts)
+        fr = F.build(spec, 1)
+        assert fr.n >= 1
+        assert min(fs_distance(charts[0].center, p) for p in fr.points) <= 1e-15
 
 
 class TestHexagonal:

@@ -149,12 +149,13 @@ class TestPointsAndDistance:
         rng = np.random.default_rng(4)
         pts = [_rand_point(rng, 2) for _ in range(8)]
         arr = np.stack(pts)
-        # the stacked form arccos |<a_i, b_j>| the frame and whitening
-        # layers compute inline
-        d = np.arccos(np.clip(np.abs(arr @ arr.conj().T), -1.0, 1.0))
+        # the stacked overlaps |<a_i, a_j>| = cos d the frame and whitening
+        # layers compute inline; compared as cosines, since arccos cannot
+        # resolve the zero distances of the diagonal
+        q = np.abs(arr @ arr.conj().T)
         for i in range(8):
             for j in range(8):
-                assert abs(d[i, j] - fs_distance(pts[i], pts[j])) < 1e-12
+                assert abs(q[i, j] - math.cos(fs_distance(pts[i], pts[j]))) < 1e-15
 
 
 class TestMomentLifts:

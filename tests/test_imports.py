@@ -7,6 +7,8 @@
   that only tests set is a module constant instead.
 * Every field of a dataclass or NamedTuple is read somewhere in the
   package: state that nothing reads is not stored.
+* No class defines to_dict: a record the package writes out is the dict
+  it is written as, not a class that spells each field a second time.
 """
 
 import ast
@@ -29,6 +31,9 @@ UNPASSED_KEPT = ("main(argv)",)
 
 # Frame.dropped: the benchmark reads it
 UNREAD_KEPT = ("dropped",)
+
+# SupNormEstimate: the benchmark's tracer reads its attributes
+TO_DICT_KEPT = ("SupNormEstimate",)
 
 
 def unused_imports(source: str) -> list:
@@ -180,6 +185,18 @@ def unread_fields(sources: dict) -> list:
     return sorted(out)
 
 
+def to_dict_classes(sources: dict) -> list:
+    """module:Class of every class of sources that defines a to_dict method."""
+    out = []
+    for module, tree in _parse(sources).items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    isinstance(stmt, ast.FunctionDef) and stmt.name == "to_dict"
+                    for stmt in cls.body):
+                out.append("%s:%s" % (module, cls.name))
+    return sorted(out)
+
+
 def _package_sources() -> dict:
     return {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -264,6 +281,26 @@ def test_detects_an_unread_field():
         "a:Box.lo", "a:Pair.first", "a:Pair.second", "a:Point.y"]
 
 
+def test_detects_a_to_dict_class():
+    a = textwrap.dedent("""
+        class Record:
+            def to_dict(self):
+                return {}
+
+        class Plain:
+            def as_dict(self):
+                return {}
+
+            class Inner:
+                def to_dict(self):
+                    return {}
+
+        def to_dict():
+            return {}
+        """)
+    assert to_dict_classes({"a": a}) == ["a:Inner", "a:Record"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_are_referenced(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -286,6 +323,11 @@ def test_every_field_is_read_in_the_package():
     assert [e for e in found if not _kept(e, UNREAD_KEPT)] == []
 
 
+def test_no_class_spells_its_fields_twice():
+    found = to_dict_classes(_package_sources())
+    assert [e for e in found if not _kept(e, TO_DICT_KEPT)] == []
+
+
 def test_every_kept_name_is_still_needed():
     sources = _package_sources()
     uncalled, unread = uncalled_functions(sources), unread_fields(sources)
@@ -293,3 +335,5 @@ def test_every_kept_name_is_still_needed():
     assert [n for n in UNCALLED_KEPT if not any(_kept(e, (n,)) for e in uncalled)] == []
     assert [n for n in UNPASSED_KEPT if n not in unpassed] == []
     assert [n for n in UNREAD_KEPT if not any(_kept(e, (n,)) for e in unread)] == []
+    to_dict = to_dict_classes(sources)
+    assert [n for n in TO_DICT_KEPT if not any(_kept(e, (n,)) for e in to_dict)] == []
