@@ -4,11 +4,12 @@ Most of the pipeline is small work: lattice points, the cross-chart
 dedup, one sup-norm search per section.  Each small product handed to a
 threaded OpenBLAS wakes its worker threads, which then spin, so CPU time
 doubles for no gain in wall time.  Only the dense n x n algebra of a large
-level (Gram, whitening, mixing with n >= DENSE_MIN_N frame points) gains
-from more threads.  So the package's entry points run on one thread, and
-a large level runs on the caller's count: the count in effect when the
-outermost scope of the package was entered, which OPENBLAS_NUM_THREADS or
-the caller's own limit sets.
+level (whitening, mixing with n >= DENSE_MIN_N frame points) gains from
+more threads.  So the package's entry points run on one thread, and a
+large level runs on the caller's count, but for its small stages
+(cli._pipeline): the count in effect when the outermost scope of the
+package was entered, which OPENBLAS_NUM_THREADS or the caller's own limit
+sets.
 
 The OpenBLAS that numpy loaded is found among the files mapped into the
 process, on first use.  Where there is none (another BLAS, another

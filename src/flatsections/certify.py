@@ -15,73 +15,85 @@ is the Euclidean norm of the row.  A family's sups have one path:
     certify_family -> NormCertificate -> emit_polynomials
 
 certify_family is the one producer of a family's sups and L^2 norms.  It
-evaluates one shared base mesh: the monomial basis at the base-mesh
-centres is built once per chunk of at most kernel.BASIS_CHUNK_ENTRIES
-entries and applied to each row, then each section is refined by
-sup_norm, the single-section evaluator, which reads the family's shared
-first level in its first round.  Families whose base values pass
-BASE_BLOCK_ENTRIES are split into blocks of rows that share one
-evaluation each.  The base mesh is evaluated at its distinct lifts only
-(geometry.base_twins): at m = 2 the fold of the moment coordinates makes
-540 of the 1296 cells at mesh 6 the same point of CP^2 as another cell,
-to within 4.4e-16, and each such cell takes the value of that twin; at
-m = 1 every cell is its own twin, and the mesh is evaluated whole.  The
-refinement still sees every cell, twins included: _take and evaluations
-count all of them.  Every sup is bit-identical to the section-by-section
-evaluation, not merely close: the basis is built in the same chunks and
-each row gets its own matrix-vector product, since a single product over
-all rows rounds differently.  emit_polynomials reads the certificate and
-computes no sup; its records are the dicts polynomials.json holds, each
-with its row as two lists, and monomial_header gives the exponents and
-log weights that turn a row back into its polynomial
-sum_alpha c_alpha z^alpha / sqrt(w_alpha).  emit_eigenfunction reads a
-record, so an eigenfunction is that of the polynomial as written.
+evaluates one shared base mesh, then refines each section by sup_norm,
+the single-section evaluator, which reads the family's shared first
+level in its first round.  Without the frame, the monomial basis at the
+base-mesh centres is built once per chunk of at most
+kernel.BASIS_CHUNK_ENTRIES entries and applied to each row
+(_base_values); with it, the base mesh is screened (below).  Families
+whose base values pass BASE_BLOCK_ENTRIES are split into blocks of rows
+that share one evaluation each.  The base mesh is evaluated at its
+distinct lifts only (geometry.base_twins): at m = 2 the fold of the
+moment coordinates makes 540 of the 1296 cells at mesh 6 the same point
+of CP^2 as another cell, to within 4.4e-16, and each such cell takes the
+value of that twin; at m = 1 every cell is its own twin.  The refinement
+still sees every cell, twins included: _take and evaluations count all
+of them.  Every sup is bit-identical to the section-by-section
+evaluation, not merely close: a basis row does not depend on the other
+lifts of its batch, and each row gets its own matrix-vector product,
+since a single product over all rows rounds differently.
+emit_polynomials reads the certificate and computes no sup; its records
+are the dicts polynomials.json holds, each with its row as two lists,
+and monomial_header gives the exponents and log weights that turn a row
+back into its polynomial sum_alpha c_alpha z^alpha / sqrt(w_alpha).
+emit_eigenfunction reads a record, so an eigenfunction is that of the
+polynomial as written.
 
 Screen and confirm.  Each refinement round splits the top cells of the
 last round into children.  Reported values are always monomial values,
-|s_j| from SectionExpansion.evaluate_lifts.  Given the frame points
-y_mu and the whitening matrix B of the family (fam.ortho = F B Psi, F
-the unitary DFT, Psi the coherent states), every child is first
-screened on the frame side:
+|s_j| from the monomial basis.  Given the frame points y_mu and the
+whitening matrix B of the family (fam.ortho = F B Psi, F the unitary
+DFT, Psi the coherent states), every cell of the base mesh and every
+child is first screened on the frame side:
 
     s_j(x) = sum_mu W_{j mu} Phi_mu(x),   W = F B,   Phi_mu(x) = r <x, y_mu>^k,
 
 with r = sqrt(diag) and W = ifft(B, axis=0, norm="ortho").  Terms with
 |<x, y_mu>|^k < u = 2^-53 are dropped (|<x, y_mu>| < cut = u^{1/k}): each
 is below the rounding of one full-size term.  Let t be the _take-th
-largest screen value of the round.  Only the children whose screen
+largest screen value of the mesh or round.  Only the cells whose screen
 value is at least t - 2 delta are evaluated exactly.  If every screen
-value is within delta of the monomial value, a child below t - 2 delta
+value is within delta of the monomial value, a cell below t - 2 delta
 has a monomial value under t - delta, which is below the monomial value
-of each of the _take children screened at t or more.  So it can be
-neither among the next round's top cells nor the round maximum, and
-value, history, rounds_used and last_increment are those of the full
+of each of the _take cells screened at t or more.  So it can be
+neither among the next round's top cells nor the maximum, and value,
+history, rounds_used and last_increment are those of the full
 evaluation.  evaluations counts the cells examined, screened out or not.
 The top cells are chosen by a stable sort, exact ties going to the lower
-cell index.  Every child of the full round that can be chosen is
-confirmed and keeps its value, and the rest sort below them, so the
-screened round picks the same cells in the same order, ties included.
-Without a screen every child is confirmed.  Evaluation is
-per point, so a child's value does not depend on which other children
-share its call (the tests check this from one point per call up).
+cell index.  Every cell of the full evaluation that can be chosen is
+confirmed and keeps its value, and the rest get -inf and sort below
+them, so the screened mesh or round picks the same cells in the same
+order, ties included.  Without a screen every cell is confirmed.
+Evaluation is per point, so a cell's value does not depend on which
+other cells share its call (the tests check this from one point per call
+up).
 
-The shared first level.  Every section refines from the same base mesh,
-so round 1 splits base cells into the same children, at the same lifts,
-in every section: at m=1 k=800 the 511 sections screen 16,352
+The shared levels.  Every section refines from the same base mesh, so
+the base mesh and round 1, which splits base cells into the same
+children at the same lifts in every section, are shared by the family.
+The base mesh (BaseLevel) is screened for all sections at once: the
+kept terms of every distinct base lift go into a dense block T, zero at
+the dropped terms, and one product root |T W^T| gives every section's
+screen values.  Its rounding is within delta, since each entry is an
+inner product of length n <= N (below), as the bincount sums of the
+refinement screens are.  At m=1 k=800 the 511 sections then confirm 8
+or 9 of the 256 base cells each, 98 distinct in all, and at m=2 k=40
+12 to 24 of the 1296 cells, 36 distinct.  Round 1 (FirstLevel) is
+built per block of rows, over the base cells that some section of the
+block splits first: at m=1 k=800 the 511 sections screen 16,352
 first-level children, of which 392 are distinct, and confirm 4,090, of
-which 261 are distinct.  So certify_family builds one FirstLevel per
-block of rows, over the base cells that some section of the block splits
-first.  It holds the kept frame-side terms <x, y_mu>^k of each of their
-children, computed in one batch, and the monomial basis row of each
-child, built the first time a section confirms it.  Round 1 of a section
-multiplies the shared terms by its own weights to screen, and applies
-its own matrix-vector product to the gathered rows of the children it
+which 261 are distinct.  It holds the kept frame-side terms <x, y_mu>^k
+of each of their children, computed in one batch, and each section
+screens by multiplying them by its own weights.  In both levels a
+confirmed lift's monomial basis row is built the first time a section
+confirms it and then shared (SharedRows), and each section applies its
+own matrix-vector product to the gathered rows of the lifts it
 confirms; rounds 2 and later stay per section.  The sups are those of
-the section refined alone, bit for bit: a child's box and lift are
+the section refined alone, bit for bit: a cell's box and lift are
 computed elementwise, its kept terms row by row, a basis row does not
 depend on the other lifts of its batch (kernel.monomial_basis), and the
 confirm product is the same product over the same rows.  The screen
-only chooses which children are confirmed and never supplies a reported
+only chooses which cells are confirmed and never supplies a reported
 value.
 
 The bound delta.  gamma_N = N u / (1 - N u) with
@@ -135,6 +147,7 @@ import numpy as np
 
 from .geometry import base_boxes, base_twins, center_lifts, volume
 from .kernel import (
+    BASIS_CHUNK_ENTRIES,
     SectionExpansion,
     dimension,
     evaluate_sections,
@@ -209,16 +222,22 @@ def _check_mesh(m: int, mesh: int):
         raise CertifyError("mesh is below the coarse default")
 
 
+def _distinct_base(m: int, mesh: int) -> tuple:
+    """(rank, lifts): the centre lifts of the cells of base_boxes(m, mesh)
+    that base_twins maps to themselves, and for each cell the index of
+    its twin among them."""
+    twins = base_twins(m, mesh)
+    kept = twins == np.arange(len(twins))
+    return (np.cumsum(kept) - 1)[twins], center_lifts(m, base_boxes(m, mesh)[kept])
+
+
 def _base_values(m: int, k: int, ortho_rows, mesh: int) -> np.ndarray:
     """|s_j| at the centres of base_boxes(m, mesh), one row per
     coefficient vector.  Only the cells base_twins maps to themselves are
     evaluated, and every other cell takes its twin's value, its own to
     within rounding of the lift; at m = 1 that is every cell."""
-    twins = base_twins(m, mesh)
-    kept = twins == np.arange(len(twins))
-    cells = base_boxes(m, mesh)[kept]
-    vals = np.abs(evaluate_sections(m, k, ortho_rows, center_lifts(m, cells)))
-    return vals[:, (np.cumsum(kept) - 1)[twins]]  # a twin's rank among the kept
+    rank, lifts = _distinct_base(m, mesh)
+    return np.abs(evaluate_sections(m, k, ortho_rows, lifts))[:, rank]
 
 
 def _take(cells: int) -> int:
@@ -301,9 +320,9 @@ def frame_screens(fam, points: np.ndarray, entries: np.ndarray) -> list:
 
 
 def _confirmed(approx: np.ndarray, delta: float) -> np.ndarray:
-    """Indices of the children whose screen value is within 2 delta of the
-    _take-th largest: no other child can be in the next round's top cells
-    or be the round maximum."""
+    """Indices of the cells whose screen value is within 2 delta of the
+    _take-th largest: no other cell can be among the top cells or be the
+    maximum."""
     take = _take(len(approx))
     edge = np.partition(approx, -take)[-take]
     return np.flatnonzero(approx >= edge - 2 * delta)
@@ -327,37 +346,21 @@ def _top_cells(vals: np.ndarray) -> np.ndarray:
     return np.argsort(-vals, kind="stable")[:_take(len(vals))]
 
 
-class FirstLevel:
-    """The first refinement level of a family, shared by its sections.
+class SharedRows:
+    """Monomial basis rows of fixed lifts, shared by the sections of a
+    family: each row is built the first time a section asks for it, in
+    a buffer of one row per lift allocated once (only the rows built are
+    written, so only their pages become resident, while a growing
+    buffer's copy would briefly hold every built row twice)."""
 
-    Every section refines from the same base mesh, so the children of a
-    base cell are the same boxes, at the same lifts, in every section.
-    Built for the base cells that some section splits first (cells),
-    it keeps the frame-side terms of every child of those cells, and the
-    monomial basis row of each child a section confirms, built the first
-    time one asks for it.  Child c of cells[i] is item c * len(cells) + i,
-    its place in _split_boxes(boxes[cells]).
-    """
-
-    def __init__(self, m: int, k: int, boxes: np.ndarray, cells: np.ndarray,
-                 screen: FrameScreen):
-        self.m, self.k = m, k
-        self.place = np.full(len(boxes), -1)
-        self.place[cells] = np.arange(len(cells))
-        self.stride = len(cells)
-        self.fanout = 2 ** boxes.shape[1]
-        self.lifts = center_lifts(m, _split_boxes(boxes[cells]))
-        rows, self.cols, self.phi = screen.terms(self.lifts)
-        self.starts = np.searchsorted(rows, np.arange(len(self.lifts) + 1))
-        self.row_of = np.full(len(self.lifts), -1)  # row of each item in basis
-        # one row per child, allocated once: only the rows built are
-        # written, so only their pages become resident, while a growing
-        # buffer's copy would briefly hold every built row twice
-        self.basis = np.empty((len(self.lifts), dimension(m, k)), dtype=np.complex128)
+    def __init__(self, m: int, k: int, lifts: np.ndarray):
+        self.m, self.k, self.lifts = m, k, lifts
+        self.row_of = np.full(len(lifts), -1)  # row of each item in basis
+        self.basis = np.empty((len(lifts), dimension(m, k)), dtype=np.complex128)
         self.built = 0
 
-    def _basis_rows(self, items: np.ndarray) -> np.ndarray:
-        """The monomial basis rows of distinct items, each built once."""
+    def rows(self, items: np.ndarray) -> np.ndarray:
+        """The basis rows of distinct items (indices into lifts)."""
         new = items[self.row_of[items] < 0]
         if len(new):
             end = self.built + len(new)
@@ -365,6 +368,86 @@ class FirstLevel:
             self.row_of[new] = np.arange(self.built, end)
             self.built = end
         return self.basis[self.row_of[items]]
+
+
+def _screen_block(screens: list, lifts: np.ndarray) -> np.ndarray:
+    """Screen values of several sections at the lifts, shape (lifts,
+    sections): root |T W^T| with T the dense (lifts, n) block of the kept
+    terms, zero at the dropped ones, and W the sections' weights.  One
+    product serves every section.  T stands in for the (lifts, d_k)
+    monomial basis, so it is built in chunks of at most
+    BASIS_CHUNK_ENTRIES entries, as the basis is: with FrameScreen.terms'
+    temporaries, a chunk of BASE_BLOCK_ENTRIES raised the peak memory of
+    the m = 2 mesh-16 level by a tenth."""
+    weights = np.array([s.weights for s in screens]).T
+    step = max(1, int(BASIS_CHUNK_ENTRIES // len(weights)))
+    out = np.empty((len(lifts), len(screens)))
+    for lo in range(0, len(lifts), step):
+        chunk = lifts[lo:lo + step]
+        rows, cols, phi = screens[0].terms(chunk)
+        dense = np.zeros((len(chunk), len(weights)), dtype=np.complex128)
+        dense[rows, cols] = phi
+        out[lo:lo + step] = screens[0].root * np.abs(dense @ weights)
+    return out
+
+
+class BaseLevel:
+    """The base mesh of a family, screened on the frame side.
+
+    The screen values of every section at the distinct lifts of
+    base_boxes come from _screen_block, in blocks of at most
+    BASE_BLOCK_ENTRIES values.  Each section confirms the cells, twins
+    included, whose screen value is within 2 delta of its _take-th
+    largest (_confirmed), and only the distinct lifts of confirmed cells
+    get a monomial basis row, built once for the family (SharedRows).
+    """
+
+    def __init__(self, m: int, k: int, mesh: int, screens: list):
+        rank, lifts = _distinct_base(m, mesh)
+        self.cells = len(rank)
+        block = max(1, int(BASE_BLOCK_ENTRIES // len(lifts)))
+        self.confirmed = []
+        for lo in range(0, len(screens), block):
+            part = screens[lo:lo + block]
+            approx = _screen_block(part, lifts)
+            self.confirmed += [_confirmed(col[rank], s.delta) for col, s in zip(approx.T, part)]
+        distinct = np.unique(rank[np.concatenate(self.confirmed)])
+        # per section: its confirmed cells' distinct items, and each cell's place among them
+        self.items = [np.unique(np.searchsorted(distinct, rank[c]), return_inverse=True)
+                      for c in self.confirmed]
+        self.shared = SharedRows(m, k, lifts[distinct])
+
+    def values(self, j: int, s: SectionExpansion) -> np.ndarray:
+        """|s| at the confirmed base cells of section j (s its section),
+        -inf at the rest."""
+        items, at = self.items[j]
+        vals = np.full(self.cells, -np.inf)
+        vals[self.confirmed[j]] = np.abs(self.shared.rows(items) @ s.ortho_coeffs)[at]
+        return vals
+
+
+class FirstLevel:
+    """The first refinement level of a family, shared by its sections.
+
+    Every section refines from the same base mesh, so the children of a
+    base cell are the same boxes, at the same lifts, in every section.
+    Built for the base cells that some section splits first (cells),
+    it keeps the frame-side terms of every child of those cells, and the
+    monomial basis row of each child a section confirms (SharedRows).
+    Child c of cells[i] is item c * len(cells) + i, its place in
+    _split_boxes(boxes[cells]).
+    """
+
+    def __init__(self, m: int, k: int, boxes: np.ndarray, cells: np.ndarray,
+                 screen: FrameScreen):
+        self.place = np.full(len(boxes), -1)
+        self.place[cells] = np.arange(len(cells))
+        self.stride = len(cells)
+        self.fanout = 2 ** boxes.shape[1]
+        lifts = center_lifts(m, _split_boxes(boxes[cells]))
+        rows, self.cols, self.phi = screen.terms(lifts)
+        self.starts = np.searchsorted(rows, np.arange(len(lifts) + 1))
+        self.shared = SharedRows(m, k, lifts)
 
     def values(self, s: SectionExpansion, top: np.ndarray,
                screen: FrameScreen) -> np.ndarray:
@@ -381,7 +464,7 @@ class FirstLevel:
         confirm = _confirmed(screen.combine(rows, self.cols[at], self.phi[at], len(items)),
                              screen.delta)
         vals = np.full(len(items), -np.inf)
-        vals[confirm] = np.abs(self._basis_rows(items[confirm]) @ s.ortho_coeffs)
+        vals[confirm] = np.abs(self.shared.rows(items[confirm]) @ s.ortho_coeffs)
         return vals
 
 
@@ -395,7 +478,8 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
     until a full refinement round improves the estimate by under 0.1%.
     The estimate only ever grows, so it is always a valid lower bound.
     base, when given, holds |s| at the base-mesh centres, as evaluated
-    for a whole family by certify_family; otherwise it is computed here.
+    for a whole family by certify_family, or -inf at the cells that
+    cannot win (BaseLevel); otherwise it is computed here.
     screen, when given, is this section's FrameScreen: each round then
     evaluates exactly only the children that can win (module docstring),
     and the estimate is the one the full evaluation gives.  Every reported
@@ -461,9 +545,9 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
 
     The base mesh is evaluated once for a block of rows (all of them
     unless their values pass BASE_BLOCK_ENTRIES).  Given the frame points
-    and the whitening matrix of the family, each section's refinement is
-    screened by its FrameScreen; the estimates equal the unscreened ones
-    field by field.  A sup under the flatness floor l2 / sqrt(Vol), less
+    and the whitening matrix of the family, the base mesh is screened for
+    the whole family (BaseLevel) and each section's refinement by its
+    FrameScreen; the estimates equal the unscreened ones field by field.  A sup under the flatness floor l2 / sqrt(Vol), less
     0.1%, raises: every section reaches its L^2 average somewhere.
     """
     _check_mesh(fam.m, mesh)
@@ -471,17 +555,19 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
     block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
     unscreened = points is None and entries is None
     screens = [None] * fam.n if unscreened else frame_screens(fam, points, entries)
+    level = None if unscreened else BaseLevel(fam.m, fam.k, mesh, screens)
     sups = []
     for lo in range(0, fam.n, block):
-        rows = fam.ortho[lo:lo + block]
-        base = _base_values(fam.m, fam.k, rows, mesh)
-        first = None
-        if not unscreened:
+        secs = [SectionExpansion.from_ortho(fam.m, fam.k, row) for row in fam.ortho[lo:lo + block]]
+        if unscreened:
+            base = _base_values(fam.m, fam.k, fam.ortho[lo:lo + block], mesh)
+            first = None
+        else:
+            base = [level.values(lo + j, s) for j, s in enumerate(secs)]
             cells = np.unique(np.concatenate([_top_cells(vals) for vals in base]))
             first = FirstLevel(fam.m, fam.k, boxes, cells, screens[0])
-        sups += [sup_norm(SectionExpansion.from_ortho(fam.m, fam.k, row),
-                          mesh=mesh, rounds=rounds, base=vals, screen=scr, first=first)
-                 for row, vals, scr in zip(rows, base, screens[lo:lo + block])]
+        sups += [sup_norm(s, mesh=mesh, rounds=rounds, base=vals, screen=scr, first=first)
+                 for s, vals, scr in zip(secs, base, screens[lo:lo + block])]
     l2s = [float(np.linalg.norm(row)) for row in fam.ortho]
     root_vol = math.sqrt(volume(fam.m))
     for est, l2 in zip(sups, l2s):
@@ -554,21 +640,23 @@ def fd_laplacian_residual(section: SectionExpansion, part: str, lam: float,
     reals = np.empty((npts, dim))
     reals[:, 0::2] = points.real
     reals[:, 1::2] = points.imag
-    stencil = [reals]
-    for d in range(dim):
-        for mult in (2.0, 1.0, -1.0, -2.0):
-            shifted = reals.copy()
-            shifted[:, d] += mult * h
-            stencil.append(shifted)
-    stacked = np.concatenate(stencil, axis=0)
-    z = stacked[:, 0::2] + 1j * stacked[:, 1::2]
-    f = _real_values(section, z, part, k).reshape(4 * dim + 1, npts)
+
+    def values(stacked: np.ndarray) -> np.ndarray:
+        # one evaluate_lifts call per stencil direction: npts lifts at a time
+        return _real_values(section, stacked[:, 0::2] + 1j * stacked[:, 1::2], part, k)
+
+    def shifted(d: int, mult: float) -> np.ndarray:
+        out = reals.copy()
+        out[:, d] += mult * h
+        return out
+
+    f0 = values(reals)
     lap = np.zeros(npts)
     for d in range(dim):
-        f2p, f1p, f1m, f2m = f[4 * d + 1], f[4 * d + 2], f[4 * d + 3], f[4 * d + 4]
-        lap += (-f2p + 16 * f1p - 30 * f[0] + 16 * f1m - f2m) / (12 * h ** 2)
-    scale = lam * max(float(np.max(np.abs(f[0]))), 1e-300)
-    return float(np.max(np.abs(lap + lam * f[0])) / scale)
+        f2p, f1p, f1m, f2m = (values(shifted(d, mult)) for mult in (2.0, 1.0, -1.0, -2.0))
+        lap += (-f2p + 16 * f1p - 30 * f0 + 16 * f1m - f2m) / (12 * h ** 2)
+    scale = lam * max(float(np.max(np.abs(f0))), 1e-300)
+    return float(np.max(np.abs(lap + lam * f0)) / scale)
 
 
 def emit_eigenfunction(rec: dict, seed: int = 5) -> dict:

@@ -407,7 +407,7 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
     The frame is built on one BLAS thread.  The rest of the level runs on
     the count blas.level gives its frame size: the caller's count when the
     dense n x n algebra is large enough to gain from it, one thread
-    otherwise."""
+    otherwise; _pipeline keeps its small stages on one thread."""
     frame = build(spec, k)
     with blas.level(frame.n):
         return _pipeline(cfg, spec, frame, dump_dir)
@@ -416,7 +416,10 @@ def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
 def _pipeline(cfg: RunConfig, spec: LatticeSpec, frame: Frame,
               dump_dir: str | None) -> Level:
     """The level of a built frame: Gram, whitening, flattening, F_k and
-    certification, with their invariants and optional dumps."""
+    certification, with their invariants and optional dumps.  The
+    nearest-neighbour distance, the Gram matrix and F_k run on one BLAS
+    thread at every level: at n = 511 a second thread costs them wall
+    time (nn, Gram) or only CPU (F_k)."""
     k = frame.k
     n, d = frame.n, dimension(cfg.m, k)
     # a single section is one unmixed coherent state, not a flat family
@@ -437,14 +440,16 @@ def _pipeline(cfg: RunConfig, spec: LatticeSpec, frame: Frame,
         )
 
     scale = spec.a / math.sqrt(k)
-    nn = nearest_neighbor_distance(frame) if n >= 2 else None
+    with blas.serial():
+        nn = nearest_neighbor_distance(frame) if n >= 2 else None
     row["nn"] = nn
     invariants["nn_floor"] = nn is None or nn >= scale / spec.gamma * (1 - 1e-9)
     # ceiling only binds for dense frames; sparse multichart frames sit far apart
     reach = 1.0 if len(spec.charts) == 1 else 1.0 + DEDUP_FACTOR
     soft["nn_ceiling"] = nn is None or nn <= scale * spec.gamma * reach * (1 + 1e-9)
 
-    g = assemble_gram(frame)
+    with blas.serial():
+        g = assemble_gram(frame)
     row["eta_hat"] = g.eta_hat
     soft["eta_within_target"] = g.eta_hat <= spec.eta
     if dump_dir is not None:
@@ -466,7 +471,8 @@ def _pipeline(cfg: RunConfig, spec: LatticeSpec, frame: Frame,
     row["ortho_dev"] = ortho_dev
     invariants["orthonormal"] = ortho_dev <= cfg.ortho_tol
 
-    fk = fk_norm(frame)
+    with blas.serial():
+        fk = fk_norm(frame)
     chain = sup_norm_chain_bound(fk, op, n)
     row["fk_norm"] = fk
     row["chain_bound"] = chain

@@ -131,6 +131,28 @@ def test_run_level_scopes(caller, monkeypatch):
 
 
 @needs_library
+def test_small_stages_stay_serial_in_a_large_level(caller, monkeypatch):
+    # nn, Gram and F_k run on one thread even where the level runs on the
+    # caller's count; the whitening runs on that count
+    seen = {}
+
+    def counted(name, stage):
+        def wrapper(*args, **kwargs):
+            seen[name] = _count()
+            return stage(*args, **kwargs)
+        return wrapper
+
+    for name in ("nearest_neighbor_distance", "assemble_gram", "fk_norm", "inv_sqrt_eigen"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    cfg, spec, built = _m1_level_inputs(200)
+    monkeypatch.setattr(blas, "DENSE_MIN_N", built.n)
+    cli._run_level(cfg, spec, 200)
+    assert seen == {"nearest_neighbor_distance": 1, "assemble_gram": 1, "fk_norm": 1,
+                    "inv_sqrt_eigen": caller}
+    assert _count() == caller
+
+
+@needs_library
 def test_level_output_does_not_depend_on_the_thread_count(tmp_path):
     # the whitening entries and the family are bit for bit the same on one
     # thread and on two; b_agree and ortho_dev may move by rounding

@@ -99,6 +99,31 @@ def _records(fam, mesh=16):
     return C.emit_polynomials(fam, C.certify_family(fam, mesh, 16))
 
 
+def _one_call_residual(section, part, lam, points, h):
+    """fd_laplacian_residual with the whole stencil in one evaluate_lifts call."""
+    k, m = section.k, section.m
+    npts, dim = points.shape[0], 2 * (m + 1)
+    reals = np.empty((npts, dim))
+    reals[:, 0::2] = points.real
+    reals[:, 1::2] = points.imag
+    stencil = [reals]
+    for d in range(dim):
+        for mult in (2.0, 1.0, -1.0, -2.0):
+            shifted = reals.copy()
+            shifted[:, d] += mult * h
+            stencil.append(shifted)
+    stacked = np.concatenate(stencil, axis=0)
+    z = stacked[:, 0::2] + 1j * stacked[:, 1::2]
+    vals = section.evaluate_lifts(z) / np.linalg.norm(z, axis=1) ** k
+    f = (vals.real if part == "re" else vals.imag).reshape(4 * dim + 1, npts)
+    lap = np.zeros(npts)
+    for d in range(dim):
+        f2p, f1p, f1m, f2m = f[4 * d + 1], f[4 * d + 2], f[4 * d + 3], f[4 * d + 4]
+        lap += (-f2p + 16 * f1p - 30 * f[0] + 16 * f1m - f2m) / (12 * h ** 2)
+    scale = lam * max(float(np.max(np.abs(f[0]))), 1e-300)
+    return float(np.max(np.abs(lap + lam * f[0])) / scale)
+
+
 def _pipeline(k: int):
     spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
                          charts=tuple(G.cube_cover(1, 0.4)))
@@ -308,18 +333,23 @@ class TestScreenedRefinement:
         # round 1 of every section reads one shared basis row per confirmed
         # child of the base mesh, built the first time a section asks
         points, entries, fam = _screened_level(m, k)
-        built, asked = [], []
-        basis, rows = C.monomial_basis, C.FirstLevel._basis_rows
-        monkeypatch.setattr(C, "monomial_basis",
-                            lambda *args: built.append(args[2]) or basis(*args))
-        monkeypatch.setattr(C.FirstLevel, "_basis_rows",
-                            lambda self, items: asked.append(items) or rows(self, items))
+        levels, asked = [], []
+        init, rows = C.FirstLevel.__init__, C.SharedRows.rows
+        monkeypatch.setattr(C.FirstLevel, "__init__",
+                            lambda self, *args: init(self, *args) or levels.append(self))
+        monkeypatch.setattr(C.SharedRows, "rows",
+                            lambda self, items: asked.append((self, items)) or rows(self, items))
         cert = C.certify_family(fam, mesh, 16, points=points, entries=entries)
         assert cert.sup_estimates == _unscreened_sups(m, k, mesh)
-        lifts, requested = np.concatenate(built), np.concatenate(asked)
-        assert len(asked) == fam.n
-        assert len(np.unique(lifts, axis=0)) == len(lifts) == len(np.unique(requested))
-        assert len(lifts) < len(requested)
+        [shared] = [level.shared for level in levels]
+        requested = [items for owner, items in asked if owner is shared]
+        assert len(requested) == fam.n
+        requested = np.concatenate(requested)
+        assert shared.built == len(np.unique(requested)) < len(requested)
+        # each row built is the basis at its child's lift
+        done = np.flatnonzero(shared.row_of >= 0)
+        assert np.array_equal(shared.basis[shared.row_of[done]],
+                              K.monomial_basis(m, k, shared.lifts[done]))
 
     def test_confirm_goes_through_evaluate_lifts(self, monkeypatch):
         cfg = cli.RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,
@@ -337,6 +367,74 @@ class TestScreenedRefinement:
         examined = sum(e.evaluations - base for e in level.cert.sup_estimates)
         assert min(seen) >= 8
         assert 0 < sum(seen) < examined / 4
+
+
+# (m, k, mesh) of the screened base mesh: the m = 1 mesh and m = 2 at two meshes
+BASE_CASES = ((1, 200, 16), (2, 20, 6), (2, 20, 8), (2, 40, 6), (2, 40, 8))
+
+
+def _assert_screened_base(level, sections, full):
+    """Each section's screened base values equal the full evaluation at
+    every finite cell, and give the same max and top cells."""
+    for j, (sec, want) in enumerate(zip(sections, full)):
+        got = level.values(j, sec)
+        finite = np.isfinite(got)
+        assert np.array_equal(got[finite], want[finite])
+        assert np.max(got) == np.max(want)
+        assert np.array_equal(C._top_cells(got), C._top_cells(want))
+
+
+class TestScreenedBase:
+    @pytest.mark.parametrize("m,k,mesh", BASE_CASES)
+    def test_confirmed_cells_are_the_full_evaluation(self, m, k, mesh):
+        points, entries, fam = _screened_level(m, k)
+        screens = C.frame_screens(fam, points, entries)
+        full = C._base_values(m, k, fam.ortho, mesh)
+        level = C.BaseLevel(m, k, mesh, screens)
+        _assert_screened_base(level, _sections(fam), full)
+        # the family-wide product stays within delta of the monomial values
+        twins = C.base_twins(m, mesh)
+        kept = twins == np.arange(len(twins))
+        approx = C._screen_block(screens, C.center_lifts(m, C.base_boxes(m, mesh)[kept]))
+        deltas = np.array([s.delta for s in screens])
+        assert np.all(np.abs(approx.T - full[:, kept]) <= deltas[:, None] / 100)
+
+    @pytest.mark.parametrize("m,mesh", ((1, 16), (2, 6)))
+    def test_exact_ties_in_the_base_values(self, m, mesh):
+        # the coherent state at e_0 has |s| = root |x_0|^k, and x_0 >= 0
+        # is the same real number in every angle cell: the base maximum is
+        # tied bit for bit in 16 (m = 1) or 72 (m = 2, twins included)
+        # cells, more than a round splits
+        k = 30
+        y = np.zeros(m + 1, dtype=np.complex128)
+        y[0] = 1.0
+        sec = coherent_state(m, k, y)
+        fam = _family(sec)
+        full = C._base_values(m, k, fam.ortho, mesh)
+        tied = np.sum(full[0] == np.max(full[0]))
+        assert tied == (16 if m == 1 else 72) > C._take(full.shape[1])
+        screens = C.frame_screens(fam, y[None, :], np.eye(1))
+        _assert_screened_base(C.BaseLevel(m, k, mesh, screens), [sec], full)
+        screened = C.certify_family(fam, mesh, 16, points=y[None, :], entries=np.eye(1))
+        assert screened.sup_estimates == C.certify_family(fam, mesh, 16).sup_estimates
+
+    def test_chunked_term_block(self, monkeypatch):
+        # a budget of 100 cells of terms: 8 chunks of the 756 distinct
+        # lifts; and one of 4,700 base values: screen blocks of 6 sections
+        # and row blocks of 3
+        points, entries, fam = _screened_level(2, 40)
+        monkeypatch.setattr(C, "BASIS_CHUNK_ENTRIES", 100 * fam.n)
+        monkeypatch.setattr(C, "BASE_BLOCK_ENTRIES", 100 * fam.n)
+        chunks = []
+        terms = C.FrameScreen.terms
+        monkeypatch.setattr(C.FrameScreen, "terms",
+                            lambda self, lifts: chunks.append(len(lifts)) or terms(self, lifts))
+        screens = C.frame_screens(fam, points, entries)
+        level = C.BaseLevel(2, 40, 6, screens)
+        assert chunks == ([100] * 7 + [56]) * math.ceil(fam.n / 6)
+        _assert_screened_base(level, _sections(fam), C._base_values(2, 40, fam.ortho, 6))
+        screened = C.certify_family(fam, 6, 16, points=points, entries=entries)
+        assert screened.sup_estimates == _unscreened_sups(2, 40, 6)
 
 
 class TestFlatBound:
@@ -422,17 +520,33 @@ class TestCertifyFamily:
         kept = np.unique(twins)
         assert np.array_equal(vals[:, kept], full[:, kept])
 
-    def test_base_mesh_sends_each_distinct_lift_once(self, monkeypatch):
-        # one m = 2 mesh-6 block evaluates the 756 distinct lifts of the
-        # 1296 cells; the refinement goes through evaluate_lifts instead
+    def test_base_mesh_builds_each_confirmed_lift_once(self, monkeypatch):
+        # the screened base mesh builds a basis row only at the distinct
+        # lifts of the cells some section confirms, once for the family,
+        # and sends nothing through evaluate_sections
         points, entries, fam = _screened_level(2, 20)
-        sent = []
-        evaluate = C.evaluate_sections
+        sent, levels, asked = [], [], []
+        evaluate, init, rows = C.evaluate_sections, C.BaseLevel.__init__, C.SharedRows.rows
         monkeypatch.setattr(C, "evaluate_sections",
                             lambda m, k, rows, lifts: sent.append(len(lifts))
                             or evaluate(m, k, rows, lifts))
+        monkeypatch.setattr(C.BaseLevel, "__init__",
+                            lambda self, *args: init(self, *args) or levels.append(self))
+        monkeypatch.setattr(C.SharedRows, "rows",
+                            lambda self, items: asked.append((self, items)) or rows(self, items))
         C.certify_family(fam, 6, 16, points=points, entries=entries)
-        assert sent == [756]
+        assert sent == []
+        [level] = levels
+        twins = C.base_twins(2, 6)
+        confirmed = np.unique(twins[np.concatenate(level.confirmed)])
+        requested = [items for owner, items in asked if owner is level.shared]
+        assert len(requested) == fam.n
+        requested = np.concatenate(requested)
+        assert level.shared.built == len(confirmed) == len(np.unique(requested))
+        assert len(confirmed) < len(requested)
+        assert len(confirmed) < np.sum(twins == np.arange(len(twins))) == 756
+        assert np.array_equal(level.shared.lifts,
+                              C.center_lifts(2, C.base_boxes(2, 6)[confirmed]))
 
     def test_blocked_base_mesh_matches_single_sections(self, monkeypatch):
         fam = _pipeline(60)[3]
@@ -588,6 +702,24 @@ class TestEigenfunctions:
         for fam in (_pipeline(60)[3], _family(_unit_basis(2, 4, 3))):
             rec = min(_records(fam, mesh=6), key=lambda r: r["sphere ratio"])
             assert C.emit_eigenfunction(json.loads(json.dumps(rec))) == C.emit_eigenfunction(rec)
+
+    @pytest.mark.parametrize("m,k,part", ((1, 200, "im"), (2, 40, "re")))
+    def test_stencil_one_direction_per_call(self, monkeypatch, m, k, part):
+        # the 24 probes go to evaluate_lifts once per stencil direction,
+        # and as values are per lift the residual is the one of the whole
+        # stencil in a single call
+        sec = _sections(_screened_level(m, k)[2])[3]
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((24, m + 1)) + 1j * rng.standard_normal((24, m + 1))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        lam, h = k * (k + 2 * m), 0.01 / k
+        want = _one_call_residual(sec, part, lam, pts, h)
+        seen = []
+        evaluate = SectionExpansion.evaluate_lifts
+        monkeypatch.setattr(SectionExpansion, "evaluate_lifts",
+                            lambda self, lifts: seen.append(len(lifts)) or evaluate(self, lifts))
+        assert C.fd_laplacian_residual(sec, part, lam, pts, h) == want
+        assert seen == [24] * (8 * (m + 1) + 1)
 
     def test_zero_polynomial_rejected(self):
         rec = {"k": 2, "m": 1, "ortho re": [0.0] * 3, "ortho im": [0.0] * 3,
