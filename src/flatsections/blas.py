@@ -1,15 +1,15 @@
 """The package's BLAS thread policy.
 
 Most of the pipeline is small work: lattice points, the cross-chart
-dedup, one sup-norm search per section.  Each small product handed to a
-threaded OpenBLAS wakes its worker threads, which then spin, so CPU time
-doubles for no gain in wall time.  Only the dense n x n algebra of a large
-level (whitening, mixing with n >= DENSE_MIN_N frame points) gains from
-more threads.  So the package's entry points run on one thread, and a
-large level runs on the caller's count, but for its small stages
-(cli._pipeline): the count in effect when the outermost scope of the
-package was entered, which OPENBLAS_NUM_THREADS or the caller's own limit
-sets.
+dedup, the mixing, one sup-norm search per section.  Each small product
+handed to a threaded OpenBLAS wakes its worker threads, which then spin,
+so CPU time doubles for no gain in wall time.  Only the two dense n x n
+whitening solvers of a large level (the series and eigh, with n >=
+DENSE_MIN_N frame points) gain from more threads.  So the package's
+entry points and each level run on one thread, and a large level's
+whitening solvers run on the caller's count (cli._pipeline): the count
+in effect when the outermost scope of the package was entered, which
+OPENBLAS_NUM_THREADS or the caller's own limit sets.
 
 The OpenBLAS that numpy loaded is found among the files mapped into the
 process, on first use.  Where there is none (another BLAS, another
@@ -21,10 +21,12 @@ from __future__ import annotations
 import contextlib
 import ctypes
 
-# a level with at least this many frame points runs on the caller's BLAS
-# threads.  Measured on m = 1 levels, two threads against one: at n = 98 to
-# 142 two save no wall time in most runs and burn twice the CPU; from
-# n = 163 on they save up to a third of it (n = 511)
+# the whitening solvers of a level with at least this many frame points
+# run on the caller's BLAS threads.  Measured on m = 1 lat-lon levels, the
+# series plus eigh, two threads against one (medians of warm calls, two
+# rounds on a noisy 2-core host): at n = 45 to 98 two save no wall time
+# and burn twice the CPU; at n = 131 to 228 they save 0 to 30% of it,
+# varying from round to round; from n = 293 on 20 to 40% (n = 511)
 DENSE_MIN_N = 150
 
 # (getter, setter) symbol names: scipy-openblas' 64-bit build, then a plain one
@@ -110,7 +112,8 @@ def caller_threads() -> int | None:
 
 
 def level_threads(n: int) -> int | None:
-    """BLAS threads of a level with n frame points."""
+    """BLAS threads of the whitening solvers of a level with n frame
+    points."""
     caller = caller_threads()
     if caller is None:
         return None
@@ -118,7 +121,7 @@ def level_threads(n: int) -> int | None:
 
 
 def level(n: int):
-    """Scope of a level with n frame points, entered once its frame is built."""
+    """Scope of the whitening solvers of a level with n frame points."""
     return threads(level_threads(n))
 
 

@@ -348,26 +348,49 @@ def _top_cells(vals: np.ndarray) -> np.ndarray:
 
 class SharedRows:
     """Monomial basis rows of fixed lifts, shared by the sections of a
-    family: each row is built the first time a section asks for it, in
-    a buffer of one row per lift allocated once (only the rows built are
-    written, so only their pages become resident, while a growing
-    buffer's copy would briefly hold every built row twice)."""
+    family: each row is built the first time a section asks for it, into
+    blocks of BASIS_CHUNK_ENTRIES // d_k rows allocated as the rows built
+    fill them.  So what is reserved follows the rows built, not the
+    lifts, and a built row is never copied, as a growing buffer's copy
+    would briefly hold every built row twice.  Block 0 holds at most one
+    row per lift."""
 
     def __init__(self, m: int, k: int, lifts: np.ndarray):
         self.m, self.k, self.lifts = m, k, lifts
-        self.row_of = np.full(len(lifts), -1)  # row of each item in basis
-        self.basis = np.empty((len(lifts), dimension(m, k)), dtype=np.complex128)
+        d = dimension(m, k)
+        self.block_rows = max(1, int(BASIS_CHUNK_ENTRIES // d))
+        self.row_of = np.full(len(lifts), -1)  # place of each item among the rows built
+        self.blocks = [np.empty((min(len(lifts), self.block_rows), d), dtype=np.complex128)]
         self.built = 0
+
+    def _store(self, basis: np.ndarray):
+        """Append the rows of basis after the rows built."""
+        at = 0
+        while at < len(basis):
+            block, lo = divmod(self.built, self.block_rows)
+            if block == len(self.blocks):
+                self.blocks.append(np.empty((self.block_rows, basis.shape[1]),
+                                            dtype=np.complex128))
+            take = min(len(basis) - at, self.block_rows - lo)
+            self.blocks[block][lo:lo + take] = basis[at:at + take]
+            at += take
+            self.built += take
 
     def rows(self, items: np.ndarray) -> np.ndarray:
         """The basis rows of distinct items (indices into lifts)."""
         new = items[self.row_of[items] < 0]
         if len(new):
-            end = self.built + len(new)
-            self.basis[self.built:end] = monomial_basis(self.m, self.k, self.lifts[new])
-            self.row_of[new] = np.arange(self.built, end)
-            self.built = end
-        return self.basis[self.row_of[items]]
+            self.row_of[new] = np.arange(self.built, self.built + len(new))
+            self._store(monomial_basis(self.m, self.k, self.lifts[new]))
+        place = self.row_of[items]
+        if len(self.blocks) == 1:
+            return self.blocks[0][place]
+        block, lo = np.divmod(place, self.block_rows)
+        out = np.empty((len(items), self.blocks[0].shape[1]), dtype=np.complex128)
+        for b in np.unique(block):
+            at = block == b
+            out[at] = self.blocks[b][lo[at]]
+        return out
 
 
 def _screen_block(screens: list, lifts: np.ndarray) -> np.ndarray:

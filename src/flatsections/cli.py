@@ -402,24 +402,22 @@ class Level(NamedTuple):
 
 def _run_level(cfg: RunConfig, spec: LatticeSpec, k: int,
                dump_dir: str | None = None) -> Level:
-    """One degree through the whole pipeline.
-
-    The frame is built on one BLAS thread.  The rest of the level runs on
-    the count blas.level gives its frame size: the caller's count when the
-    dense n x n algebra is large enough to gain from it, one thread
-    otherwise; _pipeline keeps its small stages on one thread."""
-    frame = build(spec, k)
-    with blas.level(frame.n):
-        return _pipeline(cfg, spec, frame, dump_dir)
+    """One degree through the whole pipeline: the frame, then _pipeline
+    on it."""
+    return _pipeline(cfg, spec, build(spec, k), dump_dir)
 
 
+@blas.serial()
 def _pipeline(cfg: RunConfig, spec: LatticeSpec, frame: Frame,
               dump_dir: str | None) -> Level:
     """The level of a built frame: Gram, whitening, flattening, F_k and
-    certification, with their invariants and optional dumps.  The
-    nearest-neighbour distance, the Gram matrix and F_k run on one BLAS
-    thread at every level: at n = 511 a second thread costs them wall
-    time (nn, Gram) or only CPU (F_k)."""
+    certification, with their invariants and optional dumps.  It runs on
+    one BLAS thread, but for the two whitening solvers, which run on the
+    count blas.level gives the frame size: the dense n x n series and
+    eigh are the only stages that gain from more threads (at n = 511 two
+    threads take the series from 0.67 to 0.40 s and eigh from 0.22 to
+    0.15 s), while the small products of the other stages only make the
+    idle worker spin."""
     k = frame.k
     n, d = frame.n, dimension(cfg.m, k)
     # a single section is one unmixed coherent state, not a flat family
@@ -440,24 +438,23 @@ def _pipeline(cfg: RunConfig, spec: LatticeSpec, frame: Frame,
         )
 
     scale = spec.a / math.sqrt(k)
-    with blas.serial():
-        nn = nearest_neighbor_distance(frame) if n >= 2 else None
+    nn = nearest_neighbor_distance(frame) if n >= 2 else None
     row["nn"] = nn
     invariants["nn_floor"] = nn is None or nn >= scale / spec.gamma * (1 - 1e-9)
     # ceiling only binds for dense frames; sparse multichart frames sit far apart
     reach = 1.0 if len(spec.charts) == 1 else 1.0 + DEDUP_FACTOR
     soft["nn_ceiling"] = nn is None or nn <= scale * spec.gamma * reach * (1 + 1e-9)
 
-    with blas.serial():
-        g = assemble_gram(frame)
+    g = assemble_gram(frame)
     row["eta_hat"] = g.eta_hat
     soft["eta_within_target"] = g.eta_hat <= spec.eta
     if dump_dir is not None:
         dump_matrix(os.path.join(dump_dir, "gram-k%d.bin" % k),
                     cfg.m, k, g.entries, tag="gram")
 
-    op = inv_sqrt_neumann(g, tol=cfg.neumann_tol)  # raises on divergence
-    reference = inv_sqrt_eigen(g)
+    with blas.level(n):
+        op = inv_sqrt_neumann(g, tol=cfg.neumann_tol)  # raises on divergence
+        reference = inv_sqrt_eigen(g)
     agree = float(np.max(np.abs(op.entries - reference.entries)))
     row["b_norm"] = op.norm_inf
     row["neumann_terms"] = op.series_terms
@@ -471,8 +468,7 @@ def _pipeline(cfg: RunConfig, spec: LatticeSpec, frame: Frame,
     row["ortho_dev"] = ortho_dev
     invariants["orthonormal"] = ortho_dev <= cfg.ortho_tol
 
-    with blas.serial():
-        fk = fk_norm(frame)
+    fk = fk_norm(frame)
     chain = sup_norm_chain_bound(fk, op, n)
     row["fk_norm"] = fk
     row["chain_bound"] = chain
@@ -600,9 +596,9 @@ def _status(rows: list) -> dict:
 @blas.serial()
 def run(cfg: RunConfig) -> dict:
     """Execute the configured mode and assemble the manifest.  It runs on
-    one BLAS thread, and each level on the count blas.level gives it; the
-    envelope's "blas" entry records the library, the caller's count and
-    each level's count."""
+    one BLAS thread, and each level's whitening solvers on the count
+    blas.level gives its frame size; the envelope's "blas" entry records
+    the library, the caller's count and each level's whitening count."""
     cfg.validate()
     started = time.perf_counter()
     dump_dir = None

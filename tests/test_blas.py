@@ -112,60 +112,83 @@ def test_level_rule_at_the_crossover(caller):
     assert _count() == caller
 
 
-@needs_library
-def test_run_level_scopes(caller, monkeypatch):
-    seen = []
-    pipeline = cli._pipeline
-
-    def counted(*args):
-        seen.append(_count())
-        return pipeline(*args)
-
-    monkeypatch.setattr(cli, "_pipeline", counted)
-    cfg, spec, built = _m1_level_inputs(200)
-    cli._run_level(cfg, spec, 200)
-    monkeypatch.setattr(blas, "DENSE_MIN_N", built.n)
-    cli._run_level(cfg, spec, 200)
-    assert seen == [1, caller]
-    assert _count() == caller
+# the stages _pipeline calls by name, and the two that may run threaded
+_STAGES = ("nearest_neighbor_distance", "assemble_gram", "dump_matrix", "inv_sqrt_neumann",
+           "inv_sqrt_eigen", "flatten_frame", "fk_norm", "certify_family", "dump_family")
+_SOLVERS = ("inv_sqrt_neumann", "inv_sqrt_eigen")
 
 
-@needs_library
-def test_small_stages_stay_serial_in_a_large_level(caller, monkeypatch):
-    # nn, Gram and F_k run on one thread even where the level runs on the
-    # caller's count; the whitening runs on that count
-    seen = {}
+def _stage_threads(cfg, spec, k, dump_dir):
+    """Run the level at k through cli._run_level; the BLAS thread counts
+    each stage of _STAGES saw, one per call, by stage name."""
+    seen = {name: [] for name in _STAGES}
 
     def counted(name, stage):
         def wrapper(*args, **kwargs):
-            seen[name] = _count()
+            seen[name].append(_count())
             return stage(*args, **kwargs)
         return wrapper
 
-    for name in ("nearest_neighbor_distance", "assemble_gram", "fk_norm", "inv_sqrt_eigen"):
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    with pytest.MonkeyPatch.context() as patch:
+        for name in _STAGES:
+            patch.setattr(cli, name, counted(name, getattr(cli, name)))
+        cli._run_level(cfg, spec, k, str(dump_dir))
+    return seen
+
+
+@needs_library
+def test_run_level_scopes(caller, monkeypatch, tmp_path):
+    # the pipeline runs on one thread: below DENSE_MIN_N every stage does,
+    # and from DENSE_MIN_N on only the two whitening solvers see the
+    # caller's count
     cfg, spec, built = _m1_level_inputs(200)
+    assert built.n < blas.DENSE_MIN_N
+    small = _stage_threads(cfg, spec, 200, tmp_path)
+    assert small == {name: [1, 1] if name == "dump_matrix" else [1] for name in _STAGES}
+    assert _count() == caller
     monkeypatch.setattr(blas, "DENSE_MIN_N", built.n)
-    cli._run_level(cfg, spec, 200)
-    assert seen == {"nearest_neighbor_distance": 1, "assemble_gram": 1, "fk_norm": 1,
-                    "inv_sqrt_eigen": caller}
+    dense = _stage_threads(cfg, spec, 200, tmp_path)
+    assert {name: dense[name] for name in _SOLVERS} == {name: [caller] for name in _SOLVERS}
     assert _count() == caller
 
 
 @needs_library
-def test_level_output_does_not_depend_on_the_thread_count(tmp_path):
-    # the whitening entries and the family are bit for bit the same on one
-    # thread and on two; b_agree and ortho_dev may move by rounding
+def test_small_stages_stay_serial_in_a_large_level(caller, monkeypatch, tmp_path):
+    # nn, Gram, the mixing, F_k, the certificate and the dumps run on one
+    # thread even where the solvers run on the caller's count
     cfg, spec, built = _m1_level_inputs(200)
+    monkeypatch.setattr(blas, "DENSE_MIN_N", built.n)
+    seen = _stage_threads(cfg, spec, 200, tmp_path)
+    assert seen == {name: [caller] if name in _SOLVERS
+                    else [1, 1] if name == "dump_matrix" else [1] for name in _STAGES}
+    assert _count() == caller
+
+
+@needs_library
+def test_level_output_does_not_depend_on_the_thread_count(caller, monkeypatch, tmp_path):
+    # the k = 200 level with its whitening solvers on the caller's count,
+    # against the same level all on one thread: the whitening entries and
+    # the family are bit for bit the same; b_agree and ortho_dev may move
+    # by rounding
+    cfg, spec, built = _m1_level_inputs(200)
+    seen = []
+    neumann = cli.inv_sqrt_neumann
+
+    def counted(*args, **kwargs):
+        seen.append(_count())
+        return neumann(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "inv_sqrt_neumann", counted)
     levels = []
-    for count in (1, 2):
-        out = tmp_path / str(count)
-        out.mkdir()
-        with blas.threads(count):
-            levels.append(cli._pipeline(cfg, spec, built, str(out)))
-    ones, twos = (load_matrix(str(tmp_path / c / "whitening-k200.bin"))[2] for c in "12")
-    assert np.array_equal(ones, twos)
-    fams = [load_family(str(tmp_path / c / "family-k200.bin")).ortho for c in "12"]
+    for threshold, name in ((blas.DENSE_MIN_N, "serial"), (built.n, "dense")):
+        monkeypatch.setattr(blas, "DENSE_MIN_N", threshold)
+        (tmp_path / name).mkdir()
+        levels.append(cli._pipeline(cfg, spec, built, str(tmp_path / name)))
+    assert seen == [1, caller]
+    serial, dense = (load_matrix(str(tmp_path / c / "whitening-k200.bin"))[2]
+                     for c in ("serial", "dense"))
+    assert np.array_equal(serial, dense)
+    fams = [load_family(str(tmp_path / c / "family-k200.bin")).ortho for c in ("serial", "dense")]
     assert np.array_equal(*fams)
     assert np.array_equal(levels[0].fam.ortho, levels[1].fam.ortho)
     rows = [{k: v for k, v in level.row.items() if k not in ("b_agree", "ortho_dev")}

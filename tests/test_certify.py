@@ -348,7 +348,7 @@ class TestScreenedRefinement:
         assert shared.built == len(np.unique(requested)) < len(requested)
         # each row built is the basis at its child's lift
         done = np.flatnonzero(shared.row_of >= 0)
-        assert np.array_equal(shared.basis[shared.row_of[done]],
+        assert np.array_equal(rows(shared, done),
                               K.monomial_basis(m, k, shared.lifts[done]))
 
     def test_confirm_goes_through_evaluate_lifts(self, monkeypatch):
@@ -417,6 +417,28 @@ class TestScreenedBase:
         _assert_screened_base(C.BaseLevel(m, k, mesh, screens), [sec], full)
         screened = C.certify_family(fam, mesh, 16, points=y[None, :], entries=np.eye(1))
         assert screened.sup_estimates == C.certify_family(fam, mesh, 16).sup_estimates
+
+    def test_shared_rows_fill_blocks_on_demand(self, monkeypatch):
+        # blocks of 7 rows, each allocated once the rows built fill the one
+        # before; every row read back is the basis at its lift
+        m, k = 2, 40
+        monkeypatch.setattr(C, "BASIS_CHUNK_ENTRIES", 7 * dimension(m, k))
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        lifts = raw / np.linalg.norm(raw, axis=1)[:, None]
+        full = K.monomial_basis(m, k, lifts)
+        shared = C.SharedRows(m, k, lifts)
+        asked = (np.array([3]), np.arange(5, 15), np.array([40, 3, 12, 20]),
+                 np.arange(49, 0, -3))
+        blocks = []
+        for items in asked:
+            assert np.array_equal(shared.rows(items), full[items])
+            blocks.append(len(shared.blocks))
+        assert shared.built == len(np.unique(np.concatenate(asked))) == 26
+        assert blocks == [1, 2, 2, 4]  # the last call fills two new blocks
+        assert all(block.shape == (7, dimension(m, k)) for block in shared.blocks)
+        # a few lifts get one block of one row per lift
+        assert C.SharedRows(m, k, lifts[:4]).blocks[0].shape == (4, dimension(m, k))
 
     def test_chunked_term_block(self, monkeypatch):
         # a budget of 100 cells of terms: 8 chunks of the 756 distinct

@@ -267,6 +267,36 @@ class TestWhiten:
         q = W.whiten(fr, W.inv_sqrt_eigen(g))
         assert np.linalg.matrix_rank(q) == fr.n
 
+    def test_flushed_product_matches_plain_product(self):
+        # an m = 1 lat-lon frame at k = 800 (95 points): its coherent
+        # states hold subnormal parts, which whiten flushes before the
+        # product, and the family is bit for bit the unflushed product
+        cover = G.cp1_latlon_cover(0.35)
+        spec = F.LatticeSpec(
+            kind="cubic", m=1, a=4.0, eta=0.995,
+            gamma=max(c.gamma for c in cover), epsilon=0.005,
+            charts=tuple(cover), delta=1e-9,
+        )
+        fr = F.build(spec, 800)
+        basis = np.vstack([coherent_state(1, 800, as_unit_vector(x)).ortho_coeffs
+                           for x in fr.points])
+        parts = np.abs(basis.view(np.float64))
+        assert np.any((parts > 0) & (parts < np.finfo(np.float64).tiny))
+        op = W.inv_sqrt_eigen(W.assemble_gram(fr))
+        assert np.array_equal(W.whiten(fr, op), op.entries @ basis)
+
+    def test_flushed_product_moves_entries_within_bound(self):
+        # on a one-chart frame at k = 800 the high-degree monomials are
+        # tiny at every point, so the family's entries there are tiny too
+        # and the flush moves them, each by at most
+        # sqrt(2) * norm_inf * FLUSH_BELOW
+        fr = F.build(_run_b_spec(t=0.2), 800)
+        basis = np.vstack([coherent_state(1, 800, as_unit_vector(x)).ortho_coeffs
+                           for x in fr.points])
+        op = W.inv_sqrt_eigen(W.assemble_gram(fr))
+        moved = np.abs(W.whiten(fr, op) - op.entries @ basis)
+        assert 0 < np.max(moved) <= math.sqrt(2) * op.norm_inf * W.FLUSH_BELOW
+
     def test_size_mismatch(self):
         fr = F.build(_run_b_spec(), 60)
         op = W.WhiteningOperator(entries=np.eye(3, dtype=np.complex128),
