@@ -125,10 +125,11 @@ coefficients sum to r <x, y>^k.
   entrywise, |c_j - exact|_2 <= sqrt(n) U (rho + 3 gamma_N) and costs r
   times that (the e_alpha have r as their l2 norm).
 * Frame route.  |<x, y> computed - exact| <= gamma_N, so each term's
-  <x, y>^k is off by at most e k gamma_N; log, angle, exp, cos and sin
-  add u (k (3 pi + 2) + 12) (using a^k k |log a| <= 1/e), the sums
-  gamma_N, each weight at most gamma_N U / sqrt(n) (the direct-sum
-  bound), so r (sqrt(n) U + |W_j|_1) rho in all.
+  <x, y>^k is off by at most e k gamma_N; binary powering adds
+  (k - 1) sqrt(5) u (each complex product errs by at most sqrt(5) u,
+  Brent, Percival and Zimmermann 2007), the sums gamma_N, each weight at
+  most gamma_N U / sqrt(n) (the direct-sum bound), so
+  r (sqrt(n) U + |W_j|_1) rho in all.
 * Tail.  A dropped term has |<x, y>| < cut + gamma_N, so
   |Phi_mu(x)| <= r (u + e k gamma_N), and the dropped mass is at most
   r u |W_j|_1 beyond the e k gamma_N already counted: the tail bound.
@@ -245,6 +246,24 @@ def _take(cells: int) -> int:
     return min(cells, max(8, cells // 100))
 
 
+def _power(z: np.ndarray, k: int) -> np.ndarray:
+    """z**k elementwise for an integer k >= 0, by binary powering: floor(log2 k)
+    squarings of z, in place, and popcount(k) - 1 products into the result.
+    Each complex product errs by at most sqrt(5) u relative (Brent,
+    Percival and Zimmermann, Math. Comp. 76, 2007), and an error of a
+    factor adds up in a product and doubles in a square, so the result is
+    within (k - 1) sqrt(5) u of z**k relative, to first order.  z is
+    overwritten."""
+    out = None
+    while k:
+        if k & 1:
+            out = z.copy() if out is None else np.multiply(out, z, out=out)
+        k >>= 1
+        if k:
+            np.multiply(z, z, out=z)
+    return np.ones_like(z) if out is None else out
+
+
 @dataclass(frozen=True)
 class FrameScreen:
     """Frame-side values of one flat section, for screening refinement cells.
@@ -267,14 +286,14 @@ class FrameScreen:
         """(rows, cols, phi): the kept terms <x, y_mu>^k = Phi_mu(x) / root
         at the lifts, x = lifts[rows], mu = cols, in row-major order.  They
         do not depend on the section: every screen of a family keeps the
-        same terms (about 47 of 511 per lift at m=1 k=800)."""
+        same terms (about 47 of 511 per lift at m=1 k=800).  The k-th
+        power is taken by binary powering of the kept inner products
+        (_power): no transcendental function, and within (k - 1) sqrt(5) u
+        of the power of the computed inner product (module docstring)."""
         g = lifts @ self.conj_points
         flat = np.flatnonzero(np.abs(g) >= self.cut)
         rows, cols = np.divmod(flat, g.shape[1])
-        kept = g.ravel()[flat]
-        mag = np.exp(self.k * np.log(np.abs(kept)))
-        phase = self.k * np.angle(kept)
-        return rows, cols, mag * np.cos(phase) + 1j * (mag * np.sin(phase))
+        return rows, cols, _power(g.ravel()[flat], self.k)
 
     def combine(self, rows: np.ndarray, cols: np.ndarray, phi: np.ndarray,
                 count: int) -> np.ndarray:
@@ -639,13 +658,43 @@ def emit_polynomials(fam, cert: NormCertificate) -> list:
     return records
 
 
-def _real_values(section: SectionExpansion, vectors: np.ndarray, part: str,
-                 k: int) -> np.ndarray:
-    """Degree-zero extension of the chosen real part off the sphere."""
-    vals = section.evaluate_lifts(vectors)
-    r = np.linalg.norm(vectors, axis=1)
-    scaled = vals / r ** k
-    return scaled.real if part == "re" else scaled.imag
+# the stencil's shifts of one coordinate, in units of the step: +-2 and
+# +-1 along its real part, then along its imaginary part
+STENCIL_SHIFTS = np.array([2.0, 1.0, -1.0, -2.0, 2j, 1j, -1j, -2j])
+
+
+def _stencil_domain(points: np.ndarray, k: int, h: float) -> np.ndarray:
+    """Rows of points whose every coordinate has modulus at least 2 h k,
+    the probes fd_laplacian_residual accepts."""
+    return np.all(np.abs(points) >= 2 * h * k, axis=1)
+
+
+def _stencil_values(section: SectionExpansion, points: np.ndarray, h: float) -> tuple:
+    """(centre, shifted): p(x) at each probe x, shape (probes,), and
+    p(x + h s e_i) for s in STENCIL_SHIFTS, shape (m + 1, probes, 8),
+    from one monomial basis row per probe.
+
+    e_alpha(x + s e_i) = e_alpha(x) (1 + s / x_i)^alpha_i exactly, so
+    p(x + s e_i) = sum_a Q_ia(x) (1 + s / x_i)^a with
+    Q_ia = sum over alpha_i = a of c_alpha e_alpha(x), summed by Horner's
+    rule over a."""
+    m, k = section.m, section.k
+    npts = len(points)
+    weighted = monomial_basis(m, k, points) * section.ortho_coeffs
+    # q[i, p, a] = Q_ia at probe p: the weighted row binned by alpha_i
+    keys = (np.arange((m + 1) * npts).reshape(m + 1, npts, 1) * (k + 1)
+            + multi_indices(m, k).T[:, None, :]).ravel()
+    size = (m + 1) * npts * (k + 1)
+    q = np.empty(size, dtype=np.complex128)
+    for part, dest in ((weighted.real, q.real), (weighted.imag, q.imag)):
+        dest[:] = np.bincount(keys, np.broadcast_to(part, (m + 1,) + part.shape).ravel(), size)
+    q = q.reshape(m + 1, npts, k + 1)
+    ratio = 1 + h * STENCIL_SHIFTS / points.T[:, :, None]
+    shifted = np.repeat(q[:, :, k:], len(STENCIL_SHIFTS), axis=2)
+    for a in range(k - 1, -1, -1):
+        shifted *= ratio
+        shifted += q[:, :, a:a + 1]
+    return np.sum(weighted, axis=1), shifted
 
 
 def fd_laplacian_residual(section: SectionExpansion, part: str, lam: float,
@@ -657,27 +706,28 @@ def fd_laplacian_residual(section: SectionExpansion, part: str, lam: float,
     one, and the sign convention puts the spectrum at +k(k+2m).  The
     high-order stencil tolerates the evaluation noise of long coefficient
     sums, keeping the defect well under 1e-6 at every tested level.
+
+    Every stencil point is a probe shifted in one coordinate, so the
+    8 (m + 1) shifted values of a probe come from its one monomial basis
+    row (_stencil_values), each then divided by |x + h s e_i|^k.  The
+    re-expansion multiplies rounding by up to |1 + h s / x_i|^k <=
+    exp(2 h k / |x_i|), so a probe with some |x_i| < 2 h k is refused:
+    on the rest the factor is at most e.
     """
-    k, m = section.k, section.m
-    npts, dim = points.shape[0], 2 * (m + 1)
-    reals = np.empty((npts, dim))
-    reals[:, 0::2] = points.real
-    reals[:, 1::2] = points.imag
-
-    def values(stacked: np.ndarray) -> np.ndarray:
-        # one evaluate_lifts call per stencil direction: npts lifts at a time
-        return _real_values(section, stacked[:, 0::2] + 1j * stacked[:, 1::2], part, k)
-
-    def shifted(d: int, mult: float) -> np.ndarray:
-        out = reals.copy()
-        out[:, d] += mult * h
-        return out
-
-    f0 = values(reals)
-    lap = np.zeros(npts)
-    for d in range(dim):
-        f2p, f1p, f1m, f2m = (values(shifted(d, mult)) for mult in (2.0, 1.0, -1.0, -2.0))
-        lap += (-f2p + 16 * f1p - 30 * f0 + 16 * f1m - f2m) / (12 * h ** 2)
+    k = section.k
+    if not np.all(_stencil_domain(points, k, h)):
+        raise CertifyError("stencil probe within 2 h k = %.3g of a coordinate hyperplane"
+                           % (2 * h * k))
+    centre, shifted = _stencil_values(section, points, h)
+    norm2 = np.sum(np.abs(points) ** 2, axis=1)
+    shift = h * STENCIL_SHIFTS
+    shifted /= (norm2[:, None] + 2 * (points.T[:, :, None].conj() * shift).real
+                + np.abs(shift) ** 2) ** (k / 2)
+    centre /= norm2 ** (k / 2)
+    f0 = centre.real if part == "re" else centre.imag
+    f = (shifted.real if part == "re" else shifted.imag).reshape(shifted.shape[:2] + (2, 4))
+    f2p, f1p, f1m, f2m = f[..., 0], f[..., 1], f[..., 2], f[..., 3]
+    lap = np.sum(-f2p + 16 * f1p - 30 * f0[:, None] + 16 * f1m - f2m, axis=(0, 2)) / (12 * h ** 2)
     scale = lam * max(float(np.max(np.abs(f0))), 1e-300)
     return float(np.max(np.abs(lap + lam * f0)) / scale)
 
@@ -685,7 +735,9 @@ def fd_laplacian_residual(section: SectionExpansion, part: str, lam: float,
 def emit_eigenfunction(rec: dict, seed: int = 5) -> dict:
     """Real eigenfunction from a record of emit_polynomials, as written or
     as read back from polynomials.json, with an FD check at 24 random unit
-    lifts and step 0.01 / k, as the JSON-ready dict
+    lifts and step 0.01 / k (a lift with a coordinate under 0.02 in
+    modulus, outside the stencil's domain, is drawn again from the same
+    stream), as the JSON-ready dict
     {k, m, lambda, part, l2, residual, step, samples}: lambda = k(k + 2m)
     is its eigenvalue, part ("re" or "im") the chosen real part and l2 the
     sphere L^2 norm of that part.
@@ -715,8 +767,14 @@ def emit_eigenfunction(rec: dict, seed: int = 5) -> dict:
     samples = 24
     step = 0.01 / max(k, 1)
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((samples, m + 1)) + 1j * rng.standard_normal((samples, m + 1))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts = np.empty((samples, m + 1), dtype=np.complex128)
+    redraw = np.ones(samples, dtype=bool)
+    while np.any(redraw):
+        # probes outside the stencil's domain are drawn again from the same stream
+        count = int(np.sum(redraw))
+        new = rng.standard_normal((count, m + 1)) + 1j * rng.standard_normal((count, m + 1))
+        pts[redraw] = new / np.linalg.norm(new, axis=1)[:, None]
+        redraw = ~_stencil_domain(pts, k, step)
     if k == 0:
         residual = 0.0  # constant: the equation is 0 = 0
     else:

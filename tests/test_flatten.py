@@ -79,6 +79,15 @@ def _full_mesh_fk(monkeypatch, fr) -> float:
         return FL.fk_norm(fr)
 
 
+def _plain_frame_sum(fr: F.Frame, lifts: np.ndarray) -> np.ndarray:
+    """frame_sum's formula over all lifts at once, every term through exp."""
+    q = np.abs(lifts @ fr.points.conj().T)
+    np.clip(q, 0.0, 1.0, out=q)
+    with np.errstate(divide="ignore"):
+        logq = np.log(q)
+    return math.sqrt(kernel_diag(fr.m, fr.k)) * np.sum(np.exp(fr.k * logq), axis=1)
+
+
 def _whitened(k: int):
     fr = F.build(_run_b_spec(), k)
     g = W.assemble_gram(fr)
@@ -202,17 +211,25 @@ class TestFrameMappingNorm:
     def test_frame_sum_blocks_match_unchunked(self, monkeypatch):
         fr, g, op = _whitened(200)
         lifts = np.vstack([_mesh(1, 4096), fr.points])
-        # the formula over all lifts at once
-        q = np.abs(lifts @ fr.points.conj().T)
-        np.clip(q, 0.0, 1.0, out=q)
-        with np.errstate(divide="ignore"):
-            logq = np.log(q)
-        want = math.sqrt(kernel_diag(1, 200)) * np.sum(np.exp(200 * logq), axis=1)
+        want = _plain_frame_sum(fr, lifts)
         rows = len(lifts) // 3 - 7  # three full blocks and a short fourth
         monkeypatch.setattr(FL, "FRAME_SUM_BLOCK_ENTRIES", rows * fr.n)
         assert -(-len(lifts) // rows) >= 3 and len(lifts) % rows
         got = FL.frame_sum(fr, lifts)
         assert got.tobytes() == want.tobytes()
+
+    def test_subnormal_terms_zeroed_bit_for_bit(self):
+        # the m1-run level k = 800: about one term in 70 of its F_k mesh
+        # would come out of exp subnormal, and zeroing them leaves every
+        # mesh value as the plain exp gives it, bit for bit
+        cfg = cli.RunConfig(m=1, k=(800,), spacing=1.945, eta=0.995, epsilon=0.005,
+                            cover={"name": "latlon", "radius": 0.35}, delta=1e-9, beta=0.8)
+        fr = F.build(cli.lattice_spec(cfg.validate())[0], 800)
+        lifts = np.vstack([_mesh(1, FL.FK_MESH), fr.points])
+        with np.errstate(divide="ignore"):
+            expo = 800 * np.log(np.abs(lifts[::16] @ fr.points.conj().T))
+        assert np.any((expo < FL.LOG_TINY) & (expo > math.log(2.0 ** -1074)))
+        assert FL.frame_sum(fr, lifts).tobytes() == _plain_frame_sum(fr, lifts).tobytes()
 
     def test_twin_mesh_matches_full_mesh(self, monkeypatch):
         m1 = F.build(_run_b_spec(), 200)

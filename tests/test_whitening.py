@@ -224,6 +224,29 @@ class TestInverseSqrt:
         assert op.series_terms == terms
         assert np.array_equal(op.entries, b)
 
+    def test_eigen_route_whitens_the_flushed_gram(self):
+        # the m1-run level k = 800: its Gram holds parts below FLUSH_BELOW,
+        # which inv_sqrt_eigen flushes in place, as the series flushes A;
+        # B moves by at most 1e-14 (bit-identical here)
+        cover = G.cp1_latlon_cover(0.35)
+        spec = F.LatticeSpec(
+            kind="cubic", m=1, a=1.945, eta=0.995,
+            gamma=max(c.gamma for c in cover), epsilon=0.005,
+            charts=tuple(cover), delta=1e-9,
+        )
+        g = W.assemble_gram(F.build(spec, 800))
+        assert g.n == 511
+        entries = g.entries.copy()
+        parts = np.abs(entries.view(np.float64))
+        assert np.any((parts > 0) & (parts < W.FLUSH_BELOW))
+        # the eigen route on the unflushed Gram, as inv_sqrt_eigen computed it before
+        w, v = np.linalg.eigh(entries)
+        plain = (v * w ** -0.5) @ v.conj().T
+        plain = 0.5 * (plain + plain.conj().T)
+        op = W.inv_sqrt_eigen(g)
+        assert np.max(np.abs(op.entries - plain)) <= 1e-14
+        assert np.array_equal(g.entries, W._flush(entries))
+
     def test_flush_zeroes_small_parts_only(self):
         x = np.array([[1e-160 + 1.0j, 0.5 - 1e-170j], [1e-150 + 1e-160j, -1e-155]])
         W._flush(x)
