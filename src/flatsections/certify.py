@@ -16,8 +16,9 @@ is the Euclidean norm of the row.  A family's sups have one path:
 
 certify_family is the one producer of a family's sups and L^2 norms.  It
 evaluates one shared base mesh, then refines each section by sup_norm,
-the single-section evaluator, which reads the family's shared first
-level in its first round.  Without the frame, the monomial basis at the
+the single-section evaluator, which reads round 1 from the family's
+shared first level and refines on its own from round 2.  Without the
+frame, the monomial basis at the
 base-mesh centres is built once per chunk of at most
 kernel.BASIS_CHUNK_ENTRIES entries and applied to each row
 (_base_values); with it, the base mesh is screened (below).  Families
@@ -70,31 +71,36 @@ up).
 
 The shared levels.  Every section refines from the same base mesh, so
 the base mesh and round 1, which splits base cells into the same
-children at the same lifts in every section, are shared by the family.
-The base mesh (BaseLevel) is screened for all sections at once: the
-kept terms of every distinct base lift go into a dense block T, zero at
-the dropped terms, and one product root |T W^T| gives every section's
-screen values.  Its rounding is within delta, since each entry is an
-inner product of length n <= N (below), as the bincount sums of the
-refinement screens are.  At m=1 k=800 the 511 sections then confirm 8
-or 9 of the 256 base cells each, 98 distinct in all, and at m=2 k=40
-12 to 24 of the 1296 cells, 36 distinct.  Round 1 (FirstLevel) is
-built per block of rows, over the base cells that some section of the
-block splits first: at m=1 k=800 the 511 sections screen 16,352
-first-level children, of which 392 are distinct, and confirm 4,090, of
-which 261 are distinct.  It holds the kept frame-side terms <x, y_mu>^k
-of each of their children, computed in one batch, and each section
-screens by multiplying them by its own weights.  In both levels a
-confirmed lift's monomial basis row is built the first time a section
-confirms it and then shared (SharedRows), and each section applies its
-own matrix-vector product to the gathered rows of the lifts it
-confirms; rounds 2 and later stay per section.  The sups are those of
-the section refined alone, bit for bit: a cell's box and lift are
-computed elementwise, its kept terms row by row, a basis row does not
-depend on the other lifts of its batch (kernel.monomial_basis), and the
-confirm product is the same product over the same rows.  The screen
-only chooses which cells are confirmed and never supplies a reported
-value.
+children at the same lifts in every section, are shared by a block of
+sections (SharedLevel; BaseLevel and FirstLevel).  Each level does each
+step once for the block.  One product root |T W^T| screens every
+section at every lift of the level: T is the dense block of the kept
+terms <x, y_mu>^k of the lifts, zero at the dropped ones, and W the
+weights of the sections.  Its rounding is within delta, since each
+entry is an inner product of length n <= N (below), as the bincount
+sums of the refinement screens are.  The top cells and the confirm
+sets are taken along the rows of the resulting (sections, cells)
+matrix, by the same stable sort and partition a single section uses,
+so every row is that section's own choice, ties included.  Every
+distinct confirmed lift gets its monomial basis row in one batched
+call per block of rows (SharedRows), and each section then applies its
+own matrix-vector product to the gathered rows of its confirmed cells.
+The base level's rows are freed before round 1 builds its own, and
+rounds 2 and later stay per section, in sup_norm.  At m=1 k=800 the
+511 sections confirm 8 or 9 of the 256 base cells each (4,090 pairs),
+98 distinct, then screen the 32 children of their top cells among the
+392 children of the 98 cells some section splits, and confirm 4,090
+of them, 261 distinct; 9 sections go on to round 2 and evaluate 297 lifts
+there.  At m=2 k=40 the 47 sections confirm 12 to 24 of the 1296
+cells of mesh 6 (36 distinct lifts) and 576 children (48 distinct);
+at mesh 16, 656 to 704 of the 65,536 cells (30,984 pairs, 1,436
+distinct lifts) and 5,560 of their 27,520 children (2,040 distinct).
+The sups are those of the section refined alone, bit for bit: a cell's
+box and lift are computed elementwise, a basis row does not depend on
+the other lifts of its batch (kernel.monomial_basis), and each value
+is the section's own matrix-vector product over such rows, which does
+not depend on the other rows of the product.  The screen only
+chooses which cells are confirmed and never supplies a reported value.
 
 The bound delta.  gamma_N = N u / (1 - N u) with
 N = 2 (d_k + n + m + 12), which covers every inner-product length below,
@@ -142,7 +148,7 @@ families the largest gap seen is under 1e-4 of delta.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -196,7 +202,9 @@ def _split_boxes(boxes: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SupNormEstimate:
     """Certified lower bound for a sup-norm, with its refinement trace;
-    a record of emit_polynomials holds it as to_dict's dict."""
+    a record of emit_polynomials holds it as to_dict's dict.  exact_lifts
+    counts the lifts sup_norm evaluated by monomials itself: work, not
+    part of the estimate, so equality and to_dict leave it out."""
 
     value: float
     mesh: int
@@ -204,6 +212,7 @@ class SupNormEstimate:
     last_increment: float
     evaluations: int
     history: tuple
+    exact_lifts: int = field(default=0, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -338,182 +347,161 @@ def frame_screens(fam, points: np.ndarray, entries: np.ndarray) -> list:
             for w, sc in zip(weights, scale)]
 
 
-def _confirmed(approx: np.ndarray, delta: float) -> np.ndarray:
-    """Indices of the cells whose screen value is within 2 delta of the
-    _take-th largest: no other cell can be among the top cells or be the
-    maximum."""
-    take = _take(len(approx))
-    edge = np.partition(approx, -take)[-take]
-    return np.flatnonzero(approx >= edge - 2 * delta)
+def _confirmed(approx: np.ndarray, delta) -> np.ndarray:
+    """Mask of the cells whose screen value is within 2 delta of the
+    _take-th largest along the last axis: no other cell can be among the
+    top cells or be the maximum.  approx may hold one row per section,
+    with delta one per row (shape (sections, 1)); a row's mask is the one
+    its own call gives, as partition finds the same _take-th value."""
+    take = _take(approx.shape[-1])
+    edge = np.partition(approx, -take, axis=-1)[..., [-take]]
+    return approx >= edge - 2 * delta
 
 
 def _refined_values(s: SectionExpansion, lifts: np.ndarray,
-                    screen: FrameScreen | None) -> np.ndarray:
-    """|s| at the refinement children, by s.evaluate_lifts.  With a screen,
-    only the _confirmed children are evaluated and the rest get -inf."""
+                    screen: FrameScreen | None) -> tuple:
+    """(values, evaluated): |s| at the refinement children, by
+    s.evaluate_lifts, and the number of lifts it evaluated.  With a
+    screen, only the _confirmed children are evaluated and the rest get
+    -inf."""
     if screen is None:
-        return np.abs(s.evaluate_lifts(lifts))
-    confirm = _confirmed(screen.values(lifts), screen.delta)
+        return np.abs(s.evaluate_lifts(lifts)), len(lifts)
+    confirm = np.flatnonzero(_confirmed(screen.values(lifts), screen.delta))
     vals = np.full(len(lifts), -np.inf)
     vals[confirm] = np.abs(s.evaluate_lifts(lifts[confirm]))
-    return vals
+    return vals, len(confirm)
 
 
 def _top_cells(vals: np.ndarray) -> np.ndarray:
-    """The _take largest values, exact ties broken by cell index, so the
-    choice does not depend on which other cells a round evaluated."""
-    return np.argsort(-vals, kind="stable")[:_take(len(vals))]
+    """The _take largest values along the last axis, exact ties broken by
+    cell index, so the choice does not depend on which other cells a
+    round evaluated; one row per section when vals has a row per
+    section, each the row's own choice (the sort is stable)."""
+    return np.argsort(-vals, axis=-1, kind="stable")[..., :_take(vals.shape[-1])]
 
 
 class SharedRows:
-    """Monomial basis rows of fixed lifts, shared by the sections of a
-    family: each row is built the first time a section asks for it, into
-    blocks of BASIS_CHUNK_ENTRIES // d_k rows allocated as the rows built
-    fill them.  So what is reserved follows the rows built, not the
-    lifts, and a built row is never copied, as a growing buffer's copy
-    would briefly hold every built row twice.  Block 0 holds at most one
-    row per lift."""
+    """Monomial basis rows of distinct lifts, shared by the sections of a
+    family and built at once: one monomial_basis call per block of
+    BASIS_CHUNK_ENTRIES // d_k rows, the chunk evaluate_sections uses, so
+    no block or temporary passes it.  A block is the array monomial_basis
+    returns, never copied."""
 
     def __init__(self, m: int, k: int, lifts: np.ndarray):
-        self.m, self.k, self.lifts = m, k, lifts
-        d = dimension(m, k)
-        self.block_rows = max(1, int(BASIS_CHUNK_ENTRIES // d))
-        self.row_of = np.full(len(lifts), -1)  # place of each item among the rows built
-        self.blocks = [np.empty((min(len(lifts), self.block_rows), d), dtype=np.complex128)]
-        self.built = 0
+        self.block_rows = max(1, int(BASIS_CHUNK_ENTRIES // dimension(m, k)))
+        self.blocks = [monomial_basis(m, k, lifts[lo:lo + self.block_rows])
+                       for lo in range(0, len(lifts), self.block_rows)]
 
-    def _store(self, basis: np.ndarray):
-        """Append the rows of basis after the rows built."""
-        at = 0
-        while at < len(basis):
-            block, lo = divmod(self.built, self.block_rows)
-            if block == len(self.blocks):
-                self.blocks.append(np.empty((self.block_rows, basis.shape[1]),
-                                            dtype=np.complex128))
-            take = min(len(basis) - at, self.block_rows - lo)
-            self.blocks[block][lo:lo + take] = basis[at:at + take]
-            at += take
-            self.built += take
-
-    def rows(self, items: np.ndarray) -> np.ndarray:
-        """The basis rows of distinct items (indices into lifts)."""
-        new = items[self.row_of[items] < 0]
-        if len(new):
-            self.row_of[new] = np.arange(self.built, self.built + len(new))
-            self._store(monomial_basis(self.m, self.k, self.lifts[new]))
-        place = self.row_of[items]
+    def rows(self, places: np.ndarray) -> np.ndarray:
+        """The basis rows at places (indices into lifts), in that order."""
         if len(self.blocks) == 1:
-            return self.blocks[0][place]
-        block, lo = np.divmod(place, self.block_rows)
-        out = np.empty((len(items), self.blocks[0].shape[1]), dtype=np.complex128)
+            return self.blocks[0][places]
+        block, lo = np.divmod(places, self.block_rows)
+        out = np.empty((len(places), self.blocks[0].shape[1]), dtype=np.complex128)
         for b in np.unique(block):
             at = block == b
             out[at] = self.blocks[b][lo[at]]
         return out
 
 
-def _screen_block(screens: list, lifts: np.ndarray) -> np.ndarray:
-    """Screen values of several sections at the lifts, shape (lifts,
-    sections): root |T W^T| with T the dense (lifts, n) block of the kept
-    terms, zero at the dropped ones, and W the sections' weights.  One
-    product serves every section.  T stands in for the (lifts, d_k)
-    monomial basis, so it is built in chunks of at most
-    BASIS_CHUNK_ENTRIES entries, as the basis is: with FrameScreen.terms'
-    temporaries, a chunk of BASE_BLOCK_ENTRIES raised the peak memory of
-    the m = 2 mesh-16 level by a tenth."""
+def _screen_block(screens: list, lifts: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Screen values of several sections at their cells, shape (sections,
+    cells): entry [j, c] is section j's at lifts[items[j, c]], or at
+    lifts[items[c]] when items has one row for every section.  They are
+    root |T W^T|, with T the dense (lifts, n) block of the kept terms,
+    zero at the dropped ones, and W the sections' weights: one product
+    serves every section, and each takes the entries at its own cells.
+    T stands in for the (lifts, d_k) monomial basis, so it is built in
+    chunks of at most BASIS_CHUNK_ENTRIES entries, as the basis is: with
+    FrameScreen.terms' temporaries, a chunk of BASE_BLOCK_ENTRIES raised
+    the peak memory of the m = 2 mesh-16 level by a tenth."""
     weights = np.array([s.weights for s in screens]).T
     step = max(1, int(BASIS_CHUNK_ENTRIES // len(weights)))
-    out = np.empty((len(lifts), len(screens)))
+    items = np.broadcast_to(items, (len(screens), np.shape(items)[-1]))
+    sections = np.broadcast_to(np.arange(len(screens))[:, None], items.shape)
+    out = np.empty(items.shape)
     for lo in range(0, len(lifts), step):
         chunk = lifts[lo:lo + step]
         rows, cols, phi = screens[0].terms(chunk)
         dense = np.zeros((len(chunk), len(weights)), dtype=np.complex128)
         dense[rows, cols] = phi
-        out[lo:lo + step] = screens[0].root * np.abs(dense @ weights)
+        vals = screens[0].root * np.abs(dense @ weights)
+        at = (items >= lo) & (items < lo + step)
+        out[at] = vals[items[at] - lo, sections[at]]
     return out
 
 
-class BaseLevel:
-    """The base mesh of a family, screened on the frame side.
+class SharedLevel:
+    """A level of cells that every section of a block evaluates, at lifts
+    shared by the family.
 
-    The screen values of every section at the distinct lifts of
-    base_boxes come from _screen_block, in blocks of at most
-    BASE_BLOCK_ENTRIES values.  Each section confirms the cells, twins
-    included, whose screen value is within 2 delta of its _take-th
-    largest (_confirmed), and only the distinct lifts of confirmed cells
-    get a monomial basis row, built once for the family (SharedRows).
+    items[j, c], or items[c] for every section alike, is the index into
+    lifts of section j's cell c.  The screen values of all sections at
+    their cells come from one product (_screen_block).  Each section
+    confirms the cells whose screen value is within 2 delta of its
+    _take-th largest (_confirmed, row by row), and the distinct lifts of
+    all confirmed cells get their monomial basis rows at once
+    (SharedRows).  values applies each section's own matrix-vector
+    product to the gathered rows of its confirmed cells, in cell order.
+    rows and confirmed count the basis rows built and the (section,
+    cell) pairs confirmed.
     """
+
+    def __init__(self, m: int, k: int, lifts: np.ndarray, items: np.ndarray,
+                 screens: list):
+        approx = _screen_block(screens, lifts, items)
+        deltas = np.array([s.delta for s in screens])[:, None]
+        self.section, self.cell = np.nonzero(_confirmed(approx, deltas))
+        self.shape = approx.shape
+        self.bounds = np.searchsorted(self.section, np.arange(len(screens) + 1))
+        at = np.broadcast_to(items, approx.shape)[self.section, self.cell]
+        distinct, self.place = np.unique(at, return_inverse=True)
+        self.shared = SharedRows(m, k, lifts[distinct])
+        self.rows, self.confirmed = len(distinct), len(self.section)
+
+    def values(self, coeffs) -> np.ndarray:
+        """|s_j| at the confirmed cells of each section, -inf at the rest,
+        shape (sections, cells); coeffs[j] is the ortho_coeffs of section j."""
+        found = np.empty(len(self.place), dtype=np.complex128)
+        bounds = self.bounds.tolist()
+        for j, lo, hi in zip(range(len(coeffs)), bounds, bounds[1:]):
+            np.matmul(self.shared.rows(self.place[lo:hi]), coeffs[j], out=found[lo:hi])
+        vals = np.full(self.shape, -np.inf)
+        vals[self.section, self.cell] = np.abs(found)
+        return vals
+
+
+class BaseLevel(SharedLevel):
+    """The base mesh of a block of sections, screened on the frame side:
+    its cells, twins included, at the distinct lifts of base_boxes."""
 
     def __init__(self, m: int, k: int, mesh: int, screens: list):
         rank, lifts = _distinct_base(m, mesh)
-        self.cells = len(rank)
-        block = max(1, int(BASE_BLOCK_ENTRIES // len(lifts)))
-        self.confirmed = []
-        for lo in range(0, len(screens), block):
-            part = screens[lo:lo + block]
-            approx = _screen_block(part, lifts)
-            self.confirmed += [_confirmed(col[rank], s.delta) for col, s in zip(approx.T, part)]
-        distinct = np.unique(rank[np.concatenate(self.confirmed)])
-        # per section: its confirmed cells' distinct items, and each cell's place among them
-        self.items = [np.unique(np.searchsorted(distinct, rank[c]), return_inverse=True)
-                      for c in self.confirmed]
-        self.shared = SharedRows(m, k, lifts[distinct])
-
-    def values(self, j: int, s: SectionExpansion) -> np.ndarray:
-        """|s| at the confirmed base cells of section j (s its section),
-        -inf at the rest."""
-        items, at = self.items[j]
-        vals = np.full(self.cells, -np.inf)
-        vals[self.confirmed[j]] = np.abs(self.shared.rows(items) @ s.ortho_coeffs)[at]
-        return vals
+        super().__init__(m, k, lifts, rank, screens)
 
 
-class FirstLevel:
-    """The first refinement level of a family, shared by its sections.
+class FirstLevel(SharedLevel):
+    """Round 1 of a block of sections: the children of each section's top
+    base cells (top[j], as _top_cells gives them), in the order
+    _split_boxes gives them.  Every section refines from the same base
+    mesh, so the children of a base cell are the same boxes, at the same
+    lifts, in every section: the lifts are the children of the union of
+    the top cells, and child c of cells[i] is item c * len(cells) + i,
+    its place in _split_boxes(boxes[cells])."""
 
-    Every section refines from the same base mesh, so the children of a
-    base cell are the same boxes, at the same lifts, in every section.
-    Built for the base cells that some section splits first (cells),
-    it keeps the frame-side terms of every child of those cells, and the
-    monomial basis row of each child a section confirms (SharedRows).
-    Child c of cells[i] is item c * len(cells) + i, its place in
-    _split_boxes(boxes[cells]).
-    """
-
-    def __init__(self, m: int, k: int, boxes: np.ndarray, cells: np.ndarray,
-                 screen: FrameScreen):
-        self.place = np.full(len(boxes), -1)
-        self.place[cells] = np.arange(len(cells))
-        self.stride = len(cells)
-        self.fanout = 2 ** boxes.shape[1]
-        lifts = center_lifts(m, _split_boxes(boxes[cells]))
-        rows, self.cols, self.phi = screen.terms(lifts)
-        self.starts = np.searchsorted(rows, np.arange(len(lifts) + 1))
-        self.shared = SharedRows(m, k, lifts)
-
-    def values(self, s: SectionExpansion, top: np.ndarray,
-               screen: FrameScreen) -> np.ndarray:
-        """_refined_values of s at the children of the base cells top, in
-        the order _split_boxes gives them, from the shared terms and rows."""
-        place = self.place[top]
-        if np.any(place < 0):
-            raise CertifyError("base cell outside the shared first level")
-        items = (self.stride * np.arange(self.fanout)[:, None] + place).ravel()
-        lo = self.starts[items]
-        lens = self.starts[items + 1] - lo
-        at = np.repeat(lo - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-        rows = np.repeat(np.arange(len(items)), lens)
-        confirm = _confirmed(screen.combine(rows, self.cols[at], self.phi[at], len(items)),
-                             screen.delta)
-        vals = np.full(len(items), -np.inf)
-        vals[confirm] = np.abs(self.shared.rows(items[confirm]) @ s.ortho_coeffs)
-        return vals
+    def __init__(self, m: int, k: int, boxes: np.ndarray, top: np.ndarray,
+                 screens: list):
+        cells = np.unique(top)
+        child = np.arange(2 ** boxes.shape[1])[:, None]
+        items = len(cells) * child + np.searchsorted(cells, top)[:, None, :]
+        super().__init__(m, k, center_lifts(m, _split_boxes(boxes[cells])),
+                         items.reshape(len(top), -1), screens)
 
 
 def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
              base: np.ndarray | None = None,
              screen: FrameScreen | None = None,
-             first: FirstLevel | None = None) -> SupNormEstimate:
+             first: tuple | None = None) -> SupNormEstimate:
     """Mesh maximum of |s| at unit lifts, with greedy refinement.
 
     Splits the top percent (at least eight) of cells by center value
@@ -527,8 +515,12 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
     and the estimate is the one the full evaluation gives.  Every reported
     value is a monomial value from s.evaluate_lifts, and evaluations
     counts the cells examined, screened out or not.  first, when given
-    (it needs screen), is the family's FirstLevel: round 1 then reads its
-    shared terms and basis rows instead of building its own.
+    with base, is round 1 as certify_family computes it for the family
+    (FirstLevel): the pair (top, values) of the base cells round 1
+    splits, _top_cells(base), and |s| at their children in the order
+    _split_boxes gives them.  Their boxes are split only if a round 2
+    follows.  exact_lifts counts the lifts evaluated here by
+    s.evaluate_lifts.
     """
     _check_mesh(s.m, mesh)
     boxes = base_boxes(s.m, mesh)
@@ -540,13 +532,20 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
     history = [best]
     used = 0
     increment = 0.0
+    exact = 0
+    split = None  # base cells whose children first holds, until round 2 splits them
     for _ in range(rounds):
-        top = _top_cells(vals)
-        boxes = _split_boxes(boxes[top])
         if used == 0 and first is not None:
-            vals = first.values(s, top, screen)
+            split, vals = first
+            if vals.shape != (len(split) * 2 ** boxes.shape[1],):
+                raise CertifyError("round-1 values do not match the base mesh")
         else:
-            vals = _refined_values(s, center_lifts(s.m, boxes), screen)
+            top = _top_cells(vals)
+            if split is not None:
+                boxes, split = _split_boxes(boxes[split]), None
+            boxes = _split_boxes(boxes[top])
+            vals, count = _refined_values(s, center_lifts(s.m, boxes), screen)
+            exact += count
         evals += len(vals)
         used += 1
         new_best = max(best, float(np.max(vals)))
@@ -557,7 +556,7 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
             break
     return SupNormEstimate(value=best, mesh=mesh, rounds_used=used,
                            last_increment=increment, evaluations=evals,
-                           history=tuple(history))
+                           history=tuple(history), exact_lifts=exact)
 
 
 def flat_bound(beta: float, eta: float, vol: float) -> float:
@@ -572,12 +571,19 @@ def flat_bound(beta: float, eta: float, vol: float) -> float:
 
 @dataclass(frozen=True)
 class NormCertificate:
-    """Sup estimates and exact L^2 norms of one flat family, row by row."""
+    """Sup estimates and exact L^2 norms of one flat family, row by row.
+    work counts what certify_family evaluated: the basis rows built and
+    the (section, cell) pairs confirmed by the shared base and round-1
+    levels of a screened family ("base rows", "base confirmed",
+    "round 1 rows", "round 1 confirmed"), and the lifts sup_norm
+    evaluated itself ("sup_norm lifts"); it is not part of the
+    certificate, so equality leaves it out."""
 
     k: int
     m: int
     sup_estimates: tuple
     l2_norms: tuple
+    work: dict = field(default_factory=dict, compare=False)
 
 
 def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None,
@@ -585,31 +591,46 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
     """sup_norm of every row of fam.ortho and its exact L^2 norm, the
     Euclidean norm of the row; the one producer of a family's sups.
 
-    The base mesh is evaluated once for a block of rows (all of them
-    unless their values pass BASE_BLOCK_ENTRIES).  Given the frame points
-    and the whitening matrix of the family, the base mesh is screened for
-    the whole family (BaseLevel) and each section's refinement by its
-    FrameScreen; the estimates equal the unscreened ones field by field.  A sup under the flatness floor l2 / sqrt(Vol), less
-    0.1%, raises: every section reaches its L^2 average somewhere.
+    The rows are taken in blocks whose base values fit in
+    BASE_BLOCK_ENTRIES (all of them at the benchmark levels).  Without the
+    frame, the base mesh is evaluated once per block (_base_values).
+    Given the frame points and the whitening matrix of the family, the
+    base mesh and round 1 are the block's shared levels (BaseLevel,
+    FirstLevel), and each section's later rounds are screened by its
+    FrameScreen; the estimates equal the unscreened ones field by field.
+    A sup under the flatness floor l2 / sqrt(Vol), less 0.1%, raises:
+    every section reaches its L^2 average somewhere.
     """
     _check_mesh(fam.m, mesh)
     boxes = base_boxes(fam.m, mesh)
     block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
     unscreened = points is None and entries is None
     screens = [None] * fam.n if unscreened else frame_screens(fam, points, entries)
-    level = None if unscreened else BaseLevel(fam.m, fam.k, mesh, screens)
+    work = dict.fromkeys(() if unscreened else (
+        "base rows", "base confirmed", "round 1 rows", "round 1 confirmed"), 0)
     sups = []
     for lo in range(0, fam.n, block):
-        secs = [SectionExpansion.from_ortho(fam.m, fam.k, row) for row in fam.ortho[lo:lo + block]]
+        rows = fam.ortho[lo:lo + block]
+        secs = [SectionExpansion.from_ortho(fam.m, fam.k, row) for row in rows]
+        part = screens[lo:lo + block]
         if unscreened:
-            base = _base_values(fam.m, fam.k, fam.ortho[lo:lo + block], mesh)
-            first = None
+            base = _base_values(fam.m, fam.k, rows, mesh)
+            firsts = [None] * len(secs)
         else:
-            base = [level.values(lo + j, s) for j, s in enumerate(secs)]
-            cells = np.unique(np.concatenate([_top_cells(vals) for vals in base]))
-            first = FirstLevel(fam.m, fam.k, boxes, cells, screens[0])
-        sups += [sup_norm(s, mesh=mesh, rounds=rounds, base=vals, screen=scr, first=first)
-                 for s, vals, scr in zip(secs, base, screens[lo:lo + block])]
+            level = BaseLevel(fam.m, fam.k, mesh, part)
+            base = level.values(rows)
+            work["base rows"] += level.rows
+            work["base confirmed"] += level.confirmed
+            del level  # its basis rows: one level's are held at a time
+            top = _top_cells(base).copy()  # not a view that keeps the whole sort
+            level = FirstLevel(fam.m, fam.k, boxes, top, part)
+            firsts = zip(top, level.values(rows))
+            work["round 1 rows"] += level.rows
+            work["round 1 confirmed"] += level.confirmed
+            del level
+        sups += [sup_norm(s, mesh=mesh, rounds=rounds, base=vals, screen=scr, first=one)
+                 for s, vals, scr, one in zip(secs, base, part, firsts)]
+    work["sup_norm lifts"] = sum(est.exact_lifts for est in sups)
     l2s = [float(np.linalg.norm(row)) for row in fam.ortho]
     root_vol = math.sqrt(volume(fam.m))
     for est, l2 in zip(sups, l2s):
@@ -619,7 +640,7 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
                 "sup estimate %.6f under the flatness floor %.6f" % (est.value, floor)
             )
     return NormCertificate(k=fam.k, m=fam.m, sup_estimates=tuple(sups),
-                           l2_norms=tuple(l2s))
+                           l2_norms=tuple(l2s), work=work)
 
 
 def monomial_header(m: int, k: int) -> dict:

@@ -572,12 +572,16 @@ def _kernel_core(cfg: RunConfig) -> dict:
     return {"rows": rows}
 
 
-def _full_core(cfg: RunConfig, dump_dir: str | None):
+def _full_core(cfg: RunConfig, dump_dir: str | None) -> tuple:
+    """The full mode's core body, and each level's certificate work
+    (NormCertificate.work), which the envelope holds."""
     spec, info = lattice_spec(cfg)
-    rows = []
+    rows, work = [], {}
     for k in cfg.k:
-        rows.append(_run_level(cfg, spec, k, dump_dir)[0])
-    return {"spec": info, "rows": rows}
+        level = _run_level(cfg, spec, k, dump_dir)
+        rows.append(level.row)
+        work[str(k)] = level.cert.work
+    return {"spec": info, "rows": rows}, work
 
 
 def _status(rows: list) -> dict:
@@ -598,7 +602,10 @@ def run(cfg: RunConfig) -> dict:
     """Execute the configured mode and assemble the manifest.  It runs on
     one BLAS thread, and each level's whitening solvers on the count
     blas.level gives its frame size; the envelope's "blas" entry records
-    the library, the caller's count and each level's whitening count."""
+    the library, the caller's count and each level's whitening count, and
+    its "certify" entry each level's certificate work
+    (NormCertificate.work: basis rows built and cells confirmed by the
+    shared levels, and the lifts sup_norm evaluated itself)."""
     cfg.validate()
     started = time.perf_counter()
     dump_dir = None
@@ -613,7 +620,7 @@ def run(cfg: RunConfig) -> dict:
         "mode": cfg.mode,
         "config": cfg.echo(),
     }
-    levels = {}  # level -> BLAS threads, in full mode
+    levels, work = {}, {}  # level -> BLAS threads and certificate work, in full mode
     if cfg.mode == "constants-only":
         body = _constants_core(cfg)
         core.update(body)
@@ -623,7 +630,7 @@ def run(cfg: RunConfig) -> dict:
         core.update(body)
         core["status"] = _status(body["rows"])
     else:
-        body = _full_core(cfg, dump_dir)
+        body, work = _full_core(cfg, dump_dir)
         core.update(body)
         core["status"] = _status(body["rows"])
         levels = {str(row["k"]): blas.level_threads(row["n_k"]) for row in body["rows"]}
@@ -639,6 +646,7 @@ def run(cfg: RunConfig) -> dict:
             "caller_threads": blas.caller_threads(),
             "levels": levels,
         },
+        "certify": work,
     }
     return {"core": core, "envelope": envelope}
 

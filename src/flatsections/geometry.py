@@ -365,29 +365,45 @@ def distortion_estimate(chart: ChartSpec, nsamples: int = 10000, seed: int = 0) 
 
     Draws pairs in the region, compares geodesic distance of the images
     with the Euclidean distance of the chart coordinates, and returns the
-    worst ratio in either direction.
+    worst ratio in either direction.  The draws come in batches of
+    8 nsamples from the seeded stream, and each batch is tested in chunks
+    of nsamples only until 2 nsamples draws are kept.  A lat-lon cell
+    tests the exp lifts of its draws, so the kept draws' lifts are reused
+    for the distances; a ball or cube tests the coordinates alone, and
+    only the kept draws are mapped.
     """
     rng = np.random.default_rng(seed)
     m = chart.m
-    dim = 2 * m
     rad = chart.region.circumradius(m)
     want = 2 * nsamples
-    vs = []
+    mapped = isinstance(chart.region, LatLonCell)
+    vs, zs = [], []
     total = 0
     while total < want:
-        batch = rng.uniform(-rad, rad, size=(4 * want, dim))
-        keep = batch[np.asarray(chart.region.contains(chart, batch))]
-        vs.append(keep)
-        total += keep.shape[0]
-        if not keep.size:
+        batch = rng.uniform(-rad, rad, size=(4 * want, 2 * m))
+        before = total
+        for lo in range(0, len(batch), nsamples):
+            chunk = batch[lo:lo + nsamples]
+            lifts = exp_chart_vectors(chart, chunk) if mapped else None
+            keep = np.asarray(chart.region.contains(chart, chunk, lifts))
+            vs.append(chunk[keep])
+            if mapped:
+                zs.append(lifts[keep])
+            total += vs[-1].shape[0]
+            if total >= want:
+                break
+        if total == before:
             raise GeometryError("region rejected every distortion sample")
     pts = np.concatenate(vs)[:want]
     a, b = pts[:nsamples], pts[nsamples:]
     chord = np.linalg.norm(a - b, axis=1)
     mask = chord > 1e-9
-    a, b, chord = a[mask], b[mask], chord[mask]
-    za = exp_chart_vectors(chart, a)
-    zb = exp_chart_vectors(chart, b)
+    chord = chord[mask]
+    if mapped:
+        lifts = np.concatenate(zs)[:want]
+        za, zb = lifts[:nsamples][mask], lifts[nsamples:][mask]
+    else:
+        za, zb = exp_chart_vectors(chart, a[mask]), exp_chart_vectors(chart, b[mask])
     geo = np.arccos(np.clip(np.abs(np.sum(za.conj() * zb, axis=1)), 0.0, 1.0))
     ratio = chord / geo
     return float(max(ratio.max(), (1.0 / ratio).max()))

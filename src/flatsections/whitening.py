@@ -198,14 +198,15 @@ def whiten(frame: Frame, op: WhiteningOperator) -> np.ndarray:
 def write_dump(path, magic: bytes, m: int, k: int, rows: np.ndarray, tag: str):
     """The one binary layout of the package: 4-byte magic, <IIII (m, k,
     row count, tag length), the utf-8 tag, then the rows as row-major
-    complex128."""
+    complex128, written from the C-contiguous buffer itself (a copy only
+    when rows is not one already)."""
     data = np.ascontiguousarray(rows, dtype=np.complex128)
     raw = tag.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<IIII", m, k, data.shape[0], len(raw)))
         fh.write(raw)
-        fh.write(data.tobytes(order="C"))
+        fh.write(data.data)
 
 
 def read_dump(path, magic: bytes, what: str, cols, error=WhiteningError):

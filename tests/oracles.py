@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from flatsections import constants
-from flatsections.geometry import center_lifts
+from flatsections.geometry import GeometryError, center_lifts, exp_chart_vectors
 from flatsections.kernel import (
     SectionExpansion,
     evaluate_sections,
@@ -53,6 +53,36 @@ def full_base_values(m: int, k: int, ortho_rows, boxes: np.ndarray) -> np.ndarra
     lift, one row per coefficient vector: the base mesh without the twin
     map of geometry.base_twins."""
     return np.abs(evaluate_sections(m, k, ortho_rows, center_lifts(m, boxes)))
+
+
+def distortion_estimate(chart, nsamples: int = 10000, seed: int = 0) -> float:
+    """geometry.distortion_estimate as it was first written: the region
+    test on every draw of a batch, and the exp lifts of the kept draws
+    computed again for the pair distances."""
+    rng = np.random.default_rng(seed)
+    m = chart.m
+    dim = 2 * m
+    rad = chart.region.circumradius(m)
+    want = 2 * nsamples
+    vs = []
+    total = 0
+    while total < want:
+        batch = rng.uniform(-rad, rad, size=(4 * want, dim))
+        keep = batch[np.asarray(chart.region.contains(chart, batch))]
+        vs.append(keep)
+        total += keep.shape[0]
+        if not keep.size:
+            raise GeometryError("region rejected every distortion sample")
+    pts = np.concatenate(vs)[:want]
+    a, b = pts[:nsamples], pts[nsamples:]
+    chord = np.linalg.norm(a - b, axis=1)
+    mask = chord > 1e-9
+    a, b, chord = a[mask], b[mask], chord[mask]
+    za = exp_chart_vectors(chart, a)
+    zb = exp_chart_vectors(chart, b)
+    geo = np.arccos(np.clip(np.abs(np.sum(za.conj() * zb, axis=1)), 0.0, 1.0))
+    ratio = chord / geo
+    return float(max(ratio.max(), (1.0 / ratio).max()))
 
 
 def eta_from_cubic_density(beta: float, m: int) -> float:

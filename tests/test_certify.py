@@ -378,28 +378,47 @@ class TestScreenedRefinement:
         tail = np.concatenate([lifts[rng.integers(0, 200, step)], lifts[:1]])
         assert np.array_equal(sec.evaluate_lifts(tail)[-1:], full[:1])
 
-    @pytest.mark.parametrize("m,k,mesh", ((1, 200, 16), (2, 40, 6)))
-    def test_first_level_rows_built_once(self, monkeypatch, m, k, mesh):
-        # round 1 of every section reads one shared basis row per confirmed
-        # child of the base mesh, built the first time a section asks
+    @pytest.mark.parametrize("m,k,mesh,base,first", ((1, 200, 16, 75, 125), (2, 40, 6, 36, 48)))
+    def test_shared_levels_build_each_confirmed_lift_once(self, monkeypatch, m, k, mesh, base,
+                                                          first):
+        # the base mesh and round 1 each build their rows in one batched
+        # monomial_basis call (one block of rows here), a row per distinct
+        # confirmed lift; sup_norm evaluates nothing in round 1, and its
+        # later rounds are the certificate's "sup_norm lifts"
         points, entries, fam = _screened_level(m, k)
-        levels, asked = [], []
-        init, rows = C.FirstLevel.__init__, C.SharedRows.rows
-        monkeypatch.setattr(C.FirstLevel, "__init__",
+        want = _unscreened_sups(m, k, mesh)
+        built, levels, own = [], [], []
+        basis, init, sup, evaluate = (C.monomial_basis, C.SharedLevel.__init__, C.sup_norm,
+                                      SectionExpansion.evaluate_lifts)
+        monkeypatch.setattr(C, "monomial_basis",
+                            lambda *args: built.append(len(args[2])) or basis(*args))
+        monkeypatch.setattr(C.SharedLevel, "__init__",
                             lambda self, *args: init(self, *args) or levels.append(self))
-        monkeypatch.setattr(C.SharedRows, "rows",
-                            lambda self, items: asked.append((self, items)) or rows(self, items))
+        monkeypatch.setattr(SectionExpansion, "evaluate_lifts",
+                            lambda self, lifts: own[-1].append(len(lifts)) or evaluate(self, lifts))
+        monkeypatch.setattr(C, "sup_norm", lambda *args, **kw: own.append([]) or sup(*args, **kw))
         cert = C.certify_family(fam, mesh, 16, points=points, entries=entries)
-        assert cert.sup_estimates == _unscreened_sups(m, k, mesh)
-        [shared] = [level.shared for level in levels]
-        requested = [items for owner, items in asked if owner is shared]
-        assert len(requested) == fam.n
-        requested = np.concatenate(requested)
-        assert shared.built == len(np.unique(requested)) < len(requested)
-        # each row built is the basis at its child's lift
-        done = np.flatnonzero(shared.row_of >= 0)
-        assert np.array_equal(rows(shared, done),
-                              K.monomial_basis(m, k, shared.lifts[done]))
+        assert cert.sup_estimates == want
+        assert built == [level.rows for level in levels] == [base, first]
+        for level in levels:
+            assert level.rows < level.confirmed
+            assert np.array_equal(np.unique(level.place), np.arange(level.rows))
+        assert [cert.work[name] for name in ("base rows", "round 1 rows")] == [base, first]
+        assert [cert.work[name] for name in ("base confirmed", "round 1 confirmed")] == [
+            level.confirmed for level in levels]
+        assert len(own) == fam.n
+        for calls, est in zip(own, cert.sup_estimates):
+            # no call before round 2: one call per later round, screened
+            assert len(calls) == est.rounds_used - 1
+            assert sum(calls) == est.exact_lifts
+        assert cert.work["sup_norm lifts"] == sum(map(sum, own)) > 0
+
+    def test_round_one_values_must_match_the_base_mesh(self):
+        sec = _unit_basis(1, 20, 3)
+        base = C._base_values(1, 20, [sec.ortho_coeffs], 16)[0]
+        top = C._top_cells(base)
+        with pytest.raises(C.CertifyError):
+            C.sup_norm(sec, base=base, first=(top, np.zeros(4 * len(top) - 1)))
 
     def test_confirm_goes_through_evaluate_lifts(self, monkeypatch):
         cfg = cli.RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,
@@ -426,8 +445,7 @@ BASE_CASES = ((1, 200, 16), (2, 20, 6), (2, 20, 8), (2, 40, 6), (2, 40, 8))
 def _assert_screened_base(level, sections, full):
     """Each section's screened base values equal the full evaluation at
     every finite cell, and give the same max and top cells."""
-    for j, (sec, want) in enumerate(zip(sections, full)):
-        got = level.values(j, sec)
+    for got, want in zip(level.values([sec.ortho_coeffs for sec in sections]), full):
         finite = np.isfinite(got)
         assert np.array_equal(got[finite], want[finite])
         assert np.max(got) == np.max(want)
@@ -445,9 +463,10 @@ class TestScreenedBase:
         # the family-wide product stays within delta of the monomial values
         twins = C.base_twins(m, mesh)
         kept = twins == np.arange(len(twins))
-        approx = C._screen_block(screens, C.center_lifts(m, C.base_boxes(m, mesh)[kept]))
+        approx = C._screen_block(screens, C.center_lifts(m, C.base_boxes(m, mesh)[kept]),
+                                 np.arange(np.sum(kept)))
         deltas = np.array([s.delta for s in screens])
-        assert np.all(np.abs(approx.T - full[:, kept]) <= deltas[:, None] / 100)
+        assert np.all(np.abs(approx - full[:, kept]) <= deltas[:, None] / 100)
 
     @pytest.mark.parametrize("m,mesh", ((1, 16), (2, 6)))
     def test_exact_ties_in_the_base_values(self, m, mesh):
@@ -468,27 +487,54 @@ class TestScreenedBase:
         screened = C.certify_family(fam, mesh, 16, points=y[None, :], entries=np.eye(1))
         assert screened.sup_estimates == C.certify_family(fam, mesh, 16).sup_estimates
 
-    def test_shared_rows_fill_blocks_on_demand(self, monkeypatch):
-        # blocks of 7 rows, each allocated once the rows built fill the one
-        # before; every row read back is the basis at its lift
+    def test_shared_rows_build_in_blocks(self, monkeypatch):
+        # blocks of 7 rows, each one monomial_basis call; every row read
+        # back, across blocks and in any order, is the basis at its lift
         m, k = 2, 40
         monkeypatch.setattr(C, "BASIS_CHUNK_ENTRIES", 7 * dimension(m, k))
         rng = np.random.default_rng(5)
         raw = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
         lifts = raw / np.linalg.norm(raw, axis=1)[:, None]
         full = K.monomial_basis(m, k, lifts)
+        built = []
+        basis = C.monomial_basis
+        monkeypatch.setattr(C, "monomial_basis",
+                            lambda *args: built.append(len(args[2])) or basis(*args))
         shared = C.SharedRows(m, k, lifts)
-        asked = (np.array([3]), np.arange(5, 15), np.array([40, 3, 12, 20]),
-                 np.arange(49, 0, -3))
-        blocks = []
-        for items in asked:
-            assert np.array_equal(shared.rows(items), full[items])
-            blocks.append(len(shared.blocks))
-        assert shared.built == len(np.unique(np.concatenate(asked))) == 26
-        assert blocks == [1, 2, 2, 4]  # the last call fills two new blocks
-        assert all(block.shape == (7, dimension(m, k)) for block in shared.blocks)
-        # a few lifts get one block of one row per lift
-        assert C.SharedRows(m, k, lifts[:4]).blocks[0].shape == (4, dimension(m, k))
+        assert built == [7] * 7 + [1]
+        for places in (np.array([3]), np.arange(5, 15), np.array([40, 3, 12, 20, 3]),
+                       np.arange(49, 0, -3)):
+            assert np.array_equal(shared.rows(places), full[places])
+        assert len(built) == 8  # reading builds nothing
+
+    @pytest.mark.parametrize("k,mesh", ((20, 6), (20, 8), (40, 6), (40, 8)))
+    def test_row_wise_choice_equals_each_section_alone(self, k, mesh):
+        # the shared levels choose top cells and confirm sets for all
+        # sections at once, along the rows of one matrix; each row must be
+        # the section's own choice, ties included.  The folded m = 2 mesh
+        # gives exact ties: a twin takes its cell's value bit for bit
+        points, entries, fam = _screened_level(2, k)
+        screens = C.frame_screens(fam, points, entries)
+        deltas = np.array([s.delta for s in screens])
+        full = C._base_values(2, k, fam.ortho, mesh)
+        assert np.all([len(np.unique(row)) < len(row) for row in full])
+        rank, lifts = C._distinct_base(2, mesh)
+        approx = C._screen_block(screens, lifts, rank)
+        for vals in (full, approx):
+            top, keep = C._top_cells(vals), C._confirmed(vals, deltas[:, None])
+            for j, row in enumerate(vals):
+                assert np.array_equal(top[j], C._top_cells(row))
+                assert np.array_equal(keep[j], C._confirmed(row, deltas[j]))
+        # the coherent state at e_0 ties its base maximum in more cells than
+        # a round splits (72 at mesh 6)
+        y = np.zeros(3, dtype=np.complex128)
+        y[0] = 1.0
+        tied = C._base_values(2, 30, [coherent_state(2, 30, y).ortho_coeffs], mesh)
+        assert np.sum(tied == np.max(tied)) > C._take(tied.shape[1])
+        both = np.vstack([tied, tied[:, ::-1]])
+        for j, row in enumerate(both):
+            assert np.array_equal(C._top_cells(both)[j], C._top_cells(row))
+            assert np.array_equal(C._confirmed(both, 0.0)[j], C._confirmed(row, 0.0))
 
     def test_chunked_term_block(self, monkeypatch):
         # a budget of 100 cells of terms: 8 chunks of the 756 distinct
@@ -503,10 +549,14 @@ class TestScreenedBase:
                             lambda self, lifts: chunks.append(len(lifts)) or terms(self, lifts))
         screens = C.frame_screens(fam, points, entries)
         level = C.BaseLevel(2, 40, 6, screens)
-        assert chunks == ([100] * 7 + [56]) * math.ceil(fam.n / 6)
+        assert chunks == [100] * 7 + [56]
         _assert_screened_base(level, _sections(fam), C._base_values(2, 40, fam.ortho, 6))
+        chunks.clear()
         screened = C.certify_family(fam, 6, 16, points=points, entries=entries)
         assert screened.sup_estimates == _unscreened_sups(2, 40, 6)
+        # blocks of 4,700 // 1,296 = 3 sections, each with its own levels
+        assert chunks[:8] == [100] * 7 + [56]
+        assert screened.work["base rows"] > C.BaseLevel(2, 40, 6, screens).rows
 
 
 class TestFlatBound:
@@ -597,28 +647,24 @@ class TestCertifyFamily:
         # lifts of the cells some section confirms, once for the family,
         # and sends nothing through evaluate_sections
         points, entries, fam = _screened_level(2, 20)
-        sent, levels, asked = [], [], []
-        evaluate, init, rows = C.evaluate_sections, C.BaseLevel.__init__, C.SharedRows.rows
+        sent, levels, built = [], [], []
+        evaluate, init, basis = C.evaluate_sections, C.BaseLevel.__init__, C.monomial_basis
         monkeypatch.setattr(C, "evaluate_sections",
                             lambda m, k, rows, lifts: sent.append(len(lifts))
                             or evaluate(m, k, rows, lifts))
         monkeypatch.setattr(C.BaseLevel, "__init__",
                             lambda self, *args: init(self, *args) or levels.append(self))
-        monkeypatch.setattr(C.SharedRows, "rows",
-                            lambda self, items: asked.append((self, items)) or rows(self, items))
-        C.certify_family(fam, 6, 16, points=points, entries=entries)
+        monkeypatch.setattr(C, "monomial_basis",
+                            lambda *args: built.append(args[2]) or basis(*args))
+        cert = C.certify_family(fam, 6, 16, points=points, entries=entries)
         assert sent == []
         [level] = levels
         twins = C.base_twins(2, 6)
-        confirmed = np.unique(twins[np.concatenate(level.confirmed)])
-        requested = [items for owner, items in asked if owner is level.shared]
-        assert len(requested) == fam.n
-        requested = np.concatenate(requested)
-        assert level.shared.built == len(confirmed) == len(np.unique(requested))
-        assert len(confirmed) < len(requested)
+        confirmed = np.unique(twins[level.cell])
+        assert level.rows == len(confirmed) == cert.work["base rows"] == len(built[0])
+        assert len(confirmed) < level.confirmed == cert.work["base confirmed"]
         assert len(confirmed) < np.sum(twins == np.arange(len(twins))) == 756
-        assert np.array_equal(level.shared.lifts,
-                              C.center_lifts(2, C.base_boxes(2, 6)[confirmed]))
+        assert np.array_equal(built[0], C.center_lifts(2, C.base_boxes(2, 6)[confirmed]))
 
     def test_blocked_base_mesh_matches_single_sections(self, monkeypatch):
         fam = _pipeline(60)[3]

@@ -216,6 +216,24 @@ class TestRunManifest:
         assert cli.core_bytes(found) == cli.core_bytes(none)
         assert "blas" not in cli.core_bytes(found).decode("utf-8")
 
+    def test_envelope_certify_entry_leaves_the_core(self, monkeypatch):
+        # each level's certificate work goes to the envelope only
+        cfg = _ortho_cfg(k=(50, 100))
+        certs = []
+        certify = cli.certify_family
+        monkeypatch.setattr(cli, "certify_family",
+                            lambda *a, **kw: certs.append(certify(*a, **kw)) or certs[-1])
+        manifest = cli.run(cfg)
+        work = manifest["envelope"]["certify"]
+        assert list(work) == ["50", "100"]
+        assert list(work.values()) == [c.work for c in certs]
+        for counts in work.values():
+            assert set(counts) == {"base rows", "base confirmed", "round 1 rows",
+                                   "round 1 confirmed", "sup_norm lifts"}
+            assert 0 < counts["base rows"] <= counts["base confirmed"]
+        assert "confirmed" not in cli.core_bytes(manifest).decode("utf-8")
+        assert cli.run(RunConfig(mode="constants-only"))["envelope"]["certify"] == {}
+
     def test_summary_csv_columns(self, tmp_path):
         cfg = _ortho_cfg(k=(50, 100), out=str(tmp_path))
         manifest = cli.run(cfg)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from flatsections import geometry as G
-from oracles import fs_distance
+from oracles import distortion_estimate, fs_distance
 
 # geodesic distance beyond which log_map refuses to invert (cut locus)
 CUT_LOCUS_MARGIN = 1e-9
@@ -291,6 +291,21 @@ class TestChartsAndExpLog:
         g = G.distortion_estimate(ch, nsamples=20000)
         assert 1.0 <= g < 1.2
         assert g <= (math.pi / 4) / math.sin(math.pi / 4) + 1e-9
+
+    @pytest.mark.parametrize("cover", ("latlon", "balls", "cube"))
+    def test_distortion_equals_the_test_every_draw_oracle(self, cover):
+        # chunked region tests and reused lat-lon lifts give the value of
+        # testing every draw and mapping the kept draws again, bit for bit;
+        # the m = 2 cube keeps about 1/16 of the draws of its circumscribed
+        # square, so its runs take several batches; the other regions keep
+        # 30-80% and stop inside the first
+        charts = {"latlon": G.cp1_latlon_cover(0.35)[::4],
+                  "balls": G.cp2_ball_cover(0.4)[:4],
+                  "cube": G.cube_cover(1, 0.4) + G.cube_cover(2, 0.3)}[cover]
+        for seed in range(4):
+            for chart in charts:
+                assert (G.distortion_estimate(chart, nsamples=500, seed=seed)
+                        == distortion_estimate(chart, nsamples=500, seed=seed))
 
     def test_distortion_is_deterministic_per_seed(self):
         ch = G.make_chart(G.standard_point(1), G.BallRegion(0.3), 1.1)

@@ -1,6 +1,7 @@
 """Gram assembly, inverse-sqrt whitening, and the orthonormalized family."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -337,6 +338,19 @@ class TestBinaryDump:
         assert (m, k, tag) == (1, 100, g_tag)
         assert entries.dtype == np.complex128
         assert np.array_equal(entries, g.entries)
+
+    def test_body_is_the_row_major_bytes(self, tmp_path):
+        # the body written from the buffer itself is the layout tobytes
+        # gave, for a C-contiguous matrix, a non-contiguous view and a
+        # real one
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        for rows in (a, a.T, a[::2, 1:4], a.real):
+            path = tmp_path / "rows.bin"
+            W.write_dump(path, b"TEST", 1, 5, rows, "tag")
+            want = (b"TEST" + struct.pack("<IIII", 1, 5, rows.shape[0], 3) + b"tag"
+                    + np.asarray(rows, dtype=np.complex128).tobytes(order="C"))
+            assert path.read_bytes() == want
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
