@@ -17,10 +17,10 @@ is the Euclidean norm of the row.  A family's sups have one path:
 certify_family is the one producer of a family's sups and L^2 norms.  It
 evaluates one shared base mesh, then refines each section by sup_norm,
 the single-section evaluator, which reads round 1 from the family's
-shared first level and refines on its own from round 2.  Without the
-frame, the monomial basis at the
-base-mesh centres is built once per chunk of at most
-kernel.BASIS_CHUNK_ENTRIES entries and applied to each row
+shared first level and refines on its own from round 2, with basis
+rows from the block's RowTable (below).  Without the frame, the
+monomial basis at the base-mesh centres is built once per chunk of at
+most kernel.BASIS_CHUNK_ENTRIES entries and applied to each row
 (_base_values); with it, the base mesh is screened (below).  Families
 whose base values pass BASE_BLOCK_ENTRIES are split into blocks of rows
 that share one evaluation each.  The base mesh is evaluated at its
@@ -85,16 +85,32 @@ so every row is that section's own choice, ties included.  Every
 distinct confirmed lift gets its monomial basis row in one batched
 call per block of rows (SharedRows), and each section then applies its
 own matrix-vector product to the gathered rows of its confirmed cells.
-The base level's rows are freed before round 1 builds its own, and
-rounds 2 and later stay per section, in sup_norm.  At m=1 k=800 the
-511 sections confirm 8 or 9 of the 256 base cells each (4,090 pairs),
-98 distinct, then screen the 32 children of their top cells among the
-392 children of the 98 cells some section splits, and confirm 4,090
-of them, 261 distinct; 9 sections go on to round 2 and evaluate 297 lifts
-there.  At m=2 k=40 the 47 sections confirm 12 to 24 of the 1296
-cells of mesh 6 (36 distinct lifts) and 576 children (48 distinct);
-at mesh 16, 656 to 704 of the 65,536 cells (30,984 pairs, 1,436
-distinct lifts) and 5,560 of their 27,520 children (2,040 distinct).
+The base level's rows are freed before round 1 builds its own.
+
+Rounds 2 and later run per section, in sup_norm, yet the sections of a
+block still refine many of the same children there.  So they take their
+basis rows from one RowTable per block, freed with the block: a
+least-recently-used table of rows keyed by the bytes of their lift, in
+one preallocated block of ROW_TABLE_BYTES, which builds every lift a
+call misses in one monomial_basis call.  The sections of a block are
+refined in the order of their top base cells, so that sections which
+split the same cells follow one another and find their rows still held.
+A row depends only on its lift, so each call returns an array equal, in
+shape and bit for bit, to the one monomial_basis builds at the same
+lifts, and each section's matrix-vector product, its sup, history and
+counts do not change.
+
+At m=1 k=800 the 511 sections confirm 8 or 9 of the 256 base cells each
+(4,090 pairs), 98 distinct, then screen the 32 children of their top
+cells among the 392 children of the 98 cells some section splits, and
+confirm 4,090 of them, 261 distinct; 9 sections go on to round 2 and
+evaluate 297 lifts in the later rounds, which build 187 rows and reuse
+110.  At k=200 the later rounds evaluate 1,288 lifts from 708 built
+rows.  At m=2 k=40 the 47 sections confirm 12 to 24 of the 1296 cells of
+mesh 6 (36 distinct lifts) and 576 children (48 distinct), and the
+later rounds evaluate 1,200 lifts from 530 built rows; at mesh 16, 656
+to 704 of the 65,536 cells (30,984 pairs, 1,436 distinct lifts) and
+5,560 of their 27,520 children (2,040 distinct).
 The sups are those of the section refined alone, bit for bit: a cell's
 box and lift are computed elementwise, a basis row does not depend on
 the other lifts of its batch (kernel.monomial_basis), and each value
@@ -148,6 +164,7 @@ families the largest gap seen is under 1e-4 of delta.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,6 +184,9 @@ from .kernel import (
 
 # base-mesh values held at once by certify_family (sections x cells)
 BASE_BLOCK_ENTRIES = 4e6
+
+# bytes of the basis rows a RowTable keeps for a block of sections
+ROW_TABLE_BYTES = 2 ** 21
 
 # u = 2^-53, the unit roundoff of float64
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -327,9 +347,15 @@ def _rounding_level(m: int, k: int, n: int) -> float:
     return gamma * spread
 
 
-def frame_screens(fam, points: np.ndarray, entries: np.ndarray) -> list:
-    """One FrameScreen per row of fam.ortho, from the frame points and the
-    whitening matrix B the family was mixed from (fam.ortho = F B Psi)."""
+def l2_norms(fam) -> list:
+    """The L^2 norm of every section of fam, the Euclidean norm of its row."""
+    return [float(np.linalg.norm(row)) for row in fam.ortho]
+
+
+def frame_screens(fam, points: np.ndarray, entries: np.ndarray, l2s) -> list:
+    """One FrameScreen per row of fam.ortho, from the frame points, the
+    whitening matrix B the family was mixed from (fam.ortho = F B Psi)
+    and the rows' L^2 norms l2s (l2_norms)."""
     n = fam.n
     if np.shape(points) != (n, fam.m + 1) or np.shape(entries) != (n, n):
         raise CertifyError("frame points or whitening matrix do not match the family")
@@ -340,7 +366,7 @@ def frame_screens(fam, points: np.ndarray, entries: np.ndarray) -> list:
     mapnorm = max(float(np.max(mags.sum(axis=0))), float(np.max(mags.sum(axis=1))))
     weights = np.fft.ifft(entries, axis=0, norm="ortho")  # = dft_matrix(n) @ B
     conj = points.conj().T
-    scale = np.linalg.norm(fam.ortho, axis=1) + math.sqrt(n) * mapnorm
+    scale = np.array(l2s) + math.sqrt(n) * mapnorm
     scale += np.sum(np.abs(weights), axis=1)
     return [FrameScreen(k=fam.k, conj_points=conj, weights=w, root=root, cut=cut,
                         delta=2 * root * rho * float(sc))
@@ -359,16 +385,16 @@ def _confirmed(approx: np.ndarray, delta) -> np.ndarray:
 
 
 def _refined_values(s: SectionExpansion, lifts: np.ndarray,
-                    screen: FrameScreen | None) -> tuple:
+                    screen: FrameScreen | None, basis) -> tuple:
     """(values, evaluated): |s| at the refinement children, by
-    s.evaluate_lifts, and the number of lifts it evaluated.  With a
-    screen, only the _confirmed children are evaluated and the rest get
-    -inf."""
+    s.evaluate_lifts with the row source basis, and the number of lifts
+    it evaluated.  With a screen, only the _confirmed children are
+    evaluated and the rest get -inf."""
     if screen is None:
-        return np.abs(s.evaluate_lifts(lifts)), len(lifts)
+        return np.abs(s.evaluate_lifts(lifts, basis=basis)), len(lifts)
     confirm = np.flatnonzero(_confirmed(screen.values(lifts), screen.delta))
     vals = np.full(len(lifts), -np.inf)
-    vals[confirm] = np.abs(s.evaluate_lifts(lifts[confirm]))
+    vals[confirm] = np.abs(s.evaluate_lifts(lifts[confirm], basis=basis))
     return vals, len(confirm)
 
 
@@ -402,6 +428,55 @@ class SharedRows:
             at = block == b
             out[at] = self.blocks[b][lo[at]]
         return out
+
+
+class RowTable:
+    """Monomial basis rows of the lifts that the sections of one block
+    refine, kept for the block's later rounds: a row source for
+    kernel.evaluate_sections, called as monomial_basis is.
+
+    The rows live in one preallocated (slots, d_k) block, slots =
+    ROW_TABLE_BYTES // (16 d_k), keyed by the bytes of their lift; when
+    it is full, the least recently used row makes room.  A call builds
+    the lifts it misses, each once however often the call repeats it, in
+    one monomial_basis call, stores them, and returns the rows of all its
+    lifts gathered from the block.  A call with more distinct lifts than
+    slots builds all its rows in one monomial_basis call and keeps none.
+    A row depends only on its lift, so either way the array equals
+    monomial_basis's at the same lifts, bit for bit.  built counts the
+    rows built and reused the rows taken without building."""
+
+    def __init__(self, m: int, k: int):
+        d = dimension(m, k)
+        self.block = np.empty((int(ROW_TABLE_BYTES // (16 * d)), d), dtype=np.complex128)
+        self.slot = OrderedDict()  # lift bytes -> row of block, least recently used first
+        self.built = self.reused = 0
+
+    def __call__(self, m: int, k: int, lifts: np.ndarray) -> np.ndarray:
+        lifts = np.ascontiguousarray(lifts)
+        keys = lifts.view("V%d" % (lifts.itemsize * lifts.shape[1])).ravel().tolist()
+        where = dict(zip(keys, range(len(keys))))  # each distinct lift's bytes -> an index of it
+        if len(where) > len(self.block):
+            self.built += len(keys)
+            return monomial_basis(m, k, lifts)
+        fresh = []
+        for key in where:
+            if key in self.slot:
+                self.slot.move_to_end(key)
+            else:
+                fresh.append(key)
+        if fresh:
+            rows = monomial_basis(m, k, lifts[[where[key] for key in fresh]])
+            # a full block evicts its least recently used rows, none of them
+            # this call's: the call holds at most slots lifts
+            free = len(self.block) - len(self.slot)
+            at = list(range(len(self.slot), len(self.slot) + min(free, len(fresh))))
+            at += [self.slot.popitem(last=False)[1] for _ in range(len(fresh) - len(at))]
+            self.slot.update(zip(fresh, at))
+            self.block[at] = rows
+        self.built += len(fresh)
+        self.reused += len(keys) - len(fresh)
+        return self.block[[self.slot[key] for key in keys]]
 
 
 def _screen_block(screens: list, lifts: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -501,7 +576,7 @@ class FirstLevel(SharedLevel):
 def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
              base: np.ndarray | None = None,
              screen: FrameScreen | None = None,
-             first: tuple | None = None) -> SupNormEstimate:
+             first: tuple | None = None, basis=None) -> SupNormEstimate:
     """Mesh maximum of |s| at unit lifts, with greedy refinement.
 
     Splits the top percent (at least eight) of cells by center value
@@ -520,7 +595,8 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
     splits, _top_cells(base), and |s| at their children in the order
     _split_boxes gives them.  Their boxes are split only if a round 2
     follows.  exact_lifts counts the lifts evaluated here by
-    s.evaluate_lifts.
+    s.evaluate_lifts, whose row source is basis (monomial_basis unless
+    given; certify_family passes its block's RowTable).
     """
     _check_mesh(s.m, mesh)
     boxes = base_boxes(s.m, mesh)
@@ -544,7 +620,7 @@ def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
             if split is not None:
                 boxes, split = _split_boxes(boxes[split]), None
             boxes = _split_boxes(boxes[top])
-            vals, count = _refined_values(s, center_lifts(s.m, boxes), screen)
+            vals, count = _refined_values(s, center_lifts(s.m, boxes), screen, basis)
             exact += count
         evals += len(vals)
         used += 1
@@ -575,9 +651,10 @@ class NormCertificate:
     work counts what certify_family evaluated: the basis rows built and
     the (section, cell) pairs confirmed by the shared base and round-1
     levels of a screened family ("base rows", "base confirmed",
-    "round 1 rows", "round 1 confirmed"), and the lifts sup_norm
-    evaluated itself ("sup_norm lifts"); it is not part of the
-    certificate, so equality leaves it out."""
+    "round 1 rows", "round 1 confirmed"), the lifts sup_norm evaluated
+    itself ("sup_norm lifts") and the rows its RowTables built and
+    reused for them ("sup_norm rows built", "sup_norm rows reused"); it
+    is not part of the certificate, so equality leaves it out."""
 
     k: int
     m: int
@@ -598,16 +675,21 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
     base mesh and round 1 are the block's shared levels (BaseLevel,
     FirstLevel), and each section's later rounds are screened by its
     FrameScreen; the estimates equal the unscreened ones field by field.
-    A sup under the flatness floor l2 / sqrt(Vol), less 0.1%, raises:
-    every section reaches its L^2 average somewhere.
+    The rounds sup_norm evaluates take their rows from one RowTable per
+    block, freed with the block, and the block's sections go through
+    sup_norm in the order of their top base cells.  A sup under the
+    flatness floor l2 / sqrt(Vol), less 0.1%, raises: every section
+    reaches its L^2 average somewhere.
     """
     _check_mesh(fam.m, mesh)
     boxes = base_boxes(fam.m, mesh)
     block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
     unscreened = points is None and entries is None
-    screens = [None] * fam.n if unscreened else frame_screens(fam, points, entries)
+    l2s = l2_norms(fam)
+    screens = [None] * fam.n if unscreened else frame_screens(fam, points, entries, l2s)
     work = dict.fromkeys(() if unscreened else (
         "base rows", "base confirmed", "round 1 rows", "round 1 confirmed"), 0)
+    work.update(dict.fromkeys(("sup_norm rows built", "sup_norm rows reused"), 0))
     sups = []
     for lo in range(0, fam.n, block):
         rows = fam.ortho[lo:lo + block]
@@ -615,23 +697,33 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None
         part = screens[lo:lo + block]
         if unscreened:
             base = _base_values(fam.m, fam.k, rows, mesh)
-            firsts = [None] * len(secs)
         else:
             level = BaseLevel(fam.m, fam.k, mesh, part)
             base = level.values(rows)
             work["base rows"] += level.rows
             work["base confirmed"] += level.confirmed
             del level  # its basis rows: one level's are held at a time
-            top = _top_cells(base).copy()  # not a view that keeps the whole sort
+        top = _top_cells(base).copy()  # not a view that keeps the whole sort
+        firsts = [None] * len(secs)
+        if not unscreened:
             level = FirstLevel(fam.m, fam.k, boxes, top, part)
-            firsts = zip(top, level.values(rows))
+            firsts = list(zip(top, level.values(rows)))
             work["round 1 rows"] += level.rows
             work["round 1 confirmed"] += level.confirmed
             del level
-        sups += [sup_norm(s, mesh=mesh, rounds=rounds, base=vals, screen=scr, first=one)
-                 for s, vals, scr, one in zip(secs, base, part, firsts)]
+        # sections that split the same base cells refine the same children,
+        # so taken in the order of their top cells they find more of them in
+        # the table (m=2 k=40 mesh 6: 674 rows built in index order, 530 so)
+        table = RowTable(fam.m, fam.k)
+        done = [None] * len(secs)
+        for j in np.lexsort(top.T[::-1]):
+            done[j] = sup_norm(secs[j], mesh=mesh, rounds=rounds, base=base[j],
+                               screen=part[j], first=firsts[j], basis=table)
+        sups += done
+        work["sup_norm rows built"] += table.built
+        work["sup_norm rows reused"] += table.reused
+        del table  # its block, before the next block's levels
     work["sup_norm lifts"] = sum(est.exact_lifts for est in sups)
-    l2s = [float(np.linalg.norm(row)) for row in fam.ortho]
     root_vol = math.sqrt(volume(fam.m))
     for est, l2 in zip(sups, l2s):
         floor = l2 / root_vol * (1 - 1e-3)

@@ -107,10 +107,13 @@ def frame_sum(frame: Frame, lifts: np.ndarray) -> np.ndarray:
 
     The lifts go through in blocks of at most FRAME_SUM_BLOCK_ENTRIES
     lift-point products; each value is a sum over its own row only, so it
-    does not depend on the blocking.  Every block reuses one complex buffer
-    for the products, one real buffer for their moduli, in which cos^k
-    is formed in place, and one mask, so a call makes three large
-    allocations however many blocks it has.
+    does not depend on the blocking.  No block holds a single lift (the
+    last lift is repeated instead and its value dropped), as a one-row
+    product goes through another BLAS kernel and rounds differently.
+    Every block reuses one complex buffer for the products, one real
+    buffer for their moduli, in which cos^k is formed in place, and one
+    mask, so a call makes three large allocations however many blocks it
+    has.
 
     A term whose exponent k log cos d lies below LOG_TINY would be
     subnormal or zero, and numpy's exp takes about a hundred times longer
@@ -124,7 +127,10 @@ def frame_sum(frame: Frame, lifts: np.ndarray) -> np.ndarray:
     """
     root = math.sqrt(kernel_diag(frame.m, frame.k))
     conj = frame.points.conj().T
-    step = max(1, int(FRAME_SUM_BLOCK_ENTRIES // max(1, frame.n)))
+    count = lifts.shape[0]
+    step = max(2, int(FRAME_SUM_BLOCK_ENTRIES // max(1, frame.n)))
+    if count % step == 1:
+        lifts = np.concatenate([lifts, lifts[-1:]])
     out = np.empty(lifts.shape[0])
     rows = min(step, lifts.shape[0])
     prod = np.empty((rows, frame.n), dtype=np.complex128)
@@ -142,7 +148,7 @@ def frame_sum(frame: Frame, lifts: np.ndarray) -> np.ndarray:
         np.exp(q, out=q)
         q[tiny] = 0.0
         out[lo:hi] = root * np.sum(q, axis=1)
-    return out
+    return out[:count]
 
 
 def fk_norm(frame: Frame) -> float:

@@ -225,9 +225,10 @@ class SectionExpansion:
     def from_ortho(cls, m: int, k: int, ortho: np.ndarray) -> "SectionExpansion":
         return cls(m=m, k=k, ortho_coeffs=np.asarray(ortho, dtype=np.complex128))
 
-    def evaluate_lifts(self, lifts: np.ndarray) -> np.ndarray:
-        """Section values at unit lifts (rows); log-domain monomials."""
-        return evaluate_sections(self.m, self.k, [self.ortho_coeffs], lifts)[0]
+    def evaluate_lifts(self, lifts: np.ndarray, basis=None) -> np.ndarray:
+        """Section values at unit lifts (rows); log-domain monomials, from
+        the row source basis (evaluate_sections)."""
+        return evaluate_sections(self.m, self.k, [self.ortho_coeffs], lifts, basis)[0]
 
 
 def monomial_basis(m: int, k: int, lifts: np.ndarray) -> np.ndarray:
@@ -254,17 +255,21 @@ def monomial_basis(m: int, k: int, lifts: np.ndarray) -> np.ndarray:
     return basis
 
 
-def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray) -> np.ndarray:
+def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray,
+                      basis=None) -> np.ndarray:
     """Values of several level-k sections at unit lifts, shape (sections, points).
 
     ortho_rows holds one orthonormal-basis coefficient vector per section.
-    The monomial basis is built once per chunk of at most
+    The monomial basis is taken once per chunk of at most
     BASIS_CHUNK_ENTRIES entries and applied to each section by its own
     matrix-vector product, so row j is bit-identical to evaluating
     section j on its own.  No chunk holds a single lift (the last lift is
     repeated instead), so a value does not depend on which other lifts
-    share the call.
+    share the call.  basis(m, k, chunk) is the row source, monomial_basis
+    unless given (looked up at call time); any other source must return
+    the array monomial_basis would, as certify.RowTable does.
     """
+    basis = monomial_basis if basis is None else basis
     lifts = np.atleast_2d(np.asarray(lifts, dtype=np.complex128))
     count = lifts.shape[0]
     step = max(2, int(BASIS_CHUNK_ENTRIES // dimension(m, k)))
@@ -272,9 +277,9 @@ def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray) -> np.ndarr
         lifts = np.concatenate([lifts, lifts[-1:]])
     out = np.empty((len(ortho_rows), lifts.shape[0]), dtype=np.complex128)
     for lo in range(0, lifts.shape[0], step):
-        basis = monomial_basis(m, k, lifts[lo:lo + step])
+        rows = basis(m, k, lifts[lo:lo + step])
         for j, row in enumerate(ortho_rows):
-            out[j, lo:lo + step] = basis @ row
+            out[j, lo:lo + step] = rows @ row
     return out[:, :count]
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -259,8 +260,8 @@ class TestScreenedRefinement:
         rng = np.random.default_rng(k)
         raw = rng.standard_normal((10 ** 4, m + 1)) + 1j * rng.standard_normal((10 ** 4, m + 1))
         lifts = raw / np.linalg.norm(raw, axis=1)[:, None]
-        for j, (screen, sec) in enumerate(zip(C.frame_screens(fam, points, entries),
-                                              _sections(fam))):
+        screens = C.frame_screens(fam, points, entries, C.l2_norms(fam))
+        for j, (screen, sec) in enumerate(zip(screens, _sections(fam))):
             mine = lifts[j::fam.n]  # the 10^4 lifts, shared out over the sections
             gap = np.abs(screen.values(mine) - np.abs(sec.evaluate_lifts(mine)))
             assert np.max(gap) <= screen.delta / 100
@@ -282,7 +283,7 @@ class TestScreenedRefinement:
         # (binary powering), one of this block within u (k (3 pi + 2) + 12)
         # (log, angle and exp, at |term| <= 1)
         per_term = C.UNIT_ROUNDOFF * ((k - 1) * math.sqrt(5) + k * (3 * math.pi + 2) + 12)
-        for screen in C.frame_screens(fam, points, entries)[:8]:
+        for screen in C.frame_screens(fam, points, entries, C.l2_norms(fam))[:8]:
             w = np.abs(screen.weights)
             mass = screen.root * (np.abs(block) * (np.abs(g) < screen.cut)) @ w
             assert np.max(mass) > 0
@@ -328,7 +329,8 @@ class TestScreenedRefinement:
     @pytest.mark.parametrize("m,k,mesh", SCREEN_CASES)
     def test_ifft_weights_match_dft_matrix(self, m, k, mesh):
         points, entries, fam = _screened_level(m, k)
-        weights = np.array([s.weights for s in C.frame_screens(fam, points, entries)])
+        screens = C.frame_screens(fam, points, entries, C.l2_norms(fam))
+        weights = np.array([s.weights for s in screens])
         assert np.max(np.abs(weights - FL.dft_matrix(fam.n) @ entries)) <= 1e-12
 
     @pytest.mark.parametrize("k,row", ((20, 0), (40, 34)))
@@ -339,7 +341,7 @@ class TestScreenedRefinement:
         points, entries, fam = _screened_level(2, k)
         sec = _sections(fam)[row]
         base = C._base_values(2, k, [sec.ortho_coeffs], 8)[0]
-        screen = C.frame_screens(fam, points, entries)[row]
+        screen = C.frame_screens(fam, points, entries, C.l2_norms(fam))[row]
         assert (C.sup_norm(sec, mesh=8, base=base, screen=screen)
                 == C.sup_norm(sec, mesh=8, base=base))
 
@@ -384,10 +386,13 @@ class TestScreenedRefinement:
         # the base mesh and round 1 each build their rows in one batched
         # monomial_basis call (one block of rows here), a row per distinct
         # confirmed lift; sup_norm evaluates nothing in round 1, and its
-        # later rounds are the certificate's "sup_norm lifts"
+        # later rounds are the certificate's "sup_norm lifts", whose rows
+        # the block's RowTable builds only where it misses
         points, entries, fam = _screened_level(m, k)
         want = _unscreened_sups(m, k, mesh)
-        built, levels, own = [], [], []
+        built, levels, own = [], [], {}  # own: section -> its evaluate_lifts calls' sizes
+        where = {row.tobytes(): j for j, row in enumerate(fam.ortho)}
+        assert len(where) == fam.n
         basis, init, sup, evaluate = (C.monomial_basis, C.SharedLevel.__init__, C.sup_norm,
                                       SectionExpansion.evaluate_lifts)
         monkeypatch.setattr(C, "monomial_basis",
@@ -395,23 +400,26 @@ class TestScreenedRefinement:
         monkeypatch.setattr(C.SharedLevel, "__init__",
                             lambda self, *args: init(self, *args) or levels.append(self))
         monkeypatch.setattr(SectionExpansion, "evaluate_lifts",
-                            lambda self, lifts: own[-1].append(len(lifts)) or evaluate(self, lifts))
-        monkeypatch.setattr(C, "sup_norm", lambda *args, **kw: own.append([]) or sup(*args, **kw))
+                            lambda self, lifts, **kw: own[where[self.ortho_coeffs.tobytes()]]
+                            .append(len(lifts)) or evaluate(self, lifts, **kw))
+        monkeypatch.setattr(C, "sup_norm", lambda s, *args, **kw: own.__setitem__(
+            where[s.ortho_coeffs.tobytes()], []) or sup(s, *args, **kw))
         cert = C.certify_family(fam, mesh, 16, points=points, entries=entries)
         assert cert.sup_estimates == want
-        assert built == [level.rows for level in levels] == [base, first]
+        assert built[:2] == [level.rows for level in levels] == [base, first]
+        assert sum(built[2:]) == cert.work["sup_norm rows built"]
         for level in levels:
             assert level.rows < level.confirmed
             assert np.array_equal(np.unique(level.place), np.arange(level.rows))
         assert [cert.work[name] for name in ("base rows", "round 1 rows")] == [base, first]
         assert [cert.work[name] for name in ("base confirmed", "round 1 confirmed")] == [
             level.confirmed for level in levels]
-        assert len(own) == fam.n
-        for calls, est in zip(own, cert.sup_estimates):
+        assert sorted(own) == list(range(fam.n))
+        for j, est in enumerate(cert.sup_estimates):
             # no call before round 2: one call per later round, screened
-            assert len(calls) == est.rounds_used - 1
-            assert sum(calls) == est.exact_lifts
-        assert cert.work["sup_norm lifts"] == sum(map(sum, own)) > 0
+            assert len(own[j]) == est.rounds_used - 1
+            assert sum(own[j]) == est.exact_lifts
+        assert cert.work["sup_norm lifts"] == sum(map(sum, own.values())) > 0
 
     def test_round_one_values_must_match_the_base_mesh(self):
         sec = _unit_basis(1, 20, 3)
@@ -426,9 +434,9 @@ class TestScreenedRefinement:
         seen = []
         evaluate = SectionExpansion.evaluate_lifts
 
-        def counted(self, lifts):
+        def counted(self, lifts, **kw):
             seen.append(len(lifts))
-            return evaluate(self, lifts)
+            return evaluate(self, lifts, **kw)
 
         monkeypatch.setattr(SectionExpansion, "evaluate_lifts", counted)
         level = cli._run_level(cfg, cli.lattice_spec(cfg)[0], 20)
@@ -456,7 +464,7 @@ class TestScreenedBase:
     @pytest.mark.parametrize("m,k,mesh", BASE_CASES)
     def test_confirmed_cells_are_the_full_evaluation(self, m, k, mesh):
         points, entries, fam = _screened_level(m, k)
-        screens = C.frame_screens(fam, points, entries)
+        screens = C.frame_screens(fam, points, entries, C.l2_norms(fam))
         full = C._base_values(m, k, fam.ortho, mesh)
         level = C.BaseLevel(m, k, mesh, screens)
         _assert_screened_base(level, _sections(fam), full)
@@ -482,7 +490,7 @@ class TestScreenedBase:
         full = C._base_values(m, k, fam.ortho, mesh)
         tied = np.sum(full[0] == np.max(full[0]))
         assert tied == (16 if m == 1 else 72) > C._take(full.shape[1])
-        screens = C.frame_screens(fam, y[None, :], np.eye(1))
+        screens = C.frame_screens(fam, y[None, :], np.eye(1), C.l2_norms(fam))
         _assert_screened_base(C.BaseLevel(m, k, mesh, screens), [sec], full)
         screened = C.certify_family(fam, mesh, 16, points=y[None, :], entries=np.eye(1))
         assert screened.sup_estimates == C.certify_family(fam, mesh, 16).sup_estimates
@@ -514,7 +522,7 @@ class TestScreenedBase:
         # the section's own choice, ties included.  The folded m = 2 mesh
         # gives exact ties: a twin takes its cell's value bit for bit
         points, entries, fam = _screened_level(2, k)
-        screens = C.frame_screens(fam, points, entries)
+        screens = C.frame_screens(fam, points, entries, C.l2_norms(fam))
         deltas = np.array([s.delta for s in screens])
         full = C._base_values(2, k, fam.ortho, mesh)
         assert np.all([len(np.unique(row)) < len(row) for row in full])
@@ -547,7 +555,7 @@ class TestScreenedBase:
         terms = C.FrameScreen.terms
         monkeypatch.setattr(C.FrameScreen, "terms",
                             lambda self, lifts: chunks.append(len(lifts)) or terms(self, lifts))
-        screens = C.frame_screens(fam, points, entries)
+        screens = C.frame_screens(fam, points, entries, C.l2_norms(fam))
         level = C.BaseLevel(2, 40, 6, screens)
         assert chunks == [100] * 7 + [56]
         _assert_screened_base(level, _sections(fam), C._base_values(2, 40, fam.ortho, 6))
@@ -557,6 +565,108 @@ class TestScreenedBase:
         # blocks of 4,700 // 1,296 = 3 sections, each with its own levels
         assert chunks[:8] == [100] * 7 + [56]
         assert screened.work["base rows"] > C.BaseLevel(2, 40, 6, screens).rows
+
+
+class _PlainRows:
+    """A row source with RowTable's interface that builds every row, so
+    a certificate's later rounds take theirs from monomial_basis alone."""
+
+    built = reused = 0
+
+    def __init__(self, m, k):
+        pass
+
+    def __call__(self, m, k, lifts):
+        return K.monomial_basis(m, k, lifts)
+
+
+def _estimate_fields(cert):
+    """Every field of every estimate of cert, exact_lifts included."""
+    return [dataclasses.astuple(est) for est in cert.sup_estimates]
+
+
+class TestRowTable:
+    @pytest.mark.parametrize("m,k,mesh", ((1, 200, 16), (2, 40, 6)))
+    @pytest.mark.parametrize("slots", (None, 16))
+    def test_table_certificate_equals_plain_rows(self, monkeypatch, m, k, mesh, slots):
+        # a table-backed certificate is the one whose later rounds build
+        # every row, in every field; at 16 slots, as many as the largest
+        # call's lifts here, the table evicts rows and builds some lifts
+        # again.  Each call builds its misses in at most one monomial_basis
+        # call and holds at most its slots
+        points, entries, fam = _screened_level(m, k)
+        if slots:
+            monkeypatch.setattr(C, "ROW_TABLE_BYTES", slots * 16 * dimension(m, k))
+        built, tables = [], []  # built: one list of lift bytes per monomial_basis call
+        basis, call, table = C.monomial_basis, C.RowTable.__call__, C.RowTable
+
+        def checked(self, m, k, lifts):
+            before = len(built)
+            out = call(self, m, k, lifts)
+            assert len(built) <= before + 1 and len(self.slot) <= len(self.block)
+            return out
+
+        monkeypatch.setattr(C, "monomial_basis",
+                            lambda *args: built.append(list(map(bytes, args[2]))) or basis(*args))
+        monkeypatch.setattr(C.RowTable, "__call__", checked)
+        monkeypatch.setattr(C, "RowTable", lambda m, k: tables.append(table(m, k)) or tables[-1])
+        cert = C.certify_family(fam, mesh, 16, points=points, entries=entries)
+        later = sum(built[2:], [])  # the lifts built after the base and round-1 levels
+        monkeypatch.setattr(C, "RowTable", _PlainRows)
+        plain = C.certify_family(fam, mesh, 16, points=points, entries=entries)
+        assert _estimate_fields(cert) == _estimate_fields(plain)
+        assert cert.l2_norms == plain.l2_norms
+        [tab] = tables
+        assert len(tab.block) == (slots or C.ROW_TABLE_BYTES // (16 * dimension(m, k)))
+        assert cert.work["sup_norm rows built"] == tab.built < cert.work["sup_norm lifts"]
+        # no call is padded at these levels: every lift is built or reused
+        assert tab.built + tab.reused == cert.work["sup_norm lifts"]
+        assert len(later) == tab.built
+        if slots:
+            assert len(set(later)) < len(later)
+
+    def test_calls_return_every_row(self, monkeypatch):
+        # five slots: a call with more lifts than slots still returns all
+        # its rows and keeps none, repeats in a call are built once, and a
+        # lone lift is built as monomial_basis builds it
+        m, k = 2, 40
+        monkeypatch.setattr(C, "ROW_TABLE_BYTES", 5 * 16 * dimension(m, k))
+        rng = np.random.default_rng(7)
+        raw = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        lifts = raw / np.linalg.norm(raw, axis=1)[:, None]
+        full = K.monomial_basis(m, k, lifts)
+        table = C.RowTable(m, k)
+        counts = []
+        for pick in ([0, 1, 2], [1, 2, 3, 3], list(range(12)), [11, 10, 0], [5], [4, 4]):
+            got = table(m, k, lifts[pick])
+            assert got.tobytes() == full[pick].tobytes()
+            assert len(table.slot) <= len(table.block) == 5
+            counts.append((table.built, table.reused))
+        assert counts == [(3, 0), (4, 3), (16, 3), (18, 4), (19, 4), (20, 5)]
+
+    def test_table_memory_within_its_budget(self, monkeypatch):
+        # at m = 2 mesh 6 k = 40 the table adds at most its block and one
+        # evaluate_lifts chunk of rows to the peak memory of certify_family
+        points, entries, fam = _screened_level(2, 40)
+        calls = []
+        evaluate = SectionExpansion.evaluate_lifts
+        monkeypatch.setattr(SectionExpansion, "evaluate_lifts",
+                            lambda self, lifts, **kw: calls.append(len(lifts))
+                            or evaluate(self, lifts, **kw))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                C.certify_family(fam, 6, 16, points=points, entries=entries)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with_table = peak()
+        monkeypatch.setattr(C, "RowTable", _PlainRows)
+        plain = peak()
+        chunk = 16 * dimension(2, 40) * max(calls)
+        assert with_table - plain <= C.ROW_TABLE_BYTES + chunk
 
 
 class TestFlatBound:

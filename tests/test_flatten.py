@@ -72,6 +72,13 @@ def _m2_frame(k: int):
     return F.build(cli.lattice_spec(cfg.validate())[0], k)
 
 
+def _m1_frame(k: int):
+    """The frame of the benchmark's m = 1 level k (lat-lon r=0.35, a=1.945)."""
+    cfg = cli.RunConfig(m=1, k=(k,), spacing=1.945, eta=0.995, epsilon=0.005,
+                        cover={"name": "latlon", "radius": 0.35}, delta=1e-9, beta=0.8)
+    return F.build(cli.lattice_spec(cfg.validate())[0], k)
+
+
 def _full_mesh_fk(monkeypatch, fr) -> float:
     """fk_norm with every mesh cell its own twin: the full-mesh oracle."""
     with monkeypatch.context() as patch:
@@ -217,14 +224,22 @@ class TestFrameMappingNorm:
         assert -(-len(lifts) // rows) >= 3 and len(lifts) % rows
         got = FL.frame_sum(fr, lifts)
         assert got.tobytes() == want.tobytes()
+        # lone lifts and a one-row tail, on the m1-run frame at k = 200:
+        # no block holds a single lift, whose product rounds differently
+        fr = _m1_frame(200)
+        lifts = np.vstack([_mesh(1, 4096), fr.points])
+        want = _plain_frame_sum(fr, lifts)
+        for i in (int(np.argmax(want)), 0, len(lifts) - 1):
+            assert FL.frame_sum(fr, lifts[i:i + 1]).tobytes() == want[i:i + 1].tobytes()
+        monkeypatch.setattr(FL, "FRAME_SUM_BLOCK_ENTRIES", 1000 * fr.n)
+        # four blocks of 1,000 lifts, then one
+        assert FL.frame_sum(fr, lifts[:4001]).tobytes() == want[:4001].tobytes()
 
     def test_subnormal_terms_zeroed_bit_for_bit(self):
         # the m1-run level k = 800: about one term in 70 of its F_k mesh
         # would come out of exp subnormal, and zeroing them leaves every
         # mesh value as the plain exp gives it, bit for bit
-        cfg = cli.RunConfig(m=1, k=(800,), spacing=1.945, eta=0.995, epsilon=0.005,
-                            cover={"name": "latlon", "radius": 0.35}, delta=1e-9, beta=0.8)
-        fr = F.build(cli.lattice_spec(cfg.validate())[0], 800)
+        fr = _m1_frame(800)
         lifts = np.vstack([_mesh(1, FL.FK_MESH), fr.points])
         with np.errstate(divide="ignore"):
             expo = 800 * np.log(np.abs(lifts[::16] @ fr.points.conj().T))
