@@ -18,10 +18,9 @@ certify_family is the one producer of a family's sups and L^2 norms.  It
 evaluates one shared base mesh, then refines each section by sup_norm,
 the single-section evaluator, which reads round 1 from the family's
 shared first level and refines on its own from round 2, with basis
-rows from the block's RowTable (below).  Without the frame, the
-monomial basis at the base-mesh centres is built once per chunk of at
-most kernel.BASIS_CHUNK_ENTRIES entries and applied to each row
-(_base_values); with it, the base mesh is screened (below).  Families
+rows from the block's RowTable (below).  It needs the frame points and
+the whitening matrix the family was mixed from: the base mesh and every
+refinement round are screened on the frame side (below).  Families
 whose base values pass BASE_BLOCK_ENTRIES are split into blocks of rows
 that share one evaluation each.  The base mesh is evaluated at its
 distinct lifts only (geometry.base_twins): at m = 2 the fold of the
@@ -29,10 +28,12 @@ moment coordinates makes 540 of the 1296 cells at mesh 6 the same point
 of CP^2 as another cell, to within 4.4e-16, and each such cell takes the
 value of that twin; at m = 1 every cell is its own twin.  The refinement
 still sees every cell, twins included: _take and evaluations count all
-of them.  Every sup is bit-identical to the section-by-section
-evaluation, not merely close: a basis row does not depend on the other
-lifts of its batch, and each row gets its own matrix-vector product,
-since a single product over all rows rounds differently.
+of them.  Every sup is bit-identical to the evaluation of each cell and
+child of the section alone, which tests/oracles.py keeps as the
+reference (unscreened_sups), not merely close: a basis row does not
+depend on the other lifts of its batch, and each row gets its own
+matrix-vector product, since a single product over all rows rounds
+differently.
 emit_polynomials reads the certificate and computes no sup; its records
 are the dicts polynomials.json holds, each with its row as two lists,
 and monomial_header gives the exponents and log weights that turn a row
@@ -64,10 +65,9 @@ The top cells are chosen by a stable sort, exact ties going to the lower
 cell index.  Every cell of the full evaluation that can be chosen is
 confirmed and keeps its value, and the rest get -inf and sort below
 them, so the screened mesh or round picks the same cells in the same
-order, ties included.  Without a screen every cell is confirmed.
-Evaluation is per point, so a cell's value does not depend on which
-other cells share its call (the tests check this from one point per call
-up).
+order, ties included.  Evaluation is per point, so a cell's value does
+not depend on which other cells share its call (the tests check this
+from one point per call up).
 
 The shared levels.  Every section refines from the same base mesh, so
 the base mesh and round 1, which splits base cells into the same
@@ -174,7 +174,6 @@ from .kernel import (
     BASIS_CHUNK_ENTRIES,
     SectionExpansion,
     dimension,
-    evaluate_sections,
     kernel_diag,
     monomial_basis,
     monomial_table,
@@ -245,13 +244,6 @@ class SupNormEstimate:
         }
 
 
-def _check_mesh(m: int, mesh: int):
-    if m not in (1, 2):
-        raise CertifyError("sup_norm meshes cover m = 1 and m = 2 only")
-    if mesh < 4:
-        raise CertifyError("mesh is below the coarse default")
-
-
 def _distinct_base(m: int, mesh: int) -> tuple:
     """(rank, lifts): the centre lifts of the cells of base_boxes(m, mesh)
     that base_twins maps to themselves, and for each cell the index of
@@ -259,15 +251,6 @@ def _distinct_base(m: int, mesh: int) -> tuple:
     twins = base_twins(m, mesh)
     kept = twins == np.arange(len(twins))
     return (np.cumsum(kept) - 1)[twins], center_lifts(m, base_boxes(m, mesh)[kept])
-
-
-def _base_values(m: int, k: int, ortho_rows, mesh: int) -> np.ndarray:
-    """|s_j| at the centres of base_boxes(m, mesh), one row per
-    coefficient vector.  Only the cells base_twins maps to themselves are
-    evaluated, and every other cell takes its twin's value, its own to
-    within rounding of the lift; at m = 1 that is every cell."""
-    rank, lifts = _distinct_base(m, mesh)
-    return np.abs(evaluate_sections(m, k, ortho_rows, lifts))[:, rank]
 
 
 def _take(cells: int) -> int:
@@ -382,20 +365,6 @@ def _confirmed(approx: np.ndarray, delta) -> np.ndarray:
     take = _take(approx.shape[-1])
     edge = np.partition(approx, -take, axis=-1)[..., [-take]]
     return approx >= edge - 2 * delta
-
-
-def _refined_values(s: SectionExpansion, lifts: np.ndarray,
-                    screen: FrameScreen | None, basis) -> tuple:
-    """(values, evaluated): |s| at the refinement children, by
-    s.evaluate_lifts with the row source basis, and the number of lifts
-    it evaluated.  With a screen, only the _confirmed children are
-    evaluated and the rest get -inf."""
-    if screen is None:
-        return np.abs(s.evaluate_lifts(lifts, basis=basis)), len(lifts)
-    confirm = np.flatnonzero(_confirmed(screen.values(lifts), screen.delta))
-    vals = np.full(len(lifts), -np.inf)
-    vals[confirm] = np.abs(s.evaluate_lifts(lifts[confirm], basis=basis))
-    return vals, len(confirm)
 
 
 def _top_cells(vals: np.ndarray) -> np.ndarray:
@@ -573,55 +542,50 @@ class FirstLevel(SharedLevel):
                          items.reshape(len(top), -1), screens)
 
 
-def sup_norm(s: SectionExpansion, mesh: int = 16, rounds: int = 16,
-             base: np.ndarray | None = None,
-             screen: FrameScreen | None = None,
-             first: tuple | None = None, basis=None) -> SupNormEstimate:
-    """Mesh maximum of |s| at unit lifts, with greedy refinement.
+def sup_norm(s: SectionExpansion, mesh: int, rounds: int, base: np.ndarray,
+             screen: FrameScreen, first: tuple, basis) -> SupNormEstimate:
+    """Mesh maximum of |s| at unit lifts, with greedy refinement: one
+    section of the family certify_family certifies.
 
     Splits the top percent (at least eight) of cells by center value
     until a full refinement round improves the estimate by under 0.1%.
     The estimate only ever grows, so it is always a valid lower bound.
-    base, when given, holds |s| at the base-mesh centres, as evaluated
-    for a whole family by certify_family, or -inf at the cells that
-    cannot win (BaseLevel); otherwise it is computed here.
-    screen, when given, is this section's FrameScreen: each round then
-    evaluates exactly only the children that can win (module docstring),
-    and the estimate is the one the full evaluation gives.  Every reported
-    value is a monomial value from s.evaluate_lifts, and evaluations
-    counts the cells examined, screened out or not.  first, when given
-    with base, is round 1 as certify_family computes it for the family
-    (FirstLevel): the pair (top, values) of the base cells round 1
-    splits, _top_cells(base), and |s| at their children in the order
-    _split_boxes gives them.  Their boxes are split only if a round 2
-    follows.  exact_lifts counts the lifts evaluated here by
-    s.evaluate_lifts, whose row source is basis (monomial_basis unless
-    given; certify_family passes its block's RowTable).
+    base holds |s| at the base-mesh centres, -inf at the cells that
+    cannot win (BaseLevel), and first is round 1 (FirstLevel): the pair
+    (top, values) of the base cells round 1 splits, _top_cells(base), and
+    |s| at their children in the order _split_boxes gives them.  Their
+    boxes are split only if a round 2 follows.  From round 2 on, screen,
+    this section's FrameScreen, picks the children that can win
+    (_confirmed; module docstring), and only those are evaluated, by
+    s.evaluate_lifts with the row source basis (the block's RowTable), the
+    rest taking -inf; the estimate is the one the full evaluation gives.
+    Every reported value is a monomial value, and evaluations counts the
+    cells examined, screened out or not.  exact_lifts counts the lifts
+    evaluated here.
     """
-    _check_mesh(s.m, mesh)
     boxes = base_boxes(s.m, mesh)
-    vals = _base_values(s.m, s.k, [s.ortho_coeffs], mesh)[0] if base is None else base
-    if vals.shape != (len(boxes),):
+    if base.shape != (len(boxes),):
         raise CertifyError("base values do not match the base mesh")
-    best = float(np.max(vals))
-    evals = len(vals)
+    best = float(np.max(base))
+    evals = len(base)
     history = [best]
     used = 0
     increment = 0.0
     exact = 0
-    split = None  # base cells whose children first holds, until round 2 splits them
     for _ in range(rounds):
-        if used == 0 and first is not None:
-            split, vals = first
+        if used == 0:
+            split, vals = first  # split: the base cells whose children vals holds
             if vals.shape != (len(split) * 2 ** boxes.shape[1],):
                 raise CertifyError("round-1 values do not match the base mesh")
         else:
-            top = _top_cells(vals)
-            if split is not None:
-                boxes, split = _split_boxes(boxes[split]), None
-            boxes = _split_boxes(boxes[top])
-            vals, count = _refined_values(s, center_lifts(s.m, boxes), screen, basis)
-            exact += count
+            if used == 1:
+                boxes = _split_boxes(boxes[split])
+            boxes = _split_boxes(boxes[_top_cells(vals)])
+            lifts = center_lifts(s.m, boxes)
+            confirm = np.flatnonzero(_confirmed(screen.values(lifts), screen.delta))
+            vals = np.full(len(lifts), -np.inf)
+            vals[confirm] = np.abs(s.evaluate_lifts(lifts[confirm], basis=basis))
+            exact += len(confirm)
         evals += len(vals)
         used += 1
         new_best = max(best, float(np.max(vals)))
@@ -650,7 +614,7 @@ class NormCertificate:
     """Sup estimates and exact L^2 norms of one flat family, row by row.
     work counts what certify_family evaluated: the basis rows built and
     the (section, cell) pairs confirmed by the shared base and round-1
-    levels of a screened family ("base rows", "base confirmed",
+    levels of the family ("base rows", "base confirmed",
     "round 1 rows", "round 1 confirmed"), the lifts sup_norm evaluated
     itself ("sup_norm lifts") and the rows its RowTables built and
     reused for them ("sup_norm rows built", "sup_norm rows reused"); it
@@ -663,54 +627,49 @@ class NormCertificate:
     work: dict = field(default_factory=dict, compare=False)
 
 
-def certify_family(fam, mesh: int, rounds: int, points: np.ndarray | None = None,
-                   entries: np.ndarray | None = None) -> NormCertificate:
+def certify_family(fam, mesh: int, rounds: int, points: np.ndarray,
+                   entries: np.ndarray) -> NormCertificate:
     """sup_norm of every row of fam.ortho and its exact L^2 norm, the
     Euclidean norm of the row; the one producer of a family's sups.
 
-    The rows are taken in blocks whose base values fit in
-    BASE_BLOCK_ENTRIES (all of them at the benchmark levels).  Without the
-    frame, the base mesh is evaluated once per block (_base_values).
-    Given the frame points and the whitening matrix of the family, the
-    base mesh and round 1 are the block's shared levels (BaseLevel,
-    FirstLevel), and each section's later rounds are screened by its
-    FrameScreen; the estimates equal the unscreened ones field by field.
-    The rounds sup_norm evaluates take their rows from one RowTable per
-    block, freed with the block, and the block's sections go through
-    sup_norm in the order of their top base cells.  A sup under the
-    flatness floor l2 / sqrt(Vol), less 0.1%, raises: every section
-    reaches its L^2 average somewhere.
+    points are the frame points and entries the whitening matrix B the
+    family was mixed from (fam.ortho = F B Psi).  The rows are taken in
+    blocks whose base values fit in BASE_BLOCK_ENTRIES (all of them at
+    the benchmark levels).  The base mesh and round 1 are the block's
+    shared levels (BaseLevel, FirstLevel), and each section's later
+    rounds are screened by its FrameScreen; the estimates equal, field by
+    field, those of every cell evaluated.  The rounds sup_norm evaluates
+    take their rows from one RowTable per block, freed with the block,
+    and the block's sections go through sup_norm in the order of their
+    top base cells.  A sup under the flatness floor l2 / sqrt(Vol), less
+    0.1%, raises: every section reaches its L^2 average somewhere.
     """
-    _check_mesh(fam.m, mesh)
+    if fam.m not in (1, 2):
+        raise CertifyError("sup_norm meshes cover m = 1 and m = 2 only")
+    if mesh < 4:
+        raise CertifyError("mesh is below the coarse default")
     boxes = base_boxes(fam.m, mesh)
     block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
-    unscreened = points is None and entries is None
     l2s = l2_norms(fam)
-    screens = [None] * fam.n if unscreened else frame_screens(fam, points, entries, l2s)
-    work = dict.fromkeys(() if unscreened else (
-        "base rows", "base confirmed", "round 1 rows", "round 1 confirmed"), 0)
-    work.update(dict.fromkeys(("sup_norm rows built", "sup_norm rows reused"), 0))
+    screens = frame_screens(fam, points, entries, l2s)
+    work = dict.fromkeys(("base rows", "base confirmed", "round 1 rows", "round 1 confirmed",
+                          "sup_norm rows built", "sup_norm rows reused"), 0)
     sups = []
     for lo in range(0, fam.n, block):
         rows = fam.ortho[lo:lo + block]
         secs = [SectionExpansion.from_ortho(fam.m, fam.k, row) for row in rows]
         part = screens[lo:lo + block]
-        if unscreened:
-            base = _base_values(fam.m, fam.k, rows, mesh)
-        else:
-            level = BaseLevel(fam.m, fam.k, mesh, part)
-            base = level.values(rows)
-            work["base rows"] += level.rows
-            work["base confirmed"] += level.confirmed
-            del level  # its basis rows: one level's are held at a time
+        level = BaseLevel(fam.m, fam.k, mesh, part)
+        base = level.values(rows)
+        work["base rows"] += level.rows
+        work["base confirmed"] += level.confirmed
+        del level  # its basis rows: one level's are held at a time
         top = _top_cells(base).copy()  # not a view that keeps the whole sort
-        firsts = [None] * len(secs)
-        if not unscreened:
-            level = FirstLevel(fam.m, fam.k, boxes, top, part)
-            firsts = list(zip(top, level.values(rows)))
-            work["round 1 rows"] += level.rows
-            work["round 1 confirmed"] += level.confirmed
-            del level
+        level = FirstLevel(fam.m, fam.k, boxes, top, part)
+        firsts = list(zip(top, level.values(rows)))
+        work["round 1 rows"] += level.rows
+        work["round 1 confirmed"] += level.confirmed
+        del level
         # sections that split the same base cells refine the same children,
         # so taken in the order of their top cells they find more of them in
         # the table (m=2 k=40 mesh 6: 674 rows built in index order, 530 so)

@@ -187,7 +187,7 @@ class CubeRegion:
     def circumradius(self, m: int) -> float:
         return self.t * math.sqrt(2 * m)
 
-    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts=None) -> np.ndarray:
+    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts) -> np.ndarray:
         v = np.atleast_2d(v)
         return np.all(np.abs(v) <= self.t + 1e-15, axis=1)
 
@@ -201,7 +201,7 @@ class BallRegion:
     def circumradius(self, m: int) -> float:
         return self.radius
 
-    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts=None) -> np.ndarray:
+    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts) -> np.ndarray:
         v = np.atleast_2d(v)
         return np.linalg.norm(v, axis=1) <= self.radius + 1e-15
 
@@ -244,11 +244,9 @@ class LatLonCell:
         rc, tc = self.center_coords()
         return canonical_point([math.cos(rc), math.sin(rc) * np.exp(1j * tc)])
 
-    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts=None) -> np.ndarray:
-        """Membership of exp_center(v) per row; lifts, when given, are
-        those exp lifts already computed (any phase)."""
-        if lifts is None:
-            lifts = exp_chart_vectors(chart, np.atleast_2d(v))
+    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts) -> np.ndarray:
+        """Membership of exp_center(v) per row, read from lifts, those exp
+        lifts already computed (any phase)."""
         r, theta = latlon_coords(lifts)
         ok_r = (r >= self.r_lo) & (r < self.r_hi)
         if self.r_lo <= 0.0:

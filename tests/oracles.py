@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from flatsections import constants
-from flatsections.geometry import GeometryError, center_lifts, exp_chart_vectors
+from flatsections import certify, constants
+from flatsections.geometry import GeometryError, base_boxes, center_lifts, exp_chart_vectors
 from flatsections.kernel import (
     SectionExpansion,
     evaluate_sections,
@@ -55,6 +55,47 @@ def full_base_values(m: int, k: int, ortho_rows, boxes: np.ndarray) -> np.ndarra
     return np.abs(evaluate_sections(m, k, ortho_rows, center_lifts(m, boxes)))
 
 
+def base_values(m: int, k: int, ortho_rows, mesh: int) -> np.ndarray:
+    """|s_j| at the centres of base_boxes(m, mesh), one row per
+    coefficient vector, on the twin-mapped base mesh: only the cells
+    base_twins maps to themselves are evaluated, and every other cell
+    takes its twin's value, its own to within rounding of the lift; at
+    m = 1 that is every cell."""
+    rank, lifts = certify._distinct_base(m, mesh)
+    return np.abs(evaluate_sections(m, k, ortho_rows, lifts))[:, rank]
+
+
+def unscreened_sups(m: int, k: int, ortho_rows, mesh: int, rounds: int) -> tuple:
+    """The SupNormEstimate of each coefficient vector without the frame:
+    base_values, then each section refined alone, with every child of its
+    top cells evaluated by evaluate_lifts.  The cells are chosen and split
+    by the package's own _top_cells (the _take largest, ties to the lower
+    index) and _split_boxes, so certify_family's screened estimates must
+    equal these field by field.  exact_lifts counts every child."""
+    sups = []
+    for row, vals in zip(ortho_rows, base_values(m, k, ortho_rows, mesh)):
+        section = SectionExpansion.from_ortho(m, k, row)
+        boxes = base_boxes(m, mesh)
+        best = float(np.max(vals))
+        history, evals, used, increment, exact = [best], len(vals), 0, 0.0, 0
+        for _ in range(rounds):
+            boxes = certify._split_boxes(boxes[certify._top_cells(vals)])
+            vals = np.abs(section.evaluate_lifts(center_lifts(m, boxes)))
+            exact += len(vals)
+            evals += len(vals)
+            used += 1
+            new_best = max(best, float(np.max(vals)))
+            increment = new_best - best
+            best = new_best
+            history.append(best)
+            if increment < 1e-3 * max(best, 1e-300):
+                break
+        sups.append(certify.SupNormEstimate(
+            value=best, mesh=mesh, rounds_used=used, last_increment=increment,
+            evaluations=evals, history=tuple(history), exact_lifts=exact))
+    return tuple(sups)
+
+
 def distortion_estimate(chart, nsamples: int = 10000, seed: int = 0) -> float:
     """geometry.distortion_estimate as it was first written: the region
     test on every draw of a batch, and the exp lifts of the kept draws
@@ -68,7 +109,8 @@ def distortion_estimate(chart, nsamples: int = 10000, seed: int = 0) -> float:
     total = 0
     while total < want:
         batch = rng.uniform(-rad, rad, size=(4 * want, dim))
-        keep = batch[np.asarray(chart.region.contains(chart, batch))]
+        keep = batch[np.asarray(chart.region.contains(chart, batch,
+                                                      exp_chart_vectors(chart, batch)))]
         vs.append(keep)
         total += keep.shape[0]
         if not keep.size:

@@ -169,7 +169,7 @@ def test_uniform_boundedness(ortho_levels):
         frame, g, op, fam = (level[key] for key in ("frame", "gram", "op", "fam"))
         fk = fk_norm(frame)
         chain = sup_norm_chain_bound(fk, op, frame.n)
-        cert = certify_family(fam, 16, 16)
+        cert = certify_family(fam, 16, 16, points=frame.points, entries=op.entries)
         max_sup = max(e.value for e in cert.sup_estimates)
         assert max_sup <= chain
         if k >= 100:

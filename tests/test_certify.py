@@ -24,7 +24,14 @@ from flatsections.kernel import (
     kernel_diag,
     szego_kernel,
 )
-from oracles import eta_from_cubic_density, full_base_values, raw_coeffs, section_from_raw
+from oracles import (
+    base_values,
+    eta_from_cubic_density,
+    full_base_values,
+    raw_coeffs,
+    section_from_raw,
+    unscreened_sups,
+)
 
 
 def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> complex:
@@ -72,6 +79,18 @@ def _sections(fam):
     return [SectionExpansion.from_ortho(fam.m, fam.k, row) for row in fam.ortho]
 
 
+def _coherent_certificate(m, k, y, mesh):
+    """certify_family of the one-section family of the coherent state at
+    the unit vector y, mixed from the one-point frame at y (B = 1)."""
+    return C.certify_family(_family(coherent_state(m, k, y)), mesh, 16,
+                            points=y[None, :], entries=np.eye(1))
+
+
+def _alone(sec, mesh):
+    """The oracle's estimate of sec refined alone, every cell evaluated."""
+    return unscreened_sups(sec.m, sec.k, [sec.ortho_coeffs], mesh, 16)[0]
+
+
 # (m, k, mesh) of the screened-refinement cases: m = 1 lat-lon r=0.35 and
 # m = 2 balls r=0.4, the configurations of the benchmark's pipeline runs
 SCREEN_CASES = ((1, 200, 16), (1, 800, 16), (2, 20, 6), (2, 40, 6))
@@ -93,12 +112,16 @@ def _screened_level(m: int, k: int):
 
 @functools.lru_cache(maxsize=4)
 def _unscreened_sups(m: int, k: int, mesh: int):
-    return C.certify_family(_screened_level(m, k)[2], mesh, 16).sup_estimates
+    fam = _screened_level(m, k)[2]
+    return unscreened_sups(m, k, fam.ortho, mesh, 16)
 
 
 def _records(fam, mesh=16):
-    """emit_polynomials of fam on its certificate at the given mesh."""
-    return C.emit_polynomials(fam, C.certify_family(fam, mesh, 16))
+    """emit_polynomials of fam on the oracle's certificate at the given
+    mesh: the emitters read a certificate, wherever its sups come from."""
+    cert = C.NormCertificate(k=fam.k, m=fam.m, l2_norms=tuple(C.l2_norms(fam)),
+                             sup_estimates=unscreened_sups(fam.m, fam.k, fam.ortho, mesh, 16))
+    return C.emit_polynomials(fam, cert)
 
 
 def _one_call_residual(section, part, lam, points, h):
@@ -193,14 +216,14 @@ class TestSupNorm:
     def test_coherent_peak_found(self):
         for k in (50, 400):
             y = as_unit_vector([math.cos(0.61), math.sin(0.61) * np.exp(0.8j)])
-            est = C.sup_norm(coherent_state(1, k, y), mesh=16)
+            est = _coherent_certificate(1, k, y, 16).sup_estimates[0]
             peak = math.sqrt(kernel_diag(1, k))
             assert est.value <= peak * (1 + 1e-12)
             assert est.value >= peak * 0.995
 
     def test_constant_section_equality_case(self):
         s = section_from_raw(1, 0, [1.7 - 0.4j])
-        est = C.sup_norm(s, mesh=16)
+        est = _alone(s, 16)
         assert abs(est.value - abs(1.7 - 0.4j)) < 1e-12
         # flat equality: sup norm equals L2 norm / sqrt(Vol)
         assert abs(est.value - np.linalg.norm(s.ortho_coeffs) / math.sqrt(math.pi)) < 1e-12
@@ -215,21 +238,23 @@ class TestSupNorm:
                        - math.log(math.pi))
             )
             want = mod * weight
-            est = C.sup_norm(chi, mesh=16)
+            est = _alone(chi, 16)
             assert est.value <= want * (1 + 1e-12)
             assert est.value >= want * 0.995
 
     def test_history_nondecreasing(self):
         fr, g, op, fam = _pipeline(100)
-        est = C.sup_norm(_sections(fam)[0], mesh=16)
+        est = C.certify_family(fam, 16, 16, points=fr.points, entries=op.entries).sup_estimates[0]
         hist = est.history
         assert all(b >= a for a, b in zip(hist, hist[1:]))
         assert est.value == hist[-1]
         assert est.evaluations > 0 and est.rounds_used >= 1
 
     def test_input_validation(self):
-        with pytest.raises(C.CertifyError):
-            C.sup_norm(_unit_basis(1, 3, 0), mesh=2)
+        with pytest.raises(C.CertifyError, match="mesh"):
+            _coherent_certificate(1, 3, as_unit_vector([1.0, 0.0]), 2)
+        with pytest.raises(C.CertifyError, match="m = 1 and m = 2"):
+            _coherent_certificate(3, 3, as_unit_vector([1.0, 0.0, 0.0, 0.0]), 6)
 
     def test_base_boxes_cached_read_only(self, monkeypatch):
         boxes = C.base_boxes(2, 6)
@@ -239,12 +264,17 @@ class TestSupNorm:
             boxes[0, 0, 0] = 1.0
         fresh = C.base_boxes.__wrapped__
         assert np.array_equal(boxes, fresh(2, 6))
-        fam = _pipeline(60)[3]
-        m2 = _unit_basis(2, 5, 7)
-        cached = (C.certify_family(fam, 16, 16), C.sup_norm(m2, mesh=6))
+        fr, _, op, fam = _pipeline(60)
+        y = as_unit_vector([0.6, 0.48, 0.64j])
+
+        def certificates():
+            return (C.certify_family(fam, 16, 16, points=fr.points, entries=op.entries),
+                    _coherent_certificate(2, 5, y, 6))
+
+        cached = certificates()
         # a writable mesh built afresh in every call, as before the cache
         monkeypatch.setattr(C, "base_boxes", lambda m, per_dim: fresh(m, per_dim).copy())
-        assert cached == (C.certify_family(fam, 16, 16), C.sup_norm(m2, mesh=6))
+        assert cached == certificates()
 
 
 class TestScreenedRefinement:
@@ -339,11 +369,8 @@ class TestScreenedRefinement:
         # a round's top-cell boundary (two to five of them); ordered by
         # cell index, the screened round picks the same twins as the full one
         points, entries, fam = _screened_level(2, k)
-        sec = _sections(fam)[row]
-        base = C._base_values(2, k, [sec.ortho_coeffs], 8)[0]
-        screen = C.frame_screens(fam, points, entries, C.l2_norms(fam))[row]
-        assert (C.sup_norm(sec, mesh=8, base=base, screen=screen)
-                == C.sup_norm(sec, mesh=8, base=base))
+        cert = C.certify_family(fam, 8, 16, points=points, entries=entries)
+        assert cert.sup_estimates[row] == _alone(_sections(fam)[row], 8)
 
     def test_zero_window_misses_cells(self, monkeypatch):
         # a window of 0 confirms only the children screened at or above
@@ -361,6 +388,8 @@ class TestScreenedRefinement:
         with pytest.raises(C.CertifyError):
             C.certify_family(fam, 6, 16, points=points[1:], entries=entries)
         with pytest.raises(C.CertifyError):
+            C.certify_family(fam, 6, 16, points=points, entries=entries[1:])
+        with pytest.raises(TypeError):
             C.certify_family(fam, 6, 16, points=points)
 
     def test_evaluation_does_not_depend_on_batch(self):
@@ -422,11 +451,17 @@ class TestScreenedRefinement:
         assert cert.work["sup_norm lifts"] == sum(map(sum, own.values())) > 0
 
     def test_round_one_values_must_match_the_base_mesh(self):
-        sec = _unit_basis(1, 20, 3)
-        base = C._base_values(1, 20, [sec.ortho_coeffs], 16)[0]
+        y = as_unit_vector([math.cos(0.61), math.sin(0.61) * np.exp(0.8j)])
+        sec = coherent_state(1, 20, y)
+        fam = _family(sec)
+        screen = C.frame_screens(fam, y[None, :], np.eye(1), C.l2_norms(fam))[0]
+        base = base_values(1, 20, fam.ortho, 16)[0]
         top = C._top_cells(base)
-        with pytest.raises(C.CertifyError):
-            C.sup_norm(sec, base=base, first=(top, np.zeros(4 * len(top) - 1)))
+        first = (top, np.zeros(4 * len(top)))
+        with pytest.raises(C.CertifyError, match="base values"):
+            C.sup_norm(sec, 16, 16, base[1:], screen, first, C.RowTable(1, 20))
+        with pytest.raises(C.CertifyError, match="round-1"):
+            C.sup_norm(sec, 16, 16, base, screen, (top, first[1][1:]), C.RowTable(1, 20))
 
     def test_confirm_goes_through_evaluate_lifts(self, monkeypatch):
         cfg = cli.RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,
@@ -465,7 +500,7 @@ class TestScreenedBase:
     def test_confirmed_cells_are_the_full_evaluation(self, m, k, mesh):
         points, entries, fam = _screened_level(m, k)
         screens = C.frame_screens(fam, points, entries, C.l2_norms(fam))
-        full = C._base_values(m, k, fam.ortho, mesh)
+        full = base_values(m, k, fam.ortho, mesh)
         level = C.BaseLevel(m, k, mesh, screens)
         _assert_screened_base(level, _sections(fam), full)
         # the family-wide product stays within delta of the monomial values
@@ -487,13 +522,13 @@ class TestScreenedBase:
         y[0] = 1.0
         sec = coherent_state(m, k, y)
         fam = _family(sec)
-        full = C._base_values(m, k, fam.ortho, mesh)
+        full = base_values(m, k, fam.ortho, mesh)
         tied = np.sum(full[0] == np.max(full[0]))
         assert tied == (16 if m == 1 else 72) > C._take(full.shape[1])
         screens = C.frame_screens(fam, y[None, :], np.eye(1), C.l2_norms(fam))
         _assert_screened_base(C.BaseLevel(m, k, mesh, screens), [sec], full)
-        screened = C.certify_family(fam, mesh, 16, points=y[None, :], entries=np.eye(1))
-        assert screened.sup_estimates == C.certify_family(fam, mesh, 16).sup_estimates
+        screened = _coherent_certificate(m, k, y, mesh)
+        assert screened.sup_estimates == unscreened_sups(m, k, fam.ortho, mesh, 16)
 
     def test_shared_rows_build_in_blocks(self, monkeypatch):
         # blocks of 7 rows, each one monomial_basis call; every row read
@@ -524,7 +559,7 @@ class TestScreenedBase:
         points, entries, fam = _screened_level(2, k)
         screens = C.frame_screens(fam, points, entries, C.l2_norms(fam))
         deltas = np.array([s.delta for s in screens])
-        full = C._base_values(2, k, fam.ortho, mesh)
+        full = base_values(2, k, fam.ortho, mesh)
         assert np.all([len(np.unique(row)) < len(row) for row in full])
         rank, lifts = C._distinct_base(2, mesh)
         approx = C._screen_block(screens, lifts, rank)
@@ -537,7 +572,7 @@ class TestScreenedBase:
         # a round splits (72 at mesh 6)
         y = np.zeros(3, dtype=np.complex128)
         y[0] = 1.0
-        tied = C._base_values(2, 30, [coherent_state(2, 30, y).ortho_coeffs], mesh)
+        tied = base_values(2, 30, [coherent_state(2, 30, y).ortho_coeffs], mesh)
         assert np.sum(tied == np.max(tied)) > C._take(tied.shape[1])
         both = np.vstack([tied, tied[:, ::-1]])
         for j, row in enumerate(both):
@@ -558,7 +593,7 @@ class TestScreenedBase:
         screens = C.frame_screens(fam, points, entries, C.l2_norms(fam))
         level = C.BaseLevel(2, 40, 6, screens)
         assert chunks == [100] * 7 + [56]
-        _assert_screened_base(level, _sections(fam), C._base_values(2, 40, fam.ortho, 6))
+        _assert_screened_base(level, _sections(fam), base_values(2, 40, fam.ortho, 6))
         chunks.clear()
         screened = C.certify_family(fam, 6, 16, points=points, entries=entries)
         assert screened.sup_estimates == _unscreened_sups(2, 40, 6)
@@ -701,7 +736,7 @@ class TestCertifyFamily:
         monkeypatch.setattr(FL, "FK_MESH", 4096)
         monkeypatch.setattr(FL, "FK_ROUNDS", 5)
         fk = FL.fk_norm(fr)
-        cert = C.certify_family(fam, 16, 16)
+        cert = C.certify_family(fam, 16, 16, points=fr.points, entries=op.entries)
         assert all(abs(v - 1.0) < 1e-8 for v in cert.l2_norms)
         max_sup = max(e.value for e in cert.sup_estimates)
         assert max_sup <= FL.sup_norm_chain_bound(fk, op, fr.n)
@@ -710,64 +745,73 @@ class TestCertifyFamily:
 
     def test_flatness_floor_enforced(self):
         fr, g, op, fam = _pipeline(60)
-        cert = C.certify_family(fam, 16, 16)
+        cert = C.certify_family(fam, 16, 16, points=fr.points, entries=op.entries)
         for est, l2 in zip(cert.sup_estimates, cert.l2_norms):
             assert est.value >= l2 / math.sqrt(math.pi) * (1 - 1e-3)
 
     def test_unnormalized_family_reports_its_l2_norm(self):
         # the certificate reports the norm; _run_level turns its distance
-        # from 1 into the hard invariant l2_normalized
+        # from 1 into the hard invariant l2_normalized.  2 z0^4 is the
+        # coherent state at e_0 times its L^2 norm 2 sqrt(pi / 5): the
+        # family of the one-point frame at e_0 whitened by B = [[norm]]
+        norm = 2 * math.sqrt(math.pi / 5)
         bad = _family(section_from_raw(1, 4, [2.0, 0, 0, 0, 0]))
-        cert = C.certify_family(bad, 16, 16)
-        assert abs(cert.l2_norms[0] - 2 * math.sqrt(math.pi / 5)) < 1e-12
+        cert = C.certify_family(bad, 16, 16, points=np.eye(2)[:1], entries=np.array([[norm]]))
+        assert abs(cert.l2_norms[0] - norm) < 1e-12
 
     def test_shared_base_mesh_matches_single_sections(self):
-        m1 = _pipeline(200)[3]
-        cfg = cli.RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,
-                            cover={"name": "balls", "radius": 0.4}, mesh=6).validate()
-        m2 = cli._run_level(cfg, cli.lattice_spec(cfg)[0], 20).fam
-        for fam, mesh in ((m1, 16), (m2, 6)):
+        fr, _, op, m1 = _pipeline(200)
+        points, entries, m2 = _screened_level(2, 20)
+        for fam, mesh, frame in ((m1, 16, (fr.points, op.entries)), (m2, 6, (points, entries))):
             assert fam.n > 1
-            cert = C.certify_family(fam, mesh, 16)
-            single = [C.sup_norm(s, mesh=mesh) for s in _sections(fam)]
+            cert = C.certify_family(fam, mesh, 16, *frame)
+            single = [_alone(s, mesh) for s in _sections(fam)]
             assert np.array_equal([e.value for e in cert.sup_estimates],
                                   [e.value for e in single])
             assert cert.sup_estimates == tuple(single)
 
     def test_base_values_at_m1_are_the_full_evaluation(self):
+        # every cell of the m = 1 mesh is its own twin
         fam = _pipeline(100)[3]
         boxes = C.base_boxes(1, 16)
-        assert np.array_equal(C._base_values(1, 100, fam.ortho, 16),
+        rank, lifts = C._distinct_base(1, 16)
+        assert np.array_equal(rank, np.arange(len(boxes)))
+        assert np.array_equal(lifts, C.center_lifts(1, boxes))
+        assert np.array_equal(base_values(1, 100, fam.ortho, 16),
                               full_base_values(1, 100, fam.ortho, boxes))
 
     @pytest.mark.parametrize("k,mesh", ((20, 6), (40, 6), (40, 8)))
     def test_base_values_at_m2_evaluate_each_twin_once(self, k, mesh):
         fam = _screened_level(2, k)[2]
         boxes = C.base_boxes(2, mesh)
-        vals = C._base_values(2, k, fam.ortho, mesh)
+        twins = C.base_twins(2, mesh)
+        kept = np.unique(twins)
+        rank, lifts = C._distinct_base(2, mesh)
+        assert np.array_equal(kept[rank], twins)
+        assert np.array_equal(lifts, C.center_lifts(2, boxes[kept]))
+        vals = base_values(2, k, fam.ortho, mesh)
         full = full_base_values(2, k, fam.ortho, boxes)
         assert np.max(np.abs(vals - full)) <= 1e-13 * np.max(full)
-        twins = C.base_twins(2, mesh)
         assert np.array_equal(vals, vals[:, twins])
-        kept = np.unique(twins)
         assert np.array_equal(vals[:, kept], full[:, kept])
 
     def test_base_mesh_builds_each_confirmed_lift_once(self, monkeypatch):
         # the screened base mesh builds a basis row only at the distinct
-        # lifts of the cells some section confirms, once for the family,
-        # and sends nothing through evaluate_sections
+        # lifts of the cells some section confirms, once for the family;
+        # only the lifts sup_norm evaluates itself go through
+        # evaluate_sections
         points, entries, fam = _screened_level(2, 20)
         sent, levels, built = [], [], []
-        evaluate, init, basis = C.evaluate_sections, C.BaseLevel.__init__, C.monomial_basis
-        monkeypatch.setattr(C, "evaluate_sections",
-                            lambda m, k, rows, lifts: sent.append(len(lifts))
-                            or evaluate(m, k, rows, lifts))
+        evaluate, init, basis = K.evaluate_sections, C.BaseLevel.__init__, C.monomial_basis
+        monkeypatch.setattr(K, "evaluate_sections",
+                            lambda m, k, rows, lifts, *rest: sent.append(len(lifts))
+                            or evaluate(m, k, rows, lifts, *rest))
         monkeypatch.setattr(C.BaseLevel, "__init__",
                             lambda self, *args: init(self, *args) or levels.append(self))
         monkeypatch.setattr(C, "monomial_basis",
                             lambda *args: built.append(args[2]) or basis(*args))
         cert = C.certify_family(fam, 6, 16, points=points, entries=entries)
-        assert sent == []
+        assert sum(sent) == cert.work["sup_norm lifts"] > 0
         [level] = levels
         twins = C.base_twins(2, 6)
         confirmed = np.unique(twins[level.cell])
@@ -777,16 +821,16 @@ class TestCertifyFamily:
         assert np.array_equal(built[0], C.center_lifts(2, C.base_boxes(2, 6)[confirmed]))
 
     def test_blocked_base_mesh_matches_single_sections(self, monkeypatch):
-        fam = _pipeline(60)[3]
+        fr, _, op, fam = _pipeline(60)
         # 256 base cells at mesh 16: blocks of 4 sections, the last one short
         monkeypatch.setattr(C, "BASE_BLOCK_ENTRIES", 4 * 256 + 10)
         assert fam.n > 4 and fam.n % 4
-        assert C.certify_family(fam, 16, 16).sup_estimates == tuple(
-            C.sup_norm(s) for s in _sections(fam))
+        cert = C.certify_family(fam, 16, 16, points=fr.points, entries=op.entries)
+        assert cert.sup_estimates == tuple(_alone(s, 16) for s in _sections(fam))
 
     def test_emit_reuses_matching_certificate_only(self):
         fr, g, op, fam = _pipeline(60)
-        cert = C.certify_family(fam, 8, 6)
+        cert = C.certify_family(fam, 8, 6, points=fr.points, entries=op.entries)
         records = C.emit_polynomials(fam, cert)
         assert [r["sup"] for r in records] == [e.to_dict() for e in cert.sup_estimates]
         assert [r["l2"] for r in records] == list(cert.l2_norms)
@@ -803,9 +847,10 @@ class TestCertifyFamily:
                              charts=tuple(G.cube_cover(1, 0.1)))
         fr = F.build(spec, 2100)
         assert fr.n == 25
-        fam = FL.flatten_frame(fr, W.inv_sqrt_neumann(W.assemble_gram(fr)))
+        op = W.inv_sqrt_neumann(W.assemble_gram(fr))
+        fam = FL.flatten_frame(fr, op)
         assert np.max(np.abs(fam.ortho @ fam.ortho.conj().T - np.eye(fr.n))) <= 1e-8
-        cert = C.certify_family(fam, 16, 16)
+        cert = C.certify_family(fam, 16, 16, points=fr.points, entries=op.entries)
         records = C.emit_polynomials(fam, cert)
         assert len(records) == fr.n
         header = C.monomial_header(1, 2100)

@@ -79,7 +79,7 @@ def _box_candidates(spec, chart, k):
         zs = grid[:, 0::2] + F.HEX_DIRECTION * grid[:, 1::2]
         v = np.empty(grid.shape)
         v[:, 0::2], v[:, 1::2] = zs.real * scale, zs.imag * scale
-    keep = np.asarray(region.contains(chart, v))
+    keep = np.asarray(region.contains(chart, v, G.exp_chart_vectors(chart, v)))
     return grid[keep], v[keep]
 
 
@@ -419,7 +419,7 @@ class TestMultichart:
             mine = chart_index == j
             if mine.any():
                 v = F._tangent_vectors(spec, mu[mine], 600)
-                assert np.all(chart.region.contains(chart, v))
+                assert np.all(chart.region.contains(chart, v, G.exp_chart_vectors(chart, v)))
                 # the cells test the built points themselves
                 assert np.all(chart.region.contains(chart, v, fr.points[mine]))
 
@@ -520,7 +520,7 @@ class TestMultichart:
             radius = chart.region.circumradius(spec.m)
             grid = F._lattice_rows(spec, chart, k, radius)
             v = F._tangent_vectors(spec, grid, k)
-            keep = np.asarray(chart.region.contains(chart, v))
+            keep = np.asarray(chart.region.contains(chart, v, G.exp_chart_vectors(chart, v)))
             grid, v = grid[keep], v[keep]
             lifts = F._chart_candidates(spec, chart, k, radius)
             want_grid, want_v = _box_candidates(spec, chart, k)

@@ -382,7 +382,8 @@ class TestCovers:
     def test_cell_membership_through_chart(self):
         charts = G.cp1_latlon_cover(0.35)
         ch = charts[3]
-        assert bool(ch.region.contains(ch, np.zeros((1, 2)))[0])
+        v = np.zeros((1, 2))
+        assert bool(ch.region.contains(ch, v, G.exp_chart_vectors(ch, v))[0])
 
     def test_cp2_ball_cover_disjoint(self):
         charts = G.cp2_ball_cover()

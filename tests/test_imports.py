@@ -5,6 +5,8 @@
   the pipeline, and a helper only tests call lives in tests/.
 * Every optional parameter is passed by some call in the package: one
   that only tests set is a module constant instead.
+* No parameter defaults to None while every call in the package passes
+  it: such a default selects a path that only tests take.
 * Every field of a dataclass or NamedTuple is read somewhere in the
   package: state that nothing reads is not stored.
 * No class defines to_dict: a record the package writes out is the dict
@@ -28,6 +30,10 @@ UNCALLED_KEPT = ("core_bytes", "load_family", "load_matrix")
 
 # main(argv): the console script, which leaves argv to sys.argv
 UNPASSED_KEPT = ("main(argv)",)
+
+# basis: the monomial evaluation the tests use as their oracle, with
+# monomial_basis as its row source
+PASSED_NONE_KEPT = ("SectionExpansion.evaluate_lifts(basis)", "evaluate_sections(basis)")
 
 # Frame.dropped: the benchmark reads it
 UNREAD_KEPT = ("dropped",)
@@ -101,15 +107,17 @@ def uncalled_functions(sources: dict) -> list:
 
 
 def _optional_parameters(node, is_method):
-    """(name, positional index or None) of each parameter with a default; a
-    method's index counts from its first argument after self or cls."""
+    """(name, positional index or None, default node) of each parameter
+    with a default; a method's index counts from its first argument after
+    self or cls."""
     args = node.args
     positional = args.posonlyargs + args.args
     static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
     shift = 1 if is_method and not static else 0
     first = len(positional) - len(args.defaults)
-    out = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
-    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    out = [(a.arg, i - shift, args.defaults[i - first])
+           for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
     return out
 
 
@@ -121,22 +129,45 @@ def _passes(call, param, index) -> bool:
             or param in keywords or (index is not None and len(call.args) > index))
 
 
+def _calls(trees: dict) -> dict:
+    """Every call of the trees, keyed by the name it calls (the attribute
+    name of a call a.f(...))."""
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                calls.setdefault(name, []).append(n)
+    return calls
+
+
 def unpassed_parameters(sources: dict) -> list:
     """module:qualname(param) of every optional parameter of sources that no
     call by the function's name passes."""
     trees = _parse(sources)
-    calls = {}
-    for tree in trees.values():
-        for n in ast.walk(tree):
-            if not isinstance(n, ast.Call):
-                continue
-            name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
-            calls.setdefault(name, []).append(n)
+    calls = _calls(trees)
     out = []
     for module, tree in trees.items():
         for qual, node, is_method in _functions(tree):
-            for param, index in _optional_parameters(node, is_method):
+            for param, index, _ in _optional_parameters(node, is_method):
                 if not any(_passes(c, param, index) for c in calls.get(node.name, [])):
+                    out.append("%s:%s(%s)" % (module, qual, param))
+    return sorted(out)
+
+
+def passed_none_defaults(sources: dict) -> list:
+    """module:qualname(param) of every parameter of sources that defaults to
+    None and that every call by the function's name passes; a function no
+    call names is unpassed_parameters' to report."""
+    trees = _parse(sources)
+    calls = _calls(trees)
+    out = []
+    for module, tree in trees.items():
+        for qual, node, is_method in _functions(tree):
+            mine = calls.get(node.name, [])
+            for param, index, default in _optional_parameters(node, is_method):
+                if (isinstance(default, ast.Constant) and default.value is None and mine
+                        and all(_passes(c, param, index) for c in mine)):
                     out.append("%s:%s(%s)" % (module, qual, param))
     return sorted(out)
 
@@ -248,6 +279,22 @@ def test_detects_an_unpassed_parameter():
     assert unpassed_parameters({"a": a, "b": b}) == ["a:C.g(q)", "a:f(y)", "a:f(z)"]
 
 
+def test_detects_a_none_default_every_call_passes():
+    a = textwrap.dedent("""
+        def f(x, y=None, z=None, *, w=None, v=0):
+            return x
+
+        class C:
+            def g(self, p=None, q=None):
+                return p
+
+        def lonely(u=None):
+            return u
+        """)
+    b = "from a import C, f\nf(1, 2, w=3, v=1)\nf(1, None, None, w=4)\nC().g(5)\nC().g(*[6])\n"
+    assert passed_none_defaults({"a": a, "b": b}) == ["a:C.g(p)", "a:f(w)", "a:f(y)"]
+
+
 def test_detects_an_unread_field():
     a = textwrap.dedent("""
         import dataclasses
@@ -318,6 +365,11 @@ def test_every_optional_parameter_is_passed_in_the_package():
             and e.split(":", 1)[1] not in UNPASSED_KEPT] == []
 
 
+def test_no_none_default_is_left_to_tests():
+    found = passed_none_defaults(_package_sources())
+    assert [e for e in found if e.split(":", 1)[1] not in PASSED_NONE_KEPT] == []
+
+
 def test_every_field_is_read_in_the_package():
     found = unread_fields(_package_sources())
     assert [e for e in found if not _kept(e, UNREAD_KEPT)] == []
@@ -334,6 +386,8 @@ def test_every_kept_name_is_still_needed():
     unpassed = [e.split(":", 1)[1] for e in unpassed_parameters(sources)]
     assert [n for n in UNCALLED_KEPT if not any(_kept(e, (n,)) for e in uncalled)] == []
     assert [n for n in UNPASSED_KEPT if n not in unpassed] == []
+    passed_none = [e.split(":", 1)[1] for e in passed_none_defaults(sources)]
+    assert [n for n in PASSED_NONE_KEPT if n not in passed_none] == []
     assert [n for n in UNREAD_KEPT if not any(_kept(e, (n,)) for e in unread)] == []
     to_dict = to_dict_classes(sources)
     assert [n for n in TO_DICT_KEPT if not any(_kept(e, (n,)) for e in to_dict)] == []
