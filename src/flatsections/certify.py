@@ -231,7 +231,7 @@ class SupNormEstimate:
     last_increment: float
     evaluations: int
     history: tuple
-    exact_lifts: int = field(default=0, compare=False)
+    exact_lifts: int = field(compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -624,7 +624,7 @@ class NormCertificate:
     m: int
     sup_estimates: tuple
     l2_norms: tuple
-    work: dict = field(default_factory=dict, compare=False)
+    work: dict = field(compare=False)
 
 
 def certify_family(fam, mesh: int, rounds: int, points: np.ndarray,

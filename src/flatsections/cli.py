@@ -72,11 +72,7 @@ from .geometry import (
     cube_cover,
     covering_defect,
     distortion_estimate,
-    make_chart,
-    BallRegion,
-    as_unit_vector,
     canonical_point,
-    exp_chart_vectors,
     two_cap_cover,
     volume,
 )
@@ -346,7 +342,7 @@ def build_charts(cfg: RunConfig):
 
 def lattice_spec(cfg: RunConfig):
     """Resolve charts and spacing into a LatticeSpec plus a report dict;
-    gamma is the largest distortion bound the charts declare."""
+    gamma is the largest distortion bound of the charts' regions."""
     charts = build_charts(cfg)
     gamma = max(c.gamma for c in charts)
     a = cfg.spacing if cfg.spacing is not None else choose_spacing(cfg.m, cfg.eta, gamma)
@@ -522,7 +518,8 @@ def _constants_core(cfg: RunConfig) -> dict:
 
 def dual_route_deviation(m: int, k: int, seed: int = 0) -> float:
     """Worst relative gap between the closed-form kernel and a literal
-    basis sum, over pairs a geodesic step c/sqrt(k) apart.  Kept to near
+    basis sum, over pairs a geodesic step r = c/sqrt(k) apart: x = cos(r) y
+    + sin(r) u, u a random unit vector orthogonal to y.  Kept to near
     pairs: far pairs drown the tiny true value in summation noise.  The
     second route is the exact-rational monomial sum while its factorials
     fit in a float, and the coherent-coefficient inner product beyond."""
@@ -532,10 +529,10 @@ def dual_route_deviation(m: int, k: int, seed: int = 0) -> float:
         for _ in range(2):
             raw = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
             y = canonical_point(raw)
-            chart = make_chart(y, BallRegion(1.0), 2.0)
-            v = rng.standard_normal(2 * m)
-            v *= c / math.sqrt(k) / np.linalg.norm(v)
-            x = as_unit_vector(exp_chart_vectors(chart, v[None, :])[0])
+            u = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+            u -= y * np.vdot(y, u)
+            r = c / math.sqrt(k)
+            x = math.cos(r) * y + math.sin(r) * u / np.linalg.norm(u)
             a = szego_kernel(m, k, x, y)
             if m + k <= 120:
                 b = szego_kernel_monomial_sum(m, k, x, y)

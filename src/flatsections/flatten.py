@@ -176,7 +176,7 @@ def fk_norm(frame: Frame) -> float:
     # zoom: geodesic grids around the incumbent, shrinking by halves
     radius = 0.7 / math.sqrt(max(frame.k, 1))
     for _ in range(FK_ROUNDS):
-        chart = make_chart(canonical_point(best_lift), BallRegion(min(radius * 1.1, 0.7)), 2.0)
+        chart = make_chart(canonical_point(best_lift), BallRegion(min(radius * 1.1, 0.7)), 1.0)
         cand = exp_chart_vectors(chart, _tangent_ball_grid(frame.m, radius, 5))
         vals = frame_sum(frame, cand)
         i = int(np.argmax(vals))

@@ -65,8 +65,6 @@ DEDUP_FACTOR = 1.25
 # distance from the chart centre cannot break the dedup prefilter
 REACH_SLACK = 1e-9
 
-DEFAULT_EPSILON = 0.05
-
 # a chart's lattice box, (2 mmax + 1)^{2m} rows, is refused past this;
 # the largest the tests and the benchmark enumerate holds 9,661
 MAX_CHART_CANDIDATES = 2 ** 22
@@ -113,8 +111,9 @@ class LatticeSpec:
     """Parameters of a lattice frame build.
 
     charts: the cube chart of geometry.cube_cover or a cover, each with
-    its declared gamma; gamma is the largest.  A density-targeted cover of
-    more than one chart needs its slack delta <= a^{2m} epsilon / (3 m!).
+    the gamma geometry.make_chart derives from its region; gamma is at
+    least the largest.  A density-targeted cover of more than one chart
+    needs its slack delta <= a^{2m} epsilon / (3 m!).
     eta is the target Gram perturbation; a LatticeSpec is 'certified' when
     the theta-sum bound proves the target, otherwise builds still run and
     the measured row sums must carry the downstream bounds.
@@ -125,10 +124,10 @@ class LatticeSpec:
     a: float
     eta: float
     gamma: float
-    epsilon: float = DEFAULT_EPSILON
-    charts: tuple = ()
-    delta: float | None = None
-    beta_target: float | None = None
+    charts: tuple
+    epsilon: float
+    delta: float | None
+    beta_target: float | None
 
     def __post_init__(self):
         if self.kind not in ("cubic", "hexagonal"):
@@ -143,10 +142,10 @@ class LatticeSpec:
             raise FrameError("epsilon must lie in [0,1)")
         if not self.charts:
             raise FrameError("a lattice spec needs at least one chart")
-        declared = max(c.gamma for c in self.charts)
-        if self.gamma < declared:
-            raise FrameError("gamma %.6g is below the %.6g its charts declare"
-                             % (self.gamma, declared))
+        derived = max(c.gamma for c in self.charts)
+        if self.gamma < derived:
+            raise FrameError("gamma %.6g is below the %.6g of its charts"
+                             % (self.gamma, derived))
         if self.beta_target is not None and len(self.charts) > 1:
             if self.delta is None:
                 raise FrameError("density-targeted multichart spec needs delta")
@@ -282,7 +281,7 @@ def _chart_candidates(spec: LatticeSpec, chart: ChartSpec, k: int,
     test reads it."""
     v = _tangent_vectors(spec, _lattice_rows(spec, chart, k, radius), k)
     lifts = exp_chart_vectors(chart, v)
-    return lifts[np.asarray(chart.region.contains(chart, v, lifts))]
+    return lifts[np.asarray(chart.region.contains(v, lifts))]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +297,7 @@ class Frame:
     k: int
     m: int
     points: np.ndarray  # (n, m+1) complex canonical unit lifts
-    dropped: int = 0  # candidates removed by cross-chart dedup
+    dropped: int  # candidates removed by cross-chart dedup
 
     @property
     def n(self) -> int:

@@ -187,7 +187,7 @@ class CubeRegion:
     def circumradius(self, m: int) -> float:
         return self.t * math.sqrt(2 * m)
 
-    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts) -> np.ndarray:
+    def contains(self, v: np.ndarray, lifts) -> np.ndarray:
         v = np.atleast_2d(v)
         return np.all(np.abs(v) <= self.t + 1e-15, axis=1)
 
@@ -201,7 +201,7 @@ class BallRegion:
     def circumradius(self, m: int) -> float:
         return self.radius
 
-    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts) -> np.ndarray:
+    def contains(self, v: np.ndarray, lifts) -> np.ndarray:
         v = np.atleast_2d(v)
         return np.linalg.norm(v, axis=1) <= self.radius + 1e-15
 
@@ -244,7 +244,7 @@ class LatLonCell:
         rc, tc = self.center_coords()
         return canonical_point([math.cos(rc), math.sin(rc) * np.exp(1j * tc)])
 
-    def contains(self, chart: "ChartSpec", v: np.ndarray, lifts) -> np.ndarray:
+    def contains(self, v: np.ndarray, lifts) -> np.ndarray:
         """Membership of exp_center(v) per row, read from lifts, those exp
         lifts already computed (any phase)."""
         r, theta = latlon_coords(lifts)
@@ -287,18 +287,15 @@ class ChartSpec:
     """Geodesic normal chart: center (a canonical unit vector), orthonormal
     tangent frame, region.
 
-    gamma is the declared two-sided distortion bound: for v, w in the
-    region, |v - w| / gamma <= dist(exp v, exp w) <= gamma |v - w|.
+    gamma is the two-sided distortion bound make_chart derives from the
+    region: for v, w in the region,
+    |v - w| / gamma <= dist(exp v, exp w) <= gamma |v - w|.
     """
 
     center: np.ndarray
     frame_matrix: np.ndarray
     region: object
     gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 1.0:
-            raise GeometryError("distortion gamma must exceed 1")
 
     @property
     def m(self) -> int:
@@ -323,7 +320,21 @@ def _householder_frame(p: np.ndarray) -> np.ndarray:
     return q
 
 
-def make_chart(center: np.ndarray, region, gamma: float) -> ChartSpec:
+def make_chart(center: np.ndarray, region, slack: float) -> ChartSpec:
+    """The chart at center over region; the one place a chart's gamma is
+    computed.
+
+    d exp_p at |v| = rho has singular values 1, sin rho / rho and
+    sin 2rho / 2rho (Cheeger-Ebin, Comparison Theorems in Riemannian
+    Geometry, 1975), so inside the convexity radius pi/4 a region of
+    circumradius R has distortion at most 2R / sin 2R; gamma is that times
+    slack (at least 1).  GeometryError unless 0 < R < pi/4.
+    """
+    rad = region.circumradius(center.shape[0] - 1)
+    if not 0 < rad < math.pi / 4:
+        raise GeometryError("chart circumradius %.6g lies outside (0, pi/4), "
+                            "the convexity radius" % rad)
+    gamma = 2 * rad / math.sin(2 * rad) * slack
     frame = _householder_frame(center)
     frame.flags.writeable = False
     return ChartSpec(center=center, frame_matrix=frame, region=region, gamma=gamma)
@@ -368,7 +379,10 @@ def distortion_estimate(chart: ChartSpec, nsamples: int = 10000, seed: int = 0) 
     of nsamples only until 2 nsamples draws are kept.  A lat-lon cell
     tests the exp lifts of its draws, so the kept draws' lifts are reused
     for the distances; a ball or cube tests the coordinates alone, and
-    only the kept draws are mapped.
+    only the kept draws are mapped.  The flag is worth its branch:
+    mapping every draw makes the estimate on the seven-ball cover
+    (nsamples 2000) about 1.6 times as slow, and on the m = 2 cube about
+    2.4 times.
     """
     rng = np.random.default_rng(seed)
     m = chart.m
@@ -383,7 +397,7 @@ def distortion_estimate(chart: ChartSpec, nsamples: int = 10000, seed: int = 0) 
         for lo in range(0, len(batch), nsamples):
             chunk = batch[lo:lo + nsamples]
             lifts = exp_chart_vectors(chart, chunk) if mapped else None
-            keep = np.asarray(chart.region.contains(chart, chunk, lifts))
+            keep = np.asarray(chart.region.contains(chunk, lifts))
             vs.append(chunk[keep])
             if mapped:
                 zs.append(lifts[keep])
@@ -412,23 +426,18 @@ def distortion_estimate(chart: ChartSpec, nsamples: int = 10000, seed: int = 0) 
 
 
 def cube_cover(m: int, t: float) -> list:
-    """The single cube chart [-t, t]^{2m} at the standard point, declared
-    gamma 1.27 as single-chart runs always have been.  ROADMAP item 5
-    replaces it with 2R/sin 2R, R = t sqrt(2m): 1.27 is false at m = 2,
-    t = 0.4.  GeometryError once the cube reaches the injectivity radius."""
-    reach = t * math.sqrt(2 * m)
-    if reach >= HALF_PI - 1e-9:
-        raise GeometryError("single-chart halfwidth %.3g reaches %.3g, past the "
-                            "injectivity radius" % (t, reach))
-    return [make_chart(standard_point(m), CubeRegion(t), 1.27)]
+    """The single cube chart [-t, t]^{2m} at the standard point, gamma 0.1%
+    above 2R/sin 2R at its corner R = t sqrt(2m); make_chart refuses a
+    corner at pi/4 or beyond, so t < pi / (4 sqrt(2m))."""
+    return [make_chart(standard_point(m), CubeRegion(t), 1.001)]
 
 
 def cp1_latlon_cover(max_radius: float) -> list:
     """Exact cell partition of CP^1 by polar caps, bands, and sectors.
 
     Every cell fits in a geodesic disc of radius max_radius about its own
-    center, keeping the per-chart distortion near 2r/sin(2r); the declared
-    gamma is 0.1% above it, r the cell's circumradius.  Bands are
+    center, keeping the per-chart distortion near 2r/sin(2r), r the cell's
+    circumradius; each chart's gamma is 0.1% above it.  Bands are
     half open so the cells tile the sphere exactly (defect zero).
     """
     if not 0.05 < max_radius < 0.6:
@@ -450,12 +459,7 @@ def cp1_latlon_cover(max_radius: float) -> list:
         for s in range(nsec):
             cells.append(LatLonCell(r0, r1, s * step, (s + 1) * step))
     cells.append(LatLonCell(float(edges[-1]), HALF_PI, 0.0, 2 * math.pi))
-    charts = []
-    for cell in cells:
-        rad = cell.circumradius(1)
-        gamma = (2 * rad / math.sin(2 * rad)) * 1.001
-        charts.append(make_chart(cell.center_point(), cell, gamma))
-    return charts
+    return [make_chart(cell.center_point(), cell, 1.001) for cell in cells]
 
 
 def cp2_ball_cover(radius: float = 0.4) -> list:
@@ -465,7 +469,7 @@ def cp2_ball_cover(radius: float = 0.4) -> list:
     [1:+-1:+-1]/sqrt(3); pairwise distances >= arccos(1/sqrt 3) ~ 0.955,
     so balls of radius < 0.47 are disjoint.  This is a partial cover with
     a large declared covering slack, intended for pipeline smoke runs.
-    The declared gamma is 1% above 2r/sin(2r).
+    Each chart's gamma is 1% above 2r/sin(2r).
     """
     if radius >= 0.47:
         raise GeometryError("balls of this radius would overlap")
@@ -474,27 +478,14 @@ def cp2_ball_cover(radius: float = 0.4) -> list:
     for s1 in (1.0, -1.0):
         for s2 in (1.0, -1.0):
             centers.append(canonical_point([s, s1 * s, s2 * s]))
-    g = (2 * radius / math.sin(2 * radius)) * 1.01
-    return [make_chart(c, BallRegion(radius), g) for c in centers]
+    return [make_chart(c, BallRegion(radius), 1.01) for c in centers]
 
 
 def two_cap_cover(m: int, radius: float) -> list:
-    """Two geodesic-ball charts at the standard points e_0 and e_m,
-    declared gamma 1% above 2r/sin(2r).
-
-    The centres are pi/2 apart, so the balls overlap once the radius
-    reaches pi/4.  On CP^1 the two caps then cover the whole line and the
-    clipped volume sum in covering_defect is exactly 0, so any radius is
-    accepted; for m >= 2 the overlap would be counted twice, so a radius
-    of pi/4 or more raises GeometryError.
-    """
-    if m >= 2 and radius >= math.pi / 4:
-        raise GeometryError("two caps of this radius would overlap")
-    g = (2 * radius / math.sin(2 * radius)) * 1.01
-    return [
-        make_chart(standard_point(m, 0), BallRegion(radius), g),
-        make_chart(standard_point(m, m), BallRegion(radius), g),
-    ]
+    """Two geodesic-ball charts at the standard points e_0 and e_m, each
+    gamma 1% above 2r/sin(2r).  The centres are pi/2 apart, so the balls
+    are disjoint below the radius pi/4 that make_chart refuses."""
+    return [make_chart(standard_point(m, i), BallRegion(radius), 1.01) for i in (0, m)]
 
 
 def covering_defect(m: int, charts: list) -> float:
@@ -502,9 +493,7 @@ def covering_defect(m: int, charts: list) -> float:
 
     Exact for the covers built here: lat-lon cells tile CP^1 (defect 0 up
     to a measure-zero grid), and ball covers are disjoint by construction
-    so the covered volume is a sum of geodesic-ball volumes.  The one
-    overlap allowed, two caps on CP^1 of radius pi/4 or more, covers the
-    line, and the clipped sum is then exactly 0.
+    so the covered volume is a sum of geodesic-ball volumes.
     """
     covered = 0.0
     for chart in charts:

@@ -109,8 +109,7 @@ def distortion_estimate(chart, nsamples: int = 10000, seed: int = 0) -> float:
     total = 0
     while total < want:
         batch = rng.uniform(-rad, rad, size=(4 * want, dim))
-        keep = batch[np.asarray(chart.region.contains(chart, batch,
-                                                      exp_chart_vectors(chart, batch)))]
+        keep = batch[np.asarray(chart.region.contains(batch, exp_chart_vectors(chart, batch)))]
         vs.append(keep)
         total += keep.shape[0]
         if not keep.size:

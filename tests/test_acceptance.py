@@ -44,7 +44,8 @@ def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
 def ortho_levels():
     """Dense cubic family at a = 2.2, eta target 0.7, k in {50,...,400}."""
     spec = LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
-                       charts=tuple(cube_cover(1, 0.4)))
+                       charts=tuple(cube_cover(1, 0.4)),
+                       epsilon=0.05, delta=None, beta_target=None)
     levels = {}
     for k in (50, 100, 200, 400):
         frame = build(spec, k)
@@ -121,7 +122,7 @@ def test_step2_bounds():
     gamma = max(c.gamma for c in charts)
     a = choose_spacing(1, 0.5, gamma)
     spec = LatticeSpec(kind="cubic", m=1, a=a, eta=0.5, gamma=gamma,
-                       charts=charts, delta=1e-9)
+                       charts=charts, delta=1e-9, epsilon=0.05, beta_target=None)
     assert spec.certified and spec.abound_satisfied
     grid = (50, 100, 200, 400, 800)
     k0 = None

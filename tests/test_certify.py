@@ -120,7 +120,8 @@ def _records(fam, mesh=16):
     """emit_polynomials of fam on the oracle's certificate at the given
     mesh: the emitters read a certificate, wherever its sups come from."""
     cert = C.NormCertificate(k=fam.k, m=fam.m, l2_norms=tuple(C.l2_norms(fam)),
-                             sup_estimates=unscreened_sups(fam.m, fam.k, fam.ortho, mesh, 16))
+                             sup_estimates=unscreened_sups(fam.m, fam.k, fam.ortho, mesh, 16),
+                             work={})
     return C.emit_polynomials(fam, cert)
 
 
@@ -164,7 +165,8 @@ def _stencil_points(pts: np.ndarray, h: float) -> np.ndarray:
 
 def _pipeline(k: int):
     spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
-                         charts=tuple(G.cube_cover(1, 0.4)))
+                         charts=tuple(G.cube_cover(1, 0.4)),
+                         epsilon=0.05, delta=None, beta_target=None)
     fr = F.build(spec, k)
     g = W.assemble_gram(fr)
     op = W.inv_sqrt_neumann(g)
@@ -844,7 +846,8 @@ class TestCertifyFamily:
         # past the level where the plain monomial coefficients overflow
         # float64, the written records and monomial header stay finite
         spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
-                             charts=tuple(G.cube_cover(1, 0.1)))
+                             charts=tuple(G.cube_cover(1, 0.1)),
+                             epsilon=0.05, delta=None, beta_target=None)
         fr = F.build(spec, 2100)
         assert fr.n == 25
         op = W.inv_sqrt_neumann(W.assemble_gram(fr))
@@ -864,7 +867,8 @@ class TestCertifyFamily:
 class TestEmitters:
     def test_degree_one_record(self):
         spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
-                             charts=tuple(G.cube_cover(1, 0.1)))
+                             charts=tuple(G.cube_cover(1, 0.1)),
+                             epsilon=0.05, delta=None, beta_target=None)
         fr = F.build(spec, 1)
         assert fr.n == 1
         fam = FL.flatten_frame(fr, W.inv_sqrt_eigen(W.assemble_gram(fr)))
@@ -1050,7 +1054,7 @@ class TestEigenfunctions:
 
     def test_zero_polynomial_rejected(self):
         rec = {"k": 2, "m": 1, "ortho re": [0.0] * 3, "ortho im": [0.0] * 3,
-               "sup": C.SupNormEstimate(0.0, 16, 0, 0.0, 0, (0.0,)).to_dict(),
+               "sup": C.SupNormEstimate(0.0, 16, 0, 0.0, 0, (0.0,), 0).to_dict(),
                "l2": 0.0, "sphere ratio": 1.0}
         with pytest.raises(C.CertifyError):
             C.emit_eigenfunction(rec)

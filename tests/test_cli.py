@@ -111,7 +111,8 @@ class TestConfig:
 class TestLatticeResolution:
     def test_auto_spacing_is_certified(self):
         spec, info = cli.lattice_spec(RunConfig(eta=0.5, spacing=None))
-        assert spec.a == pytest.approx(choose_spacing(1, 0.5, 1.27), rel=1e-12)
+        assert spec.a == choose_spacing(1, 0.5, spec.gamma)
+        assert spec.a == pytest.approx(14.096581679692644, rel=1e-12)
         assert info["certified"] and info["abound"]
         assert info["chart_count"] == 1
 
@@ -121,8 +122,8 @@ class TestLatticeResolution:
             cli.lattice_spec(RunConfig(t=1.2))
 
     @pytest.mark.parametrize("cfg,gamma", [
-        (RunConfig(), 1.27),
-        (RunConfig(m=2, t=0.35), 1.27),
+        (RunConfig(), 1.2513888879018475),
+        (RunConfig(m=2, t=0.35), 1.422091819961644),
         (RunConfig(spacing=1.83, cover={"name": "latlon", "radius": 0.35}),
          1.0876758180988426),
     ], ids=["cube-m1", "cube-m2", "latlon"])
@@ -497,8 +498,9 @@ class TestMainEntry:
         assert captured.err.count("\n") == 1
 
     def test_overlapping_two_caps_on_cp2_are_a_chart_error(self, tmp_path, capsys):
-        # caps at e_0 and e_2 of radius 1.2 overlap; their volume sum would
-        # report a covering defect of 0 where about 0.17 is uncovered
+        # caps at e_0 and e_2 of radius 1.2 overlap, and pass the convexity
+        # radius pi/4; their volume sum would report a covering defect of 0
+        # where about 0.17 is uncovered
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"k": [8], "m": 2, "mesh": 4, "spacing": 3.0,
                                     "cover": {"name": "two-cap", "radius": 1.2}}))
@@ -507,8 +509,16 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("chart error:") and captured.err.count("\n") == 1
 
+    def test_default_cube_at_m2_is_a_chart_error(self, capsys):
+        # the default halfwidth 0.4 puts the m = 2 corner at 0.8 > pi/4, where
+        # no distortion bound holds; single-chart m = 2 runs need t < 0.3927
+        assert cli.main(["run", "--m", "2", "--k", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chart error:") and captured.err.count("\n") == 1
+
     def test_gamma_is_not_a_config_key(self, tmp_path, capsys):
-        # the charts alone declare gamma; 1.01 here would certify an
+        # the charts' regions alone give gamma; 1.01 here would certify an
         # uncertified lat-lon spec
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"k": [100], "spacing": 1.83, "gamma": 1.01,
@@ -521,7 +531,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("args,prefix", [
         (["run", "--spacing", "1e-300", "--k", "50"], "pipeline error:"),
         (["run", "--spacing", "5e-324", "--k", "50"], "pipeline error:"),
-        (["run", "--m", "2", "--spacing", "0.01", "--k", "400"], "chart error:"),
+        (["run", "--m", "2", "--t", "0.35", "--spacing", "0.01", "--k", "400"],
+         "chart error:"),
         (["run", "--m", "1", "--mesh", "100000", "--k", "50"], "config error:"),
         (["emit-polys", "--m", "2", "--mesh", "100000", "--k", "4", "--spacing", "2.2"],
          "config error:"),

@@ -16,7 +16,8 @@ from flatsections.kernel import SectionExpansion, coherent_state, kernel_diag
 
 def _run_b_spec():
     return F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
-                         charts=tuple(G.cube_cover(1, 0.4)))
+                         charts=tuple(G.cube_cover(1, 0.4)),
+                         epsilon=0.05, delta=None, beta_target=None)
 
 
 def fk_ceilings(frame: F.Frame, spec: F.LatticeSpec, eta_hat: float) -> dict:
@@ -177,7 +178,8 @@ class TestFrameMappingNorm:
         monkeypatch.setattr(FL, "FK_MESH", 1024)
         monkeypatch.setattr(FL, "FK_ROUNDS", 3)
         spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27,
-                             charts=tuple(G.cube_cover(1, 0.1)))
+                             charts=tuple(G.cube_cover(1, 0.1)),
+                             epsilon=0.05, delta=None, beta_target=None)
         fr = F.build(spec, 50)
         assert fr.n == 1
         root = math.sqrt(kernel_diag(1, 50))

@@ -14,12 +14,13 @@ from oracles import density_threshold, eta_from_cubic_density, fs_distance
 
 
 def _cube_spec(t=0.4, **kw):
-    """A spec over one cube chart of halfwidth t at the standard point that
-    declares the spec's gamma; the default 1.27 is geometry.cube_cover's."""
-    base = dict(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27)
+    """A spec with no density target over geometry.cube_cover's chart of
+    halfwidth t, whose gamma it takes unless kw gives one."""
+    base = dict(kind="cubic", m=1, a=2.2, eta=0.7, epsilon=0.05, delta=None, beta_target=None)
     base.update(kw)
-    chart = G.make_chart(G.standard_point(base["m"]), G.CubeRegion(t), base["gamma"])
-    return F.LatticeSpec(charts=(chart,), **base)
+    charts = tuple(G.cube_cover(base["m"], t))
+    base.setdefault("gamma", charts[0].gamma)
+    return F.LatticeSpec(charts=charts, **base)
 
 
 def _latlon_spec(kind, radius, a):
@@ -27,7 +28,7 @@ def _latlon_spec(kind, radius, a):
     return F.LatticeSpec(
         kind=kind, m=1, a=a, eta=0.995,
         gamma=max(c.gamma for c in cover), epsilon=0.005,
-        charts=tuple(cover), delta=1e-9,
+        charts=tuple(cover), delta=1e-9, beta_target=None,
     )
 
 
@@ -37,7 +38,7 @@ def _dedup_spec(kind, radius, a, lattice="cubic"):
     if kind in ("balls", "caps"):
         cover = G.cp2_ball_cover(radius) if kind == "balls" else G.two_cap_cover(2, radius)
         return F.LatticeSpec(kind=lattice, m=2, a=a, eta=0.9, gamma=cover[0].gamma,
-                             charts=tuple(cover), delta=3.0)
+                             charts=tuple(cover), epsilon=0.05, delta=3.0, beta_target=None)
     return _latlon_spec(kind, radius, a)
 
 
@@ -79,7 +80,7 @@ def _box_candidates(spec, chart, k):
         zs = grid[:, 0::2] + F.HEX_DIRECTION * grid[:, 1::2]
         v = np.empty(grid.shape)
         v[:, 0::2], v[:, 1::2] = zs.real * scale, zs.imag * scale
-    keep = np.asarray(region.contains(chart, v, G.exp_chart_vectors(chart, v)))
+    keep = np.asarray(region.contains(v, G.exp_chart_vectors(chart, v)))
     return grid[keep], v[keep]
 
 
@@ -178,17 +179,19 @@ class TestSpacingRules:
         with pytest.raises(F.FrameError):
             _cube_spec(kind="triangular")
         with pytest.raises(F.FrameError, match="at least one chart"):
-            F.LatticeSpec(kind="cubic", m=1, a=2.0, eta=0.5, gamma=1.1)
+            F.LatticeSpec(kind="cubic", m=1, a=2.0, eta=0.5, gamma=1.1, charts=(),
+                          epsilon=0.05, delta=None, beta_target=None)
 
     def test_gamma_covers_every_chart(self):
         # the certificate divides the spacing by gamma, so a gamma below
         # a chart's own distortion bound would overstate it
         charts = tuple(G.cp1_latlon_cover(0.35))
-        declared = max(c.gamma for c in charts)
-        kw = dict(kind="cubic", m=1, a=1.945, eta=0.995, charts=charts, delta=1e-9)
-        with pytest.raises(F.FrameError, match="below the .* its charts declare"):
-            F.LatticeSpec(gamma=declared * (1 - 1e-12), **kw)
-        for gamma in (declared, 1.5):
+        derived = max(c.gamma for c in charts)
+        kw = dict(kind="cubic", m=1, a=1.945, eta=0.995, charts=charts, epsilon=0.05,
+                  delta=1e-9, beta_target=None)
+        with pytest.raises(F.FrameError, match="below the .* of its charts"):
+            F.LatticeSpec(gamma=derived * (1 - 1e-12), **kw)
+        for gamma in (derived, 1.5):
             assert F.build(F.LatticeSpec(gamma=gamma, **kw), 50).n > 0
 
     def test_uncertified_spec_still_validates(self):
@@ -197,8 +200,8 @@ class TestSpacingRules:
         assert F.build(spec, 50).n > 0
 
     def test_sparse_spec_is_certified(self):
-        a = F.choose_spacing(1, 0.5, 1.1)
-        spec = _cube_spec(a=a, eta=0.5, gamma=1.1, t=0.5)
+        a = F.choose_spacing(1, 0.5, G.cube_cover(1, 0.5)[0].gamma)
+        spec = _cube_spec(a=a, eta=0.5, t=0.5)
         assert spec.certified
         assert spec.abound_satisfied
 
@@ -227,8 +230,9 @@ class TestCandidateCap:
         else:
             # a ball just inside 3 steps: the box reaches one step past it
             ball = G.BallRegion(3 * 2.2 / math.sqrt(200) - 5e-16)
-            spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.3,
-                                 charts=(G.make_chart(G.standard_point(1), ball, 1.3),))
+            charts = (G.make_chart(G.standard_point(1), ball, 1.01),)
+            spec = F.LatticeSpec(kind="cubic", m=1, a=2.2, eta=0.7, gamma=charts[0].gamma,
+                                 charts=charts, epsilon=0.05, delta=None, beta_target=None)
             rows = 9 ** 2
         monkeypatch.setattr(F, "MAX_CHART_CANDIDATES", rows)
         assert F.build(spec, 200).n > 0
@@ -245,15 +249,15 @@ class TestCandidateCap:
 
 class TestSingleChartCubic:
     def test_count_identity_example(self):
-        spec = _cube_spec(a=2.0, eta=0.9, gamma=1.05, t=1.0)
+        spec = _cube_spec(a=1.0, eta=0.9, t=0.5)
         assert F.build(spec, 100).n == 121
 
     def test_count_identity_sweep(self):
-        for t, a in ((0.4, 2.2), (0.8, 3.1), (1.0, 11.3)):
-            spec = _cube_spec(a=a, eta=0.9, gamma=1.4, t=t)
+        for t, a in ((0.4, 2.2), (0.4, 1.55), (0.5, 5.65)):
+            spec = _cube_spec(a=a, eta=0.9, t=t)
             for k in (1, 7, 50, 144, 400):
                 assert F.build(spec, k).n == expected_cubic_count(spec, k)
-        spec2 = _cube_spec(m=2, a=2.6, eta=0.9, gamma=1.3, t=0.35)
+        spec2 = _cube_spec(m=2, a=2.6, eta=0.9, t=0.35)
         for k in (20, 40, 90):
             assert F.build(spec2, k).n == expected_cubic_count(spec2, k)
 
@@ -301,7 +305,7 @@ _COVERS = [
     ("cube-m1-t0.01", 1, lambda: G.cube_cover(1, 0.01)),
     ("cube-m1-t0.4", 1, lambda: G.cube_cover(1, 0.4)),
     ("cube-m2-t0.01", 2, lambda: G.cube_cover(2, 0.01)),
-    ("cube-m2-t0.4", 2, lambda: G.cube_cover(2, 0.4)),
+    ("cube-m2-t0.39", 2, lambda: G.cube_cover(2, 0.39)),
     ("latlon-r0.06", 1, lambda: G.cp1_latlon_cover(0.06)),
     ("latlon-r0.35", 1, lambda: G.cp1_latlon_cover(0.35)),
     ("latlon-r0.59", 1, lambda: G.cp1_latlon_cover(0.59)),
@@ -322,8 +326,8 @@ def test_every_level_has_a_family(m, cover, kind):
     # empty frame, so the pipeline carries no branch for one
     charts = tuple(cover())
     for a in (0.5, 2.2, 1e3, 1e100):
-        spec = F.LatticeSpec(kind=kind, m=m, a=a, eta=0.9,
-                             gamma=max(c.gamma for c in charts), charts=charts)
+        spec = F.LatticeSpec(kind=kind, m=m, a=a, eta=0.9, gamma=max(c.gamma for c in charts),
+                             charts=charts, epsilon=0.05, delta=None, beta_target=None)
         fr = F.build(spec, 1)
         assert fr.n >= 1
         assert min(fs_distance(charts[0].center, p) for p in fr.points) <= 1e-15
@@ -339,8 +343,9 @@ class TestHexagonal:
 
     def test_ball_count_ratio(self):
         # equal spacing, equal ball: hex/cubic point count -> 2/sqrt(3)
-        ch = (G.make_chart(G.standard_point(1), G.BallRegion(1.2), 1.5),)
-        kw = dict(m=1, a=1.5, eta=0.9, gamma=1.5, charts=ch, delta=3.0)
+        ch = (G.make_chart(G.standard_point(1), G.BallRegion(0.6), 1.01),)
+        kw = dict(m=1, a=0.75, eta=0.9, gamma=ch[0].gamma, charts=ch, epsilon=0.05,
+                  delta=3.0, beta_target=None)
         nc = F.build(F.LatticeSpec(kind="cubic", **kw), 4000).n
         nh = F.build(F.LatticeSpec(kind="hexagonal", **kw), 4000).n
         assert abs(nh / nc - 2 / math.sqrt(3)) < 0.01
@@ -374,7 +379,7 @@ class TestHexagonal:
         assert nn <= spec.gamma * spec.a / math.sqrt(300)
 
     def test_k_zero_empty(self):
-        spec = _cube_spec(kind="hexagonal", a=2.4, eta=0.9, gamma=1.2)
+        spec = _cube_spec(kind="hexagonal", a=2.4, eta=0.9)
         assert F.build(spec, 0).n == 0
 
 
@@ -385,7 +390,7 @@ class TestMultichart:
         assert defect < 1.0
         spec = F.LatticeSpec(
             kind="cubic", m=1, a=3.0, eta=0.9, gamma=max(c.gamma for c in charts),
-            charts=tuple(charts), delta=1.0,
+            charts=tuple(charts), epsilon=0.05, delta=1.0, beta_target=None,
         )
         fr = F.build(spec, 500)
         assert fr.n > 0
@@ -395,10 +400,10 @@ class TestMultichart:
 
     def test_single_chart_degenerates_to_build_cubic(self):
         spec = _cube_spec()
-        chart = G.make_chart(G.standard_point(1), G.CubeRegion(0.4), spec.gamma)
+        chart = G.make_chart(G.standard_point(1), G.CubeRegion(0.4), 1.001)
         multi = F.LatticeSpec(
             kind="cubic", m=1, a=spec.a, eta=spec.eta, gamma=spec.gamma,
-            charts=(chart,), delta=3.0,
+            charts=(chart,), epsilon=spec.epsilon, delta=3.0, beta_target=None,
         )
         f1 = F.build(spec, 250)
         f2 = F.build(multi, 250)
@@ -410,7 +415,7 @@ class TestMultichart:
         spec = F.LatticeSpec(
             kind="cubic", m=1, a=1.945, eta=0.995,
             gamma=max(c.gamma for c in cover), epsilon=0.005,
-            charts=tuple(cover), delta=1e-9,
+            charts=tuple(cover), delta=1e-9, beta_target=None,
         )
         fr = F.build(spec, 600)
         points, chart_index, mu, _, _ = _brute_force_dedup(spec, 600)
@@ -419,9 +424,9 @@ class TestMultichart:
             mine = chart_index == j
             if mine.any():
                 v = F._tangent_vectors(spec, mu[mine], 600)
-                assert np.all(chart.region.contains(chart, v, G.exp_chart_vectors(chart, v)))
+                assert np.all(chart.region.contains(v, G.exp_chart_vectors(chart, v)))
                 # the cells test the built points themselves
-                assert np.all(chart.region.contains(chart, v, fr.points[mine]))
+                assert np.all(chart.region.contains(v, fr.points[mine]))
 
     @pytest.mark.parametrize("kind,radius,a", [("cubic", 0.35, 1.945),
                                                ("hexagonal", 0.2, 1.971)])
@@ -503,15 +508,15 @@ class TestMultichart:
         box-plus-contains rows in the same order, and its candidates are
         the exp lifts of those rows."""
         if kind == "cube":
-            spec = _cube_spec(kind=lattice, m=m, a=a, eta=0.9, gamma=1.3, t=radius)
+            spec = _cube_spec(kind=lattice, m=m, a=a, eta=0.9, t=radius)
             charts = spec.charts
         elif kind == "rim":
             # a ball just inside the lattice shell of `radius` steps, whose
             # points contains() still accepts within its 1e-15 tolerance
             ball = G.BallRegion(radius * a / math.sqrt(k) - 5e-16)
-            charts = (G.make_chart(G.standard_point(m), ball, 1.3),)
-            spec = F.LatticeSpec(kind=lattice, m=m, a=a, eta=0.9, gamma=1.3,
-                                 charts=charts, delta=3.0)
+            charts = (G.make_chart(G.standard_point(m), ball, 1.01),)
+            spec = F.LatticeSpec(kind=lattice, m=m, a=a, eta=0.9, gamma=charts[0].gamma,
+                                 charts=charts, epsilon=0.05, delta=3.0, beta_target=None)
         else:
             spec = _dedup_spec(kind, radius, a, lattice=lattice)
             charts = spec.charts
@@ -520,7 +525,7 @@ class TestMultichart:
             radius = chart.region.circumradius(spec.m)
             grid = F._lattice_rows(spec, chart, k, radius)
             v = F._tangent_vectors(spec, grid, k)
-            keep = np.asarray(chart.region.contains(chart, v, G.exp_chart_vectors(chart, v)))
+            keep = np.asarray(chart.region.contains(v, G.exp_chart_vectors(chart, v)))
             grid, v = grid[keep], v[keep]
             lifts = F._chart_candidates(spec, chart, k, radius)
             want_grid, want_v = _box_candidates(spec, chart, k)
@@ -545,7 +550,7 @@ class TestMultichart:
 
     def test_compared_zero_for_single_chart(self, monkeypatch):
         assert _build_counted(monkeypatch, _cube_spec(), 250)[1] == 0
-        hexa = _cube_spec(kind="hexagonal", a=2.4, eta=0.9, gamma=1.2)
+        hexa = _cube_spec(kind="hexagonal", a=2.4, eta=0.9)
         assert _build_counted(monkeypatch, hexa, 300)[1] == 0
         assert _build_counted(monkeypatch, _cube_spec(), 0)[1] == 0
 

@@ -230,7 +230,7 @@ class TestChartsAndExpLog:
         rng = np.random.default_rng(5)
         for m in (1, 2, 5):
             p = _rand_point(rng, m)
-            ch = G.make_chart(p, G.BallRegion(0.3), 1.1)
+            ch = G.make_chart(p, G.BallRegion(0.3), 1.0)
             f = ch.frame_matrix
             assert f.shape == (m + 1, m)
             assert np.allclose(f.conj().T @ f, np.eye(m), atol=1e-13)
@@ -239,7 +239,7 @@ class TestChartsAndExpLog:
     def test_exp_is_radial_isometry(self):
         rng = np.random.default_rng(6)
         for m in (1, 2, 3):
-            ch = G.make_chart(_rand_point(rng, m), G.BallRegion(0.7), 1.3)
+            ch = G.make_chart(_rand_point(rng, m), G.BallRegion(0.7), 1.0)
             for _ in range(60):
                 v = rng.normal(size=2 * m)
                 v *= rng.uniform(0.0, 0.69) / np.linalg.norm(v)
@@ -250,7 +250,7 @@ class TestChartsAndExpLog:
     def test_log_inverts_exp(self):
         rng = np.random.default_rng(7)
         for m in (1, 2, 4):
-            ch = G.make_chart(_rand_point(rng, m), G.BallRegion(0.75), 1.3)
+            ch = G.make_chart(_rand_point(rng, m), G.BallRegion(0.75), 1.0)
             for _ in range(60):
                 v = rng.normal(size=2 * m)
                 v *= rng.uniform(0.0, 0.74) / np.linalg.norm(v)
@@ -261,7 +261,7 @@ class TestChartsAndExpLog:
         # log of any point short of the cut locus, re-exponentiated by the
         # raw geodesic formula (no region gate), lands back on the point
         rng = np.random.default_rng(8)
-        ch = G.make_chart(_rand_point(rng, 2), G.BallRegion(0.7), 1.2)
+        ch = G.make_chart(_rand_point(rng, 2), G.BallRegion(0.7), 1.0)
         for _ in range(40):
             z = _rand_point(rng, 2)
             if fs_distance(ch.center, z) >= math.pi / 2 - 1e-6:
@@ -273,24 +273,24 @@ class TestChartsAndExpLog:
             assert fs_distance(back, z) <= 1e-10
 
     def test_log_rejects_cut_locus(self):
-        ch = G.make_chart(G.standard_point(1, 0), G.BallRegion(0.2), 1.05)
+        ch = G.make_chart(G.standard_point(1, 0), G.BallRegion(0.2), 1.0)
         with pytest.raises(G.GeometryError):
             log_map(ch, G.standard_point(1, 1))
 
     def test_distortion_tiny_region_is_isometric(self):
         rng = np.random.default_rng(9)
         ch = G.make_chart(
-            _rand_point(rng, 1), G.CubeRegion(0.01 / math.sqrt(2)), 1.01
+            _rand_point(rng, 1), G.CubeRegion(0.01 / math.sqrt(2)), 1.0
         )
         assert G.distortion_estimate(ch, nsamples=4000) <= 1.001
 
     def test_distortion_disc_example(self):
-        # disc of radius pi/8: distortion stays under 1.2 (the sampled
-        # value approaches 2r/sin(2r) ~ 1.11 from below)
-        ch = G.make_chart(G.standard_point(1), G.BallRegion(math.pi / 8), 1.2)
+        # disc of radius pi/8: the sampled distortion approaches the
+        # chart's gamma, 2r/sin(2r) ~ 1.11, from below
+        ch = G.make_chart(G.standard_point(1), G.BallRegion(math.pi / 8), 1.0)
+        assert ch.gamma == (math.pi / 4) / math.sin(math.pi / 4)
         g = G.distortion_estimate(ch, nsamples=20000)
-        assert 1.0 <= g < 1.2
-        assert g <= (math.pi / 4) / math.sin(math.pi / 4) + 1e-9
+        assert 1.0 <= g <= ch.gamma
 
     @pytest.mark.parametrize("cover", ("latlon", "balls", "cube"))
     def test_distortion_equals_the_test_every_draw_oracle(self, cover):
@@ -308,7 +308,7 @@ class TestChartsAndExpLog:
                         == distortion_estimate(chart, nsamples=500, seed=seed))
 
     def test_distortion_is_deterministic_per_seed(self):
-        ch = G.make_chart(G.standard_point(1), G.BallRegion(0.3), 1.1)
+        ch = G.make_chart(G.standard_point(1), G.BallRegion(0.3), 1.0)
         a = G.distortion_estimate(ch, nsamples=2000, seed=11)
         b = G.distortion_estimate(ch, nsamples=2000, seed=11)
         assert a == b
@@ -383,7 +383,7 @@ class TestCovers:
         charts = G.cp1_latlon_cover(0.35)
         ch = charts[3]
         v = np.zeros((1, 2))
-        assert bool(ch.region.contains(ch, v, G.exp_chart_vectors(ch, v))[0])
+        assert bool(ch.region.contains(v, G.exp_chart_vectors(ch, v))[0])
 
     def test_cp2_ball_cover_disjoint(self):
         charts = G.cp2_ball_cover()
@@ -425,24 +425,82 @@ class TestCovers:
             G.two_cap_cover(2, 0.9)
         with pytest.raises(G.GeometryError):
             G.two_cap_cover(3, math.pi / 4)
-        # on CP^1 overlapping caps cover the line: defect exactly 0
-        assert G.covering_defect(1, G.two_cap_cover(1, 0.9)) == 0.0
+        # on CP^1 too: caps that would cover the line pass the convexity radius
+        with pytest.raises(G.GeometryError, match="convexity radius"):
+            G.two_cap_cover(1, 0.9)
 
     def test_defect_needs_a_closed_form_region(self):
-        chart = G.make_chart(G.standard_point(1, 0), G.CubeRegion(0.3), 1.1)
+        chart = G.make_chart(G.standard_point(1, 0), G.CubeRegion(0.3), 1.0)
         with pytest.raises(G.GeometryError):
             G.covering_defect(1, [chart])
 
-    @pytest.mark.parametrize("m,t", [(1, 0.4), (2, 0.35), (1, 1.1)])
-    def test_cube_cover_is_one_cube_chart(self, m, t):
+    @pytest.mark.parametrize("m,t,gamma", [(1, 0.4, 1.2513888879018475),
+                                           (2, 0.35, 1.422091819961644),
+                                           (2, 0.3, 1.2887871529051285)],
+                             ids=["1-0.4", "2-0.35", "2-0.3"])
+    def test_cube_cover_is_one_cube_chart(self, m, t, gamma):
         (chart,) = G.cube_cover(m, t)
         assert chart.region == G.CubeRegion(t)
-        assert chart.gamma == 1.27
+        reach = t * math.sqrt(2 * m)
+        assert chart.gamma == 2 * reach / math.sin(2 * reach) * 1.001 == gamma
         assert np.array_equal(chart.center, G.standard_point(m))
         assert chart.m == m
 
     @pytest.mark.parametrize("m,t", [(1, 1.2), (2, math.pi / 4), (2, 0.8)])
     def test_cube_cover_stops_at_the_injectivity_radius(self, m, t):
-        # the corner t sqrt(2m) reaches pi/2
-        with pytest.raises(G.GeometryError, match="past the injectivity radius"):
+        # the corner t sqrt(2m) reaches pi/2, past the convexity radius
+        with pytest.raises(G.GeometryError, match="the convexity radius"):
             G.cube_cover(m, t)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_make_chart_refuses_the_convexity_radius(self, m):
+        edge = math.pi / (4 * math.sqrt(2 * m))
+        assert G.cube_cover(m, edge * (1 - 1e-12))[0].gamma < math.pi / 2 * 1.001
+        for region in (G.CubeRegion(edge), G.BallRegion(math.pi / 4), G.BallRegion(0.0)):
+            with pytest.raises(G.GeometryError, match="outside \\(0, pi/4\\)"):
+                G.make_chart(G.standard_point(m), region, 1.0)
+
+
+def _farthest_vector(chart) -> np.ndarray:
+    """A tangent vector of the chart's region of length its circumradius:
+    a cube's corner, a ball's rim, a lat-lon cell's farthest corner."""
+    region, m = chart.region, chart.m
+    if isinstance(region, G.CubeRegion):
+        return np.full(2 * m, region.t)
+    if isinstance(region, G.BallRegion):
+        return np.eye(2 * m)[0] * region.radius
+    rc, tc = region.center_coords()
+    corners = [np.array([math.cos(r), math.sin(r) * np.exp(1j * th)])
+               for r in (region.r_lo, region.r_hi)
+               for th in (region.theta_lo, region.theta_hi, tc)]
+    return max((log_map(chart, z) for z in corners), key=np.linalg.norm)
+
+
+def _corner_ratio(chart) -> float:
+    """|dv| / dist(exp v, exp(v + dv)) at the region's farthest vector v,
+    dv of length 1e-4 along J v, where d exp shrinks most (by sin 2|v| / 2|v|)."""
+    v = _farthest_vector(chart)
+    jv = np.empty_like(v)
+    jv[0::2], jv[1::2] = -v[1::2], v[0::2]
+    za, zb = G.exp_chart_vectors(chart, np.stack([v, v + 1e-4 * jv / np.linalg.norm(jv)]))
+    return 1e-4 / fs_distance(za, zb)
+
+
+@pytest.mark.parametrize("chart", [
+    pytest.param(lambda: G.cube_cover(1, 0.4)[0], id="cube-m1-t0.4"),
+    pytest.param(lambda: G.cube_cover(2, 0.3)[0], id="cube-m2-t0.3"),
+    pytest.param(lambda: G.cube_cover(2, 0.35)[0], id="cube-m2-t0.35"),
+    pytest.param(lambda: max(G.cp1_latlon_cover(0.59), key=lambda c: c.region.circumradius(1)),
+                 id="latlon-r0.59"),
+    pytest.param(lambda: G.cp2_ball_cover(0.46)[3], id="ball-r0.46"),
+    pytest.param(lambda: G.two_cap_cover(2, 0.78)[1], id="cap-m2-r0.78"),
+])
+def test_corner_ratio_is_within_gamma(chart):
+    # the two-point ratio at the farthest point of the region is the
+    # distortion bound 2R/sin 2R to within the step; gamma's slack covers it
+    chart = chart()
+    reach = chart.region.circumradius(chart.m)
+    assert abs(np.linalg.norm(_farthest_vector(chart)) - reach) < 1e-12
+    ratio = _corner_ratio(chart)
+    assert ratio == pytest.approx(2 * reach / math.sin(2 * reach), rel=1e-6)
+    assert ratio <= chart.gamma

@@ -7,6 +7,11 @@
   that only tests set is a module constant instead.
 * No parameter defaults to None while every call in the package passes
   it: such a default selects a path that only tests take.
+* Every parameter is read by some definition of its function's name: an
+  interface parameter one implementation reads is kept, one that none
+  reads is not passed.
+* No field of a dataclass or NamedTuple has a default that every
+  construction in the package passes: such a default serves tests alone.
 * Every field of a dataclass or NamedTuple is read somewhere in the
   package: state that nothing reads is not stored.
 * No class defines to_dict: a record the package writes out is the dict
@@ -106,14 +111,19 @@ def uncalled_functions(sources: dict) -> list:
     return sorted(out)
 
 
+def _takes_self(node, is_method) -> bool:
+    """Whether the def's first parameter is a method's self or cls."""
+    return is_method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in node.decorator_list)
+
+
 def _optional_parameters(node, is_method):
     """(name, positional index or None, default node) of each parameter
     with a default; a method's index counts from its first argument after
     self or cls."""
     args = node.args
     positional = args.posonlyargs + args.args
-    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
-    shift = 1 if is_method and not static else 0
+    shift = 1 if _takes_self(node, is_method) else 0
     first = len(positional) - len(args.defaults)
     out = [(a.arg, i - shift, args.defaults[i - first])
            for i, a in enumerate(positional) if i >= first]
@@ -172,6 +182,32 @@ def passed_none_defaults(sources: dict) -> list:
     return sorted(out)
 
 
+def _parameters(node, is_method) -> list:
+    """Every parameter name of the def node, without a method's self or cls."""
+    args = node.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    return names[1:] if _takes_self(node, is_method) else names
+
+
+def unread_parameters(sources: dict) -> list:
+    """module:qualname(param) of every parameter of sources that no
+    definition of the same name reads, so a parameter of an interface
+    (a method several classes define) passes once one of them reads it."""
+    trees = _parse(sources)
+    defs = [(module, qual, node, is_method) for module, tree in trees.items()
+            for qual, node, is_method in _functions(tree)]
+    read = {}
+    for _, _, node, _ in defs:
+        read.setdefault(node.name, set()).update(
+            n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    return sorted("%s:%s(%s)" % (module, qual, param)
+                  for module, qual, node, is_method in defs
+                  for param in _parameters(node, is_method)
+                  if param not in read[node.name])
+
+
 def _is_record(node) -> bool:
     """Whether the class node is a @dataclass or a NamedTuple subclass."""
     def name(n):
@@ -212,6 +248,39 @@ def unread_fields(sources: dict) -> list:
             for stmt in cls.body:
                 if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                         and stmt.target.id not in read):
+                    out.append("%s:%s.%s" % (module, cls.name, stmt.target.id))
+    return sorted(out)
+
+
+def _has_default(stmt) -> bool:
+    """Whether the field statement gives a default: = value, or
+    field(default=...) or field(default_factory=...)."""
+    value = stmt.value
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and getattr(value.func, "id",
+                                               getattr(value.func, "attr", None)) == "field":
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return True
+
+
+def passed_field_defaults(sources: dict) -> list:
+    """module:Class.field of every defaulted field of a dataclass or
+    NamedTuple of sources that every call by the class's name passes; a
+    class no call names is left out."""
+    trees = _parse(sources)
+    calls = _calls(trees)
+    out = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_record(cls)):
+                continue
+            mine = calls.get(cls.name, [])
+            fields = [stmt for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            for index, stmt in enumerate(fields):
+                if (_has_default(stmt) and mine
+                        and all(_passes(c, stmt.target.id, index) for c in mine)):
                     out.append("%s:%s.%s" % (module, cls.name, stmt.target.id))
     return sorted(out)
 
@@ -328,6 +397,63 @@ def test_detects_an_unread_field():
         "a:Box.lo", "a:Pair.first", "a:Pair.second", "a:Point.y"]
 
 
+def test_detects_an_unread_parameter():
+    a = textwrap.dedent("""
+        class Cube:
+            def contains(self, chart, v, lifts):
+                return v
+
+        class Cell:
+            def contains(self, chart, v, lifts):
+                return lifts
+
+            @staticmethod
+            def scale(x, unused):
+                return x
+
+        def outer(a, b, *rest, **options):
+            def inner():
+                return a + len(rest)
+            return inner()
+        """)
+    assert unread_parameters({"a": a}) == [
+        "a:Cell.contains(chart)", "a:Cell.scale(unused)", "a:Cube.contains(chart)",
+        "a:outer(b)", "a:outer(options)"]
+
+
+def test_detects_a_field_default_every_construction_passes():
+    a = textwrap.dedent("""
+        from dataclasses import dataclass, field
+        from typing import NamedTuple
+
+        @dataclass(frozen=True)
+        class Spec:
+            kind: str
+            gamma: float = 1.0
+            charts: tuple = ()
+            work: dict = field(default_factory=dict, compare=False)
+            count: int = field(compare=False)
+            label: str = ""
+
+        class Pair(NamedTuple):
+            first: int
+            second: int = 0
+
+        @dataclass
+        class Unbuilt:
+            size: int = 0
+        """)
+    b = textwrap.dedent("""
+        from a import Pair, Spec
+        Spec("cubic", 1.1, charts=(), work={}, count=0)
+        Spec(kind="hex", gamma=1.2, charts=(1,), work={}, count=1, label="x")
+        Pair(1, 2)
+        Pair(*[3, 4])
+        """)
+    assert passed_field_defaults({"a": a, "b": b}) == [
+        "a:Pair.second", "a:Spec.charts", "a:Spec.gamma", "a:Spec.work"]
+
+
 def test_detects_a_to_dict_class():
     a = textwrap.dedent("""
         class Record:
@@ -373,6 +499,14 @@ def test_no_none_default_is_left_to_tests():
 def test_every_field_is_read_in_the_package():
     found = unread_fields(_package_sources())
     assert [e for e in found if not _kept(e, UNREAD_KEPT)] == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(_package_sources()) == []
+
+
+def test_no_field_default_is_left_to_tests():
+    assert passed_field_defaults(_package_sources()) == []
 
 
 def test_no_class_spells_its_fields_twice():

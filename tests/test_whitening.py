@@ -38,16 +38,17 @@ def row_split(g: W.GramMatrix, frame: F.Frame) -> tuple:
 
 
 def _run_b_spec(t=0.4, **kw):
-    base = dict(kind="cubic", m=1, a=2.2, eta=0.7, gamma=1.27)
+    base = dict(kind="cubic", m=1, a=2.2, eta=0.7, epsilon=0.05, delta=None, beta_target=None)
     base.update(kw)
-    return F.LatticeSpec(charts=tuple(G.cube_cover(base["m"], t)), **base)
+    charts = tuple(G.cube_cover(base["m"], t))
+    return F.LatticeSpec(gamma=charts[0].gamma, charts=charts, **base)
 
 
 def _two_point_frame(k: int, d: float) -> F.Frame:
     # canonical lifts: leading coordinate real positive
     v0 = np.array([math.cos(0.3), math.sin(0.3) * np.exp(0.9j)])
     w = np.array([math.cos(0.3 + d), math.sin(0.3 + d) * np.exp(0.9j)])
-    return F.Frame(k=k, m=1, points=np.vstack([v0, w]))
+    return F.Frame(k=k, m=1, points=np.vstack([v0, w]), dropped=0)
 
 
 def _gram_of(entries) -> W.GramMatrix:
@@ -131,8 +132,9 @@ class TestEtaMeasure:
         # spacing from the closed form at eta = 0.5 keeps the measured
         # off-diagonal mass under the crude tail bound by a wide margin
         a = F.choose_spacing(1, 0.5, 1.0)
-        chart = G.make_chart(G.standard_point(1), G.CubeRegion(0.5), 1.05)
-        spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.5, gamma=1.05, charts=(chart,))
+        charts = tuple(G.cube_cover(1, 0.5))
+        spec = F.LatticeSpec(kind="cubic", m=1, a=a, eta=0.5, gamma=charts[0].gamma,
+                             charts=charts, epsilon=0.05, delta=None, beta_target=None)
         fr = F.build(spec, 2000)
         assert fr.n == 9
         g = W.assemble_gram(fr)
@@ -204,7 +206,7 @@ class TestInverseSqrt:
         spec = F.LatticeSpec(
             kind="cubic", m=1, a=1.945, eta=0.995,
             gamma=max(c.gamma for c in cover), epsilon=0.005,
-            charts=tuple(cover), delta=1e-9,
+            charts=tuple(cover), delta=1e-9, beta_target=None,
         )
         g = W.assemble_gram(F.build(spec, 400))
         parts = np.abs(np.concatenate([g.entries.real, g.entries.imag]))
@@ -233,7 +235,7 @@ class TestInverseSqrt:
         spec = F.LatticeSpec(
             kind="cubic", m=1, a=1.945, eta=0.995,
             gamma=max(c.gamma for c in cover), epsilon=0.005,
-            charts=tuple(cover), delta=1e-9,
+            charts=tuple(cover), delta=1e-9, beta_target=None,
         )
         g = W.assemble_gram(F.build(spec, 800))
         assert g.n == 511
@@ -299,7 +301,7 @@ class TestWhiten:
         spec = F.LatticeSpec(
             kind="cubic", m=1, a=4.0, eta=0.995,
             gamma=max(c.gamma for c in cover), epsilon=0.005,
-            charts=tuple(cover), delta=1e-9,
+            charts=tuple(cover), delta=1e-9, beta_target=None,
         )
         fr = F.build(spec, 800)
         basis = np.vstack([coherent_state(1, 800, as_unit_vector(x)).ortho_coeffs
