@@ -52,11 +52,17 @@ child is first screened on the frame side:
 
 with r = sqrt(diag) and W = ifft(B, axis=0, norm="ortho").  Terms with
 |<x, y_mu>|^k < u = 2^-53 are dropped (|<x, y_mu>| < cut = u^{1/k}): each
-is below the rounding of one full-size term.  Let t be the _take-th
-largest screen value of the mesh or round.  Only the cells whose screen
-value is at least t - 2 delta are evaluated exactly.  If every screen
-value is within delta of the monomial value, a cell below t - 2 delta
-has a monomial value under t - delta, which is below the monomial value
+is below the rounding of one full-size term.  One FrameScreen per
+family holds W, the frame points and delta_j (below) for every section,
+and its one route gives the screen values of any sections at any lifts:
+root |T W^T|, T the dense block of the kept terms <x, y_mu>^k of the
+lifts, zero at the dropped ones, and W the rows of the sections
+screened.  Each entry is an inner product of length n <= N (below), so
+its rounding is within delta_j.  Let t be the _take-th largest screen
+value of section j on the mesh or round.  Only the cells whose screen
+value is at least t - 2 delta_j are evaluated exactly.  If every screen
+value is within delta_j of the monomial value, a cell below t - 2 delta_j
+has a monomial value under t - delta_j, which is below the monomial value
 of each of the _take cells screened at t or more.  So it can be
 neither among the next round's top cells nor the maximum, and value,
 history, rounds_used and last_increment are those of the full
@@ -73,26 +79,24 @@ The shared levels.  Every section refines from the same base mesh, so
 the base mesh and round 1, which splits base cells into the same
 children at the same lifts in every section, are shared by a block of
 sections (SharedLevel; BaseLevel and FirstLevel).  Each level does each
-step once for the block.  One product root |T W^T| screens every
-section at every lift of the level: T is the dense block of the kept
-terms <x, y_mu>^k of the lifts, zero at the dropped ones, and W the
-weights of the sections.  Its rounding is within delta, since each
-entry is an inner product of length n <= N (below), as the bincount
-sums of the refinement screens are.  The top cells and the confirm
-sets are taken along the rows of the resulting (sections, cells)
-matrix, by the same stable sort and partition a single section uses,
-so every row is that section's own choice, ties included.  Every
-distinct confirmed lift gets its monomial basis row in one batched
-call per block of rows (SharedRows), and each section then applies its
-own matrix-vector product to the gathered rows of its confirmed cells.
+step once for the block.  One call of the family's screen, with W the
+block's rows, screens every section of the block at every lift of the
+level.  The top cells and the confirm sets are taken along the rows of
+the resulting (sections, cells) matrix, by the same stable sort and
+partition a single section uses, so every row is that section's own
+choice, ties included.  Every distinct confirmed lift gets its monomial
+basis row in one batched call per block of rows (SharedRows), and each
+section then applies its own matrix-vector product to the gathered rows
+of its confirmed cells.
 The base level's rows are freed before round 1 builds its own.
 
-Rounds 2 and later run per section, in sup_norm, yet the sections of a
-block still refine many of the same children there.  So they take their
-basis rows from one RowTable per block, freed with the block: a
-least-recently-used table of rows keyed by the bytes of their lift, in
-one preallocated block of ROW_TABLE_BYTES, which builds every lift a
-call misses in one monomial_basis call.  The sections of a block are
+Rounds 2 and later run per section, in sup_norm, which calls the same
+screen with W the section's one row.  Yet the sections of a block still
+refine many of the same children there.  So they take their basis rows
+from one RowTable per block, freed with the block: a least-recently-used
+table of rows keyed by the bytes of their lift, in one preallocated
+block of ROW_TABLE_BYTES, which builds every lift a call misses in one
+monomial_basis call.  The sections of a block are
 refined in the order of their top base cells, so that sections which
 split the same cells follow one another and find their rows still held.
 A row depends only on its lift, so each call returns an array equal, in
@@ -122,12 +126,13 @@ The bound delta.  gamma_N = N u / (1 - N u) with
 N = 2 (d_k + n + m + 12), which covers every inner-product length below,
 and with U the largest row or column sum of |B|:
 
-    rho    = gamma_N Lambda,
-    Lambda = 4 + k (pi + 4) + (k/2) log(m+1) + sqrt(k (m+1)) + lgamma(m+k+1) + m log pi,
-    delta  = 2 r rho (|c_j|_2 + sqrt(n) U + |W_j|_1),
+    rho     = gamma_N Lambda,
+    Lambda  = 4 + k (pi + 4) + (k/2) log(m+1) + sqrt(k (m+1)) + lgamma(m+k+1) + m log pi,
+    delta_j = 2 r rho (|c_j|_2 + sqrt(n) U + |W_j|_1),
 
-where c_j is row j of fam.ortho.  The derivation assumes unit lifts and
-frame points (to a few u), elementary functions within 2 ulp, and an FFT
+where c_j is row j of fam.ortho; FrameScreen.deltas holds delta_j.  The
+derivation assumes unit lifts and frame points (to a few u), elementary
+functions within 2 ulp, and an FFT
 no less accurate than the direct DFT sum; the exact values of both
 routes agree at the stored x, y_mu and B, because the coherent-state
 coefficients sum to r <x, y>^k.
@@ -278,13 +283,15 @@ def _power(z: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameScreen:
-    """Frame-side values of one flat section, for screening refinement cells.
+    """Frame-side values of the sections of one flat family, for screening
+    refinement cells.
 
-    s(x) = sum_mu weights_mu Phi_mu(x), Phi_mu(x) = root <x, y_mu>^k, with
-    conj_points the (m+1, n) conjugated frame points y_mu.  Terms with
-    |<x, y_mu>| < cut are dropped, at most root u |weights|_1 in all.
-    |values(x) - |s(x)|| <= delta holds against the monomial evaluation
-    of the same section (module docstring).
+    s_j(x) = sum_mu weights[j, mu] Phi_mu(x), Phi_mu(x) = root <x, y_mu>^k,
+    with conj_points the (m+1, n) conjugated frame points y_mu and weights
+    the (n, n) matrix W = F B (module docstring).  Terms with
+    |<x, y_mu>| < cut are dropped, at most root u |W_j|_1 in all.  Every
+    screen value of section j is within deltas[j] of the monomial
+    evaluation of s_j (module docstring).
     """
 
     k: int
@@ -292,32 +299,57 @@ class FrameScreen:
     weights: np.ndarray
     root: float
     cut: float
-    delta: float
+    deltas: np.ndarray
 
-    def terms(self, lifts: np.ndarray) -> tuple:
-        """(rows, cols, phi): the kept terms <x, y_mu>^k = Phi_mu(x) / root
-        at the lifts, x = lifts[rows], mu = cols, in row-major order.  They
-        do not depend on the section: every screen of a family keeps the
-        same terms (about 47 of 511 per lift at m=1 k=800).  The k-th
-        power is taken by binary powering of the kept inner products
-        (_power): no transcendental function, and within (k - 1) sqrt(5) u
-        of the power of the computed inner product (module docstring)."""
+    @classmethod
+    def from_family(cls, fam, points: np.ndarray, entries: np.ndarray, l2s) -> "FrameScreen":
+        """The screen of fam, from the frame points, the whitening matrix B
+        the family was mixed from (fam.ortho = F B Psi) and the rows' L^2
+        norms l2s (l2_norms)."""
+        n = fam.n
+        if np.shape(points) != (n, fam.m + 1) or np.shape(entries) != (n, n):
+            raise CertifyError("frame points or whitening matrix do not match the family")
+        rho = _rounding_level(fam.m, fam.k, n)
+        root = math.sqrt(kernel_diag(fam.m, fam.k))
+        mags = np.abs(entries)
+        mapnorm = max(float(np.max(mags.sum(axis=0))), float(np.max(mags.sum(axis=1))))
+        weights = np.fft.ifft(entries, axis=0, norm="ortho")  # = dft_matrix(n) @ B
+        scale = np.array(l2s) + math.sqrt(n) * mapnorm
+        scale += np.sum(np.abs(weights), axis=1)
+        return cls(k=fam.k, conj_points=points.conj().T, weights=weights, root=root,
+                   cut=UNIT_ROUNDOFF ** (1.0 / fam.k) if fam.k else 0.0,
+                   deltas=2 * root * rho * scale)
+
+    def terms(self, lifts: np.ndarray) -> np.ndarray:
+        """T, the dense (lifts, n) block of the kept terms
+        <x, y_mu>^k = Phi_mu(x) / root, zero at the dropped ones.  They do
+        not depend on the section (about 47 of 511 are kept per lift at
+        m=1 k=800).  The k-th power is taken by binary powering of the kept
+        inner products (_power): no transcendental function, and within
+        (k - 1) sqrt(5) u of the power of the computed inner product
+        (module docstring)."""
         g = lifts @ self.conj_points
         flat = np.flatnonzero(np.abs(g) >= self.cut)
-        rows, cols = np.divmod(flat, g.shape[1])
-        return rows, cols, _power(g.ravel()[flat], self.k)
+        phi = _power(g.ravel()[flat], self.k)
+        g.fill(0)
+        np.put(g, flat, phi)
+        return g
 
-    def combine(self, rows: np.ndarray, cols: np.ndarray, phi: np.ndarray,
-                count: int) -> np.ndarray:
-        """|s| at count lifts from their kept terms; the row sums are
-        bincounts over those terms, not a dense product."""
-        terms = self.weights[cols] * phi
-        return self.root * np.hypot(np.bincount(rows, terms.real, count),
-                                    np.bincount(rows, terms.imag, count))
-
-    def values(self, lifts: np.ndarray) -> np.ndarray:
-        """|s| at the lifts, from the kept terms of the kernel block only."""
-        return self.combine(*self.terms(lifts), len(lifts))
+    def values(self, lifts: np.ndarray, items: np.ndarray, sections: slice) -> np.ndarray:
+        """Screen values of the sections, a slice of the family's rows, at
+        their cells, shape (sections, cells): entry [i, c] is section i's
+        at lifts[items[i, c]], or at lifts[items[c]] when items has one
+        row for every section.  They are root |T W[sections]^T|: one
+        product serves every section, and each takes the entries at its
+        own cells.  T stands in for the (lifts, d_k) monomial basis, so it
+        is built in chunks of at most BASIS_CHUNK_ENTRIES entries, as the
+        basis is: chunks of BASE_BLOCK_ENTRIES raise the peak memory of
+        certify_family on the m = 2 mesh-16 k=40 level from 76 to 82 MB."""
+        weights = self.weights[sections].T
+        step = max(1, int(BASIS_CHUNK_ENTRIES // len(weights)))
+        vals = np.concatenate([np.abs(self.terms(lifts[lo:lo + step]) @ weights)
+                               for lo in range(0, len(lifts), step)])
+        return self.root * vals.T[np.arange(weights.shape[1])[:, None], items]
 
 
 def _rounding_level(m: int, k: int, n: int) -> float:
@@ -333,27 +365,6 @@ def _rounding_level(m: int, k: int, n: int) -> float:
 def l2_norms(fam) -> list:
     """The L^2 norm of every section of fam, the Euclidean norm of its row."""
     return [float(np.linalg.norm(row)) for row in fam.ortho]
-
-
-def frame_screens(fam, points: np.ndarray, entries: np.ndarray, l2s) -> list:
-    """One FrameScreen per row of fam.ortho, from the frame points, the
-    whitening matrix B the family was mixed from (fam.ortho = F B Psi)
-    and the rows' L^2 norms l2s (l2_norms)."""
-    n = fam.n
-    if np.shape(points) != (n, fam.m + 1) or np.shape(entries) != (n, n):
-        raise CertifyError("frame points or whitening matrix do not match the family")
-    rho = _rounding_level(fam.m, fam.k, n)
-    root = math.sqrt(kernel_diag(fam.m, fam.k))
-    cut = UNIT_ROUNDOFF ** (1.0 / fam.k) if fam.k else 0.0
-    mags = np.abs(entries)
-    mapnorm = max(float(np.max(mags.sum(axis=0))), float(np.max(mags.sum(axis=1))))
-    weights = np.fft.ifft(entries, axis=0, norm="ortho")  # = dft_matrix(n) @ B
-    conj = points.conj().T
-    scale = np.array(l2s) + math.sqrt(n) * mapnorm
-    scale += np.sum(np.abs(weights), axis=1)
-    return [FrameScreen(k=fam.k, conj_points=conj, weights=w, root=root, cut=cut,
-                        delta=2 * root * rho * float(sc))
-            for w, sc in zip(weights, scale)]
 
 
 def _confirmed(approx: np.ndarray, delta) -> np.ndarray:
@@ -448,56 +459,28 @@ class RowTable:
         return self.block[[self.slot[key] for key in keys]]
 
 
-def _screen_block(screens: list, lifts: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Screen values of several sections at their cells, shape (sections,
-    cells): entry [j, c] is section j's at lifts[items[j, c]], or at
-    lifts[items[c]] when items has one row for every section.  They are
-    root |T W^T|, with T the dense (lifts, n) block of the kept terms,
-    zero at the dropped ones, and W the sections' weights: one product
-    serves every section, and each takes the entries at its own cells.
-    T stands in for the (lifts, d_k) monomial basis, so it is built in
-    chunks of at most BASIS_CHUNK_ENTRIES entries, as the basis is: with
-    FrameScreen.terms' temporaries, a chunk of BASE_BLOCK_ENTRIES raised
-    the peak memory of the m = 2 mesh-16 level by a tenth."""
-    weights = np.array([s.weights for s in screens]).T
-    step = max(1, int(BASIS_CHUNK_ENTRIES // len(weights)))
-    items = np.broadcast_to(items, (len(screens), np.shape(items)[-1]))
-    sections = np.broadcast_to(np.arange(len(screens))[:, None], items.shape)
-    out = np.empty(items.shape)
-    for lo in range(0, len(lifts), step):
-        chunk = lifts[lo:lo + step]
-        rows, cols, phi = screens[0].terms(chunk)
-        dense = np.zeros((len(chunk), len(weights)), dtype=np.complex128)
-        dense[rows, cols] = phi
-        vals = screens[0].root * np.abs(dense @ weights)
-        at = (items >= lo) & (items < lo + step)
-        out[at] = vals[items[at] - lo, sections[at]]
-    return out
-
-
 class SharedLevel:
     """A level of cells that every section of a block evaluates, at lifts
     shared by the family.
 
-    items[j, c], or items[c] for every section alike, is the index into
-    lifts of section j's cell c.  The screen values of all sections at
-    their cells come from one product (_screen_block).  Each section
-    confirms the cells whose screen value is within 2 delta of its
-    _take-th largest (_confirmed, row by row), and the distinct lifts of
-    all confirmed cells get their monomial basis rows at once
-    (SharedRows).  values applies each section's own matrix-vector
-    product to the gathered rows of its confirmed cells, in cell order.
-    rows and confirmed count the basis rows built and the (section,
-    cell) pairs confirmed.
+    sections is the block, a slice of the family's rows, and items[j, c],
+    or items[c] for every section alike, is the index into lifts of
+    section j's cell c.  The screen values of all sections at their cells
+    come from one screen.values call.  Each section confirms the cells
+    whose screen value is within 2 delta of its _take-th largest
+    (_confirmed, row by row), and the distinct lifts of all confirmed
+    cells get their monomial basis rows at once (SharedRows).  values
+    applies each section's own matrix-vector product to the gathered rows
+    of its confirmed cells, in cell order.  rows and confirmed count the
+    basis rows built and the (section, cell) pairs confirmed.
     """
 
     def __init__(self, m: int, k: int, lifts: np.ndarray, items: np.ndarray,
-                 screens: list):
-        approx = _screen_block(screens, lifts, items)
-        deltas = np.array([s.delta for s in screens])[:, None]
-        self.section, self.cell = np.nonzero(_confirmed(approx, deltas))
+                 screen: FrameScreen, sections: slice):
+        approx = screen.values(lifts, items, sections)
+        self.section, self.cell = np.nonzero(_confirmed(approx, screen.deltas[sections, None]))
         self.shape = approx.shape
-        self.bounds = np.searchsorted(self.section, np.arange(len(screens) + 1))
+        self.bounds = np.searchsorted(self.section, np.arange(len(approx) + 1))
         at = np.broadcast_to(items, approx.shape)[self.section, self.cell]
         distinct, self.place = np.unique(at, return_inverse=True)
         self.shared = SharedRows(m, k, lifts[distinct])
@@ -519,9 +502,9 @@ class BaseLevel(SharedLevel):
     """The base mesh of a block of sections, screened on the frame side:
     its cells, twins included, at the distinct lifts of base_boxes."""
 
-    def __init__(self, m: int, k: int, mesh: int, screens: list):
+    def __init__(self, m: int, k: int, mesh: int, screen: FrameScreen, sections: slice):
         rank, lifts = _distinct_base(m, mesh)
-        super().__init__(m, k, lifts, rank, screens)
+        super().__init__(m, k, lifts, rank, screen, sections)
 
 
 class FirstLevel(SharedLevel):
@@ -534,16 +517,16 @@ class FirstLevel(SharedLevel):
     its place in _split_boxes(boxes[cells])."""
 
     def __init__(self, m: int, k: int, boxes: np.ndarray, top: np.ndarray,
-                 screens: list):
+                 screen: FrameScreen, sections: slice):
         cells = np.unique(top)
         child = np.arange(2 ** boxes.shape[1])[:, None]
         items = len(cells) * child + np.searchsorted(cells, top)[:, None, :]
         super().__init__(m, k, center_lifts(m, _split_boxes(boxes[cells])),
-                         items.reshape(len(top), -1), screens)
+                         items.reshape(len(top), -1), screen, sections)
 
 
 def sup_norm(s: SectionExpansion, mesh: int, rounds: int, base: np.ndarray,
-             screen: FrameScreen, first: tuple, basis) -> SupNormEstimate:
+             screen: FrameScreen, row: int, first: tuple, basis) -> SupNormEstimate:
     """Mesh maximum of |s| at unit lifts, with greedy refinement: one
     section of the family certify_family certifies.
 
@@ -555,10 +538,11 @@ def sup_norm(s: SectionExpansion, mesh: int, rounds: int, base: np.ndarray,
     (top, values) of the base cells round 1 splits, _top_cells(base), and
     |s| at their children in the order _split_boxes gives them.  Their
     boxes are split only if a round 2 follows.  From round 2 on, screen,
-    this section's FrameScreen, picks the children that can win
-    (_confirmed; module docstring), and only those are evaluated, by
-    s.evaluate_lifts with the row source basis (the block's RowTable), the
-    rest taking -inf; the estimate is the one the full evaluation gives.
+    the family's FrameScreen, called for row, s's row of the family,
+    alone, picks the children that can win (_confirmed; module
+    docstring), and only those are evaluated, by s.evaluate_lifts with
+    the row source basis (the block's RowTable), the rest taking -inf;
+    the estimate is the one the full evaluation gives.
     Every reported value is a monomial value, and evaluations counts the
     cells examined, screened out or not.  exact_lifts counts the lifts
     evaluated here.
@@ -582,7 +566,8 @@ def sup_norm(s: SectionExpansion, mesh: int, rounds: int, base: np.ndarray,
                 boxes = _split_boxes(boxes[split])
             boxes = _split_boxes(boxes[_top_cells(vals)])
             lifts = center_lifts(s.m, boxes)
-            confirm = np.flatnonzero(_confirmed(screen.values(lifts), screen.delta))
+            approx = screen.values(lifts, np.arange(len(lifts)), slice(row, row + 1))[0]
+            confirm = np.flatnonzero(_confirmed(approx, screen.deltas[row]))
             vals = np.full(len(lifts), -np.inf)
             vals[confirm] = np.abs(s.evaluate_lifts(lifts[confirm], basis=basis))
             exact += len(confirm)
@@ -637,8 +622,9 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray,
     blocks whose base values fit in BASE_BLOCK_ENTRIES (all of them at
     the benchmark levels).  The base mesh and round 1 are the block's
     shared levels (BaseLevel, FirstLevel), and each section's later
-    rounds are screened by its FrameScreen; the estimates equal, field by
-    field, those of every cell evaluated.  The rounds sup_norm evaluates
+    rounds are screened by its row of the family's one FrameScreen, built
+    once for all blocks; the estimates equal, field by field, those of
+    every cell evaluated.  The rounds sup_norm evaluates
     take their rows from one RowTable per block, freed with the block,
     and the block's sections go through sup_norm in the order of their
     top base cells.  A sup under the flatness floor l2 / sqrt(Vol), less
@@ -651,21 +637,21 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray,
     boxes = base_boxes(fam.m, mesh)
     block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
     l2s = l2_norms(fam)
-    screens = frame_screens(fam, points, entries, l2s)
+    screen = FrameScreen.from_family(fam, points, entries, l2s)
     work = dict.fromkeys(("base rows", "base confirmed", "round 1 rows", "round 1 confirmed",
                           "sup_norm rows built", "sup_norm rows reused"), 0)
     sups = []
     for lo in range(0, fam.n, block):
-        rows = fam.ortho[lo:lo + block]
+        part = slice(lo, lo + block)
+        rows = fam.ortho[part]
         secs = [SectionExpansion.from_ortho(fam.m, fam.k, row) for row in rows]
-        part = screens[lo:lo + block]
-        level = BaseLevel(fam.m, fam.k, mesh, part)
+        level = BaseLevel(fam.m, fam.k, mesh, screen, part)
         base = level.values(rows)
         work["base rows"] += level.rows
         work["base confirmed"] += level.confirmed
         del level  # its basis rows: one level's are held at a time
         top = _top_cells(base).copy()  # not a view that keeps the whole sort
-        level = FirstLevel(fam.m, fam.k, boxes, top, part)
+        level = FirstLevel(fam.m, fam.k, boxes, top, screen, part)
         firsts = list(zip(top, level.values(rows)))
         work["round 1 rows"] += level.rows
         work["round 1 confirmed"] += level.confirmed
@@ -676,8 +662,8 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray,
         table = RowTable(fam.m, fam.k)
         done = [None] * len(secs)
         for j in np.lexsort(top.T[::-1]):
-            done[j] = sup_norm(secs[j], mesh=mesh, rounds=rounds, base=base[j],
-                               screen=part[j], first=firsts[j], basis=table)
+            done[j] = sup_norm(secs[j], mesh=mesh, rounds=rounds, base=base[j], screen=screen,
+                               row=lo + j, first=firsts[j], basis=table)
         sups += done
         work["sup_norm rows built"] += table.built
         work["sup_norm rows reused"] += table.reused

@@ -16,6 +16,8 @@
   package: state that nothing reads is not stored.
 * No class defines to_dict: a record the package writes out is the dict
   it is written as, not a class that spells each field a second time.
+* Every module-level name bound by assignment is read somewhere in the
+  package: a constant nothing reads is left over from removed code.
 """
 
 import ast
@@ -297,6 +299,22 @@ def to_dict_classes(sources: dict) -> list:
     return sorted(out)
 
 
+def unread_constants(sources: dict) -> list:
+    """module:NAME of every name bound by a module-level assignment of
+    sources (NAME = ..., NAME: T = ..., or a name unpacked on the left)
+    that no module reads, as a name or as an attribute module.NAME."""
+    trees = _parse(sources)
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            out += ["%s:%s" % (module, n.id) for target in targets for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and not reads[n.id]]
+    return sorted(out)
+
+
 def _package_sources() -> dict:
     return {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -474,6 +492,25 @@ def test_detects_a_to_dict_class():
     assert to_dict_classes({"a": a}) == ["a:Inner", "a:Record"]
 
 
+def test_detects_an_unread_constant():
+    a = textwrap.dedent("""
+        import math
+
+        LIMIT = 4
+        SCALE: float = 2.0
+        UNUSED = 8
+        LEFT, RIGHT = 1, 2
+        _CACHE = {}
+        TAU = 2 * math.pi
+
+        def f(x):
+            local = x * SCALE
+            return local
+        """)
+    b = "import a\nprint(a.LIMIT, a.f(a.RIGHT), a._CACHE.get(1))\n"
+    assert unread_constants({"a": a, "b": b}) == ["a:LEFT", "a:TAU", "a:UNUSED"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_are_referenced(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -512,6 +549,10 @@ def test_no_field_default_is_left_to_tests():
 def test_no_class_spells_its_fields_twice():
     found = to_dict_classes(_package_sources())
     assert [e for e in found if not _kept(e, TO_DICT_KEPT)] == []
+
+
+def test_every_module_constant_is_read_in_the_package():
+    assert unread_constants(_package_sources()) == []
 
 
 def test_every_kept_name_is_still_needed():
