@@ -23,7 +23,7 @@ the whitening matrix the family was mixed from: the base mesh and every
 refinement round are screened on the frame side (below).  Families
 whose base values pass BASE_BLOCK_ENTRIES are split into blocks of rows
 that share one evaluation each.  The base mesh is evaluated at its
-distinct lifts only (geometry.base_twins): at m = 2 the fold of the
+distinct lifts only (geometry.distinct_base): at m = 2 the fold of the
 moment coordinates makes 540 of the 1296 cells at mesh 6 the same point
 of CP^2 as another cell, to within 4.4e-16, and each such cell takes the
 value of that twin; at m = 1 every cell is its own twin.  The refinement
@@ -85,9 +85,9 @@ level.  The top cells and the confirm sets are taken along the rows of
 the resulting (sections, cells) matrix, by the same stable sort and
 partition a single section uses, so every row is that section's own
 choice, ties included.  Every distinct confirmed lift gets its monomial
-basis row in one batched call per block of rows (SharedRows), and each
-section then applies its own matrix-vector product to the gathered rows
-of its confirmed cells.
+basis row in one monomial_basis call, which bounds its own temporaries
+by BASIS_CHUNK_ENTRIES, and each section then applies its own
+matrix-vector product to the gathered rows of its confirmed cells.
 The base level's rows are freed before round 1 builds its own.
 
 Rounds 2 and later run per section, in sup_norm, which calls the same
@@ -174,7 +174,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import base_boxes, base_twins, center_lifts, volume
+from .geometry import base_boxes, center_lifts, distinct_base, volume
 from .kernel import (
     BASIS_CHUNK_ENTRIES,
     SectionExpansion,
@@ -247,15 +247,6 @@ class SupNormEstimate:
             "evaluations": self.evaluations,
             "history": list(self.history),
         }
-
-
-def _distinct_base(m: int, mesh: int) -> tuple:
-    """(rank, lifts): the centre lifts of the cells of base_boxes(m, mesh)
-    that base_twins maps to themselves, and for each cell the index of
-    its twin among them."""
-    twins = base_twins(m, mesh)
-    kept = twins == np.arange(len(twins))
-    return (np.cumsum(kept) - 1)[twins], center_lifts(m, base_boxes(m, mesh)[kept])
 
 
 def _take(cells: int) -> int:
@@ -386,30 +377,6 @@ def _top_cells(vals: np.ndarray) -> np.ndarray:
     return np.argsort(-vals, axis=-1, kind="stable")[..., :_take(vals.shape[-1])]
 
 
-class SharedRows:
-    """Monomial basis rows of distinct lifts, shared by the sections of a
-    family and built at once: one monomial_basis call per block of
-    BASIS_CHUNK_ENTRIES // d_k rows, the chunk evaluate_sections uses, so
-    no block or temporary passes it.  A block is the array monomial_basis
-    returns, never copied."""
-
-    def __init__(self, m: int, k: int, lifts: np.ndarray):
-        self.block_rows = max(1, int(BASIS_CHUNK_ENTRIES // dimension(m, k)))
-        self.blocks = [monomial_basis(m, k, lifts[lo:lo + self.block_rows])
-                       for lo in range(0, len(lifts), self.block_rows)]
-
-    def rows(self, places: np.ndarray) -> np.ndarray:
-        """The basis rows at places (indices into lifts), in that order."""
-        if len(self.blocks) == 1:
-            return self.blocks[0][places]
-        block, lo = np.divmod(places, self.block_rows)
-        out = np.empty((len(places), self.blocks[0].shape[1]), dtype=np.complex128)
-        for b in np.unique(block):
-            at = block == b
-            out[at] = self.blocks[b][lo[at]]
-        return out
-
-
 class RowTable:
     """Monomial basis rows of the lifts that the sections of one block
     refine, kept for the block's later rounds: a row source for
@@ -469,10 +436,11 @@ class SharedLevel:
     come from one screen.values call.  Each section confirms the cells
     whose screen value is within 2 delta of its _take-th largest
     (_confirmed, row by row), and the distinct lifts of all confirmed
-    cells get their monomial basis rows at once (SharedRows).  values
-    applies each section's own matrix-vector product to the gathered rows
-    of its confirmed cells, in cell order.  rows and confirmed count the
-    basis rows built and the (section, cell) pairs confirmed.
+    cells get their monomial basis rows in one monomial_basis call, held
+    as basis.  values applies each section's own matrix-vector product to
+    the rows of its confirmed cells, gathered by plain indexing, in cell
+    order.  rows and confirmed count the basis rows built and the
+    (section, cell) pairs confirmed.
     """
 
     def __init__(self, m: int, k: int, lifts: np.ndarray, items: np.ndarray,
@@ -483,7 +451,7 @@ class SharedLevel:
         self.bounds = np.searchsorted(self.section, np.arange(len(approx) + 1))
         at = np.broadcast_to(items, approx.shape)[self.section, self.cell]
         distinct, self.place = np.unique(at, return_inverse=True)
-        self.shared = SharedRows(m, k, lifts[distinct])
+        self.basis = monomial_basis(m, k, lifts[distinct])
         self.rows, self.confirmed = len(distinct), len(self.section)
 
     def values(self, coeffs) -> np.ndarray:
@@ -492,7 +460,7 @@ class SharedLevel:
         found = np.empty(len(self.place), dtype=np.complex128)
         bounds = self.bounds.tolist()
         for j, lo, hi in zip(range(len(coeffs)), bounds, bounds[1:]):
-            np.matmul(self.shared.rows(self.place[lo:hi]), coeffs[j], out=found[lo:hi])
+            np.matmul(self.basis[self.place[lo:hi]], coeffs[j], out=found[lo:hi])
         vals = np.full(self.shape, -np.inf)
         vals[self.section, self.cell] = np.abs(found)
         return vals
@@ -500,10 +468,11 @@ class SharedLevel:
 
 class BaseLevel(SharedLevel):
     """The base mesh of a block of sections, screened on the frame side:
-    its cells, twins included, at the distinct lifts of base_boxes."""
+    its cells, twins included, at the distinct lifts of base_boxes
+    (geometry.distinct_base)."""
 
     def __init__(self, m: int, k: int, mesh: int, screen: FrameScreen, sections: slice):
-        rank, lifts = _distinct_base(m, mesh)
+        rank, lifts = distinct_base(m, mesh)
         super().__init__(m, k, lifts, rank, screen, sections)
 
 

@@ -131,10 +131,10 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A finite number in the JSON sense: json reads NaN and Infinity, but
-    no field means anything by them."""
+    """A finite number in the JSON sense: json reads NaN, Infinity and
+    integers past the float range, but no field means anything by them."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -787,9 +787,9 @@ def _rel_gap(a, b) -> float:
     kind = _kind(a)
     if kind is not _kind(b) or kind in (list, dict):
         return math.inf
-    if a == b or (kind is numbers.Number and math.isnan(a) and math.isnan(b)):
+    if a == b or (kind is numbers.Number and a != a and b != b):
         return 0.0
-    if kind is numbers.Number and math.isfinite(a) and math.isfinite(b):
+    if _is_number(a) and _is_number(b):
         return abs(a - b) / max(abs(a), abs(b), 1.0)
     return math.inf
 

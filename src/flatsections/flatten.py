@@ -17,10 +17,8 @@ import numpy as np
 from .frame import Frame
 from .geometry import (
     BallRegion,
-    base_boxes,
-    base_twins,
     canonical_point,
-    center_lifts,
+    distinct_base,
     exp_chart_vectors,
     make_chart,
 )
@@ -157,18 +155,17 @@ def fk_norm(frame: Frame) -> float:
 
     The mesh is the cell centres of geometry.base_boxes, the equal-area
     mesh the sup norms start from, with round(FK_MESH ** (1/2m)) cells
-    per dimension, at least two.  Only the cells geometry.base_twins maps
-    to themselves are evaluated (all 128^2 at m = 1, 7986 of 11^4 at m = 2):
-    each other cell's lift lies within rounding of its twin's.  The frame
-    points themselves are always included: each is the peak of its own
-    term, so the estimate can never fall below sqrt(diag).
+    per dimension, at least two.  Only its distinct cells
+    (geometry.distinct_base) are evaluated (all 128^2 at m = 1, 7986 of
+    11^4 at m = 2): each other cell's lift lies within rounding of its
+    twin's.  The frame points themselves are always included: each is the
+    peak of its own term, so the estimate can never fall below sqrt(diag).
     """
     if frame.n == 0:
         raise FlattenError("empty frame")
     m = frame.m
     side = max(2, round(FK_MESH ** (1 / (2 * m))))
-    boxes = base_boxes(m, side)[base_twins(m, side) == np.arange(side ** (2 * m))]
-    lifts = np.vstack([center_lifts(m, boxes), frame.points])
+    lifts = np.vstack([distinct_base(m, side)[1], frame.points])
     vals = frame_sum(frame, lifts)
     best = int(np.argmax(vals))
     best_val = float(vals[best])

@@ -74,9 +74,22 @@ class FrameError(ValueError):
     pass
 
 
+def _coarse_spacing(m: int, eta: float, gamma: float) -> float:
+    """The coarse closed-form spacing bound
+    gamma sqrt(2 pi) / ((1+eta)^{1/2m} - 1): a cubic spacing above it meets
+    the eta target by the coarse tail bound.  FrameError when the
+    denominator is not positive, as when 1 + eta rounds to 1."""
+    gap = (1 + eta) ** (1 / (2 * m)) - 1
+    if not gap > 0:
+        raise FrameError("eta %.3g leaves (1+eta)^{1/2m} - 1 = %.3g at m=%d: "
+                         "no coarse spacing bound" % (eta, gap, m))
+    return gamma * math.sqrt(2 * math.pi) / gap
+
+
 def choose_spacing(m: int, eta: float, gamma: float) -> float:
     """Sufficient cubic spacing from the coarse tail bound, with a 1.01
-    safety factor: a = 1.01 * gamma * sqrt(2 pi) / ((1+eta)^{1/2m} - 1).
+    safety factor: _coarse_spacing at 1.01 * gamma, that is
+    a = 1.01 * gamma * sqrt(2 pi) / ((1+eta)^{1/2m} - 1).
 
     This is the conservative closed form; the sharp theta-sum certificate
     (formal_eta) certifies much denser lattices.  The eta a cubic density
@@ -87,7 +100,7 @@ def choose_spacing(m: int, eta: float, gamma: float) -> float:
         raise FrameError("eta must lie in (0,1)")
     if gamma < 1:
         raise FrameError("gamma cannot be under 1")
-    return 1.01 * gamma * math.sqrt(2 * math.pi) / ((1 + eta) ** (1 / (2 * m)) - 1)
+    return _coarse_spacing(m, eta, 1.01 * gamma)
 
 
 def formal_eta(kind: str, a: float, gamma: float, epsilon: float, m: int) -> float:
@@ -167,13 +180,9 @@ class LatticeSpec:
 
     @property
     def abound_satisfied(self) -> bool:
-        """Whether the coarse closed-form spacing bound also holds."""
-        bound = (
-            self.gamma
-            * math.sqrt(2 * math.pi)
-            / ((1 + self.eta) ** (1 / (2 * self.m)) - 1)
-        )
-        return self.a > bound
+        """Whether the coarse closed-form spacing bound (_coarse_spacing)
+        also holds."""
+        return self.a > _coarse_spacing(self.m, self.eta, self.gamma)
 
 
 # ---------------------------------------------------------------------------

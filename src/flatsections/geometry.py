@@ -165,6 +165,15 @@ def base_twins(m: int, per_dim: int) -> np.ndarray:
     return twins
 
 
+def distinct_base(m: int, per_dim: int) -> tuple:
+    """(rank, lifts): the centre lifts of the cells of base_boxes(m, per_dim)
+    that base_twins maps to themselves, and for each cell the index of
+    its twin among them."""
+    twins = base_twins(m, per_dim)
+    kept = twins == np.arange(len(twins))
+    return (np.cumsum(kept) - 1)[twins], center_lifts(m, base_boxes(m, per_dim)[kept])
+
+
 def _centres(boxes: np.ndarray) -> np.ndarray:
     return 0.5 * (boxes[:, :, 0] + boxes[:, :, 1])
 
@@ -365,8 +374,8 @@ def exp_chart_vectors(chart: ChartSpec, v: np.ndarray) -> np.ndarray:
 
 
 def ball_volume(m: int, radius: float) -> float:
-    """Fubini-Study volume of a geodesic ball: pi^m sin^{2m}(radius) / m!."""
-    return math.pi ** m * math.sin(radius) ** (2 * m) / math.factorial(m)
+    """Fubini-Study volume of a geodesic ball: volume(m) sin^{2m}(radius)."""
+    return volume(m) * math.sin(radius) ** (2 * m)
 
 
 def distortion_estimate(chart: ChartSpec, nsamples: int = 10000, seed: int = 0) -> float:

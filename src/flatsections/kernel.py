@@ -10,7 +10,7 @@ form
     Pi_k(x, y) = diag * <x, y>^k,     diag = C(k+m, m) * m! / pi^m,
 
 which this module verifies against the defining monomial-basis sum; diag
-is kernel_diag(m, k), and log_kernel_diag(m, k) its logarithm.  All
+is kernel_diag(m, k), d_k over the volume pi^m/m! of CP^m.  All
 large-k magnitudes are carried as log magnitude plus phase so that levels
 in the thousands stay exact to working precision.
 """
@@ -23,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import volume
+
 # stand-in for log 0 in masked log-domain work; large enough that exp
 # underflows to exactly 0.0 after any multiplication by a level k
 LOG_ZERO = -1e12
 
-# monomial-basis entries evaluate_sections holds at once (lifts x d_k);
-# with the real temporary of monomial_basis, 24 bytes each, about 12 MB
+# monomial-basis entries evaluate_sections holds at once (lifts x d_k),
+# and the chunk monomial_basis builds its rows in: with the chunk's real
+# temporary, 24 bytes each, about 12 MB
 BASIS_CHUNK_ENTRIES = 5e5
 
 
@@ -42,23 +45,10 @@ def dimension(m: int, k: int) -> int:
 
 
 def kernel_diag(m: int, k: int) -> float:
-    """On-diagonal kernel value d_k * m! / pi^m."""
+    """On-diagonal kernel value d_k / Vol, Vol = pi^m / m! (geometry.volume)."""
     if m < 1 or k < 0:
         raise KernelError("need m >= 1 and k >= 0")
-    return dimension(m, k) * math.factorial(m) / math.pi**m
-
-
-def log_kernel_diag(m: int, k: int) -> float:
-    """log kernel_diag(m, k), through lgamma so that no factorial of k is formed."""
-    if m < 1 or k < 0:
-        raise KernelError("need m >= 1 and k >= 0")
-    return (
-        math.lgamma(m + k + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(m + 1)
-        + math.log(math.factorial(m))
-        - m * math.log(math.pi)
-    )
+    return dimension(m, k) / volume(m)
 
 
 def _check_lift(m: int, x: np.ndarray):
@@ -159,7 +149,7 @@ def szego_kernel(m: int, k: int, x: np.ndarray, y: np.ndarray) -> complex:
     r = abs(u)
     if r == 0.0:
         return 0.0 if k > 0 else complex(kernel_diag(m, k))
-    logmag = log_kernel_diag(m, k) + k * math.log(r)
+    logmag = math.log(kernel_diag(m, k)) + k * math.log(r)
     return math.exp(logmag) * np.exp(1j * k * np.angle(u))
 
 
@@ -231,27 +221,39 @@ class SectionExpansion:
         return evaluate_sections(self.m, self.k, [self.ortho_coeffs], lifts, basis)[0]
 
 
+def _log_modulus(z: np.ndarray) -> np.ndarray:
+    """log|z| elementwise, LOG_ZERO where z = 0."""
+    mag = np.abs(z)
+    return np.where(mag > 0, np.log(np.maximum(mag, 1e-300)), LOG_ZERO)
+
+
 def monomial_basis(m: int, k: int, lifts: np.ndarray) -> np.ndarray:
     """The orthonormal monomials z^alpha / sqrt(w_alpha) at unit lifts,
     shape (points, d_k), in graded lex order.
 
     Each entry is exp(alpha . log|z| - log(w_alpha) / 2 + i alpha . arg z),
-    built in one buffer and exponentiated in place.  A row depends on its
-    lift only, not on the other lifts of the call: a lone lift is built
-    as a batch of two, since a one-row product goes through another BLAS
-    kernel and rounds differently.
+    built into one preallocated output, one chunk of at most
+    BASIS_CHUNK_ENTRIES entries at a time and exponentiated in place, so
+    the real temporaries stay within one chunk however many lifts the
+    call has.  A row depends on its lift only, not on the other lifts of
+    the call: no chunk holds a single lift (a lone last lift is built
+    again with the one before it, and a lone lift as a batch of two),
+    since a one-row product goes through another BLAS kernel and rounds
+    differently.
     """
     if len(lifts) == 1:
         return monomial_basis(m, k, np.concatenate([lifts, lifts]))[:1]
     tab = monomial_table(m, k)
     idx = tab.indices
-    mag = np.abs(lifts)
-    logmag = np.where(mag > 0, np.log(np.maximum(mag, 1e-300)), LOG_ZERO)
     basis = np.empty((len(lifts), len(idx)), dtype=np.complex128)
-    basis.real = logmag @ idx.T
-    basis.real -= 0.5 * tab.log_weights
-    basis.imag = np.angle(lifts) @ idx.T
-    np.exp(basis, out=basis)
+    step = max(2, int(BASIS_CHUNK_ENTRIES // len(idx)))
+    for lo in range(0, len(lifts), step):
+        lo = min(lo, len(lifts) - 2)
+        chunk, part = lifts[lo:lo + step], basis[lo:lo + step]
+        part.real = _log_modulus(chunk) @ idx.T
+        part.real -= 0.5 * tab.log_weights
+        part.imag = np.angle(chunk) @ idx.T
+        np.exp(part, out=part)
     return basis
 
 
@@ -293,10 +295,8 @@ def coherent_state(m: int, k: int, y: np.ndarray) -> SectionExpansion:
     _check_lift(m, y)
     tab = monomial_table(m, k)
     idx = tab.indices
-    mag = np.abs(y)
-    logmag = np.where(mag > 0, np.log(np.maximum(mag, 1e-300)), LOG_ZERO)
     phase = np.angle(np.conj(y))
-    logb = tab.half_multinomial + idx @ logmag
+    logb = tab.half_multinomial + idx @ _log_modulus(y)
     ortho = np.exp(logb + 1j * (idx @ phase))
     return SectionExpansion.from_ortho(m, k, ortho)
 
@@ -308,12 +308,10 @@ def coherent_state(m: int, k: int, y: np.ndarray) -> SectionExpansion:
 def gaussian_deviation(d) -> np.ndarray:
     """Relative deviation of log P_k from its Gaussian model:
     (-log cos d) / (d^2/2) - 1 = d^2/6 + 2 d^4/45 + ...  (k cancels).
-    Evaluated through log1p(-2 sin^2(d/2)) so small d keeps full
-    relative precision."""
+    The numerator is -log_normalized_from_distance(1, d), so small d keeps
+    full relative precision; d is below pi/2."""
     d = np.asarray(d, dtype=np.float64)
-    s = np.sin(0.5 * d)
-    num = -np.log1p(np.clip(-2.0 * s * s, -1.0 + 1e-300, -0.0))
-    return num / (d * d / 2.0) - 1.0
+    return -log_normalized_from_distance(1, d) / (d * d / 2.0) - 1.0
 
 
 def near_threshold(m: int, k: int) -> float:

@@ -10,7 +10,13 @@ import math
 import numpy as np
 
 from flatsections import certify, constants
-from flatsections.geometry import GeometryError, base_boxes, center_lifts, exp_chart_vectors
+from flatsections.geometry import (
+    GeometryError,
+    base_boxes,
+    center_lifts,
+    distinct_base,
+    exp_chart_vectors,
+)
 from flatsections.kernel import (
     SectionExpansion,
     evaluate_sections,
@@ -58,10 +64,10 @@ def full_base_values(m: int, k: int, ortho_rows, boxes: np.ndarray) -> np.ndarra
 def base_values(m: int, k: int, ortho_rows, mesh: int) -> np.ndarray:
     """|s_j| at the centres of base_boxes(m, mesh), one row per
     coefficient vector, on the twin-mapped base mesh: only the cells
-    base_twins maps to themselves are evaluated, and every other cell
+    distinct_base keeps are evaluated, and every other cell
     takes its twin's value, its own to within rounding of the lift; at
     m = 1 that is every cell."""
-    rank, lifts = certify._distinct_base(m, mesh)
+    rank, lifts = distinct_base(m, mesh)
     return np.abs(evaluate_sections(m, k, ortho_rows, lifts))[:, rank]
 
 

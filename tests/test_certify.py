@@ -524,7 +524,7 @@ class TestScreenedBase:
         level = C.BaseLevel(m, k, mesh, screen, slice(0, fam.n))
         _assert_screened_base(level, _sections(fam), full)
         # the family-wide product stays within delta of the monomial values
-        twins = C.base_twins(m, mesh)
+        twins = G.base_twins(m, mesh)
         kept = twins == np.arange(len(twins))
         approx = screen.values(C.center_lifts(m, C.base_boxes(m, mesh)[kept]),
                                np.arange(np.sum(kept)), slice(0, fam.n))
@@ -549,26 +549,6 @@ class TestScreenedBase:
         screened = _coherent_certificate(m, k, y, mesh)
         assert screened.sup_estimates == unscreened_sups(m, k, fam.ortho, mesh, 16)
 
-    def test_shared_rows_build_in_blocks(self, monkeypatch):
-        # blocks of 7 rows, each one monomial_basis call; every row read
-        # back, across blocks and in any order, is the basis at its lift
-        m, k = 2, 40
-        monkeypatch.setattr(C, "BASIS_CHUNK_ENTRIES", 7 * dimension(m, k))
-        rng = np.random.default_rng(5)
-        raw = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
-        lifts = raw / np.linalg.norm(raw, axis=1)[:, None]
-        full = K.monomial_basis(m, k, lifts)
-        built = []
-        basis = C.monomial_basis
-        monkeypatch.setattr(C, "monomial_basis",
-                            lambda *args: built.append(len(args[2])) or basis(*args))
-        shared = C.SharedRows(m, k, lifts)
-        assert built == [7] * 7 + [1]
-        for places in (np.array([3]), np.arange(5, 15), np.array([40, 3, 12, 20, 3]),
-                       np.arange(49, 0, -3)):
-            assert np.array_equal(shared.rows(places), full[places])
-        assert len(built) == 8  # reading builds nothing
-
     @pytest.mark.parametrize("k,mesh", ((20, 6), (20, 8), (40, 6), (40, 8)))
     def test_row_wise_choice_equals_each_section_alone(self, k, mesh):
         # the shared levels choose top cells and confirm sets for all
@@ -580,7 +560,7 @@ class TestScreenedBase:
         deltas = screen.deltas
         full = base_values(2, k, fam.ortho, mesh)
         assert np.all([len(np.unique(row)) < len(row) for row in full])
-        rank, lifts = C._distinct_base(2, mesh)
+        rank, lifts = G.distinct_base(2, mesh)
         approx = screen.values(lifts, rank, slice(0, fam.n))
         for vals in (full, approx):
             top, keep = C._top_cells(vals), C._confirmed(vals, deltas[:, None])
@@ -793,7 +773,7 @@ class TestCertifyFamily:
         # every cell of the m = 1 mesh is its own twin
         fam = _pipeline(100)[3]
         boxes = C.base_boxes(1, 16)
-        rank, lifts = C._distinct_base(1, 16)
+        rank, lifts = G.distinct_base(1, 16)
         assert np.array_equal(rank, np.arange(len(boxes)))
         assert np.array_equal(lifts, C.center_lifts(1, boxes))
         assert np.array_equal(base_values(1, 100, fam.ortho, 16),
@@ -803,9 +783,9 @@ class TestCertifyFamily:
     def test_base_values_at_m2_evaluate_each_twin_once(self, k, mesh):
         fam = _screened_level(2, k)[2]
         boxes = C.base_boxes(2, mesh)
-        twins = C.base_twins(2, mesh)
+        twins = G.base_twins(2, mesh)
         kept = np.unique(twins)
-        rank, lifts = C._distinct_base(2, mesh)
+        rank, lifts = G.distinct_base(2, mesh)
         assert np.array_equal(kept[rank], twins)
         assert np.array_equal(lifts, C.center_lifts(2, boxes[kept]))
         vals = base_values(2, k, fam.ortho, mesh)
@@ -832,7 +812,7 @@ class TestCertifyFamily:
         cert = C.certify_family(fam, 6, 16, points=points, entries=entries)
         assert sum(sent) == cert.work["sup_norm lifts"] > 0
         [level] = levels
-        twins = C.base_twins(2, 6)
+        twins = G.base_twins(2, 6)
         confirmed = np.unique(twins[level.cell])
         assert level.rows == len(confirmed) == cert.work["base rows"] == len(built[0])
         assert len(confirmed) < level.confirmed == cert.work["base confirmed"]

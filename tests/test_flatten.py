@@ -83,7 +83,7 @@ def _m1_frame(k: int):
 def _full_mesh_fk(monkeypatch, fr) -> float:
     """fk_norm with every mesh cell its own twin: the full-mesh oracle."""
     with monkeypatch.context() as patch:
-        patch.setattr(FL, "base_twins", lambda m, per_dim: np.arange(per_dim ** (2 * m)))
+        patch.setattr(G, "base_twins", lambda m, per_dim: np.arange(per_dim ** (2 * m)))
         return FL.fk_norm(fr)
 
 

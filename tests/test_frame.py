@@ -152,6 +152,16 @@ class TestSpacingRules:
         assert F.choose_spacing(1, 1e-6, 1.0) > 1e5
         assert F.choose_spacing(2, 1e-6, 1.0) > F.choose_spacing(1, 1e-3, 1.0)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_coarse_bound_refuses_a_vanishing_gap(self, m):
+        # 1 + 1e-300 rounds to 1, so (1+eta)^{1/2m} - 1 is 0: both readers
+        # of the coarse bound refuse, neither divides by zero
+        with pytest.raises(F.FrameError, match="no coarse spacing bound"):
+            F.choose_spacing(m, 1e-300, 1.27)
+        spec = _cube_spec(t=0.35, m=m, a=2.7, eta=1e-300)
+        with pytest.raises(F.FrameError, match="no coarse spacing bound"):
+            spec.abound_satisfied
+
     def test_chosen_spacing_passes_both_certificates(self):
         # the coarse closed form implies the crude tail inequality
         # (1 + sqrt(2 pi)/a_tilde)^{2m} <= 1 + eta at epsilon = 0, and the

@@ -7,6 +7,7 @@ orthonormal monomial basis is ground truth for the closed form.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,10 +54,6 @@ class TestDimensionsAndDiag:
             ]
             assert abs(vals[-1] - 1.0) < 5e-3 * math.pi ** 0
             assert abs(vals[-1] - 1.0) < abs(vals[0] - 1.0)
-
-    def test_log_diag_consistent(self):
-        for m, k in ((1, 3), (2, 100), (1, 1000)):
-            assert abs(math.exp(K.log_kernel_diag(m, k)) / K.kernel_diag(m, k) - 1.0) < 1e-12
 
 
 class TestMultiIndices:
@@ -272,6 +269,29 @@ class TestCoherentStates:
         assert vals.shape == (3, 2500)
         for s, row in zip(rows, vals):
             assert np.array_equal(row, s.evaluate_lifts(lifts))
+
+    def test_monomial_basis_builds_in_chunks(self, monkeypatch):
+        # chunks of 7 lifts: every row, across chunks and in a last chunk
+        # of one lift (built again with the lift before it), is the row of
+        # its lift alone, and a call holds only its output and the
+        # temporaries of one chunk, two real (chunk, d_k) arrays at most
+        m, k = 2, 40
+        d = K.dimension(m, k)
+        monkeypatch.setattr(K, "BASIS_CHUNK_ENTRIES", 7 * d)
+        rng = np.random.default_rng(5)
+        lifts = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        lifts /= np.linalg.norm(lifts, axis=1)[:, None]
+        alone = np.concatenate([K.monomial_basis(m, k, lifts[i:i + 1]) for i in range(50)])
+        for count in (1, 7, 8, 15, 50):
+            assert K.monomial_basis(m, k, lifts[:count]).tobytes() == alone[:count].tobytes()
+        tracemalloc.start()
+        try:
+            K.monomial_basis(m, k, lifts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the unchunked build held a (50, d_k) real temporary, 8 * 50 * d_k
+        assert peak <= alone.nbytes + 2 * 8 * 7 * d + 16 * 1024 < alone.nbytes + 8 * 50 * d
 
     def test_coefficient_phase_equivariance(self):
         # multiplying the lift by a phase rotates every coefficient
