@@ -15,25 +15,25 @@ is the Euclidean norm of the row.  A family's sups have one path:
     certify_family -> NormCertificate -> emit_polynomials
 
 certify_family is the one producer of a family's sups and L^2 norms.  It
-evaluates one shared base mesh, then refines each section by sup_norm,
-the single-section evaluator, which reads round 1 from the family's
-shared first level and refines on its own from round 2, with basis
-rows from the block's RowTable (below).  It needs the frame points and
-the whitening matrix the family was mixed from: the base mesh and every
-refinement round are screened on the frame side (below).  Families
-whose base values pass BASE_BLOCK_ENTRIES are split into blocks of rows
-that share one evaluation each.  The base mesh is evaluated at its
-distinct lifts only (geometry.distinct_base): at m = 2 the fold of the
-moment coordinates makes 540 of the 1296 cells at mesh 6 the same point
-of CP^2 as another cell, to within 4.4e-16, and each such cell takes the
-value of that twin; at m = 1 every cell is its own twin.  The refinement
-still sees every cell, twins included: _take and evaluations count all
-of them.  Every sup is bit-identical to the evaluation of each cell and
-child of the section alone, which tests/oracles.py keeps as the
+evaluates one shared base mesh, then advances the sections of a block
+together, one shared level per refinement round, and hands each
+section's values to sup_norm, which turns them into its estimate by the
+stopping rule (_stops) the rounds also stop by.  It needs the frame
+points and the whitening matrix the family was mixed from: the base
+mesh and every refinement round are screened on the frame side (below).
+Families whose base values pass BASE_BLOCK_ENTRIES are split into blocks
+of rows that share one evaluation each.  The base mesh is evaluated at
+its distinct lifts only (geometry.distinct_base): at m = 2 the fold of
+the moment coordinates makes 540 of the 1296 cells at mesh 6 the same
+point of CP^2 as another cell, to within 4.4e-16, and each such cell
+takes the value of that twin; at m = 1 every cell is its own twin.  The
+refinement still sees every cell, twins included: _take and evaluations
+count all of them.  Every sup is bit-identical to the evaluation of each
+cell and child of the section alone, which tests/oracles.py keeps as the
 reference (unscreened_sups), not merely close: a basis row does not
-depend on the other lifts of its batch, and each row gets its own
-matrix-vector product, since a single product over all rows rounds
-differently.
+depend on the other lifts of its batch, and each section's values are
+its own matrix-vector products, since a single product over all
+sections' rows rounds differently.
 emit_polynomials reads the certificate and computes no sup; its records
 are the dicts polynomials.json holds, each with its row as two lists,
 and monomial_header gives the exponents and log weights that turn a row
@@ -75,46 +75,38 @@ order, ties included.  Evaluation is per point, so a cell's value does
 not depend on which other cells share its call (the tests check this
 from one point per call up).
 
-The shared levels.  Every section refines from the same base mesh, so
-the base mesh and round 1, which splits base cells into the same
-children at the same lifts in every section, are shared by a block of
-sections (SharedLevel; BaseLevel and FirstLevel).  Each level does each
-step once for the block.  One call of the family's screen, with W the
-block's rows, screens every section of the block at every lift of the
+The shared levels.  Every section refines from the same base mesh, and
+sections that split the same cell split it into the same children, at
+the same lifts, bit for bit.  So every level, the base mesh and each
+refinement round, is shared by the live sections of a block
+(SharedLevel; BaseLevel and RoundLevel), and each level does each step
+once for them.  A round's level splits and lifts the union of the live
+sections' top cells once, and one call of the family's screen, with W
+the live sections' rows, screens every section at every child of the
 level.  The top cells and the confirm sets are taken along the rows of
 the resulting (sections, cells) matrix, by the same stable sort and
 partition a single section uses, so every row is that section's own
-choice, ties included.  Every distinct confirmed lift gets its monomial
-basis row in one monomial_basis call, which bounds its own temporaries
-by BASIS_CHUNK_ENTRIES, and each section then applies its own
-matrix-vector product to the gathered rows of its confirmed cells.
-The base level's rows are freed before round 1 builds its own.
-
-Rounds 2 and later run per section, in sup_norm, which calls the same
-screen with W the section's one row.  Yet the sections of a block still
-refine many of the same children there.  So they take their basis rows
-from one RowTable per block, freed with the block: a least-recently-used
-table of rows keyed by the bytes of their lift, in one preallocated
-block of ROW_TABLE_BYTES, which builds every lift a call misses in one
-monomial_basis call.  The sections of a block are
-refined in the order of their top base cells, so that sections which
-split the same cells follow one another and find their rows still held.
-A row depends only on its lift, so each call returns an array equal, in
-shape and bit for bit, to the one monomial_basis builds at the same
-lifts, and each section's matrix-vector product, its sup, history and
-counts do not change.
+choice, ties included.  Each
+section then evaluates its confirmed cells by its own evaluate_lifts,
+from basis rows built once per distinct confirmed lift of the level, in
+monomial_basis calls of at most cap rows each: cap is the block's base
+values over d_k, so a level's rows never take more entries than the
+block's base values do.  A section whose round raises its estimate by
+under 0.1% leaves; the rounds end when none is left or rounds have run.
+One level is held at a time.
 
 At m=1 k=800 the 511 sections confirm 8 or 9 of the 256 base cells each
 (4,090 pairs), 98 distinct, then screen the 32 children of their top
 cells among the 392 children of the 98 cells some section splits, and
-confirm 4,090 of them, 261 distinct; 9 sections go on to round 2 and
-evaluate 297 lifts in the later rounds, which build 187 rows and reuse
-110.  At k=200 the later rounds evaluate 1,288 lifts from 708 built
-rows.  At m=2 k=40 the 47 sections confirm 12 to 24 of the 1296 cells of
-mesh 6 (36 distinct lifts) and 576 children (48 distinct), and the
-later rounds evaluate 1,200 lifts from 530 built rows; at mesh 16, 656
-to 704 of the 65,536 cells (30,984 pairs, 1,436 distinct lifts) and
-5,560 of their 27,520 children (2,040 distinct).
+confirm 4,090 of them, 261 distinct; 9 sections go on to round 2, and
+the later rounds confirm 297 cells at 187 distinct lifts.  At k=200 the
+later rounds confirm 1,288 cells at 708 distinct lifts, and 75, 37, 29,
+19 and 1 sections go on after rounds 1 to 5.  At m=2 k=40 the 47
+sections confirm 12 to 24 of the 1296 cells of mesh 6 (36 distinct
+lifts) and 576 children (48 distinct), and the later rounds 1,200 cells
+(508 rows, in calls of at most 70); at mesh 16, 656 to 704 of the 65,536
+cells (30,984 pairs, 1,436 distinct lifts) and 5,560 of their 27,520
+children (1,932 distinct).
 The sups are those of the section refined alone, bit for bit: a cell's
 box and lift are computed elementwise, a basis row does not depend on
 the other lifts of its batch (kernel.monomial_basis), and each value
@@ -169,7 +161,6 @@ families the largest gap seen is under 1e-4 of delta.
 """
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,9 +179,6 @@ from .kernel import (
 
 # base-mesh values held at once by certify_family (sections x cells)
 BASE_BLOCK_ENTRIES = 4e6
-
-# bytes of the basis rows a RowTable keeps for a block of sections
-ROW_TABLE_BYTES = 2 ** 21
 
 # u = 2^-53, the unit roundoff of float64
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -226,9 +214,7 @@ def _split_boxes(boxes: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SupNormEstimate:
     """Certified lower bound for a sup-norm, with its refinement trace;
-    a record of emit_polynomials holds it as to_dict's dict.  exact_lifts
-    counts the lifts sup_norm evaluated by monomials itself: work, not
-    part of the estimate, so equality and to_dict leave it out."""
+    a record of emit_polynomials holds it as to_dict's dict."""
 
     value: float
     mesh: int
@@ -236,7 +222,6 @@ class SupNormEstimate:
     last_increment: float
     evaluations: int
     history: tuple
-    exact_lifts: int = field(compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -252,6 +237,14 @@ class SupNormEstimate:
 def _take(cells: int) -> int:
     """Cells a refinement round splits: the top percent, at least eight."""
     return min(cells, max(8, cells // 100))
+
+
+def _stops(increment, best):
+    """The stopping rule: a refinement round that raises the estimate best
+    by an increment under 0.1% of it is the last.  Elementwise, so the
+    round driver of certify_family applies it to every live section at
+    once, and sup_norm to one."""
+    return increment < 1e-3 * np.maximum(best, 1e-300)
 
 
 def _power(z: np.ndarray, k: int) -> np.ndarray:
@@ -326,18 +319,21 @@ class FrameScreen:
         np.put(g, flat, phi)
         return g
 
-    def values(self, lifts: np.ndarray, items: np.ndarray, sections: slice) -> np.ndarray:
-        """Screen values of the sections, a slice of the family's rows, at
-        their cells, shape (sections, cells): entry [i, c] is section i's
-        at lifts[items[i, c]], or at lifts[items[c]] when items has one
-        row for every section.  They are root |T W[sections]^T|: one
-        product serves every section, and each takes the entries at its
-        own cells.  T stands in for the (lifts, d_k) monomial basis, so it
-        is built in chunks of at most BASIS_CHUNK_ENTRIES entries, as the
-        basis is: chunks of BASE_BLOCK_ENTRIES raise the peak memory of
-        certify_family on the m = 2 mesh-16 k=40 level from 76 to 82 MB."""
+    def values(self, lifts: np.ndarray, items: np.ndarray, sections) -> np.ndarray:
+        """Screen values of the sections, a slice or an index array of the
+        family's rows, at their cells, shape (sections, cells): entry
+        [i, c] is section i's at lifts[items[i, c]], or at lifts[items[c]]
+        when items has one row for every section.  They are
+        root |T W[sections]^T|: one product serves every section, and each
+        takes the entries at its own cells.  T stands in for the monomial
+        basis rows of its lifts, so it is built in chunks of as many lifts
+        as a basis chunk holds rows, BASIS_CHUNK_ENTRIES // d_k (n <= d_k,
+        so a chunk of T is no larger): chunks of BASIS_CHUNK_ENTRIES // n
+        lifts raise the peak memory of certify_family on the m = 2 mesh-6
+        k=40 level from 2.4 to 3.2 MB, as a round's level screens up to
+        1,280 lifts there."""
         weights = self.weights[sections].T
-        step = max(1, int(BASIS_CHUNK_ENTRIES // len(weights)))
+        step = max(1, int(BASIS_CHUNK_ENTRIES // dimension(len(self.conj_points) - 1, self.k)))
         vals = np.concatenate([np.abs(self.terms(lifts[lo:lo + step]) @ weights)
                                for lo in range(0, len(lifts), step)])
         return self.root * vals.T[np.arange(weights.shape[1])[:, None], items]
@@ -373,97 +369,79 @@ def _top_cells(vals: np.ndarray) -> np.ndarray:
     """The _take largest values along the last axis, exact ties broken by
     cell index, so the choice does not depend on which other cells a
     round evaluated; one row per section when vals has a row per
-    section, each the row's own choice (the sort is stable)."""
-    return np.argsort(-vals, axis=-1, kind="stable")[..., :_take(vals.shape[-1])]
-
-
-class RowTable:
-    """Monomial basis rows of the lifts that the sections of one block
-    refine, kept for the block's later rounds: a row source for
-    kernel.evaluate_sections, called as monomial_basis is.
-
-    The rows live in one preallocated (slots, d_k) block, slots =
-    ROW_TABLE_BYTES // (16 d_k), keyed by the bytes of their lift; when
-    it is full, the least recently used row makes room.  A call builds
-    the lifts it misses, each once however often the call repeats it, in
-    one monomial_basis call, stores them, and returns the rows of all its
-    lifts gathered from the block.  A call with more distinct lifts than
-    slots builds all its rows in one monomial_basis call and keeps none.
-    A row depends only on its lift, so either way the array equals
-    monomial_basis's at the same lifts, bit for bit.  built counts the
-    rows built and reused the rows taken without building."""
-
-    def __init__(self, m: int, k: int):
-        d = dimension(m, k)
-        self.block = np.empty((int(ROW_TABLE_BYTES // (16 * d)), d), dtype=np.complex128)
-        self.slot = OrderedDict()  # lift bytes -> row of block, least recently used first
-        self.built = self.reused = 0
-
-    def __call__(self, m: int, k: int, lifts: np.ndarray) -> np.ndarray:
-        lifts = np.ascontiguousarray(lifts)
-        keys = lifts.view("V%d" % (lifts.itemsize * lifts.shape[1])).ravel().tolist()
-        where = dict(zip(keys, range(len(keys))))  # each distinct lift's bytes -> an index of it
-        if len(where) > len(self.block):
-            self.built += len(keys)
-            return monomial_basis(m, k, lifts)
-        fresh = []
-        for key in where:
-            if key in self.slot:
-                self.slot.move_to_end(key)
-            else:
-                fresh.append(key)
-        if fresh:
-            rows = monomial_basis(m, k, lifts[[where[key] for key in fresh]])
-            # a full block evicts its least recently used rows, none of them
-            # this call's: the call holds at most slots lifts
-            free = len(self.block) - len(self.slot)
-            at = list(range(len(self.slot), len(self.slot) + min(free, len(fresh))))
-            at += [self.slot.popitem(last=False)[1] for _ in range(len(fresh) - len(at))]
-            self.slot.update(zip(fresh, at))
-            self.block[at] = rows
-        self.built += len(fresh)
-        self.reused += len(keys) - len(fresh)
-        return self.block[[self.slot[key] for key in keys]]
+    section, each the row's own choice (the sort is stable).  The rows
+    are sorted in blocks of at most BASIS_CHUNK_ENTRIES values, so the
+    sort's temporaries stay within a block (at m = 2 mesh 16 the base
+    values of 47 sections are 24.6 MB, and a sort of all of them at once
+    holds twice that)."""
+    take = _take(vals.shape[-1])
+    rows = vals.reshape(-1, vals.shape[-1])
+    step = max(1, int(BASIS_CHUNK_ENTRIES // rows.shape[1]))
+    top = [np.argsort(-rows[lo:lo + step], axis=1, kind="stable")[:, :take]
+           for lo in range(0, len(rows), step)]
+    return np.concatenate(top).reshape(vals.shape[:-1] + (take,))
 
 
 class SharedLevel:
-    """A level of cells that every section of a block evaluates, at lifts
+    """A level of cells that the sections of a block evaluate, at lifts
     shared by the family.
 
-    sections is the block, a slice of the family's rows, and items[j, c],
-    or items[c] for every section alike, is the index into lifts of
-    section j's cell c.  The screen values of all sections at their cells
-    come from one screen.values call.  Each section confirms the cells
-    whose screen value is within 2 delta of its _take-th largest
-    (_confirmed, row by row), and the distinct lifts of all confirmed
-    cells get their monomial basis rows in one monomial_basis call, held
-    as basis.  values applies each section's own matrix-vector product to
-    the rows of its confirmed cells, gathered by plain indexing, in cell
-    order.  rows and confirmed count the basis rows built and the
-    (section, cell) pairs confirmed.
+    sections indexes the family's rows, and items[j, c], or items[c] for
+    every section alike, is the index into lifts of section j's cell c.
+    The screen values of all sections at their cells come from one
+    screen.values call.  Each section confirms the cells whose screen
+    value is within 2 delta of its _take-th largest (_confirmed, row by
+    row); confirm is that (sections, cells) mask.  values builds the
+    monomial basis row of every distinct confirmed lift once, in
+    monomial_basis calls of at most cap rows (twins, lifts equal in every
+    byte, share one), and each section evaluates its confirmed cells at
+    each call's lifts by its own evaluate_lifts, given their rows.  rows
+    and confirmed count the basis rows built and the (section, cell)
+    pairs confirmed.
     """
 
     def __init__(self, m: int, k: int, lifts: np.ndarray, items: np.ndarray,
-                 screen: FrameScreen, sections: slice):
+                 screen: FrameScreen, sections):
         approx = screen.values(lifts, items, sections)
-        self.section, self.cell = np.nonzero(_confirmed(approx, screen.deltas[sections, None]))
-        self.shape = approx.shape
-        self.bounds = np.searchsorted(self.section, np.arange(len(approx) + 1))
-        at = np.broadcast_to(items, approx.shape)[self.section, self.cell]
-        distinct, self.place = np.unique(at, return_inverse=True)
-        self.basis = monomial_basis(m, k, lifts[distinct])
-        self.rows, self.confirmed = len(distinct), len(self.section)
+        self.confirm = _confirmed(approx, screen.deltas[sections, None])
+        self.items = np.broadcast_to(items, approx.shape)
+        self.m, self.k, self.lifts = m, k, lifts
+        self.rows, self.confirmed = 0, int(np.count_nonzero(self.confirm))
 
-    def values(self, coeffs) -> np.ndarray:
+    def values(self, secs, cap: int) -> np.ndarray:
         """|s_j| at the confirmed cells of each section, -inf at the rest,
-        shape (sections, cells); coeffs[j] is the ortho_coeffs of section j."""
-        found = np.empty(len(self.place), dtype=np.complex128)
-        bounds = self.bounds.tolist()
-        for j, lo, hi in zip(range(len(coeffs)), bounds, bounds[1:]):
-            np.matmul(self.basis[self.place[lo:hi]], coeffs[j], out=found[lo:hi])
-        vals = np.full(self.shape, -np.inf)
-        vals[self.section, self.cell] = np.abs(found)
+        shape (sections, cells); secs[j] is section j."""
+        section, cell = np.nonzero(self.confirm)  # the confirmed pairs, by section
+        at = self.items[section, cell]  # the lift of each
+        _, first = np.unique(at, return_index=True)
+        touched = at[np.sort(first)]  # each lift once, where a section first confirms it
+        call = np.empty(len(self.lifts), dtype=np.int64)
+        call[touched] = np.arange(len(touched)) // cap
+        key = call[at] * len(secs) + section
+        order = np.argsort(key, kind="stable")  # by call, then by section, then by cell
+        vals = np.full(self.confirm.shape, -np.inf)
+        part = -1
+        for pairs in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+            j, mine = section[pairs[0]], at[pairs]
+            if call[mine[0]] != part:
+                part = call[mine[0]]
+                basis = row = None  # the last call's rows, freed before this call's
+                basis, row = self._rows(touched[part * cap:(part + 1) * cap])
+            vals[j, cell[pairs]] = np.abs(secs[j].evaluate_lifts(self.lifts[mine],
+                                                                 rows=basis[row[mine]]))
         return vals
+
+    def _rows(self, at) -> tuple:
+        """(basis, row): the monomial basis rows of the lifts indexed by at,
+        one per distinct lift (twins share one) and counted in rows, and
+        row[i], the row of lift i."""
+        lifts = self.lifts[at]
+        keys = lifts.view("V%d" % (lifts.itemsize * lifts.shape[1])).ravel()
+        _, first, place = np.unique(keys, return_index=True, return_inverse=True)
+        self.rows += len(first)
+        row = np.empty(len(self.lifts), dtype=np.int64)
+        row[at] = place
+        return monomial_basis(self.m, self.k, lifts[first]), row
 
 
 class BaseLevel(SharedLevel):
@@ -471,86 +449,75 @@ class BaseLevel(SharedLevel):
     its cells, twins included, at the distinct lifts of base_boxes
     (geometry.distinct_base)."""
 
-    def __init__(self, m: int, k: int, mesh: int, screen: FrameScreen, sections: slice):
+    def __init__(self, m: int, k: int, mesh: int, screen: FrameScreen, sections):
         rank, lifts = distinct_base(m, mesh)
         super().__init__(m, k, lifts, rank, screen, sections)
 
 
-class FirstLevel(SharedLevel):
-    """Round 1 of a block of sections: the children of each section's top
-    base cells (top[j], as _top_cells gives them), in the order
-    _split_boxes gives them.  Every section refines from the same base
-    mesh, so the children of a base cell are the same boxes, at the same
-    lifts, in every section: the lifts are the children of the union of
-    the top cells, and child c of cells[i] is item c * len(cells) + i,
-    its place in _split_boxes(boxes[cells])."""
+class RoundLevel(SharedLevel):
+    """A refinement round of the live sections of a block: the children of
+    each section's top cells of the level before, parents[top[j]] (top[j]
+    in the order _top_cells gives them), in the order _split_boxes gives
+    them.  Sections that split the same cell split the same box, into the
+    same children at the same lifts, so the level's boxes are the
+    children of the union of the top cells, and child c of cells[i] is
+    item c * len(cells) + i, its place in _split_boxes(parents[cells]).
+    parents are the base mesh or the boxes of the round before, distinct
+    either way, so the union is taken by index."""
 
-    def __init__(self, m: int, k: int, boxes: np.ndarray, top: np.ndarray,
-                 screen: FrameScreen, sections: slice):
+    def __init__(self, m: int, k: int, parents: np.ndarray, top: np.ndarray,
+                 screen: FrameScreen, sections):
         cells = np.unique(top)
-        child = np.arange(2 ** boxes.shape[1])[:, None]
+        child = np.arange(2 ** parents.shape[1])[:, None]
         items = len(cells) * child + np.searchsorted(cells, top)[:, None, :]
-        super().__init__(m, k, center_lifts(m, _split_boxes(boxes[cells])),
-                         items.reshape(len(top), -1), screen, sections)
+        self.boxes = _split_boxes(parents[cells])
+        super().__init__(m, k, center_lifts(m, self.boxes), items.reshape(len(top), -1),
+                         screen, sections)
 
 
 def sup_norm(s: SectionExpansion, mesh: int, rounds: int, base: np.ndarray,
-             screen: FrameScreen, row: int, first: tuple, basis) -> SupNormEstimate:
+             later: list) -> SupNormEstimate:
     """Mesh maximum of |s| at unit lifts, with greedy refinement: one
-    section of the family certify_family certifies.
+    section of the family certify_family certifies, from its values.
 
-    Splits the top percent (at least eight) of cells by center value
-    until a full refinement round improves the estimate by under 0.1%.
-    The estimate only ever grows, so it is always a valid lower bound.
-    base holds |s| at the base-mesh centres, -inf at the cells that
-    cannot win (BaseLevel), and first is round 1 (FirstLevel): the pair
-    (top, values) of the base cells round 1 splits, _top_cells(base), and
-    |s| at their children in the order _split_boxes gives them.  Their
-    boxes are split only if a round 2 follows.  From round 2 on, screen,
-    the family's FrameScreen, called for row, s's row of the family,
-    alone, picks the children that can win (_confirmed; module
-    docstring), and only those are evaluated, by s.evaluate_lifts with
-    the row source basis (the block's RowTable), the rest taking -inf;
-    the estimate is the one the full evaluation gives.
-    Every reported value is a monomial value, and evaluations counts the
-    cells examined, screened out or not.  exact_lifts counts the lifts
-    evaluated here.
+    Each refinement round splits the top percent (at least eight) of the
+    last round's cells by value, until a round raises the estimate by
+    under 0.1% (_stops) or rounds have run.  The estimate only ever grows,
+    so it is always a valid lower bound.  base holds |s| at the base-mesh
+    centres and later[r] at the children round r + 1 splits, in the order
+    _split_boxes gives them, each -inf at the cells that cannot win
+    (SharedLevel); certify_family runs the rounds for a block of sections
+    at once, and stops each section by the same rule.  Every value is a
+    monomial value, and evaluations counts the cells examined, screened
+    out or not.
     """
     boxes = base_boxes(s.m, mesh)
     if base.shape != (len(boxes),):
         raise CertifyError("base values do not match the base mesh")
     best = float(np.max(base))
-    evals = len(base)
+    cells = evals = len(base)
     history = [best]
     used = 0
     increment = 0.0
-    exact = 0
-    for _ in range(rounds):
-        if used == 0:
-            split, vals = first  # split: the base cells whose children vals holds
-            if vals.shape != (len(split) * 2 ** boxes.shape[1],):
-                raise CertifyError("round-1 values do not match the base mesh")
-        else:
-            if used == 1:
-                boxes = _split_boxes(boxes[split])
-            boxes = _split_boxes(boxes[_top_cells(vals)])
-            lifts = center_lifts(s.m, boxes)
-            approx = screen.values(lifts, np.arange(len(lifts)), slice(row, row + 1))[0]
-            confirm = np.flatnonzero(_confirmed(approx, screen.deltas[row]))
-            vals = np.full(len(lifts), -np.inf)
-            vals[confirm] = np.abs(s.evaluate_lifts(lifts[confirm], basis=basis))
-            exact += len(confirm)
-        evals += len(vals)
+    stopped = rounds == 0
+    for vals in later:
+        if stopped:
+            break
+        cells = 2 ** boxes.shape[1] * _take(cells)
+        if vals.shape != (cells,):
+            raise CertifyError("round values do not match the base mesh")
+        evals += cells
         used += 1
         new_best = max(best, float(np.max(vals)))
         increment = new_best - best
         best = new_best
         history.append(best)
-        if increment < 1e-3 * max(best, 1e-300):
-            break
+        stopped = used == rounds or _stops(increment, best)
+    if used != len(later) or not stopped:
+        raise CertifyError("refinement rounds do not end where the stopping rule does")
     return SupNormEstimate(value=best, mesh=mesh, rounds_used=used,
                            last_increment=increment, evaluations=evals,
-                           history=tuple(history), exact_lifts=exact)
+                           history=tuple(history))
 
 
 def flat_bound(beta: float, eta: float, vol: float) -> float:
@@ -567,12 +534,11 @@ def flat_bound(beta: float, eta: float, vol: float) -> float:
 class NormCertificate:
     """Sup estimates and exact L^2 norms of one flat family, row by row.
     work counts what certify_family evaluated: the basis rows built and
-    the (section, cell) pairs confirmed by the shared base and round-1
-    levels of the family ("base rows", "base confirmed",
-    "round 1 rows", "round 1 confirmed"), the lifts sup_norm evaluated
-    itself ("sup_norm lifts") and the rows its RowTables built and
-    reused for them ("sup_norm rows built", "sup_norm rows reused"); it
-    is not part of the certificate, so equality leaves it out."""
+    the (section, cell) pairs confirmed by the shared levels of the
+    family, on the base mesh ("base rows", "base confirmed"), in round 1
+    ("round 1 rows", "round 1 confirmed") and in the rounds after it
+    ("later rows", "later confirmed"); it is not part of the certificate,
+    so equality leaves it out."""
 
     k: int
     m: int
@@ -589,15 +555,17 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray,
     points are the frame points and entries the whitening matrix B the
     family was mixed from (fam.ortho = F B Psi).  The rows are taken in
     blocks whose base values fit in BASE_BLOCK_ENTRIES (all of them at
-    the benchmark levels).  The base mesh and round 1 are the block's
-    shared levels (BaseLevel, FirstLevel), and each section's later
-    rounds are screened by its row of the family's one FrameScreen, built
-    once for all blocks; the estimates equal, field by field, those of
-    every cell evaluated.  The rounds sup_norm evaluates
-    take their rows from one RowTable per block, freed with the block,
-    and the block's sections go through sup_norm in the order of their
-    top base cells.  A sup under the flatness floor l2 / sqrt(Vol), less
-    0.1%, raises: every section reaches its L^2 average somewhere.
+    the benchmark levels).  The base mesh and every refinement round are
+    shared levels of the block (BaseLevel, RoundLevel), screened by the
+    family's one FrameScreen, built once for all blocks.  The live
+    sections of a block advance together, one round at a time, and a
+    section leaves when its round raises its estimate by under 0.1%
+    (_stops); its values then go to sup_norm, which turns them into its
+    estimate by the same rule.  The estimates equal, field by field, those
+    of every cell evaluated.  A level holds no more basis entries at once
+    than the block has base values (cap, in rows).  A sup under the
+    flatness floor l2 / sqrt(Vol), less 0.1%, raises: every section
+    reaches its L^2 average somewhere.
     """
     if fam.m not in (1, 2):
         raise CertifyError("sup_norm meshes cover m = 1 and m = 2 only")
@@ -608,36 +576,42 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray,
     l2s = l2_norms(fam)
     screen = FrameScreen.from_family(fam, points, entries, l2s)
     work = dict.fromkeys(("base rows", "base confirmed", "round 1 rows", "round 1 confirmed",
-                          "sup_norm rows built", "sup_norm rows reused"), 0)
+                          "later rows", "later confirmed"), 0)
     sups = []
     for lo in range(0, fam.n, block):
-        part = slice(lo, lo + block)
-        rows = fam.ortho[part]
-        secs = [SectionExpansion.from_ortho(fam.m, fam.k, row) for row in rows]
-        level = BaseLevel(fam.m, fam.k, mesh, screen, part)
-        base = level.values(rows)
+        rows = slice(lo, min(lo + block, fam.n))
+        secs = [SectionExpansion.from_ortho(fam.m, fam.k, row) for row in fam.ortho[rows]]
+        # no level holds more basis entries at once than the block has base values
+        cap = max(1, len(secs) * len(boxes) // dimension(fam.m, fam.k))
+        level = BaseLevel(fam.m, fam.k, mesh, screen, rows)
+        base = level.values(secs, cap)
         work["base rows"] += level.rows
         work["base confirmed"] += level.confirmed
-        del level  # its basis rows: one level's are held at a time
-        top = _top_cells(base).copy()  # not a view that keeps the whole sort
-        level = FirstLevel(fam.m, fam.k, boxes, top, screen, part)
-        firsts = list(zip(top, level.values(rows)))
-        work["round 1 rows"] += level.rows
-        work["round 1 confirmed"] += level.confirmed
-        del level
-        # sections that split the same base cells refine the same children,
-        # so taken in the order of their top cells they find more of them in
-        # the table (m=2 k=40 mesh 6: 674 rows built in index order, 530 so)
-        table = RowTable(fam.m, fam.k)
-        done = [None] * len(secs)
-        for j in np.lexsort(top.T[::-1]):
-            done[j] = sup_norm(secs[j], mesh=mesh, rounds=rounds, base=base[j], screen=screen,
-                               row=lo + j, first=firsts[j], basis=table)
-        sups += done
-        work["sup_norm rows built"] += table.built
-        work["sup_norm rows reused"] += table.reused
-        del table  # its block, before the next block's levels
-    work["sup_norm lifts"] = sum(est.exact_lifts for est in sups)
+        del level  # its confirm mask and lifts, before the sort below
+        parents, top = boxes, _top_cells(base)
+        best = np.max(base, axis=1)
+        later = [[] for _ in secs]
+        live = np.arange(len(secs))  # the block's sections still refining
+        for name in ["round 1"] + ["later"] * (rounds - 1):
+            # the whole block as a slice: W's rows are then a view, not a copy
+            level = RoundLevel(fam.m, fam.k, parents, top, screen,
+                               rows if len(live) == len(secs) else lo + live)
+            vals = level.values([secs[j] for j in live], cap)
+            work[name + " rows"] += level.rows
+            work[name + " confirmed"] += level.confirmed
+            for j, row in zip(live, vals):
+                later[j].append(row)
+            new = np.maximum(best[live], np.max(vals, axis=1))
+            go = ~_stops(new - best[live], new)
+            best[live] = new
+            live, vals = live[go], vals[go]
+            if not len(live):
+                break
+            parents = level.boxes
+            top = np.take_along_axis(level.items[go], _top_cells(vals), axis=1)
+            del level  # its confirm mask and lifts, before the next round's
+        for s, vals, own in zip(secs, base, later):
+            sups.append(sup_norm(s, mesh, rounds, vals, own))
     root_vol = math.sqrt(volume(fam.m))
     for est, l2 in zip(sups, l2s):
         floor = l2 / root_vol * (1 - 1e-3)

@@ -602,7 +602,7 @@ def run(cfg: RunConfig) -> dict:
     the library, the caller's count and each level's whitening count, and
     its "certify" entry each level's certificate work
     (NormCertificate.work: basis rows built and cells confirmed by the
-    shared levels, and the lifts sup_norm evaluated itself)."""
+    shared levels of the base mesh, of round 1 and of the later rounds)."""
     cfg.validate()
     started = time.perf_counter()
     dump_dir = None

@@ -215,10 +215,10 @@ class SectionExpansion:
     def from_ortho(cls, m: int, k: int, ortho: np.ndarray) -> "SectionExpansion":
         return cls(m=m, k=k, ortho_coeffs=np.asarray(ortho, dtype=np.complex128))
 
-    def evaluate_lifts(self, lifts: np.ndarray, basis=None) -> np.ndarray:
-        """Section values at unit lifts (rows); log-domain monomials, from
-        the row source basis (evaluate_sections)."""
-        return evaluate_sections(self.m, self.k, [self.ortho_coeffs], lifts, basis)[0]
+    def evaluate_lifts(self, lifts: np.ndarray, rows=None) -> np.ndarray:
+        """Section values at unit lifts (rows of lifts); log-domain
+        monomials, or the basis rows given (evaluate_sections)."""
+        return evaluate_sections(self.m, self.k, [self.ortho_coeffs], lifts, rows)[0]
 
 
 def _log_modulus(z: np.ndarray) -> np.ndarray:
@@ -258,7 +258,7 @@ def monomial_basis(m: int, k: int, lifts: np.ndarray) -> np.ndarray:
 
 
 def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray,
-                      basis=None) -> np.ndarray:
+                      rows=None) -> np.ndarray:
     """Values of several level-k sections at unit lifts, shape (sections, points).
 
     ortho_rows holds one orthonormal-basis coefficient vector per section.
@@ -267,21 +267,22 @@ def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray,
     matrix-vector product, so row j is bit-identical to evaluating
     section j on its own.  No chunk holds a single lift (the last lift is
     repeated instead), so a value does not depend on which other lifts
-    share the call.  basis(m, k, chunk) is the row source, monomial_basis
-    unless given (looked up at call time); any other source must return
-    the array monomial_basis would, as certify.RowTable does.
+    share the call.  rows, when given, holds the basis row of every lift,
+    equal to the one monomial_basis builds (certify.SharedLevel builds
+    them once for all the sections of a level); otherwise monomial_basis
+    builds each chunk's.
     """
-    basis = monomial_basis if basis is None else basis
     lifts = np.atleast_2d(np.asarray(lifts, dtype=np.complex128))
     count = lifts.shape[0]
     step = max(2, int(BASIS_CHUNK_ENTRIES // dimension(m, k)))
     if count % step == 1:
         lifts = np.concatenate([lifts, lifts[-1:]])
+        rows = None if rows is None else np.concatenate([rows, rows[-1:]])
     out = np.empty((len(ortho_rows), lifts.shape[0]), dtype=np.complex128)
     for lo in range(0, lifts.shape[0], step):
-        rows = basis(m, k, lifts[lo:lo + step])
+        chunk = monomial_basis(m, k, lifts[lo:lo + step]) if rows is None else rows[lo:lo + step]
         for j, row in enumerate(ortho_rows):
-            out[j, lo:lo + step] = rows @ row
+            out[j, lo:lo + step] = chunk @ row
     return out[:, :count]
 
 

@@ -77,17 +77,17 @@ def unscreened_sups(m: int, k: int, ortho_rows, mesh: int, rounds: int) -> tuple
     top cells evaluated by evaluate_lifts.  The cells are chosen and split
     by the package's own _top_cells (the _take largest, ties to the lower
     index) and _split_boxes, so certify_family's screened estimates must
-    equal these field by field.  exact_lifts counts every child."""
+    equal these field by field.  The stopping rule is written out here
+    rather than read from the package, so that the two stay independent."""
     sups = []
     for row, vals in zip(ortho_rows, base_values(m, k, ortho_rows, mesh)):
         section = SectionExpansion.from_ortho(m, k, row)
         boxes = base_boxes(m, mesh)
         best = float(np.max(vals))
-        history, evals, used, increment, exact = [best], len(vals), 0, 0.0, 0
+        history, evals, used, increment = [best], len(vals), 0, 0.0
         for _ in range(rounds):
             boxes = certify._split_boxes(boxes[certify._top_cells(vals)])
             vals = np.abs(section.evaluate_lifts(center_lifts(m, boxes)))
-            exact += len(vals)
             evals += len(vals)
             used += 1
             new_best = max(best, float(np.max(vals)))
@@ -98,7 +98,7 @@ def unscreened_sups(m: int, k: int, ortho_rows, mesh: int, rounds: int) -> tuple
                 break
         sups.append(certify.SupNormEstimate(
             value=best, mesh=mesh, rounds_used=used, last_increment=increment,
-            evaluations=evals, history=tuple(history), exact_lifts=exact))
+            evaluations=evals, history=tuple(history)))
     return tuple(sups)
 
 

@@ -230,11 +230,10 @@ class TestRunManifest:
         assert list(work.values()) == [c.work for c in certs]
         for counts in work.values():
             assert set(counts) == {"base rows", "base confirmed", "round 1 rows",
-                                   "round 1 confirmed", "sup_norm lifts",
-                                   "sup_norm rows built", "sup_norm rows reused"}
+                                   "round 1 confirmed", "later rows", "later confirmed"}
             assert 0 < counts["base rows"] <= counts["base confirmed"]
         core = cli.core_bytes(manifest).decode("utf-8")
-        assert "confirmed" not in core and "reused" not in core
+        assert "confirmed" not in core and "later rows" not in core
         assert cli.run(RunConfig(mode="constants-only"))["envelope"]["certify"] == {}
 
     def test_summary_csv_columns(self, tmp_path):

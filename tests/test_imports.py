@@ -38,9 +38,9 @@ UNCALLED_KEPT = ("core_bytes", "load_family", "load_matrix")
 # main(argv): the console script, which leaves argv to sys.argv
 UNPASSED_KEPT = ("main(argv)",)
 
-# basis: the monomial evaluation the tests use as their oracle, with
-# monomial_basis as its row source
-PASSED_NONE_KEPT = ("SectionExpansion.evaluate_lifts(basis)", "evaluate_sections(basis)")
+# rows: the monomial evaluation the tests use as their oracle, with
+# monomial_basis building its rows
+PASSED_NONE_KEPT = ("SectionExpansion.evaluate_lifts(rows)", "evaluate_sections(rows)")
 
 # Frame.dropped: the benchmark reads it
 UNREAD_KEPT = ("dropped",)

@@ -256,7 +256,9 @@ class TestCoherentStates:
         assert abs(np.linalg.norm(phi.ortho_coeffs) - 1.0) < 1e-12
 
     def test_family_evaluation_matches_single(self):
-        # 2500 points at d_k = 861 span two basis chunks of 2322 points
+        # 2500 points at d_k = 861 span five basis chunks of 580 points;
+        # rows built beforehand give the same values, also where a last
+        # chunk of one lift takes the lift before it (1 and 581 points)
         rng = np.random.default_rng(8)
         m, k = 2, 40
         d = K.dimension(m, k)
@@ -269,6 +271,11 @@ class TestCoherentStates:
         assert vals.shape == (3, 2500)
         for s, row in zip(rows, vals):
             assert np.array_equal(row, s.evaluate_lifts(lifts))
+        coeffs = [s.ortho_coeffs for s in rows]
+        for count in (1, 581, 2500):
+            built = K.monomial_basis(m, k, lifts[:count])
+            assert np.array_equal(K.evaluate_sections(m, k, coeffs, lifts[:count], built),
+                                  vals[:, :count])
 
     def test_monomial_basis_builds_in_chunks(self, monkeypatch):
         # chunks of 7 lifts: every row, across chunks and in a last chunk
