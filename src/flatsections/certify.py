@@ -16,9 +16,9 @@ is the Euclidean norm of the row.  A family's sups have one path:
 
 certify_family is the one producer of a family's sups and L^2 norms.  It
 evaluates one shared base mesh, then advances the sections of a block
-together, one shared level per refinement round, and hands each
-section's values to sup_norm, which turns them into its estimate by the
-stopping rule (_stops) the rounds also stop by.  It needs the frame
+together, one shared level per refinement round, stopping each by one
+rule (_stops).  It records each section's estimate after every round,
+and sup_norm reads the estimate off that history.  It needs the frame
 points and the whitening matrix the family was mixed from: the base
 mesh and every refinement round are screened on the frame side (below).
 Families whose base values pass BASE_BLOCK_ENTRIES are split into blocks
@@ -241,9 +241,8 @@ def _take(cells: int) -> int:
 
 def _stops(increment, best):
     """The stopping rule: a refinement round that raises the estimate best
-    by an increment under 0.1% of it is the last.  Elementwise, so the
-    round driver of certify_family applies it to every live section at
-    once, and sup_norm to one."""
+    by an increment under 0.1% of it is the last.  Elementwise: the round
+    driver of certify_family applies it to every live section at once."""
     return increment < 1e-3 * np.maximum(best, 1e-300)
 
 
@@ -475,48 +474,30 @@ class RoundLevel(SharedLevel):
                          screen, sections)
 
 
-def sup_norm(s: SectionExpansion, mesh: int, rounds: int, base: np.ndarray,
-             later: list) -> SupNormEstimate:
-    """Mesh maximum of |s| at unit lifts, with greedy refinement: one
-    section of the family certify_family certifies, from its values.
+def sup_norm(s: SectionExpansion, l2: float, mesh: int, history: list) -> SupNormEstimate:
+    """Mesh maximum of |s| at unit lifts, with greedy refinement: the
+    estimate of one section of the family certify_family certifies, read
+    off its refinement history.
 
-    Each refinement round splits the top percent (at least eight) of the
-    last round's cells by value, until a round raises the estimate by
-    under 0.1% (_stops) or rounds have run.  The estimate only ever grows,
-    so it is always a valid lower bound.  base holds |s| at the base-mesh
-    centres and later[r] at the children round r + 1 splits, in the order
-    _split_boxes gives them, each -inf at the cells that cannot win
-    (SharedLevel); certify_family runs the rounds for a block of sections
-    at once, and stops each section by the same rule.  Every value is a
-    monomial value, and evaluations counts the cells examined, screened
-    out or not.
+    history holds the maximum of |s| over the base-mesh centres, then the
+    estimate after each refinement round, at least one; certify_family
+    runs the rounds.  Each round splits the top percent (at least eight)
+    of the last round's cells by value into 2^{2m} children each, and
+    evaluations counts those and the base mesh, screened out or not.  The
+    estimate only ever grows, so it is always a valid lower bound.  One
+    under the flatness floor l2 / sqrt(Vol), less 0.1%, raises: every
+    section reaches its L^2 average somewhere.
     """
-    boxes = base_boxes(s.m, mesh)
-    if base.shape != (len(boxes),):
-        raise CertifyError("base values do not match the base mesh")
-    best = float(np.max(base))
-    cells = evals = len(base)
-    history = [best]
-    used = 0
-    increment = 0.0
-    stopped = rounds == 0
-    for vals in later:
-        if stopped:
-            break
-        cells = 2 ** boxes.shape[1] * _take(cells)
-        if vals.shape != (cells,):
-            raise CertifyError("round values do not match the base mesh")
+    value = history[-1]
+    floor = l2 / math.sqrt(volume(s.m)) * (1 - 1e-3)
+    if value < floor:
+        raise CertifyError("sup estimate %.6f under the flatness floor %.6f" % (value, floor))
+    cells = evals = mesh ** (2 * s.m)
+    for _ in history[1:]:
+        cells = 2 ** (2 * s.m) * _take(cells)
         evals += cells
-        used += 1
-        new_best = max(best, float(np.max(vals)))
-        increment = new_best - best
-        best = new_best
-        history.append(best)
-        stopped = used == rounds or _stops(increment, best)
-    if used != len(later) or not stopped:
-        raise CertifyError("refinement rounds do not end where the stopping rule does")
-    return SupNormEstimate(value=best, mesh=mesh, rounds_used=used,
-                           last_increment=increment, evaluations=evals,
+    return SupNormEstimate(value=value, mesh=mesh, rounds_used=len(history) - 1,
+                           last_increment=value - history[-2], evaluations=evals,
                            history=tuple(history))
 
 
@@ -560,17 +541,19 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray,
     family's one FrameScreen, built once for all blocks.  The live
     sections of a block advance together, one round at a time, and a
     section leaves when its round raises its estimate by under 0.1%
-    (_stops); its values then go to sup_norm, which turns them into its
-    estimate by the same rule.  The estimates equal, field by field, those
-    of every cell evaluated.  A level holds no more basis entries at once
-    than the block has base values (cap, in rows).  A sup under the
-    flatness floor l2 / sqrt(Vol), less 0.1%, raises: every section
-    reaches its L^2 average somewhere.
+    (_stops).  Each section's history, its estimate on the base mesh and
+    after each of its rounds, goes to sup_norm, which reads the estimate
+    off it and raises if it is under the flatness floor.  The estimates
+    equal, field by field, those of every cell evaluated.  A level holds
+    no more basis entries at once than the block has base values (cap, in
+    rows).
     """
     if fam.m not in (1, 2):
         raise CertifyError("sup_norm meshes cover m = 1 and m = 2 only")
     if mesh < 4:
         raise CertifyError("mesh is below the coarse default")
+    if rounds < 1:
+        raise CertifyError("rounds must be at least 1")
     boxes = base_boxes(fam.m, mesh)
     block = max(1, int(BASE_BLOCK_ENTRIES // len(boxes)))
     l2s = l2_norms(fam)
@@ -590,7 +573,7 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray,
         del level  # its confirm mask and lifts, before the sort below
         parents, top = boxes, _top_cells(base)
         best = np.max(base, axis=1)
-        later = [[] for _ in secs]
+        history = [[b] for b in best.tolist()]
         live = np.arange(len(secs))  # the block's sections still refining
         for name in ["round 1"] + ["later"] * (rounds - 1):
             # the whole block as a slice: W's rows are then a view, not a copy
@@ -599,26 +582,18 @@ def certify_family(fam, mesh: int, rounds: int, points: np.ndarray,
             vals = level.values([secs[j] for j in live], cap)
             work[name + " rows"] += level.rows
             work[name + " confirmed"] += level.confirmed
-            for j, row in zip(live, vals):
-                later[j].append(row)
             new = np.maximum(best[live], np.max(vals, axis=1))
             go = ~_stops(new - best[live], new)
             best[live] = new
+            for j, b in zip(live, new.tolist()):
+                history[j].append(b)
             live, vals = live[go], vals[go]
             if not len(live):
                 break
             parents = level.boxes
             top = np.take_along_axis(level.items[go], _top_cells(vals), axis=1)
             del level  # its confirm mask and lifts, before the next round's
-        for s, vals, own in zip(secs, base, later):
-            sups.append(sup_norm(s, mesh, rounds, vals, own))
-    root_vol = math.sqrt(volume(fam.m))
-    for est, l2 in zip(sups, l2s):
-        floor = l2 / root_vol * (1 - 1e-3)
-        if est.value < floor:
-            raise CertifyError(
-                "sup estimate %.6f under the flatness floor %.6f" % (est.value, floor)
-            )
+        sups += [sup_norm(s, l2, mesh, own) for s, l2, own in zip(secs, l2s[rows], history)]
     return NormCertificate(k=fam.k, m=fam.m, sup_estimates=tuple(sups),
                            l2_norms=tuple(l2s), work=work)
 

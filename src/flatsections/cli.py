@@ -666,12 +666,11 @@ def _replacing(path: str):
             os.remove(tmp)
 
 
-def _write_json(path: str, obj, trailing_newline: bool = False):
+def _write_json(path: str, obj):
     with _replacing(path) as tmp:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, sort_keys=True, indent=1)
-            if trailing_newline:
-                fh.write("\n")
+            fh.write("\n")
 
 
 # summary.csv header -> manifest row key, in column order
@@ -695,25 +694,21 @@ def write_outputs(manifest: dict, cfg: RunConfig) -> list:
     os.makedirs(cfg.out, exist_ok=True)
     paths = []
     mpath = os.path.join(cfg.out, "manifest.json")
-    _write_json(mpath, manifest, trailing_newline=True)
+    _write_json(mpath, manifest)
     paths.append(mpath)
     core = manifest["core"]
     if core["mode"] == "full":
-        cpath = os.path.join(cfg.out, "summary.csv")
-        with _replacing(cpath) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SUMMARY_COLUMNS)
-            writer.writerows([row[key] for key in SUMMARY_COLUMNS.values()]
-                             for row in core["rows"])
-        paths.append(cpath)
-    if core["mode"] == "constants-only":
-        cpath = os.path.join(cfg.out, "constants.csv")
-        with _replacing(cpath) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-            keys = list(core["rows"][0])
-            fh.write(",".join(keys) + "\n")
-            for row in core["rows"]:
-                fh.write(",".join(repr(row[key]) for key in keys) + "\n")
-        paths.append(cpath)
+        name, columns = "summary.csv", SUMMARY_COLUMNS
+    elif core["mode"] == "constants-only":
+        name, columns = "constants.csv", {key: key for key in core["rows"][0]}
+    else:
+        return paths
+    cpath = os.path.join(cfg.out, name)
+    with _replacing(cpath) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row[key] for key in columns.values()] for row in core["rows"])
+    paths.append(cpath)
     return paths
 
 

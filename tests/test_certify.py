@@ -258,6 +258,39 @@ class TestSupNorm:
         with pytest.raises(C.CertifyError, match="m = 1 and m = 2"):
             _coherent_certificate(3, 3, as_unit_vector([1.0, 0.0, 0.0, 0.0]), 6)
 
+    def test_rounds_below_one_refused(self):
+        y = as_unit_vector([0.6, 0.8])
+        fam = _family(coherent_state(1, 20, y))
+        for rounds in (0, -1):
+            with pytest.raises(C.CertifyError, match="rounds must be at least 1"):
+                C.certify_family(fam, 16, rounds, points=y[None, :], entries=np.eye(1))
+
+    def test_estimate_read_off_the_history(self):
+        # m = 1 mesh 16: 256 base cells, then 4 children of each of the
+        # top 8 cells per round
+        sec = coherent_state(1, 20, as_unit_vector([0.6, 0.8]))
+        est = C.sup_norm(sec, 1.0, 16, [0.6, 0.7, 0.75])
+        assert est == C.SupNormEstimate(value=0.75, mesh=16, rounds_used=2,
+                                        last_increment=0.75 - 0.7, evaluations=256 + 32 + 32,
+                                        history=(0.6, 0.7, 0.75))
+
+    def test_sup_under_the_flatness_floor_raises(self):
+        # the floor is l2 / sqrt(Vol) less 0.1%; Vol = pi at m = 1
+        sec = coherent_state(1, 20, as_unit_vector([0.6, 0.8]))
+        floor = 2.0 / math.sqrt(math.pi)
+        assert C.sup_norm(sec, 2.0, 16, [0.5, floor * 0.9995]).value == floor * 0.9995
+        with pytest.raises(C.CertifyError, match="under the flatness floor"):
+            C.sup_norm(sec, 2.0, 16, [0.5, floor * 0.998])
+
+    def test_certify_family_enforces_the_flatness_floor(self, monkeypatch):
+        # a volume 100 times too small puts the floor at ten times the
+        # L^2 average, above the coherent state's true sup
+        y = as_unit_vector([math.cos(0.61), math.sin(0.61) * np.exp(0.8j)])
+        assert _coherent_certificate(1, 20, y, 16).sup_estimates[0].value > 0
+        monkeypatch.setattr(C, "volume", lambda m: math.pi / 100)
+        with pytest.raises(C.CertifyError, match="under the flatness floor"):
+            _coherent_certificate(1, 20, y, 16)
+
     def test_base_boxes_cached_read_only(self, monkeypatch):
         boxes = C.base_boxes(2, 6)
         assert boxes is C.base_boxes(2, 6)
@@ -481,29 +514,13 @@ class TestScreenedRefinement:
             assert [sum(u > r for u in used) for r in range(1, 6)] == [75, 37, 29, 19, 1]
 
     def test_one_stopping_rule(self, monkeypatch):
-        # the round driver and sup_norm read the same rule: a rule that
-        # stops every section after its first round stops them all there
+        # the round driver stops by one rule: a rule that stops every
+        # section after its first round stops them all there
         points, entries, fam = _screened_level(2, 20)
         monkeypatch.setattr(C, "_stops", lambda increment, best: np.ones_like(best, dtype=bool))
         cert = C.certify_family(fam, 6, 16, points, entries)
         assert [est.rounds_used for est in cert.sup_estimates] == [1] * fam.n
         assert cert.work["later confirmed"] == 0
-
-    def test_round_one_values_must_match_the_base_mesh(self):
-        y = as_unit_vector([math.cos(0.61), math.sin(0.61) * np.exp(0.8j)])
-        sec = coherent_state(1, 20, y)
-        fam = _family(sec)
-        base = base_values(1, 20, fam.ortho, 16)[0]
-        first = np.full(4 * C._take(len(base)), float(np.max(base)))  # no gain: it stops
-        assert C.sup_norm(sec, 16, 16, base, [first]).rounds_used == 1
-        with pytest.raises(C.CertifyError, match="base values"):
-            C.sup_norm(sec, 16, 16, base[1:], [first])
-        with pytest.raises(C.CertifyError, match="round values"):
-            C.sup_norm(sec, 16, 16, base, [first[1:]])
-        with pytest.raises(C.CertifyError, match="stopping rule"):
-            C.sup_norm(sec, 16, 16, base, [first, first[:32]])  # a round after the stop
-        with pytest.raises(C.CertifyError, match="stopping rule"):
-            C.sup_norm(sec, 16, 16, base, [])  # no round, though one may run
 
     def test_confirm_goes_through_evaluate_lifts(self, monkeypatch):
         cfg = cli.RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,

@@ -286,11 +286,14 @@ class TestRunManifest:
         assert core["beta_prime"][5] == pytest.approx(0.01024, abs=5e-6)
         assert core["status"]["exit_code"] == 0
         cli.write_outputs(manifest, cfg)
-        header = (tmp_path / "constants.csv").read_text().splitlines()[0]
-        assert header == "m,a_m,beta_m,alpha_m,beta_prime_m,residual,truncation,extrapolated"
+        lines = (tmp_path / "constants.csv").read_text().splitlines()
+        assert lines[0] == "m,a_m,beta_m,alpha_m,beta_prime_m,residual,truncation,extrapolated"
+        assert lines[1:] == [",".join(map(repr, row.values())) for row in core["rows"]]
 
-    def test_kernel_mode(self):
-        manifest = cli.run(RunConfig(mode="kernel-check", k=(16, 64)))
+    def test_kernel_mode(self, tmp_path):
+        cfg = RunConfig(mode="kernel-check", k=(16, 64), out=str(tmp_path))
+        manifest = cli.run(cfg)
+        assert cli.write_outputs(manifest, cfg) == [str(tmp_path / "manifest.json")]
         for row in manifest["core"]["rows"]:
             assert row["dual_route_rel"] <= 1e-10
             assert row["soft"]["near_regime"] and row["soft"]["far_regime"]
@@ -716,6 +719,8 @@ class TestMainEntry:
             "--k", "50", "--out", str(tmp_path),
         ])
         assert code == 0
+        for name in ("polynomials.json", "eigenfunctions.json"):
+            assert (tmp_path / name).read_text().endswith("}\n")
         written = json.loads((tmp_path / "polynomials.json").read_text())
         selected = written["selected"]
         assert selected["50"] == min(written["levels"]["50"], key=lambda r: r["sphere ratio"])

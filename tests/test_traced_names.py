@@ -48,6 +48,9 @@ def test_traced_level_counts_each_sup_once():
     assert counts["certify.sup_dups"] == 0
     assert counts["kernel.coherent_state_calls"] == n
     assert counts["kernel.evaluate_points"] > 0
+    sups = level.cert.sup_estimates
+    assert counts["certify.sup_evals"] == sum(e.evaluations for e in sups)
+    assert counts["certify.sup_rounds"] == sum(e.rounds_used for e in sups)
 
 
 def test_traced_m1_level_counts_each_sup_once():
@@ -68,3 +71,6 @@ def test_traced_m1_level_counts_each_sup_once():
     assert counts["certify.sup_dups"] == 0
     assert counts["kernel.coherent_state_calls"] == n
     assert counts["kernel.evaluate_points"] > 0
+    sups = level.cert.sup_estimates
+    assert counts["certify.sup_evals"] == sum(e.evaluations for e in sups)
+    assert counts["certify.sup_rounds"] == sum(e.rounds_used for e in sups)
