@@ -86,14 +86,14 @@ the live sections' rows, screens every section at every child of the
 level.  The top cells and the confirm sets are taken along the rows of
 the resulting (sections, cells) matrix, by the same stable sort and
 partition a single section uses, so every row is that section's own
-choice, ties included.  Each
-section then evaluates its confirmed cells by its own evaluate_lifts,
-from basis rows built once per distinct confirmed lift of the level, in
-monomial_basis calls of at most cap rows each: cap is the block's base
-values over d_k, so a level's rows never take more entries than the
-block's base values do.  A section whose round raises its estimate by
-under 0.1% leaves; the rounds end when none is left or rounds have run.
-One level is held at a time.
+choice, ties included.  The level builds a basis row once per distinct
+confirmed lift, in monomial_basis calls of at most cap rows each: cap is
+the block's base values over d_k, so a level's rows never take more
+entries than the block's base values do.  Each section then evaluates
+its confirmed cells by its own evaluate_lifts of their rows, one
+matrix-vector product per call.  A section whose round raises its
+estimate by under 0.1% leaves; the rounds end when none is left or
+rounds have run.  One level is held at a time.
 
 At m=1 k=800 the 511 sections confirm 8 or 9 of the 256 base cells each
 (4,090 pairs), 98 distinct, then screen the 32 children of their top
@@ -393,10 +393,10 @@ class SharedLevel:
     row); confirm is that (sections, cells) mask.  values builds the
     monomial basis row of every distinct confirmed lift once, in
     monomial_basis calls of at most cap rows (twins, lifts equal in every
-    byte, share one), and each section evaluates its confirmed cells at
-    each call's lifts by its own evaluate_lifts, given their rows.  rows
-    and confirmed count the basis rows built and the (section, cell)
-    pairs confirmed.
+    byte, share one), and each section evaluates its confirmed cells of
+    each call by its own evaluate_lifts of their rows.  rows and
+    confirmed count the basis rows built and the (section, cell) pairs
+    confirmed.
     """
 
     def __init__(self, m: int, k: int, lifts: np.ndarray, items: np.ndarray,
@@ -426,8 +426,7 @@ class SharedLevel:
                 part = call[mine[0]]
                 basis = row = None  # the last call's rows, freed before this call's
                 basis, row = self._rows(touched[part * cap:(part + 1) * cap])
-            vals[j, cell[pairs]] = np.abs(secs[j].evaluate_lifts(self.lifts[mine],
-                                                                 rows=basis[row[mine]]))
+            vals[j, cell[pairs]] = np.abs(secs[j].evaluate_lifts(basis[row[mine]]))
         return vals
 
     def _rows(self, at) -> tuple:
@@ -708,12 +707,12 @@ def fd_laplacian_residual(section: SectionExpansion, part: str, lam: float,
     return float(np.max(np.abs(lap + lam * f0)) / scale)
 
 
-def emit_eigenfunction(rec: dict, seed: int = 5) -> dict:
+def emit_eigenfunction(rec: dict, seed: int) -> dict:
     """Real eigenfunction from a record of emit_polynomials, as written or
     as read back from polynomials.json, with an FD check at 24 random unit
-    lifts and step 0.01 / k (a lift with a coordinate under 0.02 in
-    modulus, outside the stencil's domain, is drawn again from the same
-    stream), as the JSON-ready dict
+    lifts of the stream seeded by seed and step 0.01 / k (a lift with a
+    coordinate under 0.02 in modulus, outside the stencil's domain, is
+    drawn again from the same stream), as the JSON-ready dict
     {k, m, lambda, part, l2, residual, step, samples}: lambda = k(k + 2m)
     is its eigenvalue, part ("re" or "im") the chosen real part and l2 the
     sphere L^2 norm of that part.

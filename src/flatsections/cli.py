@@ -516,7 +516,7 @@ def _constants_core(cfg: RunConfig) -> dict:
     }
 
 
-def dual_route_deviation(m: int, k: int, seed: int = 0) -> float:
+def dual_route_deviation(m: int, k: int, seed: int) -> float:
     """Worst relative gap between the closed-form kernel and a literal
     basis sum, over pairs a geodesic step r = c/sqrt(k) apart: x = cos(r) y
     + sin(r) u, u a random unit vector orthogonal to y.  Kept to near
@@ -814,7 +814,7 @@ def _check_core(core: dict, label: str):
         raise CompareError("%s manifest core rows are not a list of objects" % label)
 
 
-def compare_manifests(ma: dict, mb: dict, tol: float = 1e-6) -> dict:
+def compare_manifests(ma: dict, mb: dict, tol: float) -> dict:
     """Field-wise drift report between two manifest cores.
 
     Every leaf under the first core's spec, rows and other entries is

@@ -145,7 +145,7 @@ def solve_beta_prime(m: int) -> ThetaSolution:
                            lambda alpha: (2 * math.pi / (math.sqrt(3.0) * alpha * alpha)) ** m)
 
 
-def constants_table(max_m: int = TABLE_LIMIT) -> list:
+def constants_table(max_m: int) -> list:
     """One JSON-ready row per m = 1..max_m, keys in constants.csv column
     order: the critical cubic spacing a_m and density beta_m, the critical
     hexagonal spacing alpha_m and density beta'_m, the larger solver

@@ -378,7 +378,7 @@ def ball_volume(m: int, radius: float) -> float:
     return volume(m) * math.sin(radius) ** (2 * m)
 
 
-def distortion_estimate(chart: ChartSpec, nsamples: int = 10000, seed: int = 0) -> float:
+def distortion_estimate(chart: ChartSpec, nsamples: int, seed: int) -> float:
     """Sampled two-sided distortion of the chart over its region.
 
     Draws pairs in the region, compares geodesic distance of the images

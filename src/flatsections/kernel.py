@@ -29,9 +29,8 @@ from .geometry import volume
 # underflows to exactly 0.0 after any multiplication by a level k
 LOG_ZERO = -1e12
 
-# monomial-basis entries evaluate_sections holds at once (lifts x d_k),
-# and the chunk monomial_basis builds its rows in: with the chunk's real
-# temporary, 24 bytes each, about 12 MB
+# monomial-basis entries monomial_basis builds at once (lifts x d_k): with
+# the chunk's real temporary, 24 bytes each, about 12 MB
 BASIS_CHUNK_ENTRIES = 5e5
 
 
@@ -215,10 +214,14 @@ class SectionExpansion:
     def from_ortho(cls, m: int, k: int, ortho: np.ndarray) -> "SectionExpansion":
         return cls(m=m, k=k, ortho_coeffs=np.asarray(ortho, dtype=np.complex128))
 
-    def evaluate_lifts(self, lifts: np.ndarray, rows=None) -> np.ndarray:
-        """Section values at unit lifts (rows of lifts); log-domain
-        monomials, or the basis rows given (evaluate_sections)."""
-        return evaluate_sections(self.m, self.k, [self.ortho_coeffs], lifts, rows)[0]
+    def evaluate_lifts(self, rows: np.ndarray) -> np.ndarray:
+        """Section values at the lifts whose orthonormal monomial basis rows
+        (monomial_basis) are rows: rows @ ortho_coeffs.  A value depends on
+        its row only, not on the other rows of the call: a lone row is
+        evaluated as a pair, since a one-row product goes through another
+        BLAS kernel and rounds differently."""
+        pair = np.concatenate([rows, rows]) if len(rows) == 1 else rows
+        return (pair @ self.ortho_coeffs)[:len(rows)]
 
 
 def _log_modulus(z: np.ndarray) -> np.ndarray:
@@ -255,35 +258,6 @@ def monomial_basis(m: int, k: int, lifts: np.ndarray) -> np.ndarray:
         part.imag = np.angle(chunk) @ idx.T
         np.exp(part, out=part)
     return basis
-
-
-def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray,
-                      rows=None) -> np.ndarray:
-    """Values of several level-k sections at unit lifts, shape (sections, points).
-
-    ortho_rows holds one orthonormal-basis coefficient vector per section.
-    The monomial basis is taken once per chunk of at most
-    BASIS_CHUNK_ENTRIES entries and applied to each section by its own
-    matrix-vector product, so row j is bit-identical to evaluating
-    section j on its own.  No chunk holds a single lift (the last lift is
-    repeated instead), so a value does not depend on which other lifts
-    share the call.  rows, when given, holds the basis row of every lift,
-    equal to the one monomial_basis builds (certify.SharedLevel builds
-    them once for all the sections of a level); otherwise monomial_basis
-    builds each chunk's.
-    """
-    lifts = np.atleast_2d(np.asarray(lifts, dtype=np.complex128))
-    count = lifts.shape[0]
-    step = max(2, int(BASIS_CHUNK_ENTRIES // dimension(m, k)))
-    if count % step == 1:
-        lifts = np.concatenate([lifts, lifts[-1:]])
-        rows = None if rows is None else np.concatenate([rows, rows[-1:]])
-    out = np.empty((len(ortho_rows), lifts.shape[0]), dtype=np.complex128)
-    for lo in range(0, lifts.shape[0], step):
-        chunk = monomial_basis(m, k, lifts[lo:lo + step]) if rows is None else rows[lo:lo + step]
-        for j, row in enumerate(ortho_rows):
-            out[j, lo:lo + step] = chunk @ row
-    return out[:, :count]
 
 
 def coherent_state(m: int, k: int, y: np.ndarray) -> SectionExpansion:

@@ -106,7 +106,7 @@ def _flush(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def inv_sqrt_neumann(g: GramMatrix, tol: float = 1e-10) -> WhiteningOperator:
+def inv_sqrt_neumann(g: GramMatrix, tol: float) -> WhiteningOperator:
     """Inverse square root by the binomial series in A = I - Gram.
 
     Coefficients (2j)!/(4^j j!^2), accumulated until the mapping norm of

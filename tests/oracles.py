@@ -2,14 +2,17 @@
 
 The package holds the pipeline only; these closed forms and bookkeeping
 helpers are what the tests check it against.  A helper that one test file
-uses lives in that file.
+uses lives in that file.  The package evaluates a section only from the
+basis rows its level built (SectionExpansion.evaluate_lifts); the
+evaluation at lifts, evaluate_sections and section_values, is the
+reference here.
 """
 
 import math
 
 import numpy as np
 
-from flatsections import certify, constants
+from flatsections import certify, constants, kernel
 from flatsections.geometry import (
     GeometryError,
     base_boxes,
@@ -19,8 +22,9 @@ from flatsections.geometry import (
 )
 from flatsections.kernel import (
     SectionExpansion,
-    evaluate_sections,
+    dimension,
     log_normalized_from_distance,
+    monomial_basis,
     monomial_table,
 )
 
@@ -54,6 +58,35 @@ def raw_coeffs(m: int, k: int, ortho) -> np.ndarray:
     return np.asarray(ortho) * np.exp(-0.5 * monomial_table(m, k).log_weights)
 
 
+def evaluate_sections(m: int, k: int, ortho_rows, lifts: np.ndarray) -> np.ndarray:
+    """Values of several level-k sections at unit lifts, shape (sections, points).
+
+    ortho_rows holds one orthonormal-basis coefficient vector per section.
+    The monomial basis is built once per chunk of at most
+    kernel.BASIS_CHUNK_ENTRIES entries, so mesh-16 oracles stay bounded,
+    and applied to each section by its own matrix-vector product, so row j
+    is bit-identical to evaluating section j on its own.  No chunk holds a
+    single lift (the last lift is repeated instead), so a value does not
+    depend on which other lifts share the call.
+    """
+    lifts = np.atleast_2d(np.asarray(lifts, dtype=np.complex128))
+    count = lifts.shape[0]
+    step = max(2, int(kernel.BASIS_CHUNK_ENTRIES // dimension(m, k)))
+    if count % step == 1:
+        lifts = np.concatenate([lifts, lifts[-1:]])
+    out = np.empty((len(ortho_rows), lifts.shape[0]), dtype=np.complex128)
+    for lo in range(0, lifts.shape[0], step):
+        chunk = monomial_basis(m, k, lifts[lo:lo + step])
+        for j, row in enumerate(ortho_rows):
+            out[j, lo:lo + step] = chunk @ row
+    return out[:, :count]
+
+
+def section_values(section: SectionExpansion, lifts: np.ndarray) -> np.ndarray:
+    """The values of one section at unit lifts (evaluate_sections)."""
+    return evaluate_sections(section.m, section.k, [section.ortho_coeffs], lifts)[0]
+
+
 def full_base_values(m: int, k: int, ortho_rows, boxes: np.ndarray) -> np.ndarray:
     """|s_j| at the centres of mesh cells, every cell evaluated at its own
     lift, one row per coefficient vector: the base mesh without the twin
@@ -74,7 +107,7 @@ def base_values(m: int, k: int, ortho_rows, mesh: int) -> np.ndarray:
 def unscreened_sups(m: int, k: int, ortho_rows, mesh: int, rounds: int) -> tuple:
     """The SupNormEstimate of each coefficient vector without the frame:
     base_values, then each section refined alone, with every child of its
-    top cells evaluated by evaluate_lifts.  The cells are chosen and split
+    top cells evaluated by section_values.  The cells are chosen and split
     by the package's own _top_cells (the _take largest, ties to the lower
     index) and _split_boxes, so certify_family's screened estimates must
     equal these field by field.  The stopping rule is written out here
@@ -87,7 +120,7 @@ def unscreened_sups(m: int, k: int, ortho_rows, mesh: int, rounds: int) -> tuple
         history, evals, used, increment = [best], len(vals), 0, 0.0
         for _ in range(rounds):
             boxes = certify._split_boxes(boxes[certify._top_cells(vals)])
-            vals = np.abs(section.evaluate_lifts(center_lifts(m, boxes)))
+            vals = np.abs(section_values(section, center_lifts(m, boxes)))
             evals += len(vals)
             used += 1
             new_best = max(best, float(np.max(vals)))

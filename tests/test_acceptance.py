@@ -131,7 +131,7 @@ def test_step2_bounds():
         assert g.eta_hat < 0.5
         if k0 is None:
             k0 = k
-        op = inv_sqrt_neumann(g)
+        op = inv_sqrt_neumann(g, tol=1e-10)
         assert op.norm_inf <= (1 - g.eta_hat) ** -0.5 * (1 + 1e-6) + 1e-10
         agree = np.max(np.abs(op.entries - inv_sqrt_eigen(g).entries))
         assert agree <= 1e-8
@@ -224,7 +224,7 @@ def test_corollary_outputs():
     ratios = [rec["sphere ratio"] for rec in selected]
     assert max(ratios) <= 1.25 * min(ratios), ratios
     for rec in selected:
-        assert emit_eigenfunction(rec)["residual"] <= 1e-4
+        assert emit_eigenfunction(rec, seed=5)["residual"] <= 1e-4
 
     cfg2 = RunConfig(m=2, k=(20, 40), spacing=2.4, eta=0.9,
                      cover={"name": "balls", "radius": 0.4}, mesh=6,
@@ -233,7 +233,7 @@ def test_corollary_outputs():
     for k in cfg2.k:
         level = cli._run_level(cfg2, spec2, k)
         rec = min(emit_polynomials(level.fam, level.cert), key=lambda r: r["sphere ratio"])
-        assert emit_eigenfunction(rec)["residual"] <= 1e-4
+        assert emit_eigenfunction(rec, seed=5)["residual"] <= 1e-4
 
 
 def test_m2_smoke_run():

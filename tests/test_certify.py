@@ -30,6 +30,7 @@ from oracles import (
     full_base_values,
     raw_coeffs,
     section_from_raw,
+    section_values,
     unscreened_sups,
 )
 
@@ -57,8 +58,8 @@ def torus_quadrature_inner(sa: SectionExpansion, sb: SectionExpansion) -> comple
          np.sqrt(uu.ravel()) * np.exp(1j * p2.ravel())],
         axis=1,
     )
-    va = sa.evaluate_lifts(lifts).reshape(k + 2, na, na)
-    vb = sb.evaluate_lifts(lifts).reshape(k + 2, na, na)
+    va = section_values(sa, lifts).reshape(k + 2, na, na)
+    vb = section_values(sb, lifts).reshape(k + 2, na, na)
     w = (0.5 * weights)[:, None, None] / na ** 2
     return complex(volume(1) * np.sum(w * va * np.conj(vb)))
 
@@ -126,7 +127,7 @@ def _records(fam, mesh=16):
 
 
 def _one_call_residual(section, part, lam, points, h):
-    """fd_laplacian_residual with the whole stencil in one evaluate_lifts call."""
+    """fd_laplacian_residual with the whole stencil in one section_values call."""
     k, m = section.k, section.m
     npts, dim = points.shape[0], 2 * (m + 1)
     reals = np.empty((npts, dim))
@@ -140,7 +141,7 @@ def _one_call_residual(section, part, lam, points, h):
             stencil.append(shifted)
     stacked = np.concatenate(stencil, axis=0)
     z = stacked[:, 0::2] + 1j * stacked[:, 1::2]
-    vals = section.evaluate_lifts(z) / np.linalg.norm(z, axis=1) ** k
+    vals = section_values(section, z) / np.linalg.norm(z, axis=1) ** k
     f = (vals.real if part == "re" else vals.imag).reshape(4 * dim + 1, npts)
     lap = np.zeros(npts)
     for d in range(dim):
@@ -169,7 +170,7 @@ def _pipeline(k: int):
                          epsilon=0.05, delta=None, beta_target=None)
     fr = F.build(spec, k)
     g = W.assemble_gram(fr)
-    op = W.inv_sqrt_neumann(g)
+    op = W.inv_sqrt_neumann(g, tol=1e-10)
     return fr, g, op, FL.flatten_frame(fr, op)
 
 
@@ -334,7 +335,7 @@ class TestScreenedRefinement:
         assert block.shape == (fam.n, per)
         for j, sec in enumerate(_sections(fam)):
             mine = lifts[items[j]]
-            exact = np.abs(sec.evaluate_lifts(mine))
+            exact = np.abs(section_values(sec, mine))
             assert np.max(np.abs(block[j] - exact)) <= screen.deltas[j] / 100
             # a later round's call, with the section's row as an index array
             one = screen.values(mine, np.arange(per), np.array([j]))
@@ -441,21 +442,25 @@ class TestScreenedRefinement:
             C.certify_family(fam, 6, 16, points=points)
 
     def test_evaluation_does_not_depend_on_batch(self):
-        # the confirm step evaluates a subset of the children; each value
-        # must equal the one the full round computes
+        # the confirm step evaluates a subset of the children, from their
+        # gathered basis rows; each value must equal the one the full round
+        # computes, and the oracle's
         fam = _screened_level(2, 40)[2]
         rng = np.random.default_rng(3)
         raw = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
         lifts = raw / np.linalg.norm(raw, axis=1)[:, None]
+        rows = K.monomial_basis(2, 40, lifts)
         for sec in _sections(fam)[:4]:
-            full = sec.evaluate_lifts(lifts)
+            full = sec.evaluate_lifts(rows)
+            assert np.array_equal(full, section_values(sec, lifts))
             for size in (1, 2, 8, 13, 64, 199):
                 pick = rng.choice(200, size, replace=False)
-                assert np.array_equal(sec.evaluate_lifts(lifts[pick]), full[pick])
+                assert np.array_equal(sec.evaluate_lifts(rows[pick]), full[pick])
         # one lift past a whole chunk: the last chunk would hold it alone
         step = int(K.BASIS_CHUNK_ENTRIES // dimension(2, 40))
         tail = np.concatenate([lifts[rng.integers(0, 200, step)], lifts[:1]])
-        assert np.array_equal(sec.evaluate_lifts(tail)[-1:], full[:1])
+        assert np.array_equal(section_values(sec, tail)[-1:], full[:1])
+        assert np.array_equal(sec.evaluate_lifts(K.monomial_basis(2, 40, tail))[-1:], full[:1])
 
     @pytest.mark.parametrize("m,k,mesh,counts", (
         (1, 200, 16, [75, 784, 125, 784, 708, 1288]),
@@ -477,9 +482,9 @@ class TestScreenedRefinement:
         monkeypatch.setattr(C.SharedLevel, "__init__",
                             lambda self, *args: init(self, *args) or levels.append(self))
         monkeypatch.setattr(SectionExpansion, "evaluate_lifts",
-                            lambda self, lifts, **kw: own.setdefault(
-                                where[self.ortho_coeffs.tobytes()], []).append(len(lifts))
-                            or evaluate(self, lifts, **kw))
+                            lambda self, rows: own.setdefault(
+                                where[self.ortho_coeffs.tobytes()], []).append(len(rows))
+                            or evaluate(self, rows))
         cert = C.certify_family(fam, mesh, 16, points, entries)
         assert cert.sup_estimates == want
         cap = fam.n * len(C.base_boxes(m, mesh)) // dimension(m, k)
@@ -528,9 +533,9 @@ class TestScreenedRefinement:
         seen = []
         evaluate = SectionExpansion.evaluate_lifts
 
-        def counted(self, lifts, **kw):
-            seen.append(len(lifts))
-            return evaluate(self, lifts, **kw)
+        def counted(self, rows):
+            seen.append(len(rows))
+            return evaluate(self, rows)
 
         monkeypatch.setattr(SectionExpansion, "evaluate_lifts", counted)
         level = cli._run_level(cfg, cli.lattice_spec(cfg)[0], 20)
@@ -774,13 +779,13 @@ class TestCertifyFamily:
         # the screened base mesh builds a basis row only at the distinct
         # lifts of the cells some section confirms, once for the family,
         # and every confirmed cell of every level goes through
-        # evaluate_sections once
+        # evaluate_lifts once
         points, entries, fam = _screened_level(2, 20)
         sent, levels, built = [], [], []
-        evaluate, init, basis = K.evaluate_sections, C.BaseLevel.__init__, C.monomial_basis
-        monkeypatch.setattr(K, "evaluate_sections",
-                            lambda m, k, rows, lifts, *rest: sent.append(len(lifts))
-                            or evaluate(m, k, rows, lifts, *rest))
+        evaluate, init = SectionExpansion.evaluate_lifts, C.BaseLevel.__init__
+        basis = C.monomial_basis
+        monkeypatch.setattr(SectionExpansion, "evaluate_lifts",
+                            lambda self, rows: sent.append(len(rows)) or evaluate(self, rows))
         monkeypatch.setattr(C.BaseLevel, "__init__",
                             lambda self, *args: init(self, *args) or levels.append(self))
         monkeypatch.setattr(C, "monomial_basis",
@@ -825,7 +830,7 @@ class TestCertifyFamily:
                              epsilon=0.05, delta=None, beta_target=None)
         fr = F.build(spec, 2100)
         assert fr.n == 25
-        op = W.inv_sqrt_neumann(W.assemble_gram(fr))
+        op = W.inv_sqrt_neumann(W.assemble_gram(fr), tol=1e-10)
         fam = FL.flatten_frame(fr, op)
         assert np.max(np.abs(fam.ortho @ fam.ortho.conj().T - np.eye(fr.n))) <= 1e-8
         cert = C.certify_family(fam, 16, 16, points=fr.points, entries=op.entries)
@@ -889,7 +894,7 @@ class TestEigenfunctions:
     def test_degree_one_exact(self):
         rec_fam = _family(section_from_raw(1, 1, [1.0, 0.0]))
         rec = _records(rec_fam)[0]
-        e = C.emit_eigenfunction(rec)
+        e = C.emit_eigenfunction(rec, seed=5)
         assert e["lambda"] == 3
         assert e["part"] == "re"
         # || Re z0 ||_2 over the sphere is exactly 1/2
@@ -903,7 +908,7 @@ class TestEigenfunctions:
             sec = section_from_raw(1, k, coeffs)
             fam = _family(sec)
             rec = _records(fam)[0]
-            e = C.emit_eigenfunction(rec)
+            e = C.emit_eigenfunction(rec, seed=5)
             sphere_norm = np.linalg.norm(sec.ortho_coeffs) / math.sqrt(math.pi)
             assert e["l2"] >= sphere_norm / math.sqrt(2) - 1e-12
 
@@ -914,20 +919,20 @@ class TestEigenfunctions:
                 sec = section_from_raw(1, k, np.ones(k + 1, dtype=complex))
                 fam = _family(sec)
             rec = _records(fam)[0]
-            e = C.emit_eigenfunction(rec)
+            e = C.emit_eigenfunction(rec, seed=5)
             assert e["residual"] < 1e-6
 
     def test_full_pipeline_residual_at_400(self):
         fr, g, op, fam = _pipeline(400)
         rec = min(_records(fam), key=lambda r: r["sphere ratio"])
-        e = C.emit_eigenfunction(rec)
+        e = C.emit_eigenfunction(rec, seed=5)
         assert e["lambda"] == 400 * 402
         assert e["residual"] < 1e-6
 
     def test_constant_polynomial(self):
         fam = _family(section_from_raw(1, 0, [0.3 - 2.0j]))
         rec = _records(fam)[0]
-        e = C.emit_eigenfunction(rec)
+        e = C.emit_eigenfunction(rec, seed=5)
         assert e["lambda"] == 0 and e["part"] == "im" and e["residual"] == 0.0
 
     def test_reported_keys(self):
@@ -939,7 +944,7 @@ class TestEigenfunctions:
         assert list(rec) == ["k", "m", "ortho re", "ortho im", "sup", "l2", "sphere ratio"]
         assert list(rec["sup"]) == ["value", "mesh", "rounds used", "last increment",
                                     "evaluations", "history"]
-        e = C.emit_eigenfunction(rec)
+        e = C.emit_eigenfunction(rec, seed=5)
         assert list(e) == ["k", "m", "lambda", "part", "l2", "residual", "step", "samples"]
         assert json.loads(json.dumps(e)) == e
         near, far = K.verify_decay(1, 400)
@@ -953,11 +958,12 @@ class TestEigenfunctions:
 
         for fam in (_pipeline(60)[3], _family(_unit_basis(2, 4, 3))):
             rec = min(_records(fam, mesh=6), key=lambda r: r["sphere ratio"])
-            assert C.emit_eigenfunction(json.loads(json.dumps(rec))) == C.emit_eigenfunction(rec)
+            read = json.loads(json.dumps(rec))
+            assert C.emit_eigenfunction(read, seed=5) == C.emit_eigenfunction(rec, seed=5)
 
     @pytest.mark.parametrize("m,k,part", ((1, 200, "im"), (2, 40, "re")))
     def test_stencil_matches_one_call_residual(self, m, k, part):
-        # the old route, the whole stencil through evaluate_lifts, is the
+        # the old route, the whole stencil through section_values, is the
         # oracle.  Both residuals are rounding noise of the stencil values
         # magnified by the stencil, so they agree within that magnification
         # of the gap between their values
@@ -967,7 +973,7 @@ class TestEigenfunctions:
         want = _one_call_residual(sec, part, lam, pts, h)
         got = C.fd_laplacian_residual(sec, part, lam, pts, h)
         centre, shifted = C._stencil_values(sec, pts, h)
-        oracle = sec.evaluate_lifts(_stencil_points(pts, h).reshape(-1, m + 1))
+        oracle = section_values(sec, _stencil_points(pts, h).reshape(-1, m + 1))
         gap = np.max(np.abs(shifted.ravel() - oracle)) / np.max(np.abs(centre))
         # the stencil's weights sum to 64 in modulus per real direction
         magnify = 1 + 2 * (m + 1) * 64 / (12 * h ** 2 * lam)
@@ -981,12 +987,12 @@ class TestEigenfunctions:
         h = 0.01 / k
         centre, shifted = C._stencil_values(sec, pts, h)
         assert shifted.shape == (m + 1, 24, 8)
-        oracle = sec.evaluate_lifts(_stencil_points(pts, h).reshape(-1, m + 1))
+        oracle = section_values(sec, _stencil_points(pts, h).reshape(-1, m + 1))
         oracle = oracle.reshape(shifted.shape)
         for p in range(24):
             size = np.max(np.abs(oracle[:, p]))
             assert np.max(np.abs(shifted[:, p] - oracle[:, p])) <= 1e-12 * size
-        assert np.max(np.abs(centre - sec.evaluate_lifts(pts))) <= 1e-12 * np.max(np.abs(centre))
+        assert np.max(np.abs(centre - section_values(sec, pts))) <= 1e-12 * np.max(np.abs(centre))
 
     @pytest.mark.parametrize("m,k", ((1, 200), (2, 40)))
     def test_stencil_builds_one_basis(self, monkeypatch, m, k):
@@ -997,7 +1003,7 @@ class TestEigenfunctions:
         monkeypatch.setattr(C, "monomial_basis",
                             lambda m, k, lifts: rows.append(len(lifts)) or basis(m, k, lifts))
         monkeypatch.setattr(SectionExpansion, "evaluate_lifts",
-                            lambda self, lifts: evaluated.append(len(lifts)))
+                            lambda self, rows: evaluated.append(len(rows)))
         C.fd_laplacian_residual(sec, "re", k * (k + 2 * m), _probes(m, 5), 0.01 / k)
         assert rows == [24] and evaluated == []
 
@@ -1032,5 +1038,5 @@ class TestEigenfunctions:
                "sup": C.SupNormEstimate(0.0, 16, 0, 0.0, 0, (0.0,)).to_dict(),
                "l2": 0.0, "sphere ratio": 1.0}
         with pytest.raises(C.CertifyError):
-            C.emit_eigenfunction(rec)
+            C.emit_eigenfunction(rec, seed=5)
 

@@ -17,8 +17,9 @@ from flatsections.cli import CliError, CompareError, RunConfig
 from flatsections.flatten import FlattenError, load_family
 from flatsections.frame import FrameError, choose_spacing
 from flatsections.geometry import GeometryError
-from flatsections.kernel import dimension, evaluate_sections
+from flatsections.kernel import dimension
 from flatsections.whitening import WhiteningError, load_matrix
+from oracles import evaluate_sections
 
 
 def _ortho_cfg(**kw):
@@ -316,7 +317,7 @@ class TestRunManifest:
 class TestCompare:
     def test_identical_runs_empty_diff(self):
         cfg = _ortho_cfg()
-        report = cli.compare_manifests(cli.run(cfg), cli.run(cfg))
+        report = cli.compare_manifests(cli.run(cfg), cli.run(cfg), tol=1e-6)
         assert report["identical"]
         assert report["drift"] == [] and report["permuted"] == []
 
@@ -334,7 +335,7 @@ class TestCompare:
 
         monkeypatch.setattr(cli, "build", reversed_build)
         mb = cli.run(cfg)
-        report = cli.compare_manifests(ma, mb)
+        report = cli.compare_manifests(ma, mb, tol=1e-6)
         assert all(e["field"].startswith("section_sups[") for e in report["drift"])
         # reversing the frame maps section j to n-j up to phase
         sa = ma["core"]["rows"][0]["section_sups"]
@@ -351,35 +352,36 @@ class TestCompare:
         old["core"]["config"]["order"] = "lex"
         old["core"]["spec"]["order"] = "lex"
         for first, second in ((old, ma), (ma, old)):
-            report = cli.compare_manifests(first, second)
+            report = cli.compare_manifests(first, second, tol=1e-6)
             assert report["identical"] and report["drift"] == []
 
     def test_drift_flagged_above_tolerance(self):
         ma = cli.run(_ortho_cfg())
         mb = copy.deepcopy(ma)
         mb["core"]["rows"][0]["eta_hat"] += 1e-3
-        report = cli.compare_manifests(ma, mb)
+        report = cli.compare_manifests(ma, mb, tol=1e-6)
         assert len(report["drift"]) == 1
         assert report["drift"][0]["field"] == "eta_hat"
         # and the same tamper stays invisible below the tolerance
         mc = copy.deepcopy(ma)
         mc["core"]["rows"][0]["eta_hat"] += 1e-8
-        assert cli.compare_manifests(ma, mc)["drift"] == []
+        assert cli.compare_manifests(ma, mc, tol=1e-6)["drift"] == []
 
     def test_kernel_manifests_compare_in_memory(self):
         cfg = RunConfig(mode="kernel-check", k=(16, 64))
         ma = cli.run(cfg)
-        report = cli.compare_manifests(ma, cli.run(cfg))
+        report = cli.compare_manifests(ma, cli.run(cfg), tol=1e-6)
         assert report["identical"] and report["checked"] > 0
         mb = copy.deepcopy(ma)
         mb["core"]["rows"][1]["near"]["max deviation"] *= 1.01
-        drifted = [(d["where"], d["field"]) for d in cli.compare_manifests(ma, mb)["drift"]]
+        drifted = [(d["where"], d["field"])
+                   for d in cli.compare_manifests(ma, mb, tol=1e-6)["drift"]]
         assert drifted == [("k=64", "near.max deviation")]
 
     def test_constants_manifests_compare_every_constant(self):
         cfg = RunConfig(mode="constants-only", constants_max_m=2)
         ma = cli.run(cfg)
-        report = cli.compare_manifests(ma, cli.run(cfg))
+        report = cli.compare_manifests(ma, cli.run(cfg), tol=1e-6)
         # eight fields per row, the two core-level lists and the invariant
         assert report["identical"] and report["checked"] == 2 * 8 + 2 * 2 + 1
         mb = copy.deepcopy(ma)
@@ -387,7 +389,7 @@ class TestCompare:
             row["beta_m"] *= 1.5
             row["beta_prime_m"] *= 1.5
         mb["core"]["beta"] = [1.5 * b for b in mb["core"]["beta"]]
-        report = cli.compare_manifests(ma, mb)
+        report = cli.compare_manifests(ma, mb, tol=1e-6)
         assert not report["identical"]
         drifted = {(d["where"], d["field"]) for d in report["drift"]}
         assert drifted == {("m=1", "beta_m"), ("m=2", "beta_m"), ("m=1", "beta_prime_m"),
@@ -396,7 +398,8 @@ class TestCompare:
         mc["core"]["beta_prime"][1] *= 1.5
         mc["core"]["rows"][0]["a_m"] += 1e-3
         mc["core"]["rows"][1]["truncation"] += 1
-        drifted = {(d["where"], d["field"]) for d in cli.compare_manifests(ma, mc)["drift"]}
+        drifted = {(d["where"], d["field"])
+                   for d in cli.compare_manifests(ma, mc, tol=1e-6)["drift"]}
         assert drifted == {("core", "beta_prime[1]"), ("m=1", "a_m"), ("m=2", "truncation")}
 
     def test_missing_field_is_drift_only_in_the_second(self):
@@ -406,13 +409,13 @@ class TestCompare:
         del mb["core"]["rows"][0]["invariants"]["orthonormal"]
         del mb["core"]["spec"]["gamma"]
         drifted = {(d["where"], d["field"]): d["rel"]
-                   for d in cli.compare_manifests(ma, mb)["drift"]}
+                   for d in cli.compare_manifests(ma, mb, tol=1e-6)["drift"]}
         assert drifted == {("k=60", "nn"): math.inf,
                            ("k=60", "invariants.orthonormal"): math.inf,
                            ("spec", "gamma"): math.inf}
         # the first manifest's fields drive the walk: fields only the
         # second holds (a newer writer's, say) are not drift
-        assert cli.compare_manifests(mb, ma)["drift"] == []
+        assert cli.compare_manifests(mb, ma, tol=1e-6)["drift"] == []
 
     def test_config_with_a_null_gamma_is_no_mismatch(self):
         # manifests written while gamma was a config key hold "gamma": null
@@ -421,14 +424,14 @@ class TestCompare:
         old = copy.deepcopy(new)
         old["core"]["config"]["gamma"] = None
         for a, b in ((old, new), (new, old)):
-            report = cli.compare_manifests(a, b)
+            report = cli.compare_manifests(a, b, tol=1e-6)
             assert report["identical"] and report["drift"] == []
 
     def test_incompatible_configs_error(self):
         ma = cli.run(_ortho_cfg(k=(50,)))
         mb = cli.run(_ortho_cfg(k=(60,)))
         with pytest.raises(CompareError):
-            cli.compare_manifests(ma, mb)
+            cli.compare_manifests(ma, mb, tol=1e-6)
 
     def test_nan_and_infinity_are_drift(self):
         # a NaN or an infinity against another number gives a NaN gap,
@@ -438,10 +441,10 @@ class TestCompare:
 
         for a, b in ((1.0, math.nan), (math.nan, 1.0), (1.0, math.inf),
                      (-math.inf, math.inf)):
-            drift = cli.compare_manifests(manifest(a), manifest(b))["drift"]
+            drift = cli.compare_manifests(manifest(a), manifest(b), tol=1e-6)["drift"]
             assert [(d["field"], d["rel"]) for d in drift] == [("x", math.inf)]
         for same in (math.nan, math.inf):
-            assert cli.compare_manifests(manifest(same), manifest(same))["identical"]
+            assert cli.compare_manifests(manifest(same), manifest(same), tol=1e-6)["identical"]
 
 
 class TestMainEntry:

@@ -282,14 +282,14 @@ class TestChartsAndExpLog:
         ch = G.make_chart(
             _rand_point(rng, 1), G.CubeRegion(0.01 / math.sqrt(2)), 1.0
         )
-        assert G.distortion_estimate(ch, nsamples=4000) <= 1.001
+        assert G.distortion_estimate(ch, nsamples=4000, seed=0) <= 1.001
 
     def test_distortion_disc_example(self):
         # disc of radius pi/8: the sampled distortion approaches the
         # chart's gamma, 2r/sin(2r) ~ 1.11, from below
         ch = G.make_chart(G.standard_point(1), G.BallRegion(math.pi / 8), 1.0)
         assert ch.gamma == (math.pi / 4) / math.sin(math.pi / 4)
-        g = G.distortion_estimate(ch, nsamples=20000)
+        g = G.distortion_estimate(ch, nsamples=20000, seed=0)
         assert 1.0 <= g <= ch.gamma
 
     @pytest.mark.parametrize("cover", ("latlon", "balls", "cube"))

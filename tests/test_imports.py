@@ -5,8 +5,9 @@
   the pipeline, and a helper only tests call lives in tests/.
 * Every optional parameter is passed by some call in the package: one
   that only tests set is a module constant instead.
-* No parameter defaults to None while every call in the package passes
-  it: such a default selects a path that only tests take.
+* No parameter has a default that every call in the package passes,
+  whatever the default's value: such a default selects a path or a value
+  that only tests take.
 * Every parameter is read by some definition of its function's name: an
   interface parameter one implementation reads is kept, one that none
   reads is not passed.
@@ -37,10 +38,6 @@ UNCALLED_KEPT = ("core_bytes", "load_family", "load_matrix")
 
 # main(argv): the console script, which leaves argv to sys.argv
 UNPASSED_KEPT = ("main(argv)",)
-
-# rows: the monomial evaluation the tests use as their oracle, with
-# monomial_basis building its rows
-PASSED_NONE_KEPT = ("SectionExpansion.evaluate_lifts(rows)", "evaluate_sections(rows)")
 
 # Frame.dropped: the benchmark reads it
 UNREAD_KEPT = ("dropped",)
@@ -120,16 +117,14 @@ def _takes_self(node, is_method) -> bool:
 
 
 def _optional_parameters(node, is_method):
-    """(name, positional index or None, default node) of each parameter
-    with a default; a method's index counts from its first argument after
-    self or cls."""
+    """(name, positional index or None) of each parameter with a default;
+    a method's index counts from its first argument after self or cls."""
     args = node.args
     positional = args.posonlyargs + args.args
     shift = 1 if _takes_self(node, is_method) else 0
     first = len(positional) - len(args.defaults)
-    out = [(a.arg, i - shift, args.defaults[i - first])
-           for i, a in enumerate(positional) if i >= first]
-    out += [(a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    out = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
     return out
 
 
@@ -161,25 +156,24 @@ def unpassed_parameters(sources: dict) -> list:
     out = []
     for module, tree in trees.items():
         for qual, node, is_method in _functions(tree):
-            for param, index, _ in _optional_parameters(node, is_method):
+            for param, index in _optional_parameters(node, is_method):
                 if not any(_passes(c, param, index) for c in calls.get(node.name, [])):
                     out.append("%s:%s(%s)" % (module, qual, param))
     return sorted(out)
 
 
-def passed_none_defaults(sources: dict) -> list:
-    """module:qualname(param) of every parameter of sources that defaults to
-    None and that every call by the function's name passes; a function no
-    call names is unpassed_parameters' to report."""
+def passed_defaults(sources: dict) -> list:
+    """module:qualname(param) of every parameter of sources with a default,
+    whatever its value, that every call by the function's name passes; a
+    function no call names is unpassed_parameters' to report."""
     trees = _parse(sources)
     calls = _calls(trees)
     out = []
     for module, tree in trees.items():
         for qual, node, is_method in _functions(tree):
             mine = calls.get(node.name, [])
-            for param, index, default in _optional_parameters(node, is_method):
-                if (isinstance(default, ast.Constant) and default.value is None and mine
-                        and all(_passes(c, param, index) for c in mine)):
+            for param, index in _optional_parameters(node, is_method):
+                if mine and all(_passes(c, param, index) for c in mine):
                     out.append("%s:%s(%s)" % (module, qual, param))
     return sorted(out)
 
@@ -366,20 +360,21 @@ def test_detects_an_unpassed_parameter():
     assert unpassed_parameters({"a": a, "b": b}) == ["a:C.g(q)", "a:f(y)", "a:f(z)"]
 
 
-def test_detects_a_none_default_every_call_passes():
+def test_detects_a_default_every_call_passes():
     a = textwrap.dedent("""
-        def f(x, y=None, z=None, *, w=None, v=0):
+        def f(x, y=None, z=None, *, w=None, v=0, u=1.5):
             return x
 
         class C:
-            def g(self, p=None, q=None):
+            def g(self, p=2, q=None):
                 return p
 
-        def lonely(u=None):
-            return u
+        def lonely(t=None):
+            return t
         """)
-    b = "from a import C, f\nf(1, 2, w=3, v=1)\nf(1, None, None, w=4)\nC().g(5)\nC().g(*[6])\n"
-    assert passed_none_defaults({"a": a, "b": b}) == ["a:C.g(p)", "a:f(w)", "a:f(y)"]
+    b = ("from a import C, f\nf(1, 2, w=3, v=1)\nf(1, None, None, w=4, v=0)\n"
+         "C().g(5)\nC().g(*[6])\n")
+    assert passed_defaults({"a": a, "b": b}) == ["a:C.g(p)", "a:f(v)", "a:f(w)", "a:f(y)"]
 
 
 def test_detects_an_unread_field():
@@ -528,9 +523,8 @@ def test_every_optional_parameter_is_passed_in_the_package():
             and e.split(":", 1)[1] not in UNPASSED_KEPT] == []
 
 
-def test_no_none_default_is_left_to_tests():
-    found = passed_none_defaults(_package_sources())
-    assert [e for e in found if e.split(":", 1)[1] not in PASSED_NONE_KEPT] == []
+def test_no_default_is_left_to_tests():
+    assert passed_defaults(_package_sources()) == []
 
 
 def test_every_field_is_read_in_the_package():
@@ -561,8 +555,6 @@ def test_every_kept_name_is_still_needed():
     unpassed = [e.split(":", 1)[1] for e in unpassed_parameters(sources)]
     assert [n for n in UNCALLED_KEPT if not any(_kept(e, (n,)) for e in uncalled)] == []
     assert [n for n in UNPASSED_KEPT if n not in unpassed] == []
-    passed_none = [e.split(":", 1)[1] for e in passed_none_defaults(sources)]
-    assert [n for n in PASSED_NONE_KEPT if n not in passed_none] == []
     assert [n for n in UNREAD_KEPT if not any(_kept(e, (n,)) for e in unread)] == []
     to_dict = to_dict_classes(sources)
     assert [n for n in TO_DICT_KEPT if not any(_kept(e, (n,)) for e in to_dict)] == []

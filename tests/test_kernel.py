@@ -14,7 +14,13 @@ import pytest
 
 from flatsections import geometry as G
 from flatsections import kernel as K
-from oracles import fs_distance, normalized_from_distance, raw_coeffs
+from oracles import (
+    evaluate_sections,
+    fs_distance,
+    normalized_from_distance,
+    raw_coeffs,
+    section_values,
+)
 
 
 def _lift(rng, m):
@@ -213,7 +219,7 @@ class TestCoherentStates:
             for _ in range(10):
                 x = _lift(rng, m)
                 want = K.szego_kernel(m, k, x, y) / math.sqrt(K.kernel_diag(m, k))
-                got = phi.evaluate_lifts(x[None, :])[0]
+                got = section_values(phi, x[None, :])[0]
                 assert abs(got - want) < 1e-11
 
     def test_overlap_is_normalized_kernel(self):
@@ -241,7 +247,7 @@ class TestCoherentStates:
         m, k = 2, 12
         y = _lift(rng, 2)
         phi = K.coherent_state(m, k, y)
-        got = abs(phi.evaluate_lifts(y[None, :])[0])
+        got = abs(section_values(phi, y[None, :])[0])
         assert abs(got - math.sqrt(K.kernel_diag(m, k))) < 1e-11
 
     def test_coherent_state_past_raw_overflow(self):
@@ -256,9 +262,10 @@ class TestCoherentStates:
         assert abs(np.linalg.norm(phi.ortho_coeffs) - 1.0) < 1e-12
 
     def test_family_evaluation_matches_single(self):
-        # 2500 points at d_k = 861 span five basis chunks of 580 points;
-        # rows built beforehand give the same values, also where a last
-        # chunk of one lift takes the lift before it (1 and 581 points)
+        # 2500 points at d_k = 861 span five of the oracle's basis chunks
+        # of 580 points, and each section alone gives its row of the
+        # family's values; evaluate_lifts of rows built beforehand gives the
+        # same values, also at one row and past a whole chunk (581 points)
         rng = np.random.default_rng(8)
         m, k = 2, 40
         d = K.dimension(m, k)
@@ -267,15 +274,33 @@ class TestCoherentStates:
                 for _ in range(3)]
         lifts = rng.standard_normal((2500, 3)) + 1j * rng.standard_normal((2500, 3))
         lifts /= np.linalg.norm(lifts, axis=1)[:, None]
-        vals = K.evaluate_sections(m, k, [s.ortho_coeffs for s in rows], lifts)
+        vals = evaluate_sections(m, k, [s.ortho_coeffs for s in rows], lifts)
         assert vals.shape == (3, 2500)
         for s, row in zip(rows, vals):
-            assert np.array_equal(row, s.evaluate_lifts(lifts))
-        coeffs = [s.ortho_coeffs for s in rows]
-        for count in (1, 581, 2500):
+            assert np.array_equal(row, section_values(s, lifts))
+        for count in (1, 2, 581, 2500):
             built = K.monomial_basis(m, k, lifts[:count])
-            assert np.array_equal(K.evaluate_sections(m, k, coeffs, lifts[:count], built),
-                                  vals[:, :count])
+            for s, row in zip(rows, vals):
+                assert np.array_equal(s.evaluate_lifts(built), row[:count])
+
+    def test_one_row_is_its_value_in_any_call(self):
+        # a lone row is evaluated as a pair: its value is bit for bit the
+        # one it has in every larger call, gathered subsets included
+        rng = np.random.default_rng(4)
+        for m, k in ((1, 200), (1, 800), (2, 20), (2, 40)):
+            d = K.dimension(m, k)
+            s = K.SectionExpansion.from_ortho(m, k, rng.standard_normal(d)
+                                              + 1j * rng.standard_normal(d))
+            lifts = rng.standard_normal((300, m + 1)) + 1j * rng.standard_normal((300, m + 1))
+            lifts /= np.linalg.norm(lifts, axis=1)[:, None]
+            built = K.monomial_basis(m, k, lifts)
+            full = s.evaluate_lifts(built)
+            assert full.shape == (300,)
+            alone = np.concatenate([s.evaluate_lifts(built[i:i + 1]) for i in range(300)])
+            assert np.array_equal(alone, full)
+            for size in (2, 3, 17, 299):
+                pick = rng.choice(300, size, replace=False)
+                assert np.array_equal(s.evaluate_lifts(built[pick]), full[pick])
 
     def test_monomial_basis_builds_in_chunks(self, monkeypatch):
         # chunks of 7 lifts: every row, across chunks and in a last chunk

@@ -34,6 +34,7 @@ def test_traced_level_counts_each_sup_once():
     # a hook that reads a removed field, or a sup_norm call that bypasses
     # the module-global name the tracer rebinds, shows here
     from flatsections import cli
+    from flatsections.kernel import dimension
 
     cfg = cli.RunConfig(m=2, k=(20,), spacing=2.4, eta=0.9,
                         cover={"name": "balls", "radius": 0.4}, mesh=6).validate()
@@ -48,6 +49,10 @@ def test_traced_level_counts_each_sup_once():
     assert counts["certify.sup_dups"] == 0
     assert counts["kernel.coherent_state_calls"] == n
     assert counts["kernel.evaluate_points"] > 0
+    work = level.cert.work
+    assert counts["kernel.evaluate_points"] == sum(work[name] for name in (
+        "base confirmed", "round 1 confirmed", "later confirmed"))
+    assert counts["kernel.monomial_terms"] == counts["kernel.evaluate_points"] * dimension(2, 20)
     sups = level.cert.sup_estimates
     assert counts["certify.sup_evals"] == sum(e.evaluations for e in sups)
     assert counts["certify.sup_rounds"] == sum(e.rounds_used for e in sups)
@@ -57,6 +62,7 @@ def test_traced_m1_level_counts_each_sup_once():
     # the m = 1 twin: round 1 reads the family's shared first level, and
     # sup_norm is still called once per section through the traced name
     from flatsections import cli
+    from flatsections.kernel import dimension
 
     cfg = cli.RunConfig(m=1, k=(200,), spacing=1.945, eta=0.995, epsilon=0.005,
                         cover={"name": "latlon", "radius": 0.35}, delta=1e-9).validate()
@@ -71,6 +77,10 @@ def test_traced_m1_level_counts_each_sup_once():
     assert counts["certify.sup_dups"] == 0
     assert counts["kernel.coherent_state_calls"] == n
     assert counts["kernel.evaluate_points"] > 0
+    work = level.cert.work
+    assert counts["kernel.evaluate_points"] == sum(work[name] for name in (
+        "base confirmed", "round 1 confirmed", "later confirmed"))
+    assert counts["kernel.monomial_terms"] == counts["kernel.evaluate_points"] * dimension(1, 200)
     sups = level.cert.sup_estimates
     assert counts["certify.sup_evals"] == sum(e.evaluations for e in sups)
     assert counts["certify.sup_rounds"] == sum(e.rounds_used for e in sups)
